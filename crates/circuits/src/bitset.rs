@@ -39,6 +39,14 @@ impl BitSet {
         self.words[i / 64] &= !(1 << (i % 64));
     }
 
+    /// The packed word holding bits `64 * i .. 64 * i + 64` (bit `j` of
+    /// the word is flag `64 * i + j`), for callers that combine several
+    /// sets word by word.
+    #[inline]
+    pub fn word(&self, i: usize) -> u64 {
+        self.words[i]
+    }
+
     /// Whether any bit at all is set (word-at-a-time scan; the
     /// `received_any`-style check over the whole set).
     pub fn any(&self) -> bool {

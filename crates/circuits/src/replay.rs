@@ -27,7 +27,9 @@ use std::collections::HashMap; // spf-lint: allow(nondet-collections) — keyed 
 
 use std::fmt;
 
-use amoebot_telemetry::{mix64, TraceError, TraceEvent, TraceReader, BEEP_DIGEST_SALT};
+use amoebot_telemetry::{
+    mix64, RelabelKind, TraceError, TraceEvent, TraceReader, BEEP_DIGEST_SALT,
+};
 
 use crate::topology::Topology;
 use crate::world::World;
@@ -43,6 +45,12 @@ pub struct ReplayReport {
     pub events: u64,
     /// Wall-clock microseconds of the *recorded* run (from the footer).
     pub recorded_wall_micros: u64,
+    /// Per-root delivery digests computed from a membership bucket
+    /// (digest memo misses). Clean rounds hit the memo, so this counts
+    /// the replay's delivery work independently of the run length.
+    pub digest_passes: u64,
+    /// Relabels replay ran to mirror the recorded ticks' refreshes.
+    pub relabels: u64,
 }
 
 /// Why a replay failed. Every variant carries the 1-based round being
@@ -213,6 +221,8 @@ pub fn replay_trace(bytes: &[u8]) -> Result<ReplayReport, ReplayError> {
     // spf-lint: allow(nondet-collections) — keyed get/insert memo; iteration order never observed
     let mut memo: HashMap<u32, (u64, u64)> = HashMap::new();
     let mut memo_epoch = u64::MAX;
+    let mut digest_passes: u64 = 0;
+    let mut relabels: u64 = 0;
     let mut roots: Vec<u32> = Vec::new();
 
     loop {
@@ -344,6 +354,9 @@ pub fn replay_trace(bytes: &[u8]) -> Result<ReplayReport, ReplayError> {
                 // corrupted relabel byte, which decodes fine for codes
                 // the wire format knows.
                 let relabel = world.replay_refresh();
+                if relabel != RelabelKind::None {
+                    relabels += 1;
+                }
                 if relabel != summary.relabel {
                     return Err(ReplayError::Divergence {
                         round,
@@ -375,6 +388,7 @@ pub fn replay_trace(bytes: &[u8]) -> Result<ReplayReport, ReplayError> {
                 let mut delivered = 0u64;
                 for &root in &roots {
                     let (d, count) = *memo.entry(root).or_insert_with(|| {
+                        digest_passes += 1;
                         let bucket = world.member_bucket(root as usize);
                         let d = bucket.iter().fold(0u64, |acc, &g| acc ^ mix64(g as u64));
                         (d, bucket.len() as u64)
@@ -433,6 +447,8 @@ pub fn replay_trace(bytes: &[u8]) -> Result<ReplayReport, ReplayError> {
         rounds: rounds_done,
         events: total_events,
         recorded_wall_micros: footer.wall_micros,
+        digest_passes,
+        relabels,
     })
 }
 

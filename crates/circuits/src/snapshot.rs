@@ -47,16 +47,17 @@ use amoebot_telemetry::wire::{self, SnapshotReader, SnapshotWriter, WireError};
 
 use crate::bitset::BitSet;
 use crate::topology::{Topology, NONE};
-use crate::world::{EngineStats, World, DEAD_LINK, NO_EDGE};
+use crate::world::{EngineStats, World, DEAD_LINK, NO_EDGE, RESET_NODES};
 
 /// Counter names the world codec recognizes on restore. The metrics
 /// registry keys counters by `&'static str`, so decoded names are
 /// matched against this fixed menu rather than leaked into statics.
-const KNOWN_COUNTERS: [&str; 4] = [
+const KNOWN_COUNTERS: [&str; 5] = [
     "relabel_global",
     "relabel_region",
     "fault_drops",
     "fault_injects",
+    RESET_NODES,
 ];
 
 /// Encodes `topo` into `w` (the `topology` production above).
@@ -266,9 +267,11 @@ impl World {
         let total = acc as usize;
 
         let mut pin_pset = Vec::with_capacity(total);
+        // Derived state: rebuilt from the pin table (see `World::configured`).
+        let mut configured: Vec<BitSet> = (0..c).map(|_| BitSet::new(n)).collect();
         for v in 0..n {
             let caps = (topo.ports_len(v) * c) as u64;
-            for _ in 0..caps {
+            for i in 0..caps {
                 let offset = r.offset();
                 let pset = r.u16("pin partition set")?;
                 if (pset as u64) >= caps {
@@ -276,6 +279,9 @@ impl World {
                         what: "pin partition set",
                         offset,
                     });
+                }
+                if pset as u64 != i {
+                    configured[i as usize % c].set(v);
                 }
                 pin_pset.push(pset);
             }
@@ -523,6 +529,7 @@ impl World {
             region: Vec::new(),
             node_mark: BitSet::new(n),
             region_nodes: Vec::new(),
+            configured,
             cached_circuits,
             stats,
             rounds,

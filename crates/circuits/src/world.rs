@@ -80,6 +80,10 @@ pub(crate) const NO_EDGE: u32 = u32::MAX;
 /// a live entry: it would exceed the pin id space).
 pub(crate) const DEAD_LINK: (u32, u32, u32, u32) = (u32::MAX, 0, 0, 0);
 
+/// Registry name of the counter of nodes visited by
+/// [`World::reset_all_pins_keeping_links`].
+pub(crate) const RESET_NODES: &str = "reset_nodes";
+
 /// The engine's telemetry registry plus pre-registered handles for the
 /// hot-path counters and phase timers, so instrumented code never pays a
 /// name lookup. Relabel counters live here (the old `u64` fields are now
@@ -252,6 +256,13 @@ pub struct World {
     /// Region-relabel scratch: nodes owning a region gid.
     pub(crate) node_mark: BitSet,
     pub(crate) region_nodes: Vec<u32>,
+    /// One bit per node for each link `ℓ < c`. Invariant: if pin
+    /// `(v, port, ℓ)` holds a partition set other than its singleton id
+    /// `port * c + ℓ`, bit `v` of `configured[ℓ]` is set. Every pin write
+    /// keeps it, so [`World::reset_all_pins_keeping_links`] visits only
+    /// the nodes whose bits are set. Derived from `pin_pset`: snapshots
+    /// do not store it.
+    pub(crate) configured: Vec<BitSet>,
     /// Number of distinct circuits under the cached labeling.
     pub(crate) cached_circuits: usize,
     /// Telemetry registry + cached handles. Holds the relabel-path
@@ -345,6 +356,7 @@ impl World {
             region: Vec::new(),
             node_mark: BitSet::new(n),
             region_nodes: Vec::new(),
+            configured: (0..c).map(|_| BitSet::new(n)).collect(),
             cached_circuits: 0,
             stats: EngineStats::new(),
             rounds: 0,
@@ -463,6 +475,16 @@ impl World {
         }
     }
 
+    /// Keeps the `configured` invariant for a write of `pset` to `v`'s pin
+    /// with local index `i` (= `port * c + link`): a value other than the
+    /// singleton id `i` marks `v` on the pin's link.
+    #[inline]
+    fn mark_configured(&mut self, v: usize, i: usize, pset: u16) {
+        if pset as usize != i {
+            self.configured[i % self.c].set(v);
+        }
+    }
+
     /// Marks every pin of the node at `node_base` whose current partition
     /// set differs from the last-relabel snapshot. Invariant: a clear
     /// dirty bit implies the pin still matches the snapshot, so comparing
@@ -500,6 +522,7 @@ impl World {
         if self.pin_pset[gid] != pset {
             self.pin_pset[gid] = pset;
             self.mark_pin_dirty(gid, self.base[v]);
+            self.mark_configured(v, port * self.c + link, pset);
         }
     }
 
@@ -527,12 +550,25 @@ impl World {
         // Stuck pins win over the sweep; the gate keeps the healthy path
         // a single branch and the loop above vectorizable.
         if !self.stuck.is_empty() {
-            self.reassert_stuck(base, count);
+            self.reassert_stuck(v);
         }
         if diff != 0 {
             // Snapshot-compare marking: pins the re-assertion restored to
             // their pre-sweep (frozen) value are correctly left clean.
             self.mark_changed_pins(base, count);
+        }
+    }
+
+    /// Sets (`on`) or clears `v`'s bit in every link's `configured` set.
+    /// Bulk writers call this before their sweep, so the stuck-pin
+    /// re-assertion after it can re-mark what survives.
+    fn mark_all_links(&mut self, v: usize, on: bool) {
+        for set in &mut self.configured {
+            if on {
+                set.set(v);
+            } else {
+                set.clear(v);
+            }
         }
     }
 
@@ -552,6 +588,7 @@ impl World {
     /// partition set `port * c + link`, so no two pins share a set and every
     /// circuit through `v` connects exactly two neighbors.
     pub fn singleton_pin_config(&mut self, v: usize) {
+        self.mark_all_links(v, false);
         self.fill_pin_config(v, |i| i as u16);
     }
 
@@ -559,6 +596,7 @@ impl World {
     /// configuration: if every amoebot does this, the whole structure forms
     /// one circuit).
     pub fn global_pin_config(&mut self, v: usize) {
+        self.mark_all_links(v, true);
         self.fill_pin_config(v, |_| 0);
     }
 
@@ -603,6 +641,7 @@ impl World {
             {
                 self.pin_pset[base + i] = id;
                 self.mark_pin_dirty(base + i, base as u32);
+                self.mark_configured(v, i, id);
             }
             i += self.c;
         }
@@ -636,8 +675,13 @@ impl World {
             }
             i += c;
         }
+        for link in 0..c {
+            if !keep.contains(&link) {
+                self.configured[link].clear(v);
+            }
+        }
         if !self.stuck.is_empty() {
-            self.reassert_stuck(base, count);
+            self.reassert_stuck(v);
         }
         if diff != 0 {
             self.mark_changed_pins(base, count);
@@ -648,12 +692,45 @@ impl World {
     /// per-phase "drop all stale groups" sweep the algorithm layer runs
     /// between phases, as one call. Only the pins that actually move are
     /// marked dirty, so after a phase that reconfigured a small region the
-    /// next relabel still only touches that region — the sweep itself
-    /// contributes nothing to the dirty set on already-reset nodes.
+    /// next relabel still only touches that region.
+    ///
+    /// The sweep visits only the nodes marked in the `configured` set of
+    /// some link outside `keep`, in ascending order. Every other node
+    /// holds singletons on those links already, so resetting it would
+    /// change nothing: the pin table and the dirty-pin sequence come out
+    /// exactly as a reset of every node leaves them. Cost is
+    /// O(c · n / 64) word reads plus the visited nodes, instead of
+    /// O(total pins); the visits accumulate in the `reset_nodes` counter
+    /// (see [`World::reset_nodes`]).
     pub fn reset_all_pins_keeping_links(&mut self, keep: &[usize]) {
-        for v in 0..self.topo.len() {
-            self.reset_pins_keeping_links(v, keep);
+        let mut visited = 0u64;
+        for wi in 0..self.topo.len().div_ceil(64) {
+            let mut word = 0u64;
+            for link in 0..self.c {
+                if !keep.contains(&link) {
+                    word |= self.configured[link].word(wi);
+                }
+            }
+            while word != 0 {
+                let v = wi * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                self.reset_pins_keeping_links(v, keep);
+                visited += 1;
+            }
         }
+        // Registered on first use, so worlds that never run a phase
+        // reset keep their metrics and snapshots as they were.
+        if visited > 0 {
+            self.stats.metrics.add_named(RESET_NODES, visited);
+        }
+    }
+
+    /// Nodes visited by [`World::reset_all_pins_keeping_links`] so far:
+    /// the regression guard that a phase reset stays proportional to
+    /// what the phases configured, not to the structure size. Reads the
+    /// registry's `reset_nodes` counter (0 until the first visit).
+    pub fn reset_nodes(&self) -> u64 {
+        self.stats.metrics.counter_value(RESET_NODES)
     }
 
     // ---- Stuck-at pin faults (the adversary's hardware-fault overlay).
@@ -664,21 +741,23 @@ impl World {
         self.stuck.binary_search_by_key(&gid, |&(g, _)| g)
     }
 
-    /// Restores the frozen value of every stuck pin inside
-    /// `[base, base + count)` after a bulk sweep overwrote the range.
-    /// Restoration needs no dirty marking of its own: it returns pins to
-    /// their pre-sweep value, and the callers' snapshot-compare marking
-    /// decides what actually changed.
+    /// Restores the frozen value of every stuck pin of `v` after a bulk
+    /// sweep overwrote its pins. Restoration needs no dirty marking of
+    /// its own: it returns pins to their pre-sweep value, and the
+    /// callers' snapshot-compare marking decides what actually changed.
+    /// It does re-mark `configured`, which the sweep may have cleared.
     #[cold]
     #[inline(never)]
-    fn reassert_stuck(&mut self, base: usize, count: usize) {
+    fn reassert_stuck(&mut self, v: usize) {
+        let (base, end) = (self.base[v] as usize, self.base[v + 1] as usize);
         let start = self.stuck.partition_point(|&(g, _)| (g as usize) < base);
         for i in start..self.stuck.len() {
             let (gid, pset) = self.stuck[i];
-            if gid as usize >= base + count {
+            if gid as usize >= end {
                 break;
             }
             self.pin_pset[gid as usize] = pset;
+            self.mark_configured(v, gid as usize - base, pset);
         }
     }
 
@@ -701,6 +780,7 @@ impl World {
         if self.pin_pset[gid] != pset {
             self.pin_pset[gid] = pset;
             self.mark_pin_dirty(gid, self.base[v]);
+            self.mark_configured(v, port * self.c + link, pset);
         }
         match self.stuck_index(gid as u32) {
             Ok(i) => self.stuck[i].1 = pset,
@@ -1560,6 +1640,10 @@ impl World {
         self.in_region.grow(new_total);
         self.circuit_roots.grow(new_total);
         self.node_mark.ensure_len(self.topo.len());
+        // Fresh pins are singletons: the node starts unmarked.
+        for set in &mut self.configured {
+            set.ensure_len(self.topo.len());
+        }
         self.port_edge.resize(self.port_edge.len() + ports, NO_EDGE);
         // Keep the construction-time worst-case reservations of the dense
         // scratch lists in step with the grown pin space, so the "ticks
@@ -1792,6 +1876,7 @@ impl World {
         if self.pin_pset[g] != pset {
             self.pin_pset[g] = pset;
             self.mark_pin_dirty(g, self.base[v]);
+            self.mark_configured(v, g - self.base[v] as usize, pset);
         }
         true
     }
@@ -2013,6 +2098,37 @@ mod tests {
             before,
             "the clean tick must not relabel"
         );
+    }
+
+    /// The phase reset visits only the nodes a phase configured: 16
+    /// grouped nodes of a 10k-node structure cost at most 16 visits, not
+    /// 10k — whatever the reserved global link holds on every node.
+    #[test]
+    fn reset_visits_only_configured_nodes() {
+        use amoebot_grid::{shapes, AmoebotStructure};
+        const SYNC: usize = 5;
+        let s = AmoebotStructure::new(shapes::parallelogram(100, 100)).unwrap();
+        let mut w = World::new(Topology::from_structure(&s), 6);
+        for v in 0..w.topology().len() {
+            w.global_link_config(v, SYNC);
+        }
+        w.tick();
+        let before = w.reset_nodes();
+        for v in (0..w.topology().len()).step_by(625) {
+            w.group_pins(v, &[(0, 0), (1, 1), (2, 0)]);
+        }
+        w.reset_all_pins_keeping_links(&[SYNC]);
+        assert!(
+            w.reset_nodes() - before <= 16,
+            "reset visited {} nodes",
+            w.reset_nodes() - before
+        );
+        assert_eq!(
+            w.pin_config(0, 1, 1),
+            7,
+            "grouped pin is back in its singleton"
+        );
+        assert_eq!(w.pin_config(0, 1, SYNC), World::global_link_pset(SYNC));
     }
 
     /// Out-of-range partition sets on `beep` must panic — in release builds

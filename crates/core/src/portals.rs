@@ -699,7 +699,7 @@ pub fn portal_centroids(
     // Pass 2: stream sizes against |Q|/2 (3 rounds per iteration).
     world.reset_all_pins_keeping_links(&[SYNC]);
     let ts = crate::ett::build_tours(world.topology(), std::slice::from_ref(&tree), &q_hat);
-    let mut run = PascRun::new(world, ts.specs.clone(), SYNC);
+    let mut run = PascRun::new(world, ts.specs, SYNC);
     // Structure-spanning broadcast circuit for the |Q| bits.
     for v in 0..n {
         if mask[v] {
@@ -783,12 +783,11 @@ pub fn portal_centroids(
     // Veto round (Figure 4a): connectors whose component exceeds |Q|/2 beep
     // on their portal circuit; silent Q-portals are centroids.
     let mut veto = vec![false; ap.portals.len()];
-    for (v, j, stream) in &streams {
+    for (v, _, stream) in &streams {
         let oversized = match stream {
             Stream::Parent { cmp, .. } => !cmp.le_half(),
             Stream::Child { cmp, .. } => !cmp.le_half(),
         };
-        let _ = j;
         if oversized {
             veto[ap.portal_of[*v] as usize] = true;
         }

@@ -45,7 +45,7 @@ pub fn q_centroids(world: &mut World, trees: &[Tree], q: &[bool]) -> CentroidOut
     // Second pass: same tours, now streaming sizes against |Q|/2.
     world.reset_all_pins_keeping_links(&[BROADCAST, SYNC]);
     let ts = build_tours(world.topology(), trees, q);
-    let mut run = PascRun::new(world, ts.specs.clone(), SYNC);
+    let mut run = PascRun::new(world, ts.specs, SYNC);
 
     // Broadcast circuits: per tree, all members join their BROADCAST-link
     // pins on tree-edge ports into one partition set (region-scoped circuit).

@@ -24,8 +24,7 @@ pub fn elect(world: &mut World, trees: &[Tree], q: &[bool]) -> Vec<Option<usize>
 
     // Configure the subpath circuits: each instance joins its pred-side and
     // succ-side primary pins unless its outgoing edge is marked (the cut).
-    for (i, spec) in ts.specs.iter().enumerate() {
-        let _ = i;
+    for spec in &ts.specs {
         let mut group = Vec::new();
         if let Some(p) = spec.pred {
             group.push((p.port, p.primary));

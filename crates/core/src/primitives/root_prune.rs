@@ -51,7 +51,7 @@ pub fn root_and_prune(world: &mut World, trees: &[Tree], q: &[bool]) -> RootPrun
     let n = world.topology().len();
     world.reset_all_pins_keeping_links(&[BROADCAST, SYNC]);
     let ts = build_tours(world.topology(), trees, q);
-    let mut run = PascRun::new(world, ts.specs.clone(), SYNC);
+    let mut run = PascRun::new(world, ts.specs, SYNC);
 
     // One streaming subtractor per (member, incident tree edge):
     // diff = prefixsum(out) - prefixsum(in).

@@ -71,8 +71,6 @@ impl Tree {
                 if !seen[w] {
                     seen[w] = true;
                     stack.push(w);
-                } else if !members.contains(&w) && w != v {
-                    // seen but not yet popped: fine (stack pending)
                 }
             }
         }
