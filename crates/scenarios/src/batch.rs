@@ -40,29 +40,23 @@ impl Threads {
 /// Runs every scenario, spreading them over `threads` workers, and returns
 /// the results in scenario order.
 pub fn run_batch(scenarios: &[Scenario], threads: Threads) -> Vec<ScenarioResult> {
-    run_batch_with::<NullRecorder>(scenarios, threads)
+    run_batch_inspect::<NullRecorder>(scenarios, threads, |_, _| {})
 }
 
 /// [`run_batch`] with each worker driving its scenarios through a fresh
-/// recorder of type `R` — [`amoebot_telemetry::TimedRecorder`] turns on
-/// the per-phase timers that `--metrics-json` and the timed sweep report
-/// surface. Whole-run trace writers are deliberately unsupported here (a
-/// round trace must capture exactly one world); the per-scenario
-/// [`amoebot_telemetry::FlightRecorder`] is fine — every scenario gets a
-/// fresh `R::default()`, and [`run_batch_inspect`] exposes it next to
-/// the result so a FAIL path can dump the black box.
-pub fn run_batch_with<R: Recorder + Default>(
-    scenarios: &[Scenario],
-    threads: Threads,
-) -> Vec<ScenarioResult> {
-    run_batch_inspect::<R>(scenarios, threads, |_, _| {})
-}
-
-/// [`run_batch_with`] plus a per-scenario hook: `inspect` runs on the
-/// worker thread right after each scenario finishes, seeing the result
-/// and the recorder that ran it — the flight-record dump path. The hook
-/// must not mutate shared state non-commutatively: it runs concurrently
-/// across workers, in completion (not scenario) order.
+/// recorder of type `R`, plus a per-scenario hook. A
+/// [`amoebot_telemetry::TimedRecorder`] turns on the per-phase timers
+/// that `--metrics-json` and the timed sweep report surface. Whole-run
+/// trace writers are deliberately unsupported here (a round trace must
+/// capture exactly one world); the per-scenario
+/// [`amoebot_telemetry::FlightRecorder`] is fine, since every scenario
+/// gets a fresh `R::default()`.
+///
+/// `inspect` runs on the worker thread right after each scenario
+/// finishes, seeing the result and the recorder that ran it — the
+/// flight-record dump path. The hook must not mutate shared state
+/// non-commutatively: it runs concurrently across workers, in completion
+/// (not scenario) order.
 pub fn run_batch_inspect<R: Recorder + Default>(
     scenarios: &[Scenario],
     threads: Threads,

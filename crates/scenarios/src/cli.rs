@@ -11,13 +11,11 @@
 //! scenario-runner replay PATH
 //! ```
 //!
-//! The flat-flag spellings (`--sweep`, `--record-trace PATH`,
-//! `--replay-trace PATH`, or a bare flag list for a batch run) remain
-//! accepted as **deprecated aliases** for one release; they print a
-//! deprecation note to the diagnostic stream and behave identically,
-//! including the exit-code contract (`0` pass / `1` validation failure /
-//! `2` usage or I/O error). The `serve` mode lives in the separate
-//! `scenario-server` binary, built from the same parsing helpers.
+//! A bare flag list with no subcommand is a batch run, as with `run`.
+//! Every mode shares the exit-code contract (`0` pass / `1` validation
+//! failure / `2` usage or I/O error). The `serve` mode lives in the
+//! separate `scenario-server` binary, built from the same parsing
+//! helpers.
 //!
 //! Every scenario is derived deterministically from `--seed`, executed in
 //! parallel across `--threads` workers (each scenario owns its simulator
@@ -26,7 +24,7 @@
 //! `--no-timing` the report is canonical: byte-identical across runs and
 //! thread counts for the same seed.
 //!
-//! `--sweep` switches to the size-sweep mode: every sweepable family runs
+//! `sweep` switches to the size-sweep mode: every sweepable family runs
 //! across the geometric ladder 1k → 10k → 100k → 1M (clipped by
 //! `--max-nodes` and per-family ceilings) and the report carries
 //! per-(family, size) throughput — the `BENCH_sweep.json` the CI perf
@@ -39,9 +37,9 @@
 //! `--no-timing` it is canonical (counters and gauges only, timers
 //! stripped).
 //!
-//! `--record-trace PATH` records a single scenario (`--family`, `--size`,
+//! `trace PATH` records a single scenario (`--family`, `--size`,
 //! `--seed`; blob-broadcast families only) as a compact binary round
-//! trace; `--replay-trace PATH` re-verifies such a trace against the live
+//! trace; `replay PATH` re-verifies such a trace against the live
 //! engine, failing loudly with the round and event index of the first
 //! divergence.
 //!
@@ -69,7 +67,7 @@ use std::sync::Mutex;
 
 use amoebot_telemetry::{FlightRecorder, TimedFlightRecorder, TimedRecorder};
 
-use crate::batch::{run_batch_inspect, run_batch_with, Threads};
+use crate::batch::{run_batch_inspect, Threads};
 use crate::flight::dump_flight_record;
 use crate::record::record_scenario;
 use crate::registry::{default_registry, Registry};
@@ -82,21 +80,20 @@ use crate::sweep::{
 };
 
 struct Args {
+    mode: Mode,
+    /// The `trace`/`replay` operand: the trace file to write or read.
+    path: Option<String>,
     seed: u64,
     count: usize,
     threads: Threads,
     families: Vec<String>,
     out: Option<String>,
     metrics_json: Option<String>,
-    record_trace: Option<String>,
-    replay_trace: Option<String>,
     size: usize,
     rounds: Option<usize>,
     timing: bool,
     list: bool,
     quiet: bool,
-    sweep: bool,
-    profile: bool,
     max_nodes: usize,
     checkpoint_dir: Option<String>,
     flight_dir: String,
@@ -109,8 +106,6 @@ const USAGE: &str = "usage: scenario-runner run    [--seed N] [--count N] [--thr
      \x20      scenario-runner profile [--max-nodes N] [common flags]\n\
      \x20      scenario-runner trace  PATH [--family NAME] [--size N] [--seed N]\n\
      \x20      scenario-runner replay PATH\n\
-     \x20      (the old flat-flag spellings --sweep / --record-trace / --replay-trace\n\
-     \x20       remain accepted as deprecated aliases)\n\
      \n\
      --seed N       master seed for the randomized suite (default 42)\n\
      --count N      number of scenarios to run (default 20)\n\
@@ -165,42 +160,35 @@ enum Mode {
 }
 
 fn parse_args(argv: &[String], out: &mut dyn Write) -> ParseOutcome {
+    // A leading bare word selects the subcommand; absent one, the flags
+    // describe a batch run.
+    let (mode, rest) = match argv.first().map(String::as_str) {
+        Some("run") => (Mode::Batch, &argv[1..]),
+        Some("sweep") => (Mode::Sweep, &argv[1..]),
+        Some("profile") => (Mode::Profile, &argv[1..]),
+        Some("replay") => (Mode::Replay, &argv[1..]),
+        Some("trace") => (Mode::Trace, &argv[1..]),
+        _ => (Mode::Batch, argv),
+    };
     let mut args = Args {
+        mode,
+        path: None,
         seed: 42,
         count: 20,
         threads: Threads::Auto,
         families: Vec::new(),
         out: None,
         metrics_json: None,
-        record_trace: None,
-        replay_trace: None,
         size: 10_000,
         rounds: None,
         timing: true,
         list: false,
         quiet: false,
-        sweep: false,
-        profile: false,
         max_nodes: 1_000_000,
         checkpoint_dir: None,
         flight_dir: "flight-records".to_string(),
         no_flight: false,
     };
-    // A leading bare word selects the subcommand; absent one, the flat
-    // flags below choose the mode (the deprecated spelling).
-    let (mode, rest) = match argv.first().map(String::as_str) {
-        Some("run") => (Some(Mode::Batch), &argv[1..]),
-        Some("sweep") => (Some(Mode::Sweep), &argv[1..]),
-        Some("profile") => (Some(Mode::Profile), &argv[1..]),
-        Some("replay") => (Some(Mode::Replay), &argv[1..]),
-        Some("trace") => (Some(Mode::Trace), &argv[1..]),
-        _ => (None, argv),
-    };
-    if let Some(m) = mode {
-        args.sweep = m == Mode::Sweep;
-        args.profile = m == Mode::Profile;
-    }
-    let mut deprecated: Option<&str> = None;
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         macro_rules! value {
@@ -229,19 +217,6 @@ fn parse_args(argv: &[String], out: &mut dyn Write) -> ParseOutcome {
                 }
             }};
         }
-        // A mode-selecting flat flag under an explicit subcommand is a
-        // contradiction, not an alias; reject rather than guess.
-        macro_rules! mode_flag {
-            ($name:literal) => {
-                if mode.is_some() {
-                    let _ = writeln!(out, "{} conflicts with the subcommand form", $name);
-                    let _ = writeln!(out, "{USAGE}");
-                    return ParseOutcome::Exit(2);
-                } else {
-                    deprecated = Some($name);
-                }
-            };
-        }
         match arg.as_str() {
             "--seed" => args.seed = num!("--seed"),
             "--count" => args.count = num!("--count"),
@@ -249,23 +224,11 @@ fn parse_args(argv: &[String], out: &mut dyn Write) -> ParseOutcome {
             "--family" => args.families.push(value!("--family")),
             "--out" => args.out = Some(value!("--out")),
             "--metrics-json" => args.metrics_json = Some(value!("--metrics-json")),
-            "--record-trace" => {
-                args.record_trace = Some(value!("--record-trace"));
-                mode_flag!("--record-trace");
-            }
-            "--replay-trace" => {
-                args.replay_trace = Some(value!("--replay-trace"));
-                mode_flag!("--replay-trace");
-            }
             "--size" => args.size = num!("--size"),
             "--rounds" => args.rounds = Some(num!("--rounds")),
             "--no-timing" => args.timing = false,
             "--list" => args.list = true,
             "--quiet" => args.quiet = true,
-            "--sweep" => {
-                args.sweep = true;
-                mode_flag!("--sweep");
-            }
             "--max-nodes" => args.max_nodes = num!("--max-nodes"),
             "--checkpoint-dir" => args.checkpoint_dir = Some(value!("--checkpoint-dir")),
             "--flight-dir" => args.flight_dir = value!("--flight-dir"),
@@ -275,44 +238,33 @@ fn parse_args(argv: &[String], out: &mut dyn Write) -> ParseOutcome {
                 println!("{USAGE}");
                 return ParseOutcome::Exit(0);
             }
+            // `replay PATH` / `trace PATH` take one positional path.
+            other
+                if matches!(mode, Mode::Replay | Mode::Trace)
+                    && !other.starts_with('-')
+                    && args.path.is_none() =>
+            {
+                args.path = Some(other.to_string());
+            }
             other => {
-                // `replay PATH` / `trace PATH` take one positional path.
-                let positional_slot = match mode {
-                    Some(Mode::Replay) if !other.starts_with('-') => Some(&mut args.replay_trace),
-                    Some(Mode::Trace) if !other.starts_with('-') => Some(&mut args.record_trace),
-                    _ => None,
-                };
-                match positional_slot {
-                    Some(slot @ None) => *slot = Some(other.to_string()),
-                    _ => {
-                        let _ = writeln!(out, "unknown argument: {other}");
-                        let _ = writeln!(out, "{USAGE}");
-                        return ParseOutcome::Exit(2);
-                    }
-                }
+                let _ = writeln!(out, "unknown argument: {other}");
+                let _ = writeln!(out, "{USAGE}");
+                return ParseOutcome::Exit(2);
             }
         }
     }
     match mode {
-        Some(Mode::Replay) if args.replay_trace.is_none() => {
+        Mode::Replay if args.path.is_none() => {
             let _ = writeln!(out, "replay needs a trace path");
             let _ = writeln!(out, "{USAGE}");
             return ParseOutcome::Exit(2);
         }
-        Some(Mode::Trace) if args.record_trace.is_none() => {
+        Mode::Trace if args.path.is_none() => {
             let _ = writeln!(out, "trace needs an output path");
             let _ = writeln!(out, "{USAGE}");
             return ParseOutcome::Exit(2);
         }
         _ => {}
-    }
-    if let Some(flag) = deprecated {
-        // One-release alias: same behavior, same exit codes, but say so
-        // on the diagnostic stream (never into a report).
-        let _ = writeln!(
-            out,
-            "note: {flag} is deprecated; use the subcommand form (see --help)"
-        );
     }
     // Sized builds feed `--size` straight into the blob generators, whose
     // smallest structure is one amoebot; reject the bad input here with a
@@ -448,7 +400,8 @@ pub fn run_with_output(argv: &[String], out: &mut dyn Write) -> u8 {
         return 0;
     }
 
-    if let Some(path) = &args.replay_trace {
+    let path = args.path.as_deref().unwrap_or_default();
+    if args.mode == Mode::Replay {
         return run_replay_mode(path, out);
     }
 
@@ -459,16 +412,12 @@ pub fn run_with_output(argv: &[String], out: &mut dyn Write) -> u8 {
         }
     }
 
-    if args.record_trace.is_some() {
-        return run_record_mode(&args, &registry, out);
-    }
-
     let threads = args.threads.resolve();
-    if args.sweep {
-        return run_sweep_mode(&args, &registry, threads, out);
-    }
-    if args.profile {
-        return run_profile_mode(&args, &registry, threads, out);
+    match args.mode {
+        Mode::Trace => return run_record_mode(&args, path, &registry, out),
+        Mode::Sweep => return run_sweep_mode(&args, &registry, threads, out),
+        Mode::Profile => return run_profile_mode(&args, &registry, threads, out),
+        Mode::Batch | Mode::Replay => {}
     }
 
     let scenarios = registry.random_suite(args.seed, args.count, &args.families);
@@ -731,7 +680,8 @@ fn run_profile_mode(args: &Args, registry: &Registry, threads: usize, out: &mut 
         );
     }
     let scenarios: Vec<Scenario> = suite.iter().map(|p| p.scenario.clone()).collect();
-    let results = run_batch_with::<TimedRecorder>(&scenarios, Threads::Count(threads));
+    let results =
+        run_batch_inspect::<TimedRecorder>(&scenarios, Threads::Count(threads), |_, _| {});
     let mut folded = String::new();
     let mut failed = 0usize;
     for (p, r) in suite.iter().zip(&results) {
@@ -761,17 +711,16 @@ fn run_profile_mode(args: &Args, registry: &Registry, threads: usize, out: &mut 
     u8::from(failed > 0)
 }
 
-/// `--record-trace PATH`: run one sized scenario with the trace recorder
+/// `trace PATH`: run one sized scenario with the trace recorder
 /// attached and persist the binary round trace.
-fn run_record_mode(args: &Args, registry: &Registry, out: &mut dyn Write) -> u8 {
-    let path = args.record_trace.as_deref().expect("record mode");
+fn run_record_mode(args: &Args, path: &str, registry: &Registry, out: &mut dyn Write) -> u8 {
     let family = match args.families.as_slice() {
         [] => "blob-broadcast",
         [one] => one.as_str(),
         _ => {
             let _ = writeln!(
                 out,
-                "--record-trace records a single scenario; pass at most one --family"
+                "trace records a single scenario; pass at most one --family"
             );
             return 2;
         }
@@ -784,21 +733,19 @@ fn run_record_mode(args: &Args, registry: &Registry, out: &mut dyn Write) -> u8 
     // sized builds fix a short sweep-friendly run, so record mode lets
     // the run length be dialed up independently.
     let scenario = match (args.rounds, &scenario.workload) {
-        (Some(len), Workload::Micro(MicroWorkload::BlobBroadcast { n, .. })) => Scenario::micro(
-            family,
-            scenario.seed,
-            MicroWorkload::BlobBroadcast { n: *n, rounds: len },
-        ),
-        (Some(len), Workload::Micro(MicroWorkload::BlobChurnBroadcast { n, per_event, .. })) => {
-            Scenario::micro(
-                family,
-                scenario.seed,
-                MicroWorkload::BlobChurnBroadcast {
-                    n: *n,
-                    events: len,
-                    per_event: *per_event,
-                },
-            )
+        (
+            Some(len),
+            &Workload::Micro(MicroWorkload::Driven {
+                kind, n, per_event, ..
+            }),
+        ) => {
+            let micro = MicroWorkload::Driven {
+                kind,
+                n,
+                events: len,
+                per_event,
+            };
+            Scenario::micro(family, scenario.seed, micro)
         }
         _ => scenario,
     };
@@ -847,7 +794,7 @@ fn run_record_mode(args: &Args, registry: &Registry, out: &mut dyn Write) -> u8 
     u8::from(!result.pass)
 }
 
-/// `--replay-trace PATH`: re-verify a recorded round trace against the
+/// `replay PATH`: re-verify a recorded round trace against the
 /// live engine. Exit 0 on a clean verification, 1 on divergence or a
 /// malformed trace (the message carries the round and event index), 2 on
 /// I/O errors.
@@ -980,6 +927,16 @@ mod tests {
             "/dev/null",
         ]));
         assert_eq!(code, 0);
+        // `run` is the explicit spelling of the default batch mode.
+        let code = run(&args(&[
+            "run",
+            "--count",
+            "2",
+            "--quiet",
+            "--out",
+            "/dev/null",
+        ]));
+        assert_eq!(code, 0);
     }
 
     #[test]
@@ -999,7 +956,7 @@ mod tests {
     #[test]
     fn tiny_sweep_exits_zero() {
         let code = run(&args(&[
-            "--sweep",
+            "sweep",
             "--max-nodes",
             "1000",
             "--family",
@@ -1014,7 +971,7 @@ mod tests {
 
     #[test]
     fn sweep_with_no_rungs_exits_two() {
-        let code = run(&args(&["--sweep", "--family", "selftest-fail", "--quiet"]));
+        let code = run(&args(&["sweep", "--family", "selftest-fail", "--quiet"]));
         assert_eq!(code, 2);
     }
 
@@ -1023,7 +980,7 @@ mod tests {
     #[test]
     fn quiet_sweep_still_prints_the_summary() {
         let (code, output) = run_captured(&[
-            "--sweep",
+            "sweep",
             "--max-nodes",
             "1000",
             "--family",
@@ -1075,7 +1032,7 @@ mod tests {
         let trace = temp_path("trace.bin");
         let trace_s = trace.to_str().unwrap();
         let (code, output) = run_captured(&[
-            "--record-trace",
+            "trace",
             trace_s,
             "--family",
             "blob-broadcast",
@@ -1086,7 +1043,7 @@ mod tests {
             "--quiet",
         ]);
         assert_eq!(code, 0, "recording failed: {output}");
-        let (code, output) = run_captured(&["--replay-trace", trace_s]);
+        let (code, output) = run_captured(&["replay", trace_s]);
         assert_eq!(code, 0, "replay failed: {output}");
         assert!(output.contains("replay ok"), "{output:?}");
 
@@ -1096,7 +1053,7 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x10;
         std::fs::write(&trace, &bytes).unwrap();
-        let (code, output) = run_captured(&["--replay-trace", trace_s]);
+        let (code, output) = run_captured(&["replay", trace_s]);
         assert_eq!(code, 1, "corrupted trace verified cleanly: {output}");
         assert!(
             output.contains("round") && output.contains("event"),
@@ -1105,14 +1062,13 @@ mod tests {
         let _ = std::fs::remove_file(&trace);
     }
 
-    /// Regression: `--record-trace … --size 0` used to reach
+    /// Regression: `trace … --size 0` used to reach
     /// `random_blob`'s `assert!(n >= 1)` and panic; user input must come
     /// back as a usage diagnostic under the 0/1/2 exit-code contract.
     #[test]
     fn size_zero_is_a_usage_error_not_a_panic() {
         let trace = temp_path("size-zero.bin");
-        let (code, output) =
-            run_captured(&["--record-trace", trace.to_str().unwrap(), "--size", "0"]);
+        let (code, output) = run_captured(&["trace", trace.to_str().unwrap(), "--size", "0"]);
         assert_eq!(code, 2);
         assert!(
             output.contains("--size") && output.contains("at least 1"),
@@ -1123,7 +1079,7 @@ mod tests {
 
     #[test]
     fn replaying_a_missing_file_exits_two() {
-        let (code, output) = run_captured(&["--replay-trace", "/no/such/trace.bin"]);
+        let (code, output) = run_captured(&["replay", "/no/such/trace.bin"]);
         assert_eq!(code, 2);
         assert!(output.contains("cannot read"), "{output:?}");
     }
@@ -1132,7 +1088,7 @@ mod tests {
     fn recording_an_unrecordable_family_exits_two() {
         let trace = temp_path("unrecordable.bin");
         let (code, output) = run_captured(&[
-            "--record-trace",
+            "trace",
             trace.to_str().unwrap(),
             "--family",
             "selftest-fail",
@@ -1248,68 +1204,14 @@ mod tests {
         assert!(!batch_line(&passing).contains("seed="));
     }
 
-    /// Satellite: the subcommand spellings and their flat-flag aliases
-    /// produce identical reports and exit codes; only the alias prints a
-    /// deprecation note.
+    /// Modes are subcommands only: `--sweep`, `--record-trace` and
+    /// `--replay-trace` are unknown arguments, with or without one.
     #[test]
-    fn subcommands_match_their_deprecated_aliases() {
-        let new_out = temp_path("sub-new.json");
-        let old_out = temp_path("sub-old.json");
-        let common = [
-            "--max-nodes",
-            "1000",
-            "--family",
-            "blob-broadcast",
-            "--seed",
-            "77",
-            "--quiet",
-            "--no-timing",
-        ];
-        let mut new_args = vec!["sweep"];
-        new_args.extend_from_slice(&common);
-        new_args.extend_from_slice(&["--out", new_out.to_str().unwrap()]);
-        let (code, output) = run_captured(&new_args);
-        assert_eq!(code, 0);
-        assert!(
-            !output.contains("deprecated"),
-            "subcommand form must not warn: {output}"
-        );
-        let mut old_args = vec!["--sweep"];
-        old_args.extend_from_slice(&common);
-        old_args.extend_from_slice(&["--out", old_out.to_str().unwrap()]);
-        let (code, output) = run_captured(&old_args);
-        assert_eq!(code, 0);
-        assert!(
-            output.contains("deprecated"),
-            "flat-flag form must warn: {output}"
-        );
-        assert_eq!(
-            std::fs::read_to_string(&new_out).unwrap(),
-            std::fs::read_to_string(&old_out).unwrap(),
-            "both spellings must render the same report"
-        );
-        let _ = std::fs::remove_file(&new_out);
-        let _ = std::fs::remove_file(&old_out);
-        // `run` is the explicit spelling of the default batch mode.
-        assert_eq!(
-            run(&args(&[
-                "run",
-                "--count",
-                "2",
-                "--quiet",
-                "--out",
-                "/dev/null"
-            ])),
-            0
-        );
-    }
-
-    #[test]
-    fn subcommand_and_mode_flag_conflict_exits_two() {
+    fn removed_mode_flags_and_stray_operands_exit_two() {
+        assert_eq!(run(&args(&["--sweep"])), 2);
         assert_eq!(run(&args(&["run", "--sweep"])), 2);
-        assert_eq!(run(&args(&["sweep", "--sweep"])), 2);
-        assert_eq!(run(&args(&["replay", "--replay-trace", "x.trace"])), 2);
-        assert_eq!(run(&args(&["trace", "--record-trace", "x.trace"])), 2);
+        assert_eq!(run(&args(&["--record-trace", "x.trace"])), 2);
+        assert_eq!(run(&args(&["--replay-trace", "x.trace"])), 2);
         // Positional paths only exist for replay/trace.
         assert_eq!(run(&args(&["run", "stray-positional"])), 2);
         // replay/trace demand their PATH operand.

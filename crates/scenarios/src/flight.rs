@@ -6,7 +6,7 @@
 //! The key is recovered from the FAIL line contract the adversary and
 //! churn engines already guarantee: failing check details carry
 //! `schedule seed=<plan>`, `scenario seed=<seed>` and `event=#<i>`
-//! needles (see `adversary::fault_fail_line`). Workloads without a plan
+//! needles (see `Driver::fail_line`). Workloads without a plan
 //! fall back to the scenario's own seed with zeroed plan/event fields,
 //! so every dump still names the scenario that produced it.
 

@@ -39,10 +39,13 @@ impl Json {
     /// numbers, strings, bools, null, arrays, insertion-ordered objects).
     /// The bench tooling uses this to read reports back — floats are
     /// rejected, matching the renderer's integers-only guarantee.
+    ///
+    /// Arrays and objects may nest at most [`MAX_DEPTH`] deep: the parser
+    /// recurses once per level, and request frames come from the network.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut at = 0usize;
-        let value = parse_value(bytes, &mut at)?;
+        let value = parse_value(bytes, &mut at, 0)?;
         skip_ws(bytes, &mut at);
         if at != bytes.len() {
             return Err(format!("trailing data at byte {at}"));
@@ -195,8 +198,16 @@ fn expect(bytes: &[u8], at: &mut usize, token: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], at: &mut usize) -> Result<Json, String> {
+/// The deepest array/object nesting [`Json::parse`] accepts. The deepest
+/// document the workspace renders (a sweep report's per-rung metrics)
+/// nests 6 levels.
+pub const MAX_DEPTH: usize = 128;
+
+fn parse_value(bytes: &[u8], at: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, at);
+    if matches!(bytes.get(*at), Some(b'[' | b'{')) && depth >= MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {at}"));
+    }
     match bytes.get(*at) {
         None => Err("unexpected end of input".to_string()),
         Some(b'n') => expect(bytes, at, "null").map(|()| Json::Null),
@@ -212,7 +223,7 @@ fn parse_value(bytes: &[u8], at: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Array(items));
             }
             loop {
-                items.push(parse_value(bytes, at)?);
+                items.push(parse_value(bytes, at, depth + 1)?);
                 skip_ws(bytes, at);
                 match bytes.get(*at) {
                     Some(b',') => *at += 1,
@@ -237,7 +248,7 @@ fn parse_value(bytes: &[u8], at: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, at)?;
                 skip_ws(bytes, at);
                 expect(bytes, at, ":")?;
-                fields.push((key, parse_value(bytes, at)?));
+                fields.push((key, parse_value(bytes, at, depth + 1)?));
                 skip_ws(bytes, at);
                 match bytes.get(*at) {
                     Some(b',') => *at += 1,
@@ -460,6 +471,23 @@ mod tests {
         assert!(Json::parse("1.5").is_err(), "floats are not in the format");
         assert!(Json::parse("{\"a\":1} trailing").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    /// Nesting is bounded: a megabyte of `[` is an error naming the byte,
+    /// not a stack overflow, and the limit itself still parses.
+    #[test]
+    fn parse_rejects_nesting_past_the_limit() {
+        let err = Json::parse(&"[".repeat(1 << 20)).unwrap_err();
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_err());
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects).is_err());
     }
 
     #[test]

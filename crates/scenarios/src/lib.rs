@@ -33,9 +33,9 @@
 //! assert!(report.canonical_json().contains("\"passed\": 4"));
 //! ```
 
-pub mod adversary;
 pub mod batch;
 pub mod cli;
+pub mod driver;
 pub mod experiments;
 pub mod flight;
 pub mod json;
@@ -47,8 +47,8 @@ pub mod server;
 pub mod spec;
 pub mod sweep;
 
-pub use adversary::fault_fail_line;
 pub use batch::{run_batch, Threads};
+pub use driver::Driver;
 pub use flight::{dump_flight_record, flight_file_name, reproduction_key, ReproKey};
 pub use record::{record_scenario, recordable};
 pub use registry::{default_registry, Family, Registry};
@@ -58,6 +58,6 @@ pub use spec::{
     MicroWorkload, PlacementSpec, Scenario, StructureAlgorithm, StructureSpec, Workload,
 };
 pub use sweep::{
-    run_sweep, run_sweep_checkpointed, run_sweep_observed, sweep_suite, CheckpointStore,
-    RungOutcome, SweepEntry, SweepPoint, SweepReport, DEFAULT_SIZES, SWEEP_SCHEMA,
+    run_sweep, run_sweep_observed, sweep_suite, CheckpointStore, RungOutcome, SweepEntry,
+    SweepPoint, SweepReport, DEFAULT_SIZES, SWEEP_SCHEMA,
 };

@@ -15,6 +15,7 @@
 
 use amoebot_telemetry::TraceWriter;
 
+use crate::driver::Kind;
 use crate::run::{run_scenario_with, ScenarioResult};
 use crate::spec::{MicroWorkload, Scenario, Workload};
 
@@ -23,8 +24,10 @@ use crate::spec::{MicroWorkload, Scenario, Workload};
 pub fn recordable(scenario: &Scenario) -> bool {
     matches!(
         scenario.workload,
-        Workload::Micro(MicroWorkload::BlobBroadcast { .. })
-            | Workload::Micro(MicroWorkload::BlobChurnBroadcast { .. })
+        Workload::Micro(MicroWorkload::Driven {
+            kind: Kind::Broadcast | Kind::Churn,
+            ..
+        })
     )
 }
 

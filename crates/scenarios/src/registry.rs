@@ -11,8 +11,11 @@
 use amoebot_grid::random::ALL_PLACEMENTS;
 use rand::{Rng, RngCore};
 
+use crate::driver::Kind;
 use crate::experiments;
-use crate::spec::{derive_rng, PlacementSpec, Scenario, StructureAlgorithm, StructureSpec};
+use crate::spec::{
+    derive_rng, MicroWorkload, PlacementSpec, Scenario, StructureAlgorithm, StructureSpec,
+};
 
 /// A named scenario generator.
 pub struct Family {
@@ -24,7 +27,7 @@ pub struct Family {
     /// randomized families participate in [`Registry::random_suite`].
     pub randomized: bool,
     /// Largest structure size at which this family participates in
-    /// `--sweep` size ladders (`0` = not sweepable). Ceilings are set per
+    /// `sweep` size ladders (`0` = not sweepable). Ceilings are set per
     /// family because algorithm costs diverge by orders of magnitude: the
     /// global-circuit broadcast sweeps to 10^6 nodes in seconds while the
     /// DnC forest is capped where a single run stays within the CI budget.
@@ -109,7 +112,7 @@ impl Registry {
     }
 
     /// Registers a family that additionally supports size-parameterized
-    /// builds for `--sweep`, up to `sweep_max_n` nodes.
+    /// builds for `sweep`, up to `sweep_max_n` nodes.
     ///
     /// # Panics
     ///
@@ -187,6 +190,17 @@ impl Registry {
 fn menu_pick<T: Copy>(seed: u64, purpose: u64, menu: &[T]) -> T {
     let mut rng = derive_rng(seed, purpose);
     menu[rng.gen_range(0..menu.len())]
+}
+
+/// A driver scenario of `kind`, named after its family.
+fn driven(kind: Kind, seed: u64, n: usize, events: usize, per_event: usize) -> Scenario {
+    let micro = MicroWorkload::Driven {
+        kind,
+        n,
+        events,
+        per_event,
+    };
+    Scenario::micro(kind.family(), seed, micro)
 }
 
 /// The default registry: the E1–E20 experiment index (fixed parameters,
@@ -536,21 +550,10 @@ pub fn default_registry() -> Registry {
         true,
         1_000_000,
         |seed| {
-            let mut p = derive_rng(seed, 90);
-            let n = p.gen_range(64..=256usize);
-            Scenario::micro(
-                "blob-broadcast",
-                seed,
-                crate::spec::MicroWorkload::BlobBroadcast { n, rounds: 8 },
-            )
+            let n = derive_rng(seed, 90).gen_range(64..=256usize);
+            driven(Kind::Broadcast, seed, n, 8, 0)
         },
-        |seed, n| {
-            Scenario::micro(
-                "blob-broadcast",
-                seed,
-                crate::spec::MicroWorkload::BlobBroadcast { n, rounds: 8 },
-            )
-        },
+        |seed, n| driven(Kind::Broadcast, seed, n, 8, 0),
     );
     r.register_sweepable(
         "blob-churn-broadcast",
@@ -565,29 +568,11 @@ pub fn default_registry() -> Registry {
             let n = p.gen_range(24..=128usize);
             let events = p.gen_range(4..=10usize);
             let per_event = p.gen_range(1..=(n / 8).max(1));
-            Scenario::micro(
-                "blob-churn-broadcast",
-                seed,
-                crate::spec::MicroWorkload::BlobChurnBroadcast {
-                    n,
-                    events,
-                    per_event,
-                },
-            )
+            driven(Kind::Churn, seed, n, events, per_event)
         },
-        |seed, n| {
-            Scenario::micro(
-                "blob-churn-broadcast",
-                seed,
-                crate::spec::MicroWorkload::BlobChurnBroadcast {
-                    n,
-                    events: 8,
-                    // 1% churn per event at sweep sizes — the cost model
-                    // rung the churn_ticks bench mirrors.
-                    per_event: (n / 100).max(1),
-                },
-            )
-        },
+        // 1% churn per event at sweep sizes — the cost model rung the
+        // churn_ticks bench mirrors.
+        |seed, n| driven(Kind::Churn, seed, n, 8, (n / 100).max(1)),
     );
     r.register_sweepable(
         "line-churn-spt",
@@ -605,7 +590,7 @@ pub fn default_registry() -> Registry {
             Scenario::micro(
                 "line-churn-spt",
                 seed,
-                crate::spec::MicroWorkload::LineChurnSpt {
+                MicroWorkload::LineChurnSpt {
                     n,
                     events,
                     per_event,
@@ -616,7 +601,7 @@ pub fn default_registry() -> Registry {
             Scenario::micro(
                 "line-churn-spt",
                 seed,
-                crate::spec::MicroWorkload::LineChurnSpt {
+                MicroWorkload::LineChurnSpt {
                     n,
                     events: 6,
                     per_event: (n / 100).max(1),
@@ -626,140 +611,66 @@ pub fn default_registry() -> Registry {
     );
     // ---- Adversary families (DESIGN.md §1h): seeded fault schedules
     // against a live broadcast, rebuild-oracle-checked per event, with a
-    // self-stabilization re-convergence bound after the burst.
-    r.register_sweepable(
-        "fault-lossy-broadcast",
-        "beep drop / spurious-inject adversary on the blob flood relay, oracle-checked per event",
-        true,
-        // The flood relay beeps every informed amoebot's pin set each
-        // round, and recovery runs up to the eccentricity of the blob:
-        // ~O(n^1.5) work per rung keeps the ceiling at 10^4.
-        10_000,
-        |seed| {
-            let mut p = derive_rng(seed, 90);
-            let n = p.gen_range(16..=80usize);
-            let events = p.gen_range(3..=8usize);
-            let per_event = p.gen_range(1..=(n / 10).max(1));
-            Scenario::micro(
-                "fault-lossy-broadcast",
-                seed,
-                crate::spec::MicroWorkload::FaultyBlobFlood {
-                    n,
-                    events,
-                    per_event,
-                },
-            )
-        },
-        |seed, n| {
-            Scenario::micro(
-                "fault-lossy-broadcast",
-                seed,
-                crate::spec::MicroWorkload::FaultyBlobFlood {
-                    n,
-                    events: 6,
-                    per_event: (n / 100).max(1),
-                },
-            )
-        },
+    // self-stabilization re-convergence bound after the burst. Each draws
+    // `n` from its size range, 3–8 events and up to `cap(n)` faults per
+    // event; sweep rungs run 6 events of ~1% of `n` faults. The flood
+    // kinds stop at 10^4: the relay beeps every informed amoebot's pin
+    // set each round and recovery runs up to the blob's eccentricity,
+    // ~O(n^1.5) work per rung. Global-circuit ticks are cheap and each
+    // event pays one O(n) rebuild oracle, like churn, so 10^5 fits.
+    type Adversary = (
+        Kind,
+        &'static str,
+        usize,
+        (usize, usize),
+        fn(usize) -> usize,
     );
-    r.register_sweepable(
-        "fault-stuckpin-broadcast",
-        "stuck-at pin adversary on a line's global circuit, released + repaired after the burst",
-        true,
-        // Global-circuit ticks are cheap; each event pays one rebuild
-        // oracle (O(n)) like the churn family, so 10^5 fits the budget.
-        100_000,
-        |seed| {
-            let mut p = derive_rng(seed, 90);
-            let n = p.gen_range(12..=96usize);
-            let events = p.gen_range(3..=8usize);
-            let per_event = p.gen_range(1..=4usize);
-            Scenario::micro(
-                "fault-stuckpin-broadcast",
-                seed,
-                crate::spec::MicroWorkload::StuckLineBroadcast {
-                    n,
-                    events,
-                    per_event,
-                },
-            )
-        },
-        |seed, n| {
-            Scenario::micro(
-                "fault-stuckpin-broadcast",
-                seed,
-                crate::spec::MicroWorkload::StuckLineBroadcast {
-                    n,
-                    events: 6,
-                    per_event: (n / 100).max(1),
-                },
-            )
-        },
-    );
-    r.register_sweepable(
-        "fault-unfair-broadcast",
-        "non-fair scheduling adversary (starve / alternate / silence) on the blob flood relay",
-        true,
-        10_000,
-        |seed| {
-            let mut p = derive_rng(seed, 90);
-            let n = p.gen_range(16..=80usize);
-            let events = p.gen_range(3..=8usize);
-            let per_event = p.gen_range(1..=(n / 10).max(1));
-            Scenario::micro(
-                "fault-unfair-broadcast",
-                seed,
-                crate::spec::MicroWorkload::UnfairBlobFlood {
-                    n,
-                    events,
-                    per_event,
-                },
-            )
-        },
-        |seed, n| {
-            Scenario::micro(
-                "fault-unfair-broadcast",
-                seed,
-                crate::spec::MicroWorkload::UnfairBlobFlood {
-                    n,
-                    events: 6,
-                    per_event: (n / 100).max(1),
-                },
-            )
-        },
-    );
-    r.register_sweepable(
-        "fault-crashrecover-broadcast",
-        "crash-recovery adversary on the blob global circuit (wiped state, rejoin, re-inform)",
-        true,
-        100_000,
-        |seed| {
-            let mut p = derive_rng(seed, 90);
-            let n = p.gen_range(16..=96usize);
-            let events = p.gen_range(3..=8usize);
-            let per_event = p.gen_range(1..=(n / 8).max(1));
-            Scenario::micro(
-                "fault-crashrecover-broadcast",
-                seed,
-                crate::spec::MicroWorkload::CrashRecoverBroadcast {
-                    n,
-                    events,
-                    per_event,
-                },
-            )
-        },
-        |seed, n| {
-            Scenario::micro(
-                "fault-crashrecover-broadcast",
-                seed,
-                crate::spec::MicroWorkload::CrashRecoverBroadcast {
-                    n,
-                    events: 6,
-                    per_event: (n / 100).max(1),
-                },
-            )
-        },
-    );
+    let adversaries: [Adversary; 4] = [
+        (
+            Kind::LossyFlood,
+            "beep drop / spurious-inject adversary on the blob flood relay, oracle-checked per event",
+            10_000,
+            (16, 80),
+            |n| (n / 10).max(1),
+        ),
+        (
+            Kind::StuckLine,
+            "stuck-at pin adversary on a line's global circuit, released + repaired after the burst",
+            100_000,
+            (12, 96),
+            |_| 4,
+        ),
+        (
+            Kind::UnfairFlood,
+            "non-fair scheduling adversary (starve / alternate / silence) on the blob flood relay",
+            10_000,
+            (16, 80),
+            |n| (n / 10).max(1),
+        ),
+        (
+            Kind::CrashGlobal,
+            "crash-recovery adversary on the blob global circuit (wiped state, rejoin, re-inform)",
+            100_000,
+            (16, 96),
+            |n| (n / 8).max(1),
+        ),
+    ];
+    for (kind, description, sweep_max_n, (lo, hi), cap) in adversaries {
+        r.register_sweepable(
+            kind.family(),
+            description,
+            true,
+            sweep_max_n,
+            move |seed| {
+                let mut p = derive_rng(seed, 90);
+                let n = p.gen_range(lo..=hi);
+                let events = p.gen_range(3..=8usize);
+                let per_event = p.gen_range(1..=cap(n));
+                driven(kind, seed, n, events, per_event)
+            },
+            move |seed, n| driven(kind, seed, n, 6, (n / 100).max(1)),
+        );
+    }
     r.register(
         "adversary-selftest-fail",
         "deliberately-broken repair sweep proving the self-stabilization checker trips (never sampled)",
@@ -768,7 +679,7 @@ pub fn default_registry() -> Registry {
             Scenario::micro(
                 "adversary-selftest-fail",
                 seed,
-                crate::spec::MicroWorkload::AdversarySelfTestFail,
+                MicroWorkload::AdversarySelfTestFail,
             )
         },
     );
@@ -776,13 +687,7 @@ pub fn default_registry() -> Registry {
         "selftest-fail",
         "always-failing scenario proving the runner's non-zero exit path (never sampled)",
         false,
-        |seed| {
-            Scenario::micro(
-                "selftest-fail",
-                seed,
-                crate::spec::MicroWorkload::SelfTestFail,
-            )
-        },
+        |seed| Scenario::micro("selftest-fail", seed, MicroWorkload::SelfTestFail),
     );
     r.register(
         "random-zigzag-sssp",

@@ -22,6 +22,7 @@ use amoebot_telemetry::{Metrics, NullRecorder, Recorder};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
 
+use crate::driver::{drive, Driver, Kind};
 use crate::spec::{derive_rng, MicroWorkload, Scenario, StructureAlgorithm, Workload};
 
 /// One validation check's outcome.
@@ -129,7 +130,7 @@ pub fn run_scenario_with<R: Recorder>(scenario: &Scenario, rec: &mut R) -> Scena
     outcome
 }
 
-fn blank_result() -> ScenarioResult {
+pub(crate) fn blank_result() -> ScenarioResult {
     ScenarioResult {
         family: String::new(),
         name: String::new(),
@@ -549,128 +550,15 @@ fn run_micro<R: Recorder>(micro: MicroWorkload, seed: u64, rec: &mut R) -> Scena
                 || format!("{} levels exceeds bound {bound}", d.levels),
             )];
         }
-        MicroWorkload::BlobBroadcast { n, rounds } => {
-            let mut rng = derive_rng(seed, 0);
-            let s = AmoebotStructure::new(shapes::random_blob(n, &mut rng))
-                .expect("blob generator produces connected sets");
-            let mut world = World::new(Topology::from_structure(&s), 2);
-            for v in 0..n {
-                world.global_pin_config(v);
-            }
-            emit_topology(&world, rec);
-            // Deterministically spread the broadcast origins over the
-            // structure (Fibonacci-hash stride) so consecutive rounds hit
-            // different cache-distant nodes.
-            let mut missed = 0usize;
-            for round in 0..rounds {
-                let origin = (round.wrapping_mul(0x9E3779B9)) % n;
-                world.beep(origin, 0);
-                world.tick_with(rec);
-                for v in 0..n {
-                    missed += usize::from(!world.received(v, 0));
-                }
-            }
-            r.n = n;
-            r.rounds = world.rounds();
-            r.beeps = world.beeps_sent();
-            r.metrics.merge(world.metrics());
-            r.checks = vec![CheckResult::from_bool(
-                "broadcast-reaches-all",
-                missed == 0,
-                || format!("{missed} (node, round) deliveries missing on the global circuit"),
-            )];
-        }
-        MicroWorkload::BlobChurnBroadcast {
+        MicroWorkload::Driven {
+            kind,
             n,
             events,
             per_event,
-        } => {
-            use amoebot_dynamics::{
-                verify_against_rebuild, ChurnPlan, DynamicWorld, ALL_CHURN_FAMILIES,
-            };
-            let mut rng = derive_rng(seed, 0);
-            let s = AmoebotStructure::new(shapes::random_blob(n, &mut rng))
-                .expect("blob generator produces connected sets");
-            let mut dw = DynamicWorld::new(&s, 2);
-            for v in 0..n {
-                dw.world_mut().global_pin_config(v);
-            }
-            emit_topology(dw.world(), rec);
-            let family = *crate::spec::pick(&mut derive_rng(seed, 5), &ALL_CHURN_FAMILIES);
-            // An explicit schedule seed, surfaced in every failure detail:
-            // together with the event index it reproduces the failing
-            // churn schedule from the log alone.
-            let schedule_seed = derive_rng(seed, 6).next_u64();
-            let plan = ChurnPlan::new(schedule_seed, family, events, per_event);
-            let mut oracle_fail: Option<String> = None;
-            let mut broadcast_fail: Option<String> = None;
-            let mut holes_fail: Option<String> = None;
-            for e in 0..events {
-                let applied = plan.apply_with(&mut dw, e, rec);
-                for v in &applied.inserted {
-                    dw.world_mut().global_pin_config(v.index());
-                }
-                // Geometry first: the scoped hole revalidation over the
-                // chunks this event touched.
-                if holes_fail.is_none() && !dw.revalidate_edited_chunks() {
-                    holes_fail = Some(format!(
-                        "churn schedule seed={schedule_seed} event=#{e} ({}): \
-                         scoped hole revalidation failed",
-                        family.label()
-                    ));
-                }
-                // Cross-validation: the incrementally edited world vs a
-                // from-scratch rebuild, after *every* event.
-                if oracle_fail.is_none() {
-                    if let Err(msg) = verify_against_rebuild(&dw) {
-                        oracle_fail = Some(format!(
-                            "churn schedule seed={schedule_seed} event=#{e} ({}): {msg}",
-                            family.label()
-                        ));
-                    }
-                }
-                // And the workload itself: the global circuit must still
-                // span the churned structure.
-                let origin = dw.editor().live_ids()[0] as usize;
-                dw.world_mut().beep(origin, 0);
-                dw.world_mut().tick_with(rec);
-                if broadcast_fail.is_none() {
-                    let missed = dw
-                        .editor()
-                        .live_ids()
-                        .iter()
-                        .filter(|&&v| !dw.world().received(v as usize, 0))
-                        .count();
-                    if missed > 0 {
-                        broadcast_fail = Some(format!(
-                            "churn schedule seed={schedule_seed} event=#{e} ({}): \
-                             {missed} live amoebots missed the broadcast",
-                            family.label()
-                        ));
-                    }
-                }
-            }
-            r.n = n;
-            r.k = events;
-            r.l = dw.len();
-            r.rounds = dw.world().rounds();
-            r.beeps = dw.world().beeps_sent();
-            r.metrics.merge(dw.world().metrics());
-            let oracle_ok = oracle_fail.is_none();
-            let broadcast_ok = broadcast_fail.is_none();
-            let holes_ok = holes_fail.is_none();
-            r.checks = vec![
-                CheckResult::from_bool("churn-chunks-hole-free", holes_ok, || {
-                    holes_fail.unwrap_or_default()
-                }),
-                CheckResult::from_bool("churn-oracle-equivalent", oracle_ok, || {
-                    oracle_fail.unwrap_or_default()
-                }),
-                CheckResult::from_bool("churn-broadcast-reaches-all", broadcast_ok, || {
-                    broadcast_fail.unwrap_or_default()
-                }),
-            ];
-        }
+        } => match Driver::new(kind, n, seed, events, per_event) {
+            Ok(mut d) => r = drive(&mut d, rec),
+            Err(e) => r.checks = vec![CheckResult::fail("driver-build", e)],
+        },
         MicroWorkload::LineChurnSpt {
             n,
             events,
@@ -745,84 +633,14 @@ fn run_micro<R: Recorder>(micro: MicroWorkload, seed: u64, rec: &mut R) -> Scena
                 CheckResult::from_bool("churn-spt-forest-valid", ok, || fail.unwrap_or_default()),
             ];
         }
-        MicroWorkload::FaultyBlobFlood {
-            n,
-            events,
-            per_event,
-        } => {
-            crate::adversary::run_adversary(
-                &mut r,
-                crate::adversary::AdversaryKind::LossyFlood,
-                n,
-                events,
-                per_event,
-                seed,
-                false,
-                rec,
-            );
-        }
-        MicroWorkload::StuckLineBroadcast {
-            n,
-            events,
-            per_event,
-        } => {
-            crate::adversary::run_adversary(
-                &mut r,
-                crate::adversary::AdversaryKind::StuckLine,
-                n,
-                events,
-                per_event,
-                seed,
-                false,
-                rec,
-            );
-        }
-        MicroWorkload::UnfairBlobFlood {
-            n,
-            events,
-            per_event,
-        } => {
-            crate::adversary::run_adversary(
-                &mut r,
-                crate::adversary::AdversaryKind::UnfairFlood,
-                n,
-                events,
-                per_event,
-                seed,
-                false,
-                rec,
-            );
-        }
-        MicroWorkload::CrashRecoverBroadcast {
-            n,
-            events,
-            per_event,
-        } => {
-            crate::adversary::run_adversary(
-                &mut r,
-                crate::adversary::AdversaryKind::CrashGlobal,
-                n,
-                events,
-                per_event,
-                seed,
-                false,
-                rec,
-            );
-        }
         MicroWorkload::AdversarySelfTestFail => {
             // Fixed parameters, sabotage on: the repair sweep is skipped
             // and a cutting stuck pin survives the burst, so the
             // re-convergence checker must fail with the seeded FAIL line.
-            crate::adversary::run_adversary(
-                &mut r,
-                crate::adversary::AdversaryKind::StuckLine,
-                12,
-                2,
-                1,
-                0,
-                true,
-                rec,
-            );
+            match Driver::new(Kind::StuckLine, 12, 0, 2, 1) {
+                Ok(d) => r = drive(&mut d.sabotaged(), rec),
+                Err(e) => r.checks = vec![CheckResult::fail("driver-build", e)],
+            }
         }
         MicroWorkload::SelfTestFail => {
             r.n = 1;
@@ -948,24 +766,32 @@ mod tests {
         }
     }
 
-    /// The churn workloads: every event is rebuild-oracle-checked
-    /// (blob) / BFS-cross-validated after an SPT restart (line), across
-    /// several seeds so all four schedule families get sampled.
+    /// The driver workloads across several seeds, so every schedule
+    /// family gets sampled: every churn and fault event is
+    /// rebuild-oracle-checked, every churn step's broadcast must reach
+    /// everyone, and every fault burst must re-converge within its bound.
+    /// The line churn family restarts the SPT after every event.
     #[test]
-    fn churn_scenarios_pass_across_seeds() {
+    fn driver_and_churn_scenarios_pass_across_seeds() {
         for seed in [0u64, 3, 11, 27, 42] {
-            let blob = Scenario::micro(
-                "t",
-                seed,
-                MicroWorkload::BlobChurnBroadcast {
-                    n: 40,
-                    events: 5,
-                    per_event: 4,
-                },
-            );
-            let r = run_ok(&blob);
-            assert_eq!(r.k, 5, "k reports the event count");
-            assert!(r.rounds >= 5, "one broadcast round per event");
+            for kind in Kind::ALL {
+                let (n, events, per_event) = match kind {
+                    Kind::Broadcast => (40, 5, 0),
+                    Kind::StuckLine => (24, 5, 2),
+                    _ => (30, 5, 3),
+                };
+                let micro = MicroWorkload::Driven {
+                    kind,
+                    n,
+                    events,
+                    per_event,
+                };
+                let r = run_ok(&Scenario::micro("t", seed, micro));
+                assert!(r.rounds >= 5, "at least one round per event");
+                if kind != Kind::Broadcast {
+                    assert_eq!(r.k, 5, "k reports the event count");
+                }
+            }
             let line = Scenario::micro(
                 "t",
                 seed,
@@ -977,42 +803,6 @@ mod tests {
             );
             let r = run_ok(&line);
             assert!(r.rounds > 0, "SPT restarts consume rounds");
-        }
-    }
-
-    /// The adversary workloads: every fault event is rebuild-oracle
-    /// checked and the broadcast must re-converge within the stated
-    /// bound after the burst, across several seeds so each kind samples
-    /// its whole family menu.
-    #[test]
-    fn adversary_scenarios_pass_across_seeds() {
-        for seed in [0u64, 3, 11, 27, 42] {
-            for micro in [
-                MicroWorkload::FaultyBlobFlood {
-                    n: 30,
-                    events: 5,
-                    per_event: 3,
-                },
-                MicroWorkload::StuckLineBroadcast {
-                    n: 24,
-                    events: 5,
-                    per_event: 2,
-                },
-                MicroWorkload::UnfairBlobFlood {
-                    n: 30,
-                    events: 5,
-                    per_event: 3,
-                },
-                MicroWorkload::CrashRecoverBroadcast {
-                    n: 30,
-                    events: 5,
-                    per_event: 3,
-                },
-            ] {
-                let r = run_ok(&Scenario::micro("t", seed, micro));
-                assert_eq!(r.k, 5, "k reports the event count");
-                assert!(r.rounds >= 5, "one broadcast round per event");
-            }
         }
     }
 

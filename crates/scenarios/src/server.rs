@@ -1,15 +1,14 @@
 //! `scenario-server` — the batch engine as a persistent, session-oriented
 //! service (DESIGN.md §1g).
 //!
-//! A **session** is a named, live [`DynamicWorld`] (plus an optional
-//! churn schedule) that survives across requests: a client creates it
-//! once, then steps, mutates, queries and snapshots it incrementally —
-//! the interactive counterpart to the one-shot `scenario-runner` batch.
-//! Session semantics deliberately mirror the `blob-broadcast` /
-//! `blob-churn-broadcast` registry families (same seed derivations, same
-//! origin stride, same churn-plan construction), so a server session
-//! stepped `n` times reports the same rounds/beeps a batch run of the
-//! same scenario would.
+//! A **session** is a named [`Driver`] held open across requests: a
+//! client creates it once, then steps, mutates, faults, queries and
+//! snapshots it incrementally — the interactive counterpart to the
+//! one-shot `scenario-runner` batch, which drives the same driver to
+//! completion. The session families are the driver families
+//! ([`Kind::ALL`]: `blob-broadcast`, `blob-churn-broadcast` and the four
+//! `fault-*` families), so a session put through the operations a batch
+//! run performs reports the batch's rounds, beeps and circuits.
 //!
 //! # Wire protocol
 //!
@@ -19,7 +18,7 @@
 //!
 //! ```text
 //! {"op":"create","session":S,"family":F,"size":N,"seed":N[,"events":N,"per_event":N]}
-//! {"op":"step","session":S[,"n":K]}         run K broadcast rounds (default 1)
+//! {"op":"step","session":S[,"n":K]}         run K rounds (default 1)
 //! {"op":"mutate","session":S[,"verify":B]}  apply the next churn event
 //! {"op":"fault","session":S[,"verify":B]}   stage the next fault event + 1 faulted round
 //! {"op":"query","session":S[,"timing":B]}   spf-session-report/v1 envelope
@@ -78,18 +77,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
 
-use amoebot_dynamics::{
-    verify_against_rebuild, ChurnPlan, DynamicWorld, FaultFamily, FaultPlan, ALL_CHURN_FAMILIES,
-    ALL_FAULT_FAMILIES,
-};
-use amoebot_grid::{shapes, AmoebotStructure};
 use amoebot_telemetry::wire::{self, SnapshotReader, SnapshotWriter, WireError};
-use rand::RngCore;
+use amoebot_telemetry::NullRecorder;
 
 use crate::batch::Threads;
+use crate::driver::{Applied, Driver, Event, Kind};
 use crate::json::Json;
 use crate::report::Envelope;
-use crate::spec::{derive_rng, pick};
 
 /// Schema identifier of `query` responses.
 pub const SESSION_SCHEMA: &str = "spf-session-report/v1";
@@ -106,11 +100,6 @@ const OP_KINDS: [&str; 8] = [
 
 /// Hard cap on a single wire frame (requests *and* responses).
 pub const MAX_FRAME: usize = 1 << 24;
-
-/// The origin stride of the broadcast workload — the same Fibonacci hash
-/// `run_micro` uses, so session steps and batch rounds pick identical
-/// origins on an unchurned structure.
-const ORIGIN_STRIDE: usize = 0x9E3779B9;
 
 // ---- Frame codec.
 
@@ -149,22 +138,16 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
 
 // ---- Sessions.
 
-/// A live named world: the unit the server shards, steps and snapshots.
+/// A live named workload: the unit the server shards, steps and
+/// snapshots. A session is a [`Driver`] held open between requests, so
+/// it reports what a batch run of the same family, size, seed and
+/// schedule reports after the same operations.
 pub struct Session {
     name: String,
-    family: String,
-    size: usize,
-    seed: u64,
-    /// Broadcast rounds issued so far (the origin-stride cursor).
-    steps: u64,
-    dw: DynamicWorld,
-    plan: Option<ChurnPlan>,
-    next_event: usize,
-    fplan: Option<FaultPlan>,
-    next_fault: usize,
     /// Per-kind request counters (see [`OP_KINDS`]): deterministic
     /// uptime accounting, persisted through snapshot/restore.
     ops: [u64; OP_KINDS.len()],
+    driver: Driver,
 }
 
 /// Session names double as snapshot file stems, so they are restricted
@@ -178,10 +161,34 @@ fn valid_session_name(name: &str) -> bool {
         && !name.starts_with('.')
 }
 
+/// The reply to a `mutate` or `fault` request: the event index, what the
+/// event did, the live size, and the oracle verdict when asked for.
+fn event_json(ev: &Event, n: usize) -> Json {
+    let mut doc = ok_json().field("event", ev.index);
+    doc = match &ev.applied {
+        Applied::Churn { edits, holes_ok } => doc
+            .field("inserted", edits.inserted.len())
+            .field("removed", edits.removed.len())
+            .field("n", n)
+            .field("holes_ok", *holes_ok),
+        Applied::Fault(staged) => doc
+            .field("dropped", staged.ticks.drop.len())
+            .field("injected", staged.ticks.inject.len())
+            .field("starved", staged.inactive.len())
+            .field("wiped", staged.wiped.len())
+            .field("stuck_armed", staged.stuck_armed as usize)
+            .field("stuck_released", staged.stuck_released as usize)
+            .field("n", n),
+    };
+    match &ev.oracle {
+        Some(verdict) => doc.field("oracle_ok", verdict.is_ok()),
+        None => doc,
+    }
+}
+
 impl Session {
-    /// Builds a fresh session, mirroring the registry families' seed
-    /// derivations (structure from `derive_rng(seed, 0)`, churn family
-    /// from `(seed, 5)`, schedule seed from `(seed, 6)`).
+    /// Builds a fresh session of one of the driver families
+    /// ([`Kind::ALL`]); `events` and `per_event` size its schedule.
     pub fn create(
         name: &str,
         family: &str,
@@ -195,52 +202,17 @@ impl Session {
                 "invalid session name {name:?} (1-64 chars of [A-Za-z0-9._-], no leading dot)"
             ));
         }
-        if size == 0 {
-            return Err("size must be at least 1".to_string());
-        }
-        let (plan, fplan) = match family {
-            "blob-broadcast" => (None, None),
-            "blob-churn-broadcast" => {
-                let fam = *pick(&mut derive_rng(seed, 5), &ALL_CHURN_FAMILIES);
-                let schedule_seed = derive_rng(seed, 6).next_u64();
-                (
-                    Some(ChurnPlan::new(schedule_seed, fam, events, per_event)),
-                    None,
-                )
-            }
-            "blob-fault-broadcast" => {
-                let fam = *pick(&mut derive_rng(seed, 5), &ALL_FAULT_FAMILIES);
-                let schedule_seed = derive_rng(seed, 6).next_u64();
-                (
-                    None,
-                    Some(FaultPlan::new(schedule_seed, fam, events, per_event)),
-                )
-            }
-            other => {
-                return Err(format!(
-                    "unknown session family {other:?} (expected blob-broadcast, \
-                     blob-churn-broadcast or blob-fault-broadcast)"
-                ))
-            }
-        };
-        let s = AmoebotStructure::new(shapes::random_blob(size, &mut derive_rng(seed, 0)))
-            .map_err(|e| format!("structure generation failed: {e:?}"))?;
-        let mut dw = DynamicWorld::new(&s, 2);
-        for v in 0..size {
-            dw.world_mut().global_pin_config(v);
-        }
+        let kind = Kind::from_family(family).ok_or_else(|| {
+            let known: Vec<&str> = Kind::ALL.iter().map(|k| k.family()).collect();
+            format!(
+                "unknown session family {family:?} (expected one of {})",
+                known.join(", ")
+            )
+        })?;
         let mut session = Session {
             name: name.to_string(),
-            family: family.to_string(),
-            size,
-            seed,
-            steps: 0,
-            dw,
-            plan,
-            next_event: 0,
-            fplan,
-            next_fault: 0,
             ops: [0; OP_KINDS.len()],
+            driver: Driver::new(kind, size, seed, events, per_event)?,
         };
         // A session is born having served its `create`.
         session.count_op("create");
@@ -272,134 +244,82 @@ impl Session {
         doc
     }
 
-    /// Runs `k` broadcast rounds (origin-stride beep + tick each) and
-    /// returns the world's cumulative `(rounds, beeps)`.
+    /// Runs `k` rounds ([`Driver::step`]) and returns the world's
+    /// cumulative `(rounds, beeps)`.
     pub fn step(&mut self, k: usize) -> Result<(u64, u64), String> {
         for _ in 0..k {
-            let live = self.dw.editor().live_ids();
-            if live.is_empty() {
-                return Err("session has no live amoebots left".to_string());
-            }
-            let origin = live[(self.steps as usize).wrapping_mul(ORIGIN_STRIDE) % live.len()];
-            self.dw.world_mut().beep(origin as usize, 0);
-            self.dw.world_mut().tick();
-            self.steps += 1;
+            self.driver.step(&mut NullRecorder);
         }
-        Ok((self.dw.world().rounds(), self.dw.world().beeps_sent()))
+        let world = self.driver.world();
+        Ok((world.rounds(), world.beeps_sent()))
     }
 
-    /// Applies the next event of the session's churn schedule.
+    /// Applies the next event of a churn session's schedule.
     pub fn mutate(&mut self, verify: bool) -> Result<Json, String> {
-        let plan = self
-            .plan
-            .ok_or("session has no churn plan (created as blob-broadcast)")?;
-        if self.next_event >= plan.events {
-            return Err(format!(
-                "churn schedule exhausted after {} events",
-                plan.events
-            ));
-        }
-        let event = self.next_event;
-        let applied = plan.apply(&mut self.dw, event);
-        for v in &applied.inserted {
-            self.dw.world_mut().global_pin_config(v.index());
-        }
-        self.next_event += 1;
-        let holes_ok = self.dw.revalidate_edited_chunks();
-        let mut doc = Json::object()
-            .field("ok", true)
-            .field("event", event)
-            .field("inserted", applied.inserted.len())
-            .field("removed", applied.removed.len())
-            .field("n", self.dw.len())
-            .field("holes_ok", holes_ok);
-        if verify {
-            doc = doc.field("oracle_ok", verify_against_rebuild(&self.dw).is_ok());
-        }
-        Ok(doc)
+        self.event(self.driver.kind() == Kind::Churn, "churn plan", verify)
     }
 
-    /// Stages the next event of the session's fault schedule and runs
-    /// one *faulted* broadcast round under it: crashed amoebots reboot
-    /// into the global configuration (informed-state loss is the
-    /// algorithm's problem, not the session's), the origin-stride source
-    /// beeps unless the event's scheduler mask starves it, and the tick
-    /// applies the staged drops/injects.
+    /// Applies the next event of a fault session's schedule: the staged
+    /// faults and one faulted round of its broadcast.
     pub fn fault(&mut self, verify: bool) -> Result<Json, String> {
-        let plan = self
-            .fplan
-            .ok_or("session has no fault plan (create it as blob-fault-broadcast)")?;
-        if self.next_fault >= plan.events {
-            return Err(format!(
-                "fault schedule exhausted after {} events",
-                plan.events
-            ));
+        self.event(self.driver.kind().is_fault(), "fault plan", verify)
+    }
+
+    /// The next schedule event, if the session has the `plan` the op
+    /// needs.
+    fn event(&mut self, has_plan: bool, plan: &str, verify: bool) -> Result<Json, String> {
+        if !has_plan {
+            let family = self.driver.kind().family();
+            return Err(format!("session has no {plan} (created as {family})"));
         }
-        let event = self.next_fault;
-        let staged = plan.stage(&mut self.dw, event);
-        for v in &staged.wiped {
-            self.dw.world_mut().global_pin_config(v.index());
-        }
-        let live = self.dw.editor().live_ids();
-        if live.is_empty() {
-            return Err("session has no live amoebots left".to_string());
-        }
-        let origin = live[(self.steps as usize).wrapping_mul(ORIGIN_STRIDE) % live.len()];
-        if staged.is_active(origin) {
-            self.dw.world_mut().beep(origin as usize, 0);
-        }
-        self.dw
-            .world_mut()
-            .tick_faulted(&staged.ticks, &mut amoebot_telemetry::NullRecorder);
-        self.steps += 1;
-        self.next_fault += 1;
-        let mut doc = Json::object()
-            .field("ok", true)
-            .field("event", event)
-            .field("dropped", staged.ticks.drop.len())
-            .field("injected", staged.ticks.inject.len())
-            .field("starved", staged.inactive.len())
-            .field("wiped", staged.wiped.len())
-            .field("stuck_armed", staged.stuck_armed as usize)
-            .field("stuck_released", staged.stuck_released as usize)
-            .field("n", self.dw.len());
-        if verify {
-            doc = doc.field("oracle_ok", verify_against_rebuild(&self.dw).is_ok());
-        }
-        Ok(doc)
+        let ev = self.driver.event(verify, &mut NullRecorder)?;
+        Ok(event_json(&ev, self.driver.live()))
+    }
+
+    /// The fields `query` and `stats` open with: identity, size and the
+    /// engine's progress.
+    fn head(&mut self) -> Vec<(&'static str, Json)> {
+        let d = &mut self.driver;
+        let circuits = d.world_mut().circuit_count();
+        vec![
+            ("session", self.name.as_str().into()),
+            ("family", d.kind().family().into()),
+            ("size", d.size().into()),
+            ("seed", d.seed().into()),
+            ("n", d.live().into()),
+            ("steps", d.steps().into()),
+            ("rounds", d.world().rounds().into()),
+            ("beeps", d.world().beeps_sent().into()),
+            ("circuits", circuits.into()),
+        ]
     }
 
     /// The session report envelope. Canonical without `timing` — rounds,
-    /// beeps, circuit count and engine counters only.
+    /// beeps, circuit count, schedule cursor and engine counters only.
     pub fn query(&mut self, timing: bool) -> Json {
-        let circuits = self.dw.world_mut().circuit_count();
-        let mut env = Envelope::new(SESSION_SCHEMA, timing)
-            .field("session", self.name.as_str())
-            .field("family", self.family.as_str())
-            .field("size", self.size)
-            .field("seed", self.seed)
-            .field("n", self.dw.len())
-            .field("steps", self.steps)
-            .field("rounds", self.dw.world().rounds())
-            .field("beeps", self.dw.world().beeps_sent())
-            .field("circuits", circuits);
-        if let Some(plan) = self.plan {
-            env = env
-                .field("churn_family", plan.family.label())
-                .field("next_event", self.next_event)
-                .field("events", plan.events);
+        let mut env = Envelope::new(SESSION_SCHEMA, timing);
+        for (key, value) in self.head() {
+            env = env.field(key, value);
         }
-        if let Some(plan) = self.fplan {
+        let d = &self.driver;
+        let label = d.schedule_label().unwrap_or_default();
+        if d.kind() == Kind::Churn {
             env = env
-                .field("fault_family", plan.family.label())
-                .field("next_fault", self.next_fault)
-                .field("fault_events", plan.events)
-                .field("stuck_pins", self.dw.world().stuck_pin_count());
+                .field("churn_family", label)
+                .field("next_event", d.next_event())
+                .field("events", d.events());
+        } else if d.kind().is_fault() {
+            env = env
+                .field("fault_family", label)
+                .field("next_fault", d.next_event())
+                .field("fault_events", d.events())
+                .field("stuck_pins", d.world().stuck_pin_count())
+                .field("informed", d.live() - d.uninformed());
         }
         env = env
             .field("uptime_requests", self.uptime_requests())
             .field("ops_by_kind", self.ops_json());
-        env.metrics(self.dw.world().metrics()).finish()
+        env.metrics(self.driver.world().metrics()).finish()
     }
 
     /// The canonical per-session metrics envelope ([`STATS_SCHEMA`]):
@@ -409,8 +329,11 @@ impl Session {
     /// same request history regardless of shard count — the `watch`
     /// frame format.
     pub fn stats(&mut self) -> Json {
-        let circuits = self.dw.world_mut().circuit_count();
-        let m = self.dw.world().metrics();
+        let mut doc = Json::object().field("schema", STATS_SCHEMA);
+        for (key, value) in self.head() {
+            doc = doc.field(key, value);
+        }
+        let m = self.driver.world().metrics();
         let mut relabels = Json::object();
         for (cname, v) in m.counters_sorted() {
             if cname.starts_with("relabel_") {
@@ -428,59 +351,22 @@ impl Session {
                     .field("p99", h.p99),
             );
         }
-        Json::object()
-            .field("schema", STATS_SCHEMA)
-            .field("session", self.name.as_str())
-            .field("family", self.family.as_str())
-            .field("size", self.size)
-            .field("seed", self.seed)
-            .field("n", self.dw.len())
-            .field("steps", self.steps)
-            .field("rounds", self.dw.world().rounds())
-            .field("beeps", self.dw.world().beeps_sent())
-            .field("circuits", circuits)
-            .field("relabels", relabels)
+        doc.field("relabels", relabels)
             .field("phase_percentiles", phases)
             .field("uptime_requests", self.uptime_requests())
             .field("ops_by_kind", self.ops_json())
     }
 
-    /// The session as a sealed `SPFS` blob (kind `SESSION`): identity +
-    /// schedule cursor + the full dynamic-world payload.
+    /// The session as a sealed `SPFS` blob (kind `SESSION`): its name,
+    /// its request counters and the driver ([`Driver::encode`]).
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         let mut w = SnapshotWriter::new(wire::kind::SESSION);
         w.str(&self.name);
-        w.str(&self.family);
-        w.varint(self.size as u64);
-        w.varint(self.seed);
-        w.varint(self.steps);
-        match &self.plan {
-            None => w.byte(0),
-            Some(plan) => {
-                w.byte(1);
-                w.varint(plan.seed);
-                w.str(plan.family.label());
-                w.varint(plan.events as u64);
-                w.varint(plan.per_event as u64);
-                w.varint(self.next_event as u64);
-            }
-        }
-        match &self.fplan {
-            None => w.byte(0),
-            Some(plan) => {
-                w.byte(1);
-                w.varint(plan.seed);
-                w.str(plan.family.label());
-                w.varint(plan.events as u64);
-                w.varint(plan.per_event as u64);
-                w.varint(self.next_fault as u64);
-            }
-        }
         w.varint(OP_KINDS.len() as u64);
         for &count in &self.ops {
             w.varint(count);
         }
-        self.dw.encode_payload(&mut w);
+        self.driver.encode(&mut w);
         w.finish()
     }
 
@@ -495,101 +381,6 @@ impl Session {
                 offset: name_offset,
             });
         }
-        let family_offset = r.offset();
-        let family = r.str("session family")?;
-        if family != "blob-broadcast"
-            && family != "blob-churn-broadcast"
-            && family != "blob-fault-broadcast"
-        {
-            return Err(WireError::BadValue {
-                what: "session family",
-                offset: family_offset,
-            });
-        }
-        let size = r.varint()? as usize;
-        let seed = r.varint()?;
-        let steps = r.varint()?;
-        let plan_offset = r.offset();
-        let (plan, next_event) = match r.byte()? {
-            0 => (None, 0),
-            1 => {
-                let plan_seed = r.varint()?;
-                let label_offset = r.offset();
-                let label = r.str("churn family label")?;
-                let fam = *ALL_CHURN_FAMILIES
-                    .iter()
-                    .find(|f| f.label() == label)
-                    .ok_or(WireError::BadValue {
-                        what: "churn family label",
-                        offset: label_offset,
-                    })?;
-                let events = r.varint()? as usize;
-                let per_event = r.varint()? as usize;
-                let cursor_offset = r.offset();
-                let next_event = r.varint()? as usize;
-                if next_event > events {
-                    return Err(WireError::BadValue {
-                        what: "churn-plan cursor",
-                        offset: cursor_offset,
-                    });
-                }
-                (
-                    Some(ChurnPlan::new(plan_seed, fam, events, per_event)),
-                    next_event,
-                )
-            }
-            _ => {
-                return Err(WireError::BadValue {
-                    what: "churn-plan presence",
-                    offset: plan_offset,
-                })
-            }
-        };
-        if plan.is_some() != (family == "blob-churn-broadcast") {
-            return Err(WireError::BadValue {
-                what: "churn-plan presence",
-                offset: plan_offset,
-            });
-        }
-        let fplan_offset = r.offset();
-        let (fplan, next_fault) = match r.byte()? {
-            0 => (None, 0),
-            1 => {
-                let plan_seed = r.varint()?;
-                let label_offset = r.offset();
-                let label = r.str("fault family label")?;
-                let fam = FaultFamily::from_label(&label).ok_or(WireError::BadValue {
-                    what: "fault family label",
-                    offset: label_offset,
-                })?;
-                let events = r.varint()? as usize;
-                let per_event = r.varint()? as usize;
-                let cursor_offset = r.offset();
-                let next_fault = r.varint()? as usize;
-                if next_fault > events {
-                    return Err(WireError::BadValue {
-                        what: "fault-plan cursor",
-                        offset: cursor_offset,
-                    });
-                }
-                (
-                    Some(FaultPlan::new(plan_seed, fam, events, per_event)),
-                    next_fault,
-                )
-            }
-            _ => {
-                return Err(WireError::BadValue {
-                    what: "fault-plan presence",
-                    offset: fplan_offset,
-                })
-            }
-        };
-        if fplan.is_some() != (family == "blob-fault-broadcast") {
-            return Err(WireError::BadValue {
-                what: "fault-plan presence",
-                offset: fplan_offset,
-            });
-        }
         let arity_offset = r.offset();
         if r.varint()? as usize != OP_KINDS.len() {
             return Err(WireError::BadValue {
@@ -601,21 +392,9 @@ impl Session {
         for slot in ops.iter_mut() {
             *slot = r.varint()?;
         }
-        let dw = DynamicWorld::decode_payload(&mut r)?;
+        let driver = Driver::decode(&mut r)?;
         r.finish()?;
-        Ok(Session {
-            name,
-            family,
-            size,
-            seed,
-            steps,
-            dw,
-            plan,
-            next_event,
-            fplan,
-            next_fault,
-            ops,
-        })
+        Ok(Session { name, ops, driver })
     }
 
     /// The session's snapshot file under `dir`.
@@ -699,54 +478,30 @@ fn handle_request(
             );
             match session {
                 Ok(s) => {
-                    let n = s.dw.len();
+                    let n = s.driver.live();
                     sessions.insert(name.to_string(), s);
                     ok_json().field("session", name).field("n", n)
                 }
                 Err(e) => err_json(e),
             }
         }
-        "step" => match sessions.get_mut(name) {
-            Some(s) => {
-                s.count_op(op);
-                match s.step(num("n", 1) as usize) {
+        "step" | "mutate" | "fault" | "query" | "stats" => {
+            let Some(s) = sessions.get_mut(name) else {
+                return err_json(format!("no such session {name:?}"));
+            };
+            s.count_op(op);
+            let flag = |key: &str| doc.get(key).and_then(Json::as_bool).unwrap_or(false);
+            match op {
+                "step" => match s.step(num("n", 1) as usize) {
                     Ok((rounds, beeps)) => ok_json().field("rounds", rounds).field("beeps", beeps),
                     Err(e) => err_json(e),
-                }
+                },
+                "mutate" => s.mutate(flag("verify")).unwrap_or_else(err_json),
+                "fault" => s.fault(flag("verify")).unwrap_or_else(err_json),
+                "query" => s.query(flag("timing")),
+                _ => s.stats(),
             }
-            None => err_json(format!("no such session {name:?}")),
-        },
-        "mutate" => match sessions.get_mut(name) {
-            Some(s) => {
-                s.count_op(op);
-                let verify = doc.get("verify").and_then(Json::as_bool).unwrap_or(false);
-                s.mutate(verify).unwrap_or_else(err_json)
-            }
-            None => err_json(format!("no such session {name:?}")),
-        },
-        "fault" => match sessions.get_mut(name) {
-            Some(s) => {
-                s.count_op(op);
-                let verify = doc.get("verify").and_then(Json::as_bool).unwrap_or(false);
-                s.fault(verify).unwrap_or_else(err_json)
-            }
-            None => err_json(format!("no such session {name:?}")),
-        },
-        "query" => match sessions.get_mut(name) {
-            Some(s) => {
-                s.count_op(op);
-                let timing = doc.get("timing").and_then(Json::as_bool).unwrap_or(false);
-                s.query(timing)
-            }
-            None => err_json(format!("no such session {name:?}")),
-        },
-        "stats" => match sessions.get_mut(name) {
-            Some(s) => {
-                s.count_op(op);
-                s.stats()
-            }
-            None => err_json(format!("no such session {name:?}")),
-        },
+        }
         "watch" => err_json(
             "op \"watch\" is connection-level (it streams frames); \
              send it over a framed connection",
@@ -787,7 +542,7 @@ fn handle_request(
             };
             match Session::from_snapshot_bytes(&bytes) {
                 Ok(s) if s.name == name => {
-                    let n = s.dw.len();
+                    let n = s.driver.live();
                     sessions.insert(name.to_string(), s);
                     ok_json().field("session", name).field("n", n)
                 }
@@ -1310,6 +1065,28 @@ mod tests {
         dir
     }
 
+    /// A server with `threads` shards, snapshotting to `dir` if given.
+    fn start(threads: usize, dir: Option<&Path>) -> (Server, Vec<String>) {
+        let snapshot_dir = dir.map(Path::to_path_buf);
+        Server::start(ServerConfig {
+            threads,
+            snapshot_dir,
+        })
+        .unwrap()
+    }
+
+    /// Reads one reply frame and parses it.
+    fn read_json(r: &mut impl Read) -> Json {
+        let frame = read_frame(r).unwrap().expect("a reply frame");
+        Json::parse(std::str::from_utf8(&frame).unwrap()).unwrap()
+    }
+
+    /// Sends one request frame and reads its reply.
+    fn roundtrip(conn: &mut std::net::TcpStream, doc: &Json) -> Json {
+        write_frame(conn, doc.render_compact().as_bytes()).unwrap();
+        read_json(conn)
+    }
+
     fn assert_ok(resp: &Json) {
         assert!(
             resp.get("error").is_none(),
@@ -1318,48 +1095,95 @@ mod tests {
         );
     }
 
+    /// A session reports what its batch run reports. For every session
+    /// family and several seeds, the registry scenario runs as a batch,
+    /// and a session with the same parameters goes through the same
+    /// operations: rounds, beeps, live size, circuit count and metric
+    /// counters must all agree.
     #[test]
-    fn create_step_query_mirrors_the_batch_family() {
-        let (server, _) = Server::start(ServerConfig {
-            threads: 2,
-            snapshot_dir: None,
-        })
-        .unwrap();
-        let h = server.handle();
-        let resp = h.request(&req(&[
-            ("op", s("create")),
-            ("session", s("a")),
-            ("family", s("blob-broadcast")),
-            ("size", n(120)),
-            ("seed", n(7)),
-        ]));
-        assert_ok(&resp);
-        let resp = h.request(&req(&[("op", s("step")), ("session", s("a")), ("n", n(5))]));
-        assert_ok(&resp);
-        assert_eq!(resp.get("rounds").and_then(Json::as_u64), Some(5));
-        let doc = h.request(&req(&[("op", s("query")), ("session", s("a"))]));
-        assert_eq!(
-            doc.get("schema").and_then(Json::as_str),
-            Some(SESSION_SCHEMA)
-        );
-        assert_eq!(doc.get("rounds").and_then(Json::as_u64), Some(5));
-        assert_eq!(doc.get("n").and_then(Json::as_u64), Some(120));
-        // Canonical query responses carry counters but no timers.
-        let text = doc.render_pretty();
-        assert!(text.contains("relabel_global"));
-        assert!(!text.contains("timers"));
-        // One global circuit per link on a fully-joined global config.
-        assert!(doc.get("circuits").and_then(Json::as_u64).unwrap() >= 1);
-        server.shutdown().unwrap();
+    fn sessions_match_their_batch_runs() {
+        use crate::registry::default_registry;
+        use crate::report::metrics_to_json;
+        use crate::run::run_scenario;
+        use crate::spec::{MicroWorkload, Workload};
+
+        let registry = default_registry();
+        for kind in Kind::ALL {
+            for seed in [1u64, 7, 42] {
+                let sc = registry.get(kind.family()).unwrap().build(seed);
+                let Workload::Micro(MicroWorkload::Driven {
+                    n: size,
+                    events,
+                    per_event,
+                    ..
+                }) = sc.workload
+                else {
+                    panic!("{} is not a driver family", kind.family());
+                };
+                let batch = run_scenario(&sc);
+                assert!(batch.pass, "{}: {:?}", sc.name, batch.checks);
+                // The batch's driver, kept to count its circuits. Counting
+                // refreshes a pending relabel, so the session's query is
+                // compared against the counters after the count.
+                let mut twin = Driver::new(kind, size, seed, events, per_event).unwrap();
+                let again = crate::driver::drive(&mut twin, &mut NullRecorder);
+                assert_eq!(
+                    (again.rounds, again.beeps, again.l),
+                    (batch.rounds, batch.beeps, batch.l)
+                );
+                assert_eq!(
+                    metrics_to_json(&again.metrics, false),
+                    metrics_to_json(&batch.metrics, false)
+                );
+                let circuits = twin.world_mut().circuit_count() as u64;
+
+                let name = &sc.name;
+                let mut session =
+                    Session::create("twin", kind.family(), size, seed, events, per_event).unwrap();
+                let oracle_ok = |reply: Json| reply.get("oracle_ok").and_then(Json::as_bool);
+                match kind {
+                    Kind::Broadcast => drop(session.step(events)),
+                    Kind::Churn => {
+                        for _ in 0..events {
+                            assert_eq!(oracle_ok(session.mutate(true).unwrap()), Some(true));
+                            session.step(1).unwrap();
+                        }
+                    }
+                    _ => {
+                        for _ in 0..events {
+                            assert_eq!(oracle_ok(session.fault(true).unwrap()), Some(true));
+                        }
+                        // One round per event; the rest are the batch's
+                        // fault-free recovery rounds.
+                        session
+                            .step((batch.rounds - events as u64) as usize)
+                            .unwrap();
+                    }
+                }
+                let doc = session.query(false);
+                let num = |key: &str| doc.get(key).and_then(Json::as_u64);
+                assert_eq!(num("rounds"), Some(batch.rounds), "{name}");
+                assert_eq!(num("beeps"), Some(batch.beeps), "{name}");
+                assert_eq!(num("n"), Some(twin.live() as u64), "{name}");
+                assert_eq!(num("circuits"), Some(circuits), "{name}");
+                assert_eq!(
+                    doc.get("metrics"),
+                    Some(&metrics_to_json(twin.world().metrics(), false)),
+                    "{name}"
+                );
+                if kind.is_fault() {
+                    assert_eq!(num("informed"), num("n"), "{name} re-converged");
+                }
+                // Canonical query responses carry counters but no timers.
+                let text = doc.render_pretty();
+                assert!(text.contains("relabel_global") && !text.contains("timers"));
+            }
+        }
     }
 
     #[test]
     fn protocol_errors_are_responses_not_panics() {
-        let (server, _) = Server::start(ServerConfig {
-            threads: 1,
-            snapshot_dir: None,
-        })
-        .unwrap();
+        let (server, _) = start(1, None);
         let h = server.handle();
         for bad in [
             req(&[("session", s("a"))]),                            // no op
@@ -1369,8 +1193,9 @@ mod tests {
             req(&[
                 ("op", s("create")),
                 ("session", s("x")),
-                ("family", s("bogus")),
+                ("family", s("blob-fault-broadcast")), // not a registry family
             ]),
+            req(&[("op", s("create")), ("session", s("x")), ("size", n(0))]),
             req(&[("op", s("snapshot")), ("session", s("a"))]), // no snapshot dir
             req(&[("op", s("step"))]),                          // no session field
         ] {
@@ -1384,86 +1209,112 @@ mod tests {
             );
             assert!(resp.get("error").is_some());
         }
-        // Mutating a plan-less session is an error too.
-        assert_ok(&h.request(&req(&[
-            ("op", s("create")),
-            ("session", s("a")),
-            ("size", n(30)),
-        ])));
-        let resp = h.request(&req(&[("op", s("mutate")), ("session", s("a"))]));
-        assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
+        // An event op on a session without that schedule is an error
+        // too: mutate or fault a plain broadcast, mutate a fault session.
+        for (name, family) in [
+            ("a", "blob-broadcast"),
+            ("adv", "fault-crashrecover-broadcast"),
+        ] {
+            assert_ok(&h.request(&req(&[
+                ("op", s("create")),
+                ("session", s(name)),
+                ("family", s(family)),
+                ("size", n(20)),
+                ("events", n(2)),
+                ("per_event", n(1)),
+            ])));
+        }
+        for (op, name) in [("mutate", "a"), ("fault", "a"), ("mutate", "adv")] {
+            let resp = h.request(&req(&[("op", s(op)), ("session", s(name))]));
+            assert_eq!(
+                resp.get("ok").and_then(Json::as_bool),
+                Some(false),
+                "{op} {name}"
+            );
+        }
+        // The query envelope reports the fault-plan cursor.
+        let doc = h.request(&req(&[("op", s("query")), ("session", s("adv"))]));
+        assert!(doc.get("fault_family").is_some());
+        assert_eq!(doc.get("next_fault").and_then(Json::as_u64), Some(0));
+        assert_eq!(doc.get("fault_events").and_then(Json::as_u64), Some(2));
         server.shutdown().unwrap();
     }
 
-    /// The tentpole differential test at the service level: a session
-    /// snapshotted mid-churn and restored into a *fresh server* replays
-    /// the rest of its schedule byte-identically to the uninterrupted
-    /// session.
+    /// The differential test at the service level: a session of each
+    /// schedule family, snapshotted mid-schedule and restored into a
+    /// *fresh server*, plays the rest of its schedule byte-identically to
+    /// the uninterrupted session. Churn edits, armed stuck pins, the
+    /// fault kinds' informed set (the query's `informed`) and the final
+    /// repair sweep all cross the snapshot.
     #[test]
-    fn restore_into_fresh_server_matches_uninterrupted_session() {
-        let dir = temp_dir("restore");
-        let mk = |threads| {
-            Server::start(ServerConfig {
-                threads,
-                snapshot_dir: Some(dir.clone()),
-            })
-            .unwrap()
-        };
-        let (server, _) = mk(2);
-        let h = server.handle();
-        let create = req(&[
-            ("op", s("create")),
-            ("session", s("churny")),
-            ("family", s("blob-churn-broadcast")),
-            ("size", n(40)),
-            ("seed", n(11)),
-            ("events", n(6)),
-            ("per_event", n(3)),
-        ]);
-        assert_ok(&h.request(&create));
-        for _ in 0..3 {
-            assert_ok(&h.request(&req(&[("op", s("mutate")), ("session", s("churny"))])));
-            assert_ok(&h.request(&req(&[("op", s("step")), ("session", s("churny"))])));
-        }
-        assert_ok(&h.request(&req(&[("op", s("snapshot")), ("session", s("churny"))])));
-        // Uninterrupted continuation in the original server.
-        for _ in 0..3 {
+    fn sessions_restore_mid_schedule_byte_identically() {
+        let kinds = Kind::ALL.into_iter().filter(|&k| k != Kind::Broadcast);
+        for (kind, seed) in kinds.zip([11u64, 0, 3, 11, 27]) {
+            let family = kind.family();
+            let event = if kind == Kind::Churn {
+                "mutate"
+            } else {
+                "fault"
+            };
+            // Each family gets its own snapshot dir so resumed leftovers
+            // don't leak across families.
+            let dir = temp_dir(&format!("restore-{family}"));
+            let op = |h: &ServerHandle, op: &str, verify: bool| {
+                let resp = h.request(&req(&[
+                    ("op", s(op)),
+                    ("session", s("resumed")),
+                    ("verify", Json::Bool(verify)),
+                ]));
+                assert_ok(&resp);
+                resp
+            };
+            let play = |h: &ServerHandle, verify: bool| {
+                for _ in 0..3 {
+                    op(h, event, verify);
+                    op(h, "step", false);
+                }
+            };
+            let (server, _) = start(2, Some(&dir));
+            let h = server.handle();
             assert_ok(&h.request(&req(&[
-                ("op", s("mutate")),
-                ("session", s("churny")),
-                ("verify", Json::Bool(true)),
+                ("op", s("create")),
+                ("session", s("resumed")),
+                ("family", s(family)),
+                ("size", n(40)),
+                ("seed", n(seed)),
+                ("events", n(6)),
+                ("per_event", n(3)),
             ])));
-            assert_ok(&h.request(&req(&[("op", s("step")), ("session", s("churny"))])));
-        }
-        let reference = h.request(&req(&[("op", s("query")), ("session", s("churny"))]));
-        // Close before shutdown: shutdown's snapshot-all would otherwise
-        // overwrite the mid-churn snapshot with the finished state.
-        assert_ok(&h.request(&req(&[("op", s("close")), ("session", s("churny"))])));
-        assert_eq!(server.shutdown().unwrap(), 0);
+            play(&h, false);
+            op(&h, "snapshot", false);
+            // Uninterrupted continuation in the original server.
+            play(&h, true);
+            let reference = op(&h, "query", false);
+            // Close before shutdown: shutdown's snapshot-all would
+            // otherwise overwrite the mid-schedule snapshot.
+            op(&h, "close", false);
+            assert_eq!(server.shutdown().unwrap(), 0);
 
-        // Fresh server, explicit restore, same continuation.
-        let (server, skipped) = mk(1);
-        assert!(skipped.is_empty(), "{skipped:?}");
-        let h = server.handle();
-        // Startup resume already installed the session (snapshot-dir
-        // scan); `restore` must also work as an explicit reload.
-        assert_ok(&h.request(&req(&[("op", s("restore")), ("session", s("churny"))])));
-        for _ in 0..3 {
-            assert_ok(&h.request(&req(&[
-                ("op", s("mutate")),
-                ("session", s("churny")),
-                ("verify", Json::Bool(true)),
-            ])));
-            assert_ok(&h.request(&req(&[("op", s("step")), ("session", s("churny"))])));
+            // Fresh server, explicit restore, same continuation.
+            let (server, skipped) = start(1, Some(&dir));
+            assert!(skipped.is_empty(), "{skipped:?}");
+            let h = server.handle();
+            // Startup resume already installed the session (snapshot-dir
+            // scan); `restore` must also work as an explicit reload.
+            op(&h, "restore", false);
+            play(&h, true);
+            let resumed = op(&h, "query", false);
+            assert_eq!(
+                reference.render_pretty(),
+                resumed.render_pretty(),
+                "restored {family} session diverged from the uninterrupted run"
+            );
+            // The schedule is exhausted on both paths.
+            let resp = h.request(&req(&[("op", s(event)), ("session", s("resumed"))]));
+            assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
+            server.shutdown().unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        let resumed = h.request(&req(&[("op", s("query")), ("session", s("churny"))]));
-        assert_eq!(
-            reference.render_pretty(),
-            resumed.render_pretty(),
-            "restored session diverged from the uninterrupted run"
-        );
-        server.shutdown().unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Graceful-restart path: shutdown snapshots every live session; a
@@ -1472,11 +1323,7 @@ mod tests {
     #[test]
     fn shutdown_snapshots_and_restart_resumes() {
         let dir = temp_dir("restart");
-        let (server, _) = Server::start(ServerConfig {
-            threads: 3,
-            snapshot_dir: Some(dir.clone()),
-        })
-        .unwrap();
+        let (server, _) = start(3, Some(&dir));
         let h = server.handle();
         for name in ["s0", "s1", "s2", "s3", "s4"] {
             assert_ok(&h.request(&req(&[
@@ -1493,11 +1340,7 @@ mod tests {
         }
         assert_eq!(server.shutdown().unwrap(), 5);
 
-        let (server, skipped) = Server::start(ServerConfig {
-            threads: 2,
-            snapshot_dir: Some(dir.clone()),
-        })
-        .unwrap();
+        let (server, skipped) = start(2, Some(&dir));
         assert!(skipped.is_empty(), "{skipped:?}");
         let h = server.handle();
         for name in ["s0", "s1", "s2", "s3", "s4"] {
@@ -1516,11 +1359,7 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
-        let (server, skipped) = Server::start(ServerConfig {
-            threads: 1,
-            snapshot_dir: Some(dir.clone()),
-        })
-        .unwrap();
+        let (server, skipped) = start(1, Some(&dir));
         assert_eq!(skipped.len(), 1);
         let h = server.handle();
         let resp = h.request(&req(&[("op", s("query")), ("session", s("s0"))]));
@@ -1536,11 +1375,7 @@ mod tests {
     /// the per-session determinism claim under real contention.
     #[test]
     fn sixty_four_concurrent_sessions() {
-        let (server, _) = Server::start(ServerConfig {
-            threads: 4,
-            snapshot_dir: None,
-        })
-        .unwrap();
+        let (server, _) = start(4, None);
         let rounds: Vec<u64> = thread::scope(|scope| {
             let mut joins = Vec::new();
             for i in 0..64 {
@@ -1588,28 +1423,48 @@ mod tests {
         assert!(read_frame(&mut &torn[..]).is_err());
     }
 
+    /// A request frame nested past the parser's depth limit gets an error
+    /// reply, and the connection goes on to serve the next frame.
+    #[test]
+    fn deeply_nested_frame_is_an_error_reply_not_a_crash() {
+        let (server, _) = start(1, None);
+        let mut input = Vec::new();
+        write_frame(&mut input, &vec![b'['; 1 << 20]).unwrap();
+        let create = req(&[
+            ("op", s("create")),
+            ("session", s("after")),
+            ("size", n(10)),
+        ]);
+        write_frame(&mut input, create.render_compact().as_bytes()).unwrap();
+        let mut output = Vec::new();
+        let stop = serve_connection(&mut &input[..], &mut output, &server.handle()).unwrap();
+        assert!(!stop, "EOF is not a shutdown");
+        let mut replies = &output[..];
+        let refused = read_json(&mut replies);
+        assert_eq!(refused.get("ok").and_then(Json::as_bool), Some(false));
+        let error = refused.get("error").and_then(Json::as_str).unwrap();
+        assert!(
+            error.contains("nesting") && error.contains("byte"),
+            "{error}"
+        );
+        assert_ok(&read_json(&mut replies));
+        assert!(read_frame(&mut replies).unwrap().is_none());
+        server.shutdown().unwrap();
+    }
+
     /// End-to-end over a real socket: the TCP loop, the shutdown op
     /// (snapshot-all + stop), and restart-from-dir.
     #[test]
     fn tcp_round_trip_with_shutdown_and_restart() {
         let dir = temp_dir("tcp");
-        let start = |threads| {
-            let (server, _) = Server::start(ServerConfig {
-                threads,
-                snapshot_dir: Some(dir.clone()),
-            })
-            .unwrap();
+        let listen = |threads| {
+            let (server, _) = start(threads, Some(&dir));
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             let addr = listener.local_addr().unwrap();
             (thread::spawn(move || serve_tcp(listener, server)), addr)
         };
-        let roundtrip = |conn: &mut std::net::TcpStream, doc: &Json| -> Json {
-            write_frame(conn, doc.render_compact().as_bytes()).unwrap();
-            let frame = read_frame(conn).unwrap().expect("response frame");
-            Json::parse(std::str::from_utf8(&frame).unwrap()).unwrap()
-        };
 
-        let (serve, addr) = start(2);
+        let (serve, addr) = listen(2);
         let mut conn = std::net::TcpStream::connect(addr).unwrap();
         assert_ok(&roundtrip(
             &mut conn,
@@ -1629,7 +1484,7 @@ mod tests {
         serve.join().unwrap().unwrap();
 
         // Restart over the same dir: the session is live again.
-        let (serve, addr) = start(1);
+        let (serve, addr) = listen(1);
         let mut conn = std::net::TcpStream::connect(addr).unwrap();
         let doc = roundtrip(
             &mut conn,
@@ -1641,122 +1496,16 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The adversary counterpart of the churn restore differential: a
-    /// session snapshotted mid-fault-schedule (stuck pins possibly armed
-    /// in the world) and restored into a fresh server replays the rest
-    /// of the schedule identically to the uninterrupted session.
-    #[test]
-    fn fault_session_restores_mid_schedule_byte_identically() {
-        // Several seeds so the drawn fault families vary. Each gets its
-        // own snapshot dir so resumed leftovers don't leak across seeds.
-        for seed in [0u64, 3, 11, 27] {
-            let dir = temp_dir(&format!("fault-restore-{seed}"));
-            let mk = |threads| {
-                Server::start(ServerConfig {
-                    threads,
-                    snapshot_dir: Some(dir.clone()),
-                })
-                .unwrap()
-            };
-            let name = format!("faulty{seed}");
-            let (server, _) = mk(2);
-            let h = server.handle();
-            assert_ok(&h.request(&req(&[
-                ("op", s("create")),
-                ("session", s(&name)),
-                ("family", s("blob-fault-broadcast")),
-                ("size", n(40)),
-                ("seed", n(seed)),
-                ("events", n(6)),
-                ("per_event", n(3)),
-            ])));
-            for _ in 0..3 {
-                assert_ok(&h.request(&req(&[("op", s("fault")), ("session", s(&name))])));
-                assert_ok(&h.request(&req(&[("op", s("step")), ("session", s(&name))])));
-            }
-            assert_ok(&h.request(&req(&[("op", s("snapshot")), ("session", s(&name))])));
-            for _ in 0..3 {
-                assert_ok(&h.request(&req(&[
-                    ("op", s("fault")),
-                    ("session", s(&name)),
-                    ("verify", Json::Bool(true)),
-                ])));
-                assert_ok(&h.request(&req(&[("op", s("step")), ("session", s(&name))])));
-            }
-            let reference = h.request(&req(&[("op", s("query")), ("session", s(&name))]));
-            assert_ok(&h.request(&req(&[("op", s("close")), ("session", s(&name))])));
-            assert_eq!(server.shutdown().unwrap(), 0);
-
-            let (server, skipped) = mk(1);
-            assert!(skipped.is_empty(), "{skipped:?}");
-            let h = server.handle();
-            assert_ok(&h.request(&req(&[("op", s("restore")), ("session", s(&name))])));
-            for _ in 0..3 {
-                assert_ok(&h.request(&req(&[
-                    ("op", s("fault")),
-                    ("session", s(&name)),
-                    ("verify", Json::Bool(true)),
-                ])));
-                assert_ok(&h.request(&req(&[("op", s("step")), ("session", s(&name))])));
-            }
-            let resumed = h.request(&req(&[("op", s("query")), ("session", s(&name))]));
-            assert_eq!(
-                reference.render_pretty(),
-                resumed.render_pretty(),
-                "restored fault session diverged (seed {seed})"
-            );
-            // The schedule is exhausted on both paths.
-            let resp = h.request(&req(&[("op", s("fault")), ("session", s(&name))]));
-            assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
-            server.shutdown().unwrap();
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-    }
-
-    #[test]
-    fn fault_op_errors_are_responses() {
-        let (server, _) = Server::start(ServerConfig {
-            threads: 1,
-            snapshot_dir: None,
-        })
-        .unwrap();
-        let h = server.handle();
-        // Faulting a plan-less session is an error.
-        assert_ok(&h.request(&req(&[
-            ("op", s("create")),
-            ("session", s("plain")),
-            ("size", n(20)),
-        ])));
-        let resp = h.request(&req(&[("op", s("fault")), ("session", s("plain"))]));
-        assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
-        // Mutating a fault session is an error (no churn plan).
-        assert_ok(&h.request(&req(&[
-            ("op", s("create")),
-            ("session", s("adv")),
-            ("family", s("blob-fault-broadcast")),
-            ("size", n(20)),
-            ("events", n(2)),
-            ("per_event", n(1)),
-        ])));
-        let resp = h.request(&req(&[("op", s("mutate")), ("session", s("adv"))]));
-        assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
-        // The query envelope reports the fault-plan cursor.
-        let doc = h.request(&req(&[("op", s("query")), ("session", s("adv"))]));
-        assert!(doc.get("fault_family").is_some());
-        assert_eq!(doc.get("next_fault").and_then(Json::as_u64), Some(0));
-        assert_eq!(doc.get("fault_events").and_then(Json::as_u64), Some(2));
-        server.shutdown().unwrap();
-    }
-
     #[test]
     fn session_snapshot_rejects_every_bit_flip() {
-        let mut churny = Session::create("bits", "blob-churn-broadcast", 20, 9, 4, 2).unwrap();
-        churny.mutate(false).unwrap();
-        churny.step(2).unwrap();
-        let mut faulty = Session::create("fbits", "blob-fault-broadcast", 20, 9, 4, 2).unwrap();
-        faulty.fault(false).unwrap();
-        faulty.step(2).unwrap();
-        for session in [churny, faulty] {
+        for kind in Kind::ALL.into_iter().filter(|&k| k != Kind::Broadcast) {
+            let mut session = Session::create("bits", kind.family(), 20, 9, 4, 2).unwrap();
+            if kind == Kind::Churn {
+                session.mutate(false).unwrap();
+            } else {
+                session.fault(false).unwrap();
+            }
+            session.step(2).unwrap();
             let blob = session.snapshot_bytes();
             for byte in 0..blob.len() {
                 for bit in 0..8 {
@@ -1776,14 +1525,7 @@ mod tests {
     #[test]
     fn op_counters_survive_snapshot_restore() {
         let dir = temp_dir("counters");
-        let mk = |threads| {
-            Server::start(ServerConfig {
-                threads,
-                snapshot_dir: Some(dir.clone()),
-            })
-            .unwrap()
-        };
-        let (server, _) = mk(2);
+        let (server, _) = start(2, Some(&dir));
         let h = server.handle();
         assert_ok(&h.request(&req(&[
             ("op", s("create")),
@@ -1809,7 +1551,7 @@ mod tests {
         assert_ok(&h.request(&req(&[("op", s("close")), ("session", s("counted"))])));
         assert_eq!(server.shutdown().unwrap(), 0);
 
-        let (server, skipped) = mk(1);
+        let (server, skipped) = start(1, Some(&dir));
         assert!(skipped.is_empty(), "{skipped:?}");
         let h = server.handle();
         // Restored counters resume from the serialized 5: this query is 6.
@@ -1839,11 +1581,7 @@ mod tests {
         let renders: Vec<String> = [1usize, 8]
             .into_iter()
             .map(|threads| {
-                let (server, _) = Server::start(ServerConfig {
-                    threads,
-                    snapshot_dir: None,
-                })
-                .unwrap();
+                let (server, _) = start(threads, None);
                 let h = server.handle();
                 assert_ok(&h.request(&req(&[
                     ("op", s("create")),
@@ -1885,19 +1623,10 @@ mod tests {
     /// connection resumes normal request service.
     #[test]
     fn watch_streams_stats_frames_over_tcp() {
-        let (server, _) = Server::start(ServerConfig {
-            threads: 2,
-            snapshot_dir: None,
-        })
-        .unwrap();
+        let (server, _) = start(2, None);
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let serve = thread::spawn(move || serve_tcp(listener, server));
-        let roundtrip = |conn: &mut std::net::TcpStream, doc: &Json| -> Json {
-            write_frame(conn, doc.render_compact().as_bytes()).unwrap();
-            let frame = read_frame(conn).unwrap().expect("response frame");
-            Json::parse(std::str::from_utf8(&frame).unwrap()).unwrap()
-        };
 
         let mut driver = std::net::TcpStream::connect(addr).unwrap();
         assert_ok(&roundtrip(
@@ -1932,8 +1661,7 @@ mod tests {
             &mut driver,
             &req(&[("op", s("step")), ("session", s("watched")), ("n", n(3))]),
         ));
-        let frame = read_frame(&mut watcher).unwrap().expect("first frame");
-        let frame = Json::parse(std::str::from_utf8(&frame).unwrap()).unwrap();
+        let frame = read_json(&mut watcher);
         assert_eq!(
             frame.get("schema").and_then(Json::as_str),
             Some(STATS_SCHEMA)
@@ -1943,12 +1671,10 @@ mod tests {
             &mut driver,
             &req(&[("op", s("step")), ("session", s("watched"))]),
         ));
-        let frame = read_frame(&mut watcher).unwrap().expect("second frame");
-        let frame = Json::parse(std::str::from_utf8(&frame).unwrap()).unwrap();
+        let frame = read_json(&mut watcher);
         assert_eq!(frame.get("rounds").and_then(Json::as_u64), Some(4));
         // End marker, then the connection serves ordinary requests again.
-        let end = read_frame(&mut watcher).unwrap().expect("end marker");
-        let end = Json::parse(std::str::from_utf8(&end).unwrap()).unwrap();
+        let end = read_json(&mut watcher);
         assert_eq!(end.get("frames_sent").and_then(Json::as_u64), Some(2));
         let doc = roundtrip(
             &mut watcher,

@@ -11,6 +11,8 @@ use amoebot_grid::{shapes, AmoebotStructure, NodeId};
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use crate::driver::Kind;
+
 /// Which structure to build on the triangular grid.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StructureSpec {
@@ -277,30 +279,21 @@ pub enum MicroWorkload {
         /// Path length.
         n: usize,
     },
-    /// Circuit-engine throughput: a random blob of `n` amoebots in the
-    /// global-circuit configuration, `rounds` broadcast rounds. Validates
-    /// that every amoebot hears every broadcast — the cheapest
-    /// structure-wide cross-check, which is what lets this family sweep to
-    /// 10^6 nodes inside the CI time budget.
-    BlobBroadcast {
-        /// Structure size.
-        n: usize,
-        /// Broadcast rounds to run.
-        rounds: usize,
-    },
-    /// Runtime churn on a random blob under the global-circuit broadcast
-    /// configuration: `events` seeded churn events (family drawn from the
-    /// scenario seed) of ~`per_event` node joins/leaves each. After
-    /// *every* event the incrementally edited world is cross-validated
-    /// against a from-scratch rebuild oracle
-    /// ([`amoebot_dynamics::verify_against_rebuild`]) and a broadcast
-    /// must still reach every live amoebot.
-    BlobChurnBroadcast {
+    /// A [`Driver`](crate::driver::Driver) workload run to completion
+    /// with every round checked: the global-circuit broadcast (the
+    /// cheapest structure-wide cross-check, which lets it sweep to 10^6
+    /// nodes), runtime churn, or a fault burst with a self-stabilization
+    /// bound. Churn and fault runs cross-validate the incrementally edited
+    /// world against a from-scratch rebuild
+    /// ([`amoebot_dynamics::verify_against_rebuild`]) after every event.
+    Driven {
+        /// Which workload.
+        kind: Kind,
         /// Initial structure size.
         n: usize,
-        /// Number of churn events.
+        /// Schedule events (for the plain broadcast: rounds).
         events: usize,
-        /// Target node joins/leaves per event.
+        /// Target edits or faults per event.
         per_event: usize,
     },
     /// Grow/shrink churn on a line with an SPT restart
@@ -314,56 +307,6 @@ pub enum MicroWorkload {
         /// Number of churn events.
         events: usize,
         /// Target node joins/leaves per event.
-        per_event: usize,
-    },
-    /// Beep-level adversary (drop / spurious-inject menu) on a random
-    /// blob under the singleton flood relay: `events` seeded fault events
-    /// hit the broadcast, the rebuild oracle
-    /// ([`amoebot_dynamics::verify_against_rebuild`]) runs after every
-    /// event, and once the burst ends the informed set must re-converge
-    /// to all live amoebots within the flood bound (`n + 2` rounds).
-    FaultyBlobFlood {
-        /// Structure size.
-        n: usize,
-        /// Number of fault events.
-        events: usize,
-        /// Target faults per event.
-        per_event: usize,
-    },
-    /// Stuck-at pin adversary on a line's global circuit: events freeze
-    /// random pins (cutting the circuit), the final event releases them,
-    /// and a repair sweep must re-converge the broadcast within O(1)
-    /// rounds — cross-checked against the rebuild oracle per event.
-    StuckLineBroadcast {
-        /// Line length.
-        n: usize,
-        /// Number of fault events.
-        events: usize,
-        /// Target pins frozen per event.
-        per_event: usize,
-    },
-    /// Non-fair scheduling adversary (starve-a-region / alternate-halves
-    /// / bursts-then-silence menu) on the blob flood relay: starved
-    /// amoebots neither relay nor absorb, yet the informed set must
-    /// re-converge within the flood bound once fairness returns.
-    UnfairBlobFlood {
-        /// Structure size.
-        n: usize,
-        /// Number of scheduling events.
-        events: usize,
-        /// Scale of each event's starvation set.
-        per_event: usize,
-    },
-    /// Crash-recovery adversary on the blob global circuit: each event
-    /// wipes random amoebots' circuit state (they reboot via the rejoin
-    /// protocol but lose their informed bit) and the broadcast must
-    /// re-reach everyone within O(1) rounds after the burst.
-    CrashRecoverBroadcast {
-        /// Structure size.
-        n: usize,
-        /// Number of crash events.
-        events: usize,
-        /// Target amoebots crashed per event.
         per_event: usize,
     },
     /// Deliberately-broken adversary variant: the repair sweep is
@@ -453,39 +396,23 @@ impl Scenario {
             | MicroWorkload::Augmentation { n, q }
             | MicroWorkload::Decomposition { n, q } => format!("n{n}-q{q}"),
             MicroWorkload::Leader { n } => format!("n{n}"),
-            MicroWorkload::BlobBroadcast { n, rounds } => format!("n{n}-r{rounds}"),
-            MicroWorkload::BlobChurnBroadcast {
+            MicroWorkload::Driven {
+                kind: Kind::Broadcast,
+                n,
+                events,
+                ..
+            } => format!("n{n}-r{events}"),
+            MicroWorkload::Driven {
                 n,
                 events,
                 per_event,
+                ..
             }
             | MicroWorkload::LineChurnSpt {
                 n,
                 events,
                 per_event,
-            }
-            | MicroWorkload::FaultyBlobFlood {
-                n,
-                events,
-                per_event,
-            }
-            | MicroWorkload::StuckLineBroadcast {
-                n,
-                events,
-                per_event,
-            }
-            | MicroWorkload::UnfairBlobFlood {
-                n,
-                events,
-                per_event,
-            }
-            | MicroWorkload::CrashRecoverBroadcast {
-                n,
-                events,
-                per_event,
-            } => {
-                format!("n{n}-e{events}x{per_event}")
-            }
+            } => format!("n{n}-e{events}x{per_event}"),
             MicroWorkload::AdversarySelfTestFail => "broken-repair".to_string(),
             MicroWorkload::SelfTestFail => "always-fails".to_string(),
         };

@@ -320,24 +320,16 @@ pub enum RungOutcome<'a> {
 /// Runs a sweep suite over `threads` workers and returns the finished
 /// entries in suite order (thread count never affects content).
 pub fn run_sweep(points: &[SweepPoint], threads: Threads) -> Vec<SweepEntry> {
-    run_sweep_with::<NullRecorder>(points, threads)
-}
-
-/// [`run_sweep`] with an explicit per-worker recorder type, like
-/// [`run_batch_with`] — the timed `BENCH_sweep.json` runs with
-/// [`amoebot_telemetry::TimedRecorder`] so each rung carries its
-/// per-phase micros breakdown.
-pub fn run_sweep_with<R: Recorder + Default>(
-    points: &[SweepPoint],
-    threads: Threads,
-) -> Vec<SweepEntry> {
-    run_sweep_checkpointed::<R>(points, threads, None, &mut |_| {})
+    run_sweep_observed::<NullRecorder>(points, threads, None, &mut |_| {}, |_, _| {})
         // spf-lint: allow(panic-surface) — invariant: the only Err path is checkpoint I/O, and no store is passed
         .expect("no checkpoint store, so no checkpoint I/O can fail")
         .0
 }
 
-/// The checkpoint-aware sweep driver.
+/// The checkpoint-aware sweep driver, with a per-worker recorder type
+/// `R`: the timed `BENCH_sweep.json` runs with
+/// [`amoebot_telemetry::TimedRecorder`] so each rung carries its
+/// per-phase micros breakdown.
 ///
 /// Rungs with a passed entry in `checkpoint` are resumed without
 /// running; the rest execute in chunks of roughly two batches per
@@ -347,16 +339,8 @@ pub fn run_sweep_with<R: Recorder + Default>(
 /// order (resumed rungs first). Returns the entries in suite order plus
 /// the freshly-run results (for `--metrics-json` merging; resumed rungs
 /// carry their metrics only inside the pre-rendered JSON).
-pub fn run_sweep_checkpointed<R: Recorder + Default>(
-    points: &[SweepPoint],
-    threads: Threads,
-    checkpoint: Option<&mut CheckpointStore>,
-    on_rung: &mut dyn FnMut(RungOutcome<'_>),
-) -> std::io::Result<(Vec<SweepEntry>, Vec<ScenarioResult>)> {
-    run_sweep_observed::<R>(points, threads, checkpoint, on_rung, |_, _| {})
-}
-
-/// [`run_sweep_checkpointed`] plus the per-scenario `inspect` hook of
+///
+/// `inspect` is the per-scenario hook of
 /// [`crate::batch::run_batch_inspect`]: each freshly-run rung's recorder
 /// is exposed next to its result on the worker thread — the sweep FAIL
 /// path's flight-record dump. Resumed rungs never re-run, so the hook
@@ -594,11 +578,12 @@ mod tests {
 
         // "Interrupted" run: only the first rung completes.
         let mut store = CheckpointStore::open(&dir, 29).unwrap();
-        let (_, fresh) = run_sweep_checkpointed::<NullRecorder>(
+        let (_, fresh) = run_sweep_observed::<NullRecorder>(
             &suite[..1],
             Threads::Count(1),
             Some(&mut store),
             &mut |_| {},
+            |_, _| {},
         )
         .unwrap();
         assert_eq!(fresh.len(), 1);
@@ -617,7 +602,7 @@ mod tests {
         let mut store = CheckpointStore::open(&dir, 29).unwrap();
         assert_eq!(store.len(), 1, "torn tail line must be dropped");
         let mut resumed_count = 0usize;
-        let (entries, fresh) = run_sweep_checkpointed::<NullRecorder>(
+        let (entries, fresh) = run_sweep_observed::<NullRecorder>(
             &suite,
             Threads::Count(1),
             Some(&mut store),
@@ -626,6 +611,7 @@ mod tests {
                     resumed_count += 1;
                 }
             },
+            |_, _| {},
         )
         .unwrap();
         assert_eq!(resumed_count, 1);
@@ -643,11 +629,12 @@ mod tests {
         let timed_a = resumed.to_json(true).render_pretty();
         let timed_b = {
             let mut store = CheckpointStore::open(&dir, 29).unwrap();
-            let (entries, _) = run_sweep_checkpointed::<NullRecorder>(
+            let (entries, _) = run_sweep_observed::<NullRecorder>(
                 &suite,
                 Threads::Count(1),
                 Some(&mut store),
                 &mut |_| {},
+                |_, _| {},
             )
             .unwrap();
             SweepReport {

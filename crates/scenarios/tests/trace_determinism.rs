@@ -87,13 +87,19 @@ fn corrupted_traces_are_rejected_with_a_location() {
 /// digest pass or relabel.
 #[test]
 fn replay_is_cheaper_than_the_run_it_verifies() {
+    use amoebot_scenarios::driver::Kind;
     use amoebot_scenarios::spec::{MicroWorkload, Workload};
 
     let replayed = |rounds: usize| {
         let sc = amoebot_scenarios::Scenario::micro(
             "blob-broadcast",
             42,
-            MicroWorkload::BlobBroadcast { n: 2_000, rounds },
+            MicroWorkload::Driven {
+                kind: Kind::Broadcast,
+                n: 2_000,
+                events: rounds,
+                per_event: 0,
+            },
         );
         assert!(matches!(sc.workload, Workload::Micro(_)));
         let (result, bytes) = record_scenario(&sc).unwrap();

@@ -12,7 +12,7 @@
 //! length field can never drive a huge allocation — the payload is only
 //! parsed once it is known to be the payload that was written.
 //!
-//! ## Envelope (version 1)
+//! ## Envelope
 //!
 //! ```text
 //! blob := magic "SPFS" (4 bytes) | version (u16 LE) | kind (1 byte)
@@ -25,8 +25,10 @@
 /// The four magic bytes every snapshot starts with.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SPFS";
 
-/// The current snapshot wire-format version.
-pub const SNAPSHOT_VERSION: u16 = 1;
+/// The current snapshot wire-format version. Version 2: a `SESSION`
+/// payload is a session name, its request counters and a workload
+/// driver.
+pub const SNAPSHOT_VERSION: u16 = 2;
 
 /// Payload kind tags (one per snapshottable type).
 pub mod kind {
