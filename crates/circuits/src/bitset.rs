@@ -60,6 +60,16 @@ impl BitSet {
         self.words.fill(0);
     }
 
+    /// Sets bits `0..len` in O(words); bits at `len` and above are left
+    /// as they are.
+    pub fn set_first(&mut self, len: usize) {
+        let full = len / 64;
+        self.words[..full].fill(!0);
+        if !len.is_multiple_of(64) {
+            self.words[full] |= (1u64 << (len % 64)) - 1;
+        }
+    }
+
     /// Iterates the indices of the set bits in ascending order,
     /// word-at-a-time (each zero word costs one test, not 64).
     pub fn ones(&self) -> impl Iterator<Item = usize> + '_ {
@@ -124,6 +134,15 @@ mod tests {
         assert!(b.get(0) && b.get(64) && b.get(129) && !b.get(1));
         b.clear(64);
         assert!(!b.get(64) && b.get(0) && b.get(129));
+    }
+
+    #[test]
+    fn set_first_stops_at_the_length() {
+        for len in [0usize, 1, 63, 64, 65, 130] {
+            let mut b = BitSet::new(130);
+            b.set_first(len);
+            assert_eq!(b.ones().collect::<Vec<_>>(), (0..len).collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ use amoebot_telemetry::{
     mix64, RelabelKind, TraceError, TraceEvent, TraceReader, BEEP_DIGEST_SALT,
 };
 
-use crate::topology::Topology;
+use crate::topology::{Topology, MAX_PORTS};
 use crate::world::World;
 
 /// A verified replay, summarized.
@@ -153,12 +153,6 @@ fn checked_connect(
     world.connect(v, p, w, q);
     Ok(())
 }
-
-/// Node port counts above this are rejected as malformed: no generator
-/// in this workspace builds nodes with more than 6 ports (the triangular
-/// grid), and an absurd count would let one flipped varint byte allocate
-/// unbounded memory.
-const MAX_PORTS: u32 = 64;
 
 /// Replays a recorded trace against a freshly built engine, verifying
 /// every recorded round. See the module docs.

@@ -3,20 +3,20 @@
 //! A snapshot serializes the **semantic** SoA state verbatim — CSR
 //! topology, pin configurations, the tombstoned link table with its
 //! free-list, pending beeps, the cached circuit labeling (labels,
-//! membership arena, counted-root marks) and the dirty-pin set — so
-//! restore is O(bytes): no relabel runs, no id renumbers, and the first
-//! tick after a restore takes exactly the path the next tick of the
-//! snapshotted world would have taken. That is what makes restored runs
-//! *byte-identical* to uninterrupted ones, including the relabel
-//! counters that canonical reports embed.
+//! membership arena, counted-root marks), the stale set and the
+//! dirty-pin set — so restore is O(bytes): no relabel runs, no id
+//! renumbers, and the first tick after a restore takes exactly the path
+//! the next tick of the snapshotted world would have taken. That is
+//! what makes restored runs *byte-identical* to uninterrupted ones,
+//! including the relabel counters that canonical reports embed.
 //!
 //! Pure scratch is deliberately **not** serialized and is rebuilt
 //! cleared on restore: the union-find parents (only read after a
-//! relabel re-seeds them), the root/region/affected marks (always clear
-//! between uses), and the per-port edge index and node base offsets
-//! (both derivable from the link table and the CSR respectively). Phase
-//! timers are also dropped: they are wall-clock diagnostics, excluded
-//! from canonical reports by design.
+//! relabel re-seeds them), the root/region marks and the walk queue
+//! (always clear between uses), and the per-port edge index and node
+//! base offsets (both derivable from the link table and the CSR
+//! respectively). Phase timers are also dropped: they are wall-clock
+//! diagnostics, excluded from canonical reports by design.
 //!
 //! ## Payload grammar (inside the [`wire`] envelope, kind `WORLD`)
 //!
@@ -28,7 +28,8 @@
 //!           | sent | recv_set | labels[total]
 //!           | members | member_off[total] | member_end[total]
 //!           | dirty_pins | pset_at_relabel[total]
-//!           | force_global (1 byte) | circuit_roots | cached_circuits
+//!           | force_global (1 byte) | stale | circuit_roots
+//!           | cached_circuits
 //!           | counters | rounds | simulated | charged | charge_log
 //!           | beeps_sent | stuck
 //! topology := n | ports[n] | (peer_node peer_port)[slots] | edge_count
@@ -37,27 +38,33 @@
 //! recv_set := count | gid[count]                        (delivered psets)
 //! members  := count | gid[count]                        (arena, garbage kept)
 //! dirty    := count | (gid base)[count]
+//! stale    := count | gid[count]                        (strictly ascending)
 //! roots    := count | gid[count]                        (strictly ascending)
 //! counters := count | (name value)[count]               (metrics counters)
 //! charges  := count | (label signed_amount)[count]
 //! stuck    := count | (gid pset)[count]                  (ascending gids)
 //! ```
+//!
+//! Decoding allocates in proportion to the blob: `c` and every node's
+//! port count are bounded by `MAX_PORTS`, and slot and pin counts by the
+//! bytes left to encode them, before anything is reserved.
 
 use amoebot_telemetry::wire::{self, SnapshotReader, SnapshotWriter, WireError};
 
 use crate::bitset::BitSet;
-use crate::topology::{Topology, NONE};
-use crate::world::{EngineStats, World, DEAD_LINK, NO_EDGE, RESET_NODES};
+use crate::topology::{Topology, MAX_PORTS, NONE};
+use crate::world::{EngineStats, World, DEAD_LINK, NO_EDGE, RELABEL_WALK, RESET_NODES};
 
 /// Counter names the world codec recognizes on restore. The metrics
 /// registry keys counters by `&'static str`, so decoded names are
 /// matched against this fixed menu rather than leaked into statics.
-const KNOWN_COUNTERS: [&str; 5] = [
+const KNOWN_COUNTERS: [&str; 6] = [
     "relabel_global",
     "relabel_region",
     "fault_drops",
     "fault_injects",
     RESET_NODES,
+    RELABEL_WALK,
 ];
 
 /// Encodes `topo` into `w` (the `topology` production above).
@@ -82,14 +89,29 @@ pub fn decode_topology(r: &mut SnapshotReader<'_>) -> Result<Topology, WireError
     let mut acc = 0u32;
     offsets.push(0);
     for _ in 0..n {
+        let offset = r.offset();
         let ports = r.u32("topology port count")?;
+        if ports > MAX_PORTS {
+            return Err(WireError::BadValue {
+                what: "topology port count",
+                offset,
+            });
+        }
         acc = acc.checked_add(ports).ok_or(WireError::BadValue {
             what: "topology port count",
-            offset: r.offset(),
+            offset,
         })?;
         offsets.push(acc);
     }
     let slots = acc as usize;
+    // Each slot costs two varints (at least two bytes): more slots than
+    // that leaves room for is a lie, caught before anything is reserved.
+    if slots > r.remaining() / 2 {
+        return Err(WireError::BadValue {
+            what: "topology port count",
+            offset: r.offset(),
+        });
+    }
     let mut peer_node = Vec::with_capacity(slots);
     let mut peer_port = Vec::with_capacity(slots);
     for _ in 0..slots {
@@ -216,6 +238,10 @@ impl World {
             w.varint(pset as u64);
         }
         w.byte(self.force_global as u8);
+        w.varint(self.stale_count as u64);
+        for gid in self.stale.ones() {
+            w.varint(gid as u64);
+        }
         let roots: Vec<usize> = self.circuit_roots.ones().collect();
         w.varint(roots.len() as u64);
         for gid in roots {
@@ -248,23 +274,34 @@ impl World {
     /// O(bytes): validation walks each array once and nothing relabels —
     /// the cached labeling comes back exactly as snapshotted.
     pub fn decode_payload(r: &mut SnapshotReader<'_>) -> Result<World, WireError> {
+        let c_offset = r.offset();
         let c = r.len("links per edge")?;
-        if c == 0 {
+        if c == 0 || c > MAX_PORTS as usize {
             return Err(WireError::BadValue {
                 what: "links per edge",
-                offset: r.offset(),
+                offset: c_offset,
             });
         }
         let topo = decode_topology(r)?;
         let n = topo.len();
         let mut base = Vec::with_capacity(n + 1);
         let mut acc = 0u32;
+        // Each pin costs at least one byte (its partition set).
+        let too_many_pins = WireError::BadValue {
+            what: "pin count",
+            offset: r.offset(),
+        };
         for v in 0..n {
             base.push(acc);
-            acc += (topo.ports_len(v) * c) as u32;
+            acc = acc
+                .checked_add((topo.ports_len(v) * c) as u32)
+                .ok_or(too_many_pins)?;
         }
         base.push(acc);
         let total = acc as usize;
+        if total > r.remaining() {
+            return Err(too_many_pins);
+        }
 
         let mut pin_pset = Vec::with_capacity(total);
         // Derived state: rebuilt from the pin table (see `World::configured`).
@@ -403,6 +440,38 @@ impl World {
             }
         };
 
+        let stale_count = r.len("stale-set list")?;
+        let mut stale = BitSet::new(total);
+        let mut prev: Option<u32> = None;
+        for _ in 0..stale_count {
+            let offset = r.offset();
+            let gid = r.u32("stale set")?;
+            if gid as usize >= total || prev.is_some_and(|p| gid <= p) {
+                return Err(WireError::BadValue {
+                    what: "stale set",
+                    offset,
+                });
+            }
+            stale.set(gid as usize);
+            prev = Some(gid);
+        }
+        // Every labelled set's circuit bucket must lie inside the arena:
+        // deliveries read it. (Stale sets' labels are garbage and never
+        // read; so are the offsets of former roots.)
+        let labels_offset = r.offset();
+        for (gid, &root) in labels.iter().enumerate() {
+            if stale.get(gid) {
+                continue;
+            }
+            let (off, end) = (member_off[root as usize], member_end[root as usize]);
+            if off > end || end as usize > members.len() {
+                return Err(WireError::BadValue {
+                    what: "circuit label",
+                    offset: labels_offset,
+                });
+            }
+        }
+
         let root_count = r.len("circuit-root list")?;
         let mut circuit_roots = BitSet::new(total);
         let mut prev: Option<u32> = None;
@@ -521,14 +590,14 @@ impl World {
             dirty_pin,
             pset_at_relabel,
             force_global,
+            stale,
+            stale_count,
             circuit_roots,
             port_edge,
-            affected_mark: BitSet::new(total),
-            affected_roots: Vec::new(),
-            in_region: BitSet::new(total),
             region: Vec::new(),
             node_mark: BitSet::new(n),
             region_nodes: Vec::new(),
+            walk: Vec::new(),
             configured,
             cached_circuits,
             stats,
@@ -658,29 +727,52 @@ mod tests {
 
     #[test]
     fn restore_skips_the_relabel_entirely() {
-        // A steady-state world (no dirty pins) must restore with its
-        // cached labeling intact: querying the circuit count afterwards
-        // runs no relabel, keeping the counters — and therefore the
-        // canonical report — identical.
+        // A steady-state world (nothing dirty or stale) must restore with
+        // its cached labeling intact: querying the circuit count
+        // afterwards runs no relabel, keeping the counters — and
+        // therefore the canonical report — identical.
         let mut w = grid_world(3, 3, 1);
         for v in 0..9 {
             w.global_pin_config(v);
         }
-        w.tick(); // global relabel happens here
-        let globals_before = w.metrics().counter_value("relabel_global");
+        w.tick();
+        w.circuit_count(); // the read runs the global relabel
+        let before = (w.global_relabels(), w.region_relabels());
         let mut restored = World::from_snapshot_bytes(&w.snapshot_bytes()).unwrap();
         let count = restored.circuit_count();
         assert_eq!(count, w.circuit_count());
         assert_eq!(
-            restored.metrics().counter_value("relabel_global"),
-            globals_before,
+            (restored.global_relabels(), restored.region_relabels()),
+            before,
             "restore must not trigger a relabel"
         );
+    }
+
+    /// A world restored while some sets are stale keeps them stale: the
+    /// first read relabels exactly what the original's first read does.
+    #[test]
+    fn restore_keeps_stale_sets_stale() {
+        let mut w = grid_world(4, 3, 1);
+        w.circuit_count();
+        w.group_pins(5, &[(0, 0), (1, 0)]);
+        w.beep(0, 0);
+        w.tick(); // absorbs; the beep walks a circuit away from node 5
+        assert!(w.relabel_pending());
+        let mut restored = World::from_snapshot_bytes(&w.snapshot_bytes()).unwrap();
+        assert!(restored.relabel_pending());
+        assert_eq!(restored.circuit_count(), w.circuit_count());
+        assert_eq!(
+            (restored.global_relabels(), restored.region_relabels()),
+            (w.global_relabels(), w.region_relabels())
+        );
+        assert_eq!(restored.snapshot_bytes(), w.snapshot_bytes());
     }
 
     #[test]
     fn every_single_bit_corruption_is_rejected() {
         let w = seasoned_world();
+        // The stale-set field is populated, so its bits are flipped too.
+        assert!(w.stale_count > 0);
         let blob = w.snapshot_bytes();
         for byte in 0..blob.len() {
             for bit in 0..8 {
@@ -692,6 +784,94 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The field a crafted blob's rejection names.
+    fn rejected_field(blob: &[u8]) -> &'static str {
+        match World::from_snapshot_bytes(blob) {
+            Err(WireError::BadValue { what, .. }) => what,
+            other => panic!("expected a bad-value error, got {other:?}"),
+        }
+    }
+
+    /// A crafted blob with a valid digest claiming one node with
+    /// 4 294 967 295 ports is rejected before the slot arrays are
+    /// reserved (reserving them would abort on a 17 GB allocation).
+    #[test]
+    fn an_absurd_port_count_is_rejected_before_reserving() {
+        let mut w = SnapshotWriter::new(wire::kind::WORLD);
+        w.varint(6);
+        w.varint(1);
+        w.varint(u32::MAX as u64);
+        assert_eq!(rejected_field(&w.finish()), "topology port count");
+        // Plausible port counts whose slots the blob cannot hold.
+        let mut w = SnapshotWriter::new(wire::kind::WORLD);
+        w.varint(6);
+        w.varint(3);
+        for _ in 0..3 {
+            w.varint(MAX_PORTS as u64);
+        }
+        for _ in 0..16 {
+            w.varint(0);
+        }
+        assert_eq!(rejected_field(&w.finish()), "topology port count");
+    }
+
+    /// A crafted blob with `c` = 400 000 over 400 000 port-less nodes is
+    /// rejected before the per-link bitsets are built (building them
+    /// would run out of memory).
+    #[test]
+    fn an_absurd_link_count_is_rejected_before_reserving() {
+        let mut w = SnapshotWriter::new(wire::kind::WORLD);
+        w.varint(400_000);
+        w.varint(400_000);
+        for _ in 0..400_000 {
+            w.varint(0);
+        }
+        assert_eq!(rejected_field(&w.finish()), "links per edge");
+        // Pins the blob cannot hold are rejected before the pin table:
+        // c = 2 over one edge of two one-port nodes is 4 pins, followed
+        // by only 3 bytes.
+        let mut w = SnapshotWriter::new(wire::kind::WORLD);
+        for v in [2, 2, 1, 1, 1, 0, 0, 0, 1, 0, 0, 0] {
+            w.varint(v);
+        }
+        assert_eq!(rejected_field(&w.finish()), "pin count");
+    }
+
+    /// The stale set must be in range and strictly ascending.
+    #[test]
+    fn a_malformed_stale_set_is_rejected() {
+        let mut w = grid_world(2, 1, 1);
+        w.tick();
+        assert_eq!(w.stale_count, 2, "both pins start stale");
+        let blob = w.snapshot_bytes();
+        // The stale list is `count gid gid` = [2, 0, 1]; nothing after it
+        // (no counted roots yet) repeats that byte pattern.
+        let at = blob
+            .windows(3)
+            .rposition(|win| win == [2, 0, 1])
+            .expect("stale list in the payload");
+        for crafted in [[2u8, 1, 0], [2, 0, 2], [2, 1, 1]] {
+            let mut bad = blob[..blob.len() - 8].to_vec();
+            bad[at..at + 3].copy_from_slice(&crafted);
+            let digest = wire::fnv1a64(&bad);
+            bad.extend_from_slice(&digest.to_le_bytes());
+            assert_eq!(rejected_field(&bad), "stale set", "{crafted:?}");
+        }
+    }
+
+    /// A labelled set whose circuit bucket dangles past the arena is
+    /// rejected, even when its root is not counted (an empty set's
+    /// singleton circuit): a beep on it would read the bucket.
+    #[test]
+    fn a_dangling_label_bucket_is_rejected() {
+        let mut w = grid_world(2, 1, 2);
+        w.global_pin_config(0); // node 0's set 1 is now empty
+        w.circuit_count();
+        assert!(!w.circuit_roots.get(1) && w.labels[1] == 1);
+        w.member_end[1] = w.members.len() as u32 + 1;
+        assert_eq!(rejected_field(&w.snapshot_bytes()), "circuit label");
     }
 
     #[test]

@@ -14,6 +14,13 @@ use amoebot_grid::{AmoebotStructure, Direction, ALL_DIRECTIONS};
 /// [`Direction::from_index`]`(i)` (some ports may be vacant).
 pub type PortId = usize;
 
+/// Decoders (trace replay, world snapshots) reject node port counts and
+/// links-per-edge counts `c` above this as malformed: no generator in
+/// this workspace builds nodes with more than 6 ports (the triangular
+/// grid), and an absurd count would let one flipped varint byte allocate
+/// unbounded memory.
+pub(crate) const MAX_PORTS: u32 = 64;
+
 /// Vacant-port sentinel in the flat slot arrays.
 pub(crate) const NONE: u32 = u32::MAX;
 

@@ -11,37 +11,46 @@
 //! precomputes a flat link table of global-pin-index pairs once, and
 //! [`World::tick`] maintains a cached circuit labeling guarded by a
 //! **dirty-pin set** (dense list + [`BitSet`], mirroring the beep-flag
-//! pattern):
+//! pattern) and labels circuits **lazily**:
 //!
 //! * any mutation ([`World::set_pin`] and everything built on it) that
 //!   actually changes a pin's partition set marks that pin dirty; no-op
 //!   writes (the stored value is unchanged) keep the labeling clean;
-//! * a dirty tick relabels **region-scoped**: the old circuits touching
-//!   any dirty pin's old or new partition set are dissolved back to
-//!   singleton union-find entries, only the links incident to members of
-//!   that region are re-unioned, and the updated buckets are spliced back
-//!   into the membership index — clean circuits keep their labels and
-//!   members untouched, so a sparse reconfiguration costs O(affected
-//!   circuits · c), not O(total pins). See DESIGN.md §1c for the
-//!   stability invariant that makes this sound;
-//! * when the dirty region exceeds [`REGION_FALLBACK_FRACTION`] of all
-//!   pins (or after [`World::tick_reference`] clobbered the scratch), the
-//!   engine falls back to the global relabel — union-find over the whole
-//!   link table plus a counting-sort membership rebuild in
-//!   O(total pins · α);
-//! * a clean tick (no amoebot reconfigured since the last relabel) reuses
-//!   the cached labeling and costs O(beeps sent + members of beeping
-//!   circuits + deliveries cleared), independent of the structure size.
+//! * every partition set is either *labelled* (its label is current) or
+//!   *stale*, and the stale sets always form whole circuits of the
+//!   current configuration. Before a tick delivers and before any read,
+//!   the dirty pins are *absorbed*: the labelled circuits of each dirty
+//!   pin's old and new partition set go stale, and the dirty list
+//!   empties. See DESIGN.md §1c for the stability invariant that makes
+//!   this sound;
+//! * an untraced tick (`R::TRACE == false`: [`World::tick`],
+//!   [`NullRecorder`], timed recorders) labels only the stale circuits it
+//!   delivers a beep on, by walking each one under the current pins and
+//!   topology — O(members · ports) per beeping circuit, nothing for the
+//!   circuits no beep reaches;
+//! * reads ([`World::circuit_count`], [`World::pset_circuit`]) and traced
+//!   ticks label everything: a **region-scoped** relabel over the stale
+//!   set (only the links incident to stale sets' nodes are re-unioned,
+//!   and the rebuilt buckets are spliced into the membership index), or
+//!   the global relabel — union-find over the whole link table plus a
+//!   counting-sort membership rebuild — when the dirty pins or the stale
+//!   set exceed [`REGION_FALLBACK_FRACTION`] of all pins. Traced ticks
+//!   stay eager because their round summary carries the circuit count
+//!   and the relabel kind, which replay checks;
+//! * a clean tick (no amoebot reconfigured since the beeping circuits
+//!   were labelled) reuses the cached labeling and costs O(beeps sent +
+//!   members of beeping circuits + deliveries cleared), independent of
+//!   the structure size.
 //!
 //! No clean-tick code path allocates: beeps, deliveries and root dedup
-//! all go through reusable buffers sized at construction. Both relabel
-//! flavors produce the *same* labeling (each circuit is labelled by its
-//! minimum member id), so reports never depend on which path ran.
+//! all go through reusable buffers sized at construction. Every path
+//! labels a circuit by its minimum member gid and keeps each bucket in
+//! ascending gid order, so reports never depend on which path ran.
 //!
 //! Structure mutations ride the same machinery: [`World::connect`] and
 //! [`World::disconnect`] splice the link table (tombstoned entries plus a
 //! freelist keep `links` compact under grow–shrink cycles) and mark the
-//! `c` pin pairs of the edge dirty, so the next relabel dissolves exactly
+//! `c` pin pairs of the edge dirty, so the next absorb stales exactly
 //! the circuits that ran through the edge — a k-node churn event costs
 //! O(k · deg) amortized, not O(n). [`World::add_node`] appends a node
 //! with vacant ports and pre-labels its fresh singleton sets, keeping the
@@ -83,6 +92,10 @@ pub(crate) const DEAD_LINK: (u32, u32, u32, u32) = (u32::MAX, 0, 0, 0);
 /// Registry name of the counter of nodes visited by
 /// [`World::reset_all_pins_keeping_links`].
 pub(crate) const RESET_NODES: &str = "reset_nodes";
+
+/// Registry name of the counter of circuits labelled by a walk (see
+/// [`World::walk_relabels`]).
+pub(crate) const RELABEL_WALK: &str = "relabel_walk";
 
 /// The engine's telemetry registry plus pre-registered handles for the
 /// hot-path counters and phase timers, so instrumented code never pays a
@@ -194,14 +207,15 @@ pub struct World {
     /// Union-find scratch (parents over global partition-set ids).
     pub(crate) uf: Vec<u32>,
     /// Cached circuit labeling: partition-set gid -> root gid (= minimum
-    /// gid) of its circuit. Valid iff no relabel is pending.
+    /// gid) of its circuit. Current for every labelled (non-stale) set;
+    /// garbage for stale sets.
     pub(crate) labels: Vec<u32>,
-    /// Membership arena: each current circuit root `r` owns the bucket
+    /// Membership arena: each labelled circuit root `r` owns the bucket
     /// `members[member_off[r]..member_end[r]]` (its member gids in
     /// ascending order). The global rebuild packs buckets contiguously;
-    /// region relabels append fresh buckets at the end (the displaced old
-    /// buckets become garbage) and a full repack reclaims the arena when
-    /// it would outgrow twice the pin count.
+    /// region relabels and walks append fresh buckets at the end (the
+    /// displaced old buckets become garbage) and a full repack reclaims
+    /// the arena when it would outgrow twice the pin count.
     pub(crate) members: Vec<u32>,
     /// Bucket start per root gid (valid only for current roots).
     pub(crate) member_off: Vec<u32>,
@@ -225,20 +239,27 @@ pub struct World {
     pub(crate) root_mark: BitSet,
     /// Dense list of roots currently marked in `root_mark`.
     pub(crate) marked_roots: Vec<u32>,
-    /// Pins whose partition set changed since the last relabel, as
+    /// Pins whose partition set changed since the last absorb, as
     /// `(pin gid, owning node's base offset)`; deduped via `dirty_pin`.
     pub(crate) dirty_pins: Vec<(u32, u32)>,
     /// Bit per pin: whether it is in `dirty_pins`.
     pub(crate) dirty_pin: BitSet,
-    /// The pin configuration as of the last relabel — the "old" partition
-    /// sets that seed the affected region of the next region relabel.
+    /// The pin configuration as of the last absorb — the "old" partition
+    /// sets whose circuits the next absorb stales.
     pub(crate) pset_at_relabel: Vec<u16>,
-    /// Whether the next relabel must be global (set at construction and
-    /// by `tick_reference`, which clobbers the union-find scratch).
+    /// Whether the next label-everything relabel must be global (set with
+    /// [`World::stale_everything`], and by an absorb of more dirty pins
+    /// than the fallback fraction).
     pub(crate) force_global: bool,
-    /// Persistent marks of the counted circuit roots (a root is counted
-    /// iff some pin references a partition set in its bucket); maintained
-    /// incrementally by the region relabel.
+    /// Bit per partition set: whether it is stale. Invariant: the stale
+    /// sets form whole circuits of the current configuration once the
+    /// dirty pins are absorbed; every other set is labelled.
+    pub(crate) stale: BitSet,
+    /// Number of set bits in `stale`.
+    pub(crate) stale_count: usize,
+    /// Persistent marks of the counted circuit roots (a labelled root is
+    /// counted iff some pin references a partition set in its bucket);
+    /// maintained incrementally by absorbs, walks and region relabels.
     pub(crate) circuit_roots: BitSet,
     /// Edge index (into `links`) behind each *port slot* (slot of
     /// `(v, p)` = `base[v] / c + p`; [`NO_EDGE`] = vacant). Replaces the
@@ -247,15 +268,14 @@ pub struct World {
     /// CSRs cannot absorb an insertion without rebuilding every row
     /// behind it.
     pub(crate) port_edge: Vec<u32>,
-    /// Region-relabel scratch: old roots touching a dirty pin.
-    pub(crate) affected_mark: BitSet,
-    pub(crate) affected_roots: Vec<u32>,
-    /// Region-relabel scratch: all gids of the affected circuits.
-    pub(crate) in_region: BitSet,
+    /// Region-relabel scratch: the stale gids, ascending.
     pub(crate) region: Vec<u32>,
     /// Region-relabel scratch: nodes owning a region gid.
     pub(crate) node_mark: BitSet,
     pub(crate) region_nodes: Vec<u32>,
+    /// Walk scratch: the `(gid, owner node)` pairs of the circuit being
+    /// walked, in discovery order.
+    pub(crate) walk: Vec<(u32, u32)>,
     /// One bit per node for each link `ℓ < c`. Invariant: if pin
     /// `(v, port, ℓ)` holds a partition set other than its singleton id
     /// `port * c + ℓ`, bit `v` of `configured[ℓ]` is set. Every pin write
@@ -263,7 +283,8 @@ pub struct World {
     /// the nodes whose bits are set. Derived from `pin_pset`: snapshots
     /// do not store it.
     pub(crate) configured: Vec<BitSet>,
-    /// Number of distinct circuits under the cached labeling.
+    /// Number of counted labelled circuits; the circuit count of the
+    /// whole configuration once nothing is stale.
     pub(crate) cached_circuits: usize,
     /// Telemetry registry + cached handles. Holds the relabel-path
     /// counters (diagnostics; pinned by tests so the region path cannot
@@ -348,14 +369,14 @@ impl World {
             dirty_pin: BitSet::new(total),
             pset_at_relabel: vec![0; total],
             force_global: true,
+            stale: BitSet::new(total),
+            stale_count: 0,
             circuit_roots: BitSet::new(total),
             port_edge,
-            affected_mark: BitSet::new(total),
-            affected_roots: Vec::new(),
-            in_region: BitSet::new(total),
             region: Vec::new(),
             node_mark: BitSet::new(n),
             region_nodes: Vec::new(),
+            walk: Vec::new(),
             configured: (0..c).map(|_| BitSet::new(n)).collect(),
             cached_circuits: 0,
             stats: EngineStats::new(),
@@ -369,12 +390,13 @@ impl World {
         for v in 0..w.topo.len() {
             w.singleton_pin_config(v);
         }
-        // The construction writes above marked everything dirty, but the
-        // first relabel is global regardless (`force_global`); drop the
+        // The construction writes above marked everything dirty, but
+        // nothing is labelled yet: every set starts stale. Drop the
         // bookkeeping so the first *real* dirty set starts empty.
         w.dirty_pins.clear();
         w.dirty_pin.clear_all();
         w.pset_at_relabel.copy_from_slice(&w.pin_pset);
+        w.stale_everything();
         w
     }
 
@@ -905,14 +927,16 @@ impl World {
         }
     }
 
-    /// Whether the next [`World::tick`] has to relabel before delivering
-    /// (i.e. some pin's partition set changed since the last relabel, or
-    /// the labeling was never computed / was invalidated by
-    /// [`World::tick_reference`]). No-op reconfigurations — writes that
-    /// store the value a pin already has — never make this true.
+    /// Whether a read ([`World::circuit_count`], [`World::pset_circuit`])
+    /// or a traced tick would have to relabel first: some pin's partition
+    /// set changed since the last absorb, some set is stale (never
+    /// labelled, invalidated by [`World::tick_reference`], or staled by
+    /// an absorb and not walked since), or a global relabel is due.
+    /// No-op reconfigurations — writes that store the value a pin
+    /// already has — never make this true.
     #[inline]
     pub fn relabel_pending(&self) -> bool {
-        self.force_global || !self.dirty_pins.is_empty()
+        self.force_global || self.stale_count > 0 || !self.dirty_pins.is_empty()
     }
 
     /// How many global (full union-find + membership rebuild) relabels
@@ -933,6 +957,13 @@ impl World {
         self.stats.metrics.get(self.stats.relabel_region)
     }
 
+    /// How many stale circuits untraced ticks have labelled by walking
+    /// them (see the module docs). Reads the registry's `relabel_walk`
+    /// counter, which is registered on the first walk (0 until then).
+    pub fn walk_relabels(&self) -> u64 {
+        self.stats.metrics.counter_value(RELABEL_WALK)
+    }
+
     /// The engine's telemetry registry: relabel counters plus — when the
     /// driving [`Recorder`] has `TIMED = true` — per-phase wall-time
     /// histograms (`phase_*_micros`).
@@ -941,8 +972,8 @@ impl World {
         &self.stats.metrics
     }
 
-    /// Refreshes the cached labeling: region-scoped when the dirty region
-    /// is small, global otherwise. Phase timers fire only for `R::TIMED`
+    /// Labels everything: region-scoped over the stale set when it is
+    /// small, global otherwise. Phase timers fire only for `R::TIMED`
     /// recorders; under [`NullRecorder`] they compile away.
     fn refresh_labels<R: Recorder>(&mut self) -> RelabelKind {
         // Fractional fallback (1/REGION_FALLBACK_FRACTION of all pins):
@@ -957,6 +988,132 @@ impl World {
         self.relabel_region::<R>(threshold)
     }
 
+    /// Marks every partition set stale (nothing is labelled or counted)
+    /// and makes the next label-everything relabel global. Construction
+    /// and [`World::tick_reference`] start here: an untraced tick then
+    /// walks only the circuits it delivers on.
+    fn stale_everything(&mut self) {
+        let total = self.labels.len();
+        self.stale.set_first(total);
+        self.stale_count = total;
+        self.circuit_roots.clear_all();
+        self.cached_circuits = 0;
+        self.force_global = true;
+    }
+
+    /// Absorbs the dirty pins into the stale set: the labelled circuits
+    /// of each dirty pin's old and new partition set go stale (a pin's
+    /// peer circuits are covered transitively: the old union along the
+    /// edge put the peer's set in the same old circuit as this pin's old
+    /// set). Afterwards the stale sets are again whole circuits of the
+    /// current configuration and the dirty list is empty. An absorb of
+    /// more dirty pins than the fallback fraction makes the next
+    /// label-everything relabel global, as it would have been had it run
+    /// right away.
+    fn absorb_dirty(&mut self) {
+        if self.dirty_pins.len() > self.labels.len() / REGION_FALLBACK_FRACTION {
+            self.force_global = true;
+        }
+        for i in 0..self.dirty_pins.len() {
+            let (pin, node_base) = self.dirty_pins[i];
+            let pin = pin as usize;
+            let old_gid = node_base as usize + self.pset_at_relabel[pin] as usize;
+            let new_gid = node_base as usize + self.pin_pset[pin] as usize;
+            for gid in [old_gid, new_gid] {
+                if !self.stale.get(gid) {
+                    self.stale_circuit(self.labels[gid] as usize);
+                }
+            }
+            self.pset_at_relabel[pin] = self.pin_pset[pin];
+            self.dirty_pin.clear(pin);
+        }
+        self.dirty_pins.clear();
+    }
+
+    /// Moves the labelled circuit rooted at `root` into the stale set and
+    /// drops it from the circuit count.
+    fn stale_circuit(&mut self, root: usize) {
+        if self.circuit_roots.get(root) {
+            self.circuit_roots.clear(root);
+            self.cached_circuits -= 1;
+        }
+        let (off, end) = (
+            self.member_off[root] as usize,
+            self.member_end[root] as usize,
+        );
+        for j in off..end {
+            self.stale.set(self.members[j] as usize);
+        }
+        self.stale_count += end - off;
+    }
+
+    /// Labels the stale circuit of `start` by walking it under the current
+    /// pins and topology: one peer lookup per port whose pins touch the
+    /// visited set, all links of that port handled together. The circuit
+    /// gets its minimum gid as label, a fresh ascending bucket at the end
+    /// of the arena, and counts iff some pin references one of its sets.
+    /// Requires the dirty pins absorbed: only then is every set a walk
+    /// reaches stale, so walks never cross into labelled circuits.
+    fn walk_circuit(&mut self, start: u32) {
+        debug_assert!(self.dirty_pins.is_empty() && self.stale.get(start as usize));
+        let c = self.c;
+        self.walk.clear();
+        self.stale.clear(start as usize);
+        self.walk.push((start, self.node_of_gid(start) as u32));
+        let mut referenced = false;
+        let mut i = 0;
+        while i < self.walk.len() {
+            let (gid, v) = self.walk[i];
+            i += 1;
+            let v = v as usize;
+            let node_base = self.base[v] as usize;
+            let local = (gid as usize - node_base) as u16;
+            for p in 0..self.topo.ports_len(v) {
+                let pins = node_base + p * c;
+                if !self.pin_pset[pins..pins + c].contains(&local) {
+                    continue;
+                }
+                referenced = true;
+                let Some((w, q)) = self.topo.peer(v, p) else {
+                    continue;
+                };
+                let peer_base = self.base[w] as usize;
+                let peer_pins = peer_base + q * c;
+                for link in 0..c {
+                    if self.pin_pset[pins + link] == local {
+                        let g = peer_base + self.pin_pset[peer_pins + link] as usize;
+                        if self.stale.get(g) {
+                            self.stale.clear(g);
+                            self.walk.push((g as u32, w as u32));
+                        }
+                    }
+                }
+            }
+        }
+        let size = self.walk.len();
+        self.stale_count -= size;
+        let root = self.walk.iter().map(|&(g, _)| g).min().unwrap_or(start);
+        for j in 0..size {
+            self.labels[self.walk[j].0 as usize] = root;
+        }
+        let root = root as usize;
+        if self.members.len() + size > 2 * self.labels.len() {
+            // The repack packs every labelled set, this circuit included.
+            self.rebuild_members();
+        } else {
+            let off = self.members.len();
+            self.members.extend(self.walk.iter().map(|&(g, _)| g));
+            self.members[off..].sort_unstable();
+            self.member_off[root] = off as u32;
+            self.member_end[root] = (off + size) as u32;
+            self.member_digest_epoch[root] = 0;
+        }
+        if referenced && !self.circuit_roots.get(root) {
+            self.circuit_roots.set(root);
+            self.cached_circuits += 1;
+        }
+    }
+
     /// The owner node of pin/partition-set `gid` (binary search over the
     /// base offsets; zero-pin nodes collapse onto the same offset, and the
     /// search lands past all of them).
@@ -965,78 +1122,44 @@ impl World {
         self.base.partition_point(|&b| b <= gid) - 1
     }
 
-    /// Region-scoped relabel: dissolves only the circuits whose old *or*
-    /// new configuration touches a dirty pin, re-unions only the links
-    /// incident to their member nodes, and splices the rebuilt buckets
-    /// into the membership arena. Clean circuits keep labels, buckets and
-    /// counted-ness untouched — sound because a circuit can only change
-    /// if one of its members' partition sets changed (see DESIGN.md §1c).
+    /// Region-scoped relabel: absorbs the dirty pins, then relabels the
+    /// stale set — the circuits whose old *or* new configuration touched
+    /// a dirty pin since they were last labelled — re-unioning only the
+    /// links incident to their member nodes, and splices the rebuilt
+    /// buckets into the membership arena. Labelled circuits keep labels,
+    /// buckets and counted-ness untouched — sound because a circuit can
+    /// only change if one of its members' partition sets changed (see
+    /// DESIGN.md §1c).
     ///
-    /// Falls back to [`World::relabel_global`] when the collected region
+    /// Falls back to [`World::relabel_global`] when the stale set
     /// exceeds `threshold` gids.
     fn relabel_region<R: Recorder>(&mut self, threshold: usize) -> RelabelKind {
-        debug_assert!(!self.affected_mark.any() && !self.in_region.any());
         let t_dissolve = if R::TIMED {
             Some(Stopwatch::start())
         } else {
             None
         };
         // 1. Seed: the old circuits of every dirty pin's old and new
-        // partition set. (A pin's peer circuits are covered transitively:
-        // the old union along the edge put the peer's set in the same old
-        // circuit as this pin's old set.)
-        for i in 0..self.dirty_pins.len() {
-            let (pin, node_base) = self.dirty_pins[i];
-            let old_gid = node_base + self.pset_at_relabel[pin as usize] as u32;
-            let new_gid = node_base + self.pin_pset[pin as usize] as u32;
-            for gid in [old_gid, new_gid] {
-                let root = self.labels[gid as usize];
-                if !self.affected_mark.get(root as usize) {
-                    self.affected_mark.set(root as usize);
-                    self.affected_roots.push(root);
-                }
-            }
-        }
-        // 2. Region size = sum of the affected buckets; bail out to the
-        // global relabel while the scratch is still cheap to unwind.
-        let region_size: usize = self
-            .affected_roots
-            .iter()
-            .map(|&r| (self.member_end[r as usize] - self.member_off[r as usize]) as usize)
-            .sum();
-        if region_size > threshold {
-            for i in 0..self.affected_roots.len() {
-                self.affected_mark.clear(self.affected_roots[i] as usize);
-            }
-            self.affected_roots.clear();
+        // partition set go stale.
+        self.absorb_dirty();
+        // 2. Bail out to the global relabel while that is still cheap.
+        if self.stale_count > threshold {
             self.relabel_global::<R>();
             return RelabelKind::Global;
         }
-        // 3. Collect the region: every member gid of every affected
-        // circuit, its owner nodes, and — dissolving — singleton
-        // union-find entries. Affected roots drop out of the circuit
-        // count here; step 6 re-adds whatever the new region references.
-        for i in 0..self.affected_roots.len() {
-            let r = self.affected_roots[i] as usize;
-            if self.circuit_roots.get(r) {
-                self.circuit_roots.clear(r);
-                self.cached_circuits -= 1;
-            }
-            for j in self.member_off[r] as usize..self.member_end[r] as usize {
-                let gid = self.members[j];
-                self.in_region.set(gid as usize);
-                self.region.push(gid);
-                self.uf[gid as usize] = gid;
-            }
-        }
-        // (Bucket contents end up in affected-circuit concatenation order
-        // rather than the global counting sort's ascending order; nothing
-        // observes member order, and the collection order is itself
-        // deterministic.) Owner lookups exploit that each old bucket is
-        // ascending, so consecutive gids usually share a node.
+        // 3. Collect the region — every stale gid, ascending — and its
+        // owner nodes, dissolving to singleton union-find entries. The
+        // stale circuits dropped out of the circuit count when they went
+        // stale; step 5 re-adds whatever the region references.
+        debug_assert!(self.region.is_empty());
+        self.region.extend(self.stale.ones().map(|gid| gid as u32));
+        debug_assert_eq!(self.region.len(), self.stale_count);
+        // Owner lookups exploit the ascending order: consecutive gids
+        // usually share a node.
         let mut cached_node = usize::MAX;
         for i in 0..self.region.len() {
             let gid = self.region[i];
+            self.uf[gid as usize] = gid;
             if cached_node == usize::MAX
                 || gid < self.base[cached_node]
                 || gid >= self.base[cached_node + 1]
@@ -1074,9 +1197,9 @@ impl World {
                 for link in 0..self.c as u32 {
                     let pa = base_a + self.pin_pset[(a0 + link) as usize] as u32;
                     let pb = base_b + self.pin_pset[(b0 + link) as usize] as u32;
-                    if self.in_region.get(pa as usize) || self.in_region.get(pb as usize) {
+                    if self.stale.get(pa as usize) || self.stale.get(pb as usize) {
                         debug_assert!(
-                            self.in_region.get(pa as usize) && self.in_region.get(pb as usize),
+                            self.stale.get(pa as usize) && self.stale.get(pb as usize),
                             "a link union crossed the region boundary"
                         );
                         self.union(pa, pb);
@@ -1097,10 +1220,33 @@ impl World {
         } else {
             None
         };
-        // 5. Splice the rebuilt buckets into the arena: append-at-end
+        // 5. Re-count: a region circuit is counted iff some pin of a
+        // region node references one of its member sets (pins of clean
+        // nodes cannot reference region gids, which all belong to region
+        // nodes; references to labelled circuits are untouched). Then the
+        // region is labelled: nothing is stale any more.
+        for i in 0..self.region_nodes.len() {
+            let v = self.region_nodes[i] as usize;
+            for p in self.base[v] as usize..self.base[v + 1] as usize {
+                let gid = self.base[v] as usize + self.pin_pset[p] as usize;
+                if self.stale.get(gid) {
+                    let root = self.labels[gid] as usize;
+                    if !self.circuit_roots.get(root) {
+                        self.circuit_roots.set(root);
+                        self.cached_circuits += 1;
+                    }
+                }
+            }
+        }
+        for i in 0..self.region.len() {
+            self.stale.clear(self.region[i] as usize);
+        }
+        self.stale_count = 0;
+        // 6. Splice the rebuilt buckets into the arena: append-at-end
         // (the displaced old buckets become garbage), with a full repack
         // once the arena would outgrow twice the pin count — amortized
-        // O(region) per relabel.
+        // O(region) per relabel. The region is ascending, so every
+        // spliced bucket is too.
         if self.members.len() + self.region.len() > 2 * self.labels.len() {
             self.rebuild_members();
         } else {
@@ -1137,37 +1283,7 @@ impl World {
             }
             self.marked_roots.clear();
         }
-        // 6. Re-count: a region circuit is counted iff some pin of a
-        // region node references one of its member sets (pins of clean
-        // nodes cannot reference region gids, which all belong to region
-        // nodes; references to clean circuits are untouched).
-        for i in 0..self.region_nodes.len() {
-            let v = self.region_nodes[i] as usize;
-            for p in self.base[v] as usize..self.base[v + 1] as usize {
-                let gid = self.base[v] as usize + self.pin_pset[p] as usize;
-                if self.in_region.get(gid) {
-                    let root = self.labels[gid] as usize;
-                    if !self.circuit_roots.get(root) {
-                        self.circuit_roots.set(root);
-                        self.cached_circuits += 1;
-                    }
-                }
-            }
-        }
-        // 7. Snapshot the new configuration and unwind the scratch.
-        for i in 0..self.dirty_pins.len() {
-            let pin = self.dirty_pins[i].0 as usize;
-            self.pset_at_relabel[pin] = self.pin_pset[pin];
-            self.dirty_pin.clear(pin);
-        }
-        self.dirty_pins.clear();
-        for i in 0..self.affected_roots.len() {
-            self.affected_mark.clear(self.affected_roots[i] as usize);
-        }
-        self.affected_roots.clear();
-        for i in 0..self.region.len() {
-            self.in_region.clear(self.region[i] as usize);
-        }
+        // 7. Unwind the scratch.
         self.region.clear();
         for i in 0..self.region_nodes.len() {
             self.node_mark.clear(self.region_nodes[i] as usize);
@@ -1181,7 +1297,8 @@ impl World {
     }
 
     /// Fully repacks the membership arena from `labels`: counting sort
-    /// into contiguous ascending buckets, one slot per gid.
+    /// into contiguous ascending buckets, one slot per labelled gid
+    /// (stale gids' labels are garbage and stay out of every bucket).
     fn rebuild_members(&mut self) {
         // Every bucket moves: invalidate all cached delivery digests in
         // O(1) by bumping the epoch. On the (theoretical) u32 wrap,
@@ -1193,11 +1310,12 @@ impl World {
             self.digest_epoch = 1;
         }
         let total = self.labels.len();
-        self.members.clear();
-        self.members.resize(total, 0);
+        let skip_stale = self.stale_count > 0;
         self.member_end.fill(0);
         for gid in 0..total {
-            self.member_end[self.labels[gid] as usize] += 1;
+            if !(skip_stale && self.stale.get(gid)) {
+                self.member_end[self.labels[gid] as usize] += 1;
+            }
         }
         let mut acc = 0u32;
         for r in 0..total {
@@ -1206,17 +1324,21 @@ impl World {
             self.member_end[r] = acc;
             acc += size;
         }
+        self.members.clear();
+        self.members.resize(acc as usize, 0);
         for gid in 0..total as u32 {
-            let r = self.labels[gid as usize] as usize;
-            self.members[self.member_end[r] as usize] = gid;
-            self.member_end[r] += 1;
+            if !(skip_stale && self.stale.get(gid as usize)) {
+                let r = self.labels[gid as usize] as usize;
+                self.members[self.member_end[r] as usize] = gid;
+                self.member_end[r] += 1;
+            }
         }
     }
 
     /// Recomputes the circuit labeling, the membership index and the
-    /// circuit count from scratch. O(total pins · α) with zero
-    /// allocations; the escape hatch when the dirty region is large (or
-    /// unknown, after [`World::tick_reference`]).
+    /// circuit count from scratch, leaving nothing stale. O(total pins ·
+    /// α) with zero allocations; the escape hatch when the stale region
+    /// is large (or everything, after [`World::tick_reference`]).
     fn relabel_global<R: Recorder>(&mut self) {
         let t_global = if R::TIMED {
             Some(Stopwatch::start())
@@ -1245,6 +1367,8 @@ impl World {
             let root = self.find(gid);
             self.labels[gid as usize] = root;
         }
+        self.stale.clear_all();
+        self.stale_count = 0;
         self.rebuild_members();
         // Circuit count: distinct roots among partition sets that some pin
         // actually references (empty sets are not circuits). The marks
@@ -1276,9 +1400,10 @@ impl World {
     }
 
     /// Executes one synchronous round: circuits are computed from the current
-    /// pin configurations (reusing the cached labeling if no pin changed),
-    /// beeps sent via [`World::beep`] are delivered to every partition set of
-    /// their circuit, and the round counter advances.
+    /// pin configurations (reusing the cached labeling if no pin changed,
+    /// and labelling only the circuits a beep is delivered on), beeps sent
+    /// via [`World::beep`] are delivered to every partition set of their
+    /// circuit, and the round counter advances.
     pub fn tick(&mut self) {
         self.tick_with(&mut NullRecorder);
     }
@@ -1288,10 +1413,13 @@ impl World {
     /// consts, so `tick()` (= `tick_with(&mut NullRecorder)`) pays for
     /// none of it after monomorphization.
     ///
-    /// With `R::TRACE` the recorder sees, in order: the net pin-config
-    /// deltas since the last relabel (read off the dirty-pin list before
-    /// the refresh consumes it — intermediate writes between ticks are
-    /// not observable, by design), the beeping gids, and a
+    /// Untraced recorders (`R::TRACE == false`) take the lazy path: the
+    /// tick absorbs the dirty pins and walks only the stale circuits it
+    /// delivers on. With `R::TRACE` the tick labels everything first, and
+    /// the recorder sees, in order: the net pin-config deltas since the
+    /// last absorb (read off the dirty-pin list before the refresh
+    /// consumes it — intermediate writes between ticks are not
+    /// observable, by design), the beeping gids, and a
     /// [`RoundSummary`] carrying an order-independent delivery digest
     /// (XOR of [`mix64`] over every delivered gid). Replay recomputes
     /// the digest from its own labeling, so any divergence in circuit
@@ -1303,8 +1431,9 @@ impl World {
     /// Recording soundness: the trace captures relabel inputs only at
     /// tick time, so between recorded ticks the caller must not force
     /// relabels through diagnostic paths ([`World::circuit_count`],
-    /// [`World::pset_circuit`]) or [`World::tick_reference`] — those
-    /// consume dirty pins without emitting deltas.
+    /// [`World::pset_circuit`]), untraced ticks or
+    /// [`World::tick_reference`] — those consume dirty pins without
+    /// emitting deltas.
     pub fn tick_with<R: Recorder>(&mut self, rec: &mut R) {
         self.tick_impl::<R, false>(&TickFaults::EMPTY, rec);
     }
@@ -1353,7 +1482,7 @@ impl World {
         let mut digest = 0u64;
         if R::TRACE {
             if R::REPLAY {
-                // Net config deltas since the last relabel, captured
+                // Net config deltas since the last absorb, captured
                 // before the refresh consumes the dirty-pin list. This
                 // stream is O(dirty pins) per tick — replay-grade
                 // detail, skipped for windowed sinks like the flight
@@ -1372,7 +1501,10 @@ impl World {
             }
         }
         let beeps = self.sent.len() as u32;
-        let relabel = if self.relabel_pending() {
+        // Traced ticks label everything (their summary carries the
+        // circuit count and the relabel kind); untraced ones only absorb
+        // here and walk what they deliver on below.
+        let relabel = if R::TRACE && self.relabel_pending() {
             self.refresh_labels::<R>()
         } else {
             RelabelKind::None
@@ -1382,13 +1514,20 @@ impl World {
         } else {
             None
         };
+        // Untraced absorbs and walks are timed as part of propagation.
+        if !R::TRACE && !self.dirty_pins.is_empty() {
+            self.absorb_dirty();
+        }
+        let mut walks = 0u64;
         // Clear last round's deliveries (O(previous deliveries)).
         for &gid in &self.recv_set {
             self.recv.clear(gid as usize);
         }
         self.recv_set.clear();
-        // Dedup the beeping circuits (O(beeps sent)).
-        for &gid in &self.sent {
+        // Dedup the beeping circuits (O(beeps sent)), walking the stale
+        // ones first.
+        for i in 0..self.sent.len() {
+            let gid = self.sent[i];
             self.send.clear(gid as usize);
             if FAULTED && faults.drop.binary_search(&gid).is_ok() {
                 // Suppressed on the wire: the beep counted as sent (and
@@ -1400,6 +1539,10 @@ impl World {
                 }
                 continue;
             }
+            if !R::TRACE && self.stale.get(gid as usize) {
+                self.walk_circuit(gid);
+                walks += 1;
+            }
             let root = self.labels[gid as usize] as usize;
             if !self.root_mark.get(root) {
                 self.root_mark.set(root);
@@ -1407,6 +1550,11 @@ impl World {
             }
         }
         self.sent.clear();
+        // Registered on first use, so worlds that never walk keep their
+        // metrics and snapshots as they were.
+        if walks > 0 {
+            self.stats.metrics.add_named(RELABEL_WALK, walks);
+        }
         // Deliver to every member of each beeping circuit (bucket bounds
         // straight out of the membership arena).
         for i in 0..self.marked_roots.len() {
@@ -1515,9 +1663,10 @@ impl World {
             self.send.clear(gid as usize);
         }
         self.sent.clear();
-        // This path clobbers `uf` without refreshing `labels` (and tracks
-        // no per-pin dirty state), so the next relabel must be global.
-        self.force_global = true;
+        // This path clobbers `uf` without refreshing `labels`, so every
+        // set goes stale: the next untraced tick walks what it delivers
+        // on, the next read or traced tick relabels globally.
+        self.stale_everything();
         self.rounds += 1;
         self.simulated += 1;
     }
@@ -1558,7 +1707,8 @@ impl World {
 
     /// Number of distinct circuits under the current pin configuration
     /// (diagnostic; does not advance the round counter). Served from the
-    /// cached labeling; relabels only if the configuration changed.
+    /// cached labeling; labels everything first if anything is stale or
+    /// dirty.
     pub fn circuit_count(&mut self) -> usize {
         if self.relabel_pending() {
             self.refresh_labels::<NullRecorder>();
@@ -1570,8 +1720,8 @@ impl World {
     /// `pset` under the current configuration. Two partition sets lie on
     /// the same circuit iff their labels are equal — the diagnostic the
     /// dynamic-structure oracle uses to compare an incrementally edited
-    /// world against a from-scratch rebuild. Relabels first if pending;
-    /// does not advance the round counter.
+    /// world against a from-scratch rebuild. Labels everything first if
+    /// a relabel is pending; does not advance the round counter.
     ///
     /// # Panics
     ///
@@ -1589,9 +1739,10 @@ impl World {
     // All four operations keep the cached labeling machinery sound by
     // construction: `add_node` pre-labels its fresh singletons (nothing
     // to relabel), while `connect`/`disconnect` mark the `c` pin pairs of
-    // the edge dirty *as if* their partition sets had changed — the
-    // region relabel then dissolves exactly the circuits that run(ran)
-    // through the edge and re-unions them against the spliced link table.
+    // the edge dirty *as if* their partition sets had changed — the next
+    // absorb then stales exactly the circuits that run(ran) through the
+    // edge, and a walk or relabel re-labels them against the spliced
+    // link table and topology.
     // The stability argument of DESIGN.md §1c extends verbatim: every
     // added or removed link-union has both endpoint sets' circuits
     // seeded, so circuits disjoint from the seeds cannot change.
@@ -1636,8 +1787,7 @@ impl World {
         self.recv.grow(new_total);
         self.root_mark.grow(new_total);
         self.dirty_pin.grow(new_total);
-        self.affected_mark.grow(new_total);
-        self.in_region.grow(new_total);
+        self.stale.grow(new_total);
         self.circuit_roots.grow(new_total);
         self.node_mark.ensure_len(self.topo.len());
         // Fresh pins are singletons: the node starts unmarked.
@@ -1807,8 +1957,9 @@ impl World {
     // trace speaks gids, not (node, port, link) triples) and read access
     // to the cached labeling to recompute delivery digests.
 
-    /// Refreshes the labeling if pending and reports which flavor ran.
-    /// Replay's stand-in for the refresh a recorded tick performed.
+    /// Labels everything if a relabel is pending and reports which flavor
+    /// ran. Replay's stand-in for the refresh a recorded (traced) tick
+    /// performed.
     pub(crate) fn replay_refresh(&mut self) -> RelabelKind {
         if self.relabel_pending() {
             self.refresh_labels::<NullRecorder>()
@@ -2069,7 +2220,7 @@ mod tests {
 
     /// No-op reconfigurations — every mutation path re-storing the values
     /// the pins already hold — must keep the next tick on the clean path:
-    /// nothing becomes dirty, no relabel of either flavor runs.
+    /// nothing becomes dirty or stale, no relabel of any flavor runs.
     #[test]
     fn noop_writes_keep_the_next_tick_clean() {
         let mut w = path_world(5, 2);
@@ -2077,8 +2228,9 @@ mod tests {
             w.global_link_config(v, 1);
         }
         w.tick();
+        w.circuit_count(); // a read labels everything
         assert!(!w.relabel_pending());
-        let before = (w.global_relabels(), w.region_relabels());
+        let before = (w.global_relabels(), w.region_relabels(), w.walk_relabels());
         // Re-apply the identical configuration through every sibling.
         for v in 0..5 {
             w.global_link_config(v, 1);
@@ -2092,11 +2244,14 @@ mod tests {
             !w.relabel_pending(),
             "no-op writes must not dirty the labeling"
         );
+        w.beep(0, World::global_link_pset(1));
         w.tick();
+        assert!(w.received(4, World::global_link_pset(1)));
+        w.circuit_count();
         assert_eq!(
-            (w.global_relabels(), w.region_relabels()),
+            (w.global_relabels(), w.region_relabels(), w.walk_relabels()),
             before,
-            "the clean tick must not relabel"
+            "the clean tick and the read after it must not relabel"
         );
     }
 
@@ -2206,6 +2361,7 @@ mod dynamic_tests {
         w.add_node(6);
         w.connect(0, 0, 1, 3);
         w.tick();
+        w.circuit_count(); // a read labels everything
         assert!(!w.relabel_pending());
         let before = (w.global_relabels(), w.region_relabels());
         let v = w.add_node(6);
@@ -2226,9 +2382,20 @@ mod dynamic_tests {
         assert_ne!(w.pset_circuit(0, 2), w.pset_circuit(v, 9));
     }
 
+    /// A recorder that asks for traced ticks and records nothing: the
+    /// ticks label everything, as a trace writer's would.
+    struct Eager;
+
+    impl Recorder for Eager {
+        const TRACE: bool = true;
+        const TIMED: bool = false;
+    }
+
     /// Detach/re-attach churn at the boundary of a singleton-configured
-    /// path must take the region path every time — structural edits ride
-    /// the dirty-pin machinery, they do not force global relabels.
+    /// path must take the region path on every traced tick — structural
+    /// edits ride the dirty-pin machinery, they do not force global
+    /// relabels — and untraced ticks relabel nothing, walking only the
+    /// circuit they deliver on.
     #[test]
     fn boundary_churn_takes_the_region_path() {
         let n = 64;
@@ -2239,8 +2406,21 @@ mod dynamic_tests {
         for v in 0..n - 1 {
             w.connect(v, 0, v + 1, 3);
         }
-        w.tick();
+        w.tick_with(&mut Eager);
         let g0 = w.global_relabels();
+        for _ in 0..5 {
+            w.isolate(n - 1);
+            w.beep(n - 2, 0);
+            w.tick_with(&mut Eager);
+            assert!(!w.received_any(n - 1), "detached node must hear nothing");
+            w.connect(n - 2, 0, n - 1, 3);
+            w.beep(n - 2, 0);
+            w.tick_with(&mut Eager);
+            assert!(w.received(n - 1, 3), "re-attached node hears its neighbor");
+        }
+        assert_eq!(w.global_relabels(), g0, "churn must relabel regionally");
+        assert!(w.region_relabels() >= 10);
+        let before = (w.global_relabels(), w.region_relabels(), w.walk_relabels());
         for _ in 0..5 {
             w.isolate(n - 1);
             w.beep(n - 2, 0);
@@ -2251,8 +2431,11 @@ mod dynamic_tests {
             w.tick();
             assert!(w.received(n - 1, 3), "re-attached node hears its neighbor");
         }
-        assert_eq!(w.global_relabels(), g0, "churn must relabel regionally");
-        assert!(w.region_relabels() >= 10);
+        assert_eq!(
+            (w.global_relabels(), w.region_relabels(), w.walk_relabels()),
+            (before.0, before.1, before.2 + 10),
+            "untraced churn ticks walk one circuit each and relabel nothing"
+        );
     }
 
     /// The interleaving guard: churn followed by `tick_reference` (which

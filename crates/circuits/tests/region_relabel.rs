@@ -9,6 +9,9 @@
 //!
 //! Also covered deterministically: no-op writes keeping the next tick on
 //! the clean path, and the everything-dirty global-relabel fallback.
+//! Untraced ticks label lazily (they walk only the circuits they deliver
+//! on), so the relabel paths are observed through reads
+//! ([`World::circuit_count`]), which label everything.
 
 use amoebot_circuits::{BitSet, Topology, World};
 use proptest::prelude::*;
@@ -239,7 +242,7 @@ proptest! {
 }
 
 /// A no-op reconfiguration (bulk and per-pin) keeps the next tick on the
-/// clean path: no relabel of either flavor runs.
+/// clean path: no relabel or walk of any flavor runs.
 #[test]
 fn noop_reconfig_keeps_the_clean_path() {
     let topo = Topology::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
@@ -248,8 +251,9 @@ fn noop_reconfig_keeps_the_clean_path() {
         w.global_pin_config(v);
     }
     w.tick();
-    let (global, region) = (w.global_relabels(), w.region_relabels());
-    assert!(!w.relabel_pending(), "tick must leave the labeling clean");
+    w.circuit_count();
+    let (global, region, walks) = (w.global_relabels(), w.region_relabels(), w.walk_relabels());
+    assert!(!w.relabel_pending(), "a read must leave the labeling clean");
     // Re-apply the exact same configuration through every mutation path.
     for v in 0..6 {
         w.global_pin_config(v);
@@ -264,9 +268,10 @@ fn noop_reconfig_keeps_the_clean_path() {
     );
     w.beep(0, 0);
     w.tick();
+    w.circuit_count();
     assert_eq!(
-        (w.global_relabels(), w.region_relabels()),
-        (global, region),
+        (w.global_relabels(), w.region_relabels(), w.walk_relabels()),
+        (global, region, walks),
         "the no-op round must not relabel at all"
     );
     assert!(w.received(5, 0), "the cached circuit still delivers");
@@ -279,12 +284,14 @@ fn sparse_uses_region_path_and_everything_dirty_falls_back() {
     let n = 64;
     let edges: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, i + 1)).collect();
     let mut w = World::new(Topology::from_edges(n, &edges), 2);
-    w.tick(); // initial labeling: global by construction
+    w.circuit_count(); // initial labeling: global by construction
     assert_eq!((w.global_relabels(), w.region_relabels()), (1, 0));
     // One node regroups two pins: far below the fallback fraction.
     w.set_pin(20, 0, 0, 0);
     w.set_pin(20, 1, 0, 0);
-    w.tick();
+    w.tick(); // absorbs the change; no beep, so nothing is labelled
+    assert_eq!((w.global_relabels(), w.region_relabels()), (1, 0));
+    w.circuit_count();
     assert_eq!(
         (w.global_relabels(), w.region_relabels()),
         (1, 1),
@@ -294,7 +301,7 @@ fn sparse_uses_region_path_and_everything_dirty_falls_back() {
     for v in 0..n {
         w.global_pin_config(v);
     }
-    w.tick();
+    w.circuit_count();
     assert_eq!(
         (w.global_relabels(), w.region_relabels()),
         (2, 1),
@@ -306,9 +313,9 @@ fn sparse_uses_region_path_and_everything_dirty_falls_back() {
     assert!(w.received(n - 1, 0));
 }
 
-/// `tick_reference` invalidates the incremental bookkeeping wholesale;
-/// the next incremental tick must relabel globally, then settle back
-/// into region-scoped relabels.
+/// `tick_reference` invalidates the incremental bookkeeping wholesale:
+/// untraced ticks walk what they deliver on, the next read must relabel
+/// globally, then reads settle back into region-scoped relabels.
 #[test]
 fn reference_tick_forces_a_global_relabel() {
     let edges: Vec<(usize, usize)> = (0..15).map(|i| (i, i + 1)).collect();
@@ -317,14 +324,21 @@ fn reference_tick_forces_a_global_relabel() {
     // far below the fallback fraction, so post-reference relabels can be
     // region-scoped.
     let mut w = World::new(topo, 2);
-    w.tick();
+    w.circuit_count();
     assert_eq!(w.global_relabels(), 1);
     w.tick_reference();
     assert!(
         w.relabel_pending(),
         "reference tick must invalidate the cache"
     );
+    // Node 7 beeps east on link 1 (singleton id 3): the untraced tick
+    // walks that one circuit instead of relabelling anything.
+    w.beep(7, 3);
     w.tick();
+    assert!(w.received(8, 1), "the walked circuit delivers");
+    assert_eq!((w.global_relabels(), w.region_relabels()), (1, 0));
+    assert_eq!(w.walk_relabels(), 1);
+    w.circuit_count();
     assert_eq!(
         w.global_relabels(),
         2,
@@ -334,7 +348,7 @@ fn reference_tick_forces_a_global_relabel() {
     // 28-pin world, far below the fallback threshold.
     w.set_pin(4, 0, 0, 0); // no-op: port 0/link 0 already holds pset 0
     w.set_pin(4, 1, 0, 0); // real change: joins the two link-0 circuits
-    w.tick();
+    w.circuit_count();
     assert_eq!(w.region_relabels(), 1, "then region relabels resume");
     assert_eq!(w.global_relabels(), 2);
     // And the merged circuit actually carries a beep across node 4:
@@ -355,6 +369,7 @@ fn sparse_rounds_relabel_region_scoped() {
     let topo = random_topology(&mut rng, n, 12);
     let mut inc = World::new(topo, 2);
     let mut reference = inc.clone();
+    inc.circuit_count();
     inc.tick();
     reference.tick_reference();
     let rounds = 40;
@@ -379,6 +394,8 @@ fn sparse_rounds_relabel_region_scoped() {
             inc.beep(v, pset);
             reference.beep(v, pset);
         }
+        // A read labels everything: the region path under test.
+        inc.circuit_count();
         inc.tick();
         reference.tick_reference();
         for v in 0..n {

@@ -284,6 +284,43 @@ mod tests {
         }
     }
 
+    /// The count guard: the solver ticks untraced, so on a caller-owned
+    /// world it labels only the circuits it beeps on, by walking them.
+    /// No global or region relabel may run — if one does, the tick path
+    /// has silently turned eager again.
+    #[test]
+    fn spt_in_world_labels_lazily() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let s = AmoebotStructure::new(shapes::random_blob(10_000, &mut rng)).unwrap();
+        let n = s.len();
+        let source = rng.gen_range(0..n);
+        let dests: Vec<NodeId> = shapes::random_subset(n, 8, &mut rng)
+            .into_iter()
+            .map(|i| NodeId(i as u32))
+            .collect();
+        let mut world = World::new(Topology::from_structure(&s), LINKS);
+        let mut dest_mask = vec![false; n];
+        for d in &dests {
+            dest_mask[d.index()] = true;
+        }
+        let parents = spt_in_world(
+            &mut world,
+            &s,
+            &vec![true; n],
+            source,
+            &dest_mask,
+            &mut RoundReport::new(),
+        );
+        assert_eq!((world.global_relabels(), world.region_relabels()), (0, 0));
+        assert!(world.walk_relabels() > 0);
+        let expected = shortest_path_tree(&s, NodeId(source as u32), &dests);
+        let parents: Vec<Option<NodeId>> = parents
+            .into_iter()
+            .map(|p| p.map(|v| NodeId(v as u32)))
+            .collect();
+        assert_eq!(parents, expected.parents);
+    }
+
     #[test]
     fn line_structure() {
         let s = AmoebotStructure::new(shapes::line(12)).unwrap();

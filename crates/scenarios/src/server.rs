@@ -1369,6 +1369,79 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A session blob with a valid digest whose world claims one node
+    /// with 4 294 967 295 ports (reserving its slots would abort the
+    /// restart scan on a 17 GB allocation).
+    fn crafted_session_blob() -> Vec<u8> {
+        let mut w = SnapshotWriter::new(wire::kind::SESSION);
+        w.str("crafted");
+        w.varint(OP_KINDS.len() as u64);
+        for _ in OP_KINDS {
+            w.varint(0);
+        }
+        w.str(Kind::Churn.family());
+        // size, seed, events, per_event, steps, cursor, informed length
+        for v in [1, 0, 0, 0, 0, 0, 0] {
+            w.varint(v);
+        }
+        w.varint(6); // dynamic world: c
+        for _ in 0..7 {
+            w.varint(0); // an empty structure editor
+        }
+        w.varint(6); // world: c
+        w.varint(1); // one node...
+        w.varint(u32::MAX as u64); // ...with absurdly many ports
+        w.finish()
+    }
+
+    /// A crafted session file in the snapshot dir is skipped by name
+    /// with the field its decoder rejected; the other sessions resume.
+    #[test]
+    fn restart_skips_a_crafted_session_by_name() {
+        match Session::from_snapshot_bytes(&crafted_session_blob()) {
+            Err(e) => assert!(e.to_string().contains("topology port count"), "{e}"),
+            Ok(_) => panic!("the crafted session decoded"),
+        }
+        let dir = temp_dir("crafted");
+        let (server, _) = start(2, Some(&dir));
+        let h = server.handle();
+        for name in ["a", "b"] {
+            assert_ok(&h.request(&req(&[
+                ("op", s("create")),
+                ("session", s(name)),
+                ("size", n(40)),
+                ("seed", n(5)),
+            ])));
+            assert_ok(&h.request(&req(&[
+                ("op", s("step")),
+                ("session", s(name)),
+                ("n", n(3)),
+            ])));
+        }
+        assert_eq!(server.shutdown().unwrap(), 2);
+        let crafted = Session::snapshot_path(&dir, "crafted");
+        std::fs::write(&crafted, crafted_session_blob()).unwrap();
+        let (server, skipped) = start(1, Some(&dir));
+        assert_eq!(skipped.len(), 1, "{skipped:?}");
+        assert!(
+            skipped[0].contains(&crafted.display().to_string())
+                && skipped[0].contains("topology port count"),
+            "{skipped:?}"
+        );
+        let h = server.handle();
+        for name in ["a", "b"] {
+            let doc = h.request(&req(&[("op", s("query")), ("session", s(name))]));
+            assert_eq!(
+                doc.get("rounds").and_then(Json::as_u64),
+                Some(3),
+                "session {name} did not resume: {}",
+                doc.render_compact()
+            );
+        }
+        server.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// The concurrency smoke: 64 client threads, each driving its own
     /// session through create + steps + query simultaneously. Shard
     /// ownership makes this race-free by construction; the test pins

@@ -27,8 +27,9 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SPFS";
 
 /// The current snapshot wire-format version. Version 2: a `SESSION`
 /// payload is a session name, its request counters and a workload
-/// driver.
-pub const SNAPSHOT_VERSION: u16 = 2;
+/// driver. Version 3: a `WORLD` payload carries its stale partition
+/// sets (lazy circuit labels).
+pub const SNAPSHOT_VERSION: u16 = 3;
 
 /// Payload kind tags (one per snapshottable type).
 pub mod kind {
