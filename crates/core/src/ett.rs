@@ -25,16 +25,23 @@ use crate::tree::Tree;
 
 /// The Euler tours of a forest of (node-disjoint) trees, compiled into PASC
 /// instance specs plus the index maps the primitives need.
+///
+/// The index maps are per *slot*: node `v`'s `j`-th tree edge (in its
+/// tree's [`Tree::adj`] order) has slot [`TourSet::slot`]`(v, j)`, and the
+/// slots of all trees' members are numbered consecutively by node.
 #[derive(Debug, Clone)]
 pub struct TourSet {
     /// PASC instance specs for all trees (run them as one [`amoebot_pasc::PascRun`]).
     pub specs: Vec<InstanceSpec>,
-    /// `out_inst[v][j]` = index of `v`'s instance whose *outgoing* edge goes
-    /// to `trees[t].adj[v][j]` (`usize::MAX` for non-members).
-    pub out_inst: Vec<Vec<usize>>,
-    /// `in_inst[v][j]` = index of `v`'s instance whose *incoming* edge comes
-    /// from `trees[t].adj[v][j]`.
-    pub in_inst: Vec<Vec<usize>>,
+    /// Slot offsets, `n + 1` entries: `v`'s slots are
+    /// `slot_off[v]..slot_off[v + 1]`.
+    pub(crate) slot_off: Vec<usize>,
+    /// `out_inst[slot(v, j)]` = index of `v`'s instance whose *outgoing*
+    /// edge goes to `trees[t].adj(v)[j]`.
+    pub out_inst: Vec<usize>,
+    /// `in_inst[slot(v, j)]` = index of `v`'s instance whose *incoming*
+    /// edge comes from `trees[t].adj(v)[j]`.
+    pub in_inst: Vec<usize>,
     /// Per tree: the start instance (root, before the first edge).
     pub start_inst: Vec<usize>,
     /// Per tree: the root's final instance (computes `W`, Corollary 15).
@@ -44,6 +51,20 @@ pub struct TourSet {
     pub marked_adj: Vec<Option<usize>>,
     /// Per node: which tree (index into the input slice) it belongs to.
     pub tree_of: Vec<Option<usize>>,
+}
+
+impl TourSet {
+    /// The slot of `v`'s `j`-th tree edge.
+    #[inline]
+    pub fn slot(&self, v: usize, j: usize) -> usize {
+        self.slot_off[v] + j
+    }
+
+    /// The slots of `v`'s tree edges, in adjacency order.
+    #[inline]
+    pub fn slots(&self, v: usize) -> std::ops::Range<usize> {
+        self.slot_off[v]..self.slot_off[v + 1]
+    }
 }
 
 /// Builds the Euler tours for `trees` with node marks `q` (the weight
@@ -56,13 +77,12 @@ pub fn build_tours(topo: &Topology, trees: &[Tree], q: &[bool]) -> TourSet {
     let n = topo.len();
     assert_eq!(q.len(), n);
     let mut specs: Vec<InstanceSpec> = Vec::new();
-    let mut out_inst: Vec<Vec<usize>> = (0..n).map(|_| Vec::new()).collect();
-    let mut in_inst: Vec<Vec<usize>> = (0..n).map(|_| Vec::new()).collect();
     let mut start_inst = Vec::with_capacity(trees.len());
     let mut last_inst = Vec::with_capacity(trees.len());
     let mut marked_adj: Vec<Option<usize>> = vec![None; n];
     let mut tree_of: Vec<Option<usize>> = vec![None; n];
 
+    let mut slot_off = vec![0usize; n + 1];
     for (t, tree) in trees.iter().enumerate() {
         for &v in &tree.members {
             assert!(
@@ -70,96 +90,81 @@ pub fn build_tours(topo: &Topology, trees: &[Tree], q: &[bool]) -> TourSet {
                 "trees must be node-disjoint (node {v})"
             );
             tree_of[v] = Some(t);
-            out_inst[v] = vec![usize::MAX; tree.adj[v].len()];
-            in_inst[v] = vec![usize::MAX; tree.adj[v].len()];
+            slot_off[v + 1] = tree.adj(v).len();
         }
+    }
+    for v in 0..n {
+        slot_off[v + 1] += slot_off[v];
+    }
+    let mut out_inst = vec![usize::MAX; slot_off[n]];
+    let mut in_inst = vec![usize::MAX; slot_off[n]];
+
+    for tree in trees {
+        let base = specs.len();
         if tree.len() == 1 {
             // Degenerate single-node tree: one instance, no edges.
-            let idx = specs.len();
             specs.push(InstanceSpec {
                 node: tree.root,
                 pred: None,
                 succs: Vec::new(),
                 weight: q[tree.root],
             });
-            start_inst.push(idx);
-            last_inst.push(idx);
+            start_inst.push(base);
+            last_inst.push(base);
             continue;
         }
 
-        let m = 2 * (tree.len() - 1); // number of directed tour edges
-                                      // Enumerate the tour edges.
-        let mut edges: Vec<(usize, usize)> = Vec::with_capacity(m);
-        let mut cur = (tree.root, tree.adj[tree.root][0]);
-        for _ in 0..m {
-            edges.push(cur);
-            let (u, v) = cur;
-            let j = tree.adj[v]
+        // Walk the m = 2(|T| - 1) directed tour edges. Local instance i
+        // has pred edge i - 1 (i >= 1) and succ edge i (i < m); edge i is
+        // (u, v) with v = adj(u)[ju], and the next edge leaves v towards
+        // the neighbor after u in v's cyclic order.
+        let m = 2 * (tree.len() - 1);
+        let (mut u, mut ju) = (tree.root, 0);
+        let mut pred = None;
+        for i in 0..m {
+            let v = tree.adj(u)[ju];
+            let adj_v = tree.adj(v);
+            let jv = adj_v
                 .iter()
                 .position(|&w| w == u)
                 .expect("tree adjacency must be symmetric");
-            let next = tree.adj[v][(j + 1) % tree.adj[v].len()];
-            cur = (v, next);
-        }
-        assert_eq!(cur.0, tree.root, "Euler tour must return to the root");
-
-        // Designate marks: first outgoing occurrence of each node in Q.
-        let mut edge_marked = vec![false; m];
-        for (i, &(u, v)) in edges.iter().enumerate() {
-            if q[u] && marked_adj[u].is_none() {
-                let j = tree.adj[u]
-                    .iter()
-                    .position(|&w| w == v)
-                    .expect("edge endpoint in adjacency");
-                marked_adj[u] = Some(j);
-                edge_marked[i] = true;
+            // Designate marks: first outgoing occurrence of each node in Q.
+            let marked = q[u] && marked_adj[u].is_none();
+            if marked {
+                marked_adj[u] = Some(ju);
             }
-        }
-
-        // Instances: local index i in 0..=m; instance i has pred edge
-        // `edges[i-1]` (i >= 1) and succ edge `edges[i]` (i < m).
-        let base = specs.len();
-        for i in 0..=m {
-            let pred = (i > 0).then(|| {
-                let (u, v) = edges[i - 1];
-                let port = topo
-                    .port_to(v, u)
-                    .expect("tree edge must exist in topology");
-                let (p, s) = traversal_links(u, v);
-                EdgeRef::new(port, p, s)
-            });
-            let succs = if i < m {
-                let (u, v) = edges[i];
-                let port = topo
-                    .port_to(u, v)
-                    .expect("tree edge must exist in topology");
-                let (p, s) = traversal_links(u, v);
-                vec![EdgeRef::new(port, p, s)]
-            } else {
-                Vec::new()
-            };
-            let node = if i < m { edges[i].0 } else { tree.root };
-            let weight = i < m && edge_marked[i];
+            let (p, s) = traversal_links(u, v);
+            let port = topo
+                .port_to(u, v)
+                .expect("tree edge must exist in topology");
             specs.push(InstanceSpec {
-                node,
+                node: u,
                 pred,
-                succs,
-                weight,
+                succs: vec![EdgeRef::new(port, p, s)],
+                weight: marked,
             });
+            out_inst[slot_off[u] + ju] = base + i;
+            in_inst[slot_off[v] + jv] = base + i + 1;
+            let port = topo
+                .port_to(v, u)
+                .expect("tree edge must exist in topology");
+            pred = Some(EdgeRef::new(port, p, s));
+            (u, ju) = (v, (jv + 1) % adj_v.len());
         }
-        // Index maps.
-        for (i, &(u, v)) in edges.iter().enumerate() {
-            let ju = tree.adj[u].iter().position(|&w| w == v).unwrap();
-            let jv = tree.adj[v].iter().position(|&w| w == u).unwrap();
-            out_inst[u][ju] = base + i;
-            in_inst[v][jv] = base + i + 1;
-        }
+        assert_eq!(u, tree.root, "Euler tour must return to the root");
+        specs.push(InstanceSpec {
+            node: tree.root,
+            pred,
+            succs: Vec::new(),
+            weight: false,
+        });
         start_inst.push(base);
         last_inst.push(base + m);
     }
 
     TourSet {
         specs,
+        slot_off,
         out_inst,
         in_inst,
         start_inst,
@@ -202,11 +207,12 @@ mod tests {
         assert_eq!(marks, 5);
         // Each node has deg instances as tails.
         for v in 0..5 {
-            for j in 0..tree.adj[v].len() {
-                assert_ne!(ts.out_inst[v][j], usize::MAX);
-                assert_ne!(ts.in_inst[v][j], usize::MAX);
-                assert_eq!(ts.specs[ts.out_inst[v][j]].node, v);
-                assert_eq!(ts.specs[ts.in_inst[v][j]].node, v);
+            assert_eq!(ts.slots(v).len(), tree.adj(v).len());
+            for slot in ts.slots(v) {
+                assert_ne!(ts.out_inst[slot], usize::MAX);
+                assert_ne!(ts.in_inst[slot], usize::MAX);
+                assert_eq!(ts.specs[ts.out_inst[slot]].node, v);
+                assert_eq!(ts.specs[ts.in_inst[slot]].node, v);
             }
         }
     }
@@ -235,7 +241,7 @@ mod tests {
                 if q[x] {
                     cnt += 1;
                 }
-                for &w in &tree.adj[x] {
+                for &w in tree.adj(x) {
                     if !seen[w] && parents[w] == Some(x) {
                         seen[w] = true;
                         stack.push(w);
@@ -246,17 +252,57 @@ mod tests {
         };
         for v in 0..5 {
             if let Some(p) = parents[v] {
-                let j = tree.adj[v].iter().position(|&w| w == p).unwrap();
-                let out = values[ts.out_inst[v][j]];
+                let j = tree.adj(v).iter().position(|&w| w == p).unwrap();
+                let out = values[ts.out_inst[ts.slot(v, j)]];
                 // The incoming prefix sum is the value of the *preceding*
                 // instance, i.e. the peer's outgoing instance for (p, v).
-                let jp = tree.adj[p].iter().position(|&w| w == v).unwrap();
-                let inc = values[ts.out_inst[p][jp]];
+                let jp = tree.adj(p).iter().position(|&w| w == v).unwrap();
+                let inc = values[ts.out_inst[ts.slot(p, jp)]];
                 assert_eq!(out - inc, subtree_q(v), "subtree count at {v}");
             }
         }
         // Lemma 4 runtime: O(log W) iterations.
         assert!(run.iterations() <= 3);
+    }
+
+    /// The rewrite guard: a tour run writes every instance once, then only
+    /// the instances that retire — not every instance every iteration.
+    #[test]
+    fn a_tour_run_rewrites_only_retired_instances() {
+        use amoebot_grid::{shapes, AmoebotStructure, Axis};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let mut rng = StdRng::seed_from_u64(5);
+        let s = AmoebotStructure::new(shapes::random_blob(10_000, &mut rng)).unwrap();
+        let n = s.len();
+        let tree = crate::portals::axis_portals(&s, &vec![true; n], Axis::X).tree_rooted_at(0);
+        let mut q = vec![false; n];
+        for v in shapes::random_subset(n, 8, &mut rng) {
+            q[v] = true;
+        }
+        let topo = Topology::from_structure(&s);
+        let ts = build_tours(&topo, std::slice::from_ref(&tree), &q);
+        let instances = ts.specs.len() as u64;
+        let mut active: Vec<bool> = ts.specs.iter().map(|s| s.weight).collect();
+        let mut world = World::new(topo, LINKS);
+        let mut run = PascRun::new(&mut world, ts.specs, SYNC);
+        // Non-start instances retired in the data rounds so far.
+        let mut flipped = 0;
+        while run.data_step(&mut world, |_| {}).is_some() {
+            assert_eq!(run.groupings_written(), instances + flipped);
+            for (i, spec) in run.specs().iter().enumerate() {
+                if active[i] && run.bits()[i] == 1 {
+                    active[i] = false;
+                    flipped += u64::from(spec.pred.is_some());
+                }
+            }
+            run.sync_step(&mut world);
+        }
+        assert!(run.iterations() >= 3, "{} iterations", run.iterations());
+        assert!((1..=8).contains(&flipped), "{flipped} flips");
+        assert!(run.groupings_written() < instances + 8);
+        assert_eq!(run.value(ts.last_inst[0]), 8);
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub fn line_forest(world: &mut World, chain: &[usize], is_source: &[bool]) -> Fo
     // and westward to the previous source (exclusive). Eastward runs use the
     // forward links, westward the backward links, so they share edges
     // without pin conflicts.
-    let topo = world.topology().clone();
+    let topo = world.topology();
     let mut specs = Vec::new();
     // east_run[i] / west_run[i]: instance index of chain position i in the
     // respective run (usize::MAX if not covered).
@@ -51,7 +51,7 @@ pub fn line_forest(world: &mut World, chain: &[usize], is_source: &[bool]) -> Fo
             for (o, i) in (s..end).enumerate() {
                 east_run[i] = base + o;
             }
-            specs.extend(chain_specs(&topo, &nodes, FWD_PRIMARY, FWD_SECONDARY, None));
+            specs.extend(chain_specs(topo, &nodes, FWD_PRIMARY, FWD_SECONDARY, None));
         }
         // Westward: from s down to (not including) the previous source.
         let begin = if si == 0 { 0 } else { src_pos[si - 1] + 1 };
@@ -61,7 +61,7 @@ pub fn line_forest(world: &mut World, chain: &[usize], is_source: &[bool]) -> Fo
             for (o, i) in (begin..=s).rev().enumerate() {
                 west_run[i] = base + o;
             }
-            specs.extend(chain_specs(&topo, &nodes, BWD_PRIMARY, BWD_SECONDARY, None));
+            specs.extend(chain_specs(topo, &nodes, BWD_PRIMARY, BWD_SECONDARY, None));
         }
     }
 

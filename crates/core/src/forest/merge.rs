@@ -23,9 +23,9 @@ pub fn merge_forests(world: &mut World, f1: &Forest, f2: &Forest) -> Forest {
             world.reset_pins_keeping_links(v, &[SYNC]);
         }
     }
-    let topo = world.topology().clone();
-    let (mut specs, idx1) = tree_specs(&topo, &f1.parents, &f1.member, FWD_PRIMARY, FWD_SECONDARY);
-    let (specs2, idx2_raw) = tree_specs(&topo, &f2.parents, &f2.member, BWD_PRIMARY, BWD_SECONDARY);
+    let topo = world.topology();
+    let (mut specs, idx1) = tree_specs(topo, &f1.parents, &f1.member, FWD_PRIMARY, FWD_SECONDARY);
+    let (specs2, idx2_raw) = tree_specs(topo, &f2.parents, &f2.member, BWD_PRIMARY, BWD_SECONDARY);
     let offset = specs.len();
     specs.extend(specs2);
     let idx2: Vec<usize> = idx2_raw
@@ -35,11 +35,8 @@ pub fn merge_forests(world: &mut World, f1: &Forest, f2: &Forest) -> Forest {
 
     let mut run = PascRun::new(world, specs, SYNC);
     let mut cmps: Vec<StreamingCompare> = vec![StreamingCompare::new(); n];
-    while !run.is_done() {
-        let bits = match run.data_step(world, |_| {}) {
-            Some(b) => b.to_vec(),
-            None => break,
-        };
+    while run.data_step(world, |_| {}).is_some() {
+        let bits = run.bits();
         for v in 0..n {
             if f1.member[v] {
                 cmps[v].feed(bits[idx1[v]], bits[idx2[v]]);

@@ -21,7 +21,7 @@ use amoebot_pasc::{tree_specs, PascRun, StreamingCompare};
 
 use crate::forest::Forest;
 use crate::links::{BROADCAST, BWD_PRIMARY, FWD_PRIMARY, FWD_SECONDARY, SYNC};
-use crate::portals::axis_portals;
+use crate::portals::{axis_portals, group_axis_pins};
 use crate::spt::spt_in_world;
 
 /// Propagates `forest` (covering `A ∪ P` inside `region`) into the rest of
@@ -102,26 +102,15 @@ pub fn propagate_forest(
     }
     let relay_links = [BROADCAST, BWD_PRIMARY];
     for (ei, ap) in cross_portals.iter().enumerate() {
-        let (pos, neg) = cross[ei].directions();
         for members in &ap.portals {
             for &v in members {
-                let mut pins = Vec::new();
-                for d in [pos, neg] {
-                    if let Some(w) = structure.neighbor(NodeId(v as u32), d) {
-                        if mask_pb[w.index()] {
-                            pins.push((d.index(), relay_links[ei]));
-                        }
-                    }
-                }
-                if !pins.is_empty() {
-                    portal_pset[v][ei] = world.group_pins(v, &pins);
-                }
+                portal_pset[v][ei] =
+                    group_axis_pins(world, structure, &mask_pb, cross[ei], v, relay_links[ei]);
             }
         }
     }
-    let topo = world.topology().clone();
     let (specs, idx) = tree_specs(
-        &topo,
+        world.topology(),
         &forest.parents,
         &forest.member,
         FWD_PRIMARY,
@@ -129,11 +118,8 @@ pub fn propagate_forest(
     );
     let mut run = PascRun::new(world, specs, SYNC);
     let mut cmps: Vec<StreamingCompare> = vec![StreamingCompare::new(); n];
-    while !run.is_done() {
-        let bits = match run.data_step(world, |_| {}) {
-            Some(b) => b.to_vec(),
-            None => break,
-        };
+    while run.data_step(world, |_| {}).is_some() {
+        let bits = run.bits();
         // Relay round: every portal amoebot forwards its current distance
         // bit on both of its cross-portal circuits.
         for &p in portal_nodes {

@@ -35,9 +35,9 @@ pub struct AxisPortals {
     /// The representative of each portal: its "westernmost" member (the
     /// first in portal order), §3.5.
     pub reps: Vec<usize>,
-    /// Adjacency of the implicit portal tree `T_d`, in port (= direction
-    /// index) order — the cyclic order used for Euler tours.
-    pub tree_adj: Vec<Vec<usize>>,
+    /// The implicit portal tree `T_d`, rooted at the first portal's
+    /// representative; [`AxisPortals::tree_rooted_at`] re-roots a copy.
+    tree: Tree,
 }
 
 /// Computes the portals and the implicit portal tree of the masked region
@@ -74,25 +74,29 @@ pub fn axis_portals(structure: &AmoebotStructure, mask: &[bool], axis: Axis) -> 
     }
 
     // Implicit portal tree adjacency via the local rule of Definition 12.
-    let mut tree_adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut tree_off = Vec::with_capacity(n + 1);
+    let mut tree_nbr = Vec::new();
+    tree_off.push(0);
     for v in 0..n {
-        if !mask[v] {
-            continue;
-        }
-        for d in ALL_DIRECTIONS {
-            if let Some(w) = nbr(v, d) {
-                if implicit_edge_local_rule(&nbr, axis, v, d) {
-                    tree_adj[v].push(w);
+        if mask[v] {
+            for d in ALL_DIRECTIONS {
+                if let Some(w) = nbr(v, d) {
+                    if implicit_edge_local_rule(&nbr, axis, v, d) {
+                        tree_nbr.push(w);
+                    }
                 }
             }
         }
+        tree_off.push(tree_nbr.len());
     }
+    let members = (0..n).filter(|&v| mask[v]).collect();
+    let root = reps.first().copied().unwrap_or(0);
     AxisPortals {
         axis,
         portal_of,
         portals,
         reps,
-        tree_adj,
+        tree: Tree::from_flat_members(root, tree_off, tree_nbr, members),
     }
 }
 
@@ -129,18 +133,18 @@ impl AxisPortals {
         self.portals.is_empty()
     }
 
+    /// Neighbors of `v` in the implicit portal tree `T_d`, in port (=
+    /// direction index) order — the cyclic order used for Euler tours.
+    #[inline]
+    pub fn tree_adj(&self, v: usize) -> &[usize] {
+        self.tree.adj(v)
+    }
+
     /// The implicit portal tree rooted at the representative of `portal`.
     pub fn tree_rooted_at(&self, portal: u32) -> Tree {
-        let root = self.reps[portal as usize];
-        let members: Vec<usize> = (0..self.portal_of.len())
-            .filter(|&v| self.portal_of[v] != u32::MAX)
-            .collect();
-        let tree = Tree {
-            root,
-            adj: self.tree_adj.clone(),
-            members,
-        };
-        debug_assert!(tree.contains(root));
+        let mut tree = self.tree.clone();
+        tree.root = self.reps[portal as usize];
+        debug_assert!(tree.contains(tree.root));
         tree
     }
 
@@ -149,8 +153,8 @@ impl AxisPortals {
     /// connector amoebots `c_{P1}(P2)` (§3.5). Sorted by neighbor portal id.
     pub fn portal_tree_edges(&self) -> Vec<Vec<(u32, usize)>> {
         let mut out: Vec<Vec<(u32, usize)>> = vec![Vec::new(); self.portals.len()];
-        for v in 0..self.tree_adj.len() {
-            for &w in &self.tree_adj[v] {
+        for v in 0..self.portal_of.len() {
+            for &w in self.tree_adj(v) {
                 let pv = self.portal_of[v];
                 let pw = self.portal_of[w];
                 if pv != pw {
@@ -163,6 +167,35 @@ impl AxisPortals {
             lst.dedup();
         }
         out
+    }
+}
+
+/// Groups `v`'s pins on `link` towards its region neighbors along `axis`
+/// (positive direction first) into one partition set, `v`'s share of its
+/// portal's circuit (Figure 4a), and returns the set; `u16::MAX` if `v`
+/// has no such neighbor. The pins come from a fixed array: at most two.
+pub(crate) fn group_axis_pins(
+    world: &mut World,
+    structure: &AmoebotStructure,
+    mask: &[bool],
+    axis: Axis,
+    v: usize,
+    link: usize,
+) -> u16 {
+    let mut pins = [(0, 0); 2];
+    let mut len = 0;
+    for d in [axis.positive(), axis.negative()] {
+        if let Some(w) = structure.neighbor(NodeId(v as u32), d) {
+            if mask[w.index()] {
+                pins[len] = (d.index(), link);
+                len += 1;
+            }
+        }
+    }
+    if len == 0 {
+        u16::MAX
+    } else {
+        world.group_pins(v, &pins[..len])
     }
 }
 
@@ -179,21 +212,10 @@ pub fn mark_portals(
 ) -> Vec<bool> {
     let n = structure.len();
     world.reset_all_pins_keeping_links(&[SYNC]);
-    let (pos, neg) = ap.axis.directions();
     let mut pset = vec![u16::MAX; n];
     for members in &ap.portals {
         for &v in members {
-            let mut pins = Vec::new();
-            for d in [pos, neg] {
-                if let Some(w) = structure.neighbor(NodeId(v as u32), d) {
-                    if mask[w.index()] {
-                        pins.push((d.index(), BROADCAST));
-                    }
-                }
-            }
-            if !pins.is_empty() {
-                pset[v] = world.group_pins(v, &pins);
-            }
+            pset[v] = group_axis_pins(world, structure, mask, ap.axis, v, BROADCAST);
             if flags[v] && pset[v] != u16::MAX {
                 world.beep(v, pset[v]);
             }
@@ -277,11 +299,11 @@ pub fn portal_root_and_prune(
         if !mask[v] {
             continue;
         }
-        for (j, &w) in tree.adj[v].iter().enumerate() {
+        for (j, &w) in tree.adj(v).iter().enumerate() {
             if ap.portal_of[w] == ap.portal_of[v] {
                 continue; // intra-portal edge
             }
-            match rp.diff_sign[v][j] {
+            match rp.diff_sign(v, j) {
                 0 => {}
                 s => {
                     portal_nonzero[ap.portal_of[v] as usize] += 1;
@@ -302,21 +324,10 @@ pub fn portal_root_and_prune(
     // beep; the root portal's representative beeps iff |Q| > 0. Every member
     // then knows whether its portal is in V_Q.
     world.reset_all_pins_keeping_links(&[SYNC]);
-    let (pos, neg) = ap.axis.directions();
     let mut portal_pset = vec![u16::MAX; n];
     for members in &ap.portals {
         for &v in members {
-            let mut pins = Vec::new();
-            for d in [pos, neg] {
-                if let Some(w) = structure.neighbor(NodeId(v as u32), d) {
-                    if mask[w.index()] {
-                        pins.push((d.index(), BROADCAST));
-                    }
-                }
-            }
-            if !pins.is_empty() {
-                portal_pset[v] = world.group_pins(v, &pins);
-            }
+            portal_pset[v] = group_axis_pins(world, structure, mask, ap.axis, v, BROADCAST);
         }
     }
     for v in 0..n {
@@ -324,10 +335,11 @@ pub fn portal_root_and_prune(
             continue;
         }
         let p = ap.portal_of[v] as usize;
-        let is_connector_nonzero = tree.adj[v]
+        let is_connector_nonzero = tree
+            .adj(v)
             .iter()
             .enumerate()
-            .any(|(j, &w)| ap.portal_of[w] != ap.portal_of[v] && rp.diff_sign[v][j] != 0);
+            .any(|(j, &w)| ap.portal_of[w] != ap.portal_of[v] && rp.diff_sign(v, j) != 0);
         let root_beep = p as u32 == root_portal && ap.reps[p] == v && q_count > 0;
         if (is_connector_nonzero || root_beep) && portal_pset[v] != u16::MAX {
             world.beep(v, portal_pset[v]);
@@ -352,6 +364,7 @@ pub fn portal_root_and_prune(
     // of the parent edge beeps; every receiving member knows its cross
     // neighbors on that side are in the parent portal.
     world.reset_all_pins_keeping_links(&[SYNC, BROADCAST]);
+    let (pos, neg) = ap.axis.directions();
     let sides = ap.axis.cross_sides();
     let side_links = [FWD_PRIMARY, FWD_SECONDARY];
     let mut side_pset = vec![[u16::MAX; 2]; n];
@@ -359,23 +372,31 @@ pub fn portal_root_and_prune(
         if !mask[v] {
             continue;
         }
+        let mut has = [false; 6];
+        for d in ALL_DIRECTIONS {
+            has[d.index()] =
+                matches!(structure.neighbor(NodeId(v as u32), d), Some(w) if mask[w.index()]);
+        }
+        let has = |d: Direction| has[d.index()];
         for (s, &(cb, cf)) in sides.iter().enumerate() {
-            let has = |d: Direction| matches!(structure.neighbor(NodeId(v as u32), d), Some(w) if mask[w.index()]);
             if !has(cb) && !has(cf) {
                 continue; // not adjacent to a portal on this side
             }
-            let mut pins = Vec::new();
+            let mut pins = [(0, 0); 2];
+            let mut len = 0;
             // Connect along +axis iff the forward cross neighbor exists
             // (then the +axis neighbor shares this side's adjacent portal);
             // along -axis iff the backward cross neighbor exists.
             if has(cf) && has(pos) {
-                pins.push((pos.index(), side_links[s]));
+                pins[len] = (pos.index(), side_links[s]);
+                len += 1;
             }
             if has(cb) && has(neg) {
-                pins.push((neg.index(), side_links[s]));
+                pins[len] = (neg.index(), side_links[s]);
+                len += 1;
             }
-            if !pins.is_empty() {
-                side_pset[v][s] = world.group_pins(v, &pins);
+            if len > 0 {
+                side_pset[v][s] = world.group_pins(v, &pins[..len]);
             }
         }
     }
@@ -461,7 +482,7 @@ mod tests {
             for axis in ALL_AXES {
                 let ap = axis_portals(&s, &mask, axis);
                 let edge_count: usize =
-                    (0..s.len()).map(|v| ap.tree_adj[v].len()).sum::<usize>() / 2;
+                    (0..s.len()).map(|v| ap.tree_adj(v).len()).sum::<usize>() / 2;
                 assert_eq!(edge_count, s.len() - 1, "axis {axis}, n {n}");
                 let tree = ap.tree_rooted_at(0);
                 assert_eq!(tree.members.len(), s.len());
@@ -689,8 +710,8 @@ pub fn portal_centroids(
         if !mask[v] {
             continue;
         }
-        for (j, &w) in tree.adj[v].iter().enumerate() {
-            if ap.portal_of[w] != ap.portal_of[v] && rp.diff_sign[v][j] > 0 {
+        for (j, &w) in tree.adj(v).iter().enumerate() {
+            if ap.portal_of[w] != ap.portal_of[v] && rp.diff_sign(v, j) > 0 {
                 parent_edge_of[ap.portal_of[v] as usize] = Some((v, w));
             }
         }
@@ -698,8 +719,8 @@ pub fn portal_centroids(
 
     // Pass 2: stream sizes against |Q|/2 (3 rounds per iteration).
     world.reset_all_pins_keeping_links(&[SYNC]);
-    let ts = crate::ett::build_tours(world.topology(), std::slice::from_ref(&tree), &q_hat);
-    let mut run = PascRun::new(world, ts.specs, SYNC);
+    let mut ts = crate::ett::build_tours(world.topology(), std::slice::from_ref(&tree), &q_hat);
+    let mut run = PascRun::new(world, std::mem::take(&mut ts.specs), SYNC);
     // Structure-spanning broadcast circuit for the |Q| bits.
     for v in 0..n {
         if mask[v] {
@@ -720,13 +741,13 @@ pub fn portal_centroids(
             cmp: HalfCompare,
         },
     }
-    // One stream per inter-portal connector (v, adjacency index).
+    // One stream per inter-portal connector (v, tour slot).
     let mut streams: Vec<(usize, usize, Stream)> = Vec::new();
     for v in 0..n {
         if !mask[v] {
             continue;
         }
-        for (j, &w) in tree.adj[v].iter().enumerate() {
+        for (j, &w) in tree.adj(v).iter().enumerate() {
             if ap.portal_of[w] == ap.portal_of[v] {
                 continue;
             }
@@ -743,28 +764,24 @@ pub fn portal_centroids(
                     cmp: HalfCompare::new(),
                 }
             };
-            streams.push((v, j, s));
+            streams.push((v, ts.slot(v, j), s));
         }
     }
-    while !run.is_done() {
-        let bits = match run.data_step(world, |_| {}) {
-            Some(b) => b.to_vec(),
-            None => break,
-        };
-        let incoming = run.incoming().to_vec();
+    while run.data_step(world, |_| {}).is_some() {
+        let (bits, incoming) = (run.bits(), run.incoming());
         let w_bit = bits[ts.last_inst[0]];
         if w_bit == 1 {
             world.beep(r_hat, bpset);
         }
         world.tick();
-        for (v, j, stream) in &mut streams {
+        for (v, slot, stream) in &mut streams {
             let q_bit = if *v == r_hat {
                 w_bit
             } else {
                 u8::from(world.received(*v, bpset))
             };
-            let out_bit = bits[ts.out_inst[*v][*j]];
-            let in_bit = incoming[ts.in_inst[*v][*j]];
+            let out_bit = bits[ts.out_inst[*slot]];
+            let in_bit = incoming[ts.in_inst[*slot]];
             match stream {
                 Stream::Parent { inner, outer, cmp } => {
                     let d = inner.feed(out_bit, in_bit);

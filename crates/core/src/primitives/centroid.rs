@@ -44,25 +44,25 @@ pub fn q_centroids(world: &mut World, trees: &[Tree], q: &[bool]) -> CentroidOut
 
     // Second pass: same tours, now streaming sizes against |Q|/2.
     world.reset_all_pins_keeping_links(&[BROADCAST, SYNC]);
-    let ts = build_tours(world.topology(), trees, q);
-    let mut run = PascRun::new(world, ts.specs, SYNC);
+    let mut ts = build_tours(world.topology(), trees, q);
+    let mut run = PascRun::new(world, std::mem::take(&mut ts.specs), SYNC);
 
     // Broadcast circuits: per tree, all members join their BROADCAST-link
     // pins on tree-edge ports into one partition set (region-scoped circuit).
-    let c = world.links_per_edge();
+    // Tree degrees are unbounded on general topologies, so the pins go
+    // through one reused buffer rather than a fixed array.
     let mut bcast_pset: Vec<u16> = vec![u16::MAX; n];
+    let mut pins: Vec<(usize, usize)> = Vec::new();
     for tree in trees {
         for &v in &tree.members {
-            let pins: Vec<(usize, usize)> = tree.adj[v]
-                .iter()
-                .map(|&w| {
-                    let port = world
-                        .topology()
-                        .port_to(v, w)
-                        .expect("tree edge in topology");
-                    (port, BROADCAST)
-                })
-                .collect();
+            pins.clear();
+            pins.extend(tree.adj(v).iter().map(|&w| {
+                let port = world
+                    .topology()
+                    .port_to(v, w)
+                    .expect("tree edge in topology");
+                (port, BROADCAST)
+            }));
             if !pins.is_empty() {
                 bcast_pset[v] = world.group_pins(v, &pins);
             }
@@ -76,7 +76,8 @@ pub fn q_centroids(world: &mut World, trees: &[Tree], q: &[bool]) -> CentroidOut
             if !q[v] {
                 continue;
             }
-            streams[v] = tree.adj[v]
+            streams[v] = tree
+                .adj(v)
                 .iter()
                 .map(|&w| {
                     if rp.parent[v] == Some(w) {
@@ -96,13 +97,9 @@ pub fn q_centroids(world: &mut World, trees: &[Tree], q: &[bool]) -> CentroidOut
         }
     }
 
-    while !run.is_done() {
-        // Round 1: PASC data round.
-        let bits = match run.data_step(world, |_| {}) {
-            Some(b) => b.to_vec(),
-            None => break,
-        };
-        let incoming = run.incoming().to_vec();
+    // Round 1: PASC data round.
+    while run.data_step(world, |_| {}).is_some() {
+        let (bits, incoming) = (run.bits(), run.incoming());
         // Round 2: each root broadcasts the current bit of |Q| on its tree's
         // broadcast circuit.
         let mut w_bits: Vec<u8> = Vec::with_capacity(trees.len());
@@ -126,9 +123,9 @@ pub fn q_centroids(world: &mut World, trees: &[Tree], q: &[bool]) -> CentroidOut
                 } else {
                     u8::from(world.received(v, bcast_pset[v]))
                 };
-                for (j, stream) in streams[v].iter_mut().enumerate() {
-                    let out_bit = bits[ts.out_inst[v][j]];
-                    let in_bit = incoming[ts.in_inst[v][j]];
+                for (slot, stream) in ts.slots(v).zip(streams[v].iter_mut()) {
+                    let out_bit = bits[ts.out_inst[slot]];
+                    let in_bit = incoming[ts.in_inst[slot]];
                     match stream {
                         SizeStream::Parent { inner, outer, cmp } => {
                             let d = inner.feed(out_bit, in_bit);
@@ -143,7 +140,6 @@ pub fn q_centroids(world: &mut World, trees: &[Tree], q: &[bool]) -> CentroidOut
                 }
             }
         }
-        let _ = c;
         // Round 3: sync.
         run.sync_step(world);
     }
@@ -175,7 +171,7 @@ mod tests {
 
     /// Centralized reference: Q-centroids by definition.
     fn reference_centroids(tree: &Tree, q: &[bool]) -> Vec<bool> {
-        let n = tree.adj.len();
+        let n = tree.n();
         let total: usize = tree.members.iter().filter(|&&v| q[v]).count();
         let mut out = vec![false; n];
         for &u in &tree.members {
@@ -184,14 +180,14 @@ mod tests {
             }
             // Count Q in each component of T - u.
             let mut ok = true;
-            for &start in &tree.adj[u] {
+            for &start in tree.adj(u) {
                 let mut seen = vec![false; n];
                 seen[u] = true;
                 seen[start] = true;
                 let mut stack = vec![start];
                 let mut cnt = usize::from(q[start]);
                 while let Some(v) = stack.pop() {
-                    for &w in &tree.adj[v] {
+                    for &w in tree.adj(v) {
                         if !seen[w] {
                             seen[w] = true;
                             cnt += usize::from(q[w]);
@@ -211,14 +207,14 @@ mod tests {
 
     fn check(tree: Tree, q: Vec<bool>) {
         let mut edges = Vec::new();
-        for v in 0..tree.adj.len() {
-            for &w in &tree.adj[v] {
+        for v in 0..tree.n() {
+            for &w in tree.adj(v) {
                 if v < w {
                     edges.push((v, w));
                 }
             }
         }
-        let topo = Topology::from_edges(tree.adj.len(), &edges);
+        let topo = Topology::from_edges(tree.n(), &edges);
         let mut world = World::new(topo, LINKS);
         let out = q_centroids(&mut world, std::slice::from_ref(&tree), &q);
         let reference = reference_centroids(&tree, &q);
@@ -239,7 +235,7 @@ mod tests {
             assert!((1..=2).contains(&found.len()), "one or two centroids");
             if found.len() == 2 {
                 assert!(
-                    tree.adj[found[0]].contains(&found[1]),
+                    tree.adj(found[0]).contains(&found[1]),
                     "two centroids must be adjacent"
                 );
             }

@@ -80,15 +80,16 @@ pub fn centroid_decomposition(world: &mut World, tree: &Tree, q_prime: &[bool]) 
         // silent subtrees are dropped (they contain no unelected Q').
         world.reset_all_pins_keeping_links(&[SYNC]);
         let mut pset_of: Vec<u16> = vec![u16::MAX; n];
+        // One reused pin buffer: tree degrees are unbounded on general
+        // topologies.
+        let mut pins: Vec<(usize, usize)> = Vec::new();
         for (sub, _, _) in &next_regions {
             for &v in &sub.members {
-                let pins: Vec<(usize, usize)> = sub.adj[v]
-                    .iter()
-                    .map(|&w| {
-                        let port = world.topology().port_to(v, w).expect("edge");
-                        (port, BROADCAST)
-                    })
-                    .collect();
+                pins.clear();
+                pins.extend(sub.adj(v).iter().map(|&w| {
+                    let port = world.topology().port_to(v, w).expect("edge");
+                    (port, BROADCAST)
+                }));
                 if !pins.is_empty() {
                     pset_of[v] = world.group_pins(v, &pins);
                 }

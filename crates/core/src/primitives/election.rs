@@ -71,7 +71,7 @@ pub fn elect(world: &mut World, trees: &[Tree], q: &[bool]) -> Vec<Option<usize>
             let mut elected = None;
             for &v in &tree.members {
                 if let Some(j) = ts.marked_adj[v] {
-                    let inst = &ts.specs[ts.out_inst[v][j]];
+                    let inst = &ts.specs[ts.out_inst[ts.slot(v, j)]];
                     let p = inst.pred.expect("non-start marked instance has a pred");
                     let pset = (p.port * c + p.primary) as u16;
                     if world.received(v, pset) {

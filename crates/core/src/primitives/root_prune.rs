@@ -25,16 +25,26 @@ pub struct RootPrune {
     /// Per tree: `|Q ∩ T|`, computed by the root's final instance
     /// (Corollary 15).
     pub q_count: Vec<u64>,
-    /// `diff_sign[v][j]` = sign of `prefixsum(v,w) - prefixsum(w,v)` for
-    /// `w = adj[v][j]` (`-1`, `0`, `+1`). This is the raw per-edge stream
-    /// outcome of Lemma 14; the portal variants (§3.5) read it at the
-    /// connector amoebots `c_{P1}(P2)`.
-    pub diff_sign: Vec<Vec<i8>>,
+    /// Per slot (see [`crate::ett::TourSet`]): the sign of
+    /// `prefixsum(v,w) - prefixsum(w,v)` for `w = adj(v)[j]` (`-1`, `0`,
+    /// `+1`), read through [`RootPrune::diff_sign`]. This is the raw
+    /// per-edge stream outcome of Lemma 14; the portal variants (§3.5) read
+    /// it at the connector amoebots `c_{P1}(P2)`.
+    diff_sign: Vec<i8>,
+    /// Slot offsets of `diff_sign`, `n + 1` entries.
+    slot_off: Vec<usize>,
     /// PASC iterations executed (rounds = 2 × iterations, Lemma 4).
     pub iterations: u32,
 }
 
 impl RootPrune {
+    /// The sign of `prefixsum(v,w) - prefixsum(w,v)` for `w` =
+    /// `v`'s `j`-th tree neighbor.
+    #[inline]
+    pub fn diff_sign(&self, v: usize, j: usize) -> i8 {
+        self.diff_sign[self.slot_off[v] + j]
+    }
+
     /// The augmentation set `A_Q` (Lemma 26): pruned-tree nodes of degree
     /// at least 3.
     pub fn augmentation_set(&self) -> Vec<usize> {
@@ -50,27 +60,16 @@ impl RootPrune {
 pub fn root_and_prune(world: &mut World, trees: &[Tree], q: &[bool]) -> RootPrune {
     let n = world.topology().len();
     world.reset_all_pins_keeping_links(&[BROADCAST, SYNC]);
-    let ts = build_tours(world.topology(), trees, q);
-    let mut run = PascRun::new(world, ts.specs, SYNC);
+    let mut ts = build_tours(world.topology(), trees, q);
+    let mut run = PascRun::new(world, std::mem::take(&mut ts.specs), SYNC);
 
-    // One streaming subtractor per (member, incident tree edge):
+    // One streaming subtractor per slot (member, incident tree edge):
     // diff = prefixsum(out) - prefixsum(in).
-    let mut subs: Vec<Vec<StreamingSub>> = (0..n)
-        .map(|v| vec![StreamingSub::new(); ts.out_inst[v].len()])
-        .collect();
-
-    while !run.is_done() {
-        let bits = match run.data_step(world, |_| {}) {
-            Some(b) => b.to_vec(),
-            None => break,
-        };
-        let incoming = run.incoming().to_vec();
-        for (v, node_subs) in subs.iter_mut().enumerate() {
-            for (j, sub) in node_subs.iter_mut().enumerate() {
-                let out_bit = bits[ts.out_inst[v][j]];
-                let in_bit = incoming[ts.in_inst[v][j]];
-                sub.feed(out_bit, in_bit);
-            }
+    let mut subs = vec![StreamingSub::new(); ts.out_inst.len()];
+    while run.data_step(world, |_| {}).is_some() {
+        let (bits, incoming) = (run.bits(), run.incoming());
+        for (slot, sub) in subs.iter_mut().enumerate() {
+            sub.feed(bits[ts.out_inst[slot]], incoming[ts.in_inst[slot]]);
         }
         run.sync_step(world);
     }
@@ -79,25 +78,29 @@ pub fn root_and_prune(world: &mut World, trees: &[Tree], q: &[bool]) -> RootPrun
     let mut in_vq = vec![false; n];
     let mut parent = vec![None; n];
     let mut deg_q = vec![0u32; n];
-    let mut diff_sign: Vec<Vec<i8>> = (0..n).map(|v| vec![0; subs[v].len()]).collect();
+    let diff_sign: Vec<i8> = subs
+        .iter()
+        .map(|sub| {
+            if sub.is_positive() {
+                1
+            } else if sub.is_negative() {
+                -1
+            } else {
+                0
+            }
+        })
+        .collect();
     for (t, tree) in trees.iter().enumerate() {
         for &v in &tree.members {
             let mut nonzero = 0;
             let mut par = None;
-            for (j, sub) in subs[v].iter().enumerate() {
-                diff_sign[v][j] = if sub.is_positive() {
-                    1
-                } else if sub.is_negative() {
-                    -1
-                } else {
-                    0
-                };
-                if !sub.is_zero() {
+            for (j, slot) in ts.slots(v).enumerate() {
+                if diff_sign[slot] != 0 {
                     nonzero += 1;
                 }
-                if sub.is_positive() {
+                if diff_sign[slot] > 0 {
                     debug_assert!(par.is_none(), "at most one positive difference");
-                    par = Some(tree.adj[v][j]);
+                    par = Some(tree.adj(v)[j]);
                 }
             }
             deg_q[v] = nonzero;
@@ -119,6 +122,7 @@ pub fn root_and_prune(world: &mut World, trees: &[Tree], q: &[bool]) -> RootPrun
         deg_q,
         q_count,
         diff_sign,
+        slot_off: ts.slot_off,
         iterations: run.iterations(),
     }
 }
@@ -132,13 +136,13 @@ mod tests {
 
     /// Centralized reference: V_Q membership and parents.
     fn reference(tree: &Tree, q: &[bool]) -> (Vec<bool>, Vec<Option<usize>>) {
-        let n = tree.adj.len();
+        let n = tree.n();
         let parents = tree.parents_from_root();
         let mut in_vq = vec![false; n];
         // Post-order accumulation of Q-counts.
         fn count(tree: &Tree, parents: &[Option<usize>], q: &[bool], v: usize) -> u64 {
             let mut c = u64::from(q[v]);
-            for &w in &tree.adj[v] {
+            for &w in tree.adj(v) {
                 if parents[w] == Some(v) {
                     c += count(tree, parents, q, w);
                 }
@@ -154,8 +158,8 @@ mod tests {
     fn check(tree: Tree, q: Vec<bool>) {
         let edges: Vec<(usize, usize)> = {
             let mut e = Vec::new();
-            for v in 0..tree.adj.len() {
-                for &w in &tree.adj[v] {
+            for v in 0..tree.n() {
+                for &w in tree.adj(v) {
                     if v < w {
                         e.push((v, w));
                     }
@@ -163,7 +167,7 @@ mod tests {
             }
             e
         };
-        let topo = Topology::from_edges(tree.adj.len(), &edges);
+        let topo = Topology::from_edges(tree.n(), &edges);
         let mut world = World::new(topo, LINKS);
         let rp = root_and_prune(&mut world, std::slice::from_ref(&tree), &q);
         let (ref_vq, ref_parents) = reference(&tree, &q);

@@ -11,14 +11,19 @@
 ///
 /// Non-member nodes have empty adjacency. A single-node tree (root only,
 /// no edges) is allowed — several region trees of §5.4 degenerate to it.
+///
+/// The adjacency is flat: `nbr[off[v]..off[v + 1]]` lists `v`'s tree
+/// neighbors (read through [`Tree::adj`]), so a tree costs two
+/// allocations, not one per node.
 #[derive(Debug, Clone)]
 pub struct Tree {
     /// The root node `r`.
     pub root: usize,
-    /// `adj[v]` = tree neighbors of `v` in the cyclic order used by the
-    /// Euler tour ("next counterclockwise neighbor", §3.1).
-    pub adj: Vec<Vec<usize>>,
-    /// The member nodes (root first, then discovery order).
+    /// Adjacency offsets, `n + 1` entries.
+    off: Vec<usize>,
+    /// Tree neighbors of every node, concatenated by node.
+    nbr: Vec<usize>,
+    /// The member nodes, ascending.
     pub members: Vec<usize>,
 }
 
@@ -31,18 +36,24 @@ impl Tree {
     /// Panics if the edges do not form a tree containing `root` (cycles,
     /// disconnection from the root, or out-of-range nodes).
     pub fn from_edges(n: usize, root: usize, edges: &[(usize, usize)]) -> Tree {
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut off = vec![0usize; n + 1];
         for &(u, v) in edges {
             assert!(u < n && v < n && u != v, "bad tree edge ({u}, {v})");
-            adj[u].push(v);
-            adj[v].push(u);
+            off[u + 1] += 1;
+            off[v + 1] += 1;
         }
-        let tree = Tree {
-            root,
-            adj,
-            members: Vec::new(),
-        };
-        tree.with_members(edges.len())
+        for v in 0..n {
+            off[v + 1] += off[v];
+        }
+        let mut cursor = off.clone();
+        let mut nbr = vec![0usize; off[n]];
+        for &(u, v) in edges {
+            nbr[cursor[u]] = v;
+            cursor[u] += 1;
+            nbr[cursor[v]] = u;
+            cursor[v] += 1;
+        }
+        Tree::from_flat(root, off, nbr, edges.len())
     }
 
     /// Builds a tree from parent pointers: `parent[v] = Some(p)` adds edge
@@ -60,14 +71,48 @@ impl Tree {
         Tree::from_edges(n, root, &edges)
     }
 
+    /// Builds a tree over a flat adjacency (`off` has `n + 1` entries;
+    /// `nbr[off[v]..off[v + 1]]` are `v`'s neighbors) holding `edge_count`
+    /// undirected edges.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the adjacency is not a tree containing `root`.
+    fn from_flat(root: usize, off: Vec<usize>, nbr: Vec<usize>, edge_count: usize) -> Tree {
+        let tree = Tree {
+            root,
+            off,
+            nbr,
+            members: Vec::new(),
+        };
+        tree.with_members(edge_count)
+    }
+
+    /// A tree over a flat adjacency whose ascending member list the
+    /// caller already knows (the implicit portal trees of §3.5); not
+    /// re-validated.
+    pub(crate) fn from_flat_members(
+        root: usize,
+        off: Vec<usize>,
+        nbr: Vec<usize>,
+        members: Vec<usize>,
+    ) -> Tree {
+        Tree {
+            root,
+            off,
+            nbr,
+            members,
+        }
+    }
+
     fn with_members(mut self, edge_count: usize) -> Tree {
-        let mut seen = vec![false; self.adj.len()];
+        let mut seen = vec![false; self.n()];
         let mut stack = vec![self.root];
         seen[self.root] = true;
         let mut members = Vec::new();
         while let Some(v) = stack.pop() {
             members.push(v);
-            for &w in &self.adj[v] {
+            for &w in self.adj(v) {
                 if !seen[w] {
                     seen[w] = true;
                     stack.push(w);
@@ -84,6 +129,18 @@ impl Tree {
         self
     }
 
+    /// The size `n` of the node range `0..n` the tree lives in.
+    pub fn n(&self) -> usize {
+        self.off.len() - 1
+    }
+
+    /// Tree neighbors of `v` in the cyclic order used by the Euler tour
+    /// ("next counterclockwise neighbor", §3.1); empty for non-members.
+    #[inline]
+    pub fn adj(&self, v: usize) -> &[usize] {
+        &self.nbr[self.off[v]..self.off[v + 1]]
+    }
+
     /// Number of member nodes.
     pub fn len(&self) -> usize {
         self.members.len()
@@ -96,20 +153,20 @@ impl Tree {
 
     /// Whether `v` is a member.
     pub fn contains(&self, v: usize) -> bool {
-        v == self.root || !self.adj[v].is_empty()
+        v == self.root || !self.adj(v).is_empty()
     }
 
     /// Parent pointers of all members with respect to the root (centralized
     /// helper for validation; the distributed parents come from the
     /// root-and-prune primitive).
     pub fn parents_from_root(&self) -> Vec<Option<usize>> {
-        let n = self.adj.len();
+        let n = self.n();
         let mut parent = vec![None; n];
         let mut seen = vec![false; n];
         let mut stack = vec![self.root];
         seen[self.root] = true;
         while let Some(v) = stack.pop() {
-            for &w in &self.adj[v] {
+            for &w in self.adj(v) {
                 if !seen[w] {
                     seen[w] = true;
                     parent[w] = Some(v);
@@ -129,8 +186,8 @@ impl Tree {
     /// Panics if `c` is not a member.
     pub fn split_at(&self, c: usize) -> Vec<Tree> {
         assert!(self.contains(c), "{c} is not a tree member");
-        let n = self.adj.len();
-        self.adj[c]
+        let n = self.n();
+        self.adj(c)
             .iter()
             .map(|&u| {
                 // Collect the component of u in T - c.
@@ -138,48 +195,42 @@ impl Tree {
                 seen[c] = true;
                 seen[u] = true;
                 let mut stack = vec![u];
-                let mut edges = Vec::new();
+                let mut edge_count = 0;
                 while let Some(v) = stack.pop() {
-                    for &w in &self.adj[v] {
+                    for &w in self.adj(v) {
                         if !seen[w] {
                             seen[w] = true;
-                            edges.push((v, w));
+                            edge_count += 1;
                             stack.push(w);
                         }
                     }
                 }
                 // Preserve each node's adjacency ORDER from the parent tree
-                // (minus edges to c / outside): rebuild adjacency manually.
-                let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
+                // (minus edges to c / outside).
+                let mut off = Vec::with_capacity(n + 1);
+                let mut nbr = Vec::with_capacity(2 * edge_count);
+                off.push(0);
                 for v in 0..n {
                     if seen[v] && v != c {
-                        adj[v] = self.adj[v]
-                            .iter()
-                            .copied()
-                            .filter(|&w| seen[w] && w != c)
-                            .collect();
+                        nbr.extend(self.adj(v).iter().copied().filter(|&w| seen[w] && w != c));
                     }
+                    off.push(nbr.len());
                 }
-                let t = Tree {
-                    root: u,
-                    adj,
-                    members: Vec::new(),
-                };
-                t.with_members(edges.len())
+                Tree::from_flat(u, off, nbr, edge_count)
             })
             .collect()
     }
 
     /// Height of the tree (edges on the longest root-leaf path).
     pub fn height(&self) -> u32 {
-        let n = self.adj.len();
+        let n = self.n();
         let mut depth = vec![0u32; n];
         let mut seen = vec![false; n];
         let mut stack = vec![self.root];
         seen[self.root] = true;
         let mut best = 0;
         while let Some(v) = stack.pop() {
-            for &w in &self.adj[v] {
+            for &w in self.adj(v) {
                 if !seen[w] {
                     seen[w] = true;
                     depth[w] = depth[v] + 1;

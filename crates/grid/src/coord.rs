@@ -139,6 +139,19 @@ pub enum Axis {
 /// All three axes.
 pub const ALL_AXES: [Axis; 3] = [Axis::X, Axis::Y, Axis::Z];
 
+/// [`Axis::cross_sides`] per axis index. The side order matters: it picks
+/// which side of a portal uses which dissemination link (§3.5), so the
+/// table keeps the order of the derivation it replaces (scan `cb` then
+/// `cf` over [`ALL_DIRECTIONS`]; pinned by a unit test).
+const CROSS_SIDES: [[(Direction, Direction); 2]; 3] = [
+    [
+        (Direction::Nw, Direction::Ne),
+        (Direction::Sw, Direction::Se),
+    ],
+    [(Direction::Ne, Direction::E), (Direction::W, Direction::Sw)],
+    [(Direction::W, Direction::Nw), (Direction::Se, Direction::E)],
+];
+
 impl Axis {
     /// The axis with the given index (`0..3`).
     ///
@@ -188,24 +201,9 @@ impl Axis {
     ///
     /// For the x-axis this yields the paper's rule sides
     /// `(NW, NE)` (north) and `(SW, SE)` (south) (§2.3, Definition 12).
+    #[inline]
     pub fn cross_sides(self) -> [(Direction, Direction); 2] {
-        let a = self.positive().offset();
-        let mut sides = Vec::with_capacity(2);
-        for cb in ALL_DIRECTIONS {
-            if cb.axis() == self {
-                continue;
-            }
-            for cf in ALL_DIRECTIONS {
-                if cf.axis() == self || cf == cb {
-                    continue;
-                }
-                if cf.offset() - cb.offset() == a {
-                    sides.push((cb, cf));
-                }
-            }
-        }
-        debug_assert_eq!(sides.len(), 2);
-        [sides[0], sides[1]]
+        CROSS_SIDES[self.index()]
     }
 
     /// A scalar position of `c` *along* this axis: two coordinates on the same
@@ -384,6 +382,29 @@ mod tests {
                 assert_ne!(cf.axis(), ax);
                 assert_eq!(cf.offset() - cb.offset(), ax.positive().offset());
             }
+        }
+    }
+
+    /// The constant table equals the scan it replaced, order included.
+    #[test]
+    fn cross_sides_table_matches_the_derivation() {
+        for ax in ALL_AXES {
+            let a = ax.positive().offset();
+            let mut derived = Vec::new();
+            for cb in ALL_DIRECTIONS {
+                if cb.axis() == ax {
+                    continue;
+                }
+                for cf in ALL_DIRECTIONS {
+                    if cf.axis() == ax || cf == cb {
+                        continue;
+                    }
+                    if cf.offset() - cb.offset() == a {
+                        derived.push((cb, cf));
+                    }
+                }
+            }
+            assert_eq!(ax.cross_sides().to_vec(), derived, "axis {ax}");
         }
     }
 

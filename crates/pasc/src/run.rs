@@ -53,6 +53,19 @@ pub struct InstanceSpec {
 /// primitive inserts its |Q|-broadcast round there, §3.4). The run is done
 /// when no instance is active, i.e. after `⌈log2(W + 1)⌉` iterations where
 /// `W` is the largest weighted prefix count of any chain.
+///
+/// # Track writes
+///
+/// The first data round writes every instance's track grouping. Later
+/// data rounds rewrite only the non-start instances that retired in the
+/// previous data round: an instance's grouping depends on nothing but
+/// its own activity, which only ever goes from active to passive, and a
+/// rewrite of an unchanged grouping is a no-op for the engine. So the
+/// engine sees the same pin writes, in the same order, as if every
+/// instance were regrouped every round — provided nothing but the run
+/// writes its track pins between its data rounds. Every caller keeps
+/// that contract; debug builds check every instance's track pins before
+/// each data round.
 #[derive(Debug, Clone)]
 pub struct PascRun {
     specs: Vec<InstanceSpec>,
@@ -65,6 +78,17 @@ pub struct PascRun {
     /// Bit emitted by each instance in the latest data round (the current
     /// bit of the instance's own prefix sum).
     bits: Vec<u8>,
+    /// Each instance's track partition sets `(a, b)` as last written (see
+    /// [`PascRun::track_psets`]).
+    psets: Vec<(u16, u16)>,
+    /// The start instances (no pred side), ascending.
+    starts: Vec<usize>,
+    /// The non-start instances that retired in the latest data round,
+    /// ascending: the groupings the next data round must rewrite.
+    pending: Vec<usize>,
+    /// Instance groupings written so far (see [`PascRun::groupings_written`]).
+    written: u64,
+    c: usize,
     iterations: u32,
     sync_link: usize,
     done: bool,
@@ -92,7 +116,11 @@ impl PascRun {
         for v in 0..world.topology().len() {
             world.global_link_config(v, sync_link);
         }
+        let c = world.links_per_edge();
         let active: Vec<bool> = specs.iter().map(|s| s.weight).collect();
+        let starts = (0..specs.len())
+            .filter(|&i| specs[i].pred.is_none())
+            .collect();
         let n = specs.len();
         PascRun {
             specs,
@@ -100,6 +128,11 @@ impl PascRun {
             values: vec![0; n],
             incoming: vec![0; n],
             bits: vec![0; n],
+            psets: vec![(u16::MAX, u16::MAX); n],
+            starts,
+            pending: Vec::new(),
+            written: 0,
+            c,
             iterations: 0,
             sync_link,
             done: false,
@@ -148,11 +181,19 @@ impl PascRun {
         &self.specs
     }
 
-    /// The track groups of instance `i` under the current activity, as
+    /// Instance groupings written to the world so far: every instance
+    /// once before the first data round, then one per retired non-start
+    /// instance before each later data round — not one per instance per
+    /// iteration (see the type docs).
+    pub fn groupings_written(&self) -> u64 {
+        self.written
+    }
+
+    /// The track groups of `spec` under activity `active`, as
     /// partition-set ids `(a, b)` where `a` contains the pred-side primary
-    /// pin and `b` the pred-side secondary pin.
-    fn track_psets(&self, c: usize, i: usize) -> (u16, u16) {
-        let spec = &self.specs[i];
+    /// pin and `b` the pred-side secondary pin. Only a non-start instance
+    /// crosses the tracks, and only while active.
+    fn track_psets(c: usize, spec: &InstanceSpec, active: bool) -> (u16, u16) {
         let mut id_a = u16::MAX;
         let mut id_b = u16::MAX;
         if let Some(pred) = spec.pred {
@@ -160,43 +201,91 @@ impl PascRun {
             id_b = (pred.port * c + pred.secondary) as u16;
         }
         for s in &spec.succs {
-            let (la, lb) = if spec.pred.is_some() && self.active[i] {
-                (s.secondary, s.primary) // crossed
-            } else {
-                (s.primary, s.secondary) // straight (start never crosses)
-            };
+            let (la, lb) = Self::succ_links(spec, s, active);
             id_a = id_a.min((s.port * c + la) as u16);
             id_b = id_b.min((s.port * c + lb) as u16);
         }
         (id_a, id_b)
     }
 
-    /// Writes this iteration's pin configuration for every instance.
-    fn configure_data(&self, world: &mut World) {
-        let c = world.links_per_edge();
+    /// The links of succ edge `s` joining the `(a, b)` groups: crossed
+    /// while a non-start instance is active, straight otherwise.
+    #[inline]
+    fn succ_links(spec: &InstanceSpec, s: &EdgeRef, active: bool) -> (usize, usize) {
+        if spec.pred.is_some() && active {
+            (s.secondary, s.primary)
+        } else {
+            (s.primary, s.secondary)
+        }
+    }
+
+    /// Writes instance `i`'s grouping under its current activity: group
+    /// `a`'s pins, then group `b`'s, pred side first — the pin order of
+    /// `World::group_pins` over `[pred, succs..]`, so the dirty-pin
+    /// sequence is that of a full regroup.
+    fn write_instance(&mut self, world: &mut World, i: usize) {
+        let spec = &self.specs[i];
+        let active = self.active[i];
+        let (a, b) = Self::track_psets(self.c, spec, active);
+        self.psets[i] = (a, b);
+        if let Some(pred) = spec.pred {
+            world.set_pin(spec.node, pred.port, pred.primary, a);
+        }
+        for s in &spec.succs {
+            world.set_pin(spec.node, s.port, Self::succ_links(spec, s, active).0, a);
+        }
+        if let Some(pred) = spec.pred {
+            world.set_pin(spec.node, pred.port, pred.secondary, b);
+        }
+        for s in &spec.succs {
+            world.set_pin(spec.node, s.port, Self::succ_links(spec, s, active).1, b);
+        }
+        self.written += 1;
+    }
+
+    /// Writes this iteration's groupings: all of them in the first data
+    /// round, afterwards only the changed ones (see the type docs).
+    fn configure_data(&mut self, world: &mut World) {
+        if self.iterations == 0 {
+            for i in 0..self.specs.len() {
+                self.write_instance(world, i);
+            }
+        } else {
+            let pending = std::mem::take(&mut self.pending);
+            for &i in &pending {
+                self.write_instance(world, i);
+            }
+            self.pending = pending;
+            self.pending.clear();
+        }
+        #[cfg(debug_assertions)]
+        self.check_tracks(world);
+    }
+
+    /// Debug check of the write contract: every instance's track pins
+    /// hold its current grouping.
+    #[cfg(debug_assertions)]
+    fn check_tracks(&self, world: &World) {
         for (i, spec) in self.specs.iter().enumerate() {
-            let mut group_a: Vec<(PortId, usize)> = Vec::with_capacity(1 + spec.succs.len());
-            let mut group_b: Vec<(PortId, usize)> = Vec::with_capacity(1 + spec.succs.len());
+            let (a, b) = self.psets[i];
+            let check = |port: PortId, link: usize, pset: u16| {
+                assert_eq!(
+                    world.pin_config(spec.node, port, link),
+                    pset,
+                    "instance {i}: track pin (port {port}, link {link}) of node {} \
+                     does not hold the run's grouping (written outside the run \
+                     between data rounds?)",
+                    spec.node
+                );
+            };
             if let Some(pred) = spec.pred {
-                group_a.push((pred.port, pred.primary));
-                group_b.push((pred.port, pred.secondary));
+                check(pred.port, pred.primary, a);
+                check(pred.port, pred.secondary, b);
             }
             for s in &spec.succs {
-                let (la, lb) = if spec.pred.is_some() && self.active[i] {
-                    (s.secondary, s.primary)
-                } else {
-                    (s.primary, s.secondary)
-                };
-                group_a.push((s.port, la));
-                group_b.push((s.port, lb));
-            }
-            if !group_a.is_empty() {
-                let id = world.group_pins(spec.node, &group_a);
-                debug_assert_eq!(id, self.track_psets(c, i).0);
-            }
-            if !group_b.is_empty() {
-                let id = world.group_pins(spec.node, &group_b);
-                debug_assert_eq!(id, self.track_psets(c, i).1);
+                let (la, lb) = Self::succ_links(spec, s, self.active[i]);
+                check(s.port, la, a);
+                check(s.port, lb, b);
             }
         }
     }
@@ -214,11 +303,11 @@ impl PascRun {
             return None;
         }
         self.configure_data(world);
-        let c = world.links_per_edge();
         // Start instances beep on the track expressing their activity.
-        for (i, spec) in self.specs.iter().enumerate() {
-            if spec.pred.is_none() && !spec.succs.is_empty() {
-                let (a, b) = self.track_psets(c, i);
+        for &i in &self.starts {
+            let spec = &self.specs[i];
+            if !spec.succs.is_empty() {
+                let (a, b) = self.psets[i];
                 world.beep(spec.node, if self.active[i] { b } else { a });
             }
         }
@@ -232,7 +321,7 @@ impl PascRun {
                     self.active[i] as u8
                 }
                 Some(_) => {
-                    let (a, b) = self.track_psets(c, i);
+                    let (a, b) = self.psets[i];
                     let on_a = world.received(spec.node, a);
                     let on_b = world.received(spec.node, b);
                     debug_assert!(
@@ -251,6 +340,9 @@ impl PascRun {
         for i in 0..self.specs.len() {
             if self.active[i] && self.bits[i] == 1 {
                 self.active[i] = false;
+                if self.specs[i].pred.is_some() {
+                    self.pending.push(i);
+                }
             }
         }
         Some(&self.bits)

@@ -497,14 +497,14 @@ fn run_micro<R: Recorder>(micro: MicroWorkload, seed: u64, rec: &mut R) -> Scena
             let mut bad = 0usize;
             for u in 0..n {
                 let expect = qs[u] && {
-                    tree.adj[u].iter().all(|&start| {
+                    tree.adj(u).iter().all(|&start| {
                         let mut seen = vec![false; n];
                         seen[u] = true;
                         seen[start] = true;
                         let mut stack = vec![start];
                         let mut cnt = usize::from(qs[start]);
                         while let Some(v) = stack.pop() {
-                            for &w in &tree.adj[v] {
+                            for &w in tree.adj(v) {
                                 if !seen[w] {
                                     seen[w] = true;
                                     cnt += usize::from(qs[w]);

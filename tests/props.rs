@@ -48,7 +48,7 @@ proptest! {
         let mask = vec![true; s.len()];
         for axis in ALL_AXES {
             let ap = axis_portals(&s, &mask, axis);
-            let edges: usize = (0..s.len()).map(|v| ap.tree_adj[v].len()).sum::<usize>() / 2;
+            let edges: usize = (0..s.len()).map(|v| ap.tree_adj(v).len()).sum::<usize>() / 2;
             prop_assert_eq!(edges, s.len() - 1);
             // Portal-level adjacency is a tree as well.
             let portal_edges: usize = ap.portal_tree_edges().iter().map(|l| l.len()).sum::<usize>() / 2;

@@ -22,8 +22,10 @@
 //!   eroding the gate's sensitivity;
 //! * `bench-refresh` — regenerates `bench/baseline.json` in place via
 //!   the canonical CI sweep invocation (release build, 10k ladder,
-//!   `--threads 1 --seed 42`) and prints the markdown diff against the
-//!   previous baseline. One command instead of the by-hand procedure.
+//!   `--threads 1 --seed 42`), prints the markdown diff against the
+//!   previous baseline, and appends one line to the committed perf
+//!   history `bench/trajectory.jsonl` (every rung's name, rounds and
+//!   nodes/sec). One command instead of the by-hand procedure.
 //!
 //! Plus four gates outside the sweep schema: `lint` (the `spf-lint`
 //! static checks under `lint/budget.json`), `server-smoke` (the
@@ -47,6 +49,9 @@ use amoebot_scenarios::SWEEP_SCHEMA;
 struct Rung {
     family: String,
     size: u64,
+    /// The rung's scenario name (`family/size` form of the report).
+    name: String,
+    rounds: u64,
     nodes_per_sec: u64,
     wall_micros: u64,
     pass: bool,
@@ -118,6 +123,12 @@ fn rungs_from_doc(doc: &Json, path: &str) -> Result<Vec<Rung>, String> {
                 .ok_or_else(|| format!("{path}: entry without family"))?
                 .to_string(),
             size: field("size").ok_or_else(|| format!("{path}: entry without size"))?,
+            name: e
+                .get("name")
+                .and_then(Json::as_str)
+                .unwrap_or_default()
+                .to_string(),
+            rounds: field("rounds").unwrap_or(0),
             nodes_per_sec: field("nodes_per_sec").ok_or_else(|| {
                 format!("{path}: entry without nodes_per_sec (was the report written with --no-timing?)")
             })?,
@@ -204,8 +215,45 @@ fn refresh_invocation() -> Vec<&'static str> {
     ]
 }
 
-/// Regenerates `bench/baseline.json` via the canonical sweep and prints
-/// the markdown diff against the previous baseline.
+/// The committed perf history, one line per `bench-refresh`.
+const TRAJECTORY_PATH: &str = "bench/trajectory.jsonl";
+
+/// Schema tag of every trajectory line.
+const TRAJECTORY_SCHEMA: &str = "spf-bench-trajectory/v1";
+
+/// One trajectory line (compact JSON, no newline): every rung's name,
+/// rounds and nodes/sec, in report order.
+fn trajectory_line(rungs: &[Rung]) -> String {
+    let items: Vec<Json> = rungs
+        .iter()
+        .map(|r| {
+            Json::object()
+                .field("name", r.name.as_str())
+                .field("rounds", r.rounds)
+                .field("nodes_per_sec", r.nodes_per_sec)
+        })
+        .collect();
+    Json::object()
+        .field("schema", TRAJECTORY_SCHEMA)
+        .field("rungs", items)
+        .render_compact()
+}
+
+/// Appends `line` to the trajectory file, creating it on first use.
+/// Earlier lines are never rewritten.
+fn append_trajectory(path: &std::path::Path, line: &str) -> Result<(), String> {
+    use std::io::Write as _;
+    let mut file = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+        .map_err(|e| format!("cannot open {}: {e}", path.display()))?;
+    writeln!(file, "{line}").map_err(|e| format!("cannot append to {}: {e}", path.display()))
+}
+
+/// Regenerates `bench/baseline.json` via the canonical sweep, prints
+/// the markdown diff against the previous baseline and appends the new
+/// rungs to `bench/trajectory.jsonl`.
 fn bench_refresh() -> Result<u8, String> {
     // The xtask manifest lives in `<workspace>/xtask`; run the sweep from
     // the workspace root so relative paths match the CI invocation.
@@ -232,8 +280,9 @@ fn bench_refresh() -> Result<u8, String> {
         return Err(format!("baseline sweep failed ({status})"));
     }
     let new = load_rungs(&baseline_path.to_string_lossy())?;
+    append_trajectory(&root.join(TRAJECTORY_PATH), &trajectory_line(&new))?;
     println!();
-    println!("refreshed bench/baseline.json; diff against the previous baseline:");
+    println!("refreshed bench/baseline.json (appended to {TRAJECTORY_PATH}); diff against the previous baseline:");
     println!();
     print_report_table(&old, &new);
     Ok(0)
@@ -1131,6 +1180,8 @@ mod tests {
         let bare = Rung {
             family: "blob-broadcast".into(),
             size: 1000,
+            name: "blob-broadcast/n1000".into(),
+            rounds: 8,
             nodes_per_sec: 1_000_000,
             wall_micros: 1_000_000,
             pass: true,
@@ -1177,6 +1228,47 @@ mod tests {
         assert!(args.contains("--threads 1"));
         assert!(args.contains("--seed 42"));
         assert!(args.ends_with("--out bench/baseline.json"));
+    }
+
+    /// A refresh appends one line holding every rung's name, rounds and
+    /// nodes/sec, and leaves the earlier lines as they were.
+    #[test]
+    fn trajectory_lines_append_one_per_refresh() {
+        let dir = tmpdir("trajectory");
+        let path = dir.join("trajectory.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let first = rungs_from_doc(&Json::parse(&report(1_000, true)).unwrap(), "a").unwrap();
+        let second = rungs_from_doc(&Json::parse(&report(2_000, true)).unwrap(), "b").unwrap();
+        append_trajectory(&path, &trajectory_line(&first)).unwrap();
+        let after_first = std::fs::read_to_string(&path).unwrap();
+        append_trajectory(&path, &trajectory_line(&second)).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(
+            text.starts_with(&after_first),
+            "a refresh must not rewrite history"
+        );
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2);
+        assert_eq!(
+            lines[0],
+            r#"{"schema":"spf-bench-trajectory/v1","rungs":[{"name":"x","rounds":8,"nodes_per_sec":1000}]}"#
+        );
+        for (line, nps) in lines.iter().zip([1_000u64, 2_000]) {
+            let doc = Json::parse(line).unwrap();
+            assert_eq!(
+                doc.get("schema").and_then(Json::as_str),
+                Some(TRAJECTORY_SCHEMA)
+            );
+            let rungs = doc.get("rungs").and_then(Json::as_array).unwrap();
+            assert_eq!(rungs.len(), 1);
+            assert_eq!(rungs[0].get("name").and_then(Json::as_str), Some("x"));
+            assert_eq!(rungs[0].get("rounds").and_then(Json::as_u64), Some(8));
+            assert_eq!(
+                rungs[0].get("nodes_per_sec").and_then(Json::as_u64),
+                Some(nps)
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
