@@ -11,7 +11,8 @@
 //! the edited boundary:
 //!
 //! * **incremental**: the churn ops splice the live world and the next
-//!   tick region-relabels O(k · deg) — the path `DynamicWorld` ships;
+//!   tick absorbs O(k · deg) dirty pins and walks the circuits it
+//!   delivers on — the path `DynamicWorld` ships;
 //! * **rebuild**: after every event the world is rebuilt from a dense
 //!   snapshot (`DynamicWorld::rebuild`: snapshot + `World::new` + config
 //!   copy) and the rebuilt world ticks — the O(n)-per-event strategy the

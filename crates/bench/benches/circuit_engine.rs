@@ -8,14 +8,14 @@
 //!   steady state where the incremental engine reuses its cached
 //!   labeling.
 //! * **reconfiguration-heavy** (≥1k nodes): every round 1/8 of the nodes
-//!   flip between the split and global configurations — a fat dirty
-//!   region every tick (historically a forced global relabel; the
-//!   region-scoped engine now contains it to the affected circuits).
-//! * **sparse-reconfig** (100k nodes, 1% dirty per round): the
-//!   region-scoped relabel's home turf — the dirty region stays a sliver
-//!   of the structure, so the incremental engine relabels O(affected
-//!   circuits) while the reference pays the full O(pins) recompute. The
-//!   perf target pinned by ISSUE 4 is ≥10× here.
+//!   flip between the split and global configurations — a fat dirty set
+//!   every tick, which the untraced tick absorbs before walking only the
+//!   circuit its one beep lands on.
+//! * **sparse-reconfig** (100k nodes, 1% dirty per round): the dirty set
+//!   stays a sliver of the structure and the beeps land on the circuits
+//!   the touched nodes just regrouped, so the untraced tick absorbs and
+//!   walks O(affected circuits) while the reference pays the full
+//!   O(pins) recompute. The incremental engine's target here is ≥10×.
 //!
 //! The broadcast-heavy group also measures `tick_faulted` with an empty
 //! fault set next to plain `tick`: the adversary engine's unarmed path
@@ -108,7 +108,7 @@ fn bench_circuit_engine(c: &mut Criterion) {
     g.finish();
 
     // Reconfiguration-heavy: every round, 1/8 of the nodes flip between
-    // the split (singleton) and global configurations, forcing a relabel.
+    // the split (singleton) and global configurations.
     let mut g = c.benchmark_group("reconfig_ticks");
     g.bench_with_input(BenchmarkId::new("incremental", n), &world, |b, world| {
         let mut w = world.clone();

@@ -46,4 +46,4 @@ pub use bitset::BitSet;
 pub use replay::{replay_trace, ReplayError, ReplayReport};
 pub use report::RoundReport;
 pub use topology::{PortId, Topology};
-pub use world::{TickFaults, World, REGION_FALLBACK_FRACTION};
+pub use world::{TickFaults, World};

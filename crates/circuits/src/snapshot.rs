@@ -12,7 +12,7 @@
 //!
 //! Pure scratch is deliberately **not** serialized and is rebuilt
 //! cleared on restore: the union-find parents (only read after a
-//! relabel re-seeds them), the root/region marks and the walk queue
+//! relabel re-seeds them), the root marks and the walk queue
 //! (always clear between uses), and the per-port edge index and node
 //! base offsets (both derivable from the link table and the CSR
 //! respectively). Phase timers are also dropped: they are wall-clock
@@ -302,6 +302,9 @@ impl World {
         if total > r.remaining() {
             return Err(too_many_pins);
         }
+        // The node owning pin `gid` (zero-pin nodes share the next
+        // node's base, and the search lands past them).
+        let owner = |gid: u32| base.partition_point(|&b| b <= gid) - 1;
 
         let mut pin_pset = Vec::with_capacity(total);
         // Derived state: rebuilt from the pin table (see `World::configured`).
@@ -324,9 +327,11 @@ impl World {
             }
         }
 
+        let link_offset = r.offset();
         let link_count = r.len("link table")?;
         let mut links = Vec::with_capacity(link_count);
         let mut port_edge = vec![NO_EDGE; total / c];
+        let mut live = 0usize;
         for ei in 0..link_count {
             let offset = r.offset();
             let entry = (
@@ -344,10 +349,21 @@ impl World {
                     return Err(err);
                 }
             } else {
+                // A live entry must be the one the topology implies for
+                // the port slot of its `a0`: the link-0 pins of both ends
+                // of that port's edge and their owners' base offsets.
                 let (a0, base_a, b0, base_b) = entry;
-                if a0 as usize >= total || b0 as usize >= total || base_a > a0 || base_b > b0 {
+                if a0 as usize >= total || !(a0 as usize).is_multiple_of(c) {
                     return Err(err);
                 }
+                let v = owner(a0);
+                let Some((w, q)) = topo.peer(v, (a0 - base[v]) as usize / c) else {
+                    return Err(err);
+                };
+                if base_a != base[v] || b0 != base[w] + (q * c) as u32 || base_b != base[w] {
+                    return Err(err);
+                }
+                live += 1;
                 for slot in [a0 as usize / c, b0 as usize / c] {
                     if port_edge[slot] != NO_EDGE {
                         return Err(err);
@@ -356,6 +372,12 @@ impl World {
                 }
             }
             links.push(entry);
+        }
+        if live != topo.edge_count() {
+            return Err(WireError::BadValue {
+                what: "link table",
+                offset: link_offset,
+            });
         }
         let free_count = r.len("free-link list")?;
         let mut free_links = Vec::with_capacity(free_count);
@@ -414,20 +436,42 @@ impl World {
         for _ in 0..dirty_count {
             let offset = r.offset();
             let gid = r.u32("dirty pin")?;
-            let b = r.u32("dirty-pin base")?;
-            if gid as usize >= total || b > gid || dirty_pin.get(gid as usize) {
+            let node_base = r.u32("dirty-pin base")?;
+            if gid as usize >= total || dirty_pin.get(gid as usize) {
                 return Err(WireError::BadValue {
                     what: "dirty pin",
                     offset,
                 });
             }
+            if node_base != base[owner(gid)] {
+                return Err(WireError::BadValue {
+                    what: "dirty-pin base",
+                    offset,
+                });
+            }
             dirty_pin.set(gid as usize);
-            dirty_pins.push((gid, b));
+            dirty_pins.push((gid, node_base));
         }
 
+        // A relabel-time set is a set of its pin's node, and it equals
+        // the pin's current set unless the pin is dirty: the bulk writers
+        // mark only the pins whose two sets differ, so a clean pin whose
+        // sets differ would never be absorbed.
         let mut pset_at_relabel = Vec::with_capacity(total);
-        for _ in 0..total {
-            pset_at_relabel.push(r.u16("relabel-time partition set")?);
+        for v in 0..n {
+            let caps = topo.ports_len(v) * c;
+            for _ in 0..caps {
+                let offset = r.offset();
+                let pin = pset_at_relabel.len();
+                let pset = r.u16("relabel-time partition set")?;
+                if pset as usize >= caps || (!dirty_pin.get(pin) && pset != pin_pset[pin]) {
+                    return Err(WireError::BadValue {
+                        what: "relabel-time partition set",
+                        offset,
+                    });
+                }
+                pset_at_relabel.push(pset);
+            }
         }
         let force_global = match r.byte()? {
             0 => false,
@@ -551,7 +595,7 @@ impl World {
                 return Err(err);
             }
             // The frozen value must be a valid pset of the owning node.
-            let v = base.partition_point(|&b| b <= gid) - 1;
+            let v = owner(gid);
             if pset as u32 >= base[v + 1] - base[v] || pin_pset[gid as usize] != pset {
                 return Err(err);
             }
@@ -594,9 +638,6 @@ impl World {
             stale_count,
             circuit_roots,
             port_edge,
-            region: Vec::new(),
-            node_mark: BitSet::new(n),
-            region_nodes: Vec::new(),
             walk: Vec::new(),
             configured,
             cached_circuits,
@@ -859,6 +900,98 @@ mod tests {
             bad.extend_from_slice(&digest.to_le_bytes());
             assert_eq!(rejected_field(&bad), "stale set", "{crafted:?}");
         }
+    }
+
+    /// A path of ten nodes with `c` = 2: node 9's pins are 34 and 35,
+    /// the last of the table, and 36 pins give a fallback threshold of
+    /// 4 dirty pins, so one dirty pin is absorbed rather than relabelled
+    /// globally.
+    fn path_world() -> World {
+        let edges: Vec<(usize, usize)> = (0..9).map(|i| (i, i + 1)).collect();
+        let w = World::new(Topology::from_edges(10, &edges), 2);
+        assert_eq!((w.base[9], w.gid_count()), (34, 36));
+        w
+    }
+
+    /// A relabel-time set must be a set of its pin's node, and equal to
+    /// the pin's current set unless the pin is dirty: an absorb indexes
+    /// the stale bits and labels with it, and the bulk writers mark only
+    /// the pins whose two sets differ.
+    #[test]
+    fn a_bad_relabel_time_set_is_rejected() {
+        let mut w = path_world();
+        w.circuit_count();
+        w.set_pin(9, 0, 0, 1); // pin 34 is dirty, its old set was 0
+        World::from_snapshot_bytes(&w.snapshot_bytes()).unwrap();
+        // Out of range, on the dirty pin: an absorb would index the
+        // stale bits at gid 34 + 65535.
+        let mut bad = w.clone();
+        bad.pset_at_relabel[34] = u16::MAX;
+        assert_eq!(
+            rejected_field(&bad.snapshot_bytes()),
+            "relabel-time partition set"
+        );
+        // In range but different from the set of a clean pin.
+        let mut bad = w.clone();
+        bad.pset_at_relabel[0] = 1;
+        assert_eq!(
+            rejected_field(&bad.snapshot_bytes()),
+            "relabel-time partition set"
+        );
+    }
+
+    /// A dirty pin's base must be its owner's base offset: an absorb adds
+    /// the pin's old and new sets to it.
+    #[test]
+    fn a_wrong_dirty_pin_base_is_rejected() {
+        let mut w = path_world();
+        w.circuit_count();
+        w.set_pin(9, 0, 1, 0); // pin 35 moves from set 1 to set 0
+        assert_eq!(w.dirty_pins, [(35, 34)]);
+        // Base 35 would put the old set at gid 36, one past the labels.
+        for crafted in [0, 35] {
+            let mut bad = w.clone();
+            bad.dirty_pins[0].1 = crafted;
+            assert_eq!(
+                rejected_field(&bad.snapshot_bytes()),
+                "dirty-pin base",
+                "{crafted}"
+            );
+        }
+    }
+
+    /// A live link entry must be the one the topology implies for its
+    /// port slot, and there must be one per topology edge: relabels read
+    /// `c` pins from each end of every live entry.
+    #[test]
+    fn a_bad_link_entry_is_rejected() {
+        let mut w = path_world();
+        let v = w.add_node(2); // two vacant port slots, pins 36..40
+        let b = w.base[v];
+        assert_eq!((w.links[0], b), ((0, 0, 2, 2), 36));
+        // Either end may come first.
+        let mut flipped = w.clone();
+        flipped.links[0] = (2, 2, 0, 0);
+        World::from_snapshot_bytes(&flipped.snapshot_bytes()).unwrap();
+        for crafted in [
+            // Link 1 of pin 39 would be pin 40, past the table.
+            (39, b, 37, b),
+            (b, b, b + 2, b), // vacant ports
+            (0, 0, 3, 2),     // not link 0 of the peer port
+            (0, 2, 2, 2),     // wrong owner base
+        ] {
+            let mut bad = w.clone();
+            bad.links[0] = crafted;
+            assert_eq!(
+                rejected_field(&bad.snapshot_bytes()),
+                "link entry",
+                "{crafted:?}"
+            );
+        }
+        let mut bad = w.clone();
+        bad.links[0] = DEAD_LINK;
+        bad.free_links.push(0);
+        assert_eq!(rejected_field(&bad.snapshot_bytes()), "link table");
     }
 
     /// A labelled set whose circuit bucket dangles past the arena is

@@ -29,14 +29,13 @@
 //!   topology — O(members · ports) per beeping circuit, nothing for the
 //!   circuits no beep reaches;
 //! * reads ([`World::circuit_count`], [`World::pset_circuit`]) and traced
-//!   ticks label everything: a **region-scoped** relabel over the stale
-//!   set (only the links incident to stale sets' nodes are re-unioned,
-//!   and the rebuilt buckets are spliced into the membership index), or
-//!   the global relabel — union-find over the whole link table plus a
-//!   counting-sort membership rebuild — when the dirty pins or the stale
-//!   set exceed [`REGION_FALLBACK_FRACTION`] of all pins. Traced ticks
-//!   stay eager because their round summary carries the circuit count
-//!   and the relabel kind, which replay checks;
+//!   ticks label everything: they absorb, then walk every stale circuit
+//!   the same way, in ascending gid order, or run the global relabel —
+//!   union-find over the whole link table plus a counting-sort
+//!   membership rebuild — when the dirty pins or the stale set exceed
+//!   `1/REGION_FALLBACK_FRACTION` of all pins. Traced ticks stay eager
+//!   because their round summary carries the circuit count and the
+//!   relabel kind, which replay checks;
 //! * a clean tick (no amoebot reconfigured since the beeping circuits
 //!   were labelled) reuses the cached labeling and costs O(beeps sent +
 //!   members of beeping circuits + deliveries cleared), independent of
@@ -70,17 +69,16 @@ use amoebot_telemetry::{
 /// A pin reference local to a node: `(port, link)` with `link < c`.
 pub type Pin = (PortId, usize);
 
-/// A region-scoped relabel falls back to the global recompute when the
-/// affected region exceeds `total pins / REGION_FALLBACK_FRACTION`: past
-/// a modest fraction of the structure, dissolving and re-unioning the
-/// region (bitset checks per link, scattered bucket writes, arena
-/// repacks) costs more than the global relabel's straight linear sweeps.
-/// Tuned empirically on the PASC-chain workload, whose dirty regions
-/// hover around 1/6 of all pins: 1/4 left it ~35% slower than the global
-/// path, 1/8 restores parity while every genuinely sparse workload (the
-/// DnC forest's portal-scoped phases, percent-level reconfigurations)
-/// stays far below the threshold.
-pub const REGION_FALLBACK_FRACTION: usize = 8;
+/// Labelling everything walks the stale set only while it (and the dirty
+/// pins before it) stay within `total pins / REGION_FALLBACK_FRACTION`;
+/// past that it runs one global relabel. A walk scans every pin of each
+/// visited set's node and follows links one peer lookup at a time,
+/// while the global relabel makes straight linear sweeps: one read of an
+/// all-stale 100k-node blob took 5.5–9× as long walking every circuit
+/// as relabelling globally (c = 2 and 6; release build, 2 vCPUs). The
+/// fraction also picks the relabel kind a traced tick records, so it is
+/// part of the trace format.
+const REGION_FALLBACK_FRACTION: usize = 8;
 
 /// Vacant-slot sentinel of the per-port edge table.
 pub(crate) const NO_EDGE: u32 = u32::MAX;
@@ -111,9 +109,6 @@ pub(crate) struct EngineStats {
     pub(crate) fault_drops: CounterId,
     pub(crate) fault_injects: CounterId,
     pub(crate) t_propagate: TimerId,
-    pub(crate) t_dissolve: TimerId,
-    pub(crate) t_reunion: TimerId,
-    pub(crate) t_repack: TimerId,
     pub(crate) t_global: TimerId,
 }
 
@@ -126,9 +121,6 @@ impl EngineStats {
             fault_drops: m.counter("fault_drops"),
             fault_injects: m.counter("fault_injects"),
             t_propagate: m.timer("phase_propagate_micros"),
-            t_dissolve: m.timer("phase_region_dissolve_micros"),
-            t_reunion: m.timer("phase_region_reunion_micros"),
-            t_repack: m.timer("phase_membership_repack_micros"),
             t_global: m.timer("phase_global_relabel_micros"),
             metrics: m,
         }
@@ -213,9 +205,9 @@ pub struct World {
     /// Membership arena: each labelled circuit root `r` owns the bucket
     /// `members[member_off[r]..member_end[r]]` (its member gids in
     /// ascending order). The global rebuild packs buckets contiguously;
-    /// region relabels and walks append fresh buckets at the end (the
-    /// displaced old buckets become garbage) and a full repack reclaims
-    /// the arena when it would outgrow twice the pin count.
+    /// walks append fresh buckets at the end (the displaced old buckets
+    /// become garbage) and a full repack reclaims the arena when it
+    /// would outgrow twice the pin count.
     pub(crate) members: Vec<u32>,
     /// Bucket start per root gid (valid only for current roots).
     pub(crate) member_off: Vec<u32>,
@@ -232,8 +224,8 @@ pub struct World {
     /// Per-root validity stamp for `member_digest` (0 = never valid;
     /// `digest_epoch` starts at 1).
     pub(crate) member_digest_epoch: Vec<u32>,
-    /// Bumped whenever the whole membership arena is rebuilt; region
-    /// relabels instead zero the stamps of just the buckets they splice.
+    /// Bumped whenever the whole membership arena is rebuilt; walks
+    /// instead zero the stamps of just the buckets they append.
     pub(crate) digest_epoch: u32,
     /// Root dedup scratch; always all-clear between uses (bit-packed).
     pub(crate) root_mark: BitSet,
@@ -259,20 +251,13 @@ pub struct World {
     pub(crate) stale_count: usize,
     /// Persistent marks of the counted circuit roots (a labelled root is
     /// counted iff some pin references a partition set in its bucket);
-    /// maintained incrementally by absorbs, walks and region relabels.
+    /// maintained incrementally by absorbs and walks.
     pub(crate) circuit_roots: BitSet,
     /// Edge index (into `links`) behind each *port slot* (slot of
-    /// `(v, p)` = `base[v] / c + p`; [`NO_EDGE`] = vacant). Replaces the
-    /// old per-node edge CSR: same O(incident edges) walk during region
-    /// relabels, but splice-editable in O(1) per edge — prefix-offset
-    /// CSRs cannot absorb an insertion without rebuilding every row
-    /// behind it.
+    /// `(v, p)` = `base[v] / c + p`; [`NO_EDGE`] = vacant), so
+    /// [`World::disconnect`] finds the link-table entry to tombstone in
+    /// O(1) and [`World::connect`] splices one in O(1).
     pub(crate) port_edge: Vec<u32>,
-    /// Region-relabel scratch: the stale gids, ascending.
-    pub(crate) region: Vec<u32>,
-    /// Region-relabel scratch: nodes owning a region gid.
-    pub(crate) node_mark: BitSet,
-    pub(crate) region_nodes: Vec<u32>,
     /// Walk scratch: the `(gid, owner node)` pairs of the circuit being
     /// walked, in discovery order.
     pub(crate) walk: Vec<(u32, u32)>,
@@ -287,7 +272,7 @@ pub struct World {
     /// whole configuration once nothing is stale.
     pub(crate) cached_circuits: usize,
     /// Telemetry registry + cached handles. Holds the relabel-path
-    /// counters (diagnostics; pinned by tests so the region path cannot
+    /// counters (diagnostics; pinned by tests so the scoped pass cannot
     /// silently degrade into always-global) and the phase timers.
     pub(crate) stats: EngineStats,
     pub(crate) rounds: u64,
@@ -328,7 +313,7 @@ impl World {
         let total = acc as usize;
         let mut links = Vec::with_capacity(topo.edge_count());
         // Per-port edge index (each edge appears on both endpoint slots)
-        // so a region relabel can walk exactly the links it needs.
+        // so a disconnect finds the entry it tombstones.
         let mut port_edge = vec![NO_EDGE; total / c];
         for v in 0..n {
             for (p, w, q) in topo.neighbors(v) {
@@ -373,9 +358,6 @@ impl World {
             stale_count: 0,
             circuit_roots: BitSet::new(total),
             port_edge,
-            region: Vec::new(),
-            node_mark: BitSet::new(n),
-            region_nodes: Vec::new(),
             walk: Vec::new(),
             configured: (0..c).map(|_| BitSet::new(n)).collect(),
             cached_circuits: 0,
@@ -941,7 +923,7 @@ impl World {
 
     /// How many global (full union-find + membership rebuild) relabels
     /// have run. Diagnostic, pinned by tests together with
-    /// [`World::region_relabels`] so the region path cannot silently
+    /// [`World::region_relabels`] so the scoped pass cannot silently
     /// degrade into always-global. Thin wrapper over the telemetry
     /// registry's `relabel_global` counter (see [`World::metrics`]).
     #[inline]
@@ -949,7 +931,8 @@ impl World {
         self.stats.metrics.get(self.stats.relabel_global)
     }
 
-    /// How many region-scoped relabels have run (see
+    /// How many scoped label-everything passes have run: passes that
+    /// walked every stale circuit instead of relabelling globally (see
     /// [`World::relabel_pending`] and the module docs). Thin wrapper over
     /// the registry's `relabel_region` counter.
     #[inline]
@@ -972,20 +955,22 @@ impl World {
         &self.stats.metrics
     }
 
-    /// Labels everything: region-scoped over the stale set when it is
-    /// small, global otherwise. Phase timers fire only for `R::TIMED`
-    /// recorders; under [`NullRecorder`] they compile away.
+    /// Labels everything: absorbs the dirty pins and walks every stale
+    /// circuit while that is small, runs the global relabel otherwise
+    /// (see [`REGION_FALLBACK_FRACTION`]). The global relabel's timer
+    /// fires only for `R::TIMED` recorders; under [`NullRecorder`] it
+    /// compiles away.
     fn refresh_labels<R: Recorder>(&mut self) -> RelabelKind {
-        // Fractional fallback (1/REGION_FALLBACK_FRACTION of all pins):
-        // beyond it, dissolving and re-unioning the region approaches
-        // the cost of the global relabel anyway — without its
-        // cache-friendly linear sweeps.
         let threshold = self.labels.len() / REGION_FALLBACK_FRACTION;
-        if self.force_global || self.dirty_pins.len() > threshold {
-            self.relabel_global::<R>();
-            return RelabelKind::Global;
+        if !self.force_global && self.dirty_pins.len() <= threshold {
+            self.absorb_dirty();
+            if self.stale_count <= threshold {
+                self.walk_stale();
+                return RelabelKind::Region;
+            }
         }
-        self.relabel_region::<R>(threshold)
+        self.relabel_global::<R>();
+        RelabelKind::Global
     }
 
     /// Marks every partition set stale (nothing is labelled or counted)
@@ -1054,11 +1039,19 @@ impl World {
     /// of the arena, and counts iff some pin references one of its sets.
     /// Requires the dirty pins absorbed: only then is every set a walk
     /// reaches stale, so walks never cross into labelled circuits.
+    ///
+    /// Debug builds check that closure invariant: every visited set gets
+    /// the provisional label `start`, so a reached set that is neither
+    /// stale nor labelled `start` belongs to a labelled circuit (whose
+    /// root is a labelled set, never the stale `start`).
     fn walk_circuit(&mut self, start: u32) {
         debug_assert!(self.dirty_pins.is_empty() && self.stale.get(start as usize));
         let c = self.c;
         self.walk.clear();
         self.stale.clear(start as usize);
+        if cfg!(debug_assertions) {
+            self.labels[start as usize] = start;
+        }
         self.walk.push((start, self.node_of_gid(start) as u32));
         let mut referenced = false;
         let mut i = 0;
@@ -1084,7 +1077,15 @@ impl World {
                         let g = peer_base + self.pin_pset[peer_pins + link] as usize;
                         if self.stale.get(g) {
                             self.stale.clear(g);
+                            if cfg!(debug_assertions) {
+                                self.labels[g] = start;
+                            }
                             self.walk.push((g as u32, w as u32));
+                        } else {
+                            debug_assert_eq!(
+                                self.labels[g], start,
+                                "a walk crossed into a labelled circuit"
+                            );
                         }
                     }
                 }
@@ -1122,178 +1123,25 @@ impl World {
         self.base.partition_point(|&b| b <= gid) - 1
     }
 
-    /// Region-scoped relabel: absorbs the dirty pins, then relabels the
-    /// stale set — the circuits whose old *or* new configuration touched
-    /// a dirty pin since they were last labelled — re-unioning only the
-    /// links incident to their member nodes, and splices the rebuilt
-    /// buckets into the membership arena. Labelled circuits keep labels,
-    /// buckets and counted-ness untouched — sound because a circuit can
-    /// only change if one of its members' partition sets changed (see
-    /// DESIGN.md §1c).
-    ///
-    /// Falls back to [`World::relabel_global`] when the stale set
-    /// exceeds `threshold` gids.
-    fn relabel_region<R: Recorder>(&mut self, threshold: usize) -> RelabelKind {
-        let t_dissolve = if R::TIMED {
-            Some(Stopwatch::start())
-        } else {
-            None
-        };
-        // 1. Seed: the old circuits of every dirty pin's old and new
-        // partition set go stale.
-        self.absorb_dirty();
-        // 2. Bail out to the global relabel while that is still cheap.
-        if self.stale_count > threshold {
-            self.relabel_global::<R>();
-            return RelabelKind::Global;
-        }
-        // 3. Collect the region — every stale gid, ascending — and its
-        // owner nodes, dissolving to singleton union-find entries. The
-        // stale circuits dropped out of the circuit count when they went
-        // stale; step 5 re-adds whatever the region references.
-        debug_assert!(self.region.is_empty());
-        self.region.extend(self.stale.ones().map(|gid| gid as u32));
-        debug_assert_eq!(self.region.len(), self.stale_count);
-        // Owner lookups exploit the ascending order: consecutive gids
-        // usually share a node.
-        let mut cached_node = usize::MAX;
-        for i in 0..self.region.len() {
-            let gid = self.region[i];
-            self.uf[gid as usize] = gid;
-            if cached_node == usize::MAX
-                || gid < self.base[cached_node]
-                || gid >= self.base[cached_node + 1]
-            {
-                cached_node = self.node_of_gid(gid);
+    /// Labels every stale circuit by walking it ([`World::walk_circuit`])
+    /// in ascending gid order: the first stale gid the scan meets is its
+    /// circuit's minimum, so buckets land in ascending root order. Counts
+    /// one `relabel_region`; its walks do not count in `relabel_walk`,
+    /// which counts the circuits ticks walked. Requires the dirty pins
+    /// absorbed.
+    fn walk_stale(&mut self) {
+        // Walks only clear stale bits, so every word before `word` stays
+        // clear once the scan has passed it.
+        let mut word = 0;
+        while self.stale_count > 0 {
+            let bits = self.stale.word(word);
+            if bits == 0 {
+                word += 1;
+            } else {
+                self.walk_circuit(word as u32 * 64 + bits.trailing_zeros());
             }
-            if !self.node_mark.get(cached_node) {
-                self.node_mark.set(cached_node);
-                self.region_nodes.push(cached_node as u32);
-            }
-        }
-        if let Some(t) = t_dissolve {
-            self.stats
-                .metrics
-                .observe(self.stats.t_dissolve, t.micros());
-        }
-        let t_reunion = if R::TIMED {
-            Some(Stopwatch::start())
-        } else {
-            None
-        };
-        // 4. Re-union: only links incident to region nodes, and of those
-        // only the ones whose endpoints lie in the region. The stability
-        // invariant guarantees a union never crosses the region boundary.
-        for i in 0..self.region_nodes.len() {
-            let v = self.region_nodes[i] as usize;
-            let lo = self.base[v] as usize / self.c;
-            let hi = self.base[v + 1] as usize / self.c;
-            for slot in lo..hi {
-                let ei = self.port_edge[slot];
-                if ei == NO_EDGE {
-                    continue;
-                }
-                let (a0, base_a, b0, base_b) = self.links[ei as usize];
-                for link in 0..self.c as u32 {
-                    let pa = base_a + self.pin_pset[(a0 + link) as usize] as u32;
-                    let pb = base_b + self.pin_pset[(b0 + link) as usize] as u32;
-                    if self.stale.get(pa as usize) || self.stale.get(pb as usize) {
-                        debug_assert!(
-                            self.stale.get(pa as usize) && self.stale.get(pb as usize),
-                            "a link union crossed the region boundary"
-                        );
-                        self.union(pa, pb);
-                    }
-                }
-            }
-        }
-        for i in 0..self.region.len() {
-            let gid = self.region[i];
-            let root = self.find(gid);
-            self.labels[gid as usize] = root;
-        }
-        if let Some(t) = t_reunion {
-            self.stats.metrics.observe(self.stats.t_reunion, t.micros());
-        }
-        let t_repack = if R::TIMED {
-            Some(Stopwatch::start())
-        } else {
-            None
-        };
-        // 5. Re-count: a region circuit is counted iff some pin of a
-        // region node references one of its member sets (pins of clean
-        // nodes cannot reference region gids, which all belong to region
-        // nodes; references to labelled circuits are untouched). Then the
-        // region is labelled: nothing is stale any more.
-        for i in 0..self.region_nodes.len() {
-            let v = self.region_nodes[i] as usize;
-            for p in self.base[v] as usize..self.base[v + 1] as usize {
-                let gid = self.base[v] as usize + self.pin_pset[p] as usize;
-                if self.stale.get(gid) {
-                    let root = self.labels[gid] as usize;
-                    if !self.circuit_roots.get(root) {
-                        self.circuit_roots.set(root);
-                        self.cached_circuits += 1;
-                    }
-                }
-            }
-        }
-        for i in 0..self.region.len() {
-            self.stale.clear(self.region[i] as usize);
-        }
-        self.stale_count = 0;
-        // 6. Splice the rebuilt buckets into the arena: append-at-end
-        // (the displaced old buckets become garbage), with a full repack
-        // once the arena would outgrow twice the pin count — amortized
-        // O(region) per relabel. The region is ascending, so every
-        // spliced bucket is too.
-        if self.members.len() + self.region.len() > 2 * self.labels.len() {
-            self.rebuild_members();
-        } else {
-            debug_assert!(self.marked_roots.is_empty());
-            for i in 0..self.region.len() {
-                let r = self.labels[self.region[i] as usize] as usize;
-                if !self.root_mark.get(r) {
-                    self.root_mark.set(r);
-                    self.marked_roots.push(r as u32);
-                    self.member_end[r] = 0;
-                }
-                self.member_end[r] += 1;
-            }
-            let mut cursor = self.members.len() as u32;
-            for i in 0..self.marked_roots.len() {
-                let r = self.marked_roots[i] as usize;
-                let size = self.member_end[r];
-                self.member_off[r] = cursor;
-                self.member_end[r] = cursor;
-                // The spliced bucket's cached delivery digest is stale;
-                // untouched buckets keep theirs (0 is never the epoch).
-                self.member_digest_epoch[r] = 0;
-                cursor += size;
-            }
-            self.members.resize(cursor as usize, 0);
-            for i in 0..self.region.len() {
-                let gid = self.region[i];
-                let r = self.labels[gid as usize] as usize;
-                self.members[self.member_end[r] as usize] = gid;
-                self.member_end[r] += 1;
-            }
-            for &r in &self.marked_roots {
-                self.root_mark.clear(r as usize);
-            }
-            self.marked_roots.clear();
-        }
-        // 7. Unwind the scratch.
-        self.region.clear();
-        for i in 0..self.region_nodes.len() {
-            self.node_mark.clear(self.region_nodes[i] as usize);
-        }
-        self.region_nodes.clear();
-        if let Some(t) = t_repack {
-            self.stats.metrics.observe(self.stats.t_repack, t.micros());
         }
         self.stats.metrics.inc(self.stats.relabel_region);
-        RelabelKind::Region
     }
 
     /// Fully repacks the membership arena from `labels`: counting sort
@@ -1337,8 +1185,8 @@ impl World {
 
     /// Recomputes the circuit labeling, the membership index and the
     /// circuit count from scratch, leaving nothing stale. O(total pins ·
-    /// α) with zero allocations; the escape hatch when the stale region
-    /// is large (or everything, after [`World::tick_reference`]).
+    /// α) with zero allocations; the escape hatch when the stale set is
+    /// large (or everything, after [`World::tick_reference`]).
     fn relabel_global<R: Recorder>(&mut self) {
         let t_global = if R::TIMED {
             Some(Stopwatch::start())
@@ -1372,7 +1220,7 @@ impl World {
         self.rebuild_members();
         // Circuit count: distinct roots among partition sets that some pin
         // actually references (empty sets are not circuits). The marks
-        // persist so region relabels can maintain the count incrementally.
+        // persist so absorbs and walks can maintain the count incrementally.
         self.circuit_roots.clear_all();
         let mut count = 0usize;
         for v in 0..self.topo.len() {
@@ -1789,7 +1637,6 @@ impl World {
         self.dirty_pin.grow(new_total);
         self.stale.grow(new_total);
         self.circuit_roots.grow(new_total);
-        self.node_mark.ensure_len(self.topo.len());
         // Fresh pins are singletons: the node starts unmarked.
         for set in &mut self.configured {
             set.ensure_len(self.topo.len());

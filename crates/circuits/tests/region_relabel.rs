@@ -1,11 +1,13 @@
-//! Differential suite for the region-scoped relabel: random topologies,
-//! random *partial* reconfigurations between ticks — a few nodes, often a
-//! few pins of a node — so most dirty ticks exercise the region path
-//! rather than the global fallback. Every round is checked against the
-//! full-recompute [`World::tick_reference`] engine and a naive
-//! circuit-count oracle, and the relabel-path counters are pinned so the
-//! region path cannot silently degrade into always-global (which would
-//! make this whole suite vacuous).
+//! Differential suite for the region-scoped label-everything pass (a
+//! walk of every stale circuit): random topologies, random *partial*
+//! reconfigurations between ticks — a few nodes, often a few pins of a
+//! node — so most reads exercise the region path rather than the global
+//! fallback. Every round is checked against the full-recompute
+//! [`World::tick_reference`] engine and a naive circuit-count oracle,
+//! every read's labels against a global relabel of the same
+//! configuration, and the relabel-path counters are pinned so the region
+//! path cannot silently degrade into always-global (which would make
+//! this whole suite vacuous).
 //!
 //! Also covered deterministically: no-op writes keeping the next tick on
 //! the clean path, and the everything-dirty global-relabel fallback.
@@ -92,6 +94,33 @@ impl Shadow {
             }
         }
         roots.ones().count()
+    }
+}
+
+/// Checks that `world`'s labels, right after a read, are exactly the
+/// global relabel's: snapshots, traces and [`World::pset_circuit`]
+/// readers all see them, so the scoped pass must give every partition
+/// set the label the global path would. The global labels come from a
+/// clone whose [`World::tick_reference`] stales everything, so its next
+/// read relabels globally.
+fn assert_labels_match_global(world: &mut World, round: usize) {
+    let mut global = world.clone();
+    global.tick_reference();
+    let before = global.global_relabels();
+    global.circuit_count();
+    assert_eq!(
+        global.global_relabels(),
+        before + 1,
+        "the clone relabels globally"
+    );
+    for v in 0..world.topology().len() {
+        for pset in 0..world.pset_capacity(v) as u16 {
+            assert_eq!(
+                world.pset_circuit(v, pset),
+                global.pset_circuit(v, pset),
+                "label of node {v} pset {pset} differs from the global relabel's in round {round}"
+            );
+        }
     }
 }
 
@@ -189,6 +218,7 @@ fn run_sparse(seed: u64, n: usize, c: usize, extra: usize, rounds: usize) {
             "circuit count diverged from the naive oracle in round {}",
             round
         );
+        assert_labels_match_global(&mut inc, round);
 
         inc.tick();
         reference.tick_reference();
@@ -394,8 +424,9 @@ fn sparse_rounds_relabel_region_scoped() {
             inc.beep(v, pset);
             reference.beep(v, pset);
         }
-        // A read labels everything: the region path under test.
+        // A read labels everything: the scoped pass under test.
         inc.circuit_count();
+        assert_labels_match_global(&mut inc, round as usize);
         inc.tick();
         reference.tick_reference();
         for v in 0..n {

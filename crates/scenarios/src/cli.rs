@@ -6,7 +6,6 @@
 //!                        [--out PATH] [--metrics-json PATH] [--no-timing]
 //!                        [--list] [--quiet]
 //! scenario-runner sweep  [--max-nodes N] [--checkpoint-dir DIR] [common flags]
-//! scenario-runner profile [--max-nodes N] [common flags]
 //! scenario-runner trace  PATH [--family NAME] [--size N] [--seed N]
 //! scenario-runner replay PATH
 //! ```
@@ -43,11 +42,6 @@
 //! engine, failing loudly with the round and event index of the first
 //! divergence.
 //!
-//! `profile` runs the sweep ladder with the phase timers armed and emits
-//! a deterministic folded-stack profile (`family;n<size>;<phase> <count>`
-//! lines) weighing each engine phase by its invocation count — the format
-//! flamegraph tooling consumes, byte-identical across thread counts.
-//!
 //! Batch and sweep runs additionally arm a per-scenario **flight
 //! recorder** (disable with `--no-flight`): a bounded ring of the most
 //! recent trace events. When a scenario check FAILs, the retained window
@@ -65,7 +59,7 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Mutex;
 
-use amoebot_telemetry::{FlightRecorder, TimedFlightRecorder, TimedRecorder};
+use amoebot_telemetry::{FlightRecorder, TimedFlightRecorder};
 
 use crate::batch::{run_batch_inspect, Threads};
 use crate::flight::dump_flight_record;
@@ -103,7 +97,6 @@ struct Args {
 const USAGE: &str = "usage: scenario-runner run    [--seed N] [--count N] [--threads N] \
      [--family NAME]... [--out PATH] [--metrics-json PATH] [--no-timing] [--list] [--quiet]\n\
      \x20      scenario-runner sweep  [--max-nodes N] [--checkpoint-dir DIR] [common flags]\n\
-     \x20      scenario-runner profile [--max-nodes N] [common flags]\n\
      \x20      scenario-runner trace  PATH [--family NAME] [--size N] [--seed N]\n\
      \x20      scenario-runner replay PATH\n\
      \n\
@@ -116,7 +109,7 @@ const USAGE: &str = "usage: scenario-runner run    [--seed N] [--count N] [--thr
      --no-timing    canonical report: omit wall-clock and timer fields\n\
      --list         list registered scenario families and exit\n\
      --quiet        suppress progress lines (failures still print)\n\
-     --max-nodes N  clip the sweep/profile ladder at N nodes (default 1000000)\n\
+     --max-nodes N  clip the sweep ladder at N nodes (default 1000000)\n\
      --checkpoint-dir DIR  sweep only: append finished rungs to DIR and\n\
      \x20              resume, skipping rungs already passed there\n\
      --flight-dir DIR  where failing scenarios dump their flight records\n\
@@ -154,7 +147,6 @@ pub(crate) fn parse_num_value<T: std::str::FromStr>(
 enum Mode {
     Batch,
     Sweep,
-    Profile,
     Replay,
     Trace,
 }
@@ -165,7 +157,6 @@ fn parse_args(argv: &[String], out: &mut dyn Write) -> ParseOutcome {
     let (mode, rest) = match argv.first().map(String::as_str) {
         Some("run") => (Mode::Batch, &argv[1..]),
         Some("sweep") => (Mode::Sweep, &argv[1..]),
-        Some("profile") => (Mode::Profile, &argv[1..]),
         Some("replay") => (Mode::Replay, &argv[1..]),
         Some("trace") => (Mode::Trace, &argv[1..]),
         _ => (Mode::Batch, argv),
@@ -416,7 +407,6 @@ pub fn run_with_output(argv: &[String], out: &mut dyn Write) -> u8 {
     match args.mode {
         Mode::Trace => return run_record_mode(&args, path, &registry, out),
         Mode::Sweep => return run_sweep_mode(&args, &registry, threads, out),
-        Mode::Profile => return run_profile_mode(&args, &registry, threads, out),
         Mode::Batch | Mode::Replay => {}
     }
 
@@ -634,81 +624,6 @@ fn run_sweep_mode(args: &Args, registry: &Registry, threads: usize, out: &mut dy
         return 1;
     }
     0
-}
-
-/// The engine's phase timers, keyed by the folded-stack frame label each
-/// maps to, in engine execution order (see `amoebot_circuits::World`).
-const PROFILE_PHASES: [(&str, &str); 5] = [
-    ("phase_propagate_micros", "propagate"),
-    ("phase_region_dissolve_micros", "dissolve"),
-    ("phase_region_reunion_micros", "re-union"),
-    ("phase_membership_repack_micros", "repack"),
-    ("phase_global_relabel_micros", "relabel"),
-];
-
-/// `scenario-runner profile`: run the sweep ladder with the phase timers
-/// armed and emit a folded-stack profile — one
-/// `family;n<size>;<phase> <weight>` line per (rung, phase), the format
-/// flamegraph tooling consumes. Weights are phase *invocation counts*,
-/// not micros: counts are a pure function of the scenario, so the profile
-/// is byte-identical across runs and thread counts, and it still shows
-/// where a family's rounds go as sizes scale. Zero-count phases are
-/// omitted.
-fn run_profile_mode(args: &Args, registry: &Registry, threads: usize, out: &mut dyn Write) -> u8 {
-    let suite = sweep_suite(
-        registry,
-        args.seed,
-        &DEFAULT_SIZES,
-        args.max_nodes,
-        &args.families,
-    );
-    if suite.is_empty() {
-        let _ = writeln!(
-            out,
-            "no profile rungs selected (families: {:?}, max-nodes {}); see --list",
-            args.families, args.max_nodes
-        );
-        return 2;
-    }
-    if !args.quiet {
-        let _ = writeln!(
-            out,
-            "profiling {} (family, size) rungs up to {} nodes (seed {}) on {threads} threads...",
-            suite.len(),
-            args.max_nodes,
-            args.seed
-        );
-    }
-    let scenarios: Vec<Scenario> = suite.iter().map(|p| p.scenario.clone()).collect();
-    let results =
-        run_batch_inspect::<TimedRecorder>(&scenarios, Threads::Count(threads), |_, _| {});
-    let mut folded = String::new();
-    let mut failed = 0usize;
-    for (p, r) in suite.iter().zip(&results) {
-        if !r.pass {
-            failed += 1;
-            let _ = writeln!(out, "{}", sweep_line(p, r));
-            for c in r.checks.iter().filter(|c| !c.pass) {
-                let _ = writeln!(out, "       check {}: {}", c.name, c.detail);
-            }
-        }
-        for (timer, phase) in PROFILE_PHASES {
-            let count = r.metrics.timer_summary(timer).count;
-            if count > 0 {
-                folded.push_str(&format!("{};n{};{phase} {count}\n", p.family, p.size));
-            }
-        }
-    }
-    let _ = writeln!(
-        out,
-        "summary: {}/{} profile rungs passed, {failed} failed",
-        results.len() - failed,
-        results.len()
-    );
-    if let Err(code) = write_report(&folded, &args.out, args.quiet, out) {
-        return code;
-    }
-    u8::from(failed > 0)
 }
 
 /// `trace PATH`: run one sized scenario with the trace recorder
@@ -1217,6 +1132,9 @@ mod tests {
         // replay/trace demand their PATH operand.
         assert_eq!(run(&args(&["replay"])), 2);
         assert_eq!(run(&args(&["trace"])), 2);
+        // `profile` is no subcommand: it is a stray operand like any other.
+        assert_eq!(run(&args(&["profile"])), 2);
+        assert_eq!(run(&args(&["profile", "--max-nodes", "1000"])), 2);
     }
 
     #[test]
@@ -1320,49 +1238,6 @@ mod tests {
             "--no-flight must suppress dump diagnostics: {output:?}"
         );
         assert!(!dir.exists(), "--no-flight must not create the flight dir");
-    }
-
-    /// Tentpole: the folded-stack profile is byte-identical across thread
-    /// counts and carries every engine phase label.
-    #[test]
-    fn profile_output_is_deterministic_across_thread_counts() {
-        let a = temp_path("profile-a.folded");
-        let b = temp_path("profile-b.folded");
-        for (path, threads) in [(&a, "1"), (&b, "8")] {
-            let (code, output) = run_captured(&[
-                "profile",
-                "--max-nodes",
-                "1000",
-                "--family",
-                "blob-broadcast",
-                "--seed",
-                "11",
-                "--threads",
-                threads,
-                "--quiet",
-                "--out",
-                path.to_str().unwrap(),
-            ]);
-            assert_eq!(code, 0, "profile run failed: {output}");
-            assert!(output.contains("summary:"), "{output:?}");
-        }
-        let folded = std::fs::read_to_string(&a).unwrap();
-        assert_eq!(
-            folded,
-            std::fs::read_to_string(&b).unwrap(),
-            "profile must not depend on thread count"
-        );
-        assert!(
-            folded.contains("blob-broadcast;n1000;propagate "),
-            "folded lines must be family;n<size>;phase weight: {folded}"
-        );
-        for line in folded.lines() {
-            let (stack, weight) = line.rsplit_once(' ').expect("weight separator");
-            assert_eq!(stack.split(';').count(), 3, "three folded frames: {line}");
-            weight.parse::<u64>().expect("weight is a count");
-        }
-        let _ = std::fs::remove_file(&a);
-        let _ = std::fs::remove_file(&b);
     }
 
     /// Satellite + tentpole: `sweep --checkpoint-dir` resumes through

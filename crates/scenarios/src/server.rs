@@ -22,7 +22,7 @@
 //! {"op":"mutate","session":S[,"verify":B]}  apply the next churn event
 //! {"op":"fault","session":S[,"verify":B]}   stage the next fault event + 1 faulted round
 //! {"op":"query","session":S[,"timing":B]}   spf-session-report/v1 envelope
-//! {"op":"stats","session":S}                spf-session-stats/v1 metrics envelope
+//! {"op":"stats","session":S}                spf-session-stats/v2 metrics envelope
 //! {"op":"watch","session":S[,"frames":N]}   stream N stats frames (default 1)
 //! {"op":"snapshot","session":S}             write <dir>/<S>.session.spfs
 //! {"op":"restore","session":S}              load <dir>/<S>.session.spfs
@@ -41,14 +41,14 @@
 //! per-op-kind breakdown; no wall-clock anywhere), surfaced by `query`
 //! and persisted through snapshot/restore. The `stats` op renders the
 //! canonical per-session metrics envelope ([`STATS_SCHEMA`]): rounds,
-//! beeps, relabel counters, phase-timer percentile summaries and the
-//! request counters — byte-identical regardless of shard count. `watch`
-//! turns a connection into a live feed: after the ack, the server pushes
-//! one `stats` frame per completed `step`/`mutate`/`fault` batch on the
-//! watched session (wherever that batch came from) until the requested
-//! frame count is served, then the connection resumes normal requests.
-//! Like `shutdown`, `watch` is connection-level: it needs a framed
-//! stream to push into, so [`ServerHandle::request`] rejects it.
+//! beeps, relabel counters and the request counters — byte-identical
+//! regardless of shard count. `watch` turns a connection into a live
+//! feed: after the ack, the server pushes one `stats` frame per
+//! completed `step`/`mutate`/`fault` batch on the watched session
+//! (wherever that batch came from) until the requested frame count is
+//! served, then the connection resumes normal requests. Like
+//! `shutdown`, `watch` is connection-level: it needs a framed stream to
+//! push into, so [`ServerHandle::request`] rejects it.
 //!
 //! # Concurrency
 //!
@@ -89,7 +89,7 @@ use crate::report::Envelope;
 pub const SESSION_SCHEMA: &str = "spf-session-report/v1";
 
 /// Schema identifier of `stats` responses and `watch` frames.
-pub const STATS_SCHEMA: &str = "spf-session-stats/v1";
+pub const STATS_SCHEMA: &str = "spf-session-stats/v2";
 
 /// Session-op labels, in render order; indexes into `Session::ops`.
 /// Counted on arrival (before execution), so errored requests count too:
@@ -323,11 +323,10 @@ impl Session {
     }
 
     /// The canonical per-session metrics envelope ([`STATS_SCHEMA`]):
-    /// rounds, beeps, relabel counters, phase-timer percentile summaries
-    /// and the request counters. Deliberately wall-clock-free and
-    /// insertion-ordered, so the rendering is byte-identical for the
-    /// same request history regardless of shard count — the `watch`
-    /// frame format.
+    /// rounds, beeps, relabel counters and the request counters.
+    /// Deliberately wall-clock-free and insertion-ordered, so the
+    /// rendering is byte-identical for the same request history
+    /// regardless of shard count — the `watch` frame format.
     pub fn stats(&mut self) -> Json {
         let mut doc = Json::object().field("schema", STATS_SCHEMA);
         for (key, value) in self.head() {
@@ -340,19 +339,7 @@ impl Session {
                 relabels = relabels.field(cname, v);
             }
         }
-        let mut phases = Json::object();
-        for (tname, h) in m.timers_sorted() {
-            phases = phases.field(
-                tname,
-                Json::object()
-                    .field("count", h.count)
-                    .field("p50", h.p50)
-                    .field("p90", h.p90)
-                    .field("p99", h.p99),
-            );
-        }
         doc.field("relabels", relabels)
-            .field("phase_percentiles", phases)
             .field("uptime_requests", self.uptime_requests())
             .field("ops_by_kind", self.ops_json())
     }
@@ -1677,10 +1664,10 @@ mod tests {
                 assert_eq!(doc.get("schema").and_then(Json::as_str), Some(STATS_SCHEMA));
                 assert_eq!(doc.get("rounds").and_then(Json::as_u64), Some(6));
                 let text = doc.render_pretty();
-                assert!(text.contains("phase_percentiles"), "{text}");
-                assert!(text.contains("phase_propagate_micros"), "{text}");
-                assert!(text.contains("\"p99\""), "{text}");
+                assert!(text.contains("\"relabels\""), "{text}");
                 assert!(text.contains("uptime_requests"), "{text}");
+                // Sessions tick untimed, so there are no timers to report.
+                assert!(!text.contains("phase_"), "{text}");
                 server.shutdown().unwrap();
                 text
             })

@@ -27,7 +27,7 @@ pub enum RelabelKind {
     /// The cached labeling was reused untouched.
     #[default]
     None,
-    /// A region-scoped relabel ran.
+    /// A region-scoped relabel ran: a walk of every stale circuit.
     Region,
     /// A global relabel ran.
     Global,
