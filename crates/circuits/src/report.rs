@@ -23,13 +23,6 @@ impl RoundReport {
         self.phases.push((phase.into(), rounds));
     }
 
-    /// Merges another report into this one, prefixing its phase names.
-    pub fn absorb(&mut self, prefix: &str, other: RoundReport) {
-        for (phase, rounds) in other.phases {
-            self.phases.push((format!("{prefix}/{phase}"), rounds));
-        }
-    }
-
     /// Total rounds across all phases.
     pub fn total(&self) -> u64 {
         self.phases.iter().map(|&(_, r)| r).sum()
@@ -51,22 +44,6 @@ impl fmt::Display for RoundReport {
     }
 }
 
-/// Measures the rounds a closure spends in a world and records them in a
-/// report under `phase`.
-pub fn timed<W, T>(
-    world: &mut W,
-    report: &mut RoundReport,
-    phase: &str,
-    rounds_of: impl Fn(&W) -> u64,
-    body: impl FnOnce(&mut W) -> T,
-) -> T {
-    let before = rounds_of(world);
-    let out = body(world);
-    let after = rounds_of(world);
-    report.record(phase, after - before);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,11 +54,8 @@ mod tests {
         r.record("a", 3);
         r.record("b", 4);
         assert_eq!(r.total(), 7);
-        let mut outer = RoundReport::new();
-        outer.absorb("inner", r);
-        assert_eq!(outer.total(), 7);
-        let s = outer.to_string();
-        assert!(s.contains("inner/a"));
+        let s = r.to_string();
+        assert!(s.contains("  b: 4"));
         assert!(s.contains("total rounds: 7"));
     }
 }

@@ -30,7 +30,7 @@
 //!           | dirty_pins | pset_at_relabel[total]
 //!           | force_global (1 byte) | stale | circuit_roots
 //!           | cached_circuits
-//!           | counters | rounds | simulated | charged | charge_log
+//!           | counters | rounds | charges
 //!           | beeps_sent | stuck
 //! topology := n | ports[n] | (peer_node peer_port)[slots] | edge_count
 //! links    := count | (a0 base_a b0 base_b)[count]     tombstone = DEAD_LINK
@@ -41,7 +41,7 @@
 //! stale    := count | gid[count]                        (strictly ascending)
 //! roots    := count | gid[count]                        (strictly ascending)
 //! counters := count | (name value)[count]               (metrics counters)
-//! charges  := count | (label signed_amount)[count]
+//! charges  := count | (label signed_amount)[count]     (Σ ≤ rounds)
 //! stuck    := count | (gid pset)[count]                  (ascending gids)
 //! ```
 //!
@@ -255,8 +255,6 @@ impl World {
             w.varint(value);
         }
         w.varint(self.rounds);
-        w.varint(self.simulated);
-        w.varint(self.charged);
         w.varint(self.charge_log.len() as u64);
         for (label, amount) in &self.charge_log {
             w.str(label);
@@ -570,14 +568,22 @@ impl World {
         }
 
         let rounds = r.varint()?;
-        let simulated = r.varint()?;
-        let charged = r.varint()?;
+        let bad_log = WireError::BadValue {
+            what: "charge log",
+            offset: r.offset(),
+        };
         let charge_count = r.len("charge log")?;
         let mut charge_log = Vec::with_capacity(charge_count);
+        let mut logged = 0i64;
         for _ in 0..charge_count {
             let label = r.str("charge label")?;
             let amount = r.signed()?;
+            logged = logged.checked_add(amount).ok_or(bad_log)?;
             charge_log.push((label, amount));
+        }
+        // The simulated count `rounds - Σ` must be a round count.
+        if u64::try_from(i128::from(rounds) - i128::from(logged)).is_err() {
+            return Err(bad_log);
         }
         let beeps_sent = r.varint()?;
         let stuck_count = r.len("stuck-pin list")?;
@@ -643,8 +649,6 @@ impl World {
             cached_circuits,
             stats,
             rounds,
-            simulated,
-            charged,
             charge_log,
             beeps_sent,
             stuck,
@@ -758,12 +762,8 @@ mod tests {
         let restored = World::from_snapshot_bytes(&w.snapshot_bytes()).unwrap();
         assert_eq!(restored.rounds(), w.rounds());
         assert_eq!(restored.simulated_rounds(), w.simulated_rounds());
+        assert_eq!(restored.charged_rounds(), w.charged_rounds());
         assert_eq!(restored.charge_log(), w.charge_log());
-        let logged: i64 = restored.charge_log().iter().map(|(_, a)| a).sum();
-        assert_eq!(
-            restored.rounds() as i64,
-            restored.simulated_rounds() as i64 + logged
-        );
     }
 
     #[test]
@@ -1005,6 +1005,21 @@ mod tests {
         assert!(!w.circuit_roots.get(1) && w.labels[1] == 1);
         w.member_end[1] = w.members.len() as u32 + 1;
         assert_eq!(rejected_field(&w.snapshot_bytes()), "circuit label");
+    }
+
+    /// The charge log reconciles the round counter, so its sum must not
+    /// overflow, and `rounds - Σ` (the simulated count) must be a `u64`.
+    #[test]
+    fn a_charge_log_that_outruns_the_round_counter_is_rejected() {
+        let w = seasoned_world();
+        assert_eq!((w.rounds(), w.simulated_rounds()), (6, 3));
+        for (rounds, forged) in [(6, [4, 0]), (6, [i64::MAX, 1]), (u64::MAX, [i64::MIN, 0])] {
+            let mut bad = w.clone();
+            bad.rounds = rounds;
+            bad.charge_log
+                .extend(forged.map(|k| ("forged".to_string(), k)));
+            assert_eq!(rejected_field(&bad.snapshot_bytes()), "charge log");
+        }
     }
 
     #[test]

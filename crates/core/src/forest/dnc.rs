@@ -33,8 +33,10 @@ use crate::forest::merge::merge_forests;
 use crate::forest::propagate::propagate_forest;
 use crate::forest::Forest;
 use crate::links::LINKS;
-use crate::portals::{axis_portals, mark_portals, portal_root_and_prune, AxisPortals};
-use crate::primitives::decomposition::centroid_decomposition;
+use crate::portals::{
+    axis_portals, mark_portals, portal_augmentation, portal_centroid_decomposition, portal_elect,
+    portal_root_and_prune, AxisPortals,
+};
 use crate::primitives::root_prune::root_and_prune;
 use crate::spt::spt_in_world;
 use crate::tree::Tree;
@@ -207,7 +209,7 @@ fn sources_forest(
 
     // §5.4.1: Q = portals with sources (one beep round, Lemma 51)...
     let start = world.rounds();
-    let q_portals = mark_portals(world, structure, mask, &ap, src_mask);
+    let q_portals = mark_portals(world, structure, &ap, src_mask);
 
     // Degenerate case: the whole structure is a single x-portal (a line).
     if ap.portals.len() == 1 {
@@ -221,10 +223,8 @@ fn sources_forest(
     // ...and A_Q via the portal root-and-prune rooted at the leader's
     // portal (the leader is a precondition, §2.1; we use the first source).
     let leader_portal = ap.portal_of[src[0]];
-    let prp = portal_root_and_prune(world, structure, mask, &ap, leader_portal, &q_portals);
-    let q_prime: Vec<bool> = (0..ap.portals.len())
-        .map(|p| q_portals[p] || (prp.portal_in_vq[p] && prp.portal_deg_q[p] >= 3))
-        .collect();
+    let prp = portal_root_and_prune(world, structure, &ap, leader_portal, &q_portals);
+    let q_prime = portal_augmentation(world, &prp, &q_portals);
     report.record("compute Q' = Q ∪ A_Q (Lemma 51)", world.rounds() - start);
 
     // §5.4.1: split into regions (Lemma 52). The unmarking beep is a round.
@@ -243,18 +243,8 @@ fn sources_forest(
 
     // §5.4.2 preprocessing: elect R' ∈ Q' and root the portal tree at it.
     let start = world.rounds();
-    let q_hat: Vec<bool> = (0..n)
-        .map(|v| {
-            mask[v]
-                && ap.portal_of[v] != u32::MAX
-                && q_prime[ap.portal_of[v] as usize]
-                && ap.reps[ap.portal_of[v] as usize] == v
-        })
-        .collect();
-    let tree = ap.tree_rooted_at(leader_portal);
-    let elected = crate::primitives::election::elect(world, std::slice::from_ref(&tree), &q_hat);
-    let r_prime = ap.portal_of[elected[0].expect("Q' is non-empty")];
-    world.charge_rounds(1, "announce R' on portal circuit (Lemma 35)");
+    let r_prime =
+        portal_elect(world, structure, &ap, leader_portal, &q_prime).expect("Q' is non-empty");
     // Portal tree rooted at R' (depths for LCA identification, Lemma 53).
     let pdepth = portal_depths(&ap, r_prime);
     world.charge_rounds(1, "identify P_DSC via region circuit (Lemma 53)");
@@ -282,34 +272,13 @@ fn sources_forest(
     report.record("base case per region (Lemma 54)", world.rounds() - start);
 
     // §5.4.4: schedule merges by a Q'-centroid decomposition tree of the
-    // portal graph, computed with the real decomposition primitive on the
-    // portal quotient (§3.5 / Lemma 37 establish the equivalence).
-    let quotient_edges: Vec<(usize, usize)> = {
-        let adj = ap.portal_tree_edges();
-        let mut e = Vec::new();
-        for (p, lst) in adj.iter().enumerate() {
-            for &(q, _) in lst {
-                if (p as u32) < q {
-                    e.push((p, q as usize));
-                }
-            }
-        }
-        e
-    };
-    let mut qworld = World::new(
-        Topology::from_edges(ap.portals.len(), &quotient_edges),
-        LINKS,
-    );
-    let qtree = Tree::from_edges(ap.portals.len(), r_prime as usize, &quotient_edges);
-    let decomposition = centroid_decomposition(&mut qworld, &qtree, &q_prime);
-    let decomposition_rounds = qworld.rounds();
+    // portal graph rooted at R' (Lemma 37).
+    let start = world.rounds();
+    let decomposition = portal_centroid_decomposition(world, &ap, r_prime, &q_prime);
+    let decomposition_rounds = world.rounds() - start;
     report.record(
         "portal centroid decomposition (Lemma 37)",
         decomposition_rounds,
-    );
-    world.charge_rounds(
-        decomposition_rounds,
-        "portal centroid decomposition on the quotient (Lemma 37)",
     );
 
     // Merge from the deepest decomposition level upward (§5.4.4); the
@@ -322,10 +291,9 @@ fn sources_forest(
             continue;
         }
         if level + 1 != decomposition.levels {
-            world.charge_rounds(
-                decomposition_rounds + 2,
-                "recompute decomposition level (Lemma 37 + binary counter)",
-            );
+            let recompute = "recompute decomposition level (Lemma 37 + binary counter)";
+            world.charge_rounds(decomposition_rounds + 2, recompute);
+            report.record(recompute, decomposition_rounds + 2);
         }
         let s0 = world.rounds();
         let mut spans = Vec::new();

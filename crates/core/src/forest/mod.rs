@@ -56,22 +56,4 @@ impl Forest {
             sources,
         }
     }
-
-    /// Centralized check: does the forest cover exactly `region` and assign
-    /// every member its multi-source BFS distance as depth? (Test helper.)
-    pub fn depth_of(&self, v: usize) -> Option<u64> {
-        if !self.member[v] {
-            return None;
-        }
-        let mut d = 0u64;
-        let mut cur = v;
-        while let Some(p) = self.parents[cur] {
-            d += 1;
-            cur = p;
-            if d as usize > self.parents.len() {
-                return None; // cycle
-            }
-        }
-        self.sources.contains(&cur).then_some(d)
-    }
 }

@@ -21,7 +21,7 @@ use amoebot_pasc::{tree_specs, PascRun, StreamingCompare};
 
 use crate::forest::Forest;
 use crate::links::{BROADCAST, BWD_PRIMARY, FWD_PRIMARY, FWD_SECONDARY, SYNC};
-use crate::portals::{axis_portals, group_axis_pins};
+use crate::portals::{axis_portals, group_axis_pins, mark_portals};
 use crate::spt::spt_in_world;
 
 /// Propagates `forest` (covering `A ∪ P` inside `region`) into the rest of
@@ -64,8 +64,7 @@ pub fn propagate_forest(
     let mut cross_portals = Vec::new();
     for (ei, &e) in cross.iter().enumerate() {
         let ap = axis_portals(structure, &mask_pb, e);
-        let flags: Vec<bool> = (0..n).map(|v| in_portal[v]).collect();
-        let vis_flags = crate::portals::mark_portals(world, structure, &mask_pb, &ap, &flags);
+        let vis_flags = mark_portals(world, structure, &ap, &in_portal);
         for v in 0..n {
             if !b_mask[v] {
                 continue;
@@ -104,8 +103,7 @@ pub fn propagate_forest(
     for (ei, ap) in cross_portals.iter().enumerate() {
         for members in &ap.portals {
             for &v in members {
-                portal_pset[v][ei] =
-                    group_axis_pins(world, structure, &mask_pb, cross[ei], v, relay_links[ei]);
+                portal_pset[v][ei] = group_axis_pins(world, structure, ap, v, relay_links[ei]);
             }
         }
     }

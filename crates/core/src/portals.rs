@@ -13,11 +13,22 @@
 //! portal-graph values — and then disseminate the results inside each portal
 //! with portal circuits (Figure 4a) and per-directed-edge circuits
 //! (Figure 4b).
+//!
+//! Every primitive reads region membership from the [`AxisPortals`] it is
+//! given. Two steps are charged to the world rather than simulated, and
+//! both charges are made here: the Lemma 34 degree count
+//! ([`portal_augmentation`]) and the quotient decomposition
+//! ([`portal_centroid_decomposition`]).
 
-use amoebot_circuits::World;
+use amoebot_circuits::{Topology, World};
 use amoebot_grid::{AmoebotStructure, Axis, Direction, NodeId, ALL_DIRECTIONS};
+use amoebot_pasc::PascRun;
 
-use crate::links::{BROADCAST, FWD_PRIMARY, FWD_SECONDARY, SYNC};
+use crate::ett::build_tours;
+use crate::links::{BROADCAST, FWD_PRIMARY, FWD_SECONDARY, LINKS, SYNC};
+use crate::primitives::centroid::SizeStream;
+use crate::primitives::decomposition::{centroid_decomposition, Decomposition};
+use crate::primitives::election::elect;
 use crate::primitives::root_prune::root_and_prune;
 use crate::tree::Tree;
 
@@ -133,6 +144,24 @@ impl AxisPortals {
         self.portals.is_empty()
     }
 
+    /// Whether `v` belongs to the region the portals were computed for.
+    #[inline]
+    pub fn contains(&self, v: usize) -> bool {
+        self.portal_of[v] != u32::MAX
+    }
+
+    /// The representative flags `Q̂` of a portal set: `v` is flagged iff it
+    /// represents a portal of `q_portals`. By Lemma 32, a node-level ETT on
+    /// the implicit portal tree weighted by `Q̂` computes the portal-graph
+    /// values (§3.5).
+    pub fn rep_flags(&self, q_portals: &[bool]) -> Vec<bool> {
+        let mut q_hat = vec![false; self.portal_of.len()];
+        for (&r, &q) in self.reps.iter().zip(q_portals) {
+            q_hat[r] = q;
+        }
+        q_hat
+    }
+
     /// Neighbors of `v` in the implicit portal tree `T_d`, in port (=
     /// direction index) order — the cyclic order used for Euler tours.
     #[inline]
@@ -170,23 +199,22 @@ impl AxisPortals {
     }
 }
 
-/// Groups `v`'s pins on `link` towards its region neighbors along `axis`
-/// (positive direction first) into one partition set, `v`'s share of its
-/// portal's circuit (Figure 4a), and returns the set; `u16::MAX` if `v`
+/// Groups `v`'s pins on `link` towards its region neighbors along `ap`'s
+/// axis (positive direction first) into one partition set, `v`'s share of
+/// its portal's circuit (Figure 4a), and returns the set; `u16::MAX` if `v`
 /// has no such neighbor. The pins come from a fixed array: at most two.
 pub(crate) fn group_axis_pins(
     world: &mut World,
     structure: &AmoebotStructure,
-    mask: &[bool],
-    axis: Axis,
+    ap: &AxisPortals,
     v: usize,
     link: usize,
 ) -> u16 {
     let mut pins = [(0, 0); 2];
     let mut len = 0;
-    for d in [axis.positive(), axis.negative()] {
+    for d in [ap.axis.positive(), ap.axis.negative()] {
         if let Some(w) = structure.neighbor(NodeId(v as u32), d) {
-            if mask[w.index()] {
+            if ap.contains(w.index()) {
                 pins[len] = (d.index(), link);
                 len += 1;
             }
@@ -206,7 +234,6 @@ pub(crate) fn group_axis_pins(
 pub fn mark_portals(
     world: &mut World,
     structure: &AmoebotStructure,
-    mask: &[bool],
     ap: &AxisPortals,
     flags: &[bool],
 ) -> Vec<bool> {
@@ -215,7 +242,7 @@ pub fn mark_portals(
     let mut pset = vec![u16::MAX; n];
     for members in &ap.portals {
         for &v in members {
-            pset[v] = group_axis_pins(world, structure, mask, ap.axis, v, BROADCAST);
+            pset[v] = group_axis_pins(world, structure, ap, v, BROADCAST);
             if flags[v] && pset[v] != u16::MAX {
                 world.beep(v, pset[v]);
             }
@@ -254,11 +281,10 @@ pub struct PortalRootPrune {
     pub parent_side: Vec<[bool; 6]>,
     /// `|Q|` (number of Q-portals), as computed by the root representative.
     pub q_count: u64,
-    /// Per portal: its degree in the pruned portal tree (for the
-    /// augmentation set of Lemma 34).
+    /// Per portal: its number of connectors with a non-zero prefix-sum
+    /// difference, i.e. its degree in the pruned portal tree, which the
+    /// Lemma 34 count of [`portal_augmentation`] totals along the portal.
     pub portal_deg_q: Vec<u32>,
-    /// ETT iterations of the underlying PASC run.
-    pub iterations: u32,
 }
 
 /// Runs root-and-prune on the portal graph of `ap` (§3.5): roots the portal
@@ -269,7 +295,6 @@ pub struct PortalRootPrune {
 pub fn portal_root_and_prune(
     world: &mut World,
     structure: &AmoebotStructure,
-    mask: &[bool],
     ap: &AxisPortals,
     root_portal: u32,
     q_portals: &[bool],
@@ -279,16 +304,8 @@ pub fn portal_root_and_prune(
 
     // Node-level ETT on the implicit portal tree with Q̂ = representatives
     // of Q-portals (Lemma 32 transfers the prefix-sum differences).
-    let q_hat: Vec<bool> = (0..n)
-        .map(|v| {
-            mask[v]
-                && ap.portal_of[v] != u32::MAX
-                && q_portals[ap.portal_of[v] as usize]
-                && ap.reps[ap.portal_of[v] as usize] == v
-        })
-        .collect();
     let tree = ap.tree_rooted_at(root_portal);
-    let rp = root_and_prune(world, std::slice::from_ref(&tree), &q_hat);
+    let rp = root_and_prune(world, std::slice::from_ref(&tree), &ap.rep_flags(q_portals));
     let q_count = rp.q_count[0];
 
     // Collect, per portal, the signed differences at its connector amoebots.
@@ -296,7 +313,7 @@ pub fn portal_root_and_prune(
     let mut portal_nonzero = vec![0u32; ap.portals.len()];
     let mut portal_parent_edge: Vec<Option<(usize, usize)>> = vec![None; ap.portals.len()];
     for v in 0..n {
-        if !mask[v] {
+        if !ap.contains(v) {
             continue;
         }
         for (j, &w) in tree.adj(v).iter().enumerate() {
@@ -327,11 +344,11 @@ pub fn portal_root_and_prune(
     let mut portal_pset = vec![u16::MAX; n];
     for members in &ap.portals {
         for &v in members {
-            portal_pset[v] = group_axis_pins(world, structure, mask, ap.axis, v, BROADCAST);
+            portal_pset[v] = group_axis_pins(world, structure, ap, v, BROADCAST);
         }
     }
     for v in 0..n {
-        if !mask[v] {
+        if !ap.contains(v) {
             continue;
         }
         let p = ap.portal_of[v] as usize;
@@ -369,13 +386,14 @@ pub fn portal_root_and_prune(
     let side_links = [FWD_PRIMARY, FWD_SECONDARY];
     let mut side_pset = vec![[u16::MAX; 2]; n];
     for v in 0..n {
-        if !mask[v] {
+        if !ap.contains(v) {
             continue;
         }
         let mut has = [false; 6];
         for d in ALL_DIRECTIONS {
-            has[d.index()] =
-                matches!(structure.neighbor(NodeId(v as u32), d), Some(w) if mask[w.index()]);
+            has[d.index()] = structure
+                .neighbor(NodeId(v as u32), d)
+                .is_some_and(|w| ap.contains(w.index()));
         }
         let has = |d: Direction| has[d.index()];
         for (s, &(cb, cf)) in sides.iter().enumerate() {
@@ -422,7 +440,7 @@ pub fn portal_root_and_prune(
     world.tick();
     let mut parent_side = vec![[false; 6]; n];
     for v in 0..n {
-        if !mask[v] {
+        if !ap.contains(v) {
             continue;
         }
         for (s, &(cb, cf)) in sides.iter().enumerate() {
@@ -431,7 +449,7 @@ pub fn portal_root_and_prune(
             if heard {
                 for d in [cb, cf] {
                     if let Some(w) = structure.neighbor(NodeId(v as u32), d) {
-                        if mask[w.index()] {
+                        if ap.contains(w.index()) {
                             debug_assert_ne!(ap.portal_of[w.index()], ap.portal_of[v]);
                             parent_side[v][d.index()] = true;
                         }
@@ -441,31 +459,195 @@ pub fn portal_root_and_prune(
         }
     }
 
-    // Pruned-tree degree of each portal (for A_Q, Lemma 34). The counting
-    // PASC along each portal is charged explicitly.
-    let max_deg = portal_nonzero.iter().copied().max().unwrap_or(0);
-    let deg_rounds = 2 * (32 - (max_deg + 1).leading_zeros()) as u64;
-    world.charge_rounds(
-        deg_rounds,
-        "portal-degree count along portals (Lemma 34 PASC)",
-    );
-
     PortalRootPrune {
         portal_in_vq,
         parent_side,
         q_count,
         portal_deg_q: portal_nonzero,
-        iterations: rp.iterations,
     }
+}
+
+/// The augmented portal set `Q' = Q ∪ A_Q` of the divide step (§5.4.1,
+/// Lemmas 34, 51): `A_Q` holds the `V_Q` portals of degree at least 3 in
+/// the pruned portal tree. Each portal learns its degree by counting its
+/// non-zero connectors with a PASC along its members (Lemma 34); that
+/// count is charged to `world`, `2·⌈log₂(max_deg + 1)⌉` rounds, not
+/// simulated.
+pub fn portal_augmentation(
+    world: &mut World,
+    prp: &PortalRootPrune,
+    q_portals: &[bool],
+) -> Vec<bool> {
+    let max_deg = prp.portal_deg_q.iter().copied().max().unwrap_or(0);
+    let deg_rounds = 2 * (32 - (max_deg + 1).leading_zeros()) as u64;
+    world.charge_rounds(
+        deg_rounds,
+        "portal-degree count along portals (Lemma 34 PASC)",
+    );
+    q_portals
+        .iter()
+        .zip(&prp.portal_in_vq)
+        .zip(&prp.portal_deg_q)
+        .map(|((&q, &in_vq), &deg)| q || (in_vq && deg >= 3))
+        .collect()
+}
+
+/// Portal-level election (§3.5, Lemma 35): elects a single portal
+/// `R' ∈ Q` in O(1) rounds. Runs the simplified-ETT election over the
+/// implicit portal tree with the portal representatives as `Q̂`, then
+/// announces the winner on its portal circuit so every member amoebot of
+/// `R'` learns the outcome.
+///
+/// Returns the elected portal, or `None` if no portal is in `Q`.
+pub fn portal_elect(
+    world: &mut World,
+    structure: &AmoebotStructure,
+    ap: &AxisPortals,
+    root_portal: u32,
+    q_portals: &[bool],
+) -> Option<u32> {
+    let n = structure.len();
+    let tree = ap.tree_rooted_at(root_portal);
+    let r = elect(world, std::slice::from_ref(&tree), &ap.rep_flags(q_portals))[0]?;
+    // Announcement round (Figure 4a): the elected representative beeps on
+    // its portal circuit; each member of R' identifies itself.
+    let flags: Vec<bool> = (0..n).map(|v| v == r).collect();
+    let marked = mark_portals(world, structure, ap, &flags);
+    let portal = ap.portal_of[r];
+    debug_assert!(marked[portal as usize]);
+    Some(portal)
+}
+
+/// Portal-level Q-centroid primitive (§3.5, Lemma 36): computes the
+/// Q-centroid portal(s) of the portal tree in `O(log |Q|)` rounds.
+///
+/// Mechanism: the rooting pass and a second ETT stream the component sizes
+/// `size_{P1}(P2)` at the connector amoebots against `|Q|/2` (the root's
+/// representative broadcasts the current bit of `|Q|` each iteration on the
+/// structure-spanning broadcast circuit); a final portal-circuit round lets
+/// connectors with an oversized component veto their portal.
+pub fn portal_centroids(
+    world: &mut World,
+    structure: &AmoebotStructure,
+    ap: &AxisPortals,
+    root_portal: u32,
+    q_portals: &[bool],
+) -> Vec<bool> {
+    let n = structure.len();
+    let q_hat = ap.rep_flags(q_portals);
+    let tree = ap.tree_rooted_at(root_portal);
+    // Pass 1: root the portal tree (parent relation at the connectors).
+    let rp = root_and_prune(world, std::slice::from_ref(&tree), &q_hat);
+    // The portal-level parent edge: the inter-portal edge with diff > 0.
+    let mut parent_edge_of: Vec<Option<(usize, usize)>> = vec![None; ap.portals.len()];
+    for v in 0..n {
+        if !ap.contains(v) {
+            continue;
+        }
+        for (j, &w) in tree.adj(v).iter().enumerate() {
+            if ap.portal_of[w] != ap.portal_of[v] && rp.diff_sign(v, j) > 0 {
+                parent_edge_of[ap.portal_of[v] as usize] = Some((v, w));
+            }
+        }
+    }
+
+    // Pass 2: stream sizes against |Q|/2 (3 rounds per iteration).
+    world.reset_all_pins_keeping_links(&[SYNC]);
+    let mut ts = build_tours(world.topology(), std::slice::from_ref(&tree), &q_hat);
+    let mut run = PascRun::new(world, std::mem::take(&mut ts.specs), SYNC);
+    // Structure-spanning broadcast circuit for the |Q| bits.
+    for v in 0..n {
+        if ap.contains(v) {
+            world.global_link_config(v, BROADCAST);
+        }
+    }
+    let bpset = World::global_link_pset(BROADCAST);
+    let r_hat = tree.root;
+
+    // One stream per inter-portal connector (v, tour slot).
+    let mut streams: Vec<(usize, usize, SizeStream)> = Vec::new();
+    for v in 0..n {
+        if !ap.contains(v) {
+            continue;
+        }
+        for (j, &w) in tree.adj(v).iter().enumerate() {
+            if ap.portal_of[w] == ap.portal_of[v] {
+                continue;
+            }
+            let through_parent = parent_edge_of[ap.portal_of[v] as usize] == Some((v, w));
+            streams.push((v, ts.slot(v, j), SizeStream::new(through_parent)));
+        }
+    }
+    while run.data_step(world, |_| {}).is_some() {
+        let (bits, incoming) = (run.bits(), run.incoming());
+        let w_bit = bits[ts.last_inst[0]];
+        if w_bit == 1 {
+            world.beep(r_hat, bpset);
+        }
+        world.tick();
+        for (v, slot, stream) in &mut streams {
+            let q_bit = if *v == r_hat {
+                w_bit
+            } else {
+                u8::from(world.received(*v, bpset))
+            };
+            stream.feed(bits[ts.out_inst[*slot]], incoming[ts.in_inst[*slot]], q_bit);
+        }
+        run.sync_step(world);
+    }
+
+    // Veto round (Figure 4a): connectors whose component exceeds |Q|/2 beep
+    // on their portal circuit; silent Q-portals are centroids.
+    let mut veto_flags = vec![false; n];
+    for (v, _, stream) in &streams {
+        if !stream.le_half() {
+            veto_flags[*v] = true;
+        }
+    }
+    let vetoed = mark_portals(world, structure, ap, &veto_flags);
+    (0..ap.portals.len())
+        .map(|p| q_portals[p] && !vetoed[p])
+        .collect()
+}
+
+/// Portal-level `Q'`-centroid decomposition (§3.5, Lemma 37,
+/// `O(log² |Q|)` rounds).
+///
+/// Executed on the portal quotient graph with the node-level decomposition
+/// primitive — Lemma 32 establishes that every ETT pass on the implicit
+/// portal tree computes exactly the quotient values. The quotient's rounds
+/// are charged to `world`, plus 2 per level for the steps a quotient
+/// recursion does not simulate: the veto round of Lemma 36 and the
+/// announcement round of Lemma 35.
+pub fn portal_centroid_decomposition(
+    world: &mut World,
+    ap: &AxisPortals,
+    root_portal: u32,
+    q_prime: &[bool],
+) -> Decomposition {
+    let adj = ap.portal_tree_edges();
+    let mut edges = Vec::new();
+    for (p, lst) in adj.iter().enumerate() {
+        for &(q, _) in lst {
+            if (p as u32) < q {
+                edges.push((p, q as usize));
+            }
+        }
+    }
+    let mut qworld = World::new(Topology::from_edges(ap.portals.len(), &edges), LINKS);
+    let qtree = Tree::from_edges(ap.portals.len(), root_portal as usize, &edges);
+    let d = centroid_decomposition(&mut qworld, &qtree, q_prime);
+    world.charge_rounds(
+        qworld.rounds() + 2 * d.levels as u64,
+        "portal centroid decomposition via quotient (Lemmas 32, 37)",
+    );
+    d
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amoebot_circuits::Topology;
-    use amoebot_grid::{shapes, ALL_AXES};
-
-    use crate::links::LINKS;
+    use amoebot_grid::{shapes, Coord, ALL_AXES};
 
     fn full_mask(s: &AmoebotStructure) -> Vec<bool> {
         vec![true; s.len()]
@@ -551,19 +733,24 @@ mod tests {
         }
     }
 
+    /// A structure, a fresh world over it, and its x-portals.
+    fn setup(coords: Vec<Coord>) -> (AmoebotStructure, World, AxisPortals) {
+        let s = AmoebotStructure::new(coords).unwrap();
+        let world = World::new(Topology::from_structure(&s), LINKS);
+        let ap = axis_portals(&s, &full_mask(&s), Axis::X);
+        (s, world, ap)
+    }
+
     #[test]
     fn portal_root_prune_matches_reference() {
-        let s = AmoebotStructure::new(shapes::parallelogram(6, 5)).unwrap();
-        let mask = full_mask(&s);
-        let ap = axis_portals(&s, &mask, Axis::X);
+        let (s, mut world, ap) = setup(shapes::parallelogram(6, 5));
         // Q = portals of the two extreme rows; root = the middle row portal.
         let mut q_portals = vec![false; ap.portals.len()];
         q_portals[0] = true;
         *q_portals.last_mut().unwrap() = true;
         let root_portal = ap.portal_of[s.len() / 2];
-        let topo = Topology::from_structure(&s);
-        let mut world = World::new(topo, LINKS);
-        let out = portal_root_and_prune(&mut world, &s, &mask, &ap, root_portal, &q_portals);
+        let out = portal_root_and_prune(&mut world, &s, &ap, root_portal, &q_portals);
+        assert!(world.charge_log().is_empty(), "Lemma 33 is fully simulated");
         assert_eq!(out.q_count, 2);
         // Reference: portal-level BFS tree rooted at root_portal.
         let adj = ap.portal_tree_edges();
@@ -633,267 +820,37 @@ mod tests {
         let off_region: usize = (0..s.len()).filter(|&v| !mask[v]).count();
         assert_eq!(off_region, 9);
         for v in 0..s.len() {
-            assert_eq!(mask[v], ap.portal_of[v] != u32::MAX);
-        }
-    }
-}
-
-/// Portal-level election (§3.5, Lemma 35): elects a single portal
-/// `R' ∈ Q` in O(1) rounds. Runs the simplified-ETT election over the
-/// implicit portal tree with the portal representatives as `Q̂`, then
-/// announces the winner on its portal circuit so every member amoebot of
-/// `R'` learns the outcome.
-///
-/// Returns the elected portal, or `None` if no portal is in `Q`.
-pub fn portal_elect(
-    world: &mut World,
-    structure: &AmoebotStructure,
-    mask: &[bool],
-    ap: &AxisPortals,
-    root_portal: u32,
-    q_portals: &[bool],
-) -> Option<u32> {
-    let n = structure.len();
-    let q_hat: Vec<bool> = (0..n)
-        .map(|v| {
-            mask[v]
-                && ap.portal_of[v] != u32::MAX
-                && q_portals[ap.portal_of[v] as usize]
-                && ap.reps[ap.portal_of[v] as usize] == v
-        })
-        .collect();
-    let tree = ap.tree_rooted_at(root_portal);
-    let elected = crate::primitives::election::elect(world, std::slice::from_ref(&tree), &q_hat);
-    let r = elected[0]?;
-    // Announcement round (Figure 4a): the elected representative beeps on
-    // its portal circuit; each member of R' identifies itself.
-    let flags: Vec<bool> = (0..n).map(|v| v == r).collect();
-    let marked = mark_portals(world, structure, mask, ap, &flags);
-    let portal = ap.portal_of[r];
-    debug_assert!(marked[portal as usize]);
-    Some(portal)
-}
-
-/// Portal-level Q-centroid primitive (§3.5, Lemma 36): computes the
-/// Q-centroid portal(s) of the portal tree in `O(log |Q|)` rounds.
-///
-/// Mechanism: the rooting pass and a second ETT stream the component sizes
-/// `size_{P1}(P2)` at the connector amoebots against `|Q|/2` (the root's
-/// representative broadcasts the current bit of `|Q|` each iteration on the
-/// structure-spanning broadcast circuit); a final portal-circuit round lets
-/// connectors with an oversized component veto their portal.
-pub fn portal_centroids(
-    world: &mut World,
-    structure: &AmoebotStructure,
-    mask: &[bool],
-    ap: &AxisPortals,
-    root_portal: u32,
-    q_portals: &[bool],
-) -> Vec<bool> {
-    use amoebot_pasc::{HalfCompare, PascRun, StreamingSub};
-
-    let n = structure.len();
-    let q_hat: Vec<bool> = (0..n)
-        .map(|v| {
-            mask[v]
-                && ap.portal_of[v] != u32::MAX
-                && q_portals[ap.portal_of[v] as usize]
-                && ap.reps[ap.portal_of[v] as usize] == v
-        })
-        .collect();
-    let tree = ap.tree_rooted_at(root_portal);
-    // Pass 1: root the portal tree (parent relation at the connectors).
-    let rp = root_and_prune(world, std::slice::from_ref(&tree), &q_hat);
-    // The portal-level parent edge: the inter-portal edge with diff > 0.
-    let mut parent_edge_of: Vec<Option<(usize, usize)>> = vec![None; ap.portals.len()];
-    for v in 0..n {
-        if !mask[v] {
-            continue;
-        }
-        for (j, &w) in tree.adj(v).iter().enumerate() {
-            if ap.portal_of[w] != ap.portal_of[v] && rp.diff_sign(v, j) > 0 {
-                parent_edge_of[ap.portal_of[v] as usize] = Some((v, w));
-            }
+            assert_eq!(mask[v], ap.contains(v));
         }
     }
 
-    // Pass 2: stream sizes against |Q|/2 (3 rounds per iteration).
-    world.reset_all_pins_keeping_links(&[SYNC]);
-    let mut ts = crate::ett::build_tours(world.topology(), std::slice::from_ref(&tree), &q_hat);
-    let mut run = PascRun::new(world, std::mem::take(&mut ts.specs), SYNC);
-    // Structure-spanning broadcast circuit for the |Q| bits.
-    for v in 0..n {
-        if mask[v] {
-            world.global_link_config(v, BROADCAST);
-        }
-    }
-    let bpset = World::global_link_pset(BROADCAST);
-    let r_hat = tree.root;
-
-    enum Stream {
-        Parent {
-            inner: StreamingSub,
-            outer: StreamingSub,
-            cmp: HalfCompare,
-        },
-        Child {
-            sub: StreamingSub,
-            cmp: HalfCompare,
-        },
-    }
-    // One stream per inter-portal connector (v, tour slot).
-    let mut streams: Vec<(usize, usize, Stream)> = Vec::new();
-    for v in 0..n {
-        if !mask[v] {
-            continue;
-        }
-        for (j, &w) in tree.adj(v).iter().enumerate() {
-            if ap.portal_of[w] == ap.portal_of[v] {
-                continue;
-            }
-            let p = ap.portal_of[v] as usize;
-            let s = if parent_edge_of[p] == Some((v, w)) {
-                Stream::Parent {
-                    inner: StreamingSub::new(),
-                    outer: StreamingSub::new(),
-                    cmp: HalfCompare::new(),
-                }
-            } else {
-                Stream::Child {
-                    sub: StreamingSub::new(),
-                    cmp: HalfCompare::new(),
-                }
-            };
-            streams.push((v, ts.slot(v, j), s));
-        }
-    }
-    while run.data_step(world, |_| {}).is_some() {
-        let (bits, incoming) = (run.bits(), run.incoming());
-        let w_bit = bits[ts.last_inst[0]];
-        if w_bit == 1 {
-            world.beep(r_hat, bpset);
-        }
-        world.tick();
-        for (v, slot, stream) in &mut streams {
-            let q_bit = if *v == r_hat {
-                w_bit
-            } else {
-                u8::from(world.received(*v, bpset))
-            };
-            let out_bit = bits[ts.out_inst[*slot]];
-            let in_bit = incoming[ts.in_inst[*slot]];
-            match stream {
-                Stream::Parent { inner, outer, cmp } => {
-                    let d = inner.feed(out_bit, in_bit);
-                    let s = outer.feed(q_bit, d);
-                    cmp.feed(s, q_bit);
-                }
-                Stream::Child { sub, cmp } => {
-                    let s = sub.feed(in_bit, out_bit);
-                    cmp.feed(s, q_bit);
-                }
-            }
-        }
-        run.sync_step(world);
-    }
-
-    // Veto round (Figure 4a): connectors whose component exceeds |Q|/2 beep
-    // on their portal circuit; silent Q-portals are centroids.
-    let mut veto = vec![false; ap.portals.len()];
-    for (v, _, stream) in &streams {
-        let oversized = match stream {
-            Stream::Parent { cmp, .. } => !cmp.le_half(),
-            Stream::Child { cmp, .. } => !cmp.le_half(),
-        };
-        if oversized {
-            veto[ap.portal_of[*v] as usize] = true;
-        }
-    }
-    let veto_flags: Vec<bool> = (0..n)
-        .map(|v| {
-            mask[v] && {
-                let p = ap.portal_of[v];
-                p != u32::MAX && veto[p as usize] && {
-                    // only the connectors beep, but the portal outcome is
-                    // identical; use the connector's own flag
-                    streams.iter().any(|&(cv, _, ref st)| {
-                        cv == v
-                            && match st {
-                                Stream::Parent { cmp, .. } => !cmp.le_half(),
-                                Stream::Child { cmp, .. } => !cmp.le_half(),
-                            }
-                    })
-                }
-            }
-        })
-        .collect();
-    let vetoed = mark_portals(world, structure, mask, ap, &veto_flags);
-    (0..ap.portals.len())
-        .map(|p| q_portals[p] && !vetoed[p])
-        .collect()
-}
-
-/// Portal-level `Q'`-centroid decomposition (§3.5, Lemma 37,
-/// `O(log² |Q|)` rounds).
-///
-/// Executed on the portal quotient graph with the node-level decomposition
-/// primitive — Lemma 32 establishes that every ETT pass on the implicit
-/// portal tree computes exactly the quotient values, and the per-recursion
-/// dissemination steps are O(1) portal-circuit rounds; the quotient rounds
-/// plus those dissemination rounds are charged to `world`.
-pub fn portal_centroid_decomposition(
-    world: &mut World,
-    ap: &AxisPortals,
-    root_portal: u32,
-    q_prime: &[bool],
-) -> crate::primitives::decomposition::Decomposition {
-    use amoebot_circuits::Topology;
-    let adj = ap.portal_tree_edges();
-    let mut edges = Vec::new();
-    for (p, lst) in adj.iter().enumerate() {
-        for &(q, _) in lst {
-            if (p as u32) < q {
-                edges.push((p, q as usize));
-            }
-        }
-    }
-    let mut qworld = World::new(
-        Topology::from_edges(ap.portals.len(), &edges),
-        crate::links::LINKS,
-    );
-    let qtree = crate::tree::Tree::from_edges(ap.portals.len(), root_portal as usize, &edges);
-    let d = crate::primitives::decomposition::centroid_decomposition(&mut qworld, &qtree, q_prime);
-    world.charge_rounds(
-        qworld.rounds() + 2 * d.levels as u64,
-        "portal centroid decomposition via quotient (Lemmas 32, 37)",
-    );
-    d
-}
-
-#[cfg(test)]
-mod portal_primitive_tests {
-    use super::*;
-    use amoebot_circuits::Topology;
-    use amoebot_grid::shapes;
-
-    use crate::links::LINKS;
-
-    fn setup(coords: Vec<amoebot_grid::Coord>) -> (AmoebotStructure, World, Vec<bool>) {
-        let s = AmoebotStructure::new(coords).unwrap();
-        let world = World::new(Topology::from_structure(&s), LINKS);
-        let mask = vec![true; s.len()];
-        (s, world, mask)
+    #[test]
+    fn portal_augmentation_adds_the_branching_portal() {
+        // A comb's x-portals are its spine and one singleton portal per
+        // tooth amoebot. With Q = the five tooth tips, the spine has degree
+        // 5 in the pruned portal tree, so A_Q = {spine} (Lemmas 26, 34).
+        let (s, mut world, ap) = setup(shapes::comb(9, 4));
+        let spine = ap.portal_of[s.node_at(Coord::new(0, 0)).unwrap().index()];
+        let q: Vec<bool> = (0..ap.len())
+            .map(|p| s.coord(NodeId(ap.reps[p] as u32)).r == 4)
+            .collect();
+        let prp = portal_root_and_prune(&mut world, &s, &ap, spine, &q);
+        let q_prime = portal_augmentation(&mut world, &prp, &q);
+        let expect: Vec<bool> = (0..ap.len()).map(|p| q[p] || p as u32 == spine).collect();
+        assert_eq!(q_prime, expect);
+        // The one charge: the Lemma 34 count up to degree 5, 2·⌈log₂ 6⌉.
+        let lemma_34 = "portal-degree count along portals (Lemma 34 PASC)".to_string();
+        assert_eq!(world.charge_log(), [(lemma_34, 6)]);
     }
 
     #[test]
     fn portal_election_is_one_round_plus_announcement() {
-        let (s, mut world, mask) = setup(shapes::parallelogram(7, 5));
-        let ap = axis_portals(&s, &mask, Axis::X);
+        let (s, mut world, ap) = setup(shapes::parallelogram(7, 5));
         let mut q = vec![false; ap.portals.len()];
         q[1] = true;
         q[3] = true;
         let before = world.rounds();
-        let elected = portal_elect(&mut world, &s, &mask, &ap, 0, &q);
+        let elected = portal_elect(&mut world, &s, &ap, 0, &q);
         assert_eq!(world.rounds() - before, 2, "election + announcement");
         let e = elected.unwrap();
         assert!(q[e as usize], "elected portal must be in Q");
@@ -901,10 +858,9 @@ mod portal_primitive_tests {
 
     #[test]
     fn portal_election_empty_q() {
-        let (s, mut world, mask) = setup(shapes::parallelogram(4, 3));
-        let ap = axis_portals(&s, &mask, Axis::X);
+        let (s, mut world, ap) = setup(shapes::parallelogram(4, 3));
         let q = vec![false; ap.portals.len()];
-        assert_eq!(portal_elect(&mut world, &s, &mask, &ap, 0, &q), None);
+        assert_eq!(portal_elect(&mut world, &s, &ap, 0, &q), None);
     }
 
     /// Centralized reference for portal Q-centroids.
@@ -943,8 +899,7 @@ mod portal_primitive_tests {
 
     #[test]
     fn portal_centroids_match_reference() {
-        let (s, _, mask) = setup(shapes::parallelogram(6, 7));
-        let ap = axis_portals(&s, &mask, Axis::X);
+        let (s, _, ap) = setup(shapes::parallelogram(6, 7));
         let m = ap.portals.len();
         for q_pattern in [
             vec![true; m],
@@ -965,7 +920,7 @@ mod portal_primitive_tests {
             },
         ] {
             let mut world = World::new(Topology::from_structure(&s), LINKS);
-            let got = portal_centroids(&mut world, &s, &mask, &ap, 0, &q_pattern);
+            let got = portal_centroids(&mut world, &s, &ap, 0, &q_pattern);
             let expect = reference_portal_centroids(&ap, &q_pattern);
             assert_eq!(got, expect, "pattern {q_pattern:?}");
         }
@@ -973,18 +928,16 @@ mod portal_primitive_tests {
 
     #[test]
     fn portal_centroids_on_concave_structure() {
-        let (s, mut world, mask) = setup(shapes::comb(9, 4));
-        let ap = axis_portals(&s, &mask, Axis::X);
+        let (s, mut world, ap) = setup(shapes::comb(9, 4));
         let q = vec![true; ap.portals.len()];
-        let got = portal_centroids(&mut world, &s, &mask, &ap, 0, &q);
+        let got = portal_centroids(&mut world, &s, &ap, 0, &q);
         let expect = reference_portal_centroids(&ap, &q);
         assert_eq!(got, expect);
     }
 
     #[test]
     fn portal_decomposition_elects_every_q_portal_once() {
-        let (s, mut world, mask) = setup(shapes::parallelogram(5, 9));
-        let ap = axis_portals(&s, &mask, Axis::X);
+        let (_, mut world, ap) = setup(shapes::parallelogram(5, 9));
         let q = vec![true; ap.portals.len()];
         let before = world.rounds();
         let d = portal_centroid_decomposition(&mut world, &ap, 0, &q);

@@ -23,8 +23,10 @@ pub struct CentroidOutcome {
     pub root_prune: RootPrune,
 }
 
-/// Per-neighbor streaming comparator against `|Q|/2`.
-enum SizeStream {
+/// Per-neighbor streaming comparator of a component size against `|Q|/2`,
+/// fed one bit per PASC iteration. The portal variant (Lemma 36) feeds it
+/// at the connector amoebots.
+pub(crate) enum SizeStream {
     /// Component through the parent: `size = |Q| - (out - in)`.
     Parent {
         inner: StreamingSub,
@@ -33,6 +35,48 @@ enum SizeStream {
     },
     /// Component through a child: `size = in - out`.
     Child { sub: StreamingSub, cmp: HalfCompare },
+}
+
+impl SizeStream {
+    /// A comparator for the component through the parent, or through a
+    /// child.
+    pub(crate) fn new(through_parent: bool) -> SizeStream {
+        if through_parent {
+            SizeStream::Parent {
+                inner: StreamingSub::new(),
+                outer: StreamingSub::new(),
+                cmp: HalfCompare::new(),
+            }
+        } else {
+            SizeStream::Child {
+                sub: StreamingSub::new(),
+                cmp: HalfCompare::new(),
+            }
+        }
+    }
+
+    /// Feeds one iteration: the prefix-sum bits leaving and entering the
+    /// neighbor's tour slot, and the current bit of `|Q|`.
+    pub(crate) fn feed(&mut self, out_bit: u8, in_bit: u8, q_bit: u8) {
+        match self {
+            SizeStream::Parent { inner, outer, cmp } => {
+                let d = inner.feed(out_bit, in_bit);
+                let s = outer.feed(q_bit, d);
+                cmp.feed(s, q_bit);
+            }
+            SizeStream::Child { sub, cmp } => {
+                let s = sub.feed(in_bit, out_bit);
+                cmp.feed(s, q_bit);
+            }
+        }
+    }
+
+    /// Whether the component holds at most `|Q|/2` nodes of `Q`.
+    pub(crate) fn le_half(&self) -> bool {
+        match self {
+            SizeStream::Parent { cmp, .. } | SizeStream::Child { cmp, .. } => cmp.le_half(),
+        }
+    }
 }
 
 /// Computes the Q-centroid(s) of every tree in the forest in parallel
@@ -79,20 +123,7 @@ pub fn q_centroids(world: &mut World, trees: &[Tree], q: &[bool]) -> CentroidOut
             streams[v] = tree
                 .adj(v)
                 .iter()
-                .map(|&w| {
-                    if rp.parent[v] == Some(w) {
-                        SizeStream::Parent {
-                            inner: StreamingSub::new(),
-                            outer: StreamingSub::new(),
-                            cmp: HalfCompare::new(),
-                        }
-                    } else {
-                        SizeStream::Child {
-                            sub: StreamingSub::new(),
-                            cmp: HalfCompare::new(),
-                        }
-                    }
-                })
+                .map(|&w| SizeStream::new(rp.parent[v] == Some(w)))
                 .collect();
         }
     }
@@ -124,19 +155,7 @@ pub fn q_centroids(world: &mut World, trees: &[Tree], q: &[bool]) -> CentroidOut
                     u8::from(world.received(v, bcast_pset[v]))
                 };
                 for (slot, stream) in ts.slots(v).zip(streams[v].iter_mut()) {
-                    let out_bit = bits[ts.out_inst[slot]];
-                    let in_bit = incoming[ts.in_inst[slot]];
-                    match stream {
-                        SizeStream::Parent { inner, outer, cmp } => {
-                            let d = inner.feed(out_bit, in_bit);
-                            let s = outer.feed(q_bit, d);
-                            cmp.feed(s, q_bit);
-                        }
-                        SizeStream::Child { sub, cmp } => {
-                            let s = sub.feed(in_bit, out_bit);
-                            cmp.feed(s, q_bit);
-                        }
-                    }
+                    stream.feed(bits[ts.out_inst[slot]], incoming[ts.in_inst[slot]], q_bit);
                 }
             }
         }
@@ -150,10 +169,7 @@ pub fn q_centroids(world: &mut World, trees: &[Tree], q: &[bool]) -> CentroidOut
             if !q[v] {
                 continue;
             }
-            is_centroid[v] = streams[v].iter().all(|s| match s {
-                SizeStream::Parent { cmp, .. } => cmp.le_half(),
-                SizeStream::Child { cmp, .. } => cmp.le_half(),
-            });
+            is_centroid[v] = streams[v].iter().all(SizeStream::le_half);
         }
     }
     CentroidOutcome {

@@ -33,8 +33,6 @@ pub struct RootPrune {
     diff_sign: Vec<i8>,
     /// Slot offsets of `diff_sign`, `n + 1` entries.
     slot_off: Vec<usize>,
-    /// PASC iterations executed (rounds = 2 × iterations, Lemma 4).
-    pub iterations: u32,
 }
 
 impl RootPrune {
@@ -123,7 +121,6 @@ pub fn root_and_prune(world: &mut World, trees: &[Tree], q: &[bool]) -> RootPrun
         q_count,
         diff_sign,
         slot_off: ts.slot_off,
-        iterations: run.iterations(),
     }
 }
 

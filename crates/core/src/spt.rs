@@ -111,12 +111,9 @@ pub fn spt_in_world(
     for axis in ALL_AXES {
         let start = world.rounds();
         let ap = axis_portals(structure, mask, axis);
-        let q_portals = {
-            let flags: Vec<bool> = (0..n).map(|v| mask[v] && dest_mask[v]).collect();
-            mark_portals(world, structure, mask, &ap, &flags)
-        };
+        let q_portals = mark_portals(world, structure, &ap, dest_mask);
         let root_portal = ap.portal_of[source];
-        let prp = portal_root_and_prune(world, structure, mask, &ap, root_portal, &q_portals);
+        let prp = portal_root_and_prune(world, structure, &ap, root_portal, &q_portals);
         // A neighbor via direction d contributes to Equation (1) through
         // this axis iff d is parallel to the axis (same portal, difference
         // 0) or points into the parent portal (difference +1).

@@ -28,8 +28,10 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SPFS";
 /// The current snapshot wire-format version. Version 2: a `SESSION`
 /// payload is a session name, its request counters and a workload
 /// driver. Version 3: a `WORLD` payload carries its stale partition
-/// sets (lazy circuit labels).
-pub const SNAPSHOT_VERSION: u16 = 3;
+/// sets (lazy circuit labels). Version 4: a `WORLD` payload drops its
+/// simulated and charged round counters, which derive from the round
+/// counter and the charge log.
+pub const SNAPSHOT_VERSION: u16 = 4;
 
 /// Payload kind tags (one per snapshottable type).
 pub mod kind {
