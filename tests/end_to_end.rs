@@ -161,6 +161,76 @@ fn algorithms_on_adversarial_shapes() {
 }
 
 #[test]
+fn charge_log_reconciles_for_real_algorithm_runs() {
+    // The audit invariant holds across real algorithm runs, not just for
+    // hand-driven worlds: an SPT and then the DnC forest's divide step
+    // (Lemmas 33, 34, 37) on one world. Ticks move the round counter
+    // without touching the log; every non-simulated adjustment is a log
+    // entry of exactly the rounds it adds.
+    use spf::core::portals::{
+        axis_portals, portal_augmentation, portal_centroid_decomposition, portal_root_and_prune,
+    };
+    use spf::grid::Axis;
+
+    let structure = AmoebotStructure::new(shapes::hexagon(5)).unwrap();
+    let n = structure.len();
+    let mut world = World::new(Topology::from_structure(&structure), LINKS);
+    let all = vec![true; n];
+    let mut report = RoundReport::new();
+    let parents = spt_in_world(&mut world, &structure, &all, 0, &all, &mut report);
+    assert!(parents.iter().any(Option::is_some));
+
+    let ap = axis_portals(&structure, &all, Axis::X);
+    let q: Vec<bool> = (0..ap.len()).map(|p| p % 3 == 0).collect();
+    let prp = portal_root_and_prune(&mut world, &structure, &ap, 0, &q);
+    let (ticked, simulated) = (world.rounds(), world.simulated_rounds());
+    assert_eq!(world.charge_log(), [], "SPT and Lemma 33 are simulated");
+    assert_eq!(simulated, ticked);
+
+    let q_prime = portal_augmentation(&mut world, &prp, &q);
+    let d = portal_centroid_decomposition(&mut world, &ap, 0, &q_prime);
+    assert!(d.levels > 0);
+    let logged: i64 = world.charge_log().iter().map(|&(_, k)| k).sum();
+    assert!(logged > 0, "Lemmas 34 and 37 are charged");
+    assert_eq!(world.rounds() - ticked, logged as u64, "charges are logged");
+    assert_eq!(world.simulated_rounds(), simulated, "charges do not tick");
+    assert_eq!(
+        world.simulated_rounds() as i64 + logged,
+        world.rounds() as i64,
+        "simulated + Σ charge_log must equal rounds()"
+    );
+    // Gross charges in the log are exactly the charged_rounds() counter.
+    let charges: i64 = world
+        .charge_log()
+        .iter()
+        .map(|&(_, k)| k)
+        .filter(|&k| k > 0)
+        .sum();
+    assert_eq!(charges, world.charged_rounds() as i64);
+}
+
+#[test]
+fn charge_log_stays_small_relative_to_simulated_rounds() {
+    // Auditing the fidelity claim: the SPT's steps are all simulated, so
+    // its charged (non-simulated) rounds stay at zero however many rounds
+    // it ticks, and the public report accounts for every round.
+    let structure = AmoebotStructure::new(shapes::parallelogram(16, 8)).unwrap();
+    let n = structure.len();
+    let mut world = World::new(Topology::from_structure(&structure), LINKS);
+    let all = vec![true; n];
+    let mut report = RoundReport::new();
+    spt_in_world(&mut world, &structure, &all, 0, &all, &mut report);
+    assert!(world.simulated_rounds() > 0);
+    assert_eq!(world.charged_rounds(), 0);
+
+    let dests: Vec<NodeId> = structure.nodes().collect();
+    let out = shortest_path_tree(&structure, NodeId(0), &dests);
+    assert!(out.report.total() > 0);
+    assert_eq!(out.report.total(), out.rounds);
+    assert_eq!(out.rounds, world.rounds(), "same SPT, same rounds");
+}
+
+#[test]
 fn spt_in_world_charges_nothing() {
     // Theorem 39's three portal root-and-prunes and its cleanup are all
     // simulated: on a caller-owned world an SPT leaves the charge log
