@@ -80,7 +80,8 @@ pub fn sequential_forest(structure: &AmoebotStructure, sources: &[NodeId]) -> Ba
     let n = structure.len();
     assert!(!sources.is_empty(), "S must be non-empty");
     let mut world = World::new(Topology::from_structure(structure), LINKS);
-    let mask = vec![true; n];
+    // The whole structure: member-aligned parents are indexed by node id.
+    let members: Vec<usize> = (0..n).collect();
     let all_mask = vec![true; n];
     let mut acc: Option<Forest> = None;
     for &s in sources {
@@ -88,7 +89,7 @@ pub fn sequential_forest(structure: &AmoebotStructure, sources: &[NodeId]) -> Ba
         let parents = spt_in_world(
             &mut world,
             structure,
-            &mask,
+            &members,
             s.index(),
             &all_mask,
             &mut report,

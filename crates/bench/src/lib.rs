@@ -90,8 +90,8 @@ pub fn augmentation_ratio(n: usize, q_size: usize) -> f64 {
     let mut rng = derive_rng(17, 0);
     let (mut world, tree, q) =
         amoebot_scenarios::run::random_tree_and_q(n, q_size.max(1), &mut rng);
-    let rp = root_and_prune(&mut world, std::slice::from_ref(&tree), &q);
-    let a = rp.augmentation_set().len() as f64;
+    let rp = root_and_prune(&mut world, std::slice::from_ref(&tree), |v| q[v]);
+    let a = rp.augmentation_set(std::slice::from_ref(&tree)).len() as f64;
     let qn = q.iter().filter(|&&b| b).count().max(1) as f64;
     a / qn
 }
@@ -103,9 +103,9 @@ pub fn decomposition_stats(n: usize, q_size: usize) -> (u64, u32) {
     let mut rng = derive_rng(19, 0);
     let (mut world, tree, q) =
         amoebot_scenarios::run::random_tree_and_q(n, q_size.max(1), &mut rng);
-    let rp = root_and_prune(&mut world, std::slice::from_ref(&tree), &q);
+    let rp = root_and_prune(&mut world, std::slice::from_ref(&tree), |v| q[v]);
     let mut qp = q.clone();
-    for v in rp.augmentation_set() {
+    for v in rp.augmentation_set(std::slice::from_ref(&tree)) {
         qp[v] = true;
     }
     let before = world.rounds();

@@ -646,6 +646,8 @@ impl World {
             port_edge,
             walk: Vec::new(),
             configured,
+            // Not encoded: the next full sync configuration re-derives it.
+            global_links: vec![false; c],
             cached_circuits,
             stats,
             rounds,

@@ -268,6 +268,13 @@ pub struct World {
     /// the nodes whose bits are set. Derived from `pin_pset`: snapshots
     /// do not store it.
     pub(crate) configured: Vec<BitSet>,
+    /// One flag per link `ℓ < c`: set only while every pin on `ℓ`, of
+    /// every node, holds the global-link partition set
+    /// [`World::global_link_pset`]`(ℓ)`, so that
+    /// [`World::global_link_config_all`] would write nothing. Set by that
+    /// call; cleared by every write that can move a pin on `ℓ`. Not part
+    /// of snapshots: a decoded world starts with every flag clear.
+    pub(crate) global_links: Vec<bool>,
     /// Number of counted labelled circuits; the circuit count of the
     /// whole configuration once nothing is stale.
     pub(crate) cached_circuits: usize,
@@ -326,11 +333,18 @@ impl World {
                 }
             }
         }
+        // The singleton configuration, written directly: pin `i` of a
+        // node holds partition set `i`. Nothing is dirty or configured.
+        let mut pin_pset = Vec::with_capacity(total);
+        for v in 0..n {
+            pin_pset.extend(0..(base[v + 1] - base[v]) as u16);
+        }
         let mut w = World {
             topo,
             c,
             base,
-            pin_pset: vec![0; total],
+            pset_at_relabel: pin_pset.clone(),
+            pin_pset,
             links,
             free_links: Vec::new(),
             send: BitSet::new(total),
@@ -351,7 +365,6 @@ impl World {
             marked_roots: Vec::with_capacity(total),
             dirty_pins: Vec::with_capacity(total),
             dirty_pin: BitSet::new(total),
-            pset_at_relabel: vec![0; total],
             force_global: true,
             stale: BitSet::new(total),
             stale_count: 0,
@@ -359,6 +372,7 @@ impl World {
             port_edge,
             walk: Vec::new(),
             configured: (0..c).map(|_| BitSet::new(n)).collect(),
+            global_links: vec![false; c],
             cached_circuits: 0,
             stats: EngineStats::new(),
             rounds: 0,
@@ -366,15 +380,7 @@ impl World {
             beeps_sent: 0,
             stuck: Vec::new(),
         };
-        for v in 0..w.topo.len() {
-            w.singleton_pin_config(v);
-        }
-        // The construction writes above marked everything dirty, but
-        // nothing is labelled yet: every set starts stale. Drop the
-        // bookkeeping so the first *real* dirty set starts empty.
-        w.dirty_pins.clear();
-        w.dirty_pin.clear_all();
-        w.pset_at_relabel.copy_from_slice(&w.pin_pset);
+        // Nothing is labelled yet: every set starts stale.
         w.stale_everything();
         w
     }
@@ -526,6 +532,7 @@ impl World {
             self.pin_pset[gid] = pset;
             self.mark_pin_dirty(gid, self.base[v]);
             self.mark_configured(v, port * self.c + link, pset);
+            self.global_links[link] = false;
         }
     }
 
@@ -559,6 +566,7 @@ impl World {
             // Snapshot-compare marking: pins the re-assertion restored to
             // their pre-sweep (frozen) value are correctly left clean.
             self.mark_changed_pins(base, count);
+            self.global_links.fill(false);
         }
     }
 
@@ -656,6 +664,48 @@ impl World {
         link as u16
     }
 
+    /// [`World::global_link_config`] on every node, in ascending order —
+    /// or nothing at all when `link` already holds the global-link
+    /// configuration everywhere ([`World::global_link_holds`]): then every
+    /// write would store the value the pin holds. Either way every pin on
+    /// `link` ends up where the full sweep puts it, so the pin table and
+    /// the dirty-pin sequence are those of the sweep. O(1) in the common
+    /// case of repeated PASC runs on one reserved link.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `link >= c`.
+    pub fn global_link_config_all(&mut self, link: usize) {
+        assert!(link < self.c, "link {link} out of range (c = {})", self.c);
+        if self.global_links[link] {
+            return;
+        }
+        for v in 0..self.topo.len() {
+            self.global_link_config(v, link);
+        }
+        // A stuck pin the sweep skipped keeps the link from holding the
+        // configuration everywhere. Node bases are multiples of `c`, so a
+        // pin's link is its gid modulo `c`.
+        let id = Self::global_link_pset(link);
+        let c = self.c;
+        self.global_links[link] = !self
+            .stuck
+            .iter()
+            .any(|&(gid, pset)| gid as usize % c == link && pset != id);
+    }
+
+    /// Whether every pin on `link`, of every node, is known to hold the
+    /// global-link partition set: set by [`World::global_link_config_all`]
+    /// and cleared by any write that can move a pin on `link` — a
+    /// [`World::set_pin`] there, the bulk singleton and global
+    /// configurations, a reset that does not keep the link, a stuck pin
+    /// on it, and [`World::add_node`]. Structure edits leave it alone: they
+    /// move no pin.
+    #[inline]
+    pub fn global_link_holds(&self, link: usize) -> bool {
+        self.global_links[link]
+    }
+
     /// Resets all pins of `v` to singletons except those on the listed
     /// (reserved) links, which are left untouched. Primitives call this when
     /// taking over a node so stale partition sets from earlier phases cannot
@@ -681,6 +731,7 @@ impl World {
         for link in 0..c {
             if !keep.contains(&link) {
                 self.configured[link].clear(v);
+                self.global_links[link] = false;
             }
         }
         if !self.stuck.is_empty() {
@@ -785,6 +836,9 @@ impl World {
             self.mark_pin_dirty(gid, self.base[v]);
             self.mark_configured(v, port * self.c + link, pset);
         }
+        // Bulk writes skip a stuck pin, so it may keep the link from
+        // ever holding the global configuration everywhere.
+        self.global_links[link] = false;
         match self.stuck_index(gid as u32) {
             Ok(i) => self.stuck[i].1 = pset,
             Err(i) => self.stuck.insert(i, (gid as u32, pset)),
@@ -1633,10 +1687,12 @@ impl World {
         self.dirty_pin.grow(new_total);
         self.stale.grow(new_total);
         self.circuit_roots.grow(new_total);
-        // Fresh pins are singletons: the node starts unmarked.
+        // Fresh pins are singletons: the node starts unmarked, and its
+        // pins on ports past the first break any global link.
         for set in &mut self.configured {
             set.ensure_len(self.topo.len());
         }
+        self.global_links.fill(false);
         self.port_edge.resize(self.port_edge.len() + ports, NO_EDGE);
         // Keep the construction-time worst-case reservations of the dense
         // scratch lists in step with the grown pin space, so the "ticks
@@ -1871,6 +1927,7 @@ impl World {
             self.pin_pset[g] = pset;
             self.mark_pin_dirty(g, self.base[v]);
             self.mark_configured(v, g - self.base[v] as usize, pset);
+            self.global_links[(g - self.base[v] as usize) % self.c] = false;
         }
         true
     }
@@ -2391,5 +2448,111 @@ mod safety_tests {
         w.beep(1, 0);
         w.tick();
         assert_eq!(w.beeps_sent(), 2);
+    }
+
+    /// `World::new` writes the singleton configuration straight into the
+    /// pin table: every pin holds its local index, the relabel snapshot
+    /// matches, nothing is dirty or configured, and every set is stale.
+    #[test]
+    fn new_world_starts_in_the_singleton_configuration() {
+        let topo = Topology::from_edges(4, &[(0, 1), (1, 2), (1, 3)]);
+        let w = World::new(topo, 3);
+        for v in 0..4 {
+            for i in 0..w.pset_capacity(v) {
+                assert_eq!(w.pin_config(v, i / 3, i % 3), i as u16, "node {v} pin {i}");
+            }
+        }
+        assert_eq!(w.pset_at_relabel, w.pin_pset);
+        assert!(w.dirty_pins.is_empty());
+        assert!((0..w.pin_pset.len()).all(|g| !w.dirty_pin.get(g)));
+        assert!(w.configured.iter().all(|set| (0..4).all(|v| !set.get(v))));
+        assert_eq!(w.stale_count, w.pin_pset.len());
+        assert!(w.force_global && w.relabel_pending());
+        assert!((0..3).all(|link| !w.global_link_holds(link)));
+    }
+
+    /// A world whose link 1 holds the global configuration everywhere.
+    fn synced_world() -> World {
+        let mut w = World::new(Topology::from_edges(4, &[(0, 1), (1, 2), (2, 3)]), 3);
+        assert!(!w.global_link_holds(1));
+        w.global_link_config_all(1);
+        assert!(w.global_link_holds(1));
+        w
+    }
+
+    /// The sync-link flag: set by a configuration of every node, kept by
+    /// writes to other links and by resets that keep the link, cleared
+    /// by anything that can move a pin on the link.
+    #[test]
+    fn global_link_flag_tracks_the_link() {
+        let mut w = synced_world();
+        for v in 0..4 {
+            for port in 0..w.topology().ports_len(v) {
+                assert_eq!(w.pin_config(v, port, 1), World::global_link_pset(1));
+            }
+        }
+        assert!(!w.global_link_holds(0) && !w.global_link_holds(2));
+        // Writes elsewhere and resets that keep the link leave it set.
+        w.group_pins(1, &[(0, 0), (1, 0)]);
+        w.set_pin(2, 0, 2, 0);
+        w.set_pin(2, 1, 1, 1); // the value the pin already holds
+        w.reset_pins_keeping_links(1, &[1]);
+        w.reset_all_pins_keeping_links(&[1, 2]);
+        let (peer, port) = w.disconnect(1, 1);
+        w.connect(1, 1, peer, port);
+        w.tick();
+        assert!(w.global_link_holds(1));
+
+        type Clear = (&'static str, fn(&mut World));
+        let clears: [Clear; 8] = [
+            ("set_pin on the link", |w| w.set_pin(1, 1, 1, 4)),
+            ("reset dropping the link", |w| {
+                w.reset_pins_keeping_links(1, &[0])
+            }),
+            ("reset of every node dropping the link", |w| {
+                w.group_pins(2, &[(0, 0), (1, 0)]);
+                w.reset_all_pins_keeping_links(&[0, 2]);
+            }),
+            ("singleton configuration", |w| w.singleton_pin_config(2)),
+            ("global configuration", |w| w.global_pin_config(2)),
+            ("stuck pin on the link", |w| w.stick_pin(2, 0, 1, 1)),
+            ("add_node", |w| {
+                w.add_node(2);
+            }),
+            ("snapshot decode", |w| {
+                *w = World::from_snapshot_bytes(&w.snapshot_bytes()).unwrap();
+            }),
+        ];
+        for (name, clear) in clears {
+            let mut w = synced_world();
+            clear(&mut w);
+            assert!(!w.global_link_holds(1), "{name} must clear the flag");
+        }
+    }
+
+    /// A stuck pin off the global value keeps the flag clear through a
+    /// full configuration; once released, the next one sets it again.
+    #[test]
+    fn global_link_flag_respects_stuck_pins() {
+        let mut w = World::new(Topology::from_edges(4, &[(0, 1), (1, 2), (2, 3)]), 3);
+        w.stick_pin(2, 1, 1, 4);
+        w.global_link_config_all(1);
+        assert_eq!(w.pin_config(2, 1, 1), 4, "the stuck pin kept its value");
+        assert!(!w.global_link_holds(1));
+        w.release_stuck_pins();
+        w.global_link_config_all(1);
+        assert_eq!(w.pin_config(2, 1, 1), 1);
+        assert!(w.global_link_holds(1));
+    }
+
+    /// With the flag set, the full configuration writes nothing: the
+    /// labeling stays clean.
+    #[test]
+    fn global_link_config_all_is_free_once_the_link_holds() {
+        let mut w = synced_world();
+        w.circuit_count(); // a read labels everything
+        assert!(!w.relabel_pending());
+        w.global_link_config_all(1);
+        assert!(w.dirty_pins.is_empty() && !w.relabel_pending());
     }
 }

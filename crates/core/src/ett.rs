@@ -17,6 +17,8 @@
 //!   (Lemma 14), and
 //! * at the root's final instance, `W = |Q ∩ T|` (Corollary 15).
 
+use std::ops::Range;
+
 use amoebot_circuits::Topology;
 use amoebot_pasc::{EdgeRef, InstanceSpec};
 
@@ -26,80 +28,73 @@ use crate::tree::Tree;
 /// The Euler tours of a forest of (node-disjoint) trees, compiled into PASC
 /// instance specs plus the index maps the primitives need.
 ///
-/// The index maps are per *slot*: node `v`'s `j`-th tree edge (in its
-/// tree's [`Tree::adj`] order) has slot [`TourSet::slot`]`(v, j)`, and the
-/// slots of all trees' members are numbered consecutively by node.
+/// The index maps are per *slot*, one slot per directed tree edge: member
+/// `i` of tree `t` owns the slots [`TourSet::slots`]`(t, tree, i)`, its
+/// `j`-th slot for its `j`-th tree edge ([`Tree::adj_at`] order). Slots of
+/// one tree follow its members in order, and the trees follow each other,
+/// so everything here is sized by the trees, not by the structure.
 #[derive(Debug, Clone)]
 pub struct TourSet {
     /// PASC instance specs for all trees (run them as one [`amoebot_pasc::PascRun`]).
     pub specs: Vec<InstanceSpec>,
-    /// Slot offsets, `n + 1` entries: `v`'s slots are
-    /// `slot_off[v]..slot_off[v + 1]`.
-    pub(crate) slot_off: Vec<usize>,
-    /// `out_inst[slot(v, j)]` = index of `v`'s instance whose *outgoing*
-    /// edge goes to `trees[t].adj(v)[j]`.
-    pub out_inst: Vec<usize>,
-    /// `in_inst[slot(v, j)]` = index of `v`'s instance whose *incoming*
-    /// edge comes from `trees[t].adj(v)[j]`.
-    pub in_inst: Vec<usize>,
+    /// Per tree: its first slot.
+    pub(crate) slot_base: Vec<usize>,
+    /// `out_inst[slot]` = index of the member's instance whose *outgoing*
+    /// edge is the slot's edge.
+    pub out_inst: Vec<u32>,
+    /// `in_inst[slot]` = index of the member's instance whose *incoming*
+    /// edge is the reverse of the slot's edge.
+    pub in_inst: Vec<u32>,
     /// Per tree: the start instance (root, before the first edge).
     pub start_inst: Vec<usize>,
     /// Per tree: the root's final instance (computes `W`, Corollary 15).
     pub last_inst: Vec<usize>,
-    /// Per node: the adjacency index of its designated marked outgoing edge
-    /// (`None` if the node is not in `Q` or is a singleton root).
-    pub marked_adj: Vec<Option<usize>>,
-    /// Per node: which tree (index into the input slice) it belongs to.
-    pub tree_of: Vec<Option<usize>>,
 }
 
 impl TourSet {
-    /// The slot of `v`'s `j`-th tree edge.
+    /// The slots of member `i` of `tree`, the `t`-th tree the tours were
+    /// built for, in adjacency order.
     #[inline]
-    pub fn slot(&self, v: usize, j: usize) -> usize {
-        self.slot_off[v] + j
-    }
-
-    /// The slots of `v`'s tree edges, in adjacency order.
-    #[inline]
-    pub fn slots(&self, v: usize) -> std::ops::Range<usize> {
-        self.slot_off[v]..self.slot_off[v + 1]
+    pub fn slots(&self, t: usize, tree: &Tree, i: usize) -> Range<usize> {
+        let edges = tree.edges_at(i);
+        self.slot_base[t] + edges.start..self.slot_base[t] + edges.end
     }
 }
 
 /// Builds the Euler tours for `trees` with node marks `q` (the weight
-/// function `w_Q` of §3.1). Trees must be node-disjoint.
+/// function `w_Q` of §3.1, a predicate on node ids read for tree members
+/// only). Trees must be node-disjoint. O(tree members), whatever the
+/// structure size.
 ///
 /// # Panics
 ///
 /// Panics if trees share nodes or tree edges are missing from `topo`.
-pub fn build_tours(topo: &Topology, trees: &[Tree], q: &[bool]) -> TourSet {
-    let n = topo.len();
-    assert_eq!(q.len(), n);
-    let mut specs: Vec<InstanceSpec> = Vec::new();
-    let mut start_inst = Vec::with_capacity(trees.len());
-    let mut last_inst = Vec::with_capacity(trees.len());
-    let mut marked_adj: Vec<Option<usize>> = vec![None; n];
-    let mut tree_of: Vec<Option<usize>> = vec![None; n];
-
-    let mut slot_off = vec![0usize; n + 1];
-    for (t, tree) in trees.iter().enumerate() {
-        for &v in &tree.members {
-            assert!(
-                tree_of[v].is_none(),
-                "trees must be node-disjoint (node {v})"
-            );
-            tree_of[v] = Some(t);
-            slot_off[v + 1] = tree.adj(v).len();
+pub fn build_tours(topo: &Topology, trees: &[Tree], q: impl Fn(usize) -> bool) -> TourSet {
+    if trees.len() > 1 {
+        let mut all: Vec<usize> = trees
+            .iter()
+            .flat_map(|t| t.members().iter().copied())
+            .collect();
+        all.sort_unstable();
+        for w in all.windows(2) {
+            assert_ne!(w[0], w[1], "trees must be node-disjoint (node {})", w[0]);
         }
     }
-    for v in 0..n {
-        slot_off[v + 1] += slot_off[v];
-    }
-    let mut out_inst = vec![usize::MAX; slot_off[n]];
-    let mut in_inst = vec![usize::MAX; slot_off[n]];
-
+    let mut slot_base = Vec::with_capacity(trees.len());
+    let mut slots = 0;
     for tree in trees {
+        slot_base.push(slots);
+        slots += tree.directed_edges();
+    }
+    let mut specs: Vec<InstanceSpec> = Vec::with_capacity(slots + trees.len());
+    let mut start_inst = Vec::with_capacity(trees.len());
+    let mut last_inst = Vec::with_capacity(trees.len());
+    let mut out_inst = vec![u32::MAX; slots];
+    let mut in_inst = vec![u32::MAX; slots];
+    // Per member of the current tree: whether its outgoing edge is marked.
+    let mut marked: Vec<bool> = Vec::new();
+
+    for (t, tree) in trees.iter().enumerate() {
         let base = specs.len();
         if tree.len() == 1 {
             // Degenerate single-node tree: one instance, no edges.
@@ -107,51 +102,54 @@ pub fn build_tours(topo: &Topology, trees: &[Tree], q: &[bool]) -> TourSet {
                 node: tree.root,
                 pred: None,
                 succs: Vec::new(),
-                weight: q[tree.root],
+                weight: q(tree.root),
             });
             start_inst.push(base);
             last_inst.push(base);
             continue;
         }
 
-        // Walk the m = 2(|T| - 1) directed tour edges. Local instance i
-        // has pred edge i - 1 (i >= 1) and succ edge i (i < m); edge i is
-        // (u, v) with v = adj(u)[ju], and the next edge leaves v towards
-        // the neighbor after u in v's cyclic order.
-        let m = 2 * (tree.len() - 1);
-        let (mut u, mut ju) = (tree.root, 0);
+        // Walk the m = 2(|T| - 1) directed tour edges over member indices.
+        // Local instance i has pred edge i - 1 (i >= 1) and succ edge i
+        // (i < m); edge i is (u, v) with v = adj_at(u)[ju], and the next
+        // edge leaves v towards the neighbor after u in v's cyclic order.
+        let members = tree.members();
+        marked.clear();
+        marked.resize(members.len(), false);
+        let m = tree.directed_edges();
+        let root = tree.root_index();
+        let (mut u, mut ju) = (root, 0);
         let mut pred = None;
         for i in 0..m {
-            let v = tree.adj(u)[ju];
-            let adj_v = tree.adj(v);
+            let v = tree.adj_at(u)[ju] as usize;
+            let adj_v = tree.adj_at(v);
             let jv = adj_v
                 .iter()
-                .position(|&w| w == u)
+                .position(|&w| w as usize == u)
                 .expect("tree adjacency must be symmetric");
+            let (node_u, node_v) = (members[u], members[v]);
             // Designate marks: first outgoing occurrence of each node in Q.
-            let marked = q[u] && marked_adj[u].is_none();
-            if marked {
-                marked_adj[u] = Some(ju);
-            }
-            let (p, s) = traversal_links(u, v);
+            let mark = !marked[u] && q(node_u);
+            marked[u] |= mark;
+            let (p, s) = traversal_links(node_u, node_v);
             let port = topo
-                .port_to(u, v)
+                .port_to(node_u, node_v)
                 .expect("tree edge must exist in topology");
             specs.push(InstanceSpec {
-                node: u,
+                node: node_u,
                 pred,
                 succs: vec![EdgeRef::new(port, p, s)],
-                weight: marked,
+                weight: mark,
             });
-            out_inst[slot_off[u] + ju] = base + i;
-            in_inst[slot_off[v] + jv] = base + i + 1;
+            out_inst[slot_base[t] + tree.edges_at(u).start + ju] = (base + i) as u32;
+            in_inst[slot_base[t] + tree.edges_at(v).start + jv] = (base + i + 1) as u32;
             let port = topo
-                .port_to(v, u)
+                .port_to(node_v, node_u)
                 .expect("tree edge must exist in topology");
             pred = Some(EdgeRef::new(port, p, s));
             (u, ju) = (v, (jv + 1) % adj_v.len());
         }
-        assert_eq!(u, tree.root, "Euler tour must return to the root");
+        assert_eq!(u, root, "Euler tour must return to the root");
         specs.push(InstanceSpec {
             node: tree.root,
             pred,
@@ -164,13 +162,11 @@ pub fn build_tours(topo: &Topology, trees: &[Tree], q: &[bool]) -> TourSet {
 
     TourSet {
         specs,
-        slot_off,
+        slot_base,
         out_inst,
         in_inst,
         start_inst,
         last_inst,
-        marked_adj,
-        tree_of,
     }
 }
 
@@ -195,8 +191,8 @@ mod tests {
     #[test]
     fn tour_shape() {
         let (topo, tree) = star_plus_path();
-        let q = vec![true; 5];
-        let ts = build_tours(&topo, std::slice::from_ref(&tree), &q);
+        let q = [true; 5];
+        let ts = build_tours(&topo, std::slice::from_ref(&tree), |v| q[v]);
         // 2(n-1)+1 instances.
         assert_eq!(ts.specs.len(), 2 * 4 + 1);
         // Exactly one start (no pred) and one end (no succ).
@@ -206,13 +202,13 @@ mod tests {
         let marks = ts.specs.iter().filter(|s| s.weight).count();
         assert_eq!(marks, 5);
         // Each node has deg instances as tails.
-        for v in 0..5 {
-            assert_eq!(ts.slots(v).len(), tree.adj(v).len());
-            for slot in ts.slots(v) {
-                assert_ne!(ts.out_inst[slot], usize::MAX);
-                assert_ne!(ts.in_inst[slot], usize::MAX);
-                assert_eq!(ts.specs[ts.out_inst[slot]].node, v);
-                assert_eq!(ts.specs[ts.in_inst[slot]].node, v);
+        for (i, &v) in tree.members().iter().enumerate() {
+            assert_eq!(ts.slots(0, &tree, i).len(), tree.adj(v).len());
+            for slot in ts.slots(0, &tree, i) {
+                assert_ne!(ts.out_inst[slot], u32::MAX);
+                assert_ne!(ts.in_inst[slot], u32::MAX);
+                assert_eq!(ts.specs[ts.out_inst[slot] as usize].node, v);
+                assert_eq!(ts.specs[ts.in_inst[slot] as usize].node, v);
             }
         }
     }
@@ -222,8 +218,8 @@ mod tests {
         // Lemma 17: for the parent edge, prefixsum(u,p) - prefixsum(p,u) =
         // |Q ∩ subtree(u)|; verify by running the actual circuits.
         let (topo, tree) = star_plus_path();
-        let q = vec![false, true, false, true, true]; // Q = {1, 3, 4}
-        let ts = build_tours(&topo, std::slice::from_ref(&tree), &q);
+        let q = [false, true, false, true, true]; // Q = {1, 3, 4}
+        let ts = build_tours(&topo, std::slice::from_ref(&tree), |v| q[v]);
         let mut world = World::new(topo, LINKS);
         let mut run = PascRun::new(&mut world, ts.specs.clone(), SYNC);
         let values = run.run_to_completion(&mut world);
@@ -241,7 +237,7 @@ mod tests {
                 if q[x] {
                     cnt += 1;
                 }
-                for &w in tree.adj(x) {
+                for w in tree.adj(x) {
                     if !seen[w] && parents[w] == Some(x) {
                         seen[w] = true;
                         stack.push(w);
@@ -250,14 +246,16 @@ mod tests {
             }
             cnt
         };
+        let slot = |v: usize, w: usize| {
+            let j = tree.adj(v).position(|x| x == w).unwrap();
+            ts.slots(0, &tree, tree.index_of(v).unwrap()).start + j
+        };
         for v in 0..5 {
             if let Some(p) = parents[v] {
-                let j = tree.adj(v).iter().position(|&w| w == p).unwrap();
-                let out = values[ts.out_inst[ts.slot(v, j)]];
+                let out = values[ts.out_inst[slot(v, p)] as usize];
                 // The incoming prefix sum is the value of the *preceding*
                 // instance, i.e. the peer's outgoing instance for (p, v).
-                let jp = tree.adj(p).iter().position(|&w| w == v).unwrap();
-                let inc = values[ts.out_inst[ts.slot(p, jp)]];
+                let inc = values[ts.out_inst[slot(p, v)] as usize];
                 assert_eq!(out - inc, subtree_q(v), "subtree count at {v}");
             }
         }
@@ -276,13 +274,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let s = AmoebotStructure::new(shapes::random_blob(10_000, &mut rng)).unwrap();
         let n = s.len();
-        let tree = crate::portals::axis_portals(&s, &vec![true; n], Axis::X).tree_rooted_at(0);
+        let members: Vec<usize> = (0..n).collect();
+        let tree = crate::portals::axis_portals(&s, &members, Axis::X).tree_rooted_at(0);
         let mut q = vec![false; n];
         for v in shapes::random_subset(n, 8, &mut rng) {
             q[v] = true;
         }
         let topo = Topology::from_structure(&s);
-        let ts = build_tours(&topo, std::slice::from_ref(&tree), &q);
+        let ts = build_tours(&topo, std::slice::from_ref(&tree), |v| q[v]);
         let instances = ts.specs.len() as u64;
         let mut active: Vec<bool> = ts.specs.iter().map(|s| s.weight).collect();
         let mut world = World::new(topo, LINKS);
@@ -309,8 +308,8 @@ mod tests {
     fn singleton_tree_counts_its_own_mark() {
         let topo = Topology::from_edges(3, &[(0, 1), (1, 2)]);
         let lone = Tree::from_edges(3, 2, &[]);
-        let q = vec![false, false, true];
-        let ts = build_tours(&topo, &[lone], &q);
+        let q = [false, false, true];
+        let ts = build_tours(&topo, &[lone], |v| q[v]);
         assert_eq!(ts.specs.len(), 1);
         let mut world = World::new(topo, LINKS);
         let mut run = PascRun::new(&mut world, ts.specs.clone(), SYNC);
@@ -324,8 +323,8 @@ mod tests {
         let topo = Topology::from_edges(5, &[(0, 1), (2, 3), (3, 4)]);
         let t1 = Tree::from_edges(5, 0, &[(0, 1)]);
         let t2 = Tree::from_edges(5, 2, &[(2, 3), (3, 4)]);
-        let q = vec![false, true, false, false, true];
-        let ts = build_tours(&topo, &[t1, t2], &q);
+        let q = [false, true, false, false, true];
+        let ts = build_tours(&topo, &[t1, t2], |v| q[v]);
         let mut world = World::new(topo, LINKS);
         let mut run = PascRun::new(&mut world, ts.specs.clone(), SYNC);
         let values = run.run_to_completion(&mut world);

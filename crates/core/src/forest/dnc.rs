@@ -125,18 +125,17 @@ pub fn shortest_path_forest(
             Tree::from_parents(n, s, &parents)
         })
         .collect();
-    let rp = root_and_prune(&mut world, &trees, &dest_mask);
+    let rp = root_and_prune(&mut world, &trees, |v| dest_mask[v]);
     report.record("destination pruning (Corollary 57)", world.rounds() - start);
 
-    let parents: Vec<Option<NodeId>> = (0..n)
-        .map(|v| {
-            if rp.in_vq[v] {
-                rp.parent[v].map(|p| NodeId(p as u32))
-            } else {
-                None
+    let mut parents: Vec<Option<NodeId>> = vec![None; n];
+    for (t, tree) in trees.iter().enumerate() {
+        for (i, &v) in tree.members().iter().enumerate() {
+            if rp.in_vq(t, i) {
+                parents[v] = rp.parent(t, i).map(|p| NodeId(p as u32));
             }
-        })
-        .collect();
+        }
+    }
     ForestOutcome {
         parents,
         rounds: world.rounds(),
@@ -205,11 +204,12 @@ fn sources_forest(
     report: &mut RoundReport,
 ) -> Forest {
     let n = structure.len();
-    let ap = axis_portals(structure, mask, Axis::X);
+    let members: Vec<usize> = (0..n).filter(|&v| mask[v]).collect();
+    let ap = axis_portals(structure, &members, Axis::X);
 
     // §5.4.1: Q = portals with sources (one beep round, Lemma 51)...
     let start = world.rounds();
-    let q_portals = mark_portals(world, structure, &ap, src_mask);
+    let q_portals = mark_portals(world, structure, &ap, |v| src_mask[v]);
 
     // Degenerate case: the whole structure is a single x-portal (a line).
     if ap.portals.len() == 1 {
@@ -222,7 +222,7 @@ fn sources_forest(
 
     // ...and A_Q via the portal root-and-prune rooted at the leader's
     // portal (the leader is a precondition, §2.1; we use the first source).
-    let leader_portal = ap.portal_of[src[0]];
+    let leader_portal = ap.portal_of(src[0]);
     let prp = portal_root_and_prune(world, structure, &ap, leader_portal, &q_portals);
     let q_prime = portal_augmentation(world, &prp, &q_portals);
     report.record("compute Q' = Q ∪ A_Q (Lemma 51)", world.rounds() - start);
@@ -710,11 +710,12 @@ fn merge_pair(
             return None;
         }
         let mut report = RoundReport::new();
-        let sub = spt_in_world(world, structure, &other.mask, m, &other.mask, &mut report);
+        let members: Vec<usize> = (0..n).filter(|&v| other.mask[v]).collect();
+        let sub = spt_in_world(world, structure, &members, m, &other.mask, &mut report);
         let mut parents = f.parents.clone();
-        for v in 0..n {
-            if other.mask[v] && v != m && !own.mask[v] {
-                parents[v] = sub[v];
+        for (&v, p) in members.iter().zip(sub) {
+            if v != m && !own.mask[v] {
+                parents[v] = p;
                 debug_assert!(parents[v].is_some(), "SPT must cover the paired region");
             }
         }

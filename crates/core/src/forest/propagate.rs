@@ -62,15 +62,16 @@ pub fn propagate_forest(
     let mut towards = vec![[None::<Direction>; 2]; n];
     let mut portal_pset = vec![[u16::MAX; 2]; n];
     let mut cross_portals = Vec::new();
+    let members_pb: Vec<usize> = (0..n).filter(|&v| mask_pb[v]).collect();
     for (ei, &e) in cross.iter().enumerate() {
-        let ap = axis_portals(structure, &mask_pb, e);
-        let vis_flags = mark_portals(world, structure, &ap, &in_portal);
-        for v in 0..n {
+        let ap = axis_portals(structure, &members_pb, e);
+        let vis_flags = mark_portals(world, structure, &ap, |v| in_portal[v]);
+        for &v in &members_pb {
             if !b_mask[v] {
                 continue;
             }
-            let p = ap.portal_of[v];
-            if p != u32::MAX && vis_flags[p as usize] {
+            let p = ap.portal_of(v);
+            if vis_flags[p as usize] {
                 visible[v][ei] = true;
                 // The e-direction that moves the axis line key towards P.
                 let kv = axis.line_key(structure.coord(NodeId(v as u32)));
@@ -141,7 +142,9 @@ pub fn propagate_forest(
         }
         run.sync_step(world);
     }
-    // Parent choice in B' (Lemmas 46/47).
+    // Parent choice in B' (Lemmas 46/47); the rest of B is B''.
+    let mut b2 = vec![false; n];
+    let mut b2_nodes = Vec::new();
     for v in 0..n {
         if !b_mask[v] {
             continue;
@@ -157,7 +160,11 @@ pub fn propagate_forest(
                     Some(1)
                 }
             }
-            (false, false) => None, // B'' — phase 2
+            (false, false) => {
+                b2[v] = true; // B'' — phase 2
+                b2_nodes.push(v);
+                None
+            }
         };
         if let Some(ei) = pick {
             let dir = towards[v][ei].expect("visible node has a direction");
@@ -172,26 +179,24 @@ pub fn propagate_forest(
 
     // --- Phase 2: components of B'' (Lemmas 48/49), one SPT each, run in
     // parallel (disjoint regions; sequential simulation is rebated to the
-    // maximum span).
-    let b2: Vec<bool> = (0..n)
-        .map(|v| b_mask[v] && !visible[v][0] && !visible[v][1])
-        .collect();
-    let mut comp = vec![usize::MAX; n];
+    // maximum span). From here on the work is O(|B''|): components are
+    // discovered from the B'' list, and each SPT takes its component's
+    // member list.
+    let mut seen = vec![false; n];
     let mut comps: Vec<Vec<usize>> = Vec::new();
-    for v in 0..n {
-        if !b2[v] || comp[v] != usize::MAX {
+    for &v in &b2_nodes {
+        if seen[v] {
             continue;
         }
-        let id = comps.len();
         let mut stack = vec![v];
-        comp[v] = id;
+        seen[v] = true;
         let mut members = vec![v];
         while let Some(x) = stack.pop() {
             for d in ALL_DIRECTIONS {
                 if let Some(w) = structure.neighbor(NodeId(x as u32), d) {
                     let w = w.index();
-                    if b2[w] && comp[w] == usize::MAX {
-                        comp[w] = id;
+                    if b2[w] && !seen[w] {
+                        seen[w] = true;
                         members.push(w);
                         stack.push(w);
                     }
@@ -205,7 +210,7 @@ pub fn propagate_forest(
         ((key_p - axis.line_key(c)).abs(), axis.along(c))
     };
     let mut spans = Vec::new();
-    for members in &comps {
+    for mut members in comps {
         let start_rounds = world.rounds();
         // s_Z: the member adjacent to B' closest to P ("northernmost"),
         // ties broken westward; its parent: its closest-to-P neighbor in B'.
@@ -230,15 +235,13 @@ pub fn propagate_forest(
             .expect("s_Z borders B'");
         parents[s_z] = Some(parent_of_sz);
         if members.len() > 1 {
-            let mut z_mask = vec![false; n];
-            for &m in members {
-                z_mask[m] = true;
-            }
+            // Every member of Z is a destination; `b2` covers Z.
+            members.sort_unstable();
             let mut report = amoebot_circuits::RoundReport::new();
-            let sub_parents = spt_in_world(world, structure, &z_mask, s_z, &z_mask, &mut report);
-            for &m in members {
+            let sub_parents = spt_in_world(world, structure, &members, s_z, &b2, &mut report);
+            for (&m, p) in members.iter().zip(sub_parents) {
                 if m != s_z {
-                    parents[m] = sub_parents[m];
+                    parents[m] = p;
                     debug_assert!(parents[m].is_some(), "SPT must cover the component");
                 }
             }

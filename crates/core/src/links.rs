@@ -9,7 +9,10 @@
 //! * one reserved broadcast link (per-region broadcast circuits, e.g. the
 //!   root's |Q| bits in the centroid primitive, §3.4),
 //! * one reserved sync link (the global "anyone still active?" circuit of
-//!   the synchronization technique, §2.1).
+//!   the synchronization technique, §2.1). The first PASC run on a world
+//!   configures it on every node; phase resets always keep it, so later
+//!   runs find it configured and write no pin for it
+//!   (`World::global_link_config_all`).
 
 /// Primary track of the *forward* traversal (from the lower to the higher
 /// node id; any globally consistent edge orientation works).
@@ -22,7 +25,9 @@ pub const BWD_PRIMARY: usize = 2;
 pub const BWD_SECONDARY: usize = 3;
 /// Reserved broadcast link (region-scoped broadcast circuits).
 pub const BROADCAST: usize = 4;
-/// Reserved sync link (structure-spanning global circuit).
+/// Reserved sync link (structure-spanning global circuit). Every phase
+/// reset keeps it, so it stays configured across the PASC runs of a
+/// solve.
 pub const SYNC: usize = 5;
 /// The number of links per edge required by this crate's algorithms.
 pub const LINKS: usize = 6;

@@ -15,7 +15,8 @@
 //! (Figure 4b).
 //!
 //! Every primitive reads region membership from the [`AxisPortals`] it is
-//! given. Two steps are charged to the world rather than simulated, and
+//! given and walks the region's member list, so beyond its ticks a
+//! primitive on a region of `m` amoebots costs O(m), not O(n). Two steps are charged to the world rather than simulated, and
 //! both charges are made here: the Lemma 34 degree count
 //! ([`portal_augmentation`]) and the quotient decomposition
 //! ([`portal_centroid_decomposition`]).
@@ -34,80 +35,96 @@ use crate::tree::Tree;
 
 /// The portal decomposition of a region for one axis, plus the implicit
 /// portal tree.
+///
+/// Everything but one array is sized by the region: the node-id index
+/// (`n` entries) answers "is `w` in the region, and at which member
+/// index?" in O(1) for any neighbor `w` of a member, which the primitives
+/// ask of every member's six neighbors.
 #[derive(Debug, Clone)]
 pub struct AxisPortals {
     /// The axis.
     pub axis: Axis,
-    /// `portal_of[v]` = portal index of node `v` (`u32::MAX` outside the
-    /// region).
-    pub portal_of: Vec<u32>,
+    /// Node id -> member index (position in [`AxisPortals::members`]),
+    /// `u32::MAX` outside the region.
+    index: Vec<u32>,
+    /// Per member: its portal.
+    member_portal: Vec<u32>,
     /// Member nodes of each portal, ordered along [`Axis::positive`].
     pub portals: Vec<Vec<usize>>,
     /// The representative of each portal: its "westernmost" member (the
     /// first in portal order), §3.5.
     pub reps: Vec<usize>,
-    /// The implicit portal tree `T_d`, rooted at the first portal's
-    /// representative; [`AxisPortals::tree_rooted_at`] re-roots a copy.
+    /// The implicit portal tree `T_d` over the region's members, rooted at
+    /// the first portal's representative; [`AxisPortals::tree_rooted_at`]
+    /// re-roots it without copying.
     tree: Tree,
 }
 
-/// Computes the portals and the implicit portal tree of the masked region
-/// for `axis`. The region must be connected; for the tree property it must
-/// also be hole-free (Lemma 9).
-pub fn axis_portals(structure: &AmoebotStructure, mask: &[bool], axis: Axis) -> AxisPortals {
+/// Computes the portals and the implicit portal tree of the region with
+/// the ascending member list `members` for `axis`, in O(|members|) beyond
+/// one `n`-entry index. The region must be connected; for the tree
+/// property it must also be hole-free (Lemma 9).
+pub fn axis_portals(structure: &AmoebotStructure, members: &[usize], axis: Axis) -> AxisPortals {
     let n = structure.len();
-    assert_eq!(mask.len(), n);
+    debug_assert!(
+        members.windows(2).all(|w| w[0] < w[1]),
+        "members must ascend"
+    );
+    let mut index = vec![u32::MAX; n];
+    for (i, &v) in members.iter().enumerate() {
+        index[v] = i as u32;
+    }
     let nbr = |v: usize, d: Direction| -> Option<usize> {
         structure
             .neighbor(NodeId(v as u32), d)
-            .and_then(|w| mask[w.index()].then_some(w.index()))
+            .and_then(|w| (index[w.index()] != u32::MAX).then_some(w.index()))
     };
 
     // Portal runs along the axis.
     let (pos, neg) = axis.directions();
-    let mut portal_of = vec![u32::MAX; n];
+    let mut member_portal = vec![u32::MAX; members.len()];
     let mut portals: Vec<Vec<usize>> = Vec::new();
     let mut reps = Vec::new();
-    for v in 0..n {
-        if !mask[v] || nbr(v, neg).is_some() {
+    for &v in members {
+        if nbr(v, neg).is_some() {
             continue;
         }
         let p = portals.len() as u32;
-        let mut members = Vec::new();
+        let mut run = Vec::new();
         let mut cur = Some(v);
         while let Some(u) = cur {
-            portal_of[u] = p;
-            members.push(u);
+            member_portal[index[u] as usize] = p;
+            run.push(u);
             cur = nbr(u, pos);
         }
-        reps.push(members[0]);
-        portals.push(members);
+        reps.push(run[0]);
+        portals.push(run);
     }
 
-    // Implicit portal tree adjacency via the local rule of Definition 12.
-    let mut tree_off = Vec::with_capacity(n + 1);
+    // Implicit portal tree adjacency via the local rule of Definition 12,
+    // by member index.
+    let mut tree_off = Vec::with_capacity(members.len() + 1);
     let mut tree_nbr = Vec::new();
     tree_off.push(0);
-    for v in 0..n {
-        if mask[v] {
-            for d in ALL_DIRECTIONS {
-                if let Some(w) = nbr(v, d) {
-                    if implicit_edge_local_rule(&nbr, axis, v, d) {
-                        tree_nbr.push(w);
-                    }
+    for &v in members {
+        for d in ALL_DIRECTIONS {
+            if let Some(w) = nbr(v, d) {
+                if implicit_edge_local_rule(&nbr, axis, v, d) {
+                    tree_nbr.push(index[w]);
                 }
             }
         }
-        tree_off.push(tree_nbr.len());
+        tree_off.push(tree_nbr.len() as u32);
     }
-    let members = (0..n).filter(|&v| mask[v]).collect();
     let root = reps.first().copied().unwrap_or(0);
+    let tree = Tree::from_member_adjacency(n, root, members.to_vec(), tree_off, tree_nbr);
     AxisPortals {
         axis,
-        portal_of,
+        index,
+        member_portal,
         portals,
         reps,
-        tree: Tree::from_flat_members(root, tree_off, tree_nbr, members),
+        tree,
     }
 }
 
@@ -144,37 +161,54 @@ impl AxisPortals {
         self.portals.is_empty()
     }
 
+    /// The region's members, ascending. Member-indexed results of the
+    /// portal primitives follow this order.
+    #[inline]
+    pub fn members(&self) -> &[usize] {
+        self.tree.members()
+    }
+
     /// Whether `v` belongs to the region the portals were computed for.
     #[inline]
     pub fn contains(&self, v: usize) -> bool {
-        self.portal_of[v] != u32::MAX
+        self.index[v] != u32::MAX
     }
 
-    /// The representative flags `Q̂` of a portal set: `v` is flagged iff it
-    /// represents a portal of `q_portals`. By Lemma 32, a node-level ETT on
-    /// the implicit portal tree weighted by `Q̂` computes the portal-graph
-    /// values (§3.5).
-    pub fn rep_flags(&self, q_portals: &[bool]) -> Vec<bool> {
-        let mut q_hat = vec![false; self.portal_of.len()];
-        for (&r, &q) in self.reps.iter().zip(q_portals) {
-            q_hat[r] = q;
-        }
-        q_hat
+    /// The position of member `v` in [`AxisPortals::members`]; `None`
+    /// outside the region.
+    #[inline]
+    pub fn index_of(&self, v: usize) -> Option<usize> {
+        let i = self.index[v];
+        (i != u32::MAX).then_some(i as usize)
+    }
+
+    /// The portal of node `v` (`u32::MAX` outside the region).
+    #[inline]
+    pub fn portal_of(&self, v: usize) -> u32 {
+        self.index_of(v).map_or(u32::MAX, |i| self.member_portal[i])
+    }
+
+    /// Whether `v` is in the representative set `Q̂` of a portal set: it
+    /// represents a portal of `q_portals`. By Lemma 32, a node-level ETT
+    /// on the implicit portal tree weighted by `Q̂` computes the
+    /// portal-graph values (§3.5).
+    #[inline]
+    pub(crate) fn represents(&self, v: usize, q_portals: &[bool]) -> bool {
+        let p = self.portal_of(v);
+        p != u32::MAX && self.reps[p as usize] == v && q_portals[p as usize]
     }
 
     /// Neighbors of `v` in the implicit portal tree `T_d`, in port (=
     /// direction index) order — the cyclic order used for Euler tours.
     #[inline]
-    pub fn tree_adj(&self, v: usize) -> &[usize] {
+    pub fn tree_adj(&self, v: usize) -> impl ExactSizeIterator<Item = usize> + '_ {
         self.tree.adj(v)
     }
 
-    /// The implicit portal tree rooted at the representative of `portal`.
+    /// The implicit portal tree rooted at the representative of `portal`;
+    /// shares the tree's shape, so it costs O(1).
     pub fn tree_rooted_at(&self, portal: u32) -> Tree {
-        let mut tree = self.tree.clone();
-        tree.root = self.reps[portal as usize];
-        debug_assert!(tree.contains(tree.root));
-        tree
+        self.tree.with_root(self.reps[portal as usize])
     }
 
     /// The portal-level adjacency (quotient graph): for each portal, its
@@ -182,10 +216,10 @@ impl AxisPortals {
     /// connector amoebots `c_{P1}(P2)` (§3.5). Sorted by neighbor portal id.
     pub fn portal_tree_edges(&self) -> Vec<Vec<(u32, usize)>> {
         let mut out: Vec<Vec<(u32, usize)>> = vec![Vec::new(); self.portals.len()];
-        for v in 0..self.portal_of.len() {
-            for &w in self.tree_adj(v) {
-                let pv = self.portal_of[v];
-                let pw = self.portal_of[w];
+        for (i, &v) in self.members().iter().enumerate() {
+            let pv = self.member_portal[i];
+            for &w in self.tree.adj_at(i) {
+                let pw = self.member_portal[w as usize];
                 if pv != pw {
                     out[pv as usize].push((pw, v));
                 }
@@ -230,21 +264,22 @@ pub(crate) fn group_axis_pins(
 /// One-round portal marking (used for `Q = {P : P ∩ S ≠ ∅}`, §5.4.1, and
 /// for destination portals in §4): each portal forms a circuit along its
 /// axis pins on the BROADCAST link, flagged members beep, and every member
-/// learns whether its portal contains a flagged amoebot.
+/// learns whether its portal contains a flagged amoebot. `flagged` is read
+/// for region members only.
 pub fn mark_portals(
     world: &mut World,
     structure: &AmoebotStructure,
     ap: &AxisPortals,
-    flags: &[bool],
+    flagged: impl Fn(usize) -> bool,
 ) -> Vec<bool> {
-    let n = structure.len();
     world.reset_all_pins_keeping_links(&[SYNC]);
-    let mut pset = vec![u16::MAX; n];
+    let mut pset = vec![u16::MAX; ap.members().len()];
     for members in &ap.portals {
         for &v in members {
-            pset[v] = group_axis_pins(world, structure, ap, v, BROADCAST);
-            if flags[v] && pset[v] != u16::MAX {
-                world.beep(v, pset[v]);
+            let i = ap.index[v] as usize;
+            pset[i] = group_axis_pins(world, structure, ap, v, BROADCAST);
+            if flagged(v) && pset[i] != u16::MAX {
+                world.beep(v, pset[i]);
             }
         }
     }
@@ -252,14 +287,15 @@ pub fn mark_portals(
     ap.portals
         .iter()
         .map(|members| {
-            let expected = members.iter().any(|&v| flags[v]);
+            let expected = members.iter().any(|&v| flagged(v));
             let rep = members[0];
+            let rep_pset = pset[ap.index[rep] as usize];
             // Singleton portals know locally; others hear the circuit (the
             // sender's own partition set also receives its beep).
-            let heard = if members.len() == 1 || pset[rep] == u16::MAX {
+            let heard = if members.len() == 1 || rep_pset == u16::MAX {
                 expected
             } else {
-                world.received(rep, pset[rep])
+                world.received(rep, rep_pset)
             };
             debug_assert_eq!(heard, expected, "portal circuit must span the portal");
             heard
@@ -274,11 +310,12 @@ pub struct PortalRootPrune {
     /// tree contains a `Q`-portal). Every member amoebot learns this via the
     /// portal circuit (Figure 4a).
     pub portal_in_vq: Vec<bool>,
-    /// Per node and direction: whether the neighbor in that direction
-    /// belongs to the *parent portal* of the node's portal (learned via the
-    /// per-directed-edge circuits of Figure 4b). Only cross-axis directions
-    /// can be set.
-    pub parent_side: Vec<[bool; 6]>,
+    /// Per region member (in [`AxisPortals::members`] order): bit
+    /// `d.index()` is set iff the neighbor in direction `d` belongs to the
+    /// *parent portal* of the member's portal (learned via the
+    /// per-directed-edge circuits of Figure 4b). Only cross-axis
+    /// directions can be set.
+    pub parent_side: Vec<u8>,
     /// `|Q|` (number of Q-portals), as computed by the root representative.
     pub q_count: u64,
     /// Per portal: its number of connectors with a non-zero prefix-sum
@@ -291,7 +328,8 @@ pub struct PortalRootPrune {
 /// tree at `root_portal`, prunes subtrees without portals in `q_portals`,
 /// and disseminates both the `V_Q` membership (portal circuits) and the
 /// parent-portal relation (per-directed-edge circuits) to every member
-/// amoebot. `O(log |Q|)` rounds (Lemma 33).
+/// amoebot. `O(log |Q|)` rounds (Lemma 33); beyond its ticks the call
+/// costs O(region members).
 pub fn portal_root_and_prune(
     world: &mut World,
     structure: &AmoebotStructure,
@@ -299,39 +337,37 @@ pub fn portal_root_and_prune(
     root_portal: u32,
     q_portals: &[bool],
 ) -> PortalRootPrune {
-    let n = structure.len();
     assert_eq!(q_portals.len(), ap.portals.len());
+    let members = ap.members();
+    let portal = &ap.member_portal;
 
     // Node-level ETT on the implicit portal tree with Q̂ = representatives
     // of Q-portals (Lemma 32 transfers the prefix-sum differences).
     let tree = ap.tree_rooted_at(root_portal);
-    let rp = root_and_prune(world, std::slice::from_ref(&tree), &ap.rep_flags(q_portals));
+    let rp = root_and_prune(world, std::slice::from_ref(&tree), |v| {
+        ap.represents(v, q_portals)
+    });
     let q_count = rp.q_count[0];
 
     // Collect, per portal, the signed differences at its connector amoebots.
     // diff > 0 towards a neighbor portal means that neighbor is the parent.
     let mut portal_nonzero = vec![0u32; ap.portals.len()];
     let mut portal_parent_edge: Vec<Option<(usize, usize)>> = vec![None; ap.portals.len()];
-    for v in 0..n {
-        if !ap.contains(v) {
-            continue;
-        }
-        for (j, &w) in tree.adj(v).iter().enumerate() {
-            if ap.portal_of[w] == ap.portal_of[v] {
-                continue; // intra-portal edge
+    let mut connector_nonzero = vec![false; members.len()];
+    for (i, &v) in members.iter().enumerate() {
+        let p = portal[i] as usize;
+        for (&w, &sign) in tree.adj_at(i).iter().zip(rp.diff_signs(0, &tree, i)) {
+            if portal[w as usize] as usize == p || sign == 0 {
+                continue; // intra-portal edge, or outside the pruned tree
             }
-            match rp.diff_sign(v, j) {
-                0 => {}
-                s => {
-                    portal_nonzero[ap.portal_of[v] as usize] += 1;
-                    if s > 0 {
-                        debug_assert!(
-                            portal_parent_edge[ap.portal_of[v] as usize].is_none(),
-                            "a portal has at most one parent"
-                        );
-                        portal_parent_edge[ap.portal_of[v] as usize] = Some((v, w));
-                    }
-                }
+            portal_nonzero[p] += 1;
+            connector_nonzero[i] = true;
+            if sign > 0 {
+                debug_assert!(
+                    portal_parent_edge[p].is_none(),
+                    "a portal has at most one parent"
+                );
+                portal_parent_edge[p] = Some((v, members[w as usize]));
             }
         }
     }
@@ -341,37 +377,30 @@ pub fn portal_root_and_prune(
     // beep; the root portal's representative beeps iff |Q| > 0. Every member
     // then knows whether its portal is in V_Q.
     world.reset_all_pins_keeping_links(&[SYNC]);
-    let mut portal_pset = vec![u16::MAX; n];
-    for members in &ap.portals {
-        for &v in members {
-            portal_pset[v] = group_axis_pins(world, structure, ap, v, BROADCAST);
+    let mut portal_pset = vec![u16::MAX; members.len()];
+    for run in &ap.portals {
+        for &v in run {
+            portal_pset[ap.index[v] as usize] = group_axis_pins(world, structure, ap, v, BROADCAST);
         }
     }
-    for v in 0..n {
-        if !ap.contains(v) {
-            continue;
-        }
-        let p = ap.portal_of[v] as usize;
-        let is_connector_nonzero = tree
-            .adj(v)
-            .iter()
-            .enumerate()
-            .any(|(j, &w)| ap.portal_of[w] != ap.portal_of[v] && rp.diff_sign(v, j) != 0);
+    for (i, &v) in members.iter().enumerate() {
+        let p = portal[i] as usize;
         let root_beep = p as u32 == root_portal && ap.reps[p] == v && q_count > 0;
-        if (is_connector_nonzero || root_beep) && portal_pset[v] != u16::MAX {
-            world.beep(v, portal_pset[v]);
+        if (connector_nonzero[i] || root_beep) && portal_pset[i] != u16::MAX {
+            world.beep(v, portal_pset[i]);
         }
     }
     world.tick();
     let mut portal_in_vq = vec![false; ap.portals.len()];
-    for (p, members) in ap.portals.iter().enumerate() {
+    for (p, run) in ap.portals.iter().enumerate() {
         // Every member hears the same circuit; read it at the representative
         // (singleton portals check locally).
         let rep = ap.reps[p];
-        portal_in_vq[p] = if members.len() == 1 || portal_pset[rep] == u16::MAX {
+        let rep_pset = portal_pset[ap.index[rep] as usize];
+        portal_in_vq[p] = if run.len() == 1 || rep_pset == u16::MAX {
             portal_nonzero[p] > 0 || (p as u32 == root_portal && q_count > 0)
         } else {
-            world.received(rep, portal_pset[rep])
+            world.received(rep, rep_pset)
         };
     }
 
@@ -384,11 +413,8 @@ pub fn portal_root_and_prune(
     let (pos, neg) = ap.axis.directions();
     let sides = ap.axis.cross_sides();
     let side_links = [FWD_PRIMARY, FWD_SECONDARY];
-    let mut side_pset = vec![[u16::MAX; 2]; n];
-    for v in 0..n {
-        if !ap.contains(v) {
-            continue;
-        }
+    let mut side_pset = vec![[u16::MAX; 2]; members.len()];
+    for (i, &v) in members.iter().enumerate() {
         let mut has = [false; 6];
         for d in ALL_DIRECTIONS {
             has[d.index()] = structure
@@ -414,44 +440,40 @@ pub fn portal_root_and_prune(
                 len += 1;
             }
             if len > 0 {
-                side_pset[v][s] = world.group_pins(v, &pins[..len]);
+                side_pset[i][s] = world.group_pins(v, &pins[..len]);
             }
         }
     }
     // Connectors of parent edges beep on the circuit of their side.
-    let mut parent_beeped: Vec<[bool; 2]> = vec![[false; 2]; n];
-    for p in 0..ap.portals.len() {
-        if let Some((v, w)) = portal_parent_edge[p] {
-            let d = Direction::between(
-                structure.coord(NodeId(v as u32)),
-                structure.coord(NodeId(w as u32)),
-            )
-            .expect("tree edge endpoints adjacent");
-            let s = sides
-                .iter()
-                .position(|&(cb, cf)| d == cb || d == cf)
-                .expect("inter-portal edge uses a cross direction");
-            parent_beeped[v][s] = true;
-            if side_pset[v][s] != u16::MAX {
-                world.beep(v, side_pset[v][s]);
-            }
+    let mut parent_beeped = vec![[false; 2]; members.len()];
+    for &(v, w) in portal_parent_edge.iter().flatten() {
+        let d = Direction::between(
+            structure.coord(NodeId(v as u32)),
+            structure.coord(NodeId(w as u32)),
+        )
+        .expect("tree edge endpoints adjacent");
+        let s = sides
+            .iter()
+            .position(|&(cb, cf)| d == cb || d == cf)
+            .expect("inter-portal edge uses a cross direction");
+        let i = ap.index[v] as usize;
+        parent_beeped[i][s] = true;
+        if side_pset[i][s] != u16::MAX {
+            world.beep(v, side_pset[i][s]);
         }
     }
     world.tick();
-    let mut parent_side = vec![[false; 6]; n];
-    for v in 0..n {
-        if !ap.contains(v) {
-            continue;
-        }
+    let mut parent_side = vec![0u8; members.len()];
+    for (i, &v) in members.iter().enumerate() {
         for (s, &(cb, cf)) in sides.iter().enumerate() {
-            let heard = (side_pset[v][s] != u16::MAX && world.received(v, side_pset[v][s]))
-                || parent_beeped[v][s];
+            let heard = (side_pset[i][s] != u16::MAX && world.received(v, side_pset[i][s]))
+                || parent_beeped[i][s];
             if heard {
                 for d in [cb, cf] {
                     if let Some(w) = structure.neighbor(NodeId(v as u32), d) {
                         if ap.contains(w.index()) {
-                            debug_assert_ne!(ap.portal_of[w.index()], ap.portal_of[v]);
-                            parent_side[v][d.index()] = true;
+                            debug_assert_ne!(ap.portal_of(w.index()), portal[i]);
+                            parent_side[i] |= 1 << d.index();
                         }
                     }
                 }
@@ -506,14 +528,14 @@ pub fn portal_elect(
     root_portal: u32,
     q_portals: &[bool],
 ) -> Option<u32> {
-    let n = structure.len();
     let tree = ap.tree_rooted_at(root_portal);
-    let r = elect(world, std::slice::from_ref(&tree), &ap.rep_flags(q_portals))[0]?;
+    let r = elect(world, std::slice::from_ref(&tree), |v| {
+        ap.represents(v, q_portals)
+    })[0]?;
     // Announcement round (Figure 4a): the elected representative beeps on
     // its portal circuit; each member of R' identifies itself.
-    let flags: Vec<bool> = (0..n).map(|v| v == r).collect();
-    let marked = mark_portals(world, structure, ap, &flags);
-    let portal = ap.portal_of[r];
+    let marked = mark_portals(world, structure, ap, |v| v == r);
+    let portal = ap.portal_of(r);
     debug_assert!(marked[portal as usize]);
     Some(portal)
 }
@@ -533,49 +555,43 @@ pub fn portal_centroids(
     root_portal: u32,
     q_portals: &[bool],
 ) -> Vec<bool> {
-    let n = structure.len();
-    let q_hat = ap.rep_flags(q_portals);
+    let members = ap.members();
+    let portal = &ap.member_portal;
+    let q_hat = |v: usize| ap.represents(v, q_portals);
     let tree = ap.tree_rooted_at(root_portal);
     // Pass 1: root the portal tree (parent relation at the connectors).
-    let rp = root_and_prune(world, std::slice::from_ref(&tree), &q_hat);
+    let rp = root_and_prune(world, std::slice::from_ref(&tree), q_hat);
     // The portal-level parent edge: the inter-portal edge with diff > 0.
     let mut parent_edge_of: Vec<Option<(usize, usize)>> = vec![None; ap.portals.len()];
-    for v in 0..n {
-        if !ap.contains(v) {
-            continue;
-        }
-        for (j, &w) in tree.adj(v).iter().enumerate() {
-            if ap.portal_of[w] != ap.portal_of[v] && rp.diff_sign(v, j) > 0 {
-                parent_edge_of[ap.portal_of[v] as usize] = Some((v, w));
+    for (i, &v) in members.iter().enumerate() {
+        for (&w, &sign) in tree.adj_at(i).iter().zip(rp.diff_signs(0, &tree, i)) {
+            if portal[w as usize] != portal[i] && sign > 0 {
+                parent_edge_of[portal[i] as usize] = Some((v, members[w as usize]));
             }
         }
     }
 
     // Pass 2: stream sizes against |Q|/2 (3 rounds per iteration).
     world.reset_all_pins_keeping_links(&[SYNC]);
-    let mut ts = build_tours(world.topology(), std::slice::from_ref(&tree), &q_hat);
+    let mut ts = build_tours(world.topology(), std::slice::from_ref(&tree), q_hat);
     let mut run = PascRun::new(world, std::mem::take(&mut ts.specs), SYNC);
     // Structure-spanning broadcast circuit for the |Q| bits.
-    for v in 0..n {
-        if ap.contains(v) {
-            world.global_link_config(v, BROADCAST);
-        }
+    for &v in members {
+        world.global_link_config(v, BROADCAST);
     }
     let bpset = World::global_link_pset(BROADCAST);
     let r_hat = tree.root;
 
     // One stream per inter-portal connector (v, tour slot).
     let mut streams: Vec<(usize, usize, SizeStream)> = Vec::new();
-    for v in 0..n {
-        if !ap.contains(v) {
-            continue;
-        }
-        for (j, &w) in tree.adj(v).iter().enumerate() {
-            if ap.portal_of[w] == ap.portal_of[v] {
+    for (i, &v) in members.iter().enumerate() {
+        for (slot, &w) in ts.slots(0, &tree, i).zip(tree.adj_at(i)) {
+            if portal[w as usize] == portal[i] {
                 continue;
             }
-            let through_parent = parent_edge_of[ap.portal_of[v] as usize] == Some((v, w));
-            streams.push((v, ts.slot(v, j), SizeStream::new(through_parent)));
+            let through_parent =
+                parent_edge_of[portal[i] as usize] == Some((v, members[w as usize]));
+            streams.push((v, slot, SizeStream::new(through_parent)));
         }
     }
     while run.data_step(world, |_| {}).is_some() {
@@ -591,20 +607,24 @@ pub fn portal_centroids(
             } else {
                 u8::from(world.received(*v, bpset))
             };
-            stream.feed(bits[ts.out_inst[*slot]], incoming[ts.in_inst[*slot]], q_bit);
+            stream.feed(
+                bits[ts.out_inst[*slot] as usize],
+                incoming[ts.in_inst[*slot] as usize],
+                q_bit,
+            );
         }
         run.sync_step(world);
     }
 
     // Veto round (Figure 4a): connectors whose component exceeds |Q|/2 beep
     // on their portal circuit; silent Q-portals are centroids.
-    let mut veto_flags = vec![false; n];
+    let mut veto = vec![false; members.len()];
     for (v, _, stream) in &streams {
         if !stream.le_half() {
-            veto_flags[*v] = true;
+            veto[ap.index[*v] as usize] = true;
         }
     }
-    let vetoed = mark_portals(world, structure, ap, &veto_flags);
+    let vetoed = mark_portals(world, structure, ap, |v| veto[ap.index[v] as usize]);
     (0..ap.portals.len())
         .map(|p| q_portals[p] && !vetoed[p])
         .collect()
@@ -649,8 +669,8 @@ mod tests {
     use super::*;
     use amoebot_grid::{shapes, Coord, ALL_AXES};
 
-    fn full_mask(s: &AmoebotStructure) -> Vec<bool> {
-        vec![true; s.len()]
+    fn all_members(s: &AmoebotStructure) -> Vec<usize> {
+        (0..s.len()).collect()
     }
 
     #[test]
@@ -660,14 +680,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         for n in [5usize, 20, 60] {
             let s = AmoebotStructure::new(shapes::random_blob(n, &mut rng)).unwrap();
-            let mask = full_mask(&s);
+            let members = all_members(&s);
             for axis in ALL_AXES {
-                let ap = axis_portals(&s, &mask, axis);
+                let ap = axis_portals(&s, &members, axis);
                 let edge_count: usize =
                     (0..s.len()).map(|v| ap.tree_adj(v).len()).sum::<usize>() / 2;
                 assert_eq!(edge_count, s.len() - 1, "axis {axis}, n {n}");
                 let tree = ap.tree_rooted_at(0);
-                assert_eq!(tree.members.len(), s.len());
+                assert_eq!(tree.len(), s.len());
             }
         }
     }
@@ -675,14 +695,14 @@ mod tests {
     #[test]
     fn portal_graph_matches_grid_reference() {
         let s = AmoebotStructure::new(shapes::hexagon(3)).unwrap();
-        let mask = full_mask(&s);
+        let members = all_members(&s);
         for axis in ALL_AXES {
-            let ap = axis_portals(&s, &mask, axis);
+            let ap = axis_portals(&s, &members, axis);
             let (ref_of, ref_portals) = s.portals(axis);
             assert_eq!(ap.portals.len(), ref_portals.len());
             for v in s.nodes() {
                 assert_eq!(
-                    ap.portal_of[v.index()],
+                    ap.portal_of(v.index()),
                     ref_of[v.index()],
                     "portal ids must match grid reference"
                 );
@@ -694,10 +714,10 @@ mod tests {
     fn lemma_11_distance_identity() {
         // 2·dist(u,v) = dist_x + dist_y + dist_z over the portal graphs.
         let s = AmoebotStructure::new(shapes::comb(7, 3)).unwrap();
-        let mask = full_mask(&s);
+        let members = all_members(&s);
         let aps: Vec<AxisPortals> = ALL_AXES
             .iter()
-            .map(|&ax| axis_portals(&s, &mask, ax))
+            .map(|&ax| axis_portals(&s, &members, ax))
             .collect();
         // Portal-graph BFS distances per axis.
         let portal_dist = |ap: &AxisPortals, from: u32| -> Vec<u32> {
@@ -720,14 +740,14 @@ mod tests {
         let bfs = s.bfs_distances(&[u]);
         let per_axis: Vec<Vec<u32>> = aps
             .iter()
-            .map(|ap| portal_dist(ap, ap.portal_of[u.index()]))
+            .map(|ap| portal_dist(ap, ap.portal_of(u.index())))
             .collect();
         for v in s.nodes() {
             let lhs = 2 * bfs[v.index()].unwrap();
             let rhs: u32 = aps
                 .iter()
                 .zip(&per_axis)
-                .map(|(ap, dist)| dist[ap.portal_of[v.index()] as usize])
+                .map(|(ap, dist)| dist[ap.portal_of(v.index()) as usize])
                 .sum();
             assert_eq!(lhs, rhs, "Lemma 11 at node {v}");
         }
@@ -737,7 +757,7 @@ mod tests {
     fn setup(coords: Vec<Coord>) -> (AmoebotStructure, World, AxisPortals) {
         let s = AmoebotStructure::new(coords).unwrap();
         let world = World::new(Topology::from_structure(&s), LINKS);
-        let ap = axis_portals(&s, &full_mask(&s), Axis::X);
+        let ap = axis_portals(&s, &all_members(&s), Axis::X);
         (s, world, ap)
     }
 
@@ -748,7 +768,7 @@ mod tests {
         let mut q_portals = vec![false; ap.portals.len()];
         q_portals[0] = true;
         *q_portals.last_mut().unwrap() = true;
-        let root_portal = ap.portal_of[s.len() / 2];
+        let root_portal = ap.portal_of(s.len() / 2);
         let out = portal_root_and_prune(&mut world, &s, &ap, root_portal, &q_portals);
         assert!(world.charge_log().is_empty(), "Lemma 33 is fully simulated");
         assert_eq!(out.q_count, 2);
@@ -793,10 +813,10 @@ mod tests {
         // parent portal of the node's portal.
         for v in 0..s.len() {
             for d in ALL_DIRECTIONS {
-                if out.parent_side[v][d.index()] {
+                if out.parent_side[v] & (1 << d.index()) != 0 {
                     let w = s.neighbor(NodeId(v as u32), d).unwrap();
-                    let pv = ap.portal_of[v];
-                    let pw = ap.portal_of[w.index()];
+                    let pv = ap.portal_of(v);
+                    let pw = ap.portal_of(w.index());
                     assert_eq!(
                         parent[pv as usize], pw,
                         "flagged neighbor must be in parent portal"
@@ -812,7 +832,8 @@ mod tests {
         // the mask.
         let s = AmoebotStructure::new(shapes::parallelogram(6, 3)).unwrap();
         let mask: Vec<bool> = s.nodes().map(|v| s.coord(v).q < 3).collect();
-        let ap = axis_portals(&s, &mask, Axis::X);
+        let members: Vec<usize> = (0..s.len()).filter(|&v| mask[v]).collect();
+        let ap = axis_portals(&s, &members, Axis::X);
         assert_eq!(ap.portals.len(), 3);
         for members in &ap.portals {
             assert_eq!(members.len(), 3);
@@ -830,7 +851,7 @@ mod tests {
         // tooth amoebot. With Q = the five tooth tips, the spine has degree
         // 5 in the pruned portal tree, so A_Q = {spine} (Lemmas 26, 34).
         let (s, mut world, ap) = setup(shapes::comb(9, 4));
-        let spine = ap.portal_of[s.node_at(Coord::new(0, 0)).unwrap().index()];
+        let spine = ap.portal_of(s.node_at(Coord::new(0, 0)).unwrap().index());
         let q: Vec<bool> = (0..ap.len())
             .map(|p| s.coord(NodeId(ap.reps[p] as u32)).r == 4)
             .collect();

@@ -84,47 +84,50 @@ impl SizeStream {
 pub fn q_centroids(world: &mut World, trees: &[Tree], q: &[bool]) -> CentroidOutcome {
     let n = world.topology().len();
     // First pass: root the trees (parents of all V_Q members).
-    let rp = root_and_prune(world, trees, q);
+    let rp = root_and_prune(world, trees, |v| q[v]);
 
     // Second pass: same tours, now streaming sizes against |Q|/2.
     world.reset_all_pins_keeping_links(&[BROADCAST, SYNC]);
-    let mut ts = build_tours(world.topology(), trees, q);
+    let mut ts = build_tours(world.topology(), trees, |v| q[v]);
     let mut run = PascRun::new(world, std::mem::take(&mut ts.specs), SYNC);
 
     // Broadcast circuits: per tree, all members join their BROADCAST-link
     // pins on tree-edge ports into one partition set (region-scoped circuit).
     // Tree degrees are unbounded on general topologies, so the pins go
-    // through one reused buffer rather than a fixed array.
-    let mut bcast_pset: Vec<u16> = vec![u16::MAX; n];
+    // through one reused buffer rather than a fixed array. One entry per
+    // member, trees in order.
+    let mut bcast_pset: Vec<u16> = Vec::new();
     let mut pins: Vec<(usize, usize)> = Vec::new();
     for tree in trees {
-        for &v in &tree.members {
+        for (i, &v) in tree.members().iter().enumerate() {
             pins.clear();
-            pins.extend(tree.adj(v).iter().map(|&w| {
+            pins.extend(tree.adj_at(i).iter().map(|&w| {
                 let port = world
                     .topology()
-                    .port_to(v, w)
+                    .port_to(v, tree.members()[w as usize])
                     .expect("tree edge in topology");
                 (port, BROADCAST)
             }));
-            if !pins.is_empty() {
-                bcast_pset[v] = world.group_pins(v, &pins);
-            }
+            bcast_pset.push(if pins.is_empty() {
+                u16::MAX
+            } else {
+                world.group_pins(v, &pins)
+            });
         }
     }
 
-    // Streaming comparators for every Q node and each of its tree neighbors.
-    let mut streams: Vec<Vec<SizeStream>> = (0..n).map(|_| Vec::new()).collect();
-    for tree in trees {
-        for &v in &tree.members {
+    // Streaming comparators for every Q node and each of its tree
+    // neighbors, one per slot (`None` at members outside Q).
+    let mut streams: Vec<Option<SizeStream>> = (0..ts.out_inst.len()).map(|_| None).collect();
+    for (t, tree) in trees.iter().enumerate() {
+        for (i, &v) in tree.members().iter().enumerate() {
             if !q[v] {
                 continue;
             }
-            streams[v] = tree
-                .adj(v)
-                .iter()
-                .map(|&w| SizeStream::new(rp.parent[v] == Some(w)))
-                .collect();
+            for (slot, &w) in ts.slots(t, tree, i).zip(tree.adj_at(i)) {
+                let through_parent = rp.parent(t, i) == Some(tree.members()[w as usize]);
+                streams[slot] = Some(SizeStream::new(through_parent));
+            }
         }
     }
 
@@ -134,42 +137,54 @@ pub fn q_centroids(world: &mut World, trees: &[Tree], q: &[bool]) -> CentroidOut
         // Round 2: each root broadcasts the current bit of |Q| on its tree's
         // broadcast circuit.
         let mut w_bits: Vec<u8> = Vec::with_capacity(trees.len());
+        let mut base = 0;
         for (t, tree) in trees.iter().enumerate() {
             let w_bit = bits[ts.last_inst[t]];
             w_bits.push(w_bit);
-            if w_bit == 1 && bcast_pset[tree.root] != u16::MAX {
-                world.beep(tree.root, bcast_pset[tree.root]);
+            let root_pset = bcast_pset[base + tree.root_index()];
+            if w_bit == 1 && root_pset != u16::MAX {
+                world.beep(tree.root, root_pset);
             }
+            base += tree.len();
         }
         world.tick();
         // Feed the streams: every member reads its tree's |Q| bit from the
         // broadcast circuit (the root knows it locally).
+        let mut base = 0;
         for (t, tree) in trees.iter().enumerate() {
-            for &v in &tree.members {
+            for (i, &v) in tree.members().iter().enumerate() {
                 if !q[v] {
                     continue;
                 }
                 let q_bit = if v == tree.root {
                     w_bits[t]
                 } else {
-                    u8::from(world.received(v, bcast_pset[v]))
+                    u8::from(world.received(v, bcast_pset[base + i]))
                 };
-                for (slot, stream) in ts.slots(v).zip(streams[v].iter_mut()) {
-                    stream.feed(bits[ts.out_inst[slot]], incoming[ts.in_inst[slot]], q_bit);
+                for slot in ts.slots(t, tree, i) {
+                    if let Some(stream) = streams[slot].as_mut() {
+                        stream.feed(
+                            bits[ts.out_inst[slot] as usize],
+                            incoming[ts.in_inst[slot] as usize],
+                            q_bit,
+                        );
+                    }
                 }
             }
+            base += tree.len();
         }
         // Round 3: sync.
         run.sync_step(world);
     }
 
     let mut is_centroid = vec![false; n];
-    for tree in trees {
-        for &v in &tree.members {
-            if !q[v] {
-                continue;
+    for (t, tree) in trees.iter().enumerate() {
+        for (i, &v) in tree.members().iter().enumerate() {
+            if q[v] {
+                is_centroid[v] = ts
+                    .slots(t, tree, i)
+                    .all(|slot| streams[slot].as_ref().is_some_and(SizeStream::le_half));
             }
-            is_centroid[v] = streams[v].iter().all(SizeStream::le_half);
         }
     }
     CentroidOutcome {
@@ -188,22 +203,22 @@ mod tests {
     /// Centralized reference: Q-centroids by definition.
     fn reference_centroids(tree: &Tree, q: &[bool]) -> Vec<bool> {
         let n = tree.n();
-        let total: usize = tree.members.iter().filter(|&&v| q[v]).count();
+        let total: usize = tree.members().iter().filter(|&&v| q[v]).count();
         let mut out = vec![false; n];
-        for &u in &tree.members {
+        for &u in tree.members() {
             if !q[u] {
                 continue;
             }
             // Count Q in each component of T - u.
             let mut ok = true;
-            for &start in tree.adj(u) {
+            for start in tree.adj(u) {
                 let mut seen = vec![false; n];
                 seen[u] = true;
                 seen[start] = true;
                 let mut stack = vec![start];
                 let mut cnt = usize::from(q[start]);
                 while let Some(v) = stack.pop() {
-                    for &w in tree.adj(v) {
+                    for w in tree.adj(v) {
                         if !seen[w] {
                             seen[w] = true;
                             cnt += usize::from(q[w]);
@@ -224,7 +239,7 @@ mod tests {
     fn check(tree: Tree, q: Vec<bool>) {
         let mut edges = Vec::new();
         for v in 0..tree.n() {
-            for &w in tree.adj(v) {
+            for w in tree.adj(v) {
                 if v < w {
                     edges.push((v, w));
                 }
@@ -234,16 +249,16 @@ mod tests {
         let mut world = World::new(topo, LINKS);
         let out = q_centroids(&mut world, std::slice::from_ref(&tree), &q);
         let reference = reference_centroids(&tree, &q);
-        for &v in &tree.members {
+        for &v in tree.members() {
             assert_eq!(out.is_centroid[v], reference[v], "centroid status of {v}");
         }
         // When Q = all members (the positive-weight case of Theorem 24/25),
         // there are one or two centroids and two centroids are adjacent. For
         // sparse Q no such bound holds (e.g. path endpoints), so only check
         // the structural claim in the all-Q case.
-        if tree.members.iter().all(|&v| q[v]) {
+        if tree.members().iter().all(|&v| q[v]) {
             let found: Vec<usize> = tree
-                .members
+                .members()
                 .iter()
                 .copied()
                 .filter(|&v| out.is_centroid[v])
@@ -251,7 +266,7 @@ mod tests {
             assert!((1..=2).contains(&found.len()), "one or two centroids");
             if found.len() == 2 {
                 assert!(
-                    tree.adj(found[0]).contains(&found[1]),
+                    tree.adj(found[0]).any(|w| w == found[1]),
                     "two centroids must be adjacent"
                 );
             }
@@ -308,7 +323,7 @@ mod tests {
                 }
                 let tree = Tree::from_edges(n, next(n), &edges);
                 let q: Vec<bool> = (0..n).map(|_| next(3) != 0).collect();
-                if tree.members.iter().any(|&v| q[v]) {
+                if tree.members().iter().any(|&v| q[v]) {
                     check(tree, q);
                 }
             }

@@ -47,10 +47,13 @@ impl Decomposition {
 pub fn centroid_decomposition(world: &mut World, tree: &Tree, q_prime: &[bool]) -> Decomposition {
     let n = world.topology().len();
     assert!(
-        tree.members.iter().any(|&v| q_prime[v]),
+        tree.members().iter().any(|&v| q_prime[v]),
         "Q' must be non-empty"
     );
-    let mut remaining: Vec<bool> = (0..n).map(|v| tree.contains(v) && q_prime[v]).collect();
+    let mut remaining = vec![false; n];
+    for &v in tree.members() {
+        remaining[v] = q_prime[v];
+    }
     let mut level: Vec<Option<u32>> = vec![None; n];
     let mut dt_parent: Vec<Option<usize>> = vec![None; n];
 
@@ -61,7 +64,7 @@ pub fn centroid_decomposition(world: &mut World, tree: &Tree, q_prime: &[bool]) 
         // Run the centroid primitive + election on all regions in parallel.
         let trees: Vec<Tree> = regions.iter().map(|(t, _)| t.clone()).collect();
         let cents = q_centroids(world, &trees, &remaining);
-        let elected = elect(world, &trees, &cents.is_centroid);
+        let elected = elect(world, &trees, |v| cents.is_centroid[v]);
 
         let mut next_regions = Vec::new();
         for ((region, caller), chosen) in regions.iter().zip(&elected) {
@@ -84,9 +87,10 @@ pub fn centroid_decomposition(world: &mut World, tree: &Tree, q_prime: &[bool]) 
         // topologies.
         let mut pins: Vec<(usize, usize)> = Vec::new();
         for (sub, _, _) in &next_regions {
-            for &v in &sub.members {
+            for (i, &v) in sub.members().iter().enumerate() {
                 pins.clear();
-                pins.extend(sub.adj(v).iter().map(|&w| {
+                pins.extend(sub.adj_at(i).iter().map(|&w| {
+                    let w = sub.members()[w as usize];
                     let port = world.topology().port_to(v, w).expect("edge");
                     (port, BROADCAST)
                 }));
@@ -155,9 +159,9 @@ mod tests {
 
     /// Builds Q' = Q ∪ A_Q via the root-and-prune primitive (Lemma 26).
     fn augmented(world: &mut World, tree: &Tree, q: &[bool]) -> Vec<bool> {
-        let rp = root_and_prune(world, std::slice::from_ref(tree), q);
+        let rp = root_and_prune(world, std::slice::from_ref(tree), |v| q[v]);
         let mut qp = q.to_vec();
-        for v in rp.augmentation_set() {
+        for v in rp.augmentation_set(std::slice::from_ref(tree)) {
             qp[v] = true;
         }
         qp
@@ -167,14 +171,14 @@ mod tests {
     /// edges connect to the calling recursion, and each DT subtree's Q'
     /// nodes shrink geometrically (height O(log |Q'|), Lemma 30).
     fn validate(tree: &Tree, q_prime: &[bool], d: &Decomposition) {
-        let total: usize = tree.members.iter().filter(|&&v| q_prime[v]).count();
+        let total: usize = tree.members().iter().filter(|&&v| q_prime[v]).count();
         let elected: usize = tree
-            .members
+            .members()
             .iter()
             .filter(|&&v| d.level[v].is_some())
             .count();
         assert_eq!(elected, total, "every Q' node is elected exactly once");
-        for &v in &tree.members {
+        for &v in tree.members() {
             if let Some(l) = d.level[v] {
                 assert!(q_prime[v]);
                 match d.dt_parent[v] {

@@ -17,9 +17,11 @@ use crate::tree::Tree;
 ///
 /// Note this is *not* leader election: each tree's root is already unique
 /// and coordinates the step.
-pub fn elect(world: &mut World, trees: &[Tree], q: &[bool]) -> Vec<Option<usize>> {
+///
+/// `q` is a predicate on node ids, read for tree members only.
+pub fn elect(world: &mut World, trees: &[Tree], q: impl Fn(usize) -> bool) -> Vec<Option<usize>> {
     world.reset_all_pins_keeping_links(&[BROADCAST, SYNC]);
-    let ts = build_tours(world.topology(), trees, q);
+    let ts = build_tours(world.topology(), trees, &q);
     let c = world.links_per_edge();
 
     // Configure the subpath circuits: each instance joins its pred-side and
@@ -60,18 +62,22 @@ pub fn elect(world: &mut World, trees: &[Tree], q: &[bool]) -> Vec<Option<usize>
             if start.weight {
                 // Root's first outgoing edge is marked: the first subpath is
                 // empty and the root itself is elected.
-                debug_assert!(q[tree.root]);
+                debug_assert!(q(tree.root));
                 return Some(tree.root);
             }
-            if !tree.members.iter().any(|&v| q[v]) {
+            if !tree.members().iter().any(|&v| q(v)) {
                 return None;
             }
             // The elected node is the tail of the first marked edge: its
-            // marked instance received the root's beep on the pred side.
+            // marked instance (the one of weight 1) received the root's
+            // beep on the pred side.
             let mut elected = None;
-            for &v in &tree.members {
-                if let Some(j) = ts.marked_adj[v] {
-                    let inst = &ts.specs[ts.out_inst[ts.slot(v, j)]];
+            for (i, &v) in tree.members().iter().enumerate() {
+                for slot in ts.slots(t, tree, i) {
+                    let inst = &ts.specs[ts.out_inst[slot] as usize];
+                    if !inst.weight {
+                        continue;
+                    }
                     let p = inst.pred.expect("non-start marked instance has a pred");
                     let pset = (p.port * c + p.primary) as u16;
                     if world.received(v, pset) {
@@ -107,11 +113,11 @@ mod tests {
     #[test]
     fn elects_exactly_one_q_node_in_one_round() {
         let (mut world, tree) = world_and_tree();
-        let mut q = vec![false; 6];
+        let mut q = [false; 6];
         q[4] = true;
         q[5] = true;
         let before = world.rounds();
-        let elected = elect(&mut world, std::slice::from_ref(&tree), &q);
+        let elected = elect(&mut world, std::slice::from_ref(&tree), |v| q[v]);
         assert_eq!(world.rounds() - before, 1, "Lemma 21: O(1) rounds");
         let e = elected[0].unwrap();
         assert!(q[e], "elected node must be in Q");
@@ -120,30 +126,30 @@ mod tests {
     #[test]
     fn elects_root_when_root_in_q() {
         let (mut world, tree) = world_and_tree();
-        let mut q = vec![false; 6];
+        let mut q = [false; 6];
         q[0] = true;
         q[3] = true;
-        let elected = elect(&mut world, std::slice::from_ref(&tree), &q);
+        let elected = elect(&mut world, std::slice::from_ref(&tree), |v| q[v]);
         assert_eq!(elected[0], Some(0));
     }
 
     #[test]
     fn empty_q_elects_nobody() {
         let (mut world, tree) = world_and_tree();
-        let q = vec![false; 6];
-        let elected = elect(&mut world, std::slice::from_ref(&tree), &q);
+        let q = [false; 6];
+        let elected = elect(&mut world, std::slice::from_ref(&tree), |v| q[v]);
         assert_eq!(elected[0], None);
     }
 
     #[test]
     fn deterministic_across_runs() {
-        let mut q = vec![false; 6];
+        let mut q = [false; 6];
         q[3] = true;
         q[5] = true;
         let (mut w1, t1) = world_and_tree();
         let (mut w2, t2) = world_and_tree();
-        let e1 = elect(&mut w1, std::slice::from_ref(&t1), &q);
-        let e2 = elect(&mut w2, std::slice::from_ref(&t2), &q);
+        let e1 = elect(&mut w1, std::slice::from_ref(&t1), |v| q[v]);
+        let e2 = elect(&mut w2, std::slice::from_ref(&t2), |v| q[v]);
         assert_eq!(e1, e2);
     }
 
@@ -154,9 +160,9 @@ mod tests {
         let t1 = Tree::from_edges(6, 0, &[(0, 1), (1, 2)]);
         let t2 = Tree::from_edges(6, 3, &[(3, 4), (4, 5)]);
         let mut world = World::new(topo, LINKS);
-        let q = vec![false, true, true, false, false, true];
+        let q = [false, true, true, false, false, true];
         let before = world.rounds();
-        let elected = elect(&mut world, &[t1, t2], &q);
+        let elected = elect(&mut world, &[t1, t2], |v| q[v]);
         assert_eq!(world.rounds() - before, 1);
         assert!(q[elected[0].unwrap()]);
         assert_eq!(elected[1], Some(5));
@@ -167,8 +173,8 @@ mod tests {
         let topo = Topology::from_edges(2, &[(0, 1)]);
         let tree = Tree::from_edges(2, 1, &[]);
         let mut world = World::new(topo, LINKS);
-        let q = vec![false, true];
-        let elected = elect(&mut world, std::slice::from_ref(&tree), &q);
+        let q = [false, true];
+        let elected = elect(&mut world, std::slice::from_ref(&tree), |v| q[v]);
         // A singleton root in Q designates no outgoing edge; it knows locally
         // that it is the only Q member.
         assert_eq!(elected[0], Some(1));

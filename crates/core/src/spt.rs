@@ -50,16 +50,18 @@ pub fn shortest_path_tree(
 ) -> SptOutcome {
     assert!(!dests.is_empty(), "D must be non-empty");
     let mut world = World::new(Topology::from_structure(structure), LINKS);
-    let mask = vec![true; structure.len()];
+    let members: Vec<usize> = (0..structure.len()).collect();
     let mut dest_mask = vec![false; structure.len()];
     for &d in dests {
         dest_mask[d.index()] = true;
     }
     let mut report = RoundReport::new();
+    // The region is the whole structure, so its member-aligned parents
+    // are indexed by node id.
     let parents = spt_in_world(
         &mut world,
         structure,
-        &mask,
+        &members,
         source.index(),
         &dest_mask,
         &mut report,
@@ -86,65 +88,76 @@ pub fn sssp(structure: &AmoebotStructure, source: NodeId) -> SptOutcome {
     shortest_path_tree(structure, source, &all)
 }
 
+/// No chosen parent (member-index sentinel).
+const NO_PARENT: u32 = u32::MAX;
+
 /// The region-scoped SPT used both stand-alone and as a subroutine of the
 /// propagation and merging algorithms (§5.3, §5.4.3). Operates on the
-/// sub-structure selected by `mask`; `dest_mask` is intersected with it.
-/// Returns chosen parents (plain `usize` indices).
+/// connected region whose members are `members` (ascending node ids);
+/// `dest_mask` is read for members only. Returns the chosen parent of
+/// every member, aligned with `members`: `None` for the source and for
+/// members the cleanup prunes.
+///
+/// Beyond its ticks, a call costs O(|members|): every pass runs over the
+/// member list, and the only structure-sized arrays are the portal
+/// indices of the three [`axis_portals`] (see DESIGN.md).
 pub fn spt_in_world(
     world: &mut World,
     structure: &AmoebotStructure,
-    mask: &[bool],
+    members: &[usize],
     source: usize,
     dest_mask: &[bool],
     report: &mut RoundReport,
 ) -> Vec<Option<usize>> {
-    let n = structure.len();
-    assert!(mask[source], "source must lie in the region");
-    let dests: Vec<usize> = (0..n).filter(|&v| mask[v] && dest_mask[v]).collect();
-    if dests.is_empty() || dests == [source] {
-        return vec![None; n];
+    let m = members.len();
+    let s = members.partition_point(|&v| v < source);
+    assert!(
+        members.get(s) == Some(&source),
+        "source must lie in the region"
+    );
+    if !members.iter().any(|&v| v != source && dest_mask[v]) {
+        return vec![None; m];
     }
 
     // Phase 1-3: portal root-and-prune per axis (rooted at the source's
-    // portal, Q = destination portals).
-    let mut feasible = vec![[true; 6]; n]; // and-accumulated across axes
-    for axis in ALL_AXES {
+    // portal, Q = destination portals). Bit `d` of `feasible[i]` is
+    // and-accumulated across axes.
+    let mut feasible = vec![0x3fu8; m];
+    // Any axis' portals index the region; keep the first.
+    let [region, ..] = ALL_AXES.map(|axis| {
         let start = world.rounds();
-        let ap = axis_portals(structure, mask, axis);
-        let q_portals = mark_portals(world, structure, &ap, dest_mask);
-        let root_portal = ap.portal_of[source];
+        let ap = axis_portals(structure, members, axis);
+        let q_portals = mark_portals(world, structure, &ap, |v| dest_mask[v]);
+        let root_portal = ap.portal_of(source);
         let prp = portal_root_and_prune(world, structure, &ap, root_portal, &q_portals);
         // A neighbor via direction d contributes to Equation (1) through
         // this axis iff d is parallel to the axis (same portal, difference
         // 0) or points into the parent portal (difference +1).
-        for v in 0..n {
-            if !mask[v] {
-                continue;
-            }
-            for d in ALL_DIRECTIONS {
-                let ok = d.axis() == axis || prp.parent_side[v][d.index()];
-                feasible[v][d.index()] &= ok;
-            }
+        let (pos, neg) = axis.directions();
+        let parallel = (1u8 << pos.index()) | (1u8 << neg.index());
+        for (f, &side) in feasible.iter_mut().zip(&prp.parent_side) {
+            *f &= parallel | side;
         }
         report.record(
             format!("portal root-and-prune ({axis}-axis)"),
             world.rounds() - start,
         );
-    }
+        ap
+    });
 
     // Parent choice (Equation 1 / Lemma 38): local, no communication.
-    let mut chosen: Vec<Option<usize>> = vec![None; n];
-    for v in 0..n {
-        if !mask[v] || v == source {
+    let mut chosen = vec![NO_PARENT; m];
+    for (i, &v) in members.iter().enumerate() {
+        if i == s {
             continue;
         }
         for d in ALL_DIRECTIONS {
-            if !feasible[v][d.index()] {
+            if feasible[i] & (1 << d.index()) == 0 {
                 continue;
             }
             if let Some(w) = structure.neighbor(NodeId(v as u32), d) {
-                if mask[w.index()] {
-                    chosen[v] = Some(w.index());
+                if let Some(j) = region.index_of(w.index()) {
+                    chosen[i] = j as u32;
                     break;
                 }
             }
@@ -155,57 +168,62 @@ pub fn spt_in_world(
     // and prune themselves; the tree of s is rooted at s and pruned with
     // Q = D (Theorem 39's fourth root-and-prune execution).
     let start = world.rounds();
-    let mut comp = vec![false; n];
-    comp[source] = true;
-    // Children adjacency of the chosen-parent graph, in CSR form: two
-    // counting passes over two flat arrays instead of `n` heap-allocated
-    // vectors — this routine runs once per pairwise merge of the DnC
-    // forest, so its constant factor is on the reconfiguration hot path.
-    let mut child_off = vec![0u32; n + 1];
-    for v in 0..n {
-        if let Some(p) = chosen[v] {
-            child_off[p + 1] += 1;
+    // Children adjacency of the chosen-parent graph by member index, in
+    // CSR form: two counting passes over two flat arrays instead of one
+    // heap-allocated vector per member.
+    let mut child_off = vec![0u32; m + 1];
+    for &p in &chosen {
+        if p != NO_PARENT {
+            child_off[p as usize + 1] += 1;
         }
     }
-    for i in 0..n {
+    for i in 0..m {
         child_off[i + 1] += child_off[i];
     }
-    let mut children = vec![0u32; child_off[n] as usize];
+    let mut children = vec![0u32; child_off[m] as usize];
     let mut cursor = child_off.clone();
-    for v in 0..n {
-        if let Some(p) = chosen[v] {
-            children[cursor[p] as usize] = v as u32;
-            cursor[p] += 1;
+    for (i, &p) in chosen.iter().enumerate() {
+        if p != NO_PARENT {
+            children[cursor[p as usize] as usize] = i as u32;
+            cursor[p as usize] += 1;
         }
     }
-    let mut stack = vec![source];
+    let mut in_comp = vec![false; m];
+    in_comp[s] = true;
+    let mut stack = vec![s];
     let mut edges = Vec::new();
-    while let Some(v) = stack.pop() {
-        for &w in &children[child_off[v] as usize..child_off[v + 1] as usize] {
-            let w = w as usize;
-            if !comp[w] {
-                comp[w] = true;
-                edges.push((v, w));
-                stack.push(w);
+    while let Some(i) = stack.pop() {
+        for &j in &children[child_off[i] as usize..child_off[i + 1] as usize] {
+            let j = j as usize;
+            if !in_comp[j] {
+                in_comp[j] = true;
+                edges.push((members[i], members[j]));
+                stack.push(j);
             }
         }
     }
-    let tree = Tree::from_edges(n, source, &edges);
-    let q: Vec<bool> = (0..n).map(|v| comp[v] && dest_mask[v]).collect();
-    let rp = root_and_prune(world, std::slice::from_ref(&tree), &q);
+    let tree = Tree::from_edges(structure.len(), source, &edges);
+    let rp = root_and_prune(world, std::slice::from_ref(&tree), |v| dest_mask[v]);
     report.record("final root-and-prune (cleanup)", world.rounds() - start);
 
-    (0..n)
-        .map(|v| {
-            if v != source && rp.in_vq[v] {
-                let p = rp.parent[v];
-                debug_assert_eq!(p, chosen[v], "cleanup must confirm the chosen parent");
-                p
-            } else {
-                None
-            }
-        })
-        .collect()
+    // The cleanup tree's members are a subset of `members`; both ascend.
+    let mut parents = vec![None; m];
+    let mut i = 0;
+    for (t, &v) in tree.members().iter().enumerate() {
+        while members[i] != v {
+            i += 1;
+        }
+        if i != s && rp.in_vq(0, t) {
+            let p = rp.parent(0, t);
+            debug_assert_eq!(
+                p,
+                Some(members[chosen[i] as usize]),
+                "cleanup must confirm the chosen parent"
+            );
+            parents[i] = p;
+        }
+    }
+    parents
 }
 
 #[cfg(test)]
@@ -300,10 +318,11 @@ mod tests {
         for d in &dests {
             dest_mask[d.index()] = true;
         }
+        let members: Vec<usize> = (0..n).collect();
         let parents = spt_in_world(
             &mut world,
             &s,
-            &vec![true; n],
+            &members,
             source,
             &dest_mask,
             &mut RoundReport::new(),
@@ -316,6 +335,73 @@ mod tests {
             .map(|p| p.map(|v| NodeId(v as u32)))
             .collect();
         assert_eq!(parents, expected.parents);
+    }
+
+    /// A region call on a proper sub-region of a larger structure, whose
+    /// member ids interleave with non-member ids: the tree is valid and
+    /// matches — parent for parent, mapped by coordinate, and round for
+    /// round — the SPT of the region built as a structure of its own.
+    #[test]
+    fn region_call_matches_the_region_as_its_own_structure() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut regions = vec![shapes::hexagon(4), shapes::comb(9, 4)];
+        for n in [12usize, 60, 200] {
+            regions.push(shapes::random_blob(n, &mut rng));
+        }
+        for coords in regions {
+            // Embed the region in a parallelogram, two rows and columns
+            // of non-members on every side.
+            let q0 = coords.iter().map(|c| c.q).min().unwrap();
+            let r0 = coords.iter().map(|c| c.r).min().unwrap();
+            let q1 = coords.iter().map(|c| c.q).max().unwrap();
+            let r1 = coords.iter().map(|c| c.r).max().unwrap();
+            let big = AmoebotStructure::new(shapes::parallelogram(
+                (q1 - q0 + 5) as usize,
+                (r1 - r0 + 5) as usize,
+            ))
+            .unwrap();
+            let mut members: Vec<usize> = coords
+                .iter()
+                .map(|c| {
+                    big.node_at(Coord::new(c.q - q0 + 2, c.r - r0 + 2))
+                        .unwrap()
+                        .index()
+                })
+                .collect();
+            members.sort_unstable();
+            // The region on its own, its ids in the members' order.
+            let sub = AmoebotStructure::new(members.iter().map(|&v| big.coord(NodeId(v as u32))))
+                .unwrap();
+            let to_sub = |v: usize| sub.node_at(big.coord(NodeId(v as u32))).unwrap();
+            let m = members.len();
+            assert!(m < big.len() && members.windows(2).any(|w| w[1] > w[0] + 1));
+            let source = members[rng.gen_range(0..m)];
+            for l in [1, m / 3 + 1, m] {
+                let dests: Vec<usize> = shapes::random_subset(m, l, &mut rng)
+                    .into_iter()
+                    .map(|i| members[i])
+                    .collect();
+                let mut dest_mask = vec![false; big.len()];
+                for &d in &dests {
+                    dest_mask[d] = true;
+                }
+                let mut world = World::new(Topology::from_structure(&big), LINKS);
+                let mut report = RoundReport::new();
+                let parents =
+                    spt_in_world(&mut world, &big, &members, source, &dest_mask, &mut report);
+                let mut mapped = vec![None; m];
+                for (&v, p) in members.iter().zip(&parents) {
+                    mapped[to_sub(v).index()] = p.map(to_sub);
+                }
+                let sub_dests: Vec<NodeId> = dests.iter().map(|&d| to_sub(d)).collect();
+                let violations = validate_forest(&sub, &[to_sub(source)], &sub_dests, &mapped);
+                assert!(violations.is_empty(), "{violations:?}");
+                let own = shortest_path_tree(&sub, to_sub(source), &sub_dests);
+                assert_eq!(mapped, own.parents, "|region| {m}, ℓ = {l}");
+                assert_eq!(world.rounds(), own.rounds, "|region| {m}, ℓ = {l}");
+                assert_eq!(world.beeps_sent(), own.beeps, "|region| {m}, ℓ = {l}");
+            }
+        }
     }
 
     #[test]

@@ -97,7 +97,10 @@ pub struct PascRun {
 impl PascRun {
     /// Prepares a run. Configures the reserved `sync_link` as a global
     /// circuit on *every* node of the world (it must not be used by any
-    /// concurrent primitive) and marks weight-1 instances active.
+    /// concurrent primitive) and marks weight-1 instances active. The
+    /// configuration goes through [`World::global_link_config_all`], so it
+    /// costs nothing when an earlier run left the link configured and
+    /// nothing moved a pin on it since: then no pin is written.
     ///
     /// # Panics
     ///
@@ -113,9 +116,7 @@ impl PascRun {
                 assert_ne!(e.primary, e.secondary, "tracks must use distinct links");
             }
         }
-        for v in 0..world.topology().len() {
-            world.global_link_config(v, sync_link);
-        }
+        world.global_link_config_all(sync_link);
         let c = world.links_per_edge();
         let active: Vec<bool> = specs.iter().map(|s| s.weight).collect();
         let starts = (0..specs.len())
@@ -386,5 +387,37 @@ impl PascRun {
     pub fn run_to_completion(&mut self, world: &mut World) -> Vec<u64> {
         while self.step(world).is_some() {}
         self.values.clone()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::specs::chain_specs;
+    use amoebot_circuits::Topology;
+
+    /// The sync circuit spans every node, the run's own or not; a later
+    /// run finds the link configured and writes no pin when it starts.
+    #[test]
+    fn sync_setup_is_free_once_the_link_holds() {
+        const SYNC: usize = 2;
+        let edges: Vec<(usize, usize)> = (0..4).map(|i| (i, i + 1)).collect();
+        let mut world = World::new(Topology::from_edges(5, &edges), 3);
+        let specs = chain_specs(world.topology(), &[0, 1, 2], 0, 1, None);
+        let mut run = PascRun::new(&mut world, specs.clone(), SYNC);
+        assert!(world.global_link_holds(SYNC));
+        for port in 0..2 {
+            // Node 3 runs no instance; its pins join the sync circuit too.
+            assert_eq!(
+                world.pin_config(3, port, SYNC),
+                World::global_link_pset(SYNC)
+            );
+        }
+        run.run_to_completion(&mut world);
+        world.circuit_count(); // a read labels everything
+        assert!(!world.relabel_pending());
+        let mut again = PascRun::new(&mut world, specs, SYNC);
+        assert!(!world.relabel_pending(), "set-up must write no pin");
+        assert_eq!(again.run_to_completion(&mut world), vec![0, 1, 2]);
     }
 }

@@ -445,14 +445,14 @@ fn run_micro<R: Recorder>(micro: MicroWorkload, seed: u64, rec: &mut R) -> Scena
         MicroWorkload::RootPrune { n, q } | MicroWorkload::Augmentation { n, q } => {
             let mut rng = derive_rng(seed, 0);
             let (mut world, tree, qs) = random_tree_and_q(n, q.max(1), &mut rng);
-            let rp = root_and_prune(&mut world, std::slice::from_ref(&tree), &qs);
+            let rp = root_and_prune(&mut world, std::slice::from_ref(&tree), |v| qs[v]);
             r.n = n;
             r.k = qs.iter().filter(|&&b| b).count();
             r.rounds = world.rounds();
             r.beeps = world.beeps_sent();
             r.metrics.merge(world.metrics());
             // Corollary 29: |A_Q| <= |Q| - 1.
-            let a = rp.augmentation_set().len();
+            let a = rp.augmentation_set(std::slice::from_ref(&tree)).len();
             r.checks = vec![
                 CheckResult::from_bool("augmentation-bound", a < r.k.max(1), || {
                     format!("|A_Q| = {a} exceeds |Q| - 1 = {}", r.k.saturating_sub(1))
@@ -469,7 +469,7 @@ fn run_micro<R: Recorder>(micro: MicroWorkload, seed: u64, rec: &mut R) -> Scena
             let mut rng = derive_rng(seed, 0);
             let (mut world, tree, qs) = random_tree_and_q(n, q.max(1), &mut rng);
             let before = world.rounds();
-            let winners = elect(&mut world, std::slice::from_ref(&tree), &qs);
+            let winners = elect(&mut world, std::slice::from_ref(&tree), |v| qs[v]);
             r.n = n;
             r.k = qs.iter().filter(|&&b| b).count();
             r.rounds = world.rounds() - before;
@@ -497,14 +497,14 @@ fn run_micro<R: Recorder>(micro: MicroWorkload, seed: u64, rec: &mut R) -> Scena
             let mut bad = 0usize;
             for u in 0..n {
                 let expect = qs[u] && {
-                    tree.adj(u).iter().all(|&start| {
+                    tree.adj(u).all(|start| {
                         let mut seen = vec![false; n];
                         seen[u] = true;
                         seen[start] = true;
                         let mut stack = vec![start];
                         let mut cnt = usize::from(qs[start]);
                         while let Some(v) = stack.pop() {
-                            for &w in tree.adj(v) {
+                            for w in tree.adj(v) {
                                 if !seen[w] {
                                     seen[w] = true;
                                     cnt += usize::from(qs[w]);
@@ -528,9 +528,9 @@ fn run_micro<R: Recorder>(micro: MicroWorkload, seed: u64, rec: &mut R) -> Scena
         MicroWorkload::Decomposition { n, q } => {
             let mut rng = derive_rng(seed, 0);
             let (mut world, tree, qs) = random_tree_and_q(n, q.max(1), &mut rng);
-            let rp = root_and_prune(&mut world, std::slice::from_ref(&tree), &qs);
+            let rp = root_and_prune(&mut world, std::slice::from_ref(&tree), |v| qs[v]);
             let mut qp = qs.clone();
-            for v in rp.augmentation_set() {
+            for v in rp.augmentation_set(std::slice::from_ref(&tree)) {
                 qp[v] = true;
             }
             let before = world.rounds();

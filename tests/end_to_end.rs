@@ -176,11 +176,12 @@ fn charge_log_reconciles_for_real_algorithm_runs() {
     let n = structure.len();
     let mut world = World::new(Topology::from_structure(&structure), LINKS);
     let all = vec![true; n];
+    let members: Vec<usize> = (0..n).collect();
     let mut report = RoundReport::new();
-    let parents = spt_in_world(&mut world, &structure, &all, 0, &all, &mut report);
+    let parents = spt_in_world(&mut world, &structure, &members, 0, &all, &mut report);
     assert!(parents.iter().any(Option::is_some));
 
-    let ap = axis_portals(&structure, &all, Axis::X);
+    let ap = axis_portals(&structure, &members, Axis::X);
     let q: Vec<bool> = (0..ap.len()).map(|p| p % 3 == 0).collect();
     let prp = portal_root_and_prune(&mut world, &structure, &ap, 0, &q);
     let (ticked, simulated) = (world.rounds(), world.simulated_rounds());
@@ -218,8 +219,9 @@ fn charge_log_stays_small_relative_to_simulated_rounds() {
     let n = structure.len();
     let mut world = World::new(Topology::from_structure(&structure), LINKS);
     let all = vec![true; n];
+    let members: Vec<usize> = (0..n).collect();
     let mut report = RoundReport::new();
-    spt_in_world(&mut world, &structure, &all, 0, &all, &mut report);
+    spt_in_world(&mut world, &structure, &members, 0, &all, &mut report);
     assert!(world.simulated_rounds() > 0);
     assert_eq!(world.charged_rounds(), 0);
 
@@ -247,7 +249,8 @@ fn spt_in_world_charges_nothing() {
         let mut world = World::new(Topology::from_structure(&structure), LINKS);
         let mut report = RoundReport::new();
         let all = vec![true; n];
-        let parents = spt_in_world(&mut world, &structure, &all, 0, &all, &mut report);
+        let members: Vec<usize> = (0..n).collect();
+        let parents = spt_in_world(&mut world, &structure, &members, 0, &all, &mut report);
         assert!(parents.iter().any(Option::is_some), "{name}: empty tree");
         assert_eq!(world.charge_log(), [], "{name}");
         assert_eq!(world.rounds(), world.simulated_rounds(), "{name}");

@@ -272,7 +272,7 @@ fn tours(seed: u64, n: usize) {
         })
         .collect();
     let q = random_bools(&mut rng, n);
-    run_both(&topo, build_tours(&topo, &forest, &q).specs);
+    run_both(&topo, build_tours(&topo, &forest, |v| q[v]).specs);
 }
 
 proptest! {

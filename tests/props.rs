@@ -45,9 +45,9 @@ proptest! {
     #[test]
     fn portal_graphs_are_trees(n in 2usize..80, seed in 0u64..1000) {
         let s = blob(n, seed);
-        let mask = vec![true; s.len()];
+        let members: Vec<usize> = (0..s.len()).collect();
         for axis in ALL_AXES {
-            let ap = axis_portals(&s, &mask, axis);
+            let ap = axis_portals(&s, &members, axis);
             let edges: usize = (0..s.len()).map(|v| ap.tree_adj(v).len()).sum::<usize>() / 2;
             prop_assert_eq!(edges, s.len() - 1);
             // Portal-level adjacency is a tree as well.
@@ -60,16 +60,16 @@ proptest! {
     #[test]
     fn lemma_11_on_blobs(n in 2usize..60, seed in 0u64..1000, pick in 0usize..100) {
         let s = blob(n, seed);
-        let mask = vec![true; s.len()];
+        let members: Vec<usize> = (0..s.len()).collect();
         let u = NodeId((pick % s.len()) as u32);
         let bfs = s.bfs_distances(&[u]);
         let mut portal_dists: Vec<Vec<u32>> = Vec::new();
         for axis in ALL_AXES {
-            let ap = axis_portals(&s, &mask, axis);
+            let ap = axis_portals(&s, &members, axis);
             let adj = ap.portal_tree_edges();
             let mut dist = vec![u32::MAX; ap.portals.len()];
             let mut q = std::collections::VecDeque::new();
-            let start = ap.portal_of[u.index()];
+            let start = ap.portal_of(u.index());
             dist[start as usize] = 0;
             q.push_back(start);
             while let Some(p) = q.pop_front() {
@@ -81,7 +81,7 @@ proptest! {
                 }
             }
             let per_node: Vec<u32> = (0..s.len())
-                .map(|v| dist[ap.portal_of[v] as usize])
+                .map(|v| dist[ap.portal_of(v) as usize])
                 .collect();
             portal_dists.push(per_node);
         }
