@@ -36,6 +36,7 @@
 
 pub mod bitset;
 pub mod leader;
+mod repair;
 pub mod replay;
 pub mod report;
 pub mod snapshot;

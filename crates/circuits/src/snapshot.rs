@@ -27,7 +27,7 @@
 //!           | pset[total] | links | free_links
 //!           | sent | recv_set | labels[total]
 //!           | members | member_off[total] | member_end[total]
-//!           | dirty_pins | pset_at_relabel[total]
+//!           | dirty_pins | cuts | pset_at_relabel[total]
 //!           | force_global (1 byte) | stale | circuit_roots
 //!           | cached_circuits
 //!           | counters | rounds | charges
@@ -38,6 +38,7 @@
 //! recv_set := count | gid[count]                        (delivered psets)
 //! members  := count | gid[count]                        (arena, garbage kept)
 //! dirty    := count | (gid base)[count]
+//! cuts     := count | (gid gid)[count]                  (both pins dirty)
 //! stale    := count | gid[count]                        (strictly ascending)
 //! roots    := count | gid[count]                        (strictly ascending)
 //! counters := count | (name value)[count]               (metrics counters)
@@ -52,19 +53,21 @@
 use amoebot_telemetry::wire::{self, SnapshotReader, SnapshotWriter, WireError};
 
 use crate::bitset::BitSet;
+use crate::repair::{RepairScratch, RELABEL_REPAIR};
 use crate::topology::{Topology, MAX_PORTS, NONE};
 use crate::world::{EngineStats, World, DEAD_LINK, NO_EDGE, RELABEL_WALK, RESET_NODES};
 
 /// Counter names the world codec recognizes on restore. The metrics
 /// registry keys counters by `&'static str`, so decoded names are
 /// matched against this fixed menu rather than leaked into statics.
-const KNOWN_COUNTERS: [&str; 6] = [
+const KNOWN_COUNTERS: [&str; 7] = [
     "relabel_global",
     "relabel_region",
     "fault_drops",
     "fault_injects",
     RESET_NODES,
     RELABEL_WALK,
+    RELABEL_REPAIR,
 ];
 
 /// Encodes `topo` into `w` (the `topology` production above).
@@ -233,6 +236,11 @@ impl World {
         for &(gid, base) in &self.dirty_pins {
             w.varint(gid as u64);
             w.varint(base as u64);
+        }
+        w.varint(self.cuts.len() as u64);
+        for &(pa, pb) in &self.cuts {
+            w.varint(pa as u64);
+            w.varint(pb as u64);
         }
         for &pset in &self.pset_at_relabel {
             w.varint(pset as u64);
@@ -450,6 +458,31 @@ impl World {
             dirty_pin.set(gid as usize);
             dirty_pins.push((gid, node_base));
         }
+        // The cut record: two varints (at least two bytes) per entry,
+        // both pins in range, distinct and dirty (a cut marks its pins,
+        // and the record empties whenever the dirty pins do).
+        let cut_offset = r.offset();
+        let cut_count = r.len("cut record")?;
+        if cut_count > r.remaining() / 2 {
+            return Err(WireError::BadValue {
+                what: "cut record",
+                offset: cut_offset,
+            });
+        }
+        let mut cuts = Vec::with_capacity(cut_count);
+        for _ in 0..cut_count {
+            let offset = r.offset();
+            let pa = r.u32("cut pin")?;
+            let pb = r.u32("cut pin")?;
+            let dirty = |pin: u32| (pin as usize) < total && dirty_pin.get(pin as usize);
+            if pa == pb || !dirty(pa) || !dirty(pb) {
+                return Err(WireError::BadValue {
+                    what: "cut pin",
+                    offset,
+                });
+            }
+            cuts.push((pa, pb));
+        }
 
         // A relabel-time set is a set of its pin's node, and it equals
         // the pin's current set unless the pin is dirty: the bulk writers
@@ -550,21 +583,36 @@ impl World {
             });
         }
 
+        // Counters encode sorted by name, each once, with every counter
+        // the registry pre-registers: any other table decodes to a
+        // registry that re-encodes differently.
         let mut stats = EngineStats::new();
+        let counter_offset = r.offset();
         let counter_count = r.len("counter table")?;
+        let mut prev: Option<&str> = None;
         for _ in 0..counter_count {
             let offset = r.offset();
             let name = r.str("counter name")?;
             let value = r.varint()?;
-            let known =
-                *KNOWN_COUNTERS
-                    .iter()
-                    .find(|&&k| k == name)
-                    .ok_or(WireError::BadValue {
-                        what: "counter name",
-                        offset,
-                    })?;
+            let bad_name = WireError::BadValue {
+                what: "counter name",
+                offset,
+            };
+            let known = *KNOWN_COUNTERS
+                .iter()
+                .find(|&&k| k == name)
+                .ok_or(bad_name)?;
+            if prev.is_some_and(|p| known <= p) {
+                return Err(bad_name);
+            }
+            prev = Some(known);
             stats.metrics.add_named(known, value);
+        }
+        if stats.metrics.counters_sorted().len() != counter_count {
+            return Err(WireError::BadValue {
+                what: "counter table",
+                offset: counter_offset,
+            });
         }
 
         let rounds = r.varint()?;
@@ -638,6 +686,7 @@ impl World {
             marked_roots: Vec::with_capacity(total),
             dirty_pins,
             dirty_pin,
+            cuts,
             pset_at_relabel,
             force_global,
             stale,
@@ -645,6 +694,7 @@ impl World {
             circuit_roots,
             port_edge,
             walk: Vec::new(),
+            repair: RepairScratch::default(),
             configured,
             // Not encoded: the next full sync configuration re-derives it.
             global_links: vec![false; c],
@@ -791,15 +841,29 @@ mod tests {
         );
     }
 
+    /// A 300-node path with `c` = 6 whose link 1 carries one circuit
+    /// through every node (300 of 3 588 sets, under the fallback
+    /// fraction), labelled by a read.
+    fn long_link_world() -> World {
+        let edges: Vec<(usize, usize)> = (0..299).map(|i| (i, i + 1)).collect();
+        let mut w = World::new(Topology::from_edges(300, &edges), 6);
+        w.global_link_config_all(1);
+        w.circuit_count();
+        w
+    }
+
     /// A world restored while some sets are stale keeps them stale: the
     /// first read relabels exactly what the original's first read does.
+    /// Splitting the long link-1 circuit in the middle leaves two halves
+    /// too long for the repair's budget, so the absorb stales them; the
+    /// beep walks one half and the other stays stale.
     #[test]
     fn restore_keeps_stale_sets_stale() {
-        let mut w = grid_world(4, 3, 1);
-        w.circuit_count();
-        w.group_pins(5, &[(0, 0), (1, 0)]);
-        w.beep(0, 0);
-        w.tick(); // absorbs; the beep walks a circuit away from node 5
+        let mut w = long_link_world();
+        w.set_pin(150, 1, 1, 7); // the east link-1 pin leaves the circuit
+        w.beep(0, 1);
+        w.tick(); // absorbs; the beep walks the western half
+        assert_eq!(w.repair_relabels(), 0, "the split is past the budget");
         assert!(w.relabel_pending());
         let mut restored = World::from_snapshot_bytes(&w.snapshot_bytes()).unwrap();
         assert!(restored.relabel_pending());
@@ -807,6 +871,32 @@ mod tests {
         assert_eq!(
             (restored.global_relabels(), restored.region_relabels()),
             (w.global_relabels(), w.region_relabels())
+        );
+        assert_eq!(restored.snapshot_bytes(), w.snapshot_bytes());
+
+        // A local edit is repaired instead: nothing is stale, and the
+        // restored world reads without relabelling, like the original.
+        let mut w = grid_world(4, 3, 1);
+        w.circuit_count();
+        w.group_pins(5, &[(0, 0), (1, 0)]);
+        w.beep(0, 0);
+        w.tick(); // absorbs by repairing node 5's circuits
+        assert_eq!(w.repair_relabels(), 1);
+        assert!(!w.relabel_pending());
+        let mut restored = World::from_snapshot_bytes(&w.snapshot_bytes()).unwrap();
+        assert!(!restored.relabel_pending());
+        assert_eq!(restored.circuit_count(), w.circuit_count());
+        assert_eq!(
+            (
+                restored.global_relabels(),
+                restored.region_relabels(),
+                restored.repair_relabels()
+            ),
+            (
+                w.global_relabels(),
+                w.region_relabels(),
+                w.repair_relabels()
+            )
         );
         assert_eq!(restored.snapshot_bytes(), w.snapshot_bytes());
     }
@@ -1007,6 +1097,45 @@ mod tests {
         assert!(!w.circuit_roots.get(1) && w.labels[1] == 1);
         w.member_end[1] = w.members.len() as u32 + 1;
         assert_eq!(rejected_field(&w.snapshot_bytes()), "circuit label");
+    }
+
+    /// The counter table must list each counter once, sorted by name,
+    /// the pre-registered ones included: decode would otherwise merge or
+    /// add entries, and the restored world would re-encode differently.
+    #[test]
+    fn a_non_canonical_counter_table_is_rejected() {
+        let blob = seasoned_world().snapshot_bytes();
+        // An entry is the name's length, the name and a one-byte value
+        // (both counters are 0 here); `fault_drops` comes first.
+        let entry = |name: &[u8]| {
+            let mut pattern = vec![name.len() as u8];
+            pattern.extend_from_slice(name);
+            let at = blob
+                .windows(pattern.len())
+                .position(|win| win == pattern.as_slice())
+                .expect("counter entry in the payload");
+            at..at + pattern.len() + 1
+        };
+        let (drops, injects) = (entry(b"fault_drops"), entry(b"fault_injects"));
+        assert_eq!(drops.end, injects.start, "adjacent entries");
+        let reseal = |mut body: Vec<u8>| {
+            let digest = wire::fnv1a64(&body);
+            body.extend_from_slice(&digest.to_le_bytes());
+            body
+        };
+        let body = &blob[..blob.len() - 8];
+        // Out of order.
+        let mut swapped = body[..drops.start].to_vec();
+        swapped.extend_from_slice(&body[injects.clone()]);
+        swapped.extend_from_slice(&body[drops.clone()]);
+        swapped.extend_from_slice(&body[injects.end..]);
+        assert_eq!(rejected_field(&reseal(swapped)), "counter name");
+        // A pre-registered counter left out (the count byte precedes
+        // the first entry, `fault_drops`).
+        let mut dropped = body[..drops.start].to_vec();
+        *dropped.last_mut().unwrap() -= 1;
+        dropped.extend_from_slice(&body[drops.end..]);
+        assert_eq!(rejected_field(&reseal(dropped)), "counter table");
     }
 
     /// The charge log reconciles the round counter, so its sum must not

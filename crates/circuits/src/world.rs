@@ -19,10 +19,12 @@
 //! * every partition set is either *labelled* (its label is current) or
 //!   *stale*, and the stale sets always form whole circuits of the
 //!   current configuration. Before a tick delivers and before any read,
-//!   the dirty pins are *absorbed*: the labelled circuits of each dirty
-//!   pin's old and new partition set go stale, and the dirty list
-//!   empties. See DESIGN.md §1c for the stability invariant that makes
-//!   this sound;
+//!   the dirty pins are *absorbed*: a bounded search from the dirty
+//!   pins' sets repairs the circuits they touch when it can certify
+//!   where every piece went (see `repair.rs`), and otherwise the
+//!   labelled circuits of each dirty pin's old and new partition set go
+//!   stale. Either way the dirty list empties. See DESIGN.md §1c for the
+//!   stability invariant and the certificate that make this sound;
 //! * an untraced tick (`R::TRACE == false`: [`World::tick`],
 //!   [`NullRecorder`], timed recorders) labels only the stale circuits it
 //!   delivers a beep on, by walking each one under the current pins and
@@ -48,18 +50,24 @@
 //!
 //! Structure mutations ride the same machinery: [`World::connect`] and
 //! [`World::disconnect`] splice the link table (tombstoned entries plus a
-//! freelist keep `links` compact under grow–shrink cycles) and mark the
-//! `c` pin pairs of the edge dirty, so the next absorb stales exactly
-//! the circuits that ran through the edge — a k-node churn event costs
-//! O(k · deg) amortized, not O(n). [`World::add_node`] appends a node
-//! with vacant ports and pre-labels its fresh singleton sets, keeping the
-//! cached labeling valid without any relabel at all.
+//! freelist keep `links` compact under grow–shrink cycles) in O(deg + c)
+//! and mark the `c` pin pairs of the edge dirty; a disconnect also
+//! records the cut pin pairs, the one trace a removed link leaves for
+//! the repair. The next absorb then repairs or stales exactly the
+//! circuits that ran through the edge. A repaired k-node churn event
+//! costs its splice, a search bounded by a constant multiple of its
+//! dirty sets, and one sequential pass over the buckets of the circuits
+//! it touched; a churn event that stales a circuit instead pays a walk
+//! of that circuit when it is next labelled. [`World::add_node`] appends
+//! a node with vacant ports and pre-labels its fresh singleton sets,
+//! keeping the cached labeling valid without any relabel at all.
 //!
 //! [`World::tick_reference`] keeps the original full-recompute engine
 //! alive verbatim; differential tests and the `circuit_engine` benches pin
 //! the incremental engine against it.
 
 use crate::bitset::BitSet;
+use crate::repair::RepairScratch;
 use crate::topology::{PortId, Topology};
 use amoebot_telemetry::{
     mix64, CounterId, Metrics, NullRecorder, Recorder, RelabelKind, RoundSummary, Stopwatch,
@@ -236,6 +244,13 @@ pub struct World {
     pub(crate) dirty_pins: Vec<(u32, u32)>,
     /// Bit per pin: whether it is in `dirty_pins`.
     pub(crate) dirty_pin: BitSet,
+    /// The cut record: both pins of every link [`World::disconnect`] cut
+    /// since the last absorb, as `(pin gid, pin gid)`. A cut leaves no
+    /// trace in the topology, so the repair reads the link unions it
+    /// removed from here. Both pins of an entry are dirty, and no pin
+    /// appears twice: a port's first cut since the last absorb is of
+    /// the edge it had then, and later ones are of edges wired since.
+    pub(crate) cuts: Vec<(u32, u32)>,
     /// The pin configuration as of the last absorb — the "old" partition
     /// sets whose circuits the next absorb stales.
     pub(crate) pset_at_relabel: Vec<u16>,
@@ -259,8 +274,10 @@ pub struct World {
     /// O(1) and [`World::connect`] splices one in O(1).
     pub(crate) port_edge: Vec<u32>,
     /// Walk scratch: the `(gid, owner node)` pairs of the circuit being
-    /// walked, in discovery order.
+    /// walked, in discovery order; a repair's search queue.
     pub(crate) walk: Vec<(u32, u32)>,
+    /// Repair scratch (see `repair.rs`); dead between absorbs.
+    pub(crate) repair: RepairScratch,
     /// One bit per node for each link `ℓ < c`. Invariant: if pin
     /// `(v, port, ℓ)` holds a partition set other than its singleton id
     /// `port * c + ℓ`, bit `v` of `configured[ℓ]` is set. Every pin write
@@ -365,12 +382,14 @@ impl World {
             marked_roots: Vec::with_capacity(total),
             dirty_pins: Vec::with_capacity(total),
             dirty_pin: BitSet::new(total),
+            cuts: Vec::new(),
             force_global: true,
             stale: BitSet::new(total),
             stale_count: 0,
             circuit_roots: BitSet::new(total),
             port_edge,
             walk: Vec::new(),
+            repair: RepairScratch::default(),
             configured: (0..c).map(|_| BitSet::new(n)).collect(),
             global_links: vec![false; c],
             cached_circuits: 0,
@@ -1039,12 +1058,14 @@ impl World {
         self.force_global = true;
     }
 
-    /// Absorbs the dirty pins into the stale set: the labelled circuits
-    /// of each dirty pin's old and new partition set go stale (a pin's
-    /// peer circuits are covered transitively: the old union along the
-    /// edge put the peer's set in the same old circuit as this pin's old
-    /// set). Afterwards the stale sets are again whole circuits of the
-    /// current configuration and the dirty list is empty. An absorb of
+    /// Absorbs the dirty pins: repairs the circuits they touch when the
+    /// repair certifies its result ([`crate::repair`]), and otherwise
+    /// moves the labelled circuits of each dirty pin's old and new
+    /// partition set into the stale set (a pin's peer circuits are
+    /// covered transitively: the old union along the edge put the peer's
+    /// set in the same old circuit as this pin's old set). Afterwards the
+    /// stale sets are again whole circuits of the current configuration,
+    /// and the dirty list and the cut record are empty. An absorb of
     /// more dirty pins than the fallback fraction makes the next
     /// label-everything relabel global, as it would have been had it run
     /// right away.
@@ -1052,20 +1073,24 @@ impl World {
         if self.dirty_pins.len() > self.labels.len() / REGION_FALLBACK_FRACTION {
             self.force_global = true;
         }
+        let repaired = self.repair_dirty();
         for i in 0..self.dirty_pins.len() {
             let (pin, node_base) = self.dirty_pins[i];
             let pin = pin as usize;
-            let old_gid = node_base as usize + self.pset_at_relabel[pin] as usize;
-            let new_gid = node_base as usize + self.pin_pset[pin] as usize;
-            for gid in [old_gid, new_gid] {
-                if !self.stale.get(gid) {
-                    self.stale_circuit(self.labels[gid] as usize);
+            if !repaired {
+                let old_gid = node_base as usize + self.pset_at_relabel[pin] as usize;
+                let new_gid = node_base as usize + self.pin_pset[pin] as usize;
+                for gid in [old_gid, new_gid] {
+                    if !self.stale.get(gid) {
+                        self.stale_circuit(self.labels[gid] as usize);
+                    }
                 }
             }
             self.pset_at_relabel[pin] = self.pin_pset[pin];
             self.dirty_pin.clear(pin);
         }
         self.dirty_pins.clear();
+        self.cuts.clear();
     }
 
     /// Moves the labelled circuit rooted at `root` into the stale set and
@@ -1172,7 +1197,7 @@ impl World {
     /// base offsets; zero-pin nodes collapse onto the same offset, and the
     /// search lands past all of them).
     #[inline]
-    fn node_of_gid(&self, gid: u32) -> usize {
+    pub(crate) fn node_of_gid(&self, gid: u32) -> usize {
         self.base.partition_point(|&b| b <= gid) - 1
     }
 
@@ -1200,7 +1225,7 @@ impl World {
     /// Fully repacks the membership arena from `labels`: counting sort
     /// into contiguous ascending buckets, one slot per labelled gid
     /// (stale gids' labels are garbage and stay out of every bucket).
-    fn rebuild_members(&mut self) {
+    pub(crate) fn rebuild_members(&mut self) {
         // Every bucket moves: invalidate all cached delivery digests in
         // O(1) by bumping the epoch. On the (theoretical) u32 wrap,
         // clear the stamps so a stale cache can never alias the new
@@ -1293,6 +1318,7 @@ impl World {
             self.dirty_pin.clear(self.dirty_pins[i].0 as usize);
         }
         self.dirty_pins.clear();
+        self.cuts.clear();
         self.force_global = false;
         if let Some(t) = t_global {
             self.stats.metrics.observe(self.stats.t_global, t.micros());
@@ -1638,9 +1664,11 @@ impl World {
     // construction: `add_node` pre-labels its fresh singletons (nothing
     // to relabel), while `connect`/`disconnect` mark the `c` pin pairs of
     // the edge dirty *as if* their partition sets had changed — the next
-    // absorb then stales exactly the circuits that run(ran) through the
-    // edge, and a walk or relabel re-labels them against the spliced
-    // link table and topology.
+    // absorb then repairs or stales exactly the circuits that run(ran)
+    // through the edge, and a walk or relabel re-labels stale ones
+    // against the spliced link table and topology. A disconnect also
+    // records its cut pin pairs: the repair's certificate needs every
+    // removed link union.
     // The stability argument of DESIGN.md §1c extends verbatim: every
     // added or removed link-union has both endpoint sets' circuits
     // seeded, so circuits disjoint from the seeds cannot change.
@@ -1770,7 +1798,11 @@ impl World {
     /// Unwires the edge behind port `p` of `v` (tombstoning its link
     /// table entry) and returns the peer `(w, q)`. The edge's pins are
     /// marked dirty *before* the splice so the next relabel's seeds still
-    /// capture the circuits that ran through the edge. O(deg + c).
+    /// capture the circuits that ran through the edge, and its link pin
+    /// pairs join the cut record, so the next absorb's repair sees the
+    /// link unions the cut removed (DESIGN.md §1c). O(deg + c),
+    /// plus a scan of the cut record when a pin of the edge was already
+    /// dirty.
     ///
     /// # Panics
     ///
@@ -1797,9 +1829,18 @@ impl World {
         let a0 = self.base[v] + (p * self.c) as u32;
         let b0 = self.base[w] + (q * self.c) as u32;
         let (base_a, base_b) = (self.base[v], self.base[w]);
-        for link in 0..self.c {
-            self.mark_pin_dirty(a0 as usize + link, base_a);
-            self.mark_pin_dirty(b0 as usize + link, base_b);
+        for link in 0..self.c as u32 {
+            let (pa, pb) = (a0 + link, b0 + link);
+            // Cut pins stay dirty until the record empties, so a pin
+            // that was clean is in no entry yet.
+            let seen = |w: &World, pin: u32| {
+                w.dirty_pin.get(pin as usize) && w.cuts.iter().any(|&(x, y)| x == pin || y == pin)
+            };
+            if !seen(self, pa) && !seen(self, pb) {
+                self.cuts.push((pa, pb));
+            }
+            self.mark_pin_dirty(pa as usize, base_a);
+            self.mark_pin_dirty(pb as usize, base_b);
         }
         let slot_a = a0 as usize / self.c;
         let slot_b = b0 as usize / self.c;
@@ -2276,8 +2317,10 @@ mod dynamic_tests {
     /// Detach/re-attach churn at the boundary of a singleton-configured
     /// path must take the region path on every traced tick — structural
     /// edits ride the dirty-pin machinery, they do not force global
-    /// relabels — and untraced ticks relabel nothing, walking only the
-    /// circuit they deliver on.
+    /// relabels. Untraced ticks relabel nothing: after `tick_reference`
+    /// (which leaves every set stale, so no absorb can repair) each walks
+    /// only the circuit it delivers on, and once a read has labelled
+    /// everything each absorb repairs the churned circuits instead.
     #[test]
     fn boundary_churn_takes_the_region_path() {
         let n = 64;
@@ -2302,22 +2345,42 @@ mod dynamic_tests {
         }
         assert_eq!(w.global_relabels(), g0, "churn must relabel regionally");
         assert!(w.region_relabels() >= 10);
+        w.tick_reference();
         let before = (w.global_relabels(), w.region_relabels(), w.walk_relabels());
-        for _ in 0..5 {
-            w.isolate(n - 1);
-            w.beep(n - 2, 0);
-            w.tick();
-            assert!(!w.received_any(n - 1), "detached node must hear nothing");
-            w.connect(n - 2, 0, n - 1, 3);
-            w.beep(n - 2, 0);
-            w.tick();
-            assert!(w.received(n - 1, 3), "re-attached node hears its neighbor");
-        }
+        let repairs = w.repair_relabels();
+        let churn = |w: &mut World| {
+            for _ in 0..5 {
+                w.isolate(n - 1);
+                w.beep(n - 2, 0);
+                w.tick();
+                assert!(!w.received_any(n - 1), "detached node must hear nothing");
+                w.connect(n - 2, 0, n - 1, 3);
+                w.beep(n - 2, 0);
+                w.tick();
+                assert!(w.received(n - 1, 3), "re-attached node hears its neighbor");
+            }
+        };
+        churn(&mut w);
         assert_eq!(
             (w.global_relabels(), w.region_relabels(), w.walk_relabels()),
             (before.0, before.1, before.2 + 10),
             "untraced churn ticks walk one circuit each and relabel nothing"
         );
+        assert_eq!(
+            w.repair_relabels(),
+            repairs,
+            "a stale frontier never repairs"
+        );
+        w.circuit_count(); // labels everything: the global relabel is due
+        let before = (w.global_relabels(), w.region_relabels(), w.walk_relabels());
+        churn(&mut w);
+        assert_eq!(
+            (w.global_relabels(), w.region_relabels(), w.walk_relabels()),
+            before,
+            "repaired churn ticks neither walk nor relabel"
+        );
+        assert_eq!(w.repair_relabels(), repairs + 10, "every absorb repairs");
+        assert!(!w.relabel_pending());
     }
 
     /// The interleaving guard: churn followed by `tick_reference` (which

@@ -308,18 +308,31 @@ fn noop_reconfig_keeps_the_clean_path() {
 }
 
 /// A sparse reconfiguration takes the region path; reconfiguring (almost)
-/// everything falls back to the global relabel.
+/// everything falls back to the global relabel. A regrouping the absorb
+/// can repair locally runs no relabel at all; one whose circuits are too
+/// long for the repair's budget goes stale and the next read walks it.
 #[test]
 fn sparse_uses_region_path_and_everything_dirty_falls_back() {
-    let n = 64;
+    // A path whose link 1 carries one circuit through all 300 nodes:
+    // 300 of 3 588 sets, under the fallback fraction.
+    let n = 300;
     let edges: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, i + 1)).collect();
-    let mut w = World::new(Topology::from_edges(n, &edges), 2);
+    let mut w = World::new(Topology::from_edges(n, &edges), 6);
+    w.global_link_config_all(1);
     w.circuit_count(); // initial labeling: global by construction
     assert_eq!((w.global_relabels(), w.region_relabels()), (1, 0));
-    // One node regroups two pins: far below the fallback fraction.
-    w.set_pin(20, 0, 0, 0);
+    // One node regroups two link-0 pins: the absorb repairs the two
+    // short circuits it joins.
+    w.set_pin(20, 0, 0, 0); // no-op: port 0/link 0 already holds pset 0
     w.set_pin(20, 1, 0, 0);
+    w.tick();
+    assert_eq!(w.repair_relabels(), 1, "a local regrouping is repaired");
+    assert!(!w.relabel_pending());
+    // One node splits the long circuit: two 150-set halves, far past
+    // the repair's budget, but far below the fallback fraction.
+    w.set_pin(150, 1, 1, 7);
     w.tick(); // absorbs the change; no beep, so nothing is labelled
+    assert_eq!(w.repair_relabels(), 1, "the split is past the budget");
     assert_eq!((w.global_relabels(), w.region_relabels()), (1, 0));
     w.circuit_count();
     assert_eq!(
@@ -337,6 +350,7 @@ fn sparse_uses_region_path_and_everything_dirty_falls_back() {
         (2, 1),
         "an everything-dirty round must fall back to the global relabel"
     );
+    assert_eq!(w.repair_relabels(), 1, "nor does it repair");
     // And the labeling is correct either way: the global config spans all.
     w.beep(0, 0);
     w.tick();

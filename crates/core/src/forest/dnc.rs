@@ -873,6 +873,43 @@ mod tests {
         }
     }
 
+    /// The count guard of the repair: an algorithm's world is never
+    /// labelled by a read, so its global relabel stays due and no absorb
+    /// attempts a local repair; the solve labels by walking alone.
+    #[test]
+    fn a_forest_solve_never_repairs() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let s = AmoebotStructure::new(shapes::random_blob(300, &mut rng)).unwrap();
+        let n = s.len();
+        let src = [0, n / 3, 2 * n / 3];
+        let mut src_mask = vec![false; n];
+        for &v in &src {
+            src_mask[v] = true;
+        }
+        let mut world = World::new(Topology::from_structure(&s), LINKS);
+        let mask = vec![true; n];
+        let forest = sources_forest(
+            &mut world,
+            &s,
+            &mask,
+            &src,
+            &src_mask,
+            &mut RoundReport::new(),
+        );
+        assert_eq!(world.repair_relabels(), 0);
+        assert_eq!((world.global_relabels(), world.region_relabels()), (0, 0));
+        assert!(world.walk_relabels() > 0);
+        let sources: Vec<NodeId> = src.iter().map(|&v| NodeId(v as u32)).collect();
+        let all: Vec<NodeId> = s.nodes().collect();
+        let parents: Vec<Option<NodeId>> = forest
+            .parents
+            .iter()
+            .map(|p| p.map(|v| NodeId(v as u32)))
+            .collect();
+        let violations = validate_forest(&s, &sources, &all, &parents);
+        assert!(violations.is_empty(), "{violations:?}");
+    }
+
     #[test]
     fn destination_pruning_keeps_only_needed_paths() {
         let s = AmoebotStructure::new(shapes::parallelogram(10, 4)).unwrap();

@@ -302,7 +302,7 @@ mod tests {
     /// The count guard: the solver ticks untraced, so on a caller-owned
     /// world it labels only the circuits it beeps on, by walking them.
     /// No global or region relabel may run — if one does, the tick path
-    /// has silently turned eager again.
+    /// has silently turned eager again — and no absorb repairs.
     #[test]
     fn spt_in_world_labels_lazily() {
         let mut rng = StdRng::seed_from_u64(11);
@@ -329,6 +329,8 @@ mod tests {
         );
         assert_eq!((world.global_relabels(), world.region_relabels()), (0, 0));
         assert!(world.walk_relabels() > 0);
+        // Nor may an absorb repair: the world's global relabel is due.
+        assert_eq!(world.repair_relabels(), 0);
         let expected = shortest_path_tree(&s, NodeId(source as u32), &dests);
         let parents: Vec<Option<NodeId>> = parents
             .into_iter()

@@ -102,52 +102,108 @@ mod tests {
         dw.world_mut().tick_with(rec);
     }
 
+    /// Row lines: every amoebot joins its east and west link-0 pins, so a
+    /// removal splits the line through it, and only the cut record tells
+    /// the repair that the two halves no longer meet.
+    fn rows(w: &mut World, v: usize) {
+        w.singleton_pin_config(v);
+        w.group_pins(v, &[(0, 0), (3, 0)]);
+    }
+
+    /// A 15 × 4 parallelogram in the row configuration: removing a
+    /// top- or bottom-row amoebot splits a 15-long line into two halves
+    /// too long to finish within the repair's first expansions.
+    fn row_world() -> DynamicWorld {
+        let s = AmoebotStructure::new(shapes::parallelogram(15, 4)).unwrap();
+        let mut dw = DynamicWorld::new(&s, 2);
+        for v in 0..s.len() {
+            rows(dw.world_mut(), v);
+        }
+        dw
+    }
+
     /// The headline differential test: snapshot mid-`ChurnPlan`, restore,
     /// and run the remaining events — the restored run must be
     /// *byte-identical* to the uninterrupted one (same round summaries
-    /// with the same digests, and the same final snapshot bytes).
+    /// with the same digests, and the same final snapshot bytes). The
+    /// snapshot is taken once between two events and once between an
+    /// event and its tick, while the event's dirty pins and cut record
+    /// are pending, so the restored world must repair exactly what the
+    /// original does; in the row configuration a restore that lost the
+    /// cut record would glue split lines back together.
     #[test]
     fn mid_churn_restore_matches_uninterrupted_run() {
+        let mut pending_cuts = 0;
+        let configs: [fn(&mut World, usize); 2] = [|w, v| w.global_pin_config(v), rows];
         for (i, &family) in ALL_CHURN_FAMILIES.iter().enumerate() {
-            let plan = ChurnPlan::new(0xC0FFEE + i as u64, family, 6, 3);
-            let mut uninterrupted = churny_world(30, 17 + i as u64);
-            let mut rec_a = Summaries::default();
-            // First half of the schedule.
-            for event in 0..3 {
-                let applied = plan.apply(&mut uninterrupted, event);
-                for v in &applied.inserted {
-                    uninterrupted.world_mut().global_pin_config(v.index());
-                }
-                assert!(uninterrupted.revalidate_edited_chunks());
-                broadcast_round(&mut uninterrupted, &mut rec_a);
-            }
-            // Interrupt here: snapshot, restore, and let both worlds run
-            // the second half independently.
-            let blob = uninterrupted.snapshot_bytes();
-            let mut restored = DynamicWorld::from_snapshot_bytes(&blob).unwrap();
-            let mut rec_b = Summaries(rec_a.0.clone());
-            for event in 3..6 {
-                for (dw, rec) in [
-                    (&mut uninterrupted, &mut rec_a),
-                    (&mut restored, &mut rec_b),
-                ] {
+            for (c, before_tick) in [(0, false), (0, true), (1, false), (1, true)] {
+                let configure = configs[c];
+                let plan = ChurnPlan::new(0xC0FFEE + i as u64, family, 6, 3);
+                let mut uninterrupted = if c == 0 {
+                    churny_world(60, 17 + i as u64)
+                } else {
+                    row_world()
+                };
+                let mut rec_a = Summaries::default();
+                let apply = |dw: &mut DynamicWorld, event: usize| {
                     let applied = plan.apply(dw, event);
                     for v in &applied.inserted {
-                        dw.world_mut().global_pin_config(v.index());
+                        configure(dw.world_mut(), v.index());
                     }
                     assert!(dw.revalidate_edited_chunks());
-                    broadcast_round(dw, rec);
+                    applied
+                };
+                // First half of the schedule.
+                for event in 0..3 {
+                    apply(&mut uninterrupted, event);
+                    broadcast_round(&mut uninterrupted, &mut rec_a);
                 }
+                // Interrupt here (or after the next event's edits):
+                // snapshot, restore, and let both worlds run the rest
+                // independently.
+                if before_tick {
+                    let applied = apply(&mut uninterrupted, 3);
+                    assert!(uninterrupted.world().relabel_pending());
+                    pending_cuts += applied.removed.len();
+                }
+                let blob = uninterrupted.snapshot_bytes();
+                let mut restored = DynamicWorld::from_snapshot_bytes(&blob).unwrap();
+                let mut rec_b = Summaries(rec_a.0.clone());
+                if before_tick {
+                    broadcast_round(&mut uninterrupted, &mut rec_a);
+                    broadcast_round(&mut restored, &mut rec_b);
+                }
+                for event in 3 + usize::from(before_tick)..6 {
+                    for (dw, rec) in [
+                        (&mut uninterrupted, &mut rec_a),
+                        (&mut restored, &mut rec_b),
+                    ] {
+                        apply(dw, event);
+                        broadcast_round(dw, rec);
+                    }
+                }
+                let at = if before_tick {
+                    "before a tick"
+                } else {
+                    "between events"
+                };
+                assert_eq!(
+                    rec_a.0, rec_b.0,
+                    "family {family:?} diverged after restore {at}"
+                );
+                verify_against_rebuild(&restored)
+                    .unwrap_or_else(|e| panic!("restored world fails the oracle: {e}"));
+                assert_eq!(
+                    uninterrupted.snapshot_bytes(),
+                    restored.snapshot_bytes(),
+                    "family {family:?}: final states differ byte-for-byte after restore {at}"
+                );
+                let repairs = uninterrupted.world().repair_relabels();
+                assert!(repairs > 0, "family {family:?}: the absorbs repaired");
+                assert_eq!(restored.world().repair_relabels(), repairs);
             }
-            assert_eq!(rec_a.0, rec_b.0, "family {family:?} diverged after restore");
-            verify_against_rebuild(&restored)
-                .unwrap_or_else(|e| panic!("restored world fails the oracle: {e}"));
-            assert_eq!(
-                uninterrupted.snapshot_bytes(),
-                restored.snapshot_bytes(),
-                "family {family:?}: final states differ byte-for-byte"
-            );
         }
+        assert!(pending_cuts > 0, "some restore ran with cuts pending");
     }
 
     #[test]

@@ -681,12 +681,15 @@ impl StructureEditor {
             let offset = r.offset();
             let q = r.i32("editor edited chunk")?;
             let rr = r.i32("editor edited chunk")?;
-            if !edited.insert((q, rr)) {
+            // Strictly ascending, the order the set encodes in: any other
+            // order would decode to the same set and re-encode differently.
+            if edited.last().is_some_and(|&last| (q, rr) <= last) {
                 return Err(WireError::BadValue {
                     what: "editor edited chunk",
                     offset,
                 });
             }
+            edited.insert((q, rr));
         }
         let occupancy: ChunkGrid = live_ids.iter().map(|&id| coords[id as usize]).collect();
         Ok(StructureEditor {

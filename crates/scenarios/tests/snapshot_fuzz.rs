@@ -1,0 +1,257 @@
+//! SPFS decoder fuzz beyond bit flips. `WORLD`, `DYNAMIC_WORLD` and
+//! `SESSION` blobs, taken between a churn event and its tick so that the
+//! dirty pins and the cut record are populated, are mutated and resealed
+//! with a valid digest, so every mutation reaches the payload decoders:
+//!
+//! * random splices: a slice of one payload replaces a slice of another,
+//!   of the same kind or not;
+//! * inflated varints: a varint is rewritten as a large value, so length
+//!   fields claim far more than the blob holds;
+//! * cross-kind payloads: each payload sealed under every other kind.
+//!
+//! Decoding must never panic, every accepted blob must re-encode to the
+//! same bytes, and one decode may allocate at most [`ALLOC_PER_BYTE`]
+//! bytes per blob byte, measured by a counting allocator that this test
+//! binary installs.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use amoebot_circuits::World;
+use amoebot_dynamics::{derive_rng, ChurnFamily, ChurnPlan, DynamicWorld};
+use amoebot_grid::{shapes, AmoebotStructure};
+use amoebot_scenarios::server::Session;
+use amoebot_telemetry::wire::{self, fnv1a64, WireError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+use rand::rngs::StdRng;
+use rand::Rng;
+
+/// The most one decode may allocate per byte of its blob. A world
+/// decode allocates under 60 bytes per pin (pin tables, labels, bucket
+/// bounds, digest caches, scratch lists and bitsets), and it reserves
+/// them only after checking that the bytes left can hold the pins, at
+/// least five bytes each (set, label, bucket bounds, relabel-time set),
+/// so no blob can make it allocate more than about 12 bytes per byte.
+/// Over these fuzz inputs the most was 5.
+const ALLOC_PER_BYTE: usize = 16;
+
+/// Mutations per seed blob and mutation kind.
+const ROUNDS: usize = 1000;
+
+thread_local! {
+    /// Bytes this thread has asked the allocator for (fresh blocks and
+    /// growth of reallocated ones).
+    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn count(bytes: usize) {
+    let _ = ALLOCATED.try_with(|a| a.set(a.get() + bytes));
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; the counter is a const-initialized thread-local `Cell`,
+// which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    // SAFETY: the caller upholds `alloc`'s contract, and `System` gets
+    // the same layout.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: forwarded verbatim (see above).
+        unsafe { System.alloc(layout) }
+    }
+
+    // SAFETY: as for `alloc`.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: forwarded verbatim (see above).
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    // SAFETY: `ptr` came from this allocator, which is `System`
+    // underneath, with this layout.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded verbatim (see above).
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    // SAFETY: `ptr` came from `System` with `layout`; the caller upholds
+    // `realloc`'s contract for `new_size`.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size.saturating_sub(layout.size()));
+        // SAFETY: forwarded verbatim (see above).
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Envelope header length: magic, version, kind.
+const HEADER: usize = 4 + 2 + 1;
+
+/// The payload of a sealed blob.
+fn payload(blob: &[u8]) -> &[u8] {
+    &blob[HEADER..blob.len() - 8]
+}
+
+/// Seals `payload` under `kind` with a valid digest.
+fn seal(kind: u8, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER + payload.len() + 8);
+    out.extend_from_slice(&SNAPSHOT_MAGIC);
+    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    out.push(kind);
+    out.extend_from_slice(payload);
+    let digest = fnv1a64(&out);
+    out.extend_from_slice(&digest.to_le_bytes());
+    out
+}
+
+/// Decodes `blob` as `kind`, asserting the allocation bound and that an
+/// accepted blob re-encodes to itself. Returns whether it was accepted.
+fn check(kind: u8, blob: &[u8], what: &str) -> bool {
+    fn run<T>(
+        blob: &[u8],
+        decode: fn(&[u8]) -> Result<T, WireError>,
+        encode: fn(&T) -> Vec<u8>,
+    ) -> (Option<Vec<u8>>, usize) {
+        let before = ALLOCATED.with(Cell::get);
+        let decoded = decode(blob);
+        let allocated = ALLOCATED.with(Cell::get) - before;
+        (decoded.ok().map(|t| encode(&t)), allocated)
+    }
+    let (encoded, allocated) = match kind {
+        wire::kind::WORLD => run(blob, World::from_snapshot_bytes, World::snapshot_bytes),
+        wire::kind::DYNAMIC_WORLD => run(
+            blob,
+            DynamicWorld::from_snapshot_bytes,
+            DynamicWorld::snapshot_bytes,
+        ),
+        _ => run(blob, Session::from_snapshot_bytes, Session::snapshot_bytes),
+    };
+    assert!(
+        allocated <= ALLOC_PER_BYTE * blob.len() + 4096,
+        "{what}: decoding {} bytes allocated {allocated}",
+        blob.len()
+    );
+    if let Some(bytes) = &encoded {
+        let at = bytes.iter().zip(blob).position(|(a, b)| a != b);
+        assert!(
+            bytes == blob,
+            "{what}: an accepted blob re-encodes differently (first at {at:?}, lengths {} and {})",
+            bytes.len(),
+            blob.len()
+        );
+    }
+    encoded.is_some()
+}
+
+/// The three seed blobs, each taken after a detach event's edits and
+/// before its tick, so every field of the world payload is populated,
+/// the cut record included.
+fn seeds() -> Vec<(u8, Vec<u8>)> {
+    let coords = shapes::random_blob(120, &mut derive_rng(5, 0));
+    let mut dw = DynamicWorld::new(&AmoebotStructure::new(coords).unwrap(), 2);
+    for v in 0..dw.world().topology().len() {
+        dw.world_mut().global_pin_config(v);
+    }
+    dw.world_mut().circuit_count();
+    let plan = ChurnPlan::new(11, ChurnFamily::RandomDetach, 2, 2);
+    plan.apply(&mut dw, 0);
+    let origin = dw.editor().live_ids()[0] as usize;
+    dw.world_mut().beep(origin, 0);
+    dw.world_mut().tick();
+    let removed = plan.apply(&mut dw, 1).removed.len();
+    assert!(removed > 0 && dw.world().relabel_pending(), "cuts pending");
+
+    let mut session = Session::create("fuzz", "blob-churn-broadcast", 150, 9, 6, 3).unwrap();
+    session.step(2).unwrap();
+    session.mutate(false).unwrap();
+    vec![
+        (wire::kind::WORLD, dw.world().snapshot_bytes()),
+        (wire::kind::DYNAMIC_WORLD, dw.snapshot_bytes()),
+        (wire::kind::SESSION, session.snapshot_bytes()),
+    ]
+}
+
+const KINDS: [u8; 3] = [
+    wire::kind::WORLD,
+    wire::kind::DYNAMIC_WORLD,
+    wire::kind::SESSION,
+];
+
+#[test]
+fn seed_blobs_round_trip() {
+    for (kind, blob) in seeds() {
+        assert!(check(kind, &blob, "seed blob"), "kind {kind} seed rejected");
+    }
+}
+
+#[test]
+fn cross_kind_payloads_are_rejected_cleanly() {
+    for (kind, blob) in seeds() {
+        for other in KINDS {
+            if other != kind {
+                let what = format!("kind {kind} payload sealed as {other}");
+                check(other, &seal(other, payload(&blob)), &what);
+            }
+        }
+    }
+}
+
+#[test]
+fn random_splices_never_panic() {
+    let seeds = seeds();
+    let mut rng: StdRng = derive_rng(1, 0);
+    for (kind, blob) in &seeds {
+        for round in 0..ROUNDS {
+            let base = payload(blob);
+            let (_, donor) = &seeds[rng.gen_range(0..seeds.len())];
+            let donor = payload(donor);
+            let at = rng.gen_range(0..=base.len());
+            let cut = rng.gen_range(0..=(base.len() - at).min(64));
+            let from = rng.gen_range(0..donor.len());
+            let take = rng.gen_range(0..=(donor.len() - from).min(64));
+            let mut spliced = base[..at].to_vec();
+            spliced.extend_from_slice(&donor[from..from + take]);
+            spliced.extend_from_slice(&base[at + cut..]);
+            let what = format!("kind {kind} splice #{round} at {at}");
+            check(*kind, &seal(*kind, &spliced), &what);
+        }
+    }
+}
+
+#[test]
+fn inflated_varints_never_panic() {
+    let seeds = seeds();
+    let mut rng: StdRng = derive_rng(2, 0);
+    let huge = [u32::MAX as u64, 1 << 31, 1 << 40, u64::MAX];
+    for (kind, blob) in &seeds {
+        let base = payload(blob);
+        // Varint starts: the byte after one without a continuation bit.
+        let starts: Vec<usize> = (0..base.len())
+            .filter(|&i| i == 0 || base[i - 1] & 0x80 == 0)
+            .collect();
+        for round in 0..ROUNDS {
+            let at = starts[rng.gen_range(0..starts.len())];
+            let mut end = at;
+            while end < base.len() && base[end] & 0x80 != 0 {
+                end += 1;
+            }
+            let mut v = huge[rng.gen_range(0..huge.len())] >> rng.gen_range(0..8u32);
+            let mut inflated = base[..at].to_vec();
+            loop {
+                let byte = (v & 0x7F) as u8;
+                v >>= 7;
+                if v == 0 {
+                    inflated.push(byte);
+                    break;
+                }
+                inflated.push(byte | 0x80);
+            }
+            inflated.extend_from_slice(&base[(end + 1).min(base.len())..]);
+            let what = format!("kind {kind} varint #{round} at {at}");
+            check(*kind, &seal(*kind, &inflated), &what);
+        }
+    }
+}

@@ -30,8 +30,9 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SPFS";
 /// driver. Version 3: a `WORLD` payload carries its stale partition
 /// sets (lazy circuit labels). Version 4: a `WORLD` payload drops its
 /// simulated and charged round counters, which derive from the round
-/// counter and the charge log.
-pub const SNAPSHOT_VERSION: u16 = 4;
+/// counter and the charge log. Version 5: a `WORLD` payload carries the
+/// cut record (the link pin pairs cut since the last absorb).
+pub const SNAPSHOT_VERSION: u16 = 5;
 
 /// Payload kind tags (one per snapshottable type).
 pub mod kind {
@@ -266,7 +267,8 @@ impl<'a> SnapshotReader<'a> {
         self.buf.len() - self.pos
     }
 
-    /// Reads an unsigned LEB128 varint.
+    /// Reads an unsigned LEB128 varint in its shortest encoding (the one
+    /// [`SnapshotWriter::varint`] writes).
     pub fn varint(&mut self) -> Result<u64, WireError> {
         let start = self.pos;
         let mut out = 0u64;
@@ -282,6 +284,13 @@ impl<'a> SnapshotReader<'a> {
             }
             out |= ((byte & 0x7F) as u64) << shift;
             if byte & 0x80 == 0 {
+                // A zero last byte after the first is padding the writer
+                // never emits: accepting it would decode two encodings
+                // of one value, and a re-encode would not reproduce the
+                // blob.
+                if byte == 0 && shift > 0 {
+                    return Err(WireError::Overlong { offset: start });
+                }
                 return Ok(out);
             }
             shift += 7;

@@ -288,15 +288,47 @@ fn bench_refresh() -> Result<u8, String> {
     Ok(0)
 }
 
+/// The client-observed round trip of every `rpc`, as `(op, micros)`:
+/// `server-smoke` reports its percentiles per op.
+static RPC_MICROS: std::sync::Mutex<Vec<(String, u64)>> = std::sync::Mutex::new(Vec::new());
+
 /// One framed request/response round trip against a live server.
 fn rpc(conn: &mut std::net::TcpStream, doc: &Json) -> Result<Json, String> {
     use amoebot_scenarios::server::{read_frame, write_frame};
+    // spf-lint: allow(wall-clock) — client-observed latency for the smoke report; never in canonical output
+    let started = std::time::Instant::now();
     write_frame(conn, doc.render_compact().as_bytes()).map_err(|e| format!("send: {e}"))?;
     let frame = read_frame(conn)
         .map_err(|e| format!("recv: {e}"))?
         .ok_or("server closed the connection mid-exchange")?;
+    let micros = started.elapsed().as_micros() as u64;
+    let kind = doc.get("op").and_then(Json::as_str).unwrap_or("?");
+    if let Ok(mut log) = RPC_MICROS.lock() {
+        log.push((kind.to_string(), micros));
+    }
     let text = std::str::from_utf8(&frame).map_err(|e| format!("response: {e}"))?;
     Json::parse(text).map_err(|e| format!("response: {e}"))
+}
+
+/// Prints the client-observed p50/p99 round trip per op kind of every
+/// `rpc` so far (nearest-rank percentiles). A report, not a gate.
+fn print_rpc_latency() {
+    let mut by_op: std::collections::BTreeMap<String, Vec<u64>> = Default::default();
+    if let Ok(log) = RPC_MICROS.lock() {
+        for (op, micros) in log.iter() {
+            by_op.entry(op.clone()).or_default().push(*micros);
+        }
+    }
+    for (op, mut micros) in by_op {
+        micros.sort_unstable();
+        let at = |p: usize| micros[(micros.len() * p).div_ceil(100).max(1) - 1] as f64 / 1e3;
+        println!(
+            "server-smoke: client latency {op}: n={} p50={:.3} ms p99={:.3} ms",
+            micros.len(),
+            at(50),
+            at(99)
+        );
+    }
 }
 
 fn rpc_ok(conn: &mut std::net::TcpStream, doc: &Json) -> Result<Json, String> {
@@ -383,7 +415,9 @@ impl SmokeServer {
 /// an uninterrupted run of the same scenario. Then hammers the restarted
 /// server with 64 concurrent sessions and reports step-request
 /// throughput (gated at 1000 req/s — an order of magnitude below what a
-/// release build sustains, so only a real regression trips it).
+/// release build sustains, so only a real regression trips it), and the
+/// client-observed p50/p99 round trip of every op kind it sent (not
+/// gated).
 fn server_smoke() -> Result<u8, String> {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
@@ -517,6 +551,7 @@ fn server_smoke() -> Result<u8, String> {
         "server-smoke: {SESSIONS} concurrent sessions, {requests} requests in {} ms ({req_per_sec} req/s)",
         elapsed.as_millis()
     );
+    print_rpc_latency();
     server.shutdown()?;
     let _ = std::fs::remove_dir_all(&dir);
     if req_per_sec < 1000 {
