@@ -40,7 +40,8 @@ pub(crate) const RELABEL_REPAIR: &str = "relabel_repair";
 /// allocate. Search ids index the per-search vectors; the owner search
 /// of a visited set lives in `World::uf`, which is free between global
 /// relabels, and the visited bits in `World::root_mark`, which is clear
-/// between ticks' root dedups. Not part of snapshots.
+/// once the absorb has written the last tick's pending deliveries. Not
+/// part of snapshots.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RepairScratch {
     /// Removed-union candidates as pairs of old-configuration sets.

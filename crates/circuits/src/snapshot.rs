@@ -12,11 +12,14 @@
 //!
 //! Pure scratch is deliberately **not** serialized and is rebuilt
 //! cleared on restore: the union-find parents (only read after a
-//! relabel re-seeds them), the root marks and the walk queue
-//! (always clear between uses), and the per-port edge index and node
-//! base offsets (both derivable from the link table and the CSR
-//! respectively). Phase timers are also dropped: they are wall-clock
-//! diagnostics, excluded from canonical reports by design.
+//! relabel re-seeds them), the walk queue (always clear between uses),
+//! and the per-port edge index and node base offsets (both derivable
+//! from the link table and the CSR respectively). The root marks hold a
+//! tick's pending deliveries; encode writes them into `recv_set` in
+//! delivery order, exactly as the first read would, so a restored world
+//! starts with its deliveries written and the bytes are the same either
+//! way. Phase timers are also dropped: they are wall-clock diagnostics,
+//! excluded from canonical reports by design.
 //!
 //! ## Payload grammar (inside the [`wire`] envelope, kind `WORLD`)
 //!
@@ -215,8 +218,10 @@ impl World {
         for &gid in &self.sent {
             w.varint(gid as u64);
         }
-        w.varint(self.recv_set.len() as u64);
-        for &gid in &self.recv_set {
+        // Pending deliveries are written as a read would write them, so
+        // the bytes do not depend on whether anything read the round.
+        w.varint(self.delivery_count() as u64);
+        for gid in self.deliveries() {
             w.varint(gid as u64);
         }
         for &l in &self.labels {
@@ -1193,6 +1198,37 @@ mod tests {
         restored.tick();
         for v in 0..4 {
             assert_eq!(w.received(v, 0), restored.received(v, 0));
+        }
+    }
+
+    /// A snapshot right after a tick encodes the same bytes whether the
+    /// tick's deliveries are still pending or a read has written them,
+    /// and each restored world answers every read like the original.
+    #[test]
+    fn pending_and_written_deliveries_encode_alike() {
+        let mut w = grid_world(4, 3, 2);
+        for v in 0..6 {
+            w.global_pin_config(v);
+        }
+        // Three circuits, beeped in an order other than their roots'.
+        w.beep(11, 0);
+        w.beep(10, 1);
+        w.beep(0, 0);
+        w.tick();
+        assert_eq!(w.marked_roots.len(), 3, "the deliveries are pending");
+        let pending = w.snapshot_bytes();
+        assert!(w.received(0, 0));
+        assert!(w.marked_roots.is_empty() && w.recv_set.len() > 3);
+        let written = w.snapshot_bytes();
+        assert_eq!(pending, written);
+        for blob in [pending, written] {
+            let mut restored = World::from_snapshot_bytes(&blob).unwrap();
+            for v in 0..12 {
+                for pset in 0..w.pset_capacity(v) as u16 {
+                    assert_eq!(restored.received(v, pset), w.received(v, pset));
+                }
+                assert_eq!(restored.received_any(v), w.received_any(v));
+            }
         }
     }
 

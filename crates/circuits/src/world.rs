@@ -38,15 +38,27 @@
 //!   `1/REGION_FALLBACK_FRACTION` of all pins. Traced ticks stay eager
 //!   because their round summary carries the circuit count and the
 //!   relabel kind, which replay checks;
+//! * a tick delivers to circuits, not to their members: the roots of
+//!   the beeping circuits, deduped in `root_mark`, stay marked as the
+//!   round's delivery record, and no receive bit is written. The first
+//!   [`World::received`]/[`World::received_any`] after the tick writes
+//!   the pending deliveries, bucket by bucket in delivery order, and so
+//!   does everything else that would change a label or a bucket before
+//!   the next tick (absorbs, global relabels, staling everything); the
+//!   next tick drops them unwritten. A world that reads every round pays
+//!   the writes once per round, one that never reads (a server `step`)
+//!   not at all;
 //! * a clean tick (no amoebot reconfigured since the beeping circuits
 //!   were labelled) reuses the cached labeling and costs O(beeps sent +
-//!   members of beeping circuits + deliveries cleared), independent of
-//!   the structure size.
+//!   beeping circuits), plus the clearing of whatever a read wrote the
+//!   round before: independent of the structure size and of the
+//!   circuits' sizes.
 //!
-//! No clean-tick code path allocates: beeps, deliveries and root dedup
-//! all go through reusable buffers sized at construction. Every path
-//! labels a circuit by its minimum member gid and keeps each bucket in
-//! ascending gid order, so reports never depend on which path ran.
+//! No clean-tick code path allocates: beeps, the delivery record and
+//! written deliveries all go through reusable buffers sized at
+//! construction. Every path labels a circuit by its minimum member gid
+//! and keeps each bucket in ascending gid order, so reports never
+//! depend on which path ran.
 //!
 //! Structure mutations ride the same machinery: [`World::connect`] and
 //! [`World::disconnect`] splice the link table (tombstoned entries plus a
@@ -199,10 +211,12 @@ pub struct World {
     pub(crate) send: BitSet,
     /// Dense list of the gids set in `send` (clears in O(beeps)).
     pub(crate) sent: Vec<u32>,
-    /// Partition sets (by global id) that received a beep last round
-    /// (bit-packed; set bits ⊆ `recv_set`).
+    /// Written deliveries: the partition sets (by global id) that
+    /// received a beep last round, once a read has written them from
+    /// the delivery record (bit-packed; set bits ⊆ `recv_set`).
     pub(crate) recv: BitSet,
-    /// Dense list of the gids set in `recv` (clears in O(deliveries)).
+    /// Dense list of the gids set in `recv`, in delivery order (clears
+    /// in O(written deliveries)). Empty while deliveries are pending.
     pub(crate) recv_set: Vec<u32>,
     /// Union-find scratch (parents over global partition-set ids).
     pub(crate) uf: Vec<u32>,
@@ -235,9 +249,16 @@ pub struct World {
     /// Bumped whenever the whole membership arena is rebuilt; walks
     /// instead zero the stamps of just the buckets they append.
     pub(crate) digest_epoch: u32,
-    /// Root dedup scratch; always all-clear between uses (bit-packed).
+    /// Bit per circuit root: set for the roots in `marked_roots`. A tick
+    /// dedups its beeping circuits here and keeps the marks as the
+    /// round's delivery record; a repair borrows it for its visited bits
+    /// once the absorb has written the deliveries (bit-packed).
     pub(crate) root_mark: BitSet,
-    /// Dense list of roots currently marked in `root_mark`.
+    /// The delivery record: the roots of the circuits the last tick
+    /// delivered to, in delivery order, while their deliveries are
+    /// *pending* (not yet written into `recv`). Their labels and buckets
+    /// are those of the tick: everything that would change them writes
+    /// the pending deliveries first, and so does the first read.
     pub(crate) marked_roots: Vec<u32>,
     /// Pins whose partition set changed since the last absorb, as
     /// `(pin gid, owning node's base offset)`; deduped via `dirty_pin`.
@@ -944,19 +965,91 @@ impl World {
     /// Whether `v`'s partition set `pset` received a beep delivered at the
     /// beginning of the current round.
     ///
+    /// A tick delivers to circuits: it records the roots of the circuits
+    /// it delivered to and writes no receive bit. The first call after a
+    /// tick writes those pending deliveries, one bit per member of each
+    /// delivered circuit; every later call is one bit read.
+    ///
     /// # Panics
     ///
     /// Panics if `pset` is out of range for `v` (also in release builds).
     #[inline]
-    pub fn received(&self, v: usize, pset: u16) -> bool {
-        self.recv.get(self.pset_gid(v, pset))
+    pub fn received(&mut self, v: usize, pset: u16) -> bool {
+        let gid = self.pset_gid(v, pset);
+        self.write_deliveries();
+        self.recv.get(gid)
     }
 
     /// Whether any partition set of `v` received a beep this round
-    /// (word-at-a-time over the packed receive flags).
-    pub fn received_any(&self, v: usize) -> bool {
+    /// (word-at-a-time over the packed receive flags). Like
+    /// [`World::received`], the first call after a tick writes the
+    /// pending deliveries.
+    pub fn received_any(&mut self, v: usize) -> bool {
+        self.write_deliveries();
         self.recv
             .any_in_range(self.base[v] as usize, self.base[v + 1] as usize)
+    }
+
+    /// Writes the pending deliveries of the last tick, if any, into
+    /// `recv`/`recv_set` (see [`World::write_pending`]).
+    #[inline]
+    fn write_deliveries(&mut self) {
+        if !self.marked_roots.is_empty() {
+            self.write_pending();
+        }
+    }
+
+    /// Writes every member of each circuit in the delivery record into
+    /// `recv`/`recv_set`, bucket by bucket in delivery order, and empties
+    /// the record. O(members delivered), paid once per round and only
+    /// by a world that reads or relabels before its next tick.
+    #[inline(never)]
+    fn write_pending(&mut self) {
+        for i in 0..self.marked_roots.len() {
+            let root = self.marked_roots[i] as usize;
+            self.root_mark.clear(root);
+            for j in self.member_off[root] as usize..self.member_end[root] as usize {
+                let gid = self.members[j];
+                self.recv.set(gid as usize);
+                self.recv_set.push(gid);
+            }
+        }
+        self.marked_roots.clear();
+    }
+
+    /// Forgets the last round's deliveries, written or pending: the
+    /// pending ones are dropped unwritten. O(written deliveries +
+    /// delivered circuits).
+    fn clear_deliveries(&mut self) {
+        for &root in &self.marked_roots {
+            self.root_mark.clear(root as usize);
+        }
+        self.marked_roots.clear();
+        for &gid in &self.recv_set {
+            self.recv.clear(gid as usize);
+        }
+        self.recv_set.clear();
+    }
+
+    /// The last round's deliveries in delivery order, written or pending
+    /// (at most one of the two is non-empty), as a read would write them.
+    pub(crate) fn deliveries(&self) -> impl Iterator<Item = u32> + '_ {
+        let pending = self
+            .marked_roots
+            .iter()
+            .flat_map(|&root| self.member_bucket(root as usize).iter().copied());
+        self.recv_set.iter().copied().chain(pending)
+    }
+
+    /// The number of [`World::deliveries`]: O(delivered circuits) while
+    /// they are pending.
+    pub(crate) fn delivery_count(&self) -> usize {
+        let pending: usize = self
+            .marked_roots
+            .iter()
+            .map(|&root| self.member_bucket(root as usize).len())
+            .sum();
+        self.recv_set.len() + pending
     }
 
     fn find(&mut self, mut x: u32) -> u32 {
@@ -1031,7 +1124,8 @@ impl World {
     /// circuit while that is small, runs the global relabel otherwise
     /// (see [`REGION_FALLBACK_FRACTION`]). The global relabel's timer
     /// fires only for `R::TIMED` recorders; under [`NullRecorder`] it
-    /// compiles away.
+    /// compiles away. Every path starts with an absorb or a global
+    /// relabel, which write pending deliveries before the walks.
     fn refresh_labels<R: Recorder>(&mut self) -> RelabelKind {
         let threshold = self.labels.len() / REGION_FALLBACK_FRACTION;
         if !self.force_global && self.dirty_pins.len() <= threshold {
@@ -1048,8 +1142,10 @@ impl World {
     /// Marks every partition set stale (nothing is labelled or counted)
     /// and makes the next label-everything relabel global. Construction
     /// and [`World::tick_reference`] start here: an untraced tick then
-    /// walks only the circuits it delivers on.
+    /// walks only the circuits it delivers on. Writes pending deliveries
+    /// first, as does everything that changes labels or buckets.
     fn stale_everything(&mut self) {
+        self.write_deliveries();
         let total = self.labels.len();
         self.stale.set_first(total);
         self.stale_count = total;
@@ -1068,8 +1164,10 @@ impl World {
     /// and the dirty list and the cut record are empty. An absorb of
     /// more dirty pins than the fallback fraction makes the next
     /// label-everything relabel global, as it would have been had it run
-    /// right away.
+    /// right away. Writes pending deliveries first: the absorb changes
+    /// labels and buckets, and its repair borrows `root_mark`.
     fn absorb_dirty(&mut self) {
+        self.write_deliveries();
         if self.dirty_pins.len() > self.labels.len() / REGION_FALLBACK_FRACTION {
             self.force_global = true;
         }
@@ -1264,8 +1362,10 @@ impl World {
     /// Recomputes the circuit labeling, the membership index and the
     /// circuit count from scratch, leaving nothing stale. O(total pins ·
     /// α) with zero allocations; the escape hatch when the stale set is
-    /// large (or everything, after [`World::tick_reference`]).
+    /// large (or everything, after [`World::tick_reference`]). Writes
+    /// pending deliveries first.
     fn relabel_global<R: Recorder>(&mut self) {
+        self.write_deliveries();
         let t_global = if R::TIMED {
             Some(Stopwatch::start())
         } else {
@@ -1330,7 +1430,8 @@ impl World {
     /// pin configurations (reusing the cached labeling if no pin changed,
     /// and labelling only the circuits a beep is delivered on), beeps sent
     /// via [`World::beep`] are delivered to every partition set of their
-    /// circuit, and the round counter advances.
+    /// circuit, and the round counter advances. The delivery is recorded
+    /// per circuit; [`World::received`] writes it on the first read.
     pub fn tick(&mut self) {
         self.tick_with(&mut NullRecorder);
     }
@@ -1389,6 +1490,9 @@ impl World {
     /// monomorphization, exactly like `R::TRACE` gates emission — the
     /// healthy paths carry no fault checks at all.
     fn tick_impl<R: Recorder, const FAULTED: bool>(&mut self, faults: &TickFaults, rec: &mut R) {
+        // Last round's deliveries go first, so the absorb or refresh
+        // below has no pending ones to write.
+        self.clear_deliveries();
         if FAULTED {
             for &gid in &faults.inject {
                 assert!(
@@ -1446,13 +1550,8 @@ impl World {
             self.absorb_dirty();
         }
         let mut walks = 0u64;
-        // Clear last round's deliveries (O(previous deliveries)).
-        for &gid in &self.recv_set {
-            self.recv.clear(gid as usize);
-        }
-        self.recv_set.clear();
         // Dedup the beeping circuits (O(beeps sent)), walking the stale
-        // ones first.
+        // ones first. The marked roots are the round's delivery record.
         for i in 0..self.sent.len() {
             let gid = self.sent[i];
             self.send.clear(gid as usize);
@@ -1482,42 +1581,22 @@ impl World {
         if walks > 0 {
             self.stats.metrics.add_named(RELABEL_WALK, walks);
         }
-        // Deliver to every member of each beeping circuit (bucket bounds
-        // straight out of the membership arena).
-        for i in 0..self.marked_roots.len() {
-            let root = self.marked_roots[i] as usize;
-            let start = self.member_off[root] as usize;
-            let end = self.member_end[root] as usize;
-            // Two loop bodies so the warm-cache (and non-digesting)
-            // path keeps the tight two-write member loop: the digest
-            // work runs only on the first replay-grade delivery after
-            // a bucket changed. Recorders without replay detail
-            // monomorphize to the bare else branch.
-            if R::TRACE && R::REPLAY && self.member_digest_epoch[root] != self.digest_epoch {
-                let mut bucket = 0u64;
-                for j in start..end {
-                    let gid = self.members[j];
-                    self.recv.set(gid as usize);
-                    self.recv_set.push(gid);
-                    bucket ^= mix64(gid as u64);
+        if R::TRACE && R::REPLAY {
+            // The delivery digest, one cached XOR per beeping circuit:
+            // only the first replay-grade delivery after a bucket
+            // changed reads its members.
+            for i in 0..self.marked_roots.len() {
+                let root = self.marked_roots[i] as usize;
+                if self.member_digest_epoch[root] != self.digest_epoch {
+                    self.member_digest[root] = self
+                        .member_bucket(root)
+                        .iter()
+                        .fold(0, |acc, &gid| acc ^ mix64(gid as u64));
+                    self.member_digest_epoch[root] = self.digest_epoch;
                 }
-                self.member_digest[root] = bucket;
-                self.member_digest_epoch[root] = self.digest_epoch;
-            } else {
-                for j in start..end {
-                    let gid = self.members[j];
-                    self.recv.set(gid as usize);
-                    self.recv_set.push(gid);
-                }
-            }
-            if R::TRACE && R::REPLAY {
                 digest ^= self.member_digest[root];
             }
         }
-        for &root in &self.marked_roots {
-            self.root_mark.clear(root as usize);
-        }
-        self.marked_roots.clear();
         if let Some(t) = t_propagate {
             self.stats
                 .metrics
@@ -1528,7 +1607,7 @@ impl World {
             rec.round_end(&RoundSummary {
                 round: self.rounds,
                 beeps,
-                delivered: self.recv_set.len() as u64,
+                delivered: self.delivery_count() as u64,
                 digest,
                 relabel,
                 circuits: self.cached_circuits as u64,
@@ -1542,6 +1621,8 @@ impl World {
     /// differential tests and as the baseline of the `circuit_engine`
     /// benches. Interchangeable with [`World::tick`] round for round.
     pub fn tick_reference(&mut self) {
+        // Last round's pending deliveries are dropped unwritten.
+        self.clear_deliveries();
         let total = self.pin_pset.len();
         for i in 0..total {
             self.uf[i] = i as u32;
@@ -1570,7 +1651,6 @@ impl World {
                 fresh[root as usize] = true;
             }
         }
-        self.recv_set.clear();
         for gid in 0..total as u32 {
             let root = self.find(gid);
             let delivered = fresh[root as usize];
@@ -2225,7 +2305,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "partition set 9 out of range for node 1")]
     fn received_bounds_check_holds_in_release() {
-        let w = path_world(3, 1);
+        let mut w = path_world(3, 1);
         let _ = w.received(1, 9);
     }
 

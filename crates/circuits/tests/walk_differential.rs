@@ -1,8 +1,12 @@
-//! Differential suite for lazy circuit labels: untraced ticks label only
-//! the stale circuits they deliver a beep on, by walking them. Every
-//! round here runs with **no read between ticks** (a read labels
-//! everything and would hide the walk path) and every delivery is
-//! compared with the full-recompute [`World::tick_reference`] engine.
+//! Differential suite for lazy circuit labels and per-circuit delivery:
+//! untraced ticks label only the stale circuits they deliver a beep on,
+//! by walking them, and record the circuits they deliver to instead of
+//! writing receive bits. Rounds mostly run with **no relabelling read
+//! between writes and ticks** (such a read labels everything and would
+//! hide the walk path), and every delivery is compared with the
+//! full-recompute [`World::tick_reference`] engine — half the rounds
+//! only after work between the tick and its first read, which must
+//! write the pending deliveries before it changes what they name.
 //!
 //! The op stream writes through every write path — single pins, the bulk
 //! configurations, phase resets, stuck pins, `add_node`, `connect`,
@@ -210,9 +214,38 @@ fn random_pset(rng: &mut StdRng, w: &World) -> Option<(usize, u16)> {
     None
 }
 
+/// Runs one to four steps of work between a tick and its first read:
+/// writes through every write path on both worlds (pins, reset sweeps,
+/// stuck pins, `connect`, `disconnect`, `isolate`, `add_node`), reads
+/// that label everything (`circuit_count`, `pset_circuit`) on the lazy
+/// world, and `SPFS` round trips of it. Returns the lazy world, which a
+/// round trip replaces.
+fn between_tick_work(rng: &mut StdRng, mut lazy: World, reference: &mut World) -> World {
+    for _ in 0..rng.gen_range(1..=4usize) {
+        match rng.gen_range(0..4u32) {
+            0 | 1 => write_both(rng, &mut lazy, reference),
+            2 => {
+                if rng.gen_bool(0.5) {
+                    lazy.circuit_count();
+                } else if let Some((v, pset)) = random_pset(rng, &lazy) {
+                    lazy.pset_circuit(v, pset);
+                }
+            }
+            _ => {
+                let blob = lazy.snapshot_bytes();
+                lazy = World::from_snapshot_bytes(&blob).expect("own snapshot decodes");
+                assert_eq!(lazy.snapshot_bytes(), blob, "a restore re-encodes");
+            }
+        }
+    }
+    lazy
+}
+
 /// Runs `rounds` rounds of writes, beeps and (possibly faulted, traced or
-/// untraced) ticks with no read in between, checking every delivery
-/// against the reference engine. Returns the walks the lazy world ran.
+/// untraced) ticks with no relabelling read between writes and ticks,
+/// checking every delivery against the reference engine, some of them
+/// after work between the tick and the read. Returns the walks the lazy
+/// world ran.
 fn run(seed: u64, n: usize, c: usize, rounds: usize) -> u64 {
     let mut rng = StdRng::seed_from_u64(seed);
     let extra = rng.gen_range(0..n);
@@ -266,7 +299,14 @@ fn run(seed: u64, n: usize, c: usize, rounds: usize) -> u64 {
             (true, true) => lazy.tick_faulted(&faults, &mut Eager),
         }
         reference.tick_reference();
-        for v in 0..lazy.topology().len() {
+        // The lazy world's deliveries are pending until the first read.
+        // Work between the tick and that read must not change what it
+        // reads for the sets that existed at the tick.
+        let at_tick = lazy.topology().len();
+        if rng.gen_bool(0.5) {
+            lazy = between_tick_work(&mut rng, lazy, &mut reference);
+        }
+        for v in 0..at_tick {
             for pset in 0..lazy.pset_capacity(v) as u16 {
                 prop_assert_eq!(
                     lazy.received(v, pset),
@@ -277,6 +317,13 @@ fn run(seed: u64, n: usize, c: usize, rounds: usize) -> u64 {
                     round
                 );
             }
+            prop_assert_eq!(
+                lazy.received_any(v),
+                reference.received_any(v),
+                "delivery to node {} diverged in round {}",
+                v,
+                round
+            );
         }
         // Round-trip a snapshot while sets are stale: the restored world
         // re-encodes to the same bytes and carries on identically.

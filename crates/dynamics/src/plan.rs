@@ -17,7 +17,7 @@
 //! [`StructureEditor::can_insert`]: amoebot_grid::StructureEditor::can_insert
 //! [`can_remove`]: amoebot_grid::StructureEditor::can_remove
 
-use amoebot_grid::{NodeId, ALL_DIRECTIONS};
+use amoebot_grid::{Coord, Direction, NodeId, StructureEditor, ALL_DIRECTIONS};
 use amoebot_telemetry::{NullRecorder, Recorder};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -208,14 +208,7 @@ fn crash_burst<R: Recorder>(
     };
     // Nearest-first candidate window, a few times the burst size: far
     // cells are irrelevant to a localized crash.
-    let mut candidates: Vec<(u32, u32)> = dw
-        .editor()
-        .live_ids()
-        .iter()
-        .map(|&id| (dw.editor().coord(NodeId(id)).grid_distance(epicenter), id))
-        .collect();
-    candidates.sort_unstable();
-    candidates.truncate((8 * k.max(1)).min(candidates.len()));
+    let candidates = nearest_window(dw.editor(), epicenter, 8 * k.max(1));
     for _pass in 0..4 {
         let before = out.removed.len();
         for &(_, id) in &candidates {
@@ -232,6 +225,43 @@ fn crash_burst<R: Recorder>(
             return; // nothing in the window is removable anymore
         }
     }
+}
+
+/// The `window` live amoebots nearest to `epicenter` (all of them if
+/// fewer are live) as `(grid distance, id)`, ascending. Collected from
+/// hex rings of growing grid distance around the epicenter, finishing
+/// the ring that fills the window, so the cost is the cells within that
+/// distance rather than the structure: the same window as sorting every
+/// live amoebot by `(distance, id)` and truncating.
+fn nearest_window(editor: &StructureEditor, epicenter: Coord, window: usize) -> Vec<(u32, u32)> {
+    let window = window.min(editor.len());
+    let mut found = Vec::with_capacity(window);
+    let mut d = 0u32;
+    while found.len() < window {
+        for cell in ring(epicenter, d) {
+            if let Some(v) = editor.node_at(cell) {
+                found.push((d, v.0));
+            }
+        }
+        d += 1;
+    }
+    found.sort_unstable();
+    found.truncate(window);
+    found
+}
+
+/// The cells at grid distance exactly `d` from `center`: from the corner
+/// `d` steps east, `d` steps along each side, counterclockwise.
+fn ring(center: Coord, d: u32) -> impl Iterator<Item = Coord> {
+    let corner = (0..d).fold(center, |c, _| c.neighbor(Direction::E));
+    let sides = if d == 0 { 1 } else { 6 * d as usize };
+    (0..sides).scan(corner, move |cell, i| {
+        let here = *cell;
+        if d > 0 {
+            *cell = cell.neighbor(ALL_DIRECTIONS[(i / d as usize + 2) % 6]);
+        }
+        Some(here)
+    })
 }
 
 #[cfg(test)]
@@ -303,6 +333,43 @@ mod tests {
         }
         let (snapshot, _) = dw.editor().snapshot();
         assert!(snapshot.is_hole_free());
+    }
+
+    /// The ring window equals the window of sorting every live amoebot
+    /// by `(distance, id)`, on random blobs after random removals, for
+    /// windows smaller and larger than the structure.
+    #[test]
+    fn ring_windows_match_the_sorted_window() {
+        let sorted_window = |dw: &DynamicWorld, epicenter: Coord, window: usize| {
+            let editor = dw.editor();
+            let mut all: Vec<(u32, u32)> = editor
+                .live_ids()
+                .iter()
+                .map(|&id| (editor.coord(NodeId(id)).grid_distance(epicenter), id))
+                .collect();
+            all.sort_unstable();
+            all.truncate(window.min(all.len()));
+            all
+        };
+        for (seed, n) in [(1u64, 400usize), (2, 150), (3, 60), (4, 5)] {
+            let mut dw = dynamic_blob(n, seed, 1);
+            let mut rng = crate::derive_rng(seed, 7);
+            let mut removed = AppliedEvent::default();
+            detach(&mut dw, &mut rng, n / 4, &mut removed, &mut NullRecorder);
+            for _ in 0..8 {
+                let id = dw.editor().live_ids()[rng.gen_range(0..dw.len())];
+                let epicenter = dw.editor().coord(NodeId(id));
+                for k in [1usize, 4, 100] {
+                    let window = 8 * k;
+                    assert_eq!(
+                        nearest_window(dw.editor(), epicenter, window),
+                        sorted_window(&dw, epicenter, window),
+                        "blob seed {seed} ({} live), epicenter {epicenter:?}, k = {k}",
+                        dw.len()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

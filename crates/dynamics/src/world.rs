@@ -64,6 +64,15 @@ impl DynamicWorld {
         &mut self.world
     }
 
+    /// Both halves at once: the geometry read-only, the simulator
+    /// mutable — for loops over [`StructureEditor::live_ids`] that read
+    /// deliveries ([`World::received`] takes `&mut`) without copying
+    /// the live list.
+    #[inline]
+    pub fn editor_and_world_mut(&mut self) -> (&StructureEditor, &mut World) {
+        (&self.editor, &mut self.world)
+    }
+
     /// Whether an amoebot may join at `coord` (vacant, attached,
     /// hole-safe — see [`StructureEditor::can_insert`]).
     #[inline]
@@ -309,9 +318,10 @@ mod tests {
         verify_against_rebuild(&dw).unwrap();
         dw.world_mut().beep(v.index(), 0);
         dw.world_mut().tick();
-        for &live in dw.editor().live_ids() {
+        let (editor, world) = dw.editor_and_world_mut();
+        for &live in editor.live_ids() {
             assert!(
-                dw.world().received(live as usize, 0),
+                world.received(live as usize, 0),
                 "node #{live} missed the broadcast from the newcomer"
             );
         }

@@ -99,9 +99,10 @@ proptest! {
             let origin = dw.editor().live_ids()[0] as usize;
             dw.world_mut().beep(origin, 0);
             dw.world_mut().tick();
-            for &v in dw.editor().live_ids() {
+            let (editor, world) = dw.editor_and_world_mut();
+            for &v in editor.live_ids() {
                 prop_assert!(
-                    dw.world().received(v as usize, 0),
+                    world.received(v as usize, 0),
                     "schedule seed={} event=#{e}: node #{v} missed the broadcast",
                     plan.seed
                 );

@@ -266,7 +266,7 @@ fn global_churn_repairs_without_walking() {
         dw.world_mut().tick();
         let last = dw.editor().live_ids()[dw.len() - 1] as usize;
         assert!(
-            dw.world().received(last, 0),
+            dw.world_mut().received(last, 0),
             "event #{e}: the broadcast spans"
         );
     }

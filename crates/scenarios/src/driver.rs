@@ -336,10 +336,10 @@ impl Driver {
     fn round<R: Recorder>(&mut self, staged: &StagedFault, rec: &mut R) {
         self.informed[SOURCE] = true;
         let flood = self.kind.flood();
-        let live = self.dw.editor().live_ids().to_vec();
-        let world = self.dw.world_mut();
+        let (editor, world) = self.dw.editor_and_world_mut();
+        let live = editor.live_ids();
         if flood {
-            for &v in &live {
+            for &v in live {
                 if self.informed[v as usize] && staged.is_active(v) {
                     for pset in 0..world.pset_capacity(v as usize) {
                         world.beep(v as usize, pset as u16);
@@ -350,7 +350,7 @@ impl Driver {
             world.beep(SOURCE, 0);
         }
         world.tick_faulted(&staged.ticks, rec);
-        for &v in &live {
+        for &v in live {
             let heard = if flood {
                 world.received_any(v as usize)
             } else {
@@ -439,10 +439,11 @@ impl Driver {
 
     /// Live amoebots that missed this round's beep on partition set 0:
     /// the delivery check of the global-circuit broadcast.
-    pub fn missed(&self) -> usize {
-        let world = self.dw.world();
-        let live = self.dw.editor().live_ids();
-        live.iter()
+    pub fn missed(&mut self) -> usize {
+        let (editor, world) = self.dw.editor_and_world_mut();
+        editor
+            .live_ids()
+            .iter()
             .filter(|&&v| !world.received(v as usize, 0))
             .count()
     }

@@ -20,12 +20,16 @@
 //!   threshold print as `FAST` with a non-fatal "consider refreshing the
 //!   baseline" note, so wins show up in the CI log instead of silently
 //!   eroding the gate's sensitivity;
-//! * `bench-refresh` — regenerates `bench/baseline.json` in place via
-//!   the canonical CI sweep invocation (release build, 10k ladder,
-//!   `--threads 1 --seed 42`), prints the markdown diff against the
-//!   previous baseline, and appends one line to the committed perf
-//!   history `bench/trajectory.jsonl` (every rung's name, rounds and
-//!   nodes/sec). One command instead of the by-hand procedure.
+//! * `bench-refresh` — regenerates `bench/baseline.json` from three
+//!   runs of the canonical CI sweep invocation (release build, 10k
+//!   ladder, `--threads 1 --seed 42`): each rung keeps the run with the
+//!   median `wall_micros`, so one noisy sample cannot set the gate's
+//!   reference. It fails without writing anything if the runs disagree
+//!   on any rung's rounds, beeps or check verdict. It then prints the
+//!   markdown diff against the previous baseline and appends one line
+//!   to the committed perf history `bench/trajectory.jsonl` (every
+//!   rung's name, rounds and nodes/sec). One command instead of the
+//!   by-hand procedure.
 //!
 //! Plus four gates outside the sweep schema: `lint` (the `spf-lint`
 //! static checks under `lint/budget.json`), `server-smoke` (the
@@ -194,9 +198,9 @@ fn print_report_table(old: &[Rung], new: &[Rung]) {
 
 /// The canonical baseline-refresh sweep invocation — the same flags the
 /// CI perf job uses (`--threads 1` so rungs never compete for cores),
-/// writing straight to the committed baseline path.
-fn refresh_invocation() -> Vec<&'static str> {
-    vec![
+/// writing the report to `out`.
+fn refresh_invocation(out: &str) -> Vec<String> {
+    let args = [
         "run",
         "--release",
         "--locked",
@@ -211,8 +215,76 @@ fn refresh_invocation() -> Vec<&'static str> {
         "--seed",
         "42",
         "--out",
-        "bench/baseline.json",
-    ]
+        out,
+    ];
+    args.iter().map(|a| a.to_string()).collect()
+}
+
+/// How many canonical sweeps one `bench-refresh` runs.
+const REFRESH_RUNS: usize = 3;
+
+/// Replaces the value of `key` in the object `doc`, if present.
+fn replace_field(doc: &mut Json, key: &str, value: Json) {
+    if let Json::Object(fields) = doc {
+        if let Some((_, v)) = fields.iter_mut().find(|(k, _)| k == key) {
+            *v = value;
+        }
+    }
+}
+
+/// Merges sweep reports of one invocation into a baseline: every rung
+/// takes its entry from the run with the median `wall_micros` (the
+/// lower median for an even count), and the summary's total wall time
+/// is recomputed over the chosen entries. Fails if the runs disagree on
+/// the rung list or on any rung's rounds, beeps or check verdict
+/// (`pass`): those are deterministic, so a difference is a bug, not
+/// noise.
+fn median_report(runs: &[Json]) -> Result<Json, String> {
+    let entries: Vec<&[Json]> = runs
+        .iter()
+        .map(|doc| doc.get("entries").and_then(Json::as_array))
+        .collect::<Option<_>>()
+        .ok_or("a sweep report has no entries array")?;
+    let first = *entries.first().ok_or("no sweep reports to merge")?;
+    if let Some(run) = entries.iter().position(|rungs| rungs.len() != first.len()) {
+        return Err(format!("sweep runs 1 and {} differ in rung count", run + 1));
+    }
+    let mut chosen = Vec::with_capacity(first.len());
+    let mut total_wall = 0u64;
+    for (i, entry) in first.iter().enumerate() {
+        let name = entry.get("name").and_then(Json::as_str).unwrap_or("?");
+        let mut samples = Vec::with_capacity(runs.len());
+        for (run, rungs) in entries.iter().enumerate() {
+            let other = rungs
+                .get(i)
+                .filter(|e| e.get("name") == entry.get("name"))
+                .ok_or_else(|| format!("sweep run {} has no rung {name} at #{i}", run + 1))?;
+            for key in ["rounds", "beeps", "pass"] {
+                if other.get(key) != entry.get(key) {
+                    return Err(format!(
+                        "rung {name}: `{key}` differs between sweep runs 1 and {}",
+                        run + 1
+                    ));
+                }
+            }
+            let wall = other
+                .get("wall_micros")
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("rung {name} has no wall_micros"))?;
+            samples.push((wall, run));
+        }
+        samples.sort_unstable();
+        let (wall, run) = samples[(samples.len() - 1) / 2];
+        total_wall += wall;
+        chosen.push(entries[run][i].clone());
+    }
+    let mut doc = runs[0].clone();
+    replace_field(&mut doc, "entries", Json::Array(chosen));
+    if let Some(mut summary) = doc.get("summary").cloned() {
+        replace_field(&mut summary, "total_wall_micros", Json::U64(total_wall));
+        replace_field(&mut doc, "summary", summary);
+    }
+    Ok(doc)
 }
 
 /// The committed perf history, one line per `bench-refresh`.
@@ -251,9 +323,11 @@ fn append_trajectory(path: &std::path::Path, line: &str) -> Result<(), String> {
     writeln!(file, "{line}").map_err(|e| format!("cannot append to {}: {e}", path.display()))
 }
 
-/// Regenerates `bench/baseline.json` via the canonical sweep, prints
-/// the markdown diff against the previous baseline and appends the new
-/// rungs to `bench/trajectory.jsonl`.
+/// Regenerates `bench/baseline.json` from [`REFRESH_RUNS`] canonical
+/// sweeps ([`median_report`]), prints the markdown diff against the
+/// previous baseline and appends the new rungs to
+/// `bench/trajectory.jsonl`. The sweeps write under `target/`; the
+/// baseline is written only once every run has passed and agreed.
 fn bench_refresh() -> Result<u8, String> {
     // The xtask manifest lives in `<workspace>/xtask`; run the sweep from
     // the workspace root so relative paths match the CI invocation.
@@ -269,20 +343,33 @@ fn bench_refresh() -> Result<u8, String> {
         }
         Err(_) => Vec::new(), // first-ever baseline: nothing to diff
     };
-    let args = refresh_invocation();
-    eprintln!("running: cargo {}", args.join(" "));
-    let status = std::process::Command::new("cargo")
-        .args(&args)
-        .current_dir(&root)
-        .status()
-        .map_err(|e| format!("cannot spawn cargo: {e}"))?;
-    if !status.success() {
-        return Err(format!("baseline sweep failed ({status})"));
+    let runs_dir = root.join("target/bench-refresh");
+    std::fs::create_dir_all(&runs_dir)
+        .map_err(|e| format!("cannot create {}: {e}", runs_dir.display()))?;
+    let mut runs = Vec::with_capacity(REFRESH_RUNS);
+    for run in 1..=REFRESH_RUNS {
+        let out = runs_dir.join(format!("sweep-{run}.json"));
+        let args = refresh_invocation(&out.to_string_lossy());
+        eprintln!("sweep {run}/{REFRESH_RUNS}: cargo {}", args.join(" "));
+        let status = std::process::Command::new("cargo")
+            .args(&args)
+            .current_dir(&root)
+            .status()
+            .map_err(|e| format!("cannot spawn cargo: {e}"))?;
+        if !status.success() {
+            return Err(format!("baseline sweep {run} failed ({status})"));
+        }
+        let text = std::fs::read_to_string(&out)
+            .map_err(|e| format!("cannot read {}: {e}", out.display()))?;
+        runs.push(Json::parse(&text).map_err(|e| format!("sweep {run}: {e}"))?);
     }
-    let new = load_rungs(&baseline_path.to_string_lossy())?;
+    let doc = median_report(&runs)?;
+    let new = rungs_from_doc(&doc, "merged baseline")?;
+    std::fs::write(&baseline_path, doc.render_pretty())
+        .map_err(|e| format!("cannot write {}: {e}", baseline_path.display()))?;
     append_trajectory(&root.join(TRAJECTORY_PATH), &trajectory_line(&new))?;
     println!();
-    println!("refreshed bench/baseline.json (appended to {TRAJECTORY_PATH}); diff against the previous baseline:");
+    println!("refreshed bench/baseline.json (median of {REFRESH_RUNS} sweeps; appended to {TRAJECTORY_PATH}); diff against the previous baseline:");
     println!();
     print_report_table(&old, &new);
     Ok(0)
@@ -1257,12 +1344,90 @@ mod tests {
     /// written straight to the committed baseline path).
     #[test]
     fn refresh_invocation_matches_the_canonical_sweep() {
-        let args = refresh_invocation().join(" ");
+        let args = refresh_invocation("target/bench-refresh/sweep-1.json").join(" ");
         assert!(args.starts_with("run --release --locked --bin scenario-runner -- sweep "));
         assert!(args.contains("--max-nodes 10000"));
         assert!(args.contains("--threads 1"));
         assert!(args.contains("--seed 42"));
-        assert!(args.ends_with("--out bench/baseline.json"));
+        assert!(args.ends_with("--out target/bench-refresh/sweep-1.json"));
+    }
+
+    /// A sweep report of rungs `(name, rounds, wall_micros, pass)`.
+    fn sweep_doc(rungs: &[(&str, u64, u64, bool)]) -> Json {
+        let entries: Vec<Json> = rungs
+            .iter()
+            .map(|&(name, rounds, wall, pass)| {
+                Json::object()
+                    .field("family", name)
+                    .field("size", 1000u64)
+                    .field("name", name)
+                    .field("rounds", rounds)
+                    .field("beeps", 2 * rounds)
+                    .field("wall_micros", wall)
+                    .field("nodes_per_sec", 1_000_000_000 / wall)
+                    .field("pass", pass)
+            })
+            .collect();
+        let total: u64 = rungs.iter().map(|r| r.2).sum();
+        Json::object()
+            .field("schema", SWEEP_SCHEMA)
+            .field("entries", entries)
+            .field(
+                "summary",
+                Json::object()
+                    .field("passed", rungs.len())
+                    .field("total_wall_micros", total),
+            )
+    }
+
+    /// Each rung keeps the run with its median wall time, whole: its
+    /// throughput comes from the same run, and the summary's total wall
+    /// time is the chosen entries' sum.
+    #[test]
+    fn refresh_keeps_each_rungs_median_run() {
+        let runs = [
+            sweep_doc(&[("a", 8, 300, true), ("b", 9, 10, true)]),
+            sweep_doc(&[("a", 8, 100, true), ("b", 9, 30, true)]),
+            sweep_doc(&[("a", 8, 200, true), ("b", 9, 20, true)]),
+        ];
+        let doc = median_report(&runs).unwrap();
+        let rungs = rungs_from_doc(&doc, "merged").unwrap();
+        let walls: Vec<(u64, u64)> = rungs
+            .iter()
+            .map(|r| (r.wall_micros, r.nodes_per_sec))
+            .collect();
+        assert_eq!(walls, [(200, 5_000_000), (20, 50_000_000)]);
+        let total = doc
+            .get("summary")
+            .and_then(|s| s.get("total_wall_micros"))
+            .and_then(Json::as_u64);
+        assert_eq!(total, Some(220));
+    }
+
+    /// Rounds, beeps and check verdicts are deterministic: runs that
+    /// disagree on any of them, or on the rung list, fail the refresh.
+    #[test]
+    fn refresh_rejects_runs_that_disagree() {
+        let base = sweep_doc(&[("a", 8, 100, true), ("b", 9, 10, true)]);
+        for other in [
+            sweep_doc(&[("a", 7, 100, true), ("b", 9, 10, true)]),
+            sweep_doc(&[("a", 8, 100, true), ("b", 9, 10, false)]),
+            sweep_doc(&[("a", 8, 100, true)]),
+            sweep_doc(&[("a", 8, 100, true), ("b", 9, 10, true), ("c", 1, 1, true)]),
+            sweep_doc(&[("b", 9, 10, true), ("a", 8, 100, true)]),
+        ] {
+            let err = median_report(&[base.clone(), other, base.clone()]).unwrap_err();
+            assert!(err.contains("run"), "{err}");
+        }
+        let mut beeps = sweep_doc(&[("a", 8, 100, true), ("b", 9, 10, true)]);
+        if let Json::Object(fields) = &mut beeps {
+            let entries = &mut fields.iter_mut().find(|(k, _)| k == "entries").unwrap().1;
+            if let Json::Array(items) = entries {
+                replace_field(&mut items[1], "beeps", Json::U64(1));
+            }
+        }
+        let err = median_report(&[base.clone(), base, beeps]).unwrap_err();
+        assert!(err.contains("`beeps` differs"), "{err}");
     }
 
     /// A refresh appends one line holding every rung's name, rounds and
