@@ -1,6 +1,12 @@
 //! Criterion benches for the incremental circuit engine: `World::tick`
 //! against the pre-refactor full-recompute `World::tick_reference`.
 //!
+//! The reference writes every receive bit each tick, while an
+//! incremental tick writes them on the first read. So every incremental
+//! variant reads one receive bit of a set its beep reached after each
+//! tick: each then writes what the reference writes, and the printed
+//! times compare like with like.
+//!
 //! Three workload shapes:
 //!
 //! * **broadcast-heavy** (≥1k nodes): a fixed global configuration,
@@ -9,13 +15,13 @@
 //!   labeling.
 //! * **reconfiguration-heavy** (≥1k nodes): every round 1/8 of the nodes
 //!   flip between the split and global configurations — a fat dirty set
-//!   every tick, which the untraced tick absorbs before walking only the
-//!   circuit its one beep lands on.
+//!   every tick, which the tick absorbs before walking only the circuit
+//!   its one beep lands on.
 //! * **sparse-reconfig** (100k nodes, 1% dirty per round): the dirty set
 //!   stays a sliver of the structure and the beeps land on the circuits
-//!   the touched nodes just regrouped, so the untraced tick absorbs and
-//!   walks O(affected circuits) while the reference pays the full
-//!   O(pins) recompute. The incremental engine's target here is ≥10×.
+//!   the touched nodes just regrouped, so the tick absorbs and walks
+//!   O(affected circuits) while the reference pays the full O(pins)
+//!   recompute. The incremental engine's target here is ≥10×.
 //!
 //! The broadcast-heavy group also measures `tick_faulted` with an empty
 //! fault set next to plain `tick`: the adversary engine's unarmed path
@@ -23,16 +29,18 @@
 //! (the `FAULTED` const generic monomorphizes the fault checks away).
 //! A fourth case, `flight_armed`, runs the same steady ticks with a
 //! [`FlightRecorder`] attached — the always-on black box the scenario
-//! runner now arms by default. Its budget is tighter than the CI gate:
-//! the observability plane promises ≤5% overhead over plain `tick`
-//! (ring pushes are bounds-checked writes into a preallocated buffer,
-//! no allocation, no I/O). Compare `flight_armed` against `incremental`
-//! in the criterion report to audit that promise.
+//! runner arms by default. Its ticks take the one labelling path every
+//! recorder's ticks take, so it times that path plus the ring pushes.
+//! Its budget is tighter than the CI gate: the observability plane
+//! promises ≤5% overhead over plain `tick` (ring pushes are
+//! bounds-checked writes into a preallocated buffer, no allocation, no
+//! I/O). Compare `flight_armed` against `incremental` in the criterion
+//! report to audit that promise.
 
 use amoebot_bench::standard_structure;
 use amoebot_circuits::{TickFaults, Topology, World};
 use amoebot_telemetry::{FlightRecorder, NullRecorder};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 const STEADY_TICKS: usize = 8;
 
@@ -60,6 +68,7 @@ fn bench_circuit_engine(c: &mut Criterion) {
             for round in 0..STEADY_TICKS {
                 w.beep(round % n, 0);
                 w.tick();
+                black_box(w.received(round % n, 0));
             }
             w.rounds()
         })
@@ -86,6 +95,7 @@ fn bench_circuit_engine(c: &mut Criterion) {
                 for round in 0..STEADY_TICKS {
                     w.beep(round % n, 0);
                     w.tick_faulted(&TickFaults::EMPTY, &mut NullRecorder);
+                    black_box(w.received(round % n, 0));
                 }
                 w.rounds()
             })
@@ -96,11 +106,12 @@ fn bench_circuit_engine(c: &mut Criterion) {
     g.bench_with_input(BenchmarkId::new("flight_armed", n), &world, |b, world| {
         let mut w = world.clone();
         w.tick();
-        let mut flight = FlightRecorder::default();
+        let mut flight: FlightRecorder = FlightRecorder::default();
         b.iter(|| {
             for round in 0..STEADY_TICKS {
                 w.beep(round % n, 0);
                 w.tick_faulted(&TickFaults::EMPTY, &mut flight);
+                black_box(w.received(round % n, 0));
             }
             w.rounds()
         })
@@ -123,6 +134,7 @@ fn bench_circuit_engine(c: &mut Criterion) {
                 }
                 w.beep(round % n, 0);
                 w.tick();
+                black_box(w.received(round % n, 0));
             }
             w.rounds()
         })
@@ -174,6 +186,9 @@ fn bench_circuit_engine(c: &mut Criterion) {
                         }
                     }
                     w.tick();
+                    // Node `round * 31 % n` (i = 0) beeps on its merged
+                    // set 0 in even rounds.
+                    black_box(w.received(round * 31 % n, 0));
                 }
                 w.rounds()
             })

@@ -13,8 +13,12 @@
 //! stops as soon as no joined class holds two unfinished groups. Then
 //! every finished group is a circuit, and every unfinished group glues
 //! the old circuits it visited into one circuit, minus the finished
-//! sets. If the budget runs out or a search reaches a stale set first,
-//! nothing changes and the absorb stales the circuits as before.
+//! sets. If a frontier set is stale, the budget runs out or a search
+//! reaches a stale set first, nothing changes and the absorb stales the
+//! circuits as before. The frontier is checked before any set is
+//! visited, so on a world whose edits keep meeting stale sets (a solver
+//! world, which labels only what it delivers on) a failed attempt costs
+//! one read pass over the dirty pins.
 
 use crate::world::{World, NO_EDGE};
 
@@ -141,7 +145,7 @@ impl World {
     /// Returns whether it did; on `false` nothing has changed. The caller
     /// still owes the dirty-pin bookkeeping either way.
     pub(crate) fn repair_dirty(&mut self) -> bool {
-        if self.force_global || self.dirty_pins.is_empty() {
+        if self.dirty_pins.is_empty() || self.frontier_is_stale() {
             return false;
         }
         let mut rs = std::mem::take(&mut self.repair);
@@ -156,6 +160,18 @@ impl World {
         self.walk.clear();
         self.repair = rs;
         repaired
+    }
+
+    /// Whether the old or the new set of some dirty pin is stale: then
+    /// the repair cannot certify anything, and one pass over the dirty
+    /// pins says so before any set is visited.
+    fn frontier_is_stale(&self) -> bool {
+        self.dirty_pins.iter().any(|&(pin, node_base)| {
+            let pin = pin as usize;
+            [self.pset_at_relabel[pin], self.pin_pset[pin]]
+                .iter()
+                .any(|&local| self.stale.get(node_base as usize + local as usize))
+        })
     }
 
     /// Visits `gid` (of node `v`) for search `s`: a fresh set joins the
@@ -175,8 +191,9 @@ impl World {
         }
     }
 
-    /// Runs the searches until the certificate holds (`true`), or a
-    /// search reaches a stale set or the budget runs out (`false`). The
+    /// Runs the searches from a frontier with no stale set until the
+    /// certificate holds (`true`), or a search reaches a stale set or the
+    /// budget runs out (`false`). The
     /// visited sets are `walk`, in queue order, marked in `root_mark`.
     fn search(&mut self, rs: &mut RepairScratch) -> bool {
         rs.cands.clear();
@@ -185,7 +202,7 @@ impl World {
         self.walk.clear();
         let c = self.c;
         // The frontier: the old and the new set of every dirty pin, each
-        // its own search.
+        // its own search. None of them is stale (`frontier_is_stale`).
         let mut v = 0;
         for i in 0..self.dirty_pins.len() {
             let (pin, node_base) = self.dirty_pins[i];
@@ -195,9 +212,6 @@ impl World {
             let pin = pin as usize;
             for local in [self.pset_at_relabel[pin], self.pin_pset[pin]] {
                 let gid = node_base as usize + local as usize;
-                if self.stale.get(gid) {
-                    return false;
-                }
                 if !self.root_mark.get(gid) {
                     let s = rs.group.len() as u32;
                     rs.group.push(s);

@@ -2,37 +2,37 @@
 //!
 //! [`replay_trace`] rebuilds the starting world from the trace header,
 //! re-applies every recorded pin-config delta and structure edit, and at
-//! each recorded round boundary recomputes what the engine would have
-//! delivered — comparing beep count, delivery count, the
-//! order-independent delivery digest and the circuit count against the
-//! recorded [`amoebot_telemetry::RoundSummary`]. The first mismatch
-//! fails loudly with the round number and the event index within that
-//! round ([`ReplayError::Divergence`]); a structurally invalid trace
+//! each recorded round boundary ticks the rebuilt world on the recorded
+//! beeps — comparing the round number, the beep count, the delivery
+//! count and the order-independent delivery digest against the recorded
+//! [`amoebot_telemetry::RoundSummary`]. These are what the model
+//! observes; how either engine labelled its circuits is not recorded
+//! and not compared. The first mismatch fails loudly with the round
+//! number and the event index within that round
+//! ([`ReplayError::Divergence`]); a structurally invalid trace
 //! (out-of-range ids, impossible edges) fails the same way with
 //! [`ReplayError::Malformed`] instead of panicking inside the engine.
 //!
 //! # Why replay is fast
 //!
 //! Replay never simulates the algorithm layer: it skips structure
-//! generation, per-round scenario logic and the send/receive machinery
-//! entirely. Delivery is verified arithmetically — the beeping circuits'
-//! roots are deduped through the cached labeling and each root's digest
-//! (XOR of [`mix64`] over its membership bucket) is memoized until the
-//! next relabel invalidates it, so a long run of clean rounds costs
-//! O(beeping roots) per round rather than O(deliveries). This is what
-//! keeps full verification well under the recorded simulation's wall
-//! time on broadcast-heavy workloads.
-
-use std::collections::HashMap; // spf-lint: allow(nondet-collections) — keyed memo lookups only; never iterated
+//! generation, per-round scenario logic and every read of a receive
+//! bit. Its tick labels only the circuits the recorded beeps reach, and
+//! each delivered circuit's digest (XOR of [`mix64`] over its membership
+//! bucket) is cached until a walk, repair or repack changes the bucket,
+//! so a long run of clean rounds costs O(beeping circuits) per round
+//! rather than O(deliveries). This is what keeps full verification well
+//! under the recorded simulation's wall time on broadcast-heavy
+//! workloads.
 
 use std::fmt;
 
 use amoebot_telemetry::{
-    mix64, RelabelKind, TraceError, TraceEvent, TraceReader, BEEP_DIGEST_SALT,
+    mix64, NullRecorder, TraceError, TraceEvent, TraceReader, BEEP_DIGEST_SALT,
 };
 
 use crate::topology::{Topology, MAX_PORTS};
-use crate::world::World;
+use crate::world::{TickFaults, World};
 
 /// A verified replay, summarized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,11 +45,12 @@ pub struct ReplayReport {
     pub events: u64,
     /// Wall-clock microseconds of the *recorded* run (from the footer).
     pub recorded_wall_micros: u64,
-    /// Per-root delivery digests computed from a membership bucket
-    /// (digest memo misses). Clean rounds hit the memo, so this counts
+    /// Per-circuit delivery digests computed from a membership bucket
+    /// (digest cache misses). Clean rounds hit the cache, so this counts
     /// the replay's delivery work independently of the run length.
     pub digest_passes: u64,
-    /// Relabels replay ran to mirror the recorded ticks' refreshes.
+    /// Labelling work replay's ticks did: circuits walked plus absorbs
+    /// repaired.
     pub relabels: u64,
 }
 
@@ -211,13 +212,7 @@ pub fn replay_trace(bytes: &[u8]) -> Result<ReplayReport, ReplayError> {
     let mut pending_drops: Vec<u32> = Vec::new();
     // Node cursor for gid-ordered config deltas (see `set_pin_gid_hinted`).
     let mut pin_hint = 0usize;
-    // Per-root delivery digests, valid for the current labeling only.
-    // spf-lint: allow(nondet-collections) — keyed get/insert memo; iteration order never observed
-    let mut memo: HashMap<u32, (u64, u64)> = HashMap::new();
-    let mut memo_epoch = u64::MAX;
     let mut digest_passes: u64 = 0;
-    let mut relabels: u64 = 0;
-    let mut roots: Vec<u32> = Vec::new();
 
     loop {
         let ev = match reader.next_event() {
@@ -339,57 +334,27 @@ pub fn replay_trace(bytes: &[u8]) -> Result<ReplayReport, ReplayError> {
                         ),
                     });
                 }
-                // Mirror the recorded tick's refresh, then verify the
-                // delivery arithmetic against the fresh labeling. The
-                // relabel flavor is deterministic given the same dirty
-                // set, and replay reconstructs exactly the recorded
-                // dirty set (deltas are emitted per dirty pin), so the
-                // kind must match too — this is also what catches a
-                // corrupted relabel byte, which decodes fine for codes
-                // the wire format knows.
-                let relabel = world.replay_refresh();
-                if relabel != RelabelKind::None {
-                    relabels += 1;
-                }
-                if relabel != summary.relabel {
-                    return Err(ReplayError::Divergence {
-                        round,
-                        event,
-                        detail: format!(
-                            "relabel kind: recorded {:?}, replayed {relabel:?}",
-                            summary.relabel
-                        ),
-                    });
-                }
-                let epoch = world.relabel_epoch();
-                if epoch != memo_epoch {
-                    memo.clear();
-                    memo_epoch = epoch;
-                }
+                // Tick on the recorded beeps: they go in as the tick's
+                // injected beeps (an injected beep and a sent one deliver
+                // alike) and the recorded drops as its drops. The tick
+                // labels what they reach, as the recorded one did.
+                pending_beeps.sort_unstable();
                 pending_drops.sort_unstable();
-                roots.clear();
-                roots.extend(
-                    pending_beeps
-                        .iter()
-                        .filter(|g| pending_drops.binary_search(g).is_err())
-                        .map(|&g| world.label_of(g as usize)),
-                );
-                roots.sort_unstable();
-                roots.dedup();
-                let mut digest = pending_beeps
+                let faults = TickFaults {
+                    drop: std::mem::take(&mut pending_drops),
+                    inject: std::mem::take(&mut pending_beeps),
+                };
+                world.tick_faulted(&faults, &mut NullRecorder);
+                let mut digest = faults
+                    .inject
                     .iter()
                     .fold(0u64, |acc, &g| acc ^ mix64(g as u64 ^ BEEP_DIGEST_SALT));
-                let mut delivered = 0u64;
-                for &root in &roots {
-                    let (d, count) = *memo.entry(root).or_insert_with(|| {
-                        digest_passes += 1;
-                        let bucket = world.member_bucket(root as usize);
-                        let d = bucket.iter().fold(0u64, |acc, &g| acc ^ mix64(g as u64));
-                        (d, bucket.len() as u64)
-                    });
+                for i in 0..world.marked_roots.len() {
+                    let (d, read) = world.circuit_digest(world.marked_roots[i] as usize);
                     digest ^= d;
-                    delivered += count;
+                    digest_passes += u64::from(read);
                 }
+                let delivered = world.delivery_count() as u64;
                 if delivered != summary.delivered || digest != summary.digest {
                     return Err(ReplayError::Divergence {
                         round,
@@ -401,17 +366,7 @@ pub fn replay_trace(bytes: &[u8]) -> Result<ReplayReport, ReplayError> {
                         ),
                     });
                 }
-                let circuits = world.cached_circuit_count() as u64;
-                if circuits != summary.circuits {
-                    return Err(ReplayError::Divergence {
-                        round,
-                        event,
-                        detail: format!(
-                            "circuits: recorded {}, replayed {circuits}",
-                            summary.circuits
-                        ),
-                    });
-                }
+                (pending_beeps, pending_drops) = (faults.inject, faults.drop);
                 pending_beeps.clear();
                 pending_drops.clear();
                 rounds_done += 1;
@@ -423,26 +378,17 @@ pub fn replay_trace(bytes: &[u8]) -> Result<ReplayReport, ReplayError> {
         event += 1;
     }
 
+    // The reader checked that the footer counts the rounds verified.
     let footer = reader
         .footer()
         .expect("next_event returned None, so the footer was decoded");
-    if footer.rounds != rounds_done {
-        return Err(ReplayError::Malformed {
-            round,
-            event,
-            detail: format!(
-                "footer claims {} rounds, trace carried {rounds_done}",
-                footer.rounds
-            ),
-        });
-    }
     Ok(ReplayReport {
         nodes: world.topology().len(),
         rounds: rounds_done,
         events: total_events,
         recorded_wall_micros: footer.wall_micros,
         digest_passes,
-        relabels,
+        relabels: world.walk_relabels() + world.repair_relabels(),
     })
 }
 

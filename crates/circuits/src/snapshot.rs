@@ -31,7 +31,7 @@
 //!           | sent | recv_set | labels[total]
 //!           | members | member_off[total] | member_end[total]
 //!           | dirty_pins | cuts | pset_at_relabel[total]
-//!           | force_global (1 byte) | stale | circuit_roots
+//!           | stale | circuit_roots
 //!           | cached_circuits
 //!           | counters | rounds | charges
 //!           | beeps_sent | stuck
@@ -250,7 +250,6 @@ impl World {
         for &pset in &self.pset_at_relabel {
             w.varint(pset as u64);
         }
-        w.byte(self.force_global as u8);
         w.varint(self.stale_count as u64);
         for gid in self.stale.ones() {
             w.varint(gid as u64);
@@ -509,17 +508,6 @@ impl World {
                 pset_at_relabel.push(pset);
             }
         }
-        let force_global = match r.byte()? {
-            0 => false,
-            1 => true,
-            _ => {
-                return Err(WireError::BadValue {
-                    what: "force-global flag",
-                    offset: r.offset() - 1,
-                })
-            }
-        };
-
         let stale_count = r.len("stale-set list")?;
         let mut stale = BitSet::new(total);
         let mut prev: Option<u32> = None;
@@ -693,7 +681,6 @@ impl World {
             dirty_pin,
             cuts,
             pset_at_relabel,
-            force_global,
             stale,
             stale_count,
             circuit_roots,

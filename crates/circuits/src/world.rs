@@ -25,19 +25,17 @@
 //!   labelled circuits of each dirty pin's old and new partition set go
 //!   stale. Either way the dirty list empties. See DESIGN.md §1c for the
 //!   stability invariant and the certificate that make this sound;
-//! * an untraced tick (`R::TRACE == false`: [`World::tick`],
-//!   [`NullRecorder`], timed recorders) labels only the stale circuits it
-//!   delivers a beep on, by walking each one under the current pins and
-//!   topology — O(members · ports) per beeping circuit, nothing for the
-//!   circuits no beep reaches;
-//! * reads ([`World::circuit_count`], [`World::pset_circuit`]) and traced
-//!   ticks label everything: they absorb, then walk every stale circuit
-//!   the same way, in ascending gid order, or run the global relabel —
-//!   union-find over the whole link table plus a counting-sort
-//!   membership rebuild — when the dirty pins or the stale set exceed
-//!   `1/REGION_FALLBACK_FRACTION` of all pins. Traced ticks stay eager
-//!   because their round summary carries the circuit count and the
-//!   relabel kind, which replay checks;
+//! * a tick labels only the stale circuits it delivers a beep on, by
+//!   walking each one under the current pins and topology —
+//!   O(members · ports) per beeping circuit, nothing for the circuits no
+//!   beep reaches. This is the one labelling path of every tick, whatever
+//!   its [`Recorder`]: `R::TRACE` only gates event emission and digests;
+//! * reads ([`World::circuit_count`], [`World::pset_circuit`]) label
+//!   everything: they absorb, then walk every stale circuit the same
+//!   way, in ascending gid order, or run the global relabel — union-find
+//!   over the whole link table plus a counting-sort membership rebuild —
+//!   when the dirty pins or the stale set exceed
+//!   `1/REGION_FALLBACK_FRACTION` of all pins;
 //! * a tick delivers to circuits, not to their members: the roots of
 //!   the beeping circuits, deduped in `root_mark`, stay marked as the
 //!   round's delivery record, and no receive bit is written. The first
@@ -82,8 +80,8 @@ use crate::bitset::BitSet;
 use crate::repair::RepairScratch;
 use crate::topology::{PortId, Topology};
 use amoebot_telemetry::{
-    mix64, CounterId, Metrics, NullRecorder, Recorder, RelabelKind, RoundSummary, Stopwatch,
-    TimerId, BEEP_DIGEST_SALT,
+    mix64, CounterId, Metrics, NullRecorder, Recorder, RoundSummary, Stopwatch, TimerId,
+    BEEP_DIGEST_SALT,
 };
 
 /// A pin reference local to a node: `(port, link)` with `link < c`.
@@ -95,9 +93,8 @@ pub type Pin = (PortId, usize);
 /// visited set's node and follows links one peer lookup at a time,
 /// while the global relabel makes straight linear sweeps: one read of an
 /// all-stale 100k-node blob took 5.5–9× as long walking every circuit
-/// as relabelling globally (c = 2 and 6; release build, 2 vCPUs). The
-/// fraction also picks the relabel kind a traced tick records, so it is
-/// part of the trace format.
+/// as relabelling globally (c = 2 and 6; release build, 2 vCPUs). An
+/// absorb of at most this many dirty pins tries the repair first.
 const REGION_FALLBACK_FRACTION: usize = 8;
 
 /// Vacant-slot sentinel of the per-port edge table.
@@ -129,7 +126,6 @@ pub(crate) struct EngineStats {
     pub(crate) fault_drops: CounterId,
     pub(crate) fault_injects: CounterId,
     pub(crate) t_propagate: TimerId,
-    pub(crate) t_global: TimerId,
 }
 
 impl EngineStats {
@@ -141,7 +137,6 @@ impl EngineStats {
             fault_drops: m.counter("fault_drops"),
             fault_injects: m.counter("fault_injects"),
             t_propagate: m.timer("phase_propagate_micros"),
-            t_global: m.timer("phase_global_relabel_micros"),
             metrics: m,
         }
     }
@@ -238,10 +233,10 @@ pub struct World {
     /// Cached per-bucket delivery digest (XOR of [`mix64`] over the
     /// root's member gids), valid iff the root's stamp in
     /// `member_digest_epoch` equals `digest_epoch`. Filled lazily the
-    /// first time a tracing tick delivers to the circuit, then reused
-    /// every steady tick — the armed flight recorder's per-delivery
-    /// digest cost drops from O(members) to O(1) per circuit between
-    /// relabels. Never read on the `NullRecorder` path.
+    /// first time a replay-grade tick or a replay delivers to the
+    /// circuit, then reused every steady tick, so a digest costs O(1)
+    /// per circuit between relabels. Never read on the `NullRecorder`
+    /// path.
     pub(crate) member_digest: Vec<u64>,
     /// Per-root validity stamp for `member_digest` (0 = never valid;
     /// `digest_epoch` starts at 1).
@@ -275,10 +270,6 @@ pub struct World {
     /// The pin configuration as of the last absorb — the "old" partition
     /// sets whose circuits the next absorb stales.
     pub(crate) pset_at_relabel: Vec<u16>,
-    /// Whether the next label-everything relabel must be global (set with
-    /// [`World::stale_everything`], and by an absorb of more dirty pins
-    /// than the fallback fraction).
-    pub(crate) force_global: bool,
     /// Bit per partition set: whether it is stale. Invariant: the stale
     /// sets form whole circuits of the current configuration once the
     /// dirty pins are absorbed; every other set is labelled.
@@ -404,7 +395,6 @@ impl World {
             dirty_pins: Vec::with_capacity(total),
             dirty_pin: BitSet::new(total),
             cuts: Vec::new(),
-            force_global: true,
             stale: BitSet::new(total),
             stale_count: 0,
             circuit_roots: BitSet::new(total),
@@ -1075,15 +1065,14 @@ impl World {
     }
 
     /// Whether a read ([`World::circuit_count`], [`World::pset_circuit`])
-    /// or a traced tick would have to relabel first: some pin's partition
-    /// set changed since the last absorb, some set is stale (never
-    /// labelled, invalidated by [`World::tick_reference`], or staled by
-    /// an absorb and not walked since), or a global relabel is due.
-    /// No-op reconfigurations — writes that store the value a pin
-    /// already has — never make this true.
+    /// would have to relabel first: some pin's partition set changed
+    /// since the last absorb, or some set is stale (never labelled,
+    /// invalidated by [`World::tick_reference`], or staled by an absorb
+    /// and not walked since). No-op reconfigurations — writes that store
+    /// the value a pin already has — never make this true.
     #[inline]
     pub fn relabel_pending(&self) -> bool {
-        self.force_global || self.stale_count > 0 || !self.dirty_pins.is_empty()
+        self.stale_count > 0 || !self.dirty_pins.is_empty()
     }
 
     /// How many global (full union-find + membership rebuild) relabels
@@ -1105,45 +1094,44 @@ impl World {
         self.stats.metrics.get(self.stats.relabel_region)
     }
 
-    /// How many stale circuits untraced ticks have labelled by walking
-    /// them (see the module docs). Reads the registry's `relabel_walk`
+    /// How many stale circuits ticks have labelled by walking them (see
+    /// the module docs). Reads the registry's `relabel_walk`
     /// counter, which is registered on the first walk (0 until then).
     pub fn walk_relabels(&self) -> u64 {
         self.stats.metrics.counter_value(RELABEL_WALK)
     }
 
     /// The engine's telemetry registry: relabel counters plus — when the
-    /// driving [`Recorder`] has `TIMED = true` — per-phase wall-time
-    /// histograms (`phase_*_micros`).
+    /// driving [`Recorder`] has `TIMED = true` — the tick's wall-time
+    /// histogram (`phase_propagate_micros`).
     #[inline]
     pub fn metrics(&self) -> &Metrics {
         &self.stats.metrics
     }
 
     /// Labels everything: absorbs the dirty pins and walks every stale
-    /// circuit while that is small, runs the global relabel otherwise
-    /// (see [`REGION_FALLBACK_FRACTION`]). The global relabel's timer
-    /// fires only for `R::TIMED` recorders; under [`NullRecorder`] it
-    /// compiles away. Every path starts with an absorb or a global
-    /// relabel, which write pending deliveries before the walks.
-    fn refresh_labels<R: Recorder>(&mut self) -> RelabelKind {
+    /// circuit while both stay within the fallback fraction, runs the
+    /// global relabel otherwise (see [`REGION_FALLBACK_FRACTION`]). The
+    /// choice reads the dirty count and the stale mass, nothing else.
+    /// Every path starts with an absorb or a global relabel, which write
+    /// pending deliveries before the walks.
+    fn refresh_labels(&mut self) {
         let threshold = self.labels.len() / REGION_FALLBACK_FRACTION;
-        if !self.force_global && self.dirty_pins.len() <= threshold {
+        if self.dirty_pins.len() <= threshold {
             self.absorb_dirty();
             if self.stale_count <= threshold {
                 self.walk_stale();
-                return RelabelKind::Region;
+                return;
             }
         }
-        self.relabel_global::<R>();
-        RelabelKind::Global
+        self.relabel_global();
     }
 
-    /// Marks every partition set stale (nothing is labelled or counted)
-    /// and makes the next label-everything relabel global. Construction
-    /// and [`World::tick_reference`] start here: an untraced tick then
-    /// walks only the circuits it delivers on. Writes pending deliveries
-    /// first, as does everything that changes labels or buckets.
+    /// Marks every partition set stale (nothing is labelled or counted),
+    /// so the next read relabels globally. Construction and
+    /// [`World::tick_reference`] start here: a tick then walks only the
+    /// circuits it delivers on. Writes pending deliveries first, as does
+    /// everything that changes labels or buckets.
     fn stale_everything(&mut self) {
         self.write_deliveries();
         let total = self.labels.len();
@@ -1151,27 +1139,23 @@ impl World {
         self.stale_count = total;
         self.circuit_roots.clear_all();
         self.cached_circuits = 0;
-        self.force_global = true;
     }
 
-    /// Absorbs the dirty pins: repairs the circuits they touch when the
-    /// repair certifies its result ([`crate::repair`]), and otherwise
-    /// moves the labelled circuits of each dirty pin's old and new
-    /// partition set into the stale set (a pin's peer circuits are
-    /// covered transitively: the old union along the edge put the peer's
-    /// set in the same old circuit as this pin's old set). Afterwards the
-    /// stale sets are again whole circuits of the current configuration,
-    /// and the dirty list and the cut record are empty. An absorb of
-    /// more dirty pins than the fallback fraction makes the next
-    /// label-everything relabel global, as it would have been had it run
-    /// right away. Writes pending deliveries first: the absorb changes
-    /// labels and buckets, and its repair borrows `root_mark`.
+    /// Absorbs the dirty pins: an absorb of at most the fallback
+    /// fraction of them repairs the circuits they touch when the repair
+    /// certifies its result ([`crate::repair`]); otherwise it moves the
+    /// labelled circuits of each dirty pin's old and new partition set
+    /// into the stale set (a pin's peer circuits are covered
+    /// transitively: the old union along the edge put the peer's set in
+    /// the same old circuit as this pin's old set). Afterwards the stale
+    /// sets are again whole circuits of the current configuration, and
+    /// the dirty list and the cut record are empty. Writes pending
+    /// deliveries first: the absorb changes labels and buckets, and its
+    /// repair borrows `root_mark`.
     fn absorb_dirty(&mut self) {
         self.write_deliveries();
-        if self.dirty_pins.len() > self.labels.len() / REGION_FALLBACK_FRACTION {
-            self.force_global = true;
-        }
-        let repaired = self.repair_dirty();
+        let repaired = self.dirty_pins.len() <= self.labels.len() / REGION_FALLBACK_FRACTION
+            && self.repair_dirty();
         for i in 0..self.dirty_pins.len() {
             let (pin, node_base) = self.dirty_pins[i];
             let pin = pin as usize;
@@ -1364,13 +1348,8 @@ impl World {
     /// α) with zero allocations; the escape hatch when the stale set is
     /// large (or everything, after [`World::tick_reference`]). Writes
     /// pending deliveries first.
-    fn relabel_global<R: Recorder>(&mut self) {
+    fn relabel_global(&mut self) {
         self.write_deliveries();
-        let t_global = if R::TIMED {
-            Some(Stopwatch::start())
-        } else {
-            None
-        };
         let total = self.labels.len();
         for i in 0..total {
             self.uf[i] = i as u32;
@@ -1419,10 +1398,6 @@ impl World {
         }
         self.dirty_pins.clear();
         self.cuts.clear();
-        self.force_global = false;
-        if let Some(t) = t_global {
-            self.stats.metrics.observe(self.stats.t_global, t.micros());
-        }
         self.stats.metrics.inc(self.stats.relabel_global);
     }
 
@@ -1441,25 +1416,24 @@ impl World {
     /// consts, so `tick()` (= `tick_with(&mut NullRecorder)`) pays for
     /// none of it after monomorphization.
     ///
-    /// Untraced recorders (`R::TRACE == false`) take the lazy path: the
-    /// tick absorbs the dirty pins and walks only the stale circuits it
-    /// delivers on. With `R::TRACE` the tick labels everything first, and
-    /// the recorder sees, in order: the net pin-config deltas since the
-    /// last absorb (read off the dirty-pin list before the refresh
-    /// consumes it — intermediate writes between ticks are not
-    /// observable, by design), the beeping gids, and a
-    /// [`RoundSummary`] carrying an order-independent delivery digest
-    /// (XOR of [`mix64`] over every delivered gid). Replay recomputes
-    /// the digest from its own labeling, so any divergence in circuit
-    /// structure or delivery surfaces at the exact round. The delta
-    /// stream and the digest are the expensive, replay-grade half and
-    /// are further gated on `R::REPLAY`: windowed sinks (the flight
-    /// recorder) opt out and their summaries carry `digest = 0`.
+    /// Every recorder's tick labels the same way: it absorbs the dirty
+    /// pins and walks only the stale circuits it delivers on. With
+    /// `R::TRACE` the recorder also sees, in order: the net pin-config
+    /// deltas since the last absorb (read off the dirty-pin list before
+    /// the absorb consumes it — intermediate writes between ticks are not
+    /// observable, by design), the beeping gids, and a [`RoundSummary`]
+    /// carrying an order-independent delivery digest (XOR of [`mix64`]
+    /// over every delivered gid). Replay recomputes the digest from its
+    /// own labeling, so any divergence in circuit structure or delivery
+    /// surfaces at the exact round. The delta stream and the digest are
+    /// the expensive, replay-grade half and are further gated on
+    /// `R::REPLAY`: windowed sinks (the flight recorder) opt out and
+    /// their summaries carry `digest = 0`.
     ///
-    /// Recording soundness: the trace captures relabel inputs only at
-    /// tick time, so between recorded ticks the caller must not force
-    /// relabels through diagnostic paths ([`World::circuit_count`],
-    /// [`World::pset_circuit`]), untraced ticks or
+    /// Recording soundness: the trace captures pin changes only at tick
+    /// time, so between recorded ticks the caller must not absorb them
+    /// through diagnostic paths ([`World::circuit_count`],
+    /// [`World::pset_circuit`]), unrecorded ticks or
     /// [`World::tick_reference`] — those consume dirty pins without
     /// emitting deltas.
     pub fn tick_with<R: Recorder>(&mut self, rec: &mut R) {
@@ -1490,8 +1464,8 @@ impl World {
     /// monomorphization, exactly like `R::TRACE` gates emission — the
     /// healthy paths carry no fault checks at all.
     fn tick_impl<R: Recorder, const FAULTED: bool>(&mut self, faults: &TickFaults, rec: &mut R) {
-        // Last round's deliveries go first, so the absorb or refresh
-        // below has no pending ones to write.
+        // Last round's deliveries go first, so the absorb below has no
+        // pending ones to write.
         self.clear_deliveries();
         if FAULTED {
             for &gid in &faults.inject {
@@ -1514,7 +1488,7 @@ impl World {
         if R::TRACE {
             if R::REPLAY {
                 // Net config deltas since the last absorb, captured
-                // before the refresh consumes the dirty-pin list. This
+                // before the absorb consumes the dirty-pin list. This
                 // stream is O(dirty pins) per tick — replay-grade
                 // detail, skipped for windowed sinks like the flight
                 // recorder so "armed" stays cheap under heavy
@@ -1532,21 +1506,13 @@ impl World {
             }
         }
         let beeps = self.sent.len() as u32;
-        // Traced ticks label everything (their summary carries the
-        // circuit count and the relabel kind); untraced ones only absorb
-        // here and walk what they deliver on below.
-        let relabel = if R::TRACE && self.relabel_pending() {
-            self.refresh_labels::<R>()
-        } else {
-            RelabelKind::None
-        };
         let t_propagate = if R::TIMED {
             Some(Stopwatch::start())
         } else {
             None
         };
-        // Untraced absorbs and walks are timed as part of propagation.
-        if !R::TRACE && !self.dirty_pins.is_empty() {
+        // Absorbs and walks are timed as part of propagation.
+        if !self.dirty_pins.is_empty() {
             self.absorb_dirty();
         }
         let mut walks = 0u64;
@@ -1565,7 +1531,7 @@ impl World {
                 }
                 continue;
             }
-            if !R::TRACE && self.stale.get(gid as usize) {
+            if self.stale.get(gid as usize) {
                 self.walk_circuit(gid);
                 walks += 1;
             }
@@ -1582,19 +1548,8 @@ impl World {
             self.stats.metrics.add_named(RELABEL_WALK, walks);
         }
         if R::TRACE && R::REPLAY {
-            // The delivery digest, one cached XOR per beeping circuit:
-            // only the first replay-grade delivery after a bucket
-            // changed reads its members.
             for i in 0..self.marked_roots.len() {
-                let root = self.marked_roots[i] as usize;
-                if self.member_digest_epoch[root] != self.digest_epoch {
-                    self.member_digest[root] = self
-                        .member_bucket(root)
-                        .iter()
-                        .fold(0, |acc, &gid| acc ^ mix64(gid as u64));
-                    self.member_digest_epoch[root] = self.digest_epoch;
-                }
-                digest ^= self.member_digest[root];
+                digest ^= self.circuit_digest(self.marked_roots[i] as usize).0;
             }
         }
         if let Some(t) = t_propagate {
@@ -1609,8 +1564,6 @@ impl World {
                 beeps,
                 delivered: self.delivery_count() as u64,
                 digest,
-                relabel,
-                circuits: self.cached_circuits as u64,
             });
         }
     }
@@ -1670,8 +1623,8 @@ impl World {
         }
         self.sent.clear();
         // This path clobbers `uf` without refreshing `labels`, so every
-        // set goes stale: the next untraced tick walks what it delivers
-        // on, the next read or traced tick relabels globally.
+        // set goes stale: the next tick walks what it delivers on, the
+        // next read relabels globally.
         self.stale_everything();
         self.rounds += 1;
     }
@@ -1715,7 +1668,7 @@ impl World {
     /// dirty.
     pub fn circuit_count(&mut self) -> usize {
         if self.relabel_pending() {
-            self.refresh_labels::<NullRecorder>();
+            self.refresh_labels();
         }
         self.cached_circuits
     }
@@ -1732,7 +1685,7 @@ impl World {
     /// Panics if `pset` is out of range for `v`.
     pub fn pset_circuit(&mut self, v: usize, pset: u16) -> u32 {
         if self.relabel_pending() {
-            self.refresh_labels::<NullRecorder>();
+            self.refresh_labels();
         }
         let gid = self.pset_gid(v, pset);
         self.labels[gid]
@@ -1975,45 +1928,33 @@ impl World {
     // Replay rebuilds a world from a trace header and drives it with the
     // recorded deltas, so it needs a validated write path by *gid* (the
     // trace speaks gids, not (node, port, link) triples) and read access
-    // to the cached labeling to recompute delivery digests.
-
-    /// Labels everything if a relabel is pending and reports which flavor
-    /// ran. Replay's stand-in for the refresh a recorded (traced) tick
-    /// performed.
-    pub(crate) fn replay_refresh(&mut self) -> RelabelKind {
-        if self.relabel_pending() {
-            self.refresh_labels::<NullRecorder>()
-        } else {
-            RelabelKind::None
-        }
-    }
+    // to the delivered circuits to recompute delivery digests.
 
     /// Total number of pin/partition-set gids.
     pub(crate) fn gid_count(&self) -> usize {
         self.pin_pset.len()
     }
 
-    /// The circuit root of `gid` under the cached labeling (callers must
-    /// refresh first).
-    pub(crate) fn label_of(&self, gid: usize) -> u32 {
-        self.labels[gid]
-    }
-
-    /// The membership bucket of circuit `root` (callers must refresh
-    /// first and pass a current root).
+    /// The membership bucket of circuit `root` (callers must pass a
+    /// labelled root).
     pub(crate) fn member_bucket(&self, root: usize) -> &[u32] {
         &self.members[self.member_off[root] as usize..self.member_end[root] as usize]
     }
 
-    /// The cached circuit count without triggering a relabel.
-    pub(crate) fn cached_circuit_count(&self) -> usize {
-        self.cached_circuits
-    }
-
-    /// Monotone epoch that advances on every relabel of either flavor —
-    /// replay keys its per-root digest memo on it.
-    pub(crate) fn relabel_epoch(&self) -> u64 {
-        self.global_relabels() + self.region_relabels()
+    /// The delivery digest of labelled circuit `root`: XOR of [`mix64`]
+    /// over its bucket, cached until the bucket changes, and whether this
+    /// call had to read the bucket. Only the first digest after a walk,
+    /// repair or repack of the circuit reads its members.
+    pub(crate) fn circuit_digest(&mut self, root: usize) -> (u64, bool) {
+        let read = self.member_digest_epoch[root] != self.digest_epoch;
+        if read {
+            self.member_digest[root] = self
+                .member_bucket(root)
+                .iter()
+                .fold(0, |acc, &gid| acc ^ mix64(gid as u64));
+            self.member_digest_epoch[root] = self.digest_epoch;
+        }
+        (self.member_digest[root], read)
     }
 
     /// Validated gid-addressed pin write: the replay-side mirror of
@@ -2385,22 +2326,23 @@ mod dynamic_tests {
         assert_ne!(w.pset_circuit(0, 2), w.pset_circuit(v, 9));
     }
 
-    /// A recorder that asks for traced ticks and records nothing: the
-    /// ticks label everything, as a trace writer's would.
-    struct Eager;
+    /// A recorder that traces ticks and records nothing: its ticks label
+    /// exactly as unrecorded ones do.
+    struct Traced;
 
-    impl Recorder for Eager {
+    impl Recorder for Traced {
         const TRACE: bool = true;
         const TIMED: bool = false;
     }
 
     /// Detach/re-attach churn at the boundary of a singleton-configured
-    /// path must take the region path on every traced tick — structural
-    /// edits ride the dirty-pin machinery, they do not force global
-    /// relabels. Untraced ticks relabel nothing: after `tick_reference`
-    /// (which leaves every set stale, so no absorb can repair) each walks
-    /// only the circuit it delivers on, and once a read has labelled
-    /// everything each absorb repairs the churned circuits instead.
+    /// path takes the region path: a read after each edit absorbs it and
+    /// walks what is stale — structural edits ride the dirty-pin
+    /// machinery, they do not force global relabels. Ticks, traced or
+    /// not, relabel nothing: after `tick_reference` (which leaves every
+    /// set stale, so no absorb can repair) the first walk the circuits
+    /// they deliver on, and once those are labelled each absorb repairs
+    /// the churned circuits instead, stale world or not.
     #[test]
     fn boundary_churn_takes_the_region_path() {
         let n = 64;
@@ -2411,16 +2353,19 @@ mod dynamic_tests {
         for v in 0..n - 1 {
             w.connect(v, 0, v + 1, 3);
         }
-        w.tick_with(&mut Eager);
+        w.tick_with(&mut Traced);
+        w.circuit_count(); // the wiring staled too much to walk
         let g0 = w.global_relabels();
         for _ in 0..5 {
             w.isolate(n - 1);
+            w.circuit_count();
             w.beep(n - 2, 0);
-            w.tick_with(&mut Eager);
+            w.tick_with(&mut Traced);
             assert!(!w.received_any(n - 1), "detached node must hear nothing");
             w.connect(n - 2, 0, n - 1, 3);
+            w.circuit_count();
             w.beep(n - 2, 0);
-            w.tick_with(&mut Eager);
+            w.tick_with(&mut Traced);
             assert!(w.received(n - 1, 3), "re-attached node hears its neighbor");
         }
         assert_eq!(w.global_relabels(), g0, "churn must relabel regionally");
@@ -2441,18 +2386,24 @@ mod dynamic_tests {
             }
         };
         churn(&mut w);
+        // The first detach and re-attach meet stale sets, so their
+        // absorbs cannot repair and their beeps walk; that labels the
+        // churned circuits, and every later absorb repairs them while the
+        // rest of the world stays stale.
         assert_eq!(
             (w.global_relabels(), w.region_relabels(), w.walk_relabels()),
-            (before.0, before.1, before.2 + 10),
-            "untraced churn ticks walk one circuit each and relabel nothing"
+            (before.0, before.1, before.2 + 2),
+            "churn ticks walk what a stale frontier staled and relabel nothing"
         );
         assert_eq!(
             w.repair_relabels(),
-            repairs,
-            "a stale frontier never repairs"
+            repairs + 8,
+            "a stale frontier never repairs, a labelled one does"
         );
-        w.circuit_count(); // labels everything: the global relabel is due
+        assert!(w.relabel_pending());
+        w.circuit_count(); // labels everything: the stale mass is global
         let before = (w.global_relabels(), w.region_relabels(), w.walk_relabels());
+        let repairs = w.repair_relabels();
         churn(&mut w);
         assert_eq!(
             (w.global_relabels(), w.region_relabels(), w.walk_relabels()),
@@ -2610,7 +2561,7 @@ mod safety_tests {
         assert!((0..w.pin_pset.len()).all(|g| !w.dirty_pin.get(g)));
         assert!(w.configured.iter().all(|set| (0..4).all(|v| !set.get(v))));
         assert_eq!(w.stale_count, w.pin_pset.len());
-        assert!(w.force_global && w.relabel_pending());
+        assert!(w.relabel_pending());
         assert!((0..3).all(|link| !w.global_link_holds(link)));
     }
 

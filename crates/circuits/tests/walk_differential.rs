@@ -1,5 +1,5 @@
 //! Differential suite for lazy circuit labels and per-circuit delivery:
-//! untraced ticks label only the stale circuits they deliver a beep on,
+//! ticks label only the stale circuits they deliver a beep on,
 //! by walking them, and record the circuits they deliver to instead of
 //! writing receive bits. Rounds mostly run with **no relabelling read
 //! between writes and ticks** (such a read labels everything and would
@@ -11,8 +11,8 @@
 //! The op stream writes through every write path — single pins, the bulk
 //! configurations, phase resets, stuck pins, `add_node`, `connect`,
 //! `disconnect` and `isolate` — ticks through `tick_faulted` with drops
-//! and injects, beeps on empty partition sets, mixes traced (label
-//! everything) and untraced (walk) ticks on one world, and round-trips
+//! and injects, beeps on empty partition sets, mixes traced and
+//! untraced ticks (both walk) on one world, and round-trips
 //! snapshots while sets are stale. Each case ends with the circuit count
 //! checked against a naive oracle.
 
@@ -22,11 +22,11 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A recorder that asks for traced ticks and records nothing: the ticks
-/// label everything first, as a trace writer's would.
-struct Eager;
+/// A recorder that asks for traced ticks and records nothing: its ticks
+/// label exactly as untraced ones do.
+struct Traced;
 
-impl Recorder for Eager {
+impl Recorder for Traced {
     const TRACE: bool = true;
     const TIMED: bool = false;
 }
@@ -294,9 +294,9 @@ fn run(seed: u64, n: usize, c: usize, rounds: usize) -> u64 {
         }
         match (faulted, rng.gen_bool(0.25)) {
             (false, false) => lazy.tick(),
-            (false, true) => lazy.tick_with(&mut Eager),
+            (false, true) => lazy.tick_with(&mut Traced),
             (true, false) => lazy.tick_faulted(&faults, &mut NullRecorder),
-            (true, true) => lazy.tick_faulted(&faults, &mut Eager),
+            (true, true) => lazy.tick_faulted(&faults, &mut Traced),
         }
         reference.tick_reference();
         // The lazy world's deliveries are pending until the first read.

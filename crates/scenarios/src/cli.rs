@@ -320,11 +320,11 @@ fn flight_dir_of(args: &Args) -> Option<&Path> {
 /// collected rather than printed here — hooks fire concurrently in
 /// completion order, so they are sorted before printing to keep the
 /// diagnostic stream deterministic across thread counts.
-fn flight_dump_hook(
+fn flight_dump_hook<const TIMED: bool>(
     dir: Option<&Path>,
     lines: &Mutex<Vec<String>>,
     r: &ScenarioResult,
-    rec: &FlightRecorder,
+    rec: &FlightRecorder<TIMED>,
 ) {
     let Some(dir) = dir else { return };
     let line = match dump_flight_record(dir, r, rec) {
@@ -430,7 +430,7 @@ pub fn run_with_output(argv: &[String], out: &mut dyn Write) -> u8 {
     let flight_lines = Mutex::new(Vec::new());
     let results = if timed {
         run_batch_inspect::<TimedFlightRecorder>(&scenarios, Threads::Count(threads), |r, rec| {
-            flight_dump_hook(flight_dir, &flight_lines, r, &rec.inner)
+            flight_dump_hook(flight_dir, &flight_lines, r, rec)
         })
     } else {
         run_batch_inspect::<FlightRecorder>(&scenarios, Threads::Count(threads), |r, rec| {
@@ -575,7 +575,7 @@ fn run_sweep_mode(args: &Args, registry: &Registry, threads: usize, out: &mut dy
             Threads::Count(threads),
             store.as_mut(),
             &mut progress,
-            |r, rec| flight_dump_hook(flight_dir, &flight_lines, r, &rec.inner),
+            |r, rec| flight_dump_hook(flight_dir, &flight_lines, r, rec),
         )
     } else {
         run_sweep_observed::<FlightRecorder>(

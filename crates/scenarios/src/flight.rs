@@ -99,10 +99,10 @@ pub fn flight_file_name(r: &ScenarioResult, key: ReproKey) -> String {
 /// (created on demand). Returns the written path, or `Ok(None)` when
 /// there is nothing to dump — the result passed, or the recorder never
 /// attached to a world (structureless self-test workloads).
-pub fn dump_flight_record(
+pub fn dump_flight_record<const TIMED: bool>(
     dir: &Path,
     r: &ScenarioResult,
-    rec: &FlightRecorder,
+    rec: &FlightRecorder<TIMED>,
 ) -> io::Result<Option<PathBuf>> {
     if r.pass || !rec.is_attached() {
         return Ok(None);

@@ -7,9 +7,9 @@
 //! round against the live engine and reports the round and event index of
 //! the first divergence.
 //!
-//! Recording is restricted to the scenario families whose every relabel
-//! is consumed by a recorded tick (the blob broadcast families, with and
-//! without churn); other families drive algorithm-internal simulators the
+//! Recording is restricted to the scenario families whose every pin
+//! change is absorbed by a recorded tick (the blob broadcast families,
+//! with and without churn); other families drive algorithm-internal simulators the
 //! trace format cannot see, so asking to record one is an error rather
 //! than a silently unreplayable blob.
 

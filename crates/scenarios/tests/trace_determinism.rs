@@ -1,11 +1,12 @@
 //! Trace-layer integration gates: same-seed recordings are byte-identical,
 //! recorded traces replay cleanly against the live engine, corruption is
-//! rejected with a location, and replay verification is cheaper than the
-//! simulation it certifies.
+//! rejected with a location, replay verification is cheaper than the
+//! simulation it certifies, and recording changes nothing the engine does.
 
 use amoebot_circuits::replay_trace;
 use amoebot_scenarios::registry::default_registry;
-use amoebot_scenarios::{record_scenario, recordable};
+use amoebot_scenarios::{record_scenario, recordable, run_scenario_with};
+use amoebot_telemetry::{FlightRecorder, NullRecorder};
 
 /// The two recordable families, at sizes that exercise multi-region
 /// structures (and, for churn, the dynamic edit path) without dominating
@@ -115,4 +116,45 @@ fn replay_is_cheaper_than_the_run_it_verifies() {
         "replay work grew with the run length"
     );
     assert!(short.digest_passes > 0 && short.digest_passes < 256);
+}
+
+/// Every tick takes the one labelling path, whatever its recorder: each
+/// flight-recorded sweep family, run at 1k under the flight recorder and
+/// under no recorder, reports the same rounds, beeps, checks and
+/// labelling counters.
+#[test]
+fn flight_recorded_runs_label_like_unrecorded_ones() {
+    let registry = default_registry();
+    for family in [
+        "blob-broadcast",
+        "blob-churn-broadcast",
+        "fault-lossy-broadcast",
+        "fault-stuckpin-broadcast",
+        "fault-unfair-broadcast",
+        "fault-crashrecover-broadcast",
+    ] {
+        let sc = registry
+            .get(family)
+            .unwrap()
+            .build_sized(42, 1_000)
+            .unwrap();
+        let mut flight: FlightRecorder = FlightRecorder::default();
+        let recorded = run_scenario_with(&sc, &mut flight);
+        let unrecorded = run_scenario_with(&sc, &mut NullRecorder);
+        assert!(
+            flight.rounds_seen() > 0,
+            "{family}: the recorder saw the ticks"
+        );
+        let counts = |r: &amoebot_scenarios::ScenarioResult| {
+            let relabels = ["global", "region", "walk", "repair"]
+                .map(|kind| r.metrics.counter_value(&format!("relabel_{kind}")));
+            (r.rounds, r.beeps, r.checks.clone(), relabels)
+        };
+        assert_eq!(counts(&recorded), counts(&unrecorded), "{family}");
+        assert!(recorded.pass, "{family}");
+        assert!(
+            counts(&recorded).3.iter().sum::<u64>() > 0,
+            "{family} labels"
+        );
+    }
 }

@@ -6,13 +6,14 @@
 //! The ring is pre-allocated at construction; once full, the oldest
 //! event is overwritten in place, so the steady-state hot path is one
 //! enum store plus an index bump — no heap traffic, no clock reads
-//! ([`FlightRecorder`] keeps `TIMED = false`; use
-//! [`TimedFlightRecorder`] when the phase timers should stay on too).
+//! ([`FlightRecorder`] keeps `TIMED = false`; its const parameter,
+//! spelled [`TimedFlightRecorder`], keeps the phase timers on too).
 //! Both keep `REPLAY = false`: the engine skips the per-pin
 //! config-delta stream and the round delivery digests for them
-//! (`RoundSummary::digest` records as 0), which is what lets the black
-//! box stay armed on relabel-heavy workloads without denting the perf
-//! gate — a window is for reading, not for replay-verifying.
+//! (`RoundSummary::digest` records as 0), so an armed black box costs
+//! its event stores and nothing else — its ticks label exactly as an
+//! unrecorded run's do. A window is for reading, not for
+//! replay-verifying.
 //!
 //! A dump ([`FlightRecorder::to_trace_bytes`]) reuses the §1e wire codec
 //! verbatim: the blob opens with the topology header captured at attach
@@ -31,9 +32,10 @@ use crate::trace::{TraceEvent, TraceWriter};
 /// few recent rounds of a mid-sized scenario, ~160 KiB of ring.
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 4096;
 
-/// The always-on black box. See the module docs.
+/// The always-on black box. See the module docs. `TIMED` is its
+/// [`Recorder::TIMED`]: whether the engine's phase timers run under it.
 #[derive(Debug, Clone)]
-pub struct FlightRecorder {
+pub struct FlightRecorder<const TIMED: bool = false> {
     c: u32,
     node_ports: Vec<u32>,
     edges: Vec<(u32, u32, u32, u32)>,
@@ -46,9 +48,13 @@ pub struct FlightRecorder {
     rounds: u64,
 }
 
-impl Default for FlightRecorder {
-    fn default() -> FlightRecorder {
-        FlightRecorder::with_capacity(DEFAULT_FLIGHT_CAPACITY)
+/// [`FlightRecorder`] with the phase timers left on — what a timed batch
+/// run arms so `--metrics-json` timing and the black box coexist.
+pub type TimedFlightRecorder = FlightRecorder<true>;
+
+impl<const TIMED: bool> Default for FlightRecorder<TIMED> {
+    fn default() -> FlightRecorder<TIMED> {
+        FlightRecorder::ring(DEFAULT_FLIGHT_CAPACITY)
     }
 }
 
@@ -56,6 +62,12 @@ impl FlightRecorder {
     /// A recorder retaining the most recent `capacity` events (at least
     /// one). The ring is allocated here, never on the hot path.
     pub fn with_capacity(capacity: usize) -> FlightRecorder {
+        FlightRecorder::ring(capacity)
+    }
+}
+
+impl<const TIMED: bool> FlightRecorder<TIMED> {
+    fn ring(capacity: usize) -> FlightRecorder<TIMED> {
         let cap = capacity.max(1);
         FlightRecorder {
             c: 0,
@@ -140,43 +152,16 @@ impl FlightRecorder {
         w.topology(self.c, &self.node_ports, &self.edges);
         w.flight_key(plan_seed, scenario_seed, event);
         for ev in self.events() {
-            match *ev {
-                TraceEvent::ConfigDelta { gid, pset } => w.config_delta(gid, pset),
-                TraceEvent::Beep { gid } => w.beep(gid),
-                TraceEvent::AddNode { ports } => w.add_node(ports),
-                TraceEvent::Connect { v, p, w: x, q } => w.connect(v, p, x, q),
-                TraceEvent::Disconnect { v, p } => w.disconnect(v, p),
-                TraceEvent::Isolate { v } => w.isolate(v),
-                TraceEvent::ChurnTag {
-                    index,
-                    inserted,
-                    removed,
-                } => w.churn_tag(index, inserted, removed),
-                TraceEvent::RoundEnd(s) => w.round_end(&s),
-                TraceEvent::FaultDrop { gid } => w.beep_dropped(gid),
-                TraceEvent::FaultInject { gid } => w.beep_injected(gid),
-                TraceEvent::FaultTag {
-                    index,
-                    dropped,
-                    injected,
-                    disabled,
-                    wiped,
-                } => w.fault_tag(index, dropped, injected, disabled, wiped),
-                TraceEvent::FlightKey {
-                    plan_seed,
-                    scenario_seed,
-                    event,
-                } => w.flight_key(plan_seed, scenario_seed, event),
-            }
+            w.write_event(ev);
         }
         // Dumps are byte-deterministic: wall time never enters the blob.
         Some(w.finish(0))
     }
 }
 
-impl Recorder for FlightRecorder {
+impl<const TIMED: bool> Recorder for FlightRecorder<TIMED> {
     const TRACE: bool = true;
-    const TIMED: bool = false;
+    const TIMED: bool = TIMED;
     const REPLAY: bool = false;
 
     fn topology(&mut self, c: u32, node_ports: &[u32], edges: &[(u32, u32, u32, u32)]) {
@@ -247,73 +232,9 @@ impl Recorder for FlightRecorder {
     }
 }
 
-/// [`FlightRecorder`] with the phase timers left on — what a timed batch
-/// run arms so `--metrics-json` timing and the black box coexist.
-#[derive(Debug, Clone, Default)]
-pub struct TimedFlightRecorder {
-    /// The wrapped ring recorder (dump through this).
-    pub inner: FlightRecorder,
-}
-
-impl Recorder for TimedFlightRecorder {
-    const TRACE: bool = true;
-    const TIMED: bool = true;
-    const REPLAY: bool = false;
-
-    fn topology(&mut self, c: u32, node_ports: &[u32], edges: &[(u32, u32, u32, u32)]) {
-        self.inner.topology(c, node_ports, edges);
-    }
-
-    fn config_delta(&mut self, gid: u32, pset: u16) {
-        self.inner.config_delta(gid, pset);
-    }
-
-    fn beep(&mut self, gid: u32) {
-        self.inner.beep(gid);
-    }
-
-    fn add_node(&mut self, ports: u32) {
-        self.inner.add_node(ports);
-    }
-
-    fn connect(&mut self, v: u32, p: u32, w: u32, q: u32) {
-        self.inner.connect(v, p, w, q);
-    }
-
-    fn disconnect(&mut self, v: u32, p: u32) {
-        self.inner.disconnect(v, p);
-    }
-
-    fn isolate(&mut self, v: u32) {
-        self.inner.isolate(v);
-    }
-
-    fn churn_tag(&mut self, index: u32, inserted: u32, removed: u32) {
-        self.inner.churn_tag(index, inserted, removed);
-    }
-
-    fn beep_dropped(&mut self, gid: u32) {
-        self.inner.beep_dropped(gid);
-    }
-
-    fn beep_injected(&mut self, gid: u32) {
-        self.inner.beep_injected(gid);
-    }
-
-    fn fault_tag(&mut self, index: u32, dropped: u32, injected: u32, disabled: u32, wiped: u32) {
-        self.inner
-            .fault_tag(index, dropped, injected, disabled, wiped);
-    }
-
-    fn round_end(&mut self, s: &RoundSummary) {
-        self.inner.round_end(s);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::RelabelKind;
     use crate::trace::{TraceReader, TRACE_MAGIC};
 
     fn summary(round: u64) -> RoundSummary {
@@ -322,8 +243,6 @@ mod tests {
             beeps: 1,
             delivered: 2,
             digest: round.wrapping_mul(0x9E37),
-            relabel: RelabelKind::None,
-            circuits: 1,
         }
     }
 
@@ -401,16 +320,16 @@ mod tests {
     }
 
     #[test]
-    fn timed_wrapper_delegates_and_keeps_timers_on() {
+    fn the_timed_flavor_records_alike_and_keeps_timers_on() {
         const {
             assert!(TimedFlightRecorder::TRACE && TimedFlightRecorder::TIMED);
-            assert!(FlightRecorder::TRACE && !FlightRecorder::TIMED);
+            assert!(<FlightRecorder>::TRACE && !<FlightRecorder>::TIMED);
         }
         let mut t = TimedFlightRecorder::default();
         t.topology(1, &[2], &[]);
         t.beep(5);
         t.round_end(&summary(1));
-        assert!(t.inner.is_attached());
-        assert_eq!(t.inner.len(), 2);
+        assert!(t.is_attached());
+        assert_eq!(t.len(), 2);
     }
 }

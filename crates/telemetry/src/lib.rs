@@ -35,9 +35,7 @@ pub mod wire;
 
 pub use flight::{FlightRecorder, TimedFlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use metrics::{CounterId, GaugeId, HistSummary, Metrics, Span, Stopwatch, TimerId};
-pub use recorder::{
-    mix64, NullRecorder, Recorder, RelabelKind, RoundSummary, TimedRecorder, BEEP_DIGEST_SALT,
-};
+pub use recorder::{mix64, NullRecorder, Recorder, RoundSummary, TimedRecorder, BEEP_DIGEST_SALT};
 pub use trace::{
     TraceError, TraceEvent, TraceFooter, TraceHeader, TraceReader, TraceWriter, TRACE_MAGIC,
     TRACE_VERSION,

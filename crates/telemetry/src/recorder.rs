@@ -15,46 +15,17 @@
 //!   flight recorder keeps `REPLAY = false` (its records are windows,
 //!   not replayable runs); `TraceWriter` keeps it `true`. Defaults to
 //!   `true` so `TRACE` alone means "full detail".
-//! * [`Recorder::TIMED`] — phase timers on the tick and relabel paths.
-//!   Each timer costs two `Instant::now()` per phase, which matters both
-//!   at millions of clean ticks per second and on sparse region relabels
-//!   whose whole body runs in sub-microsecond time, so every timer is
-//!   gated here. [`TimedRecorder`] turns them on without recording.
+//! * [`Recorder::TIMED`] — phase timers on the tick path. Each timer
+//!   costs two `Instant::now()` per phase, which matters at millions of
+//!   clean ticks per second, so every timer is gated here.
+//!   [`TimedRecorder`] turns them on without recording.
+//!
+//! None of the three chooses how a tick labels its circuits: every
+//! recorder's ticks take the one labelling path.
 
-/// Which relabel flavor a round's refresh took.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RelabelKind {
-    /// The cached labeling was reused untouched.
-    #[default]
-    None,
-    /// A region-scoped relabel ran: a walk of every stale circuit.
-    Region,
-    /// A global relabel ran.
-    Global,
-}
-
-impl RelabelKind {
-    /// Stable wire encoding.
-    pub fn code(self) -> u8 {
-        match self {
-            RelabelKind::None => 0,
-            RelabelKind::Region => 1,
-            RelabelKind::Global => 2,
-        }
-    }
-
-    /// Decodes [`RelabelKind::code`]; `None` for unknown bytes.
-    pub fn from_code(code: u8) -> Option<RelabelKind> {
-        match code {
-            0 => Some(RelabelKind::None),
-            1 => Some(RelabelKind::Region),
-            2 => Some(RelabelKind::Global),
-            _ => None,
-        }
-    }
-}
-
-/// What one simulated round did, in replay-verifiable form.
+/// What one simulated round did, in replay-verifiable form: only what
+/// the model observes — the beeps and the partition sets they reached —
+/// never which labelling path the engine took to find them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RoundSummary {
     /// The engine's round counter after this tick.
@@ -72,10 +43,6 @@ pub struct RoundSummary {
     /// landing on another member of the same circuit would deliver
     /// identically and slip through.
     pub digest: u64,
-    /// Which relabel flavor this tick's refresh took.
-    pub relabel: RelabelKind,
-    /// Distinct circuits under the labeling this tick delivered on.
-    pub circuits: u64,
 }
 
 /// The engine event sink. All sinks have empty defaults; implementors
@@ -184,14 +151,6 @@ pub fn mix64(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn relabel_kind_codes_round_trip() {
-        for k in [RelabelKind::None, RelabelKind::Region, RelabelKind::Global] {
-            assert_eq!(RelabelKind::from_code(k.code()), Some(k));
-        }
-        assert_eq!(RelabelKind::from_code(3), None);
-    }
 
     #[test]
     fn null_recorder_is_inert_and_inactive() {

@@ -5,10 +5,11 @@
 //! topology), so replay needs no scenario generator, no RNG, and no
 //! algorithm logic — only the circuit engine itself.
 //!
-//! ## Wire format (version 1)
+//! ## Wire format (version 2)
 //!
-//! All integers are unsigned LEB128 varints unless noted. Multi-byte
-//! fixed fields are little-endian.
+//! Every integer is an unsigned LEB128 varint in its shortest encoding,
+//! read and written by [`crate::wire`]'s codec (a zero-padded varint is
+//! rejected), except the digest: 8 bytes, little-endian.
 //!
 //! ```text
 //! header  := magic "SPFT" (4 bytes) | version | c
@@ -22,25 +23,38 @@
 //!   5 Disconnect   v p
 //!   6 Isolate      v
 //!   7 ChurnTag     index inserted removed
-//!   8 RoundEnd     round beeps delivered digest(8 bytes LE) relabel(1 byte) circuits
+//!   8 RoundEnd     round beeps delivered digest(8 bytes LE)
 //!   9 FaultDrop    gid
 //!  10 FaultInject  gid
 //!  11 FaultTag     index dropped injected disabled wiped
 //!  12 FlightKey    plan_seed scenario_seed event
 //! footer  := tag 0 | rounds | wall_micros
+//! blob    := header | event* | footer | fnv1a64(everything before) (8 bytes LE)
 //! ```
 //!
-//! The footer is mandatory; decoding reports truncation, unknown tags
-//! and trailing garbage with exact byte offsets, so a single flipped bit
-//! is rejected loudly rather than silently mis-replayed.
+//! A `RoundEnd` records only what the model observes: the beeps and the
+//! partition sets they reached, never how the engine labelled the
+//! circuits. So no round check catches a corrupted header field that no
+//! beep observes (`c`, or a vacant port of a node); the trailing digest,
+//! the one `SPFS` snapshots carry, does, and [`TraceReader::open`]
+//! checks it before any field is parsed.
+//!
+//! The footer is mandatory, and its round count must equal the
+//! `RoundEnd` events before it. A node or edge count above the bytes
+//! left is rejected before anything is reserved. Decoding reports
+//! truncation, unknown tags and trailing garbage with exact byte
+//! offsets, so a corrupted blob is rejected loudly rather than silently
+//! mis-replayed, and every blob the reader accepts re-encodes
+//! byte-identically through [`TraceWriter`].
 
-use crate::recorder::{Recorder, RelabelKind, RoundSummary};
+use crate::recorder::{Recorder, RoundSummary};
+use crate::wire::{fnv1a64, get_int, get_len, get_varint, put_varint, WireError};
 
 /// The four magic bytes every trace starts with.
 pub const TRACE_MAGIC: [u8; 4] = *b"SPFT";
 
 /// The current wire-format version.
-pub const TRACE_VERSION: u16 = 1;
+pub const TRACE_VERSION: u16 = 2;
 
 const TAG_END: u8 = 0;
 const TAG_CONFIG_DELTA: u8 = 1;
@@ -179,29 +193,16 @@ pub enum TraceError {
     BadMagic,
     /// The version tag is not [`TRACE_VERSION`].
     BadVersion(u16),
-    /// The blob ended mid-field.
-    Truncated {
-        /// Byte offset of the incomplete field.
-        offset: usize,
-    },
-    /// A varint ran past 10 bytes (not a valid LEB128 u64).
-    Overlong {
-        /// Byte offset of the varint.
-        offset: usize,
-    },
+    /// The shared wire layer rejected the trailing digest or a field: a
+    /// truncated, overlong or zero-padded varint, or a value outside its
+    /// domain (a pset over `u16::MAX`, a count above the bytes left, a
+    /// footer round count that disagrees).
+    Wire(WireError),
     /// An unknown event tag.
     BadTag {
         /// The offending tag byte.
         tag: u8,
         /// Its byte offset.
-        offset: usize,
-    },
-    /// A field decoded to a value outside its domain (e.g. an unknown
-    /// relabel code, or a pset over `u16::MAX`).
-    BadValue {
-        /// What was being decoded.
-        what: &'static str,
-        /// Byte offset of the field.
         offset: usize,
     },
     /// Bytes remain after the footer.
@@ -214,6 +215,12 @@ pub enum TraceError {
     MissingFooter,
 }
 
+impl From<WireError> for TraceError {
+    fn from(e: WireError) -> TraceError {
+        TraceError::Wire(e)
+    }
+}
+
 impl std::fmt::Display for TraceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -224,31 +231,15 @@ impl std::fmt::Display for TraceError {
                     "unsupported trace version {v} (expected {TRACE_VERSION})"
                 )
             }
-            TraceError::Truncated { offset } => write!(f, "truncated at byte {offset}"),
-            TraceError::Overlong { offset } => write!(f, "overlong varint at byte {offset}"),
+            TraceError::Wire(e) => e.fmt(f),
             TraceError::BadTag { tag, offset } => {
                 write!(f, "unknown event tag {tag} at byte {offset}")
-            }
-            TraceError::BadValue { what, offset } => {
-                write!(f, "invalid {what} at byte {offset}")
             }
             TraceError::TrailingBytes { offset } => {
                 write!(f, "trailing bytes after the footer at byte {offset}")
             }
             TraceError::MissingFooter => write!(f, "trace ended without a footer"),
         }
-    }
-}
-
-fn push_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
     }
 }
 
@@ -273,7 +264,7 @@ impl TraceWriter {
         self.rounds
     }
 
-    /// Encoded bytes so far (header + events, no footer).
+    /// Encoded bytes so far (header + events, no footer or digest).
     pub fn len(&self) -> usize {
         self.buf.len()
     }
@@ -288,14 +279,11 @@ impl TraceWriter {
     /// engine never emits it; the flight-record framer calls it once,
     /// right after the topology header.
     pub fn flight_key(&mut self, plan_seed: u64, scenario_seed: u64, event: u64) {
-        self.buf.push(TAG_FLIGHT_KEY);
-        push_varint(&mut self.buf, plan_seed);
-        push_varint(&mut self.buf, scenario_seed);
-        push_varint(&mut self.buf, event);
+        self.event(TAG_FLIGHT_KEY, &[plan_seed, scenario_seed, event]);
     }
 
     /// Seals the trace: appends the footer (round count and the recorded
-    /// run's wall microseconds) and returns the blob.
+    /// run's wall microseconds) and the digest, and returns the blob.
     ///
     /// # Panics
     ///
@@ -303,10 +291,51 @@ impl TraceWriter {
     /// be replayed.
     pub fn finish(mut self, wall_micros: u64) -> Vec<u8> {
         assert!(self.attached, "trace has no topology header");
-        self.buf.push(TAG_END);
-        push_varint(&mut self.buf, self.rounds);
-        push_varint(&mut self.buf, wall_micros);
+        self.event(TAG_END, &[self.rounds, wall_micros]);
+        let digest = fnv1a64(&self.buf);
+        self.buf.extend_from_slice(&digest.to_le_bytes());
         self.buf
+    }
+
+    /// Appends a decoded event as the sink that emitted it would: the
+    /// inverse of [`TraceReader::next_event`].
+    pub fn write_event(&mut self, ev: &TraceEvent) {
+        match *ev {
+            TraceEvent::ConfigDelta { gid, pset } => self.config_delta(gid, pset),
+            TraceEvent::Beep { gid } => self.beep(gid),
+            TraceEvent::AddNode { ports } => self.add_node(ports),
+            TraceEvent::Connect { v, p, w, q } => self.connect(v, p, w, q),
+            TraceEvent::Disconnect { v, p } => self.disconnect(v, p),
+            TraceEvent::Isolate { v } => self.isolate(v),
+            TraceEvent::ChurnTag {
+                index,
+                inserted,
+                removed,
+            } => self.churn_tag(index, inserted, removed),
+            TraceEvent::RoundEnd(s) => self.round_end(&s),
+            TraceEvent::FaultDrop { gid } => self.beep_dropped(gid),
+            TraceEvent::FaultInject { gid } => self.beep_injected(gid),
+            TraceEvent::FaultTag {
+                index,
+                dropped,
+                injected,
+                disabled,
+                wiped,
+            } => self.fault_tag(index, dropped, injected, disabled, wiped),
+            TraceEvent::FlightKey {
+                plan_seed,
+                scenario_seed,
+                event,
+            } => self.flight_key(plan_seed, scenario_seed, event),
+        }
+    }
+
+    /// Appends one tag and its integer fields.
+    fn event(&mut self, tag: u8, fields: &[u64]) {
+        self.buf.push(tag);
+        for &f in fields {
+            put_varint(&mut self.buf, f);
+        }
     }
 }
 
@@ -318,90 +347,67 @@ impl Recorder for TraceWriter {
         assert!(!self.attached, "topology attached twice");
         self.attached = true;
         self.buf.extend_from_slice(&TRACE_MAGIC);
-        push_varint(&mut self.buf, TRACE_VERSION as u64);
-        push_varint(&mut self.buf, c as u64);
-        push_varint(&mut self.buf, node_ports.len() as u64);
-        for &ports in node_ports {
-            push_varint(&mut self.buf, ports as u64);
+        for v in [TRACE_VERSION as u64, c as u64, node_ports.len() as u64] {
+            put_varint(&mut self.buf, v);
         }
-        push_varint(&mut self.buf, edges.len() as u64);
+        for &ports in node_ports {
+            put_varint(&mut self.buf, ports as u64);
+        }
+        put_varint(&mut self.buf, edges.len() as u64);
         for &(v, p, w, q) in edges {
-            push_varint(&mut self.buf, v as u64);
-            push_varint(&mut self.buf, p as u64);
-            push_varint(&mut self.buf, w as u64);
-            push_varint(&mut self.buf, q as u64);
+            for x in [v, p, w, q] {
+                put_varint(&mut self.buf, x as u64);
+            }
         }
     }
 
     fn config_delta(&mut self, gid: u32, pset: u16) {
-        self.buf.push(TAG_CONFIG_DELTA);
-        push_varint(&mut self.buf, gid as u64);
-        push_varint(&mut self.buf, pset as u64);
+        self.event(TAG_CONFIG_DELTA, &[gid as u64, pset as u64]);
     }
 
     fn beep(&mut self, gid: u32) {
-        self.buf.push(TAG_BEEP);
-        push_varint(&mut self.buf, gid as u64);
+        self.event(TAG_BEEP, &[gid as u64]);
     }
 
     fn add_node(&mut self, ports: u32) {
-        self.buf.push(TAG_ADD_NODE);
-        push_varint(&mut self.buf, ports as u64);
+        self.event(TAG_ADD_NODE, &[ports as u64]);
     }
 
     fn connect(&mut self, v: u32, p: u32, w: u32, q: u32) {
-        self.buf.push(TAG_CONNECT);
-        push_varint(&mut self.buf, v as u64);
-        push_varint(&mut self.buf, p as u64);
-        push_varint(&mut self.buf, w as u64);
-        push_varint(&mut self.buf, q as u64);
+        self.event(TAG_CONNECT, &[v as u64, p as u64, w as u64, q as u64]);
     }
 
     fn disconnect(&mut self, v: u32, p: u32) {
-        self.buf.push(TAG_DISCONNECT);
-        push_varint(&mut self.buf, v as u64);
-        push_varint(&mut self.buf, p as u64);
+        self.event(TAG_DISCONNECT, &[v as u64, p as u64]);
     }
 
     fn isolate(&mut self, v: u32) {
-        self.buf.push(TAG_ISOLATE);
-        push_varint(&mut self.buf, v as u64);
+        self.event(TAG_ISOLATE, &[v as u64]);
     }
 
     fn churn_tag(&mut self, index: u32, inserted: u32, removed: u32) {
-        self.buf.push(TAG_CHURN_TAG);
-        push_varint(&mut self.buf, index as u64);
-        push_varint(&mut self.buf, inserted as u64);
-        push_varint(&mut self.buf, removed as u64);
+        self.event(
+            TAG_CHURN_TAG,
+            &[index as u64, inserted as u64, removed as u64],
+        );
     }
 
     fn beep_dropped(&mut self, gid: u32) {
-        self.buf.push(TAG_FAULT_DROP);
-        push_varint(&mut self.buf, gid as u64);
+        self.event(TAG_FAULT_DROP, &[gid as u64]);
     }
 
     fn beep_injected(&mut self, gid: u32) {
-        self.buf.push(TAG_FAULT_INJECT);
-        push_varint(&mut self.buf, gid as u64);
+        self.event(TAG_FAULT_INJECT, &[gid as u64]);
     }
 
     fn fault_tag(&mut self, index: u32, dropped: u32, injected: u32, disabled: u32, wiped: u32) {
-        self.buf.push(TAG_FAULT_TAG);
-        push_varint(&mut self.buf, index as u64);
-        push_varint(&mut self.buf, dropped as u64);
-        push_varint(&mut self.buf, injected as u64);
-        push_varint(&mut self.buf, disabled as u64);
-        push_varint(&mut self.buf, wiped as u64);
+        let fields = [index, dropped, injected, disabled, wiped].map(u64::from);
+        self.event(TAG_FAULT_TAG, &fields);
     }
 
     fn round_end(&mut self, s: &RoundSummary) {
-        self.buf.push(TAG_ROUND_END);
-        push_varint(&mut self.buf, s.round);
-        push_varint(&mut self.buf, s.beeps as u64);
-        push_varint(&mut self.buf, s.delivered);
+        self.event(TAG_ROUND_END, &[s.round, s.beeps as u64, s.delivered]);
         self.buf.extend_from_slice(&s.digest.to_le_bytes());
-        self.buf.push(s.relabel.code());
-        push_varint(&mut self.buf, s.circuits);
         self.rounds += 1;
     }
 }
@@ -410,50 +416,62 @@ impl Recorder for TraceWriter {
 /// [`TraceReader::next_event`] streams events until the footer.
 #[derive(Debug, Clone)]
 pub struct TraceReader<'a> {
+    /// The blob without its digest.
     buf: &'a [u8],
     pos: usize,
     header: TraceHeader,
+    /// `RoundEnd` events decoded so far (the footer must agree).
+    rounds: u64,
     footer: Option<TraceFooter>,
 }
 
 impl<'a> TraceReader<'a> {
-    /// Validates magic + version and decodes the header.
-    pub fn open(buf: &'a [u8]) -> Result<TraceReader<'a>, TraceError> {
-        if buf.len() < 4 {
-            return Err(TraceError::Truncated { offset: buf.len() });
-        }
-        if buf[..4] != TRACE_MAGIC {
+    /// Validates magic, version and the trailing digest, in that order,
+    /// then decodes the header.
+    pub fn open(blob: &'a [u8]) -> Result<TraceReader<'a>, TraceError> {
+        if blob.get(..4) != Some(&TRACE_MAGIC[..]) {
             return Err(TraceError::BadMagic);
         }
         let mut pos = 4usize;
-        let version = read_varint(buf, &mut pos)?;
+        let version = get_varint(blob, &mut pos)?;
         if version != TRACE_VERSION as u64 {
             return Err(TraceError::BadVersion(version.min(u16::MAX as u64) as u16));
         }
-        let c = read_u32(buf, &mut pos, "links per edge")?;
-        let n = read_u32(buf, &mut pos, "node count")? as usize;
-        let mut node_ports = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            node_ports.push(read_u32(buf, &mut pos, "port count")?);
+        let body = blob.len().saturating_sub(8).max(pos);
+        let (buf, digest) = blob.split_at(body);
+        if digest.len() < 8 {
+            return Err(WireError::Truncated { offset: body }.into());
         }
-        let m = read_u32(buf, &mut pos, "edge count")? as usize;
-        let mut edges = Vec::with_capacity(m.min(1 << 20));
+        if fnv1a64(buf).to_le_bytes() != digest {
+            return Err(WireError::BadDigest { offset: body }.into());
+        }
+        let pos = &mut pos;
+        let c = get_int(buf, pos, "links per edge")?;
+        let n = get_len(buf, pos, "node count")?;
+        let mut node_ports = Vec::with_capacity(n);
+        for _ in 0..n {
+            node_ports.push(get_int(buf, pos, "port count")?);
+        }
+        let m = get_len(buf, pos, "edge count")?;
+        let mut edges = Vec::with_capacity(m);
         for _ in 0..m {
-            let v = read_u32(buf, &mut pos, "edge endpoint")?;
-            let p = read_u32(buf, &mut pos, "edge port")?;
-            let w = read_u32(buf, &mut pos, "edge endpoint")?;
-            let q = read_u32(buf, &mut pos, "edge port")?;
-            edges.push((v, p, w, q));
+            edges.push((
+                get_int(buf, pos, "edge endpoint")?,
+                get_int(buf, pos, "edge port")?,
+                get_int(buf, pos, "edge endpoint")?,
+                get_int(buf, pos, "edge port")?,
+            ));
         }
         Ok(TraceReader {
             buf,
-            pos,
+            pos: *pos,
             header: TraceHeader {
                 version: version as u16,
                 c,
                 node_ports,
                 edges,
             },
+            rounds: 0,
             footer: None,
         })
     }
@@ -480,18 +498,22 @@ impl<'a> TraceReader<'a> {
         if self.footer.is_some() {
             return Ok(None);
         }
-        if self.pos >= self.buf.len() {
-            return Err(TraceError::MissingFooter);
-        }
         let tag_offset = self.pos;
-        let tag = self.buf[self.pos];
+        let Some(&tag) = self.buf.get(tag_offset) else {
+            return Err(TraceError::MissingFooter);
+        };
         self.pos += 1;
         let buf = self.buf;
         let pos = &mut self.pos;
         let ev = match tag {
             TAG_END => {
-                let rounds = read_varint(buf, pos)?;
-                let wall_micros = read_varint(buf, pos)?;
+                let offset = *pos;
+                let rounds = get_varint(buf, pos)?;
+                if rounds != self.rounds {
+                    let what = "footer round count";
+                    return Err(WireError::BadValue { what, offset }.into());
+                }
+                let wall_micros = get_varint(buf, pos)?;
                 if *pos != buf.len() {
                     return Err(TraceError::TrailingBytes { offset: *pos });
                 }
@@ -501,97 +523,69 @@ impl<'a> TraceReader<'a> {
                 });
                 return Ok(None);
             }
-            TAG_CONFIG_DELTA => {
-                let gid = read_u32(buf, pos, "pin gid")?;
-                let pset_offset = *pos;
-                let pset = read_varint(buf, pos)?;
-                if pset > u16::MAX as u64 {
-                    return Err(TraceError::BadValue {
-                        what: "partition set",
-                        offset: pset_offset,
-                    });
-                }
-                TraceEvent::ConfigDelta {
-                    gid,
-                    pset: pset as u16,
-                }
-            }
+            TAG_CONFIG_DELTA => TraceEvent::ConfigDelta {
+                gid: get_int(buf, pos, "pin gid")?,
+                pset: get_int(buf, pos, "partition set")?,
+            },
             TAG_BEEP => TraceEvent::Beep {
-                gid: read_u32(buf, pos, "beep gid")?,
+                gid: get_int(buf, pos, "beep gid")?,
             },
             TAG_ADD_NODE => TraceEvent::AddNode {
-                ports: read_u32(buf, pos, "port count")?,
+                ports: get_int(buf, pos, "port count")?,
             },
             TAG_CONNECT => TraceEvent::Connect {
-                v: read_u32(buf, pos, "edge endpoint")?,
-                p: read_u32(buf, pos, "edge port")?,
-                w: read_u32(buf, pos, "edge endpoint")?,
-                q: read_u32(buf, pos, "edge port")?,
+                v: get_int(buf, pos, "edge endpoint")?,
+                p: get_int(buf, pos, "edge port")?,
+                w: get_int(buf, pos, "edge endpoint")?,
+                q: get_int(buf, pos, "edge port")?,
             },
             TAG_DISCONNECT => TraceEvent::Disconnect {
-                v: read_u32(buf, pos, "edge endpoint")?,
-                p: read_u32(buf, pos, "edge port")?,
+                v: get_int(buf, pos, "edge endpoint")?,
+                p: get_int(buf, pos, "edge port")?,
             },
             TAG_ISOLATE => TraceEvent::Isolate {
-                v: read_u32(buf, pos, "node id")?,
+                v: get_int(buf, pos, "node id")?,
             },
             TAG_CHURN_TAG => TraceEvent::ChurnTag {
-                index: read_u32(buf, pos, "churn index")?,
-                inserted: read_u32(buf, pos, "churn insert count")?,
-                removed: read_u32(buf, pos, "churn remove count")?,
+                index: get_int(buf, pos, "churn index")?,
+                inserted: get_int(buf, pos, "churn insert count")?,
+                removed: get_int(buf, pos, "churn remove count")?,
             },
             TAG_ROUND_END => {
-                let round = read_varint(buf, pos)?;
-                let beeps_offset = *pos;
-                let beeps = read_varint(buf, pos)?;
-                if beeps > u32::MAX as u64 {
-                    return Err(TraceError::BadValue {
-                        what: "beep count",
-                        offset: beeps_offset,
-                    });
-                }
-                let delivered = read_varint(buf, pos)?;
-                if *pos + 8 > buf.len() {
-                    return Err(TraceError::Truncated { offset: *pos });
-                }
-                let digest = u64::from_le_bytes(buf[*pos..*pos + 8].try_into().unwrap());
+                let round = get_varint(buf, pos)?;
+                let beeps = get_int(buf, pos, "beep count")?;
+                let delivered = get_varint(buf, pos)?;
+                let Some(digest) = buf.get(*pos..*pos + 8) else {
+                    return Err(WireError::Truncated { offset: *pos }.into());
+                };
+                let mut bytes = [0u8; 8];
+                bytes.copy_from_slice(digest);
                 *pos += 8;
-                if *pos >= buf.len() {
-                    return Err(TraceError::Truncated { offset: *pos });
-                }
-                let relabel_offset = *pos;
-                let relabel = RelabelKind::from_code(buf[*pos]).ok_or(TraceError::BadValue {
-                    what: "relabel kind",
-                    offset: relabel_offset,
-                })?;
-                *pos += 1;
-                let circuits = read_varint(buf, pos)?;
+                self.rounds += 1;
                 TraceEvent::RoundEnd(RoundSummary {
                     round,
-                    beeps: beeps as u32,
+                    beeps,
                     delivered,
-                    digest,
-                    relabel,
-                    circuits,
+                    digest: u64::from_le_bytes(bytes),
                 })
             }
             TAG_FAULT_DROP => TraceEvent::FaultDrop {
-                gid: read_u32(buf, pos, "dropped beep gid")?,
+                gid: get_int(buf, pos, "dropped beep gid")?,
             },
             TAG_FAULT_INJECT => TraceEvent::FaultInject {
-                gid: read_u32(buf, pos, "injected beep gid")?,
+                gid: get_int(buf, pos, "injected beep gid")?,
             },
             TAG_FAULT_TAG => TraceEvent::FaultTag {
-                index: read_u32(buf, pos, "fault index")?,
-                dropped: read_u32(buf, pos, "fault drop count")?,
-                injected: read_u32(buf, pos, "fault inject count")?,
-                disabled: read_u32(buf, pos, "fault disable count")?,
-                wiped: read_u32(buf, pos, "fault wipe count")?,
+                index: get_int(buf, pos, "fault index")?,
+                dropped: get_int(buf, pos, "fault drop count")?,
+                injected: get_int(buf, pos, "fault inject count")?,
+                disabled: get_int(buf, pos, "fault disable count")?,
+                wiped: get_int(buf, pos, "fault wipe count")?,
             },
             TAG_FLIGHT_KEY => TraceEvent::FlightKey {
-                plan_seed: read_varint(buf, pos)?,
-                scenario_seed: read_varint(buf, pos)?,
-                event: read_varint(buf, pos)?,
+                plan_seed: get_varint(buf, pos)?,
+                scenario_seed: get_varint(buf, pos)?,
+                event: get_varint(buf, pos)?,
             },
             other => {
                 return Err(TraceError::BadTag {
@@ -602,39 +596,6 @@ impl<'a> TraceReader<'a> {
         };
         Ok(Some(ev))
     }
-}
-
-fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, TraceError> {
-    let start = *pos;
-    let mut out = 0u64;
-    let mut shift = 0u32;
-    loop {
-        if *pos >= buf.len() {
-            return Err(TraceError::Truncated { offset: start });
-        }
-        let byte = buf[*pos];
-        *pos += 1;
-        if shift >= 63 && byte > 1 {
-            return Err(TraceError::Overlong { offset: start });
-        }
-        out |= ((byte & 0x7F) as u64) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(out);
-        }
-        shift += 7;
-        if shift > 63 {
-            return Err(TraceError::Overlong { offset: start });
-        }
-    }
-}
-
-fn read_u32(buf: &[u8], pos: &mut usize, what: &'static str) -> Result<u32, TraceError> {
-    let offset = *pos;
-    let v = read_varint(buf, pos)?;
-    if v > u32::MAX as u64 {
-        return Err(TraceError::BadValue { what, offset });
-    }
-    Ok(v as u32)
 }
 
 #[cfg(test)]
@@ -654,8 +615,6 @@ mod tests {
             beeps: 1,
             delivered: 5,
             digest: 0xDEAD_BEEF_0BAD_F00D,
-            relabel: RelabelKind::Global,
-            circuits: 3,
         });
         w.disconnect(2, 0);
         w.isolate(3);
@@ -666,8 +625,6 @@ mod tests {
             beeps: 1,
             delivered: 2,
             digest: 42,
-            relabel: RelabelKind::Region,
-            circuits: 4,
         });
         w.finish(123_456)
     }
@@ -754,10 +711,35 @@ mod tests {
         }
     }
 
+    /// `blob` with its body edited by `edit` and its digest recomputed,
+    /// so the edit reaches the field decoders.
+    fn resealed(blob: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut body = blob[..blob.len() - 8].to_vec();
+        edit(&mut body);
+        let digest = fnv1a64(&body);
+        body.extend_from_slice(&digest.to_le_bytes());
+        body
+    }
+
+    #[test]
+    fn every_bit_flip_fails_the_digest() {
+        let blob = sample_trace();
+        // Past magic and version, whose flips fail their own checks.
+        for byte in 5..blob.len() {
+            for bit in 0..8 {
+                let mut bad = blob.clone();
+                bad[byte] ^= 1 << bit;
+                assert!(matches!(
+                    TraceReader::open(&bad),
+                    Err(TraceError::Wire(WireError::BadDigest { .. }))
+                ));
+            }
+        }
+    }
+
     #[test]
     fn trailing_bytes_are_rejected() {
-        let mut blob = sample_trace();
-        blob.push(0);
+        let blob = resealed(&sample_trace(), |body| body.push(0));
         let mut r = TraceReader::open(&blob).unwrap();
         let err = loop {
             match r.next_event() {
@@ -774,8 +756,8 @@ mod tests {
         let mut w = TraceWriter::new();
         w.topology(1, &[2], &[]);
         let header_len = w.len();
-        let mut blob = w.finish(0);
-        blob[header_len] = 0x7F; // clobber the footer tag
+        // Clobber the footer tag.
+        let blob = resealed(&w.finish(0), |body| body[header_len] = 0x7F);
         let mut r = TraceReader::open(&blob).unwrap();
         assert_eq!(
             r.next_event().unwrap_err(),
@@ -792,29 +774,79 @@ mod tests {
         assert!(result.is_err());
     }
 
-    #[test]
-    fn varints_cover_the_u64_range() {
-        let mut buf = Vec::new();
-        for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
-            buf.clear();
-            push_varint(&mut buf, v);
-            let mut pos = 0;
-            assert_eq!(read_varint(&buf, &mut pos).unwrap(), v);
-            assert_eq!(pos, buf.len());
+    /// Decodes `blob` to its footer, or to the first error.
+    fn decode(blob: &[u8]) -> Result<Vec<TraceEvent>, TraceError> {
+        let mut r = TraceReader::open(blob)?;
+        let mut events = Vec::new();
+        while let Some(ev) = r.next_event()? {
+            events.push(ev);
         }
-        // An 11-byte varint is overlong.
-        let overlong = [0x80u8; 10];
-        let mut pos = 0;
-        assert!(matches!(
-            read_varint(&overlong, &mut pos),
-            Err(TraceError::Truncated { .. }) | Err(TraceError::Overlong { .. })
-        ));
-        let mut too_big = vec![0xFFu8; 9];
-        too_big.push(0x7F);
-        let mut pos = 0;
+        Ok(events)
+    }
+
+    /// A zero-padded varint decodes to the same value as the shortest
+    /// one, so accepting it would give one trace two encodings: it is
+    /// rejected at its offset, in the header and in an event alike.
+    #[test]
+    fn zero_padded_varints_are_rejected() {
+        let blob = sample_trace();
+        assert_eq!(blob[5], 2, "c = 2 right after magic and version");
+        let padded = resealed(&blob, |body| {
+            body.splice(5..6, [0x82, 0x00]);
+        });
         assert_eq!(
-            read_varint(&too_big, &mut pos).unwrap_err(),
-            TraceError::Overlong { offset: 0 }
+            decode(&padded).unwrap_err(),
+            TraceError::Wire(WireError::Overlong { offset: 5 })
+        );
+        // The footer's wall time, 123 456 = `C0 C4 07`, padded to four
+        // bytes.
+        let end = blob.len() - 8;
+        assert_eq!(blob[end - 3..end], [0xC0, 0xC4, 0x07]);
+        let padded = resealed(&blob, |body| {
+            body.splice(end - 1..end, [0x87, 0x00]);
+        });
+        assert_eq!(
+            decode(&padded).unwrap_err(),
+            TraceError::Wire(WireError::Overlong { offset: end - 3 })
+        );
+        assert!(decode(&blob).is_ok());
+    }
+
+    /// Header counts are bounded by the bytes left: a blob whose 9-byte
+    /// body claims 2^20 nodes is rejected before anything is reserved.
+    #[test]
+    fn header_counts_above_the_bytes_left_are_rejected() {
+        let blob = resealed(&[0; 8], |body| {
+            body.extend_from_slice(&TRACE_MAGIC);
+            for v in [TRACE_VERSION as u64, 1, 1 << 20] {
+                put_varint(body, v);
+            }
+        });
+        assert_eq!(
+            TraceReader::open(&blob).unwrap_err(),
+            TraceError::Wire(WireError::BadValue {
+                what: "node count",
+                offset: 6
+            })
+        );
+    }
+
+    /// The footer must count the rounds the stream carried.
+    #[test]
+    fn a_footer_that_miscounts_rounds_is_rejected() {
+        let mut w = TraceWriter::new();
+        w.topology(1, &[2], &[]);
+        w.round_end(&RoundSummary::default());
+        let blob = w.finish(0);
+        let at = blob.len() - 10;
+        assert_eq!(blob[at], 1, "the footer's round count");
+        let blob = resealed(&blob, |body| body[at] = 2);
+        assert_eq!(
+            decode(&blob).unwrap_err(),
+            TraceError::Wire(WireError::BadValue {
+                what: "footer round count",
+                offset: at
+            })
         );
     }
 }

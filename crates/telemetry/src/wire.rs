@@ -1,10 +1,13 @@
-//! The shared snapshot wire layer: LEB128 varints, zigzag signed
-//! integers, and the `SPFS` envelope every snapshot blob travels in.
+//! The shared wire layer: the workspace's one LEB128 varint codec
+//! ([`put_varint`], [`get_varint`] and the bounded readers built on
+//! it), zigzag signed integers, and the `SPFS` envelope every snapshot
+//! blob travels in.
 //!
-//! The trace codec ([`crate::trace`]) established the workspace's binary
-//! conventions — a four-byte magic, a little-endian `u16` version,
-//! unsigned LEB128 varints, and errors that carry exact byte offsets.
-//! Snapshots reuse those conventions but add a **trailing digest**: the
+//! Both binary formats — `SPFT` traces ([`crate::trace`]) and `SPFS`
+//! snapshots — share its conventions: a four-byte magic, unsigned LEB128
+//! varints in their shortest encoding, element counts bounded by the
+//! bytes left, and errors that carry exact byte offsets. Snapshots add a
+//! **trailing digest**: the
 //! last eight bytes of every blob are the FNV-1a 64 hash of everything
 //! before them, and [`SnapshotReader::open`] verifies the digest *before*
 //! any payload parsing. A single flipped bit anywhere in the blob is
@@ -31,8 +34,10 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SPFS";
 /// sets (lazy circuit labels). Version 4: a `WORLD` payload drops its
 /// simulated and charged round counters, which derive from the round
 /// counter and the charge log. Version 5: a `WORLD` payload carries the
-/// cut record (the link pin pairs cut since the last absorb).
-pub const SNAPSHOT_VERSION: u16 = 5;
+/// cut record (the link pin pairs cut since the last absorb). Version 6:
+/// a `WORLD` payload drops its force-global byte; the relabel path
+/// follows from the dirty pins and the stale set alone.
+pub const SNAPSHOT_VERSION: u16 = 6;
 
 /// Payload kind tags (one per snapshottable type).
 pub mod kind {
@@ -115,13 +120,13 @@ impl std::fmt::Display for WireError {
                 )
             }
             WireError::Truncated { offset } => {
-                write!(f, "snapshot truncated inside the field at byte {offset}")
+                write!(f, "truncated inside the field at byte {offset}")
             }
             WireError::Overlong { offset } => {
                 write!(f, "overlong varint at byte {offset}")
             }
             WireError::BadDigest { offset } => {
-                write!(f, "snapshot digest mismatch (digest at byte {offset})")
+                write!(f, "digest mismatch (digest at byte {offset})")
             }
             WireError::BadValue { what, offset } => {
                 write!(f, "invalid {what} at byte {offset}")
@@ -147,6 +152,73 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Appends `v` to `buf` as an unsigned LEB128 varint, in its shortest
+/// encoding: the only one [`get_varint`] accepts.
+pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+    loop {
+        let byte = (v & 0x7F) as u8;
+        v >>= 7;
+        if v == 0 {
+            buf.push(byte);
+            return;
+        }
+        buf.push(byte | 0x80);
+    }
+}
+
+/// Reads the unsigned LEB128 varint at `*pos` and advances past it.
+/// Only the shortest encoding decodes: a zero last byte after the first
+/// is padding [`put_varint`] never writes, and accepting it would decode
+/// two encodings of one value, so a re-encode would not reproduce the
+/// blob.
+pub fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u64, WireError> {
+    let start = *pos;
+    let mut out = 0u64;
+    let mut shift = 0u32;
+    loop {
+        let Some(&byte) = buf.get(*pos) else {
+            return Err(WireError::Truncated { offset: start });
+        };
+        *pos += 1;
+        if shift >= 63 && byte > 1 {
+            return Err(WireError::Overlong { offset: start });
+        }
+        out |= ((byte & 0x7F) as u64) << shift;
+        if byte & 0x80 == 0 {
+            if byte == 0 && shift > 0 {
+                return Err(WireError::Overlong { offset: start });
+            }
+            return Ok(out);
+        }
+        shift += 7;
+        if shift > 63 {
+            return Err(WireError::Overlong { offset: start });
+        }
+    }
+}
+
+/// [`get_varint`] for a field that must fit `T` (`u32`, `u16`, ...).
+pub fn get_int<T: TryFrom<u64>>(
+    buf: &[u8],
+    pos: &mut usize,
+    what: &'static str,
+) -> Result<T, WireError> {
+    let offset = *pos;
+    T::try_from(get_varint(buf, pos)?).map_err(|_| WireError::BadValue { what, offset })
+}
+
+/// Reads an element count. Every element costs at least one byte, so a
+/// count beyond the bytes left after it is invalid: this bounds what a
+/// decoder reserves by the blob's size, whatever the blob claims.
+pub fn get_len(buf: &[u8], pos: &mut usize, what: &'static str) -> Result<usize, WireError> {
+    let offset = *pos;
+    let v = get_varint(buf, pos)?;
+    if v > (buf.len() - *pos) as u64 {
+        return Err(WireError::BadValue { what, offset });
+    }
+    Ok(v as usize)
+}
+
 /// The encoding half: header up front, digest appended by
 /// [`SnapshotWriter::finish`].
 #[derive(Debug, Clone)]
@@ -165,17 +237,9 @@ impl SnapshotWriter {
         SnapshotWriter { buf }
     }
 
-    /// Appends an unsigned LEB128 varint.
-    pub fn varint(&mut self, mut v: u64) {
-        loop {
-            let byte = (v & 0x7F) as u8;
-            v >>= 7;
-            if v == 0 {
-                self.buf.push(byte);
-                return;
-            }
-            self.buf.push(byte | 0x80);
-        }
+    /// Appends an unsigned LEB128 varint ([`put_varint`]).
+    pub fn varint(&mut self, v: u64) {
+        put_varint(&mut self.buf, v);
     }
 
     /// Appends a zigzag-encoded signed varint.
@@ -267,37 +331,9 @@ impl<'a> SnapshotReader<'a> {
         self.buf.len() - self.pos
     }
 
-    /// Reads an unsigned LEB128 varint in its shortest encoding (the one
-    /// [`SnapshotWriter::varint`] writes).
+    /// Reads an unsigned LEB128 varint ([`get_varint`]).
     pub fn varint(&mut self) -> Result<u64, WireError> {
-        let start = self.pos;
-        let mut out = 0u64;
-        let mut shift = 0u32;
-        loop {
-            if self.pos >= self.buf.len() {
-                return Err(WireError::Truncated { offset: start });
-            }
-            let byte = self.buf[self.pos];
-            self.pos += 1;
-            if shift >= 63 && byte > 1 {
-                return Err(WireError::Overlong { offset: start });
-            }
-            out |= ((byte & 0x7F) as u64) << shift;
-            if byte & 0x80 == 0 {
-                // A zero last byte after the first is padding the writer
-                // never emits: accepting it would decode two encodings
-                // of one value, and a re-encode would not reproduce the
-                // blob.
-                if byte == 0 && shift > 0 {
-                    return Err(WireError::Overlong { offset: start });
-                }
-                return Ok(out);
-            }
-            shift += 7;
-            if shift > 63 {
-                return Err(WireError::Overlong { offset: start });
-            }
-        }
+        get_varint(self.buf, &mut self.pos)
     }
 
     /// Reads a zigzag-encoded signed varint.
@@ -318,16 +354,12 @@ impl<'a> SnapshotReader<'a> {
 
     /// Reads a varint that must fit a `u32`.
     pub fn u32(&mut self, what: &'static str) -> Result<u32, WireError> {
-        let offset = self.pos;
-        let v = self.varint()?;
-        u32::try_from(v).map_err(|_| WireError::BadValue { what, offset })
+        get_int(self.buf, &mut self.pos, what)
     }
 
     /// Reads a varint that must fit a `u16`.
     pub fn u16(&mut self, what: &'static str) -> Result<u16, WireError> {
-        let offset = self.pos;
-        let v = self.varint()?;
-        u16::try_from(v).map_err(|_| WireError::BadValue { what, offset })
+        get_int(self.buf, &mut self.pos, what)
     }
 
     /// Reads a varint that must fit an `i32` after zigzag decoding.
@@ -337,17 +369,10 @@ impl<'a> SnapshotReader<'a> {
         i32::try_from(v).map_err(|_| WireError::BadValue { what, offset })
     }
 
-    /// Reads an element count. Every element costs at least one payload
-    /// byte, so any count beyond the remaining bytes is invalid — this
-    /// bounds allocations by the blob size even for hand-crafted blobs
-    /// that pass the digest check.
+    /// Reads an element count ([`get_len`]): the bound holds even for
+    /// hand-crafted blobs that pass the digest check.
     pub fn len(&mut self, what: &'static str) -> Result<usize, WireError> {
-        let offset = self.pos;
-        let v = self.varint()?;
-        if v > self.remaining() as u64 {
-            return Err(WireError::BadValue { what, offset });
-        }
-        Ok(v as usize)
+        get_len(self.buf, &mut self.pos, what)
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -474,6 +499,36 @@ mod tests {
         let mut r = SnapshotReader::open(&blob, kind::STRUCTURE).unwrap();
         r.varint().unwrap();
         r.finish().unwrap();
+    }
+
+    #[test]
+    fn varints_cover_the_u64_range_in_their_shortest_form() {
+        let mut buf = Vec::new();
+        for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
+            buf.clear();
+            put_varint(&mut buf, v);
+            let mut pos = 0;
+            assert_eq!(get_varint(&buf, &mut pos), Ok(v));
+            assert_eq!(pos, buf.len());
+        }
+        // Past ten bytes, or past the u64 range, a varint is overlong.
+        let mut too_big = vec![0xFFu8; 9];
+        too_big.push(0x7F);
+        assert_eq!(
+            get_varint(&too_big, &mut 0),
+            Err(WireError::Overlong { offset: 0 })
+        );
+        assert_eq!(
+            get_varint(&[0x80; 9], &mut 0),
+            Err(WireError::Truncated { offset: 0 })
+        );
+        // So is a zero-padded one: 5 as `85 00` or `85 80 00`.
+        for padded in [&[0x85u8, 0x00][..], &[0x85, 0x80, 0x00]] {
+            assert_eq!(
+                get_varint(padded, &mut 0),
+                Err(WireError::Overlong { offset: 0 })
+            );
+        }
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! version-tag rejection.
 
 use amoebot_telemetry::{
-    mix64, Recorder, RelabelKind, RoundSummary, TraceError, TraceEvent, TraceReader, TraceWriter,
-    TRACE_VERSION,
+    mix64, Recorder, RoundSummary, TraceError, TraceEvent, TraceReader, TraceWriter, TRACE_VERSION,
 };
 use proptest::prelude::*;
 
@@ -88,8 +87,6 @@ fn synthesize(seed: u64, events: usize) -> (Vec<TraceEvent>, Vec<u8>) {
                     beeps: (r >> 8) as u32,
                     delivered: r >> 16,
                     digest: mix64(r),
-                    relabel: RelabelKind::from_code((r % 3) as u8).unwrap(),
-                    circuits: r >> 32,
                 })
             }
         };
