@@ -395,7 +395,9 @@ pub fn replay_trace(bytes: &[u8]) -> Result<ReplayReport, ReplayError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amoebot_telemetry::{Recorder, TraceWriter};
+    use amoebot_telemetry::wire::fnv1a64;
+    use amoebot_telemetry::{Recorder, RoundSummary, TraceWriter};
+    use std::ops::Range;
 
     /// Records a small broadcast run through the real engine and returns
     /// the trace blob.
@@ -463,57 +465,195 @@ mod tests {
         assert_eq!(report.rounds, 3);
     }
 
-    /// Every single-bit corruption of a recorded trace must be rejected
-    /// (decode error, malformed structure, or divergence) — never verify
-    /// cleanly, except in the ignorable wall-clock field of the footer.
+    /// Where each event of `blob` sits: the event, its byte range, and
+    /// the 1-based round and 0-based event index replay reports for it.
+    fn event_sites(blob: &[u8]) -> Vec<(TraceEvent, Range<usize>, u64, u64)> {
+        let mut r = TraceReader::open(blob).unwrap();
+        let (mut round, mut event) = (1, 0);
+        let mut sites = Vec::new();
+        loop {
+            let start = r.offset();
+            let Some(ev) = r.next_event().unwrap() else {
+                return sites;
+            };
+            sites.push((ev, start..r.offset(), round, event));
+            if matches!(ev, TraceEvent::RoundEnd(_)) {
+                (round, event) = (round + 1, 0);
+            } else {
+                event += 1;
+            }
+        }
+    }
+
+    /// `blob` re-encoded through [`TraceWriter`] with event `at`
+    /// replaced by `ev`; the result carries a valid digest, so the edit
+    /// reaches replay.
+    fn with_event(blob: &[u8], at: usize, ev: TraceEvent) -> Vec<u8> {
+        let mut r = TraceReader::open(blob).unwrap();
+        let h = r.header().clone();
+        let mut w = TraceWriter::new();
+        w.topology(h.c, &h.node_ports, &h.edges);
+        let mut i = 0;
+        while let Some(orig) = r.next_event().unwrap() {
+            w.write_event(if i == at { &ev } else { &orig });
+            i += 1;
+        }
+        w.finish(r.footer().unwrap().wall_micros)
+    }
+
+    /// Every single-bit corruption of a recorded trace is rejected. The
+    /// trailing digest catches each flip at open; resealed past it, every
+    /// flip in the event stream or the footer's round count must still
+    /// fail replay. Only the header and the footer's wall-clock field
+    /// rest on the digest alone: no beep observes `c` or a vacant port,
+    /// and the wall time is not verified.
     #[test]
     fn bit_corruption_is_rejected() {
         let blob = record_path_run(6, 4);
-        // The footer's wall_micros varint is semantically free; find
-        // where it starts and exempt it (the trailing bytes).
-        let wall_bytes = {
-            let mut probe = blob.clone();
-            let len = probe.len();
-            // wall_micros == 1234 encodes as a 2-byte varint at the end.
-            probe.truncate(len - 2);
-            2
-        };
-        let mut rejected = 0usize;
-        let mut clean = 0usize;
-        for byte in 0..blob.len() - wall_bytes {
+        for byte in 0..blob.len() {
             for bit in 0..8 {
                 let mut bad = blob.clone();
                 bad[byte] ^= 1 << bit;
-                match replay_trace(&bad) {
-                    Err(_) => rejected += 1,
-                    Ok(_) => clean += 1,
+                assert!(
+                    replay_trace(&bad).is_err(),
+                    "flip at byte {byte} bit {bit} verified cleanly"
+                );
+            }
+        }
+        let sites = event_sites(&blob);
+        let events = sites[0].1.start;
+        // The footer is `0 | rounds | wall_micros`, and wall_micros = 1234
+        // is the 2-byte varint right before the digest.
+        let body = blob.len() - 8;
+        let wall = body - 2;
+        let mut clean = Vec::new();
+        for byte in events..wall {
+            for bit in 0..8 {
+                let mut bad = blob[..body].to_vec();
+                bad[byte] ^= 1 << bit;
+                let digest = fnv1a64(&bad);
+                bad.extend_from_slice(&digest.to_le_bytes());
+                if replay_trace(&bad).is_ok() {
+                    clean.push((byte, bit));
                 }
             }
         }
-        assert_eq!(
-            clean, 0,
-            "{clean} single-bit corruptions verified cleanly ({rejected} rejected)"
+        assert!(
+            clean.is_empty(),
+            "resealed flips verified cleanly: {clean:?}"
         );
     }
 
+    /// A flip of any bit of a value replay checks — a round's number,
+    /// beep count, delivery count or digest, or a beep's partition set —
+    /// is a [`ReplayError::Divergence`] at that round's boundary; a beep
+    /// flipped out of range is [`ReplayError::Malformed`] at the beep.
+    #[test]
+    fn observed_value_flips_diverge_at_their_round() {
+        let blob = record_path_run(6, 4);
+        let sites = event_sites(&blob);
+        // The event index of each round's boundary, by round.
+        let mut boundary = vec![0];
+        for &(ev, _, _, event) in &sites {
+            if matches!(ev, TraceEvent::RoundEnd(_)) {
+                boundary.push(event);
+            }
+        }
+        let gids = {
+            let edges: Vec<(usize, usize)> = (0..5).map(|i| (i, i + 1)).collect();
+            World::new(Topology::from_edges(6, &edges), 2).gid_count() as u32
+        };
+        let mut checked = 0;
+        let mut expect = |at: usize, ev: TraceEvent, round: u64, event: u64, diverges: bool| {
+            let err = replay_trace(&with_event(&blob, at, ev)).unwrap_err();
+            let located = match err {
+                ReplayError::Divergence {
+                    round: r, event: e, ..
+                } => diverges && (r, e) == (round, event),
+                ReplayError::Malformed {
+                    round: r, event: e, ..
+                } => !diverges && (r, e) == (round, event),
+                ReplayError::Trace { .. } => false,
+            };
+            assert!(
+                located,
+                "{ev:?} must fail at round {round}, event {event}: {err}"
+            );
+            checked += 1;
+        };
+        for (i, &(ev, _, round, event)) in sites.iter().enumerate() {
+            let end = boundary[round as usize];
+            match ev {
+                TraceEvent::RoundEnd(s) => {
+                    for b in 0..64 {
+                        // The first round's number sets the base the
+                        // others are checked against, so a flip there
+                        // diverges at round 2.
+                        let r = s.round ^ 1 << b;
+                        let flipped = TraceEvent::RoundEnd(RoundSummary { round: r, ..s });
+                        let at = round.max(2);
+                        expect(i, flipped, at, boundary[at as usize], true);
+                        let flipped = RoundSummary {
+                            delivered: s.delivered ^ 1 << b,
+                            ..s
+                        };
+                        expect(i, TraceEvent::RoundEnd(flipped), round, end, true);
+                        let flipped = RoundSummary {
+                            digest: s.digest ^ 1 << b,
+                            ..s
+                        };
+                        expect(i, TraceEvent::RoundEnd(flipped), round, end, true);
+                    }
+                    for b in 0..32 {
+                        let flipped = RoundSummary {
+                            beeps: s.beeps ^ 1 << b,
+                            ..s
+                        };
+                        expect(i, TraceEvent::RoundEnd(flipped), round, end, true);
+                    }
+                }
+                TraceEvent::Beep { gid } => {
+                    for b in 0..32 {
+                        let g = gid ^ 1 << b;
+                        let flipped = TraceEvent::Beep { gid: g };
+                        if g < gids {
+                            expect(i, flipped, round, end, true);
+                        } else {
+                            expect(i, flipped, round, event, false);
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        // Four rounds of one beep: 224 flips per boundary and 32 per beep.
+        assert_eq!(checked, 4 * (224 + 32));
+    }
+
+    /// A diverging round names itself and its boundary's event index.
     #[test]
     fn divergence_reports_round_and_event() {
         let blob = record_path_run(6, 4);
-        // Corrupt a recorded digest: find the last RoundEnd and flip one
-        // bit somewhere inside the record. Easier and still exact: flip a
-        // mid-blob payload byte and assert the error formats round+event.
-        let mut bad = blob.clone();
-        let mid = blob.len() / 2;
-        bad[mid] ^= 0x40;
-        if let Err(e) = replay_trace(&bad) {
-            let msg = e.to_string();
-            assert!(
-                msg.contains("round") && msg.contains("event"),
-                "error must carry round and event: {msg}"
-            );
-        } else {
-            panic!("corrupted trace verified cleanly");
-        }
+        let sites = event_sites(&blob);
+        // The last event is round 4's boundary: flip a bit of its digest.
+        let at = sites.len() - 1;
+        let (TraceEvent::RoundEnd(s), _, 4, event) = &sites[at] else {
+            panic!("the trace must end with round 4's boundary");
+        };
+        let flipped = RoundSummary {
+            digest: s.digest ^ 1 << 17,
+            ..*s
+        };
+        let err = replay_trace(&with_event(&blob, at, TraceEvent::RoundEnd(flipped))).unwrap_err();
+        assert!(
+            matches!(err, ReplayError::Divergence { round: 4, event: e, .. } if e == *event),
+            "{err:?}"
+        );
+        let msg = err.to_string();
+        assert!(
+            msg.starts_with(&format!("round 4, event {event}: divergence: delivery")),
+            "{msg}"
+        );
     }
 
     #[test]

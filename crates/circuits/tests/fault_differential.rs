@@ -7,8 +7,11 @@
 //! path, and all of it round-trips through the SPFS codec and the trace
 //! replay verifier.
 
-use amoebot_circuits::{replay_trace, TickFaults, Topology, World};
-use amoebot_telemetry::{NullRecorder, Recorder, RoundSummary, TraceWriter};
+use amoebot_circuits::{replay_trace, ReplayError, TickFaults, Topology, World};
+use amoebot_telemetry::wire::fnv1a64;
+use amoebot_telemetry::{
+    NullRecorder, Recorder, RoundSummary, TraceEvent, TraceReader, TraceWriter,
+};
 
 /// Keeps every round summary for lockstep comparison.
 #[derive(Default)]
@@ -288,10 +291,12 @@ fn faulted_traces_replay_clean() {
 }
 
 /// Single-bit corruption of a trace with *load-bearing* fault events
-/// (drops change delivery) must never verify cleanly, excluding the
-/// semantically free wall-clock footer bytes. Inject/fault-tag records
-/// are attributions — like churn tags, they carry no replay-verifiable
-/// state — so this trace uses drops only.
+/// (drops change delivery) must never verify cleanly. The trailing
+/// digest rejects every flip; resealed past it, every flip from the
+/// first beep to the footer's round count must still fail replay, and a
+/// flip of a drop's gid must fail it in that drop's round.
+/// Inject/fault-tag records are attributions — like churn tags, they
+/// carry no replay-verifiable state — so this trace uses drops only.
 #[test]
 fn faulted_trace_bit_corruption_is_rejected() {
     let mut w = path_world(5, 1);
@@ -319,16 +324,71 @@ fn faulted_trace_bit_corruption_is_rejected() {
     }
     let blob = rec.finish(0);
     assert!(replay_trace(&blob).is_ok());
-    // wall_micros == 0 encodes as the single trailing byte.
-    let mut clean = 0usize;
-    for byte in 0..blob.len() - 1 {
+    for byte in 0..blob.len() {
         for bit in 0..8 {
             let mut bad = blob.clone();
             bad[byte] ^= 1 << bit;
-            if replay_trace(&bad).is_ok() {
-                clean += 1;
+            assert!(
+                replay_trace(&bad).is_err(),
+                "flip at byte {byte} bit {bit} verified cleanly"
+            );
+        }
+    }
+    // Each event, its byte range and its round.
+    let mut sites = Vec::new();
+    let mut r = TraceReader::open(&blob).unwrap();
+    let mut round = 1;
+    loop {
+        let start = r.offset();
+        let Some(ev) = r.next_event().unwrap() else {
+            break;
+        };
+        sites.push((ev, start..r.offset(), round));
+        round += u64::from(matches!(ev, TraceEvent::RoundEnd(_)));
+    }
+    // The pin configuration is observed only through deliveries, and
+    // every beep here is dropped: the config deltas that lead round 1
+    // rest on the digest alone. From the first beep on, every event is
+    // load-bearing.
+    let first_beep = sites
+        .iter()
+        .position(|(ev, ..)| !matches!(ev, TraceEvent::ConfigDelta { .. }))
+        .unwrap();
+    assert!(sites[first_beep..]
+        .iter()
+        .all(|(ev, ..)| !matches!(ev, TraceEvent::ConfigDelta { .. })));
+    let body = blob.len() - 8;
+    let mut drop_flips = 0;
+    // wall_micros == 0 is the single byte before the digest.
+    for byte in sites[first_beep].1.start..body - 1 {
+        for bit in 0..8 {
+            let mut bad = blob[..body].to_vec();
+            bad[byte] ^= 1 << bit;
+            let digest = fnv1a64(&bad);
+            bad.extend_from_slice(&digest.to_le_bytes());
+            let Err(err) = replay_trace(&bad) else {
+                panic!("resealed flip at byte {byte} bit {bit} verified cleanly");
+            };
+            // A drop is its tag and a one-byte gid; a flip of a value bit
+            // of that gid names another partition set.
+            let drop = sites.iter().find(|(ev, range, _)| {
+                matches!(ev, TraceEvent::FaultDrop { .. })
+                    && range.len() == 2
+                    && range.end - 1 == byte
+                    && bit < 7
+            });
+            if let Some(&(_, _, round)) = drop {
+                assert!(
+                    matches!(
+                        err,
+                        ReplayError::Divergence { round: r, .. }
+                            | ReplayError::Malformed { round: r, .. } if r == round
+                    ),
+                    "drop gid flip at byte {byte} bit {bit}: {err}"
+                );
+                drop_flips += 1;
             }
         }
     }
-    assert_eq!(clean, 0, "{clean} single-bit corruptions verified cleanly");
+    assert_eq!(drop_flips, 4 * 7, "one drop per round");
 }

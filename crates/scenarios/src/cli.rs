@@ -794,6 +794,8 @@ pub fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amoebot_telemetry::wire::fnv1a64;
+    use amoebot_telemetry::{TraceEvent, TraceReader};
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
@@ -941,7 +943,8 @@ mod tests {
     }
 
     /// Record → replay round trip through the CLI, plus the corruption
-    /// contract: a flipped byte is rejected with round + event index.
+    /// contract: a flipped byte is rejected, and a resealed flip of a
+    /// recorded digest is a divergence named by round + event index.
     #[test]
     fn record_replay_roundtrip_and_corruption() {
         let trace = temp_path("trace.bin");
@@ -962,16 +965,41 @@ mod tests {
         assert_eq!(code, 0, "replay failed: {output}");
         assert!(output.contains("replay ok"), "{output:?}");
 
-        // Corrupt one byte in the middle of the blob: replay must fail
-        // with an error naming the round and event index.
-        let mut bytes = std::fs::read(&trace).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x10;
-        std::fs::write(&trace, &bytes).unwrap();
+        // Corrupt one byte in the middle of the blob: the trailing digest
+        // rejects it.
+        let bytes = std::fs::read(&trace).unwrap();
+        let mut bad = bytes.clone();
+        bad[bytes.len() / 2] ^= 0x10;
+        std::fs::write(&trace, &bad).unwrap();
         let (code, output) = run_captured(&["replay", trace_s]);
         assert_eq!(code, 1, "corrupted trace verified cleanly: {output}");
+        assert!(output.contains("digest mismatch"), "{output:?}");
+
+        // Flip a bit of the middle round's recorded digest and reseal the
+        // blob, so the flip reaches replay: it must report a divergence
+        // naming the round and the event index of its boundary.
+        let mut boundaries = Vec::new();
+        let mut r = TraceReader::open(&bytes).unwrap();
+        let (mut round, mut event) = (1u64, 0u64);
+        while let Some(ev) = r.next_event().unwrap() {
+            if matches!(ev, TraceEvent::RoundEnd(_)) {
+                // The 8-byte digest ends the record.
+                boundaries.push((r.offset() - 8, round, event));
+                (round, event) = (round + 1, 0);
+            } else {
+                event += 1;
+            }
+        }
+        let (at, round, event) = boundaries[boundaries.len() / 2];
+        let mut bad = bytes[..bytes.len() - 8].to_vec();
+        bad[at] ^= 0x10;
+        let digest = fnv1a64(&bad);
+        bad.extend_from_slice(&digest.to_le_bytes());
+        std::fs::write(&trace, &bad).unwrap();
+        let (code, output) = run_captured(&["replay", trace_s]);
+        assert_eq!(code, 1, "diverging trace verified cleanly: {output}");
         assert!(
-            output.contains("round") && output.contains("event"),
+            output.contains(&format!("round {round}, event {event}: divergence")),
             "divergence report must carry round + event index: {output:?}"
         );
         let _ = std::fs::remove_file(&trace);

@@ -3,10 +3,11 @@
 //! rejected with a location, replay verification is cheaper than the
 //! simulation it certifies, and recording changes nothing the engine does.
 
-use amoebot_circuits::replay_trace;
+use amoebot_circuits::{replay_trace, ReplayError};
 use amoebot_scenarios::registry::default_registry;
 use amoebot_scenarios::{record_scenario, recordable, run_scenario_with};
-use amoebot_telemetry::{FlightRecorder, NullRecorder};
+use amoebot_telemetry::wire::fnv1a64;
+use amoebot_telemetry::{FlightRecorder, NullRecorder, TraceEvent, TraceReader};
 
 /// The two recordable families, at sizes that exercise multi-region
 /// structures (and, for churn, the dynamic edit path) without dominating
@@ -54,30 +55,50 @@ fn recorded_traces_replay_cleanly() {
 fn corrupted_traces_are_rejected_with_a_location() {
     let sc = &recordable_scenarios()[0];
     let (_, bytes) = record_scenario(sc).unwrap();
-    // Flip one bit at a spread of positions across the blob. Every
-    // corruption must be caught (decode error or divergence), and any
-    // divergence report must carry the round and event index. The
-    // exhaustive every-bit sweep lives in the circuits replay tests; this
-    // gate checks the property survives at scenario scale.
+    // Flip one bit at a spread of positions across the blob: the version
+    // check or the trailing digest rejects each one.
     for pos in [4, bytes.len() / 4, bytes.len() / 2, bytes.len() - 10] {
         let mut bad = bytes.clone();
         bad[pos] ^= 0x04;
-        match replay_trace(&bad) {
-            Ok(_) => panic!("bit flip at byte {pos} went undetected"),
-            Err(e) => {
-                let msg = e.to_string();
-                assert!(
-                    !msg.is_empty(),
-                    "corruption at byte {pos} must explain itself"
-                );
-                if msg.contains("divergence") {
-                    assert!(
-                        msg.contains("round") && msg.contains("event"),
-                        "divergence at byte {pos} lacks a location: {msg}"
-                    );
-                }
-            }
+        assert!(
+            replay_trace(&bad).is_err(),
+            "bit flip at byte {pos} went undetected"
+        );
+    }
+    // Resealed past the digest, a flip in a spread of rounds' recorded
+    // digests reaches replay, which must name the diverging round and the
+    // event index of its boundary. The exhaustive sweeps live in the
+    // circuits replay tests; this gate checks the property survives at
+    // scenario scale.
+    let mut boundaries = Vec::new();
+    let mut r = TraceReader::open(&bytes).unwrap();
+    let (mut round, mut event) = (1u64, 0u64);
+    while let Some(ev) = r.next_event().unwrap() {
+        if matches!(ev, TraceEvent::RoundEnd(_)) {
+            // The 8-byte digest ends the record.
+            boundaries.push((r.offset() - 8, round, event));
+            (round, event) = (round + 1, 0);
+        } else {
+            event += 1;
         }
+    }
+    let n = boundaries.len();
+    for i in [0, n / 4, n / 2, n - 1] {
+        let (at, round, event) = boundaries[i];
+        let mut bad = bytes[..bytes.len() - 8].to_vec();
+        bad[at] ^= 0x04;
+        let digest = fnv1a64(&bad);
+        bad.extend_from_slice(&digest.to_le_bytes());
+        let err = replay_trace(&bad).unwrap_err();
+        assert!(
+            matches!(err, ReplayError::Divergence { round: r, event: e, .. } if (r, e) == (round, event)),
+            "digest flip of round {round} (event {event}): {err}"
+        );
+        let msg = err.to_string();
+        assert!(
+            msg.starts_with(&format!("round {round}, event {event}: divergence")),
+            "{msg}"
+        );
     }
 }
 

@@ -90,34 +90,7 @@ fn synthesize(seed: u64, events: usize) -> (Vec<TraceEvent>, Vec<u8>) {
                 })
             }
         };
-        match ev {
-            TraceEvent::ConfigDelta { gid, pset } => w.config_delta(gid, pset),
-            TraceEvent::Beep { gid } => w.beep(gid),
-            TraceEvent::AddNode { ports } => w.add_node(ports),
-            TraceEvent::Connect { v, p, w: ww, q } => w.connect(v, p, ww, q),
-            TraceEvent::Disconnect { v, p } => w.disconnect(v, p),
-            TraceEvent::Isolate { v } => w.isolate(v),
-            TraceEvent::ChurnTag {
-                index,
-                inserted,
-                removed,
-            } => w.churn_tag(index, inserted, removed),
-            TraceEvent::FaultDrop { gid } => w.beep_dropped(gid),
-            TraceEvent::FaultInject { gid } => w.beep_injected(gid),
-            TraceEvent::FaultTag {
-                index,
-                dropped,
-                injected,
-                disabled,
-                wiped,
-            } => w.fault_tag(index, dropped, injected, disabled, wiped),
-            TraceEvent::FlightKey {
-                plan_seed,
-                scenario_seed,
-                event,
-            } => w.flight_key(plan_seed, scenario_seed, event),
-            TraceEvent::RoundEnd(ref s) => w.round_end(s),
-        }
+        w.write_event(&ev);
         expected.push(ev);
     }
     let blob = w.finish(rand(31337));
