@@ -38,7 +38,7 @@ const REPAIR_BUDGET_PER_SET: usize = 16;
 
 /// Registry name of the counter of absorbs that repaired locally
 /// instead of staling (see [`World::repair_relabels`]).
-pub(crate) const RELABEL_REPAIR: &str = "relabel_repair";
+const RELABEL_REPAIR: &str = "relabel_repair";
 
 /// Scratch of one repair, kept between repairs so repeated ones do not
 /// allocate. Search ids index the per-search vectors; the owner search

@@ -1,77 +1,70 @@
 //! The `SPFS` snapshot codec for [`Topology`] and [`World`].
 //!
-//! A snapshot serializes the **semantic** SoA state verbatim — CSR
-//! topology, pin configurations, the tombstoned link table with its
-//! free-list, pending beeps, the cached circuit labeling (labels,
-//! membership arena, counted-root marks), the stale set and the
-//! dirty-pin set — so restore is O(bytes): no relabel runs, no id
-//! renumbers, and the first tick after a restore takes exactly the path
-//! the next tick of the snapshotted world would have taken. That is
-//! what makes restored runs *byte-identical* to uninterrupted ones,
-//! including the relabel counters that canonical reports embed.
+//! A snapshot stores the world's **model state**, as §1.2 of the paper
+//! defines it at a round boundary: the topology, every pin's partition
+//! set, the beeps sent this round and the deliveries of the last one.
+//! Next to it go the accounting a report reads (the round counter and
+//! its charge log, beeps sent, the engine counters) and the stuck pins
+//! an adversary armed. The circuits are a function of the pins and the
+//! topology, so nothing the engine caches about them is stored: decode
+//! validates the fields, builds the world with [`World::new`] (link
+//! table, port index and label cache as a fresh world's, with every
+//! partition set stale) and then sets the decoded fields.
 //!
-//! Pure scratch is deliberately **not** serialized and is rebuilt
-//! cleared on restore: the union-find parents (only read after a
-//! relabel re-seeds them), the walk queue (always clear between uses),
-//! and the per-port edge index and node base offsets (both derivable
-//! from the link table and the CSR respectively). The root marks hold a
-//! tick's pending deliveries; encode writes them into `recv_set` in
-//! delivery order, exactly as the first read would, so a restored world
-//! starts with its deliveries written and the bytes are the same either
-//! way. Phase timers are also dropped: they are wall-clock diagnostics,
-//! excluded from canonical reports by design.
+//! A restored world therefore delivers every beep and answers every
+//! read exactly as the snapshotted one would, and re-encodes to the same
+//! bytes. Only the upkeep of the cache differs: the first tick walks the
+//! circuits it delivers on, and the first full read runs one global
+//! relabel. The `relabel_*` counters count that upkeep, so they are not
+//! stored either, and a restored world counts its relabels from zero.
+//!
+//! Pending deliveries are written as the first read would write them,
+//! so the bytes do not depend on whether anything read the round. Phase
+//! timers are dropped too: they are wall-clock diagnostics, excluded
+//! from canonical reports by design.
 //!
 //! ## Payload grammar (inside the [`wire`] envelope, kind `WORLD`)
 //!
 //! All integers are unsigned LEB128 varints unless noted.
 //!
 //! ```text
-//! world    := c | topology
-//!           | pset[total] | links | free_links
-//!           | sent | recv_set | labels[total]
-//!           | members | member_off[total] | member_end[total]
-//!           | dirty_pins | cuts | pset_at_relabel[total]
-//!           | stale | circuit_roots
-//!           | cached_circuits
+//! world    := c | topology | pset[total]
+//!           | sent | recv_set
 //!           | counters | rounds | charges
 //!           | beeps_sent | stuck
 //! topology := n | ports[n] | (peer_node peer_port)[slots] | edge_count
-//! links    := count | (a0 base_a b0 base_b)[count]     tombstone = DEAD_LINK
-//! sent     := count | gid[count]                        (beeping psets)
-//! recv_set := count | gid[count]                        (delivered psets)
-//! members  := count | gid[count]                        (arena, garbage kept)
-//! dirty    := count | (gid base)[count]
-//! cuts     := count | (gid gid)[count]                  (both pins dirty)
-//! stale    := count | gid[count]                        (strictly ascending)
-//! roots    := count | gid[count]                        (strictly ascending)
-//! counters := count | (name value)[count]               (metrics counters)
+//! sent     := count | gid[count]                        (beeping psets, beep order)
+//! recv_set := count | gid[count]                        (delivered psets, delivery order)
+//! counters := count | (name value)[count]               (all but relabel_*)
 //! charges  := count | (label signed_amount)[count]     (Σ ≤ rounds)
 //! stuck    := count | (gid pset)[count]                  (ascending gids)
 //! ```
 //!
 //! Decoding allocates in proportion to the blob: `c` and every node's
-//! port count are bounded by `MAX_PORTS`, and slot and pin counts by the
-//! bytes left to encode them, before anything is reserved.
+//! port count are bounded by `MAX_PORTS`, the slot count by the bytes
+//! left to encode the slots, and the pin count by the bytes left to
+//! encode the pins, before [`World::new`] reserves anything per pin.
 
 use amoebot_telemetry::wire::{self, SnapshotReader, SnapshotWriter, WireError};
+use amoebot_telemetry::Metrics;
 
 use crate::bitset::BitSet;
-use crate::repair::{RepairScratch, RELABEL_REPAIR};
 use crate::topology::{Topology, MAX_PORTS, NONE};
-use crate::world::{EngineStats, World, DEAD_LINK, NO_EDGE, RELABEL_WALK, RESET_NODES};
+use crate::world::{World, RESET_NODES};
 
-/// Counter names the world codec recognizes on restore. The metrics
-/// registry keys counters by `&'static str`, so decoded names are
-/// matched against this fixed menu rather than leaked into statics.
-const KNOWN_COUNTERS: [&str; 7] = [
-    "relabel_global",
-    "relabel_region",
-    "fault_drops",
-    "fault_injects",
-    RESET_NODES,
-    RELABEL_WALK,
-    RELABEL_REPAIR,
-];
+/// Counter names a snapshot stores, in name order. The metrics registry
+/// keys counters by `&'static str`, so decoded names are matched against
+/// this fixed menu rather than leaked into statics.
+const KNOWN_COUNTERS: [&str; 3] = ["fault_drops", "fault_injects", RESET_NODES];
+
+/// The counters a snapshot stores, sorted by name: all but the
+/// `relabel_*` ones, which count the upkeep of the label cache a
+/// snapshot leaves out.
+fn stored_counters(metrics: &Metrics) -> Vec<(&'static str, u64)> {
+    let mut counters = metrics.counters_sorted();
+    counters.retain(|(name, _)| !name.starts_with("relabel_"));
+    counters
+}
 
 /// Encodes `topo` into `w` (the `topology` production above).
 pub fn encode_topology(topo: &Topology, w: &mut SnapshotWriter) {
@@ -171,17 +164,17 @@ pub fn decode_topology(r: &mut SnapshotReader<'_>) -> Result<Topology, WireError
     Ok(topo)
 }
 
-/// Reads `count` gids, each `< total`, rebuilding the paired bitset.
-/// Duplicates are rejected (the dense lists mirror bitsets, so an index
-/// never appears twice).
-fn decode_gid_list(
+/// Reads `count` distinct gids, each `< total`, into the dense list and
+/// the bitset the world keeps of one set of partition sets. The list
+/// keeps the blob's order (beep order, delivery order).
+fn decode_gids(
     r: &mut SnapshotReader<'_>,
     total: usize,
+    list: &mut Vec<u32>,
+    bits: &mut BitSet,
     what: &'static str,
-) -> Result<(Vec<u32>, BitSet), WireError> {
+) -> Result<(), WireError> {
     let count = r.len(what)?;
-    let mut list = Vec::with_capacity(total.max(count));
-    let mut bits = BitSet::new(total);
     for _ in 0..count {
         let offset = r.offset();
         let gid = r.u32(what)?;
@@ -191,7 +184,7 @@ fn decode_gid_list(
         bits.set(gid as usize);
         list.push(gid);
     }
-    Ok((list, bits))
+    Ok(())
 }
 
 impl World {
@@ -203,17 +196,6 @@ impl World {
         for &pset in &self.pin_pset {
             w.varint(pset as u64);
         }
-        w.varint(self.links.len() as u64);
-        for &(a0, base_a, b0, base_b) in &self.links {
-            w.varint(a0 as u64);
-            w.varint(base_a as u64);
-            w.varint(b0 as u64);
-            w.varint(base_b as u64);
-        }
-        w.varint(self.free_links.len() as u64);
-        for &ei in &self.free_links {
-            w.varint(ei as u64);
-        }
         w.varint(self.sent.len() as u64);
         for &gid in &self.sent {
             w.varint(gid as u64);
@@ -224,43 +206,7 @@ impl World {
         for gid in self.deliveries() {
             w.varint(gid as u64);
         }
-        for &l in &self.labels {
-            w.varint(l as u64);
-        }
-        w.varint(self.members.len() as u64);
-        for &m in &self.members {
-            w.varint(m as u64);
-        }
-        for &off in &self.member_off {
-            w.varint(off as u64);
-        }
-        for &end in &self.member_end {
-            w.varint(end as u64);
-        }
-        w.varint(self.dirty_pins.len() as u64);
-        for &(gid, base) in &self.dirty_pins {
-            w.varint(gid as u64);
-            w.varint(base as u64);
-        }
-        w.varint(self.cuts.len() as u64);
-        for &(pa, pb) in &self.cuts {
-            w.varint(pa as u64);
-            w.varint(pb as u64);
-        }
-        for &pset in &self.pset_at_relabel {
-            w.varint(pset as u64);
-        }
-        w.varint(self.stale_count as u64);
-        for gid in self.stale.ones() {
-            w.varint(gid as u64);
-        }
-        let roots: Vec<usize> = self.circuit_roots.ones().collect();
-        w.varint(roots.len() as u64);
-        for gid in roots {
-            w.varint(gid as u64);
-        }
-        w.varint(self.cached_circuits as u64);
-        let counters = self.stats.metrics.counters_sorted();
+        let counters = stored_counters(&self.stats.metrics);
         w.varint(counters.len() as u64);
         for (name, value) in counters {
             w.str(name);
@@ -280,9 +226,10 @@ impl World {
         }
     }
 
-    /// Decodes a world payload written by [`World::encode_payload`].
-    /// O(bytes): validation walks each array once and nothing relabels —
-    /// the cached labeling comes back exactly as snapshotted.
+    /// Decodes a world payload written by [`World::encode_payload`]:
+    /// validates each field once, builds the world with [`World::new`]
+    /// and sets the decoded fields. Every partition set starts stale, so
+    /// labels are derived from the pins when a tick or a read needs them.
     pub fn decode_payload(r: &mut SnapshotReader<'_>) -> Result<World, WireError> {
         let c_offset = r.offset();
         let c = r.len("links per edge")?;
@@ -293,293 +240,61 @@ impl World {
             });
         }
         let topo = decode_topology(r)?;
-        let n = topo.len();
-        let mut base = Vec::with_capacity(n + 1);
-        let mut acc = 0u32;
         // Each pin costs at least one byte (its partition set).
         let too_many_pins = WireError::BadValue {
             what: "pin count",
             offset: r.offset(),
         };
-        for v in 0..n {
-            base.push(acc);
-            acc = acc
+        let mut total = 0u32;
+        for v in 0..topo.len() {
+            total = total
                 .checked_add((topo.ports_len(v) * c) as u32)
                 .ok_or(too_many_pins)?;
         }
-        base.push(acc);
-        let total = acc as usize;
+        let total = total as usize;
         if total > r.remaining() {
             return Err(too_many_pins);
         }
-        // The node owning pin `gid` (zero-pin nodes share the next
-        // node's base, and the search lands past them).
-        let owner = |gid: u32| base.partition_point(|&b| b <= gid) - 1;
 
-        let mut pin_pset = Vec::with_capacity(total);
-        // Derived state: rebuilt from the pin table (see `World::configured`).
-        let mut configured: Vec<BitSet> = (0..c).map(|_| BitSet::new(n)).collect();
-        for v in 0..n {
-            let caps = (topo.ports_len(v) * c) as u64;
+        let mut world = World::new(topo, c);
+        for v in 0..world.topo.len() {
+            let node_base = world.base[v] as usize;
+            let caps = world.pset_capacity(v);
             for i in 0..caps {
                 let offset = r.offset();
                 let pset = r.u16("pin partition set")?;
-                if (pset as u64) >= caps {
+                if pset as usize >= caps {
                     return Err(WireError::BadValue {
                         what: "pin partition set",
                         offset,
                     });
                 }
-                if pset as u64 != i {
-                    configured[i as usize % c].set(v);
-                }
-                pin_pset.push(pset);
-            }
-        }
-
-        let link_offset = r.offset();
-        let link_count = r.len("link table")?;
-        let mut links = Vec::with_capacity(link_count);
-        let mut port_edge = vec![NO_EDGE; total / c];
-        let mut live = 0usize;
-        for ei in 0..link_count {
-            let offset = r.offset();
-            let entry = (
-                r.u32("link pin")?,
-                r.u32("link base")?,
-                r.u32("link pin")?,
-                r.u32("link base")?,
-            );
-            let err = WireError::BadValue {
-                what: "link entry",
-                offset,
-            };
-            if entry.0 == u32::MAX {
-                if entry != DEAD_LINK {
-                    return Err(err);
-                }
-            } else {
-                // A live entry must be the one the topology implies for
-                // the port slot of its `a0`: the link-0 pins of both ends
-                // of that port's edge and their owners' base offsets.
-                let (a0, base_a, b0, base_b) = entry;
-                if a0 as usize >= total || !(a0 as usize).is_multiple_of(c) {
-                    return Err(err);
-                }
-                let v = owner(a0);
-                let Some((w, q)) = topo.peer(v, (a0 - base[v]) as usize / c) else {
-                    return Err(err);
-                };
-                if base_a != base[v] || b0 != base[w] + (q * c) as u32 || base_b != base[w] {
-                    return Err(err);
-                }
-                live += 1;
-                for slot in [a0 as usize / c, b0 as usize / c] {
-                    if port_edge[slot] != NO_EDGE {
-                        return Err(err);
-                    }
-                    port_edge[slot] = ei as u32;
+                // Nothing is dirty: every set is stale until labelled.
+                world.pin_pset[node_base + i] = pset;
+                world.pset_at_relabel[node_base + i] = pset;
+                if pset as usize != i {
+                    world.configured[i % c].set(v);
                 }
             }
-            links.push(entry);
         }
-        if live != topo.edge_count() {
-            return Err(WireError::BadValue {
-                what: "link table",
-                offset: link_offset,
-            });
-        }
-        let free_count = r.len("free-link list")?;
-        let mut free_links = Vec::with_capacity(free_count);
-        for _ in 0..free_count {
-            let offset = r.offset();
-            let ei = r.u32("free-link slot")?;
-            if ei as usize >= links.len() || links[ei as usize] != DEAD_LINK {
-                return Err(WireError::BadValue {
-                    what: "free-link slot",
-                    offset,
-                });
-            }
-            free_links.push(ei);
-        }
+        decode_gids(
+            r,
+            total,
+            &mut world.sent,
+            &mut world.send,
+            "beeping partition set",
+        )?;
+        decode_gids(
+            r,
+            total,
+            &mut world.recv_set,
+            &mut world.recv,
+            "delivered partition set",
+        )?;
 
-        let (sent, send) = decode_gid_list(r, total, "beeping partition set")?;
-        let (recv_set, recv) = decode_gid_list(r, total, "delivered partition set")?;
-
-        let mut labels = Vec::with_capacity(total);
-        for _ in 0..total {
-            let offset = r.offset();
-            let l = r.u32("circuit label")?;
-            if l as usize >= total {
-                return Err(WireError::BadValue {
-                    what: "circuit label",
-                    offset,
-                });
-            }
-            labels.push(l);
-        }
-        let member_count = r.len("membership arena")?;
-        let mut members = Vec::with_capacity(total.max(member_count));
-        for _ in 0..member_count {
-            let offset = r.offset();
-            let m = r.u32("membership entry")?;
-            if m as usize >= total {
-                return Err(WireError::BadValue {
-                    what: "membership entry",
-                    offset,
-                });
-            }
-            members.push(m);
-        }
-        let mut member_off = Vec::with_capacity(total);
-        for _ in 0..total {
-            member_off.push(r.u32("membership bucket start")?);
-        }
-        let mut member_end = Vec::with_capacity(total);
-        for _ in 0..total {
-            member_end.push(r.u32("membership bucket end")?);
-        }
-
-        let dirty_count = r.len("dirty-pin list")?;
-        let mut dirty_pins = Vec::with_capacity(total.max(dirty_count));
-        let mut dirty_pin = BitSet::new(total);
-        for _ in 0..dirty_count {
-            let offset = r.offset();
-            let gid = r.u32("dirty pin")?;
-            let node_base = r.u32("dirty-pin base")?;
-            if gid as usize >= total || dirty_pin.get(gid as usize) {
-                return Err(WireError::BadValue {
-                    what: "dirty pin",
-                    offset,
-                });
-            }
-            if node_base != base[owner(gid)] {
-                return Err(WireError::BadValue {
-                    what: "dirty-pin base",
-                    offset,
-                });
-            }
-            dirty_pin.set(gid as usize);
-            dirty_pins.push((gid, node_base));
-        }
-        // The cut record: two varints (at least two bytes) per entry,
-        // both pins in range, distinct and dirty (a cut marks its pins,
-        // and the record empties whenever the dirty pins do).
-        let cut_offset = r.offset();
-        let cut_count = r.len("cut record")?;
-        if cut_count > r.remaining() / 2 {
-            return Err(WireError::BadValue {
-                what: "cut record",
-                offset: cut_offset,
-            });
-        }
-        let mut cuts = Vec::with_capacity(cut_count);
-        for _ in 0..cut_count {
-            let offset = r.offset();
-            let pa = r.u32("cut pin")?;
-            let pb = r.u32("cut pin")?;
-            let dirty = |pin: u32| (pin as usize) < total && dirty_pin.get(pin as usize);
-            if pa == pb || !dirty(pa) || !dirty(pb) {
-                return Err(WireError::BadValue {
-                    what: "cut pin",
-                    offset,
-                });
-            }
-            cuts.push((pa, pb));
-        }
-
-        // A relabel-time set is a set of its pin's node, and it equals
-        // the pin's current set unless the pin is dirty: the bulk writers
-        // mark only the pins whose two sets differ, so a clean pin whose
-        // sets differ would never be absorbed.
-        let mut pset_at_relabel = Vec::with_capacity(total);
-        for v in 0..n {
-            let caps = topo.ports_len(v) * c;
-            for _ in 0..caps {
-                let offset = r.offset();
-                let pin = pset_at_relabel.len();
-                let pset = r.u16("relabel-time partition set")?;
-                if pset as usize >= caps || (!dirty_pin.get(pin) && pset != pin_pset[pin]) {
-                    return Err(WireError::BadValue {
-                        what: "relabel-time partition set",
-                        offset,
-                    });
-                }
-                pset_at_relabel.push(pset);
-            }
-        }
-        let stale_count = r.len("stale-set list")?;
-        let mut stale = BitSet::new(total);
-        let mut prev: Option<u32> = None;
-        for _ in 0..stale_count {
-            let offset = r.offset();
-            let gid = r.u32("stale set")?;
-            if gid as usize >= total || prev.is_some_and(|p| gid <= p) {
-                return Err(WireError::BadValue {
-                    what: "stale set",
-                    offset,
-                });
-            }
-            stale.set(gid as usize);
-            prev = Some(gid);
-        }
-        // Every labelled set's circuit bucket must lie inside the arena:
-        // deliveries read it. (Stale sets' labels are garbage and never
-        // read; so are the offsets of former roots.)
-        let labels_offset = r.offset();
-        for (gid, &root) in labels.iter().enumerate() {
-            if stale.get(gid) {
-                continue;
-            }
-            let (off, end) = (member_off[root as usize], member_end[root as usize]);
-            if off > end || end as usize > members.len() {
-                return Err(WireError::BadValue {
-                    what: "circuit label",
-                    offset: labels_offset,
-                });
-            }
-        }
-
-        let root_count = r.len("circuit-root list")?;
-        let mut circuit_roots = BitSet::new(total);
-        let mut prev: Option<u32> = None;
-        for _ in 0..root_count {
-            let offset = r.offset();
-            let gid = r.u32("circuit root")?;
-            if gid as usize >= total || prev.is_some_and(|p| gid <= p) {
-                return Err(WireError::BadValue {
-                    what: "circuit root",
-                    offset,
-                });
-            }
-            // A counted root's membership bucket must lie inside the
-            // arena (stale offsets of *former* roots may dangle; they
-            // are never read).
-            let (off, end) = (member_off[gid as usize], member_end[gid as usize]);
-            if off > end || end as usize > members.len() {
-                return Err(WireError::BadValue {
-                    what: "circuit root",
-                    offset,
-                });
-            }
-            circuit_roots.set(gid as usize);
-            prev = Some(gid);
-        }
-        let cached_offset = r.offset();
-        // A count, not an array length — it may legitimately exceed the
-        // remaining byte budget, so it skips the `len` bounding.
-        let cached_circuits = r.varint()? as usize;
-        if cached_circuits != root_count {
-            return Err(WireError::BadValue {
-                what: "cached circuit count",
-                offset: cached_offset,
-            });
-        }
-
-        // Counters encode sorted by name, each once, with every counter
-        // the registry pre-registers: any other table decodes to a
-        // registry that re-encodes differently.
-        let mut stats = EngineStats::new();
+        // Counters encode sorted by name, each once, with every stored
+        // counter the registry pre-registers: any other table decodes to
+        // a registry that re-encodes differently.
         let counter_offset = r.offset();
         let counter_count = r.len("counter table")?;
         let mut prev: Option<&str> = None;
@@ -599,104 +314,53 @@ impl World {
                 return Err(bad_name);
             }
             prev = Some(known);
-            stats.metrics.add_named(known, value);
+            world.stats.metrics.add_named(known, value);
         }
-        if stats.metrics.counters_sorted().len() != counter_count {
+        if stored_counters(&world.stats.metrics).len() != counter_count {
             return Err(WireError::BadValue {
                 what: "counter table",
                 offset: counter_offset,
             });
         }
 
-        let rounds = r.varint()?;
+        world.rounds = r.varint()?;
         let bad_log = WireError::BadValue {
             what: "charge log",
             offset: r.offset(),
         };
         let charge_count = r.len("charge log")?;
-        let mut charge_log = Vec::with_capacity(charge_count);
         let mut logged = 0i64;
         for _ in 0..charge_count {
             let label = r.str("charge label")?;
             let amount = r.signed()?;
             logged = logged.checked_add(amount).ok_or(bad_log)?;
-            charge_log.push((label, amount));
+            world.charge_log.push((label, amount));
         }
         // The simulated count `rounds - Σ` must be a round count.
-        if u64::try_from(i128::from(rounds) - i128::from(logged)).is_err() {
+        if u64::try_from(i128::from(world.rounds) - i128::from(logged)).is_err() {
             return Err(bad_log);
         }
-        let beeps_sent = r.varint()?;
+        world.beeps_sent = r.varint()?;
         let stuck_count = r.len("stuck-pin list")?;
-        let mut stuck = Vec::with_capacity(stuck_count);
-        let mut prev_stuck: Option<u32> = None;
+        let mut prev: Option<u32> = None;
         for _ in 0..stuck_count {
             let offset = r.offset();
             let gid = r.u32("stuck pin")?;
             let pset = r.u16("stuck-pin partition set")?;
-            let err = WireError::BadValue {
-                what: "stuck pin",
-                offset,
-            };
-            if gid as usize >= total || prev_stuck.is_some_and(|p| gid <= p) {
-                return Err(err);
+            // The frozen value is the pin's current set.
+            if gid as usize >= total
+                || prev.is_some_and(|p| gid <= p)
+                || world.pin_pset[gid as usize] != pset
+            {
+                return Err(WireError::BadValue {
+                    what: "stuck pin",
+                    offset,
+                });
             }
-            // The frozen value must be a valid pset of the owning node.
-            let v = owner(gid);
-            if pset as u32 >= base[v + 1] - base[v] || pin_pset[gid as usize] != pset {
-                return Err(err);
-            }
-            prev_stuck = Some(gid);
-            stuck.push((gid, pset));
+            prev = Some(gid);
+            world.stuck.push((gid, pset));
         }
-
-        Ok(World {
-            topo,
-            c,
-            base,
-            pin_pset,
-            links,
-            free_links,
-            send,
-            sent,
-            recv,
-            recv_set,
-            // Union-find parents are relabel scratch: every relabel
-            // re-seeds the entries it reads, so restore matches
-            // `World::new`'s zero fill.
-            uf: vec![0; total],
-            labels,
-            members,
-            member_off,
-            member_end,
-            // Delivery-digest caches are rebuilt lazily: the epoch
-            // starts at 1 with every stamp at 0, so the first tracing
-            // delivery to each circuit recomputes its digest.
-            member_digest: vec![0; total],
-            member_digest_epoch: vec![0; total],
-            digest_epoch: 1,
-            root_mark: BitSet::new(total),
-            marked_roots: Vec::with_capacity(total),
-            dirty_pins,
-            dirty_pin,
-            cuts,
-            pset_at_relabel,
-            stale,
-            stale_count,
-            circuit_roots,
-            port_edge,
-            walk: Vec::new(),
-            repair: RepairScratch::default(),
-            configured,
-            // Not encoded: the next full sync configuration re-derives it.
-            global_links: vec![false; c],
-            cached_circuits,
-            stats,
-            rounds,
-            charge_log,
-            beeps_sent,
-            stuck,
-        })
+        Ok(world)
     }
 
     /// The world as a sealed `SPFS` blob (kind `WORLD`).
@@ -810,29 +474,6 @@ mod tests {
         assert_eq!(restored.charge_log(), w.charge_log());
     }
 
-    #[test]
-    fn restore_skips_the_relabel_entirely() {
-        // A steady-state world (nothing dirty or stale) must restore with
-        // its cached labeling intact: querying the circuit count
-        // afterwards runs no relabel, keeping the counters — and
-        // therefore the canonical report — identical.
-        let mut w = grid_world(3, 3, 1);
-        for v in 0..9 {
-            w.global_pin_config(v);
-        }
-        w.tick();
-        w.circuit_count(); // the read runs the global relabel
-        let before = (w.global_relabels(), w.region_relabels());
-        let mut restored = World::from_snapshot_bytes(&w.snapshot_bytes()).unwrap();
-        let count = restored.circuit_count();
-        assert_eq!(count, w.circuit_count());
-        assert_eq!(
-            (restored.global_relabels(), restored.region_relabels()),
-            before,
-            "restore must not trigger a relabel"
-        );
-    }
-
     /// A 300-node path with `c` = 6 whose link 1 carries one circuit
     /// through every node (300 of 3 588 sets, under the fallback
     /// fraction), labelled by a read.
@@ -844,61 +485,70 @@ mod tests {
         w
     }
 
-    /// A world restored while some sets are stale keeps them stale: the
-    /// first read relabels exactly what the original's first read does.
-    /// Splitting the long link-1 circuit in the middle leaves two halves
-    /// too long for the repair's budget, so the absorb stales them; the
-    /// beep walks one half and the other stays stale.
+    /// A snapshot stores no labels: a restored world's first read
+    /// labels everything with exactly one global relabel, however much
+    /// the original had labelled, and answers like the original.
     #[test]
-    fn restore_keeps_stale_sets_stale() {
+    fn a_restored_worlds_first_read_runs_one_global_relabel() {
         let mut w = long_link_world();
-        w.set_pin(150, 1, 1, 7); // the east link-1 pin leaves the circuit
-        w.beep(0, 1);
-        w.tick(); // absorbs; the beep walks the western half
-        assert_eq!(w.repair_relabels(), 0, "the split is past the budget");
-        assert!(w.relabel_pending());
-        let mut restored = World::from_snapshot_bytes(&w.snapshot_bytes()).unwrap();
-        assert!(restored.relabel_pending());
-        assert_eq!(restored.circuit_count(), w.circuit_count());
-        assert_eq!(
-            (restored.global_relabels(), restored.region_relabels()),
-            (w.global_relabels(), w.region_relabels())
-        );
-        assert_eq!(restored.snapshot_bytes(), w.snapshot_bytes());
-
-        // A local edit is repaired instead: nothing is stale, and the
-        // restored world reads without relabelling, like the original.
-        let mut w = grid_world(4, 3, 1);
-        w.circuit_count();
-        w.group_pins(5, &[(0, 0), (1, 0)]);
-        w.beep(0, 0);
-        w.tick(); // absorbs by repairing node 5's circuits
-        assert_eq!(w.repair_relabels(), 1);
         assert!(!w.relabel_pending());
         let mut restored = World::from_snapshot_bytes(&w.snapshot_bytes()).unwrap();
-        assert!(!restored.relabel_pending());
+        assert!(restored.relabel_pending());
+        assert_eq!(restored.global_relabels(), 0, "decode relabels nothing");
         assert_eq!(restored.circuit_count(), w.circuit_count());
         assert_eq!(
             (
                 restored.global_relabels(),
                 restored.region_relabels(),
-                restored.repair_relabels()
+                restored.walk_relabels()
             ),
-            (
-                w.global_relabels(),
-                w.region_relabels(),
-                w.repair_relabels()
-            )
+            (1, 0, 0)
         );
+        assert!(!restored.relabel_pending());
+        for v in [0, 150, 299] {
+            for pset in 0..restored.pset_capacity(v) as u16 {
+                assert_eq!(restored.pset_circuit(v, pset), w.pset_circuit(v, pset));
+            }
+        }
+        assert_eq!(restored.global_relabels(), 1, "later reads reuse it");
+        assert_eq!(restored.snapshot_bytes(), w.snapshot_bytes());
+    }
+
+    /// A restored world's first tick walks only the circuits it delivers
+    /// on: two beeps on the western half of the split link-1 circuit
+    /// cost one walk of that half, and every other set stays stale.
+    /// The deliveries are the original's.
+    #[test]
+    fn a_restored_worlds_first_tick_walks_only_what_it_delivers_on() {
+        let mut w = long_link_world();
+        w.set_pin(150, 1, 1, 7); // the east link-1 pin leaves the circuit
+        w.circuit_count();
+        let mut restored = World::from_snapshot_bytes(&w.snapshot_bytes()).unwrap();
+        for world in [&mut w, &mut restored] {
+            world.beep(0, 1);
+            world.beep(100, 1);
+            world.tick();
+        }
+        let root = restored.labels[restored.pset_global_id(0, 1) as usize] as usize;
+        let western = restored.member_bucket(root).len();
+        assert_eq!(western, 151, "the western half: nodes 0 to 150");
+        assert_eq!(restored.walk_relabels(), 1);
+        assert_eq!(restored.stale_count, restored.gid_count() - western);
+        assert_eq!(
+            (restored.global_relabels(), restored.region_relabels()),
+            (0, 0)
+        );
+        for v in 0..300 {
+            for pset in 0..w.pset_capacity(v) as u16 {
+                assert_eq!(restored.received(v, pset), w.received(v, pset));
+            }
+        }
         assert_eq!(restored.snapshot_bytes(), w.snapshot_bytes());
     }
 
     #[test]
     fn every_single_bit_corruption_is_rejected() {
-        let w = seasoned_world();
-        // The stale-set field is populated, so its bits are flipped too.
-        assert!(w.stale_count > 0);
-        let blob = w.snapshot_bytes();
+        let blob = seasoned_world().snapshot_bytes();
         for byte in 0..blob.len() {
             for bit in 0..8 {
                 let mut bad = blob.clone();
@@ -964,133 +614,6 @@ mod tests {
         assert_eq!(rejected_field(&w.finish()), "pin count");
     }
 
-    /// The stale set must be in range and strictly ascending.
-    #[test]
-    fn a_malformed_stale_set_is_rejected() {
-        let mut w = grid_world(2, 1, 1);
-        w.tick();
-        assert_eq!(w.stale_count, 2, "both pins start stale");
-        let blob = w.snapshot_bytes();
-        // The stale list is `count gid gid` = [2, 0, 1]; nothing after it
-        // (no counted roots yet) repeats that byte pattern.
-        let at = blob
-            .windows(3)
-            .rposition(|win| win == [2, 0, 1])
-            .expect("stale list in the payload");
-        for crafted in [[2u8, 1, 0], [2, 0, 2], [2, 1, 1]] {
-            let mut bad = blob[..blob.len() - 8].to_vec();
-            bad[at..at + 3].copy_from_slice(&crafted);
-            let digest = wire::fnv1a64(&bad);
-            bad.extend_from_slice(&digest.to_le_bytes());
-            assert_eq!(rejected_field(&bad), "stale set", "{crafted:?}");
-        }
-    }
-
-    /// A path of ten nodes with `c` = 2: node 9's pins are 34 and 35,
-    /// the last of the table, and 36 pins give a fallback threshold of
-    /// 4 dirty pins, so one dirty pin is absorbed rather than relabelled
-    /// globally.
-    fn path_world() -> World {
-        let edges: Vec<(usize, usize)> = (0..9).map(|i| (i, i + 1)).collect();
-        let w = World::new(Topology::from_edges(10, &edges), 2);
-        assert_eq!((w.base[9], w.gid_count()), (34, 36));
-        w
-    }
-
-    /// A relabel-time set must be a set of its pin's node, and equal to
-    /// the pin's current set unless the pin is dirty: an absorb indexes
-    /// the stale bits and labels with it, and the bulk writers mark only
-    /// the pins whose two sets differ.
-    #[test]
-    fn a_bad_relabel_time_set_is_rejected() {
-        let mut w = path_world();
-        w.circuit_count();
-        w.set_pin(9, 0, 0, 1); // pin 34 is dirty, its old set was 0
-        World::from_snapshot_bytes(&w.snapshot_bytes()).unwrap();
-        // Out of range, on the dirty pin: an absorb would index the
-        // stale bits at gid 34 + 65535.
-        let mut bad = w.clone();
-        bad.pset_at_relabel[34] = u16::MAX;
-        assert_eq!(
-            rejected_field(&bad.snapshot_bytes()),
-            "relabel-time partition set"
-        );
-        // In range but different from the set of a clean pin.
-        let mut bad = w.clone();
-        bad.pset_at_relabel[0] = 1;
-        assert_eq!(
-            rejected_field(&bad.snapshot_bytes()),
-            "relabel-time partition set"
-        );
-    }
-
-    /// A dirty pin's base must be its owner's base offset: an absorb adds
-    /// the pin's old and new sets to it.
-    #[test]
-    fn a_wrong_dirty_pin_base_is_rejected() {
-        let mut w = path_world();
-        w.circuit_count();
-        w.set_pin(9, 0, 1, 0); // pin 35 moves from set 1 to set 0
-        assert_eq!(w.dirty_pins, [(35, 34)]);
-        // Base 35 would put the old set at gid 36, one past the labels.
-        for crafted in [0, 35] {
-            let mut bad = w.clone();
-            bad.dirty_pins[0].1 = crafted;
-            assert_eq!(
-                rejected_field(&bad.snapshot_bytes()),
-                "dirty-pin base",
-                "{crafted}"
-            );
-        }
-    }
-
-    /// A live link entry must be the one the topology implies for its
-    /// port slot, and there must be one per topology edge: relabels read
-    /// `c` pins from each end of every live entry.
-    #[test]
-    fn a_bad_link_entry_is_rejected() {
-        let mut w = path_world();
-        let v = w.add_node(2); // two vacant port slots, pins 36..40
-        let b = w.base[v];
-        assert_eq!((w.links[0], b), ((0, 0, 2, 2), 36));
-        // Either end may come first.
-        let mut flipped = w.clone();
-        flipped.links[0] = (2, 2, 0, 0);
-        World::from_snapshot_bytes(&flipped.snapshot_bytes()).unwrap();
-        for crafted in [
-            // Link 1 of pin 39 would be pin 40, past the table.
-            (39, b, 37, b),
-            (b, b, b + 2, b), // vacant ports
-            (0, 0, 3, 2),     // not link 0 of the peer port
-            (0, 2, 2, 2),     // wrong owner base
-        ] {
-            let mut bad = w.clone();
-            bad.links[0] = crafted;
-            assert_eq!(
-                rejected_field(&bad.snapshot_bytes()),
-                "link entry",
-                "{crafted:?}"
-            );
-        }
-        let mut bad = w.clone();
-        bad.links[0] = DEAD_LINK;
-        bad.free_links.push(0);
-        assert_eq!(rejected_field(&bad.snapshot_bytes()), "link table");
-    }
-
-    /// A labelled set whose circuit bucket dangles past the arena is
-    /// rejected, even when its root is not counted (an empty set's
-    /// singleton circuit): a beep on it would read the bucket.
-    #[test]
-    fn a_dangling_label_bucket_is_rejected() {
-        let mut w = grid_world(2, 1, 2);
-        w.global_pin_config(0); // node 0's set 1 is now empty
-        w.circuit_count();
-        assert!(!w.circuit_roots.get(1) && w.labels[1] == 1);
-        w.member_end[1] = w.members.len() as u32 + 1;
-        assert_eq!(rejected_field(&w.snapshot_bytes()), "circuit label");
-    }
-
     /// The counter table must list each counter once, sorted by name,
     /// the pre-registered ones included: decode would otherwise merge or
     /// add entries, and the restored world would re-encode differently.
@@ -1153,8 +676,11 @@ mod tests {
         }
     }
 
+    /// A snapshot stores no link table: the restored world's table has
+    /// no tombstone or free slot where the original's has one, and the
+    /// reconnected worlds must still behave alike.
     #[test]
-    fn tombstoned_links_and_free_list_survive() {
+    fn reconnecting_after_a_restore_matches_the_original() {
         let mut w = grid_world(4, 2, 1);
         for v in 0..8 {
             w.global_pin_config(v);
@@ -1163,8 +689,6 @@ mod tests {
         let (peer, q) = w.disconnect(0, 0);
         w.tick();
         let mut restored = World::from_snapshot_bytes(&w.snapshot_bytes()).unwrap();
-        // Reconnect through the restored free-list: the recycled slot
-        // must behave exactly like the original's.
         restored.connect(0, 0, peer, q);
         w.connect(0, 0, peer, q);
         let _ = (w.tick(), restored.tick());

@@ -102,7 +102,7 @@ pub(crate) const NO_EDGE: u32 = u32::MAX;
 
 /// Tombstone of a removed `links` entry (`a0 == u32::MAX` never occurs on
 /// a live entry: it would exceed the pin id space).
-pub(crate) const DEAD_LINK: (u32, u32, u32, u32) = (u32::MAX, 0, 0, 0);
+const DEAD_LINK: (u32, u32, u32, u32) = (u32::MAX, 0, 0, 0);
 
 /// Registry name of the counter of nodes visited by
 /// [`World::reset_all_pins_keeping_links`].
@@ -110,7 +110,7 @@ pub(crate) const RESET_NODES: &str = "reset_nodes";
 
 /// Registry name of the counter of circuits labelled by a walk (see
 /// [`World::walk_relabels`]).
-pub(crate) const RELABEL_WALK: &str = "relabel_walk";
+const RELABEL_WALK: &str = "relabel_walk";
 
 /// The engine's telemetry registry plus pre-registered handles for the
 /// hot-path counters and phase timers, so instrumented code never pays a
@@ -129,7 +129,7 @@ pub(crate) struct EngineStats {
 }
 
 impl EngineStats {
-    pub(crate) fn new() -> EngineStats {
+    fn new() -> EngineStats {
         let mut m = Metrics::new();
         EngineStats {
             relabel_global: m.counter("relabel_global"),
@@ -294,15 +294,15 @@ pub struct World {
     /// `(v, port, ℓ)` holds a partition set other than its singleton id
     /// `port * c + ℓ`, bit `v` of `configured[ℓ]` is set. Every pin write
     /// keeps it, so [`World::reset_all_pins_keeping_links`] visits only
-    /// the nodes whose bits are set. Derived from `pin_pset`: snapshots
-    /// do not store it.
+    /// the nodes whose bits are set. Derived from `pin_pset`: snapshot
+    /// decode sets it with the pins.
     pub(crate) configured: Vec<BitSet>,
     /// One flag per link `ℓ < c`: set only while every pin on `ℓ`, of
     /// every node, holds the global-link partition set
     /// [`World::global_link_pset`]`(ℓ)`, so that
     /// [`World::global_link_config_all`] would write nothing. Set by that
-    /// call; cleared by every write that can move a pin on `ℓ`. Not part
-    /// of snapshots: a decoded world starts with every flag clear.
+    /// call; cleared by every write that can move a pin on `ℓ`. A
+    /// decoded world starts with every flag clear, as a new one does.
     pub(crate) global_links: Vec<bool>,
     /// Number of counted labelled circuits; the circuit count of the
     /// whole configuration once nothing is stale.
@@ -1543,7 +1543,7 @@ impl World {
         }
         self.sent.clear();
         // Registered on first use, so worlds that never walk keep their
-        // metrics and snapshots as they were.
+        // metrics as they were.
         if walks > 0 {
             self.stats.metrics.add_named(RELABEL_WALK, walks);
         }

@@ -25,6 +25,18 @@ impl Recorder for Summaries {
     }
 }
 
+/// The relabel counters: snapshot bytes hold no label cache and no
+/// `relabel_*` counter, so byte equality alone no longer shows that two
+/// worlds labelled alike.
+fn relabels(w: &World) -> [u64; 4] {
+    [
+        w.global_relabels(),
+        w.region_relabels(),
+        w.walk_relabels(),
+        w.repair_relabels(),
+    ]
+}
+
 fn path_world(n: usize, c: usize) -> World {
     let edges: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, i + 1)).collect();
     World::new(Topology::from_edges(n, &edges), c)
@@ -64,6 +76,11 @@ fn empty_faults_are_byte_identical_to_the_plain_tick() {
             plain.snapshot_bytes(),
             faulted.snapshot_bytes(),
             "round {round}: empty-fault tick diverged from the plain tick"
+        );
+        assert_eq!(
+            relabels(&plain),
+            relabels(&faulted),
+            "round {round}: empty-fault tick labelled differently"
         );
     }
     assert_eq!(a.0, b.0);

@@ -219,8 +219,13 @@ fn random_pset(rng: &mut StdRng, w: &World) -> Option<(usize, u16)> {
 /// stuck pins, `connect`, `disconnect`, `isolate`, `add_node`), reads
 /// that label everything (`circuit_count`, `pset_circuit`) on the lazy
 /// world, and `SPFS` round trips of it. Returns the lazy world, which a
-/// round trip replaces.
-fn between_tick_work(rng: &mut StdRng, mut lazy: World, reference: &mut World) -> World {
+/// round trip replaces; adds the walks of each replaced world to `walks`.
+fn between_tick_work(
+    rng: &mut StdRng,
+    mut lazy: World,
+    reference: &mut World,
+    walks: &mut u64,
+) -> World {
     for _ in 0..rng.gen_range(1..=4usize) {
         match rng.gen_range(0..4u32) {
             0 | 1 => write_both(rng, &mut lazy, reference),
@@ -233,6 +238,7 @@ fn between_tick_work(rng: &mut StdRng, mut lazy: World, reference: &mut World) -
             }
             _ => {
                 let blob = lazy.snapshot_bytes();
+                *walks += lazy.walk_relabels();
                 lazy = World::from_snapshot_bytes(&blob).expect("own snapshot decodes");
                 assert_eq!(lazy.snapshot_bytes(), blob, "a restore re-encodes");
             }
@@ -245,12 +251,14 @@ fn between_tick_work(rng: &mut StdRng, mut lazy: World, reference: &mut World) -
 /// untraced) ticks with no relabelling read between writes and ticks,
 /// checking every delivery against the reference engine, some of them
 /// after work between the tick and the read. Returns the walks the lazy
-/// world ran.
+/// world ran, summed across its restores (a restored world counts its
+/// relabels from zero).
 fn run(seed: u64, n: usize, c: usize, rounds: usize) -> u64 {
     let mut rng = StdRng::seed_from_u64(seed);
     let extra = rng.gen_range(0..n);
     let mut lazy = random_world(&mut rng, n, 4, c, extra);
     let mut reference = lazy.clone();
+    let mut walks = 0;
     for round in 0..rounds {
         for _ in 0..rng.gen_range(0..=4usize) {
             write_both(&mut rng, &mut lazy, &mut reference);
@@ -304,7 +312,7 @@ fn run(seed: u64, n: usize, c: usize, rounds: usize) -> u64 {
         // reads for the sets that existed at the tick.
         let at_tick = lazy.topology().len();
         if rng.gen_bool(0.5) {
-            lazy = between_tick_work(&mut rng, lazy, &mut reference);
+            lazy = between_tick_work(&mut rng, lazy, &mut reference, &mut walks);
         }
         for v in 0..at_tick {
             for pset in 0..lazy.pset_capacity(v) as u16 {
@@ -329,6 +337,7 @@ fn run(seed: u64, n: usize, c: usize, rounds: usize) -> u64 {
         // re-encodes to the same bytes and carries on identically.
         if lazy.relabel_pending() && rng.gen_bool(0.2) {
             let blob = lazy.snapshot_bytes();
+            walks += lazy.walk_relabels();
             lazy = World::from_snapshot_bytes(&blob).expect("own snapshot decodes");
             prop_assert!(lazy.relabel_pending(), "stale sets must survive a restore");
             prop_assert_eq!(lazy.snapshot_bytes(), blob);
@@ -336,7 +345,7 @@ fn run(seed: u64, n: usize, c: usize, rounds: usize) -> u64 {
     }
     prop_assert_eq!(lazy.circuit_count(), naive_circuit_count(&reference));
     prop_assert_eq!(lazy.circuit_count(), naive_circuit_count(&lazy));
-    lazy.walk_relabels()
+    walks + lazy.walk_relabels()
 }
 
 proptest! {

@@ -368,6 +368,20 @@ mod tests {
                 b.world().snapshot_bytes(),
                 "{family:?} left the twin worlds different"
             );
+            // The bytes hold no label cache: compare the labelling too.
+            let relabels = |w: &amoebot_circuits::World| {
+                [
+                    w.global_relabels(),
+                    w.region_relabels(),
+                    w.walk_relabels(),
+                    w.repair_relabels(),
+                ]
+            };
+            assert_eq!(
+                relabels(a.world()),
+                relabels(b.world()),
+                "{family:?} labelled the twin worlds differently"
+            );
         }
     }
 

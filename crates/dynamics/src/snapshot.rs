@@ -7,9 +7,10 @@
 //! maintains: the halves share a single id space, so the editor's id
 //! capacity must equal the world's node count. Everything that makes
 //! churn deterministic survives verbatim — the live-list order (uniform
-//! sampling), the free-list order (id recycling), and the engine's
-//! cached labeling — so a [`crate::ChurnPlan`] applied after a restore
-//! makes byte-for-byte the same edits an uninterrupted run would make.
+//! sampling), the free-list order (id recycling), and the world's pins
+//! and beeps, from which it derives its circuits — so a
+//! [`crate::ChurnPlan`] applied after a restore makes byte-for-byte the
+//! same edits an uninterrupted run would make.
 //! A mid-plan snapshot therefore needs nothing beyond the next event
 //! index: the plan itself is stateless by construction.
 
@@ -127,10 +128,10 @@ mod tests {
     /// *byte-identical* to the uninterrupted one (same round summaries
     /// with the same digests, and the same final snapshot bytes). The
     /// snapshot is taken once between two events and once between an
-    /// event and its tick, while the event's dirty pins and cut record
-    /// are pending, so the restored world must repair exactly what the
-    /// original does; in the row configuration a restore that lost the
-    /// cut record would glue split lines back together.
+    /// event and its tick, while the event's edits are unabsorbed; the
+    /// restored world labels from its pins alone, so in the row
+    /// configuration it must see the split lines the original repairs.
+    /// Its relabel counters start from zero and are not compared.
     #[test]
     fn mid_churn_restore_matches_uninterrupted_run() {
         let mut pending_cuts = 0;
@@ -203,7 +204,6 @@ mod tests {
                 );
                 let repairs = uninterrupted.world().repair_relabels();
                 assert!(repairs > 0, "family {family:?}: the absorbs repaired");
-                assert_eq!(restored.world().repair_relabels(), repairs);
             }
         }
         assert!(pending_cuts > 0, "some restore ran with cuts pending");

@@ -45,7 +45,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut at = 0usize;
-        let value = parse_value(bytes, &mut at, 0)?;
+        let value = parse_value(text, &mut at, 0)?;
         skip_ws(bytes, &mut at);
         if at != bytes.len() {
             return Err(format!("trailing data at byte {at}"));
@@ -203,7 +203,8 @@ fn expect(bytes: &[u8], at: &mut usize, token: &str) -> Result<(), String> {
 /// nests 6 levels.
 pub const MAX_DEPTH: usize = 128;
 
-fn parse_value(bytes: &[u8], at: &mut usize, depth: usize) -> Result<Json, String> {
+fn parse_value(text: &str, at: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, at);
     if matches!(bytes.get(*at), Some(b'[' | b'{')) && depth >= MAX_DEPTH {
         return Err(format!("nesting deeper than {MAX_DEPTH} at byte {at}"));
@@ -213,7 +214,7 @@ fn parse_value(bytes: &[u8], at: &mut usize, depth: usize) -> Result<Json, Strin
         Some(b'n') => expect(bytes, at, "null").map(|()| Json::Null),
         Some(b't') => expect(bytes, at, "true").map(|()| Json::Bool(true)),
         Some(b'f') => expect(bytes, at, "false").map(|()| Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, at).map(Json::Str),
+        Some(b'"') => parse_string(text, at).map(Json::Str),
         Some(b'[') => {
             *at += 1;
             let mut items = Vec::new();
@@ -223,7 +224,7 @@ fn parse_value(bytes: &[u8], at: &mut usize, depth: usize) -> Result<Json, Strin
                 return Ok(Json::Array(items));
             }
             loop {
-                items.push(parse_value(bytes, at, depth + 1)?);
+                items.push(parse_value(text, at, depth + 1)?);
                 skip_ws(bytes, at);
                 match bytes.get(*at) {
                     Some(b',') => *at += 1,
@@ -245,10 +246,10 @@ fn parse_value(bytes: &[u8], at: &mut usize, depth: usize) -> Result<Json, Strin
             }
             loop {
                 skip_ws(bytes, at);
-                let key = parse_string(bytes, at)?;
+                let key = parse_string(text, at)?;
                 skip_ws(bytes, at);
                 expect(bytes, at, ":")?;
-                fields.push((key, parse_value(bytes, at, depth + 1)?));
+                fields.push((key, parse_value(text, at, depth + 1)?));
                 skip_ws(bytes, at);
                 match bytes.get(*at) {
                     Some(b',') => *at += 1,
@@ -264,20 +265,31 @@ fn parse_value(bytes: &[u8], at: &mut usize, depth: usize) -> Result<Json, Strin
     }
 }
 
-fn parse_string(bytes: &[u8], at: &mut usize) -> Result<String, String> {
+/// Parses the string starting at `text[*at]`, in time linear in its
+/// length: each run of unescaped characters is copied as one slice.
+fn parse_string(text: &str, at: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     if bytes.get(*at) != Some(&b'"') {
         return Err(format!("expected string at byte {at}"));
     }
     *at += 1;
     let mut out = String::new();
     loop {
+        // A run ends at a quote, a backslash or the end of the text, all
+        // of them character boundaries.
+        let end = bytes[*at..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .map_or(bytes.len(), |run| *at + run);
+        out.push_str(&text[*at..end]);
+        *at = end;
         match bytes.get(*at) {
             None => return Err("unterminated string".to_string()),
             Some(b'"') => {
                 *at += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
                 *at += 1;
                 match bytes.get(*at) {
                     Some(b'"') => out.push('"'),
@@ -287,14 +299,10 @@ fn parse_string(bytes: &[u8], at: &mut usize) -> Result<String, String> {
                     Some(b'r') => out.push('\r'),
                     Some(b't') => out.push('\t'),
                     Some(b'u') => {
-                        let hex = bytes
+                        let hex = text
                             .get(*at + 1..*at + 5)
                             .ok_or("truncated \\u escape".to_string())?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
+                        let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
                         out.push(
                             char::from_u32(code)
                                 .ok_or_else(|| format!("invalid \\u escape {code:#x}"))?,
@@ -304,13 +312,6 @@ fn parse_string(bytes: &[u8], at: &mut usize) -> Result<String, String> {
                     other => return Err(format!("bad escape {other:?}")),
                 }
                 *at += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences included).
-                let rest = std::str::from_utf8(&bytes[*at..]).map_err(|e| e.to_string())?;
-                let ch = rest.chars().next().expect("non-empty by bounds check");
-                out.push(ch);
-                *at += ch.len_utf8();
             }
         }
     }
@@ -461,6 +462,23 @@ mod tests {
             .field("empty", Json::Array(vec![]));
         assert_eq!(Json::parse(&doc.render_pretty()).unwrap(), doc);
         assert_eq!(Json::parse(&doc.render_compact()).unwrap(), doc);
+    }
+
+    /// A long string mixing plain runs, escapes, `\u` escapes and
+    /// multi-byte characters round-trips. Escapes the renderer never
+    /// writes parse too, and a truncated escape is an error.
+    #[test]
+    fn long_strings_round_trip() {
+        let piece = "plain \"quoted\" back\\slash\ttab\nline\u{1}\u{1f}é→😀 ";
+        let long = piece.repeat(20_000);
+        let doc = Json::Array(vec![Json::from(long.as_str()), Json::from(piece)]);
+        let rendered = doc.render_compact();
+        assert!(rendered.contains("\\u0001") && rendered.contains("😀"));
+        assert_eq!(Json::parse(&rendered).unwrap(), doc);
+        let escaped = r#""\u00e9\/\u2192x""#;
+        assert_eq!(Json::parse(escaped).unwrap(), Json::from("é/→x"));
+        assert!(Json::parse(r#""\u00e""#).is_err());
+        assert!(Json::parse("\"é\\").is_err());
     }
 
     #[test]

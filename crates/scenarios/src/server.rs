@@ -65,7 +65,8 @@
 //! to the `--snapshot-dir` as a `SESSION`-kind `SPFS` blob. A server
 //! started over the same directory finds and resumes them — `create` a
 //! session, step it, kill the server, restart, and `query` picks up
-//! where it left off. (Signal handlers need libc; the container builds
+//! where it left off, with its `relabel_*` counters restarted from zero
+//! ([`Session::without_relabels`]). (Signal handlers need libc; the container builds
 //! without it, so SIGTERM-initiated snapshots ride on the wire-level
 //! `shutdown` op / EOF instead.)
 
@@ -115,8 +116,13 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
+/// Bytes [`read_frame`] reserves before a frame's payload arrives; past
+/// them the buffer grows with what is actually received.
+const FRAME_RESERVE: usize = 64 << 10;
+
 /// Reads one frame. `Ok(None)` on clean EOF at a frame boundary; EOF
-/// mid-frame and oversized lengths are errors.
+/// mid-frame and oversized lengths are errors. Allocates for the bytes
+/// received, not for the length the header claims.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     let mut len = [0u8; 4];
     match r.read_exact(&mut len) {
@@ -131,8 +137,14 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             format!("frame length {len} exceeds cap {MAX_FRAME}"),
         ));
     }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
+    let mut buf = Vec::with_capacity(len.min(FRAME_RESERVE));
+    r.take(len as u64).read_to_end(&mut buf)?;
+    if buf.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("frame ends after {} of {len} bytes", buf.len()),
+        ));
+    }
     Ok(Some(buf))
 }
 
@@ -320,6 +332,24 @@ impl Session {
             .field("uptime_requests", self.uptime_requests())
             .field("ops_by_kind", self.ops_json());
         env.metrics(self.driver.world().metrics()).finish()
+    }
+
+    /// A [`Session::query`] body without its `relabel_*` counters: what
+    /// a restore keeps. A restored world derives its circuit labels
+    /// afresh and counts its relabels from zero (DESIGN.md §1g), so a
+    /// resumed session's query equals its uninterrupted twin's only up
+    /// to those counters.
+    pub fn without_relabels(doc: &Json) -> Json {
+        match doc {
+            Json::Object(fields) => Json::Object(
+                fields
+                    .iter()
+                    .filter(|(key, _)| !key.starts_with("relabel_"))
+                    .map(|(key, value)| (key.clone(), Session::without_relabels(value)))
+                    .collect(),
+            ),
+            other => other.clone(),
+        }
     }
 
     /// The canonical per-session metrics envelope ([`STATS_SCHEMA`]):
@@ -1292,8 +1322,8 @@ mod tests {
             play(&h, true);
             let resumed = op(&h, "query", false);
             assert_eq!(
-                reference.render_pretty(),
-                resumed.render_pretty(),
+                Session::without_relabels(&reference).render_pretty(),
+                Session::without_relabels(&resumed).render_pretty(),
                 "restored {family} session diverged from the uninterrupted run"
             );
             // The schedule is exhausted on both paths.

@@ -1,7 +1,7 @@
 //! SPFS decoder fuzz beyond bit flips. `WORLD`, `DYNAMIC_WORLD` and
-//! `SESSION` blobs, taken between a churn event and its tick so that the
-//! dirty pins and the cut record are populated, are mutated and resealed
-//! with a valid digest, so every mutation reaches the payload decoders:
+//! `SESSION` blobs, taken between a churn event and its tick, are
+//! mutated and resealed with a valid digest, so every mutation reaches
+//! the payload decoders:
 //!
 //! * random splices: a slice of one payload replaces a slice of another,
 //!   of the same kind or not;
@@ -12,7 +12,10 @@
 //! Decoding must never panic, every accepted blob must re-encode to the
 //! same bytes, and one decode may allocate at most [`ALLOC_PER_BYTE`]
 //! bytes per blob byte, measured by a counting allocator that this test
-//! binary installs.
+//! binary installs. Every accepted `WORLD` and `DYNAMIC_WORLD` blob must
+//! also be self-consistent: its circuit count is a naive union-find
+//! count over its own pins, and a round with a beep on every node
+//! delivers exactly what [`World::tick_reference`] delivers.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -26,13 +29,15 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 /// The most one decode may allocate per byte of its blob. A world
-/// decode allocates under 60 bytes per pin (pin tables, labels, bucket
-/// bounds, digest caches, scratch lists and bitsets), and it reserves
-/// them only after checking that the bytes left can hold the pins, at
-/// least five bytes each (set, label, bucket bounds, relabel-time set),
-/// so no blob can make it allocate more than about 12 bytes per byte.
-/// Over these fuzz inputs the most was 5.
-const ALLOC_PER_BYTE: usize = 16;
+/// decode builds its world with `World::new`, which allocates 57 bytes
+/// per pin (pin tables, labels, bucket bounds, digest caches, the beep,
+/// delivery and dirty-pin lists, bitsets) and 20 per port slot (link
+/// table, port index, topology). It does so only after checking that
+/// the bytes left can hold the pins, at least one byte each (the set),
+/// and the slots, at least two bytes each (the peer). A slot carries
+/// `c` ≤ 64 pins, so no blob can make it allocate more than about 57
+/// bytes per byte. Over these fuzz inputs the most was 22.
+const ALLOC_PER_BYTE: usize = 64;
 
 /// Mutations per seed blob and mutation kind.
 const ROUNDS: usize = 1000;
@@ -142,13 +147,93 @@ fn check(kind: u8, blob: &[u8], what: &str) -> bool {
             bytes.len(),
             blob.len()
         );
+        match kind {
+            wire::kind::WORLD => assert_consistent(World::from_snapshot_bytes(blob).unwrap(), what),
+            wire::kind::DYNAMIC_WORLD => {
+                let dw = DynamicWorld::from_snapshot_bytes(blob).unwrap();
+                assert_consistent(dw.world().clone(), what);
+            }
+            _ => {}
+        }
     }
     encoded.is_some()
 }
 
+/// Naive circuit count from the public pin reads alone: union-find over
+/// every link, then the distinct roots of the referenced sets.
+fn naive_circuit_count(w: &World) -> usize {
+    let topo = w.topology();
+    let c = w.links_per_edge();
+    let mut base = vec![0usize];
+    for v in 0..topo.len() {
+        base.push(base[v] + topo.ports_len(v) * c);
+    }
+    let mut parent: Vec<usize> = (0..base[topo.len()]).collect();
+    fn find(parent: &mut [usize], mut x: usize) -> usize {
+        while parent[x] != x {
+            parent[x] = parent[parent[x]];
+            x = parent[x];
+        }
+        x
+    }
+    for v in 0..topo.len() {
+        for (p, u, q) in topo.neighbors(v) {
+            for link in 0..c {
+                let a = find(&mut parent, base[v] + w.pin_config(v, p, link) as usize);
+                let b = find(&mut parent, base[u] + w.pin_config(u, q, link) as usize);
+                parent[a.max(b)] = a.min(b);
+            }
+        }
+    }
+    let mut roots: Vec<usize> = Vec::new();
+    for (v, &node_base) in base.iter().enumerate().take(topo.len()) {
+        for p in 0..topo.ports_len(v) {
+            for link in 0..c {
+                let set = node_base + w.pin_config(v, p, link) as usize;
+                roots.push(find(&mut parent, set));
+            }
+        }
+    }
+    roots.sort_unstable();
+    roots.dedup();
+    roots.len()
+}
+
+/// Asserts that a decoded world agrees with its own pins: its circuit
+/// count is the naive one, and one round with a beep on every node (on
+/// the set of its first pin) delivers what the full-recompute engine
+/// delivers on a clone.
+fn assert_consistent(world: World, what: &str) {
+    let naive = naive_circuit_count(&world);
+    assert_eq!(
+        world.clone().circuit_count(),
+        naive,
+        "{what}: an accepted world miscounts its circuits"
+    );
+    let mut lazy = world;
+    let n = lazy.topology().len();
+    for v in 0..n {
+        if lazy.pset_capacity(v) > 0 {
+            let pset = lazy.pin_config(v, 0, 0);
+            lazy.beep(v, pset);
+        }
+    }
+    let mut reference = lazy.clone();
+    lazy.tick();
+    reference.tick_reference();
+    for v in 0..n {
+        for pset in 0..lazy.pset_capacity(v) as u16 {
+            assert_eq!(
+                lazy.received(v, pset),
+                reference.received(v, pset),
+                "{what}: an accepted world delivers to node {v} set {pset} unlike the reference"
+            );
+        }
+    }
+}
+
 /// The three seed blobs, each taken after a detach event's edits and
-/// before its tick, so every field of the world payload is populated,
-/// the cut record included.
+/// before its tick, with the last round's deliveries on record.
 fn seeds() -> Vec<(u8, Vec<u8>)> {
     let coords = shapes::random_blob(120, &mut derive_rng(5, 0));
     let mut dw = DynamicWorld::new(&AmoebotStructure::new(coords).unwrap(), 2);

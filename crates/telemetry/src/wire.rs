@@ -30,14 +30,13 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SPFS";
 
 /// The current snapshot wire-format version. Version 2: a `SESSION`
 /// payload is a session name, its request counters and a workload
-/// driver. Version 3: a `WORLD` payload carries its stale partition
-/// sets (lazy circuit labels). Version 4: a `WORLD` payload drops its
-/// simulated and charged round counters, which derive from the round
-/// counter and the charge log. Version 5: a `WORLD` payload carries the
-/// cut record (the link pin pairs cut since the last absorb). Version 6:
-/// a `WORLD` payload drops its force-global byte; the relabel path
-/// follows from the dirty pins and the stale set alone.
-pub const SNAPSHOT_VERSION: u16 = 6;
+/// driver. Versions 3 to 6 followed the engine's label cache into the
+/// `WORLD` payload (stale sets, the cut record, the force-global byte)
+/// and dropped the simulated and charged round counters, which derive
+/// from the round counter and the charge log. Version 7: a `WORLD`
+/// payload holds the model state only (pins, beeps, deliveries,
+/// accounting, stuck pins); decode derives every circuit label.
+pub const SNAPSHOT_VERSION: u16 = 7;
 
 /// Payload kind tags (one per snapshottable type).
 pub mod kind {

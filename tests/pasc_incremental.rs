@@ -152,6 +152,19 @@ impl EagerRun {
     }
 }
 
+/// A world's snapshot bytes and relabel counters. The bytes hold no
+/// label cache and no `relabel_*` counter, so the counters are what
+/// shows that two worlds labelled alike.
+fn state(w: &World) -> (Vec<u8>, [u64; 4]) {
+    let relabels = [
+        w.global_relabels(),
+        w.region_relabels(),
+        w.walk_relabels(),
+        w.repair_relabels(),
+    ];
+    (w.snapshot_bytes(), relabels)
+}
+
 /// Runs `specs` through `PascRun` and `EagerRun` on two worlds over `topo`
 /// and compares them round by round.
 fn run_both(topo: &Topology, specs: Vec<InstanceSpec>) {
@@ -159,18 +172,15 @@ fn run_both(topo: &Topology, specs: Vec<InstanceSpec>) {
     let mut w_eager = World::new(topo.clone(), LINKS);
     let mut inc = PascRun::new(&mut w_inc, specs.clone(), SYNC);
     let mut eager = EagerRun::new(&mut w_eager, specs, SYNC);
-    assert!(
-        w_inc.snapshot_bytes() == w_eager.snapshot_bytes(),
-        "after set-up"
-    );
+    assert!(state(&w_inc) == state(&w_eager), "after set-up");
     let mut round = 0;
     loop {
-        let mut snap_inc = Vec::new();
+        let mut snap_inc = Default::default();
         let bits_inc = inc
-            .data_step(&mut w_inc, |w| snap_inc = w.snapshot_bytes())
+            .data_step(&mut w_inc, |w| snap_inc = state(w))
             .map(<[u8]>::to_vec);
-        let mut snap_eager = Vec::new();
-        let bits_eager = eager.data_step(&mut w_eager, |w| snap_eager = w.snapshot_bytes());
+        let mut snap_eager = Default::default();
+        let bits_eager = eager.data_step(&mut w_eager, |w| snap_eager = state(w));
         assert!(
             snap_inc == snap_eager,
             "data round {round}: worlds differ before the tick"
@@ -188,7 +198,7 @@ fn run_both(topo: &Topology, specs: Vec<InstanceSpec>) {
         let done_eager = eager.sync_step(&mut w_eager);
         assert_eq!(done_inc, done_eager, "sync round {round}: termination");
         assert!(
-            w_inc.snapshot_bytes() == w_eager.snapshot_bytes(),
+            state(&w_inc) == state(&w_eager),
             "sync round {round}: worlds differ after the tick"
         );
         round += 1;

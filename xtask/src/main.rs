@@ -499,13 +499,15 @@ impl SmokeServer {
 /// service: drives a real `scenario-server` process over TCP through
 /// create/step/mutate/snapshot, kills it, restarts it from the snapshot
 /// directory, and asserts the resumed session's canonical query matches
-/// an uninterrupted run of the same scenario. Then hammers the restarted
+/// an uninterrupted run of the same scenario, `relabel_*` counters
+/// aside. Then hammers the restarted
 /// server with 64 concurrent sessions and reports step-request
 /// throughput (gated at 1000 req/s — an order of magnitude below what a
 /// release build sustains, so only a real regression trips it), and the
 /// client-observed p50/p99 round trip of every op kind it sent (not
 /// gated).
 fn server_smoke() -> Result<u8, String> {
+    use amoebot_scenarios::server::Session;
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .ok_or("xtask manifest has no parent directory")?
@@ -551,12 +553,14 @@ fn server_smoke() -> Result<u8, String> {
         )?;
         Ok(())
     };
+    // A restored world counts its relabels from zero, so the resumed
+    // and twin reports are compared without their `relabel_*` counters.
     let query = |conn: &mut std::net::TcpStream, name: &str| -> Result<String, String> {
-        Ok(rpc_ok(
+        let doc = rpc_ok(
             conn,
             &op(&[("op", Json::from("query")), ("session", Json::from(name))]),
-        )?
-        .render_pretty())
+        )?;
+        Ok(Session::without_relabels(&doc).render_pretty())
     };
 
     let server = SmokeServer::start(&bin, &dir)?;
