@@ -66,9 +66,9 @@
 //! started over the same directory finds and resumes them — `create` a
 //! session, step it, kill the server, restart, and `query` picks up
 //! where it left off, with its `relabel_*` counters restarted from zero
-//! ([`Session::without_relabels`]). (Signal handlers need libc; the container builds
-//! without it, so SIGTERM-initiated snapshots ride on the wire-level
-//! `shutdown` op / EOF instead.)
+//! ([`Session::without_relabels`]). (Signal handlers need libc; the
+//! container builds without it, so SIGTERM-initiated snapshots ride on
+//! the wire-level `shutdown` op / EOF instead.)
 
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};

@@ -500,12 +500,11 @@ impl SmokeServer {
 /// create/step/mutate/snapshot, kills it, restarts it from the snapshot
 /// directory, and asserts the resumed session's canonical query matches
 /// an uninterrupted run of the same scenario, `relabel_*` counters
-/// aside. Then hammers the restarted
-/// server with 64 concurrent sessions and reports step-request
-/// throughput (gated at 1000 req/s — an order of magnitude below what a
-/// release build sustains, so only a real regression trips it), and the
-/// client-observed p50/p99 round trip of every op kind it sent (not
-/// gated).
+/// aside. Then hammers the restarted server with 64 concurrent sessions
+/// and reports step-request throughput (gated at 1000 req/s — an order
+/// of magnitude below what a release build sustains, so only a real
+/// regression trips it), and the client-observed p50/p99 round trip of
+/// every op kind it sent (not gated).
 fn server_smoke() -> Result<u8, String> {
     use amoebot_scenarios::server::Session;
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
