@@ -156,15 +156,24 @@ fn main() {
 
     header("E17 (Theorem 56)", "forest: O(log n log^2 k) rounds");
     println!(
-        "{:>8} {:>8} {:>8} {:>16}",
-        "n", "k", "rounds", "logn*log2k^2"
+        "{:>8} {:>8} {:>8} {:>16} {:>8} {:>8} {:>8}",
+        "n", "k", "rounds", "logn*log2k^2", "ticked", "charged", "parallel"
     );
     for nt in [256usize, 1024, 4096] {
         let s = standard_structure(nt);
         for k in [2usize, 4, 8, 16] {
-            let r = forest_rounds(&s, k);
+            let out = forest_outcome(&s, k);
             let pred = log2_ceil(s.len() as u64) * log2_ceil(k as u64).max(1).pow(2);
-            println!("{:>8} {:>8} {:>8} {:>16}", s.len(), k, r, pred);
+            println!(
+                "{:>8} {:>8} {:>8} {:>16} {:>8} {:>8} {:>8}",
+                s.len(),
+                k,
+                out.rounds,
+                pred,
+                out.ticks,
+                out.charged,
+                out.parallel
+            );
         }
     }
 

@@ -12,8 +12,9 @@
 use amoebot_circuits::World;
 use amoebot_grid::{AmoebotStructure, NodeId};
 use amoebot_scenarios::experiments as ex;
-use amoebot_scenarios::run::{run_scenario, run_structure_workload, ScenarioResult};
+use amoebot_scenarios::run::{check_forest, run_scenario, run_structure_workload, ScenarioResult};
 use amoebot_scenarios::spec::{derive_rng, Scenario, StructureAlgorithm};
+use amoebot_spf::forest::{shortest_path_forest, ForestOutcome};
 use amoebot_spf::primitives::{centroid_decomposition, root_and_prune};
 use amoebot_spf::Tree;
 use rand::rngs::StdRng;
@@ -179,6 +180,23 @@ pub fn forest_rounds(structure: &AmoebotStructure, k: usize) -> u64 {
     let sources = spread(structure, k.max(2));
     let all: Vec<NodeId> = structure.nodes().collect();
     structure_rounds(structure, &sources, &all, StructureAlgorithm::Forest)
+}
+
+/// E17 (Theorem 56): the forest solve behind [`forest_rounds`], with
+/// its round account (`ticks`, `charged` and `parallel` beside the
+/// reported `rounds`). Panics if the solve fails the cross-validation
+/// the scenario batches run.
+pub fn forest_outcome(structure: &AmoebotStructure, k: usize) -> ForestOutcome {
+    let sources = spread(structure, k.max(2));
+    let all: Vec<NodeId> = structure.nodes().collect();
+    let out = shortest_path_forest(structure, &sources, &all);
+    let checks = check_forest(structure, &sources, &all, &out.parents);
+    let failed: Vec<_> = checks.iter().filter(|c| !c.pass).collect();
+    assert!(
+        failed.is_empty(),
+        "forest failed cross-validation: {failed:?}"
+    );
+    out
 }
 
 /// E18a: BFS wavefront rounds.

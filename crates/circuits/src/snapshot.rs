@@ -3,13 +3,13 @@
 //! A snapshot stores the world's **model state**, as §1.2 of the paper
 //! defines it at a round boundary: the topology, every pin's partition
 //! set, the beeps sent this round and the deliveries of the last one.
-//! Next to it go the accounting a report reads (the round counter and
-//! its charge log, beeps sent, the engine counters) and the stuck pins
-//! an adversary armed. The circuits are a function of the pins and the
-//! topology, so nothing the engine caches about them is stored: decode
-//! validates the fields, builds the world with [`World::new`] (link
-//! table, port index and label cache as a fresh world's, with every
-//! partition set stale) and then sets the decoded fields.
+//! Next to it go the accounting a report reads (the round counter,
+//! beeps sent, the engine counters) and the stuck pins an adversary
+//! armed. The circuits are a function of the pins and the topology, so
+//! nothing the engine caches about them is stored: decode validates the
+//! fields, builds the world with [`World::new`] (link table, port index
+//! and label cache as a fresh world's, with every partition set stale)
+//! and then sets the decoded fields.
 //!
 //! A restored world therefore delivers every beep and answers every
 //! read exactly as the snapshotted one would, and re-encodes to the same
@@ -30,13 +30,11 @@
 //! ```text
 //! world    := c | topology | pset[total]
 //!           | sent | recv_set
-//!           | counters | rounds | charges
-//!           | beeps_sent | stuck
+//!           | counters | rounds | beeps_sent | stuck
 //! topology := n | ports[n] | (peer_node peer_port)[slots] | edge_count
 //! sent     := count | gid[count]                        (beeping psets, beep order)
 //! recv_set := count | gid[count]                        (delivered psets, delivery order)
 //! counters := count | (name value)[count]               (all but relabel_*)
-//! charges  := count | (label signed_amount)[count]     (Σ ≤ rounds)
 //! stuck    := count | (gid pset)[count]                  (ascending gids)
 //! ```
 //!
@@ -213,11 +211,6 @@ impl World {
             w.varint(value);
         }
         w.varint(self.rounds);
-        w.varint(self.charge_log.len() as u64);
-        for (label, amount) in &self.charge_log {
-            w.str(label);
-            w.signed(*amount);
-        }
         w.varint(self.beeps_sent);
         w.varint(self.stuck.len() as u64);
         for &(gid, pset) in &self.stuck {
@@ -324,22 +317,6 @@ impl World {
         }
 
         world.rounds = r.varint()?;
-        let bad_log = WireError::BadValue {
-            what: "charge log",
-            offset: r.offset(),
-        };
-        let charge_count = r.len("charge log")?;
-        let mut logged = 0i64;
-        for _ in 0..charge_count {
-            let label = r.str("charge label")?;
-            let amount = r.signed()?;
-            logged = logged.checked_add(amount).ok_or(bad_log)?;
-            world.charge_log.push((label, amount));
-        }
-        // The simulated count `rounds - Σ` must be a round count.
-        if u64::try_from(i128::from(world.rounds) - i128::from(logged)).is_err() {
-            return Err(bad_log);
-        }
         world.beeps_sent = r.varint()?;
         let stuck_count = r.len("stuck-pin list")?;
         let mut prev: Option<u32> = None;
@@ -416,8 +393,8 @@ mod tests {
     }
 
     /// A world with real history: global circuits, beeps, ticks, a
-    /// structure edit (leaving a tombstoned link + free-list entry), a
-    /// charge, and a pending beep that has not ticked yet.
+    /// structure edit (leaving a tombstoned link + free-list entry) and
+    /// a pending beep that has not ticked yet.
     fn seasoned_world() -> World {
         let mut w = grid_world(4, 3, 2);
         for v in 0..12 {
@@ -429,7 +406,6 @@ mod tests {
         let (peer, _) = w.disconnect(5, 0);
         assert_ne!(peer, 5);
         w.tick();
-        w.charge_rounds(3, "snapshot-test charge");
         w.beep(7, 1);
         w
     }
@@ -462,16 +438,6 @@ mod tests {
             original.metrics().counter_value("relabel_region"),
             restored.metrics().counter_value("relabel_region")
         );
-    }
-
-    #[test]
-    fn restore_preserves_the_charge_audit() {
-        let w = seasoned_world();
-        let restored = World::from_snapshot_bytes(&w.snapshot_bytes()).unwrap();
-        assert_eq!(restored.rounds(), w.rounds());
-        assert_eq!(restored.simulated_rounds(), w.simulated_rounds());
-        assert_eq!(restored.charged_rounds(), w.charged_rounds());
-        assert_eq!(restored.charge_log(), w.charge_log());
     }
 
     /// A 300-node path with `c` = 6 whose link 1 carries one circuit
@@ -651,21 +617,6 @@ mod tests {
         *dropped.last_mut().unwrap() -= 1;
         dropped.extend_from_slice(&body[drops.end..]);
         assert_eq!(rejected_field(&reseal(dropped)), "counter table");
-    }
-
-    /// The charge log reconciles the round counter, so its sum must not
-    /// overflow, and `rounds - Σ` (the simulated count) must be a `u64`.
-    #[test]
-    fn a_charge_log_that_outruns_the_round_counter_is_rejected() {
-        let w = seasoned_world();
-        assert_eq!((w.rounds(), w.simulated_rounds()), (6, 3));
-        for (rounds, forged) in [(6, [4, 0]), (6, [i64::MAX, 1]), (u64::MAX, [i64::MIN, 0])] {
-            let mut bad = w.clone();
-            bad.rounds = rounds;
-            bad.charge_log
-                .extend(forged.map(|k| ("forged".to_string(), k)));
-            assert_eq!(rejected_field(&bad.snapshot_bytes()), "charge log");
-        }
     }
 
     #[test]

@@ -311,11 +311,8 @@ pub struct World {
     /// counters (diagnostics; pinned by tests so the scoped pass cannot
     /// silently degrade into always-global) and the phase timers.
     pub(crate) stats: EngineStats,
-    /// Simulated plus charged rounds, net of rebates.
+    /// Rounds ticked so far.
     pub(crate) rounds: u64,
-    /// Every round-counter change that is not a tick, signed (see
-    /// [`World::charge_log`]): the simulated count is derived from it.
-    pub(crate) charge_log: Vec<(String, i64)>,
     /// Total beeps sent (diagnostic; the model itself never counts beeps).
     pub(crate) beeps_sent: u64,
     /// Stuck-at pin faults as `(pin gid, frozen pset)`, sorted by gid.
@@ -406,7 +403,6 @@ impl World {
             cached_circuits: 0,
             stats: EngineStats::new(),
             rounds: 0,
-            charge_log: Vec::new(),
             beeps_sent: 0,
             stuck: Vec::new(),
         };
@@ -427,39 +423,12 @@ impl World {
         self.c
     }
 
-    /// Number of simulated + charged rounds so far.
+    /// Number of rounds ticked so far: only [`World::tick`],
+    /// [`World::tick_with`], [`World::tick_faulted`] and
+    /// [`World::tick_reference`] advance it, one round each.
     #[inline]
     pub fn rounds(&self) -> u64 {
         self.rounds
-    }
-
-    /// Rounds actually executed by [`World::tick`] (and
-    /// [`World::tick_reference`]): `rounds() - Σ charge_log()`. Every
-    /// non-simulated change of the round counter is a log entry, charges
-    /// positive and rebates negative, so the audit identity
-    /// `rounds() == simulated_rounds() + Σ charge_log()` holds by
-    /// construction.
-    pub fn simulated_rounds(&self) -> u64 {
-        let logged: i64 = self.charge_log.iter().map(|&(_, k)| k).sum();
-        // Exact: a world's log never sums past its round counter (the
-        // snapshot decoder rejects one that does), and a negative sum
-        // wraps back to `rounds() + |Σ|`.
-        self.rounds.wrapping_sub(logged as u64)
-    }
-
-    /// Rounds accounted via [`World::charge_rounds`]: the positive log
-    /// entries, gross of rebates.
-    pub fn charged_rounds(&self) -> u64 {
-        self.charge_log.iter().map(|&(_, k)| k.max(0) as u64).sum()
-    }
-
-    /// The audit log of non-simulated round adjustments as
-    /// `(reason, rounds)` entries: positive for charges
-    /// ([`World::charge_rounds`]), negative for rebates
-    /// ([`World::rebate_rounds`]). Summing the entries reconciles the
-    /// counter: `simulated_rounds() + Σ == rounds()`.
-    pub fn charge_log(&self) -> &[(String, i64)] {
-        &self.charge_log
     }
 
     /// Total distinct beeps sent so far (diagnostic instrumentation; one
@@ -1629,39 +1598,6 @@ impl World {
         self.rounds += 1;
     }
 
-    /// Accounts `k` rounds for a step performed abstractly by the harness
-    /// (e.g. a figure-level glue step whose circuit mechanics are not worth
-    /// simulating). The charge is recorded in an audit log; the paper's
-    /// algorithms in this workspace only charge O(1) glue per composite step.
-    pub fn charge_rounds(&mut self, k: u64, reason: &str) {
-        self.rounds += k;
-        self.charge_log.push((reason.to_string(), k as i64));
-    }
-
-    /// Rebates `k` rounds from the counter with an audit-log entry.
-    ///
-    /// Used for *parallel composition*: when several primitives operate on
-    /// vertex-disjoint regions (disjoint circuits), the model runs them in
-    /// the same rounds, but the simulator executes them sequentially. The
-    /// caller measures each region's span and rebates `sum - max` so the
-    /// counter reflects the parallel execution. Every rebate is recorded in
-    /// the charge log as a **negative** entry, so the log always reconciles:
-    /// `simulated_rounds() + Σ charge_log() == rounds()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if rebating more rounds than have elapsed.
-    pub fn rebate_rounds(&mut self, k: u64, reason: &str) {
-        assert!(
-            k <= self.rounds,
-            "cannot rebate {k} of {} rounds",
-            self.rounds
-        );
-        self.rounds -= k;
-        self.charge_log
-            .push((format!("rebate: {reason}"), -(k as i64)));
-    }
-
     /// Number of distinct circuits under the current pin configuration
     /// (diagnostic; does not advance the round counter). Served from the
     /// cached labeling; labels everything first if anything is stale or
@@ -2088,26 +2024,6 @@ mod tests {
             w.global_pin_config(v);
         }
         assert_eq!(w.circuit_count(), 1);
-    }
-
-    /// The simulated and charged counts derive from the round counter and
-    /// the signed charge log: charges are positive entries, rebates
-    /// negative, labelled ones.
-    #[test]
-    fn charge_log_reconciles_with_round_counter() {
-        let mut w = path_world(4, 1);
-        w.tick();
-        w.tick();
-        w.charge_rounds(5, "glue");
-        w.tick();
-        w.rebate_rounds(3, "parallel composition");
-        w.charge_rounds(2, "more glue");
-        w.rebate_rounds(1, "overlap");
-        assert_eq!(w.rounds(), 6);
-        assert_eq!(w.simulated_rounds(), 3);
-        assert_eq!(w.charged_rounds(), 7); // gross charges, rebates excluded
-        let rebate = ("rebate: parallel composition".to_string(), -3);
-        assert_eq!(w.charge_log()[1], rebate);
     }
 
     /// Reconfiguring *after* a tick must invalidate the cached labeling:

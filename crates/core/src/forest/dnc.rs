@@ -28,6 +28,7 @@
 use amoebot_circuits::{RoundReport, Topology, World};
 use amoebot_grid::{AmoebotStructure, Axis, NodeId};
 
+use crate::forest::account::RoundAccount;
 use crate::forest::line::line_forest;
 use crate::forest::merge::merge_forests;
 use crate::forest::propagate::propagate_forest;
@@ -47,8 +48,16 @@ pub struct ForestOutcome {
     /// `parents[v]` in the `(S, D)`-shortest path forest (`None` for
     /// sources, pruned amoebots and non-members).
     pub parents: Vec<Option<NodeId>>,
-    /// Total simulator rounds.
+    /// Reported rounds, `report.total()`: `ticks + charged − parallel`
+    /// (DESIGN §2 item 1).
     pub rounds: u64,
+    /// Rounds the solve's world ticked.
+    pub ticks: u64,
+    /// Rounds reported for steps that are not simulated.
+    pub charged: u64,
+    /// Rounds ticked but not reported, because their parallel group
+    /// reports its longest member.
+    pub parallel: u64,
     /// Total distinct beeps sent (diagnostic instrumentation of
     /// [`World::beeps_sent`]; the model itself never counts beeps).
     pub beeps: u64,
@@ -80,13 +89,16 @@ pub fn shortest_path_forest(
         return ForestOutcome {
             parents: out.parents,
             rounds: out.rounds,
+            ticks: out.rounds,
+            charged: 0,
+            parallel: 0,
             beeps: out.beeps,
             report: out.report,
         };
     }
 
     let mut world = World::new(Topology::from_structure(structure), LINKS);
-    let mut report = RoundReport::new();
+    let mut account = RoundAccount::default();
     let mut dest_mask = vec![false; n];
     for d in dests {
         dest_mask[d.index()] = true;
@@ -102,15 +114,15 @@ pub fn shortest_path_forest(
     let full_mask = vec![true; n];
     let forest = sources_forest(
         &mut world,
+        &mut account,
         structure,
         &full_mask,
         &src,
         &src_mask,
-        &mut report,
     );
 
     // Corollary 57: prune every tree with Q = D.
-    let start = world.rounds();
+    let start = account.reported(&world);
     let roots = forest_roots(&forest);
     let trees: Vec<Tree> = forest
         .sources
@@ -126,7 +138,7 @@ pub fn shortest_path_forest(
         })
         .collect();
     let rp = root_and_prune(&mut world, &trees, |v| dest_mask[v]);
-    report.record("destination pruning (Corollary 57)", world.rounds() - start);
+    account.record(&world, "destination pruning (Corollary 57)", start);
 
     let mut parents: Vec<Option<NodeId>> = vec![None; n];
     for (t, tree) in trees.iter().enumerate() {
@@ -138,9 +150,12 @@ pub fn shortest_path_forest(
     }
     ForestOutcome {
         parents,
-        rounds: world.rounds(),
+        rounds: account.reported(&world),
+        ticks: world.rounds(),
+        charged: account.charged,
+        parallel: account.parallel,
         beeps: world.beeps_sent(),
-        report,
+        report: account.report,
     }
 }
 
@@ -194,21 +209,22 @@ struct Region {
 }
 
 /// Computes the `S`-shortest path forest covering the whole structure
-/// (Theorem 56) — destinations are handled by the caller.
+/// (Theorem 56) — destinations are handled by the caller. Every phase
+/// is recorded in `account`.
 fn sources_forest(
     world: &mut World,
+    account: &mut RoundAccount,
     structure: &AmoebotStructure,
     mask: &[bool],
     src: &[usize],
     src_mask: &[bool],
-    report: &mut RoundReport,
 ) -> Forest {
     let n = structure.len();
     let members: Vec<usize> = (0..n).filter(|&v| mask[v]).collect();
     let ap = axis_portals(structure, &members, Axis::X);
 
     // §5.4.1: Q = portals with sources (one beep round, Lemma 51)...
-    let start = world.rounds();
+    let start = account.reported(world);
     let q_portals = mark_portals(world, structure, &ap, |v| src_mask[v]);
 
     // Degenerate case: the whole structure is a single x-portal (a line).
@@ -216,7 +232,7 @@ fn sources_forest(
         let chain = ap.portals[0].clone();
         let is_source: Vec<bool> = chain.iter().map(|&v| src_mask[v]).collect();
         let f = line_forest(world, &chain, &is_source);
-        report.record("line structure (Lemma 40)", world.rounds() - start);
+        account.record(world, "line structure (Lemma 40)", start);
         return f;
     }
 
@@ -224,12 +240,13 @@ fn sources_forest(
     // portal (the leader is a precondition, §2.1; we use the first source).
     let leader_portal = ap.portal_of(src[0]);
     let prp = portal_root_and_prune(world, structure, &ap, leader_portal, &q_portals);
-    let q_prime = portal_augmentation(world, &prp, &q_portals);
-    report.record("compute Q' = Q ∪ A_Q (Lemma 51)", world.rounds() - start);
+    let (q_prime, degree_count) = portal_augmentation(&prp, &q_portals);
+    account.charge(degree_count);
+    account.record(world, "compute Q' = Q ∪ A_Q (Lemma 51)", start);
 
     // §5.4.1: split into regions (Lemma 52). The unmarking beep is a round.
-    let start = world.rounds();
-    world.charge_rounds(1, "unmark westernmost connectors (Lemma 52)");
+    let start = account.reported(world);
+    account.charge(1);
     let (regions, splits) =
         build_regions(structure, &ap, leader_portal, &prp.portal_in_vq, &q_prime);
     for r in &regions {
@@ -239,47 +256,39 @@ fn sources_forest(
             "Lemma 52: regions meet one or two Q' portals"
         );
     }
-    report.record("divide into regions (Lemma 52)", world.rounds() - start);
+    account.record(world, "divide into regions (Lemma 52)", start);
 
     // §5.4.2 preprocessing: elect R' ∈ Q' and root the portal tree at it.
-    let start = world.rounds();
+    let start = account.reported(world);
     let r_prime =
         portal_elect(world, structure, &ap, leader_portal, &q_prime).expect("Q' is non-empty");
     // Portal tree rooted at R' (depths for LCA identification, Lemma 53).
     let pdepth = portal_depths(&ap, r_prime);
-    world.charge_rounds(1, "identify P_DSC via region circuit (Lemma 53)");
-    report.record(
-        "elect and root at R' (Lemmas 35, 53)",
-        world.rounds() - start,
-    );
+    // P_DSC identification via the region circuit (Lemma 53).
+    account.charge(1);
+    account.record(world, "elect and root at R' (Lemmas 35, 53)", start);
 
-    // §5.4.2 base case: per-region forests, in parallel (rebated).
-    let start = world.rounds();
+    // §5.4.2 base case: per-region forests, one parallel group.
+    let start = account.reported(world);
     let mut forests: Vec<Forest> = Vec::with_capacity(regions.len());
     let mut spans = Vec::new();
     for region in &regions {
-        let s0 = world.rounds();
+        let s0 = account.reported(world);
         forests.push(base_case_forest(
-            world, structure, &ap, region, src_mask, &pdepth,
+            world, account, structure, &ap, region, src_mask, &pdepth,
         ));
-        spans.push(world.rounds() - s0);
+        spans.push(account.reported(world) - s0);
     }
-    rebate_to_max(
-        world,
-        &spans,
-        "base-case regions run in parallel (Lemma 54)",
-    );
-    report.record("base case per region (Lemma 54)", world.rounds() - start);
+    account.group(&spans);
+    account.record(world, "base case per region (Lemma 54)", start);
 
     // §5.4.4: schedule merges by a Q'-centroid decomposition tree of the
     // portal graph rooted at R' (Lemma 37).
-    let start = world.rounds();
-    let decomposition = portal_centroid_decomposition(world, &ap, r_prime, &q_prime);
-    let decomposition_rounds = world.rounds() - start;
-    report.record(
-        "portal centroid decomposition (Lemma 37)",
-        decomposition_rounds,
-    );
+    let start = account.reported(world);
+    let (decomposition, decomposition_rounds) =
+        portal_centroid_decomposition(&ap, r_prime, &q_prime);
+    account.charge(decomposition_rounds);
+    account.record(world, "portal centroid decomposition (Lemma 37)", start);
 
     // Merge from the deepest decomposition level upward (§5.4.4); the
     // decomposition is recomputed (binary-counter replay) per level.
@@ -292,28 +301,26 @@ fn sources_forest(
         }
         if level + 1 != decomposition.levels {
             let recompute = "recompute decomposition level (Lemma 37 + binary counter)";
-            world.charge_rounds(decomposition_rounds + 2, recompute);
-            report.record(recompute, decomposition_rounds + 2);
+            account.charge(decomposition_rounds + 2);
+            account.report.record(recompute, decomposition_rounds + 2);
         }
-        let s0 = world.rounds();
+        let s0 = account.reported(world);
         let mut spans = Vec::new();
         for &p in &portals_at_level {
-            let m0 = world.rounds();
+            let m0 = account.reported(world);
             merge_around_portal(
                 world,
+                account,
                 structure,
                 &ap,
                 p as u32,
                 splits.get(&(p as u32)),
                 &mut live,
             );
-            spans.push(world.rounds() - m0);
+            spans.push(account.reported(world) - m0);
         }
-        rebate_to_max(world, &spans, "same-level portal merges run in parallel");
-        report.record(
-            format!("merge level {level} (Lemma 55)"),
-            world.rounds() - s0,
-        );
+        account.group(&spans);
+        account.record(world, format!("merge level {level} (Lemma 55)"), s0);
     }
 
     let mut remaining: Vec<(Region, Forest)> = live.into_iter().flatten().collect();
@@ -322,14 +329,6 @@ fn sources_forest(
     debug_assert!((0..n).all(|v| region.mask[v] == mask[v]));
     debug_assert!((0..n).all(|v| !mask[v] || forest.member[v]));
     forest
-}
-
-fn rebate_to_max(world: &mut World, spans: &[u64], reason: &str) {
-    if spans.len() > 1 {
-        let total: u64 = spans.iter().sum();
-        let max = spans.iter().copied().max().unwrap_or(0);
-        world.rebate_rounds(total - max, reason);
-    }
 }
 
 /// BFS depths of the portal tree rooted at `root`.
@@ -529,6 +528,7 @@ fn build_regions(
 /// §5.4.2: the base-case forest of one region.
 fn base_case_forest(
     world: &mut World,
+    account: &mut RoundAccount,
     structure: &AmoebotStructure,
     ap: &AxisPortals,
     region: &Region,
@@ -553,7 +553,15 @@ fn base_case_forest(
             continue; // no sources on this portal within the region
         }
         let line = line_forest(world, &chain, &is_source);
-        let propagated = propagate_forest(world, structure, &region.mask, &chain, Axis::X, &line);
+        let propagated = propagate_forest(
+            world,
+            account,
+            structure,
+            &region.mask,
+            &chain,
+            Axis::X,
+            &line,
+        );
         forest = Some(match forest {
             None => propagated,
             Some(prev) => merge_forests(world, &prev, &propagated),
@@ -571,6 +579,7 @@ fn base_case_forest(
 /// §5.4.3: merges all regions intersecting portal `p` into one.
 fn merge_around_portal(
     world: &mut World,
+    account: &mut RoundAccount,
     structure: &AmoebotStructure,
     ap: &AxisPortals,
     p: u32,
@@ -611,7 +620,7 @@ fn merge_around_portal(
         while !marks.is_empty() {
             // Termination check (1 round) + one weighted PASC iteration on
             // the portal over M (2 rounds), §5.4.3 steps 1-2.
-            world.charge_rounds(3, "merge pairing: termination check + PASC parity");
+            account.charge(3);
             // Odd prefix parity selects every second mark (1-based odd).
             let selected: std::collections::BTreeSet<usize> =
                 marks.iter().copied().step_by(2).collect();
@@ -622,7 +631,7 @@ fn merge_around_portal(
             for (j, &m) in marks.iter().enumerate() {
                 let east = order[j + 1];
                 if selected.contains(&m) {
-                    let s0 = world.rounds();
+                    let s0 = account.reported(world);
                     let merged = merge_pair(
                         world,
                         structure,
@@ -631,7 +640,7 @@ fn merge_around_portal(
                         live[east].take().unwrap(),
                     );
                     live[cur] = Some(merged);
-                    spans.push(world.rounds() - s0);
+                    spans.push(account.reported(world) - s0);
                     // `cur` stays the holder of the merged region.
                 } else {
                     new_order.push(cur);
@@ -640,7 +649,8 @@ fn merge_around_portal(
                 }
             }
             new_order.push(cur);
-            rebate_to_max(world, &spans, "pair merges run in parallel (Lemma 55)");
+            // Pair merges run in parallel (Lemma 55).
+            account.group(&spans);
             order = new_order;
             marks = new_marks;
         }
@@ -664,7 +674,15 @@ fn merge_around_portal(
                 .copied()
                 .filter(|&v| union_mask[v])
                 .collect();
-            let forest = join_sides(world, structure, &union_mask, &chain, fnorth, fsouth);
+            let forest = join_sides(
+                world,
+                account,
+                structure,
+                &union_mask,
+                &chain,
+                fnorth,
+                fsouth,
+            );
             let mut boundaries = rn.boundaries;
             boundaries.extend(rs.boundaries);
             boundaries.sort_unstable();
@@ -754,6 +772,7 @@ fn merge_pair(
 /// and a merge (each side's region already contains the whole portal).
 fn join_sides(
     world: &mut World,
+    account: &mut RoundAccount,
     structure: &AmoebotStructure,
     union_mask: &[bool],
     chain: &[usize],
@@ -761,13 +780,14 @@ fn join_sides(
     fsouth: Forest,
 ) -> Forest {
     let n = structure.len();
-    let complete = |f: &Forest, world: &mut World| -> Option<Forest> {
+    let mut complete = |f: &Forest, world: &mut World| -> Option<Forest> {
         if f.sources.is_empty() {
             return None;
         }
         debug_assert!(chain.iter().all(|&v| f.member[v]));
         Some(propagate_forest(
             world,
+            account,
             structure,
             union_mask,
             chain,
@@ -804,6 +824,15 @@ mod tests {
         let out = shortest_path_forest(structure, sources, dests);
         let violations = validate_forest(structure, sources, dests, &out.parents);
         assert!(violations.is_empty(), "{violations:?}");
+        assert_eq!(out.report.total(), out.rounds, "{}", out.report);
+        assert_eq!(out.rounds + out.parallel, out.ticks + out.charged);
+        let mut distinct = sources.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        if distinct.len() == 1 {
+            // k = 1 is the SPT, which charges nothing and runs no group.
+            assert_eq!((out.ticks, out.charged, out.parallel), (out.rounds, 0, 0));
+        }
         out
     }
 
@@ -834,7 +863,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4242);
         for n in [12usize, 30, 80] {
             let s = AmoebotStructure::new(shapes::random_blob(n, &mut rng)).unwrap();
-            for k in [2usize, 3, 5] {
+            for k in [2usize, 3, 5, 1] {
                 let src: Vec<NodeId> = shapes::random_subset(n, k.min(n), &mut rng)
                     .into_iter()
                     .map(|i| NodeId(i as u32))
@@ -853,7 +882,9 @@ mod tests {
     fn line_structure_many_sources() {
         let s = AmoebotStructure::new(shapes::line(20)).unwrap();
         let all: Vec<NodeId> = s.nodes().collect();
-        check_forest(&s, &[NodeId(2), NodeId(10), NodeId(17)], &all);
+        let out = check_forest(&s, &[NodeId(2), NodeId(10), NodeId(17)], &all);
+        // The line algorithm is simulated whole: no charge, no group.
+        assert_eq!((out.ticks, out.charged, out.parallel), (out.rounds, 0, 0));
     }
 
     #[test]
@@ -873,9 +904,10 @@ mod tests {
         }
     }
 
-    /// The count guard of the repair: an algorithm's world is never
-    /// labelled by a read, so its global relabel stays due and no absorb
-    /// attempts a local repair; the solve labels by walking alone.
+    /// No absorb of a forest solve repairs. Every absorb tries the local
+    /// repair, but an algorithm's world is never labelled by a read, so
+    /// each attempt meets a stale frontier set and gives up; the solve
+    /// labels by walking alone.
     #[test]
     fn a_forest_solve_never_repairs() {
         let mut rng = StdRng::seed_from_u64(7);
@@ -890,11 +922,11 @@ mod tests {
         let mask = vec![true; n];
         let forest = sources_forest(
             &mut world,
+            &mut RoundAccount::default(),
             &s,
             &mask,
             &src,
             &src_mask,
-            &mut RoundReport::new(),
         );
         assert_eq!(world.repair_relabels(), 0);
         assert_eq!((world.global_relabels(), world.region_relabels()), (0, 0));

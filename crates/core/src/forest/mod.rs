@@ -1,16 +1,19 @@
 //! The shortest path forest algorithm for multiple sources (§5).
 //!
+//! * [`account`] — the DnC forest's round account (DESIGN §2 item 1),
 //! * [`line`] — the line algorithm (§5.1, Lemma 40),
 //! * [`merge`] — the merging algorithm (§5.2, Lemma 42),
 //! * [`propagate`] — the propagation algorithm (§5.3, Lemma 50),
 //! * [`dnc`] — the divide-and-conquer shortest path forest algorithm
 //!   (§5.4, Theorem 56 / Corollary 57).
 
+pub mod account;
 pub mod dnc;
 pub mod line;
 pub mod merge;
 pub mod propagate;
 
+pub use account::RoundAccount;
 pub use dnc::{shortest_path_forest, ForestOutcome};
 pub use line::line_forest;
 pub use merge::merge_forests;

@@ -19,6 +19,7 @@ use amoebot_circuits::World;
 use amoebot_grid::{AmoebotStructure, Axis, Direction, NodeId, ALL_AXES, ALL_DIRECTIONS};
 use amoebot_pasc::{tree_specs, PascRun, StreamingCompare};
 
+use crate::forest::account::RoundAccount;
 use crate::forest::Forest;
 use crate::links::{BROADCAST, BWD_PRIMARY, FWD_PRIMARY, FWD_SECONDARY, SYNC};
 use crate::portals::{axis_portals, group_axis_pins, mark_portals};
@@ -26,7 +27,8 @@ use crate::spt::spt_in_world;
 
 /// Propagates `forest` (covering `A ∪ P` inside `region`) into the rest of
 /// `region` across the portal given by `portal_nodes` (an axis-`axis` portal
-/// of the region). Returns an S-forest covering all of `region`.
+/// of the region). Returns an S-forest covering all of `region`. The
+/// phase-2 SPTs form one parallel group of `account`.
 ///
 /// # Panics
 ///
@@ -34,6 +36,7 @@ use crate::spt::spt_in_world;
 /// nodes outside the region.
 pub fn propagate_forest(
     world: &mut World,
+    account: &mut RoundAccount,
     structure: &AmoebotStructure,
     region: &[bool],
     portal_nodes: &[usize],
@@ -178,10 +181,10 @@ pub fn propagate_forest(
     }
 
     // --- Phase 2: components of B'' (Lemmas 48/49), one SPT each, run in
-    // parallel (disjoint regions; sequential simulation is rebated to the
-    // maximum span). From here on the work is O(|B''|): components are
-    // discovered from the B'' list, and each SPT takes its component's
-    // member list.
+    // parallel (disjoint regions; the simulator runs them one after
+    // another, and the group reports its longest member). From here on
+    // the work is O(|B''|): components are discovered from the B'' list,
+    // and each SPT takes its component's member list.
     let mut seen = vec![false; n];
     let mut comps: Vec<Vec<usize>> = Vec::new();
     for &v in &b2_nodes {
@@ -211,7 +214,7 @@ pub fn propagate_forest(
     };
     let mut spans = Vec::new();
     for mut members in comps {
-        let start_rounds = world.rounds();
+        let start_rounds = account.reported(world);
         // s_Z: the member adjacent to B' closest to P ("northernmost"),
         // ties broken westward; its parent: its closest-to-P neighbor in B'.
         let s_z = members
@@ -246,16 +249,9 @@ pub fn propagate_forest(
                 }
             }
         }
-        spans.push(world.rounds() - start_rounds);
+        spans.push(account.reported(world) - start_rounds);
     }
-    if spans.len() > 1 {
-        let total: u64 = spans.iter().sum();
-        let max = spans.iter().copied().max().unwrap_or(0);
-        world.rebate_rounds(
-            total - max,
-            "phase-2 SPTs on disjoint B'' components run in parallel",
-        );
-    }
+    account.group(&spans);
 
     let mut out = Forest::from_parents(parents, forest.sources.clone());
     for v in 0..n {
@@ -291,9 +287,18 @@ mod tests {
         let line = line_forest(&mut world, &portal, &is_source);
         // Region: portal side with r >= portal_row (P ∪ south side).
         let region: Vec<bool> = s.nodes().map(|v| s.coord(v).r >= portal_row).collect();
-        let before = world.rounds();
-        let forest = propagate_forest(&mut world, s, &region, &portal, Axis::X, &line);
-        let rounds = world.rounds() - before;
+        let mut account = RoundAccount::default();
+        let before = account.reported(&world);
+        let forest = propagate_forest(
+            &mut world,
+            &mut account,
+            s,
+            &region,
+            &portal,
+            Axis::X,
+            &line,
+        );
+        let rounds = account.reported(&world) - before;
         // Validate on the substructure induced by the region.
         let coords: Vec<Coord> = s
             .nodes()
@@ -377,7 +382,16 @@ mod tests {
         is_source[2] = true;
         let line = line_forest(&mut world, &chain, &is_source);
         let region = vec![true; 6];
-        let out = propagate_forest(&mut world, &s, &region, &chain, Axis::X, &line);
+        let mut account = RoundAccount::default();
+        let out = propagate_forest(
+            &mut world,
+            &mut account,
+            &s,
+            &region,
+            &chain,
+            Axis::X,
+            &line,
+        );
         assert_eq!(out.parents, line.parents);
     }
 }

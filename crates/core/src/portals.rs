@@ -16,10 +16,10 @@
 //!
 //! Every primitive reads region membership from the [`AxisPortals`] it is
 //! given and walks the region's member list, so beyond its ticks a
-//! primitive on a region of `m` amoebots costs O(m), not O(n). Two steps are charged to the world rather than simulated, and
-//! both charges are made here: the Lemma 34 degree count
-//! ([`portal_augmentation`]) and the quotient decomposition
-//! ([`portal_centroid_decomposition`]).
+//! primitive on a region of `m` amoebots costs O(m), not O(n). Two steps
+//! are not simulated on the world, and each returns the rounds it stands
+//! for instead: the Lemma 34 degree count ([`portal_augmentation`]) and
+//! the quotient decomposition ([`portal_centroid_decomposition`]).
 
 use amoebot_circuits::{Topology, World};
 use amoebot_grid::{AmoebotStructure, Axis, Direction, NodeId, ALL_DIRECTIONS};
@@ -493,25 +493,18 @@ pub fn portal_root_and_prune(
 /// Lemmas 34, 51): `A_Q` holds the `V_Q` portals of degree at least 3 in
 /// the pruned portal tree. Each portal learns its degree by counting its
 /// non-zero connectors with a PASC along its members (Lemma 34); that
-/// count is charged to `world`, `2·⌈log₂(max_deg + 1)⌉` rounds, not
-/// simulated.
-pub fn portal_augmentation(
-    world: &mut World,
-    prp: &PortalRootPrune,
-    q_portals: &[bool],
-) -> Vec<bool> {
+/// count is not simulated. Returns `Q'` and the rounds the count stands
+/// for, `2·⌈log₂(max_deg + 1)⌉`.
+pub fn portal_augmentation(prp: &PortalRootPrune, q_portals: &[bool]) -> (Vec<bool>, u64) {
     let max_deg = prp.portal_deg_q.iter().copied().max().unwrap_or(0);
     let deg_rounds = 2 * (32 - (max_deg + 1).leading_zeros()) as u64;
-    world.charge_rounds(
-        deg_rounds,
-        "portal-degree count along portals (Lemma 34 PASC)",
-    );
-    q_portals
+    let q_prime = q_portals
         .iter()
         .zip(&prp.portal_in_vq)
         .zip(&prp.portal_deg_q)
         .map(|((&q, &in_vq), &deg)| q || (in_vq && deg >= 3))
-        .collect()
+        .collect();
+    (q_prime, deg_rounds)
 }
 
 /// Portal-level election (§3.5, Lemma 35): elects a single portal
@@ -635,16 +628,16 @@ pub fn portal_centroids(
 ///
 /// Executed on the portal quotient graph with the node-level decomposition
 /// primitive — Lemma 32 establishes that every ETT pass on the implicit
-/// portal tree computes exactly the quotient values. The quotient's rounds
-/// are charged to `world`, plus 2 per level for the steps a quotient
-/// recursion does not simulate: the veto round of Lemma 36 and the
-/// announcement round of Lemma 35.
+/// portal tree computes exactly the quotient values. Returns the
+/// decomposition and the rounds it stands for: the quotient's rounds,
+/// plus 2 per level for the steps a quotient recursion does not
+/// simulate, the veto round of Lemma 36 and the announcement round of
+/// Lemma 35.
 pub fn portal_centroid_decomposition(
-    world: &mut World,
     ap: &AxisPortals,
     root_portal: u32,
     q_prime: &[bool],
-) -> Decomposition {
+) -> (Decomposition, u64) {
     let adj = ap.portal_tree_edges();
     let mut edges = Vec::new();
     for (p, lst) in adj.iter().enumerate() {
@@ -657,11 +650,8 @@ pub fn portal_centroid_decomposition(
     let mut qworld = World::new(Topology::from_edges(ap.portals.len(), &edges), LINKS);
     let qtree = Tree::from_edges(ap.portals.len(), root_portal as usize, &edges);
     let d = centroid_decomposition(&mut qworld, &qtree, q_prime);
-    world.charge_rounds(
-        qworld.rounds() + 2 * d.levels as u64,
-        "portal centroid decomposition via quotient (Lemmas 32, 37)",
-    );
-    d
+    let rounds = qworld.rounds() + 2 * d.levels as u64;
+    (d, rounds)
 }
 
 #[cfg(test)]
@@ -770,7 +760,6 @@ mod tests {
         *q_portals.last_mut().unwrap() = true;
         let root_portal = ap.portal_of(s.len() / 2);
         let out = portal_root_and_prune(&mut world, &s, &ap, root_portal, &q_portals);
-        assert!(world.charge_log().is_empty(), "Lemma 33 is fully simulated");
         assert_eq!(out.q_count, 2);
         // Reference: portal-level BFS tree rooted at root_portal.
         let adj = ap.portal_tree_edges();
@@ -856,12 +845,11 @@ mod tests {
             .map(|p| s.coord(NodeId(ap.reps[p] as u32)).r == 4)
             .collect();
         let prp = portal_root_and_prune(&mut world, &s, &ap, spine, &q);
-        let q_prime = portal_augmentation(&mut world, &prp, &q);
+        let (q_prime, charge) = portal_augmentation(&prp, &q);
         let expect: Vec<bool> = (0..ap.len()).map(|p| q[p] || p as u32 == spine).collect();
         assert_eq!(q_prime, expect);
         // The one charge: the Lemma 34 count up to degree 5, 2·⌈log₂ 6⌉.
-        let lemma_34 = "portal-degree count along portals (Lemma 34 PASC)".to_string();
-        assert_eq!(world.charge_log(), [(lemma_34, 6)]);
+        assert_eq!(charge, 6);
     }
 
     #[test]
@@ -958,11 +946,10 @@ mod tests {
 
     #[test]
     fn portal_decomposition_elects_every_q_portal_once() {
-        let (_, mut world, ap) = setup(shapes::parallelogram(5, 9));
+        let (_, _, ap) = setup(shapes::parallelogram(5, 9));
         let q = vec![true; ap.portals.len()];
-        let before = world.rounds();
-        let d = portal_centroid_decomposition(&mut world, &ap, 0, &q);
-        assert!(world.rounds() > before, "quotient rounds are charged");
+        let (d, charge) = portal_centroid_decomposition(&ap, 0, &q);
+        assert!(charge > 0, "quotient rounds are charged");
         let elected: usize = (0..ap.portals.len())
             .filter(|&p| d.level[p].is_some())
             .count();

@@ -3,8 +3,8 @@
 //! The unit tests in `snapshot.rs` pin the codec on hand-picked worlds;
 //! these properties sweep it across randomized ones — arbitrary blob
 //! sizes, pin configurations, and churn prefixes (so the encoded state
-//! includes tombstoned ids, recycled link-table slots and mid-schedule
-//! cursors) — and assert the three codec invariants:
+//! includes the editor's tombstoned and recycled ids, cut mid-schedule)
+//! — and assert the three codec invariants:
 //!
 //! 1. **Round trip**: decode(encode(w)) is the same world — its
 //!    re-encoding is byte-identical;
@@ -42,8 +42,8 @@ fn churned_world(n: usize, seed: u64, family_ix: usize, events: usize) -> Dynami
             dw.world_mut().global_pin_config(v.index());
         }
         dw.revalidate_edited_chunks();
-        // Interleave a broadcast round so rounds/beeps/charge state are
-        // mid-flight when the snapshot is cut.
+        // Interleave a broadcast round so rounds, beeps and deliveries
+        // are mid-flight when the snapshot is cut.
         let origin = dw.editor().live_ids()[0] as usize;
         dw.world_mut().beep(origin, 0);
         dw.world_mut().tick();

@@ -42,12 +42,13 @@
 //! engine, failing loudly with the round and event index of the first
 //! divergence.
 //!
-//! Batch and sweep runs additionally arm a per-scenario **flight
-//! recorder** (disable with `--no-flight`): a bounded ring of the most
-//! recent trace events. When a scenario check FAILs, the retained window
-//! is dumped under `--flight-dir` as a `.spft` blob named by — and
-//! embedding — the full reproduction key (plan seed, scenario seed,
-//! schedule event index), decodable with the standard trace tooling.
+//! Batch and sweep runs additionally run every scenario with a **flight
+//! recorder**: a bounded ring of the most recent trace events. When a
+//! scenario check FAILs, the retained window is dumped under
+//! `--flight-dir` as a `.spft` blob named by — and embedding — the full
+//! reproduction key (plan seed, scenario seed, schedule event index),
+//! decodable with the standard trace tooling. `--no-flight` skips the
+//! dump; the recorder still runs.
 //!
 //! Failures are never silent: per-scenario `FAIL` lines print even under
 //! `--quiet`, a `summary:` line always reports pass/fail counts, and the
@@ -114,7 +115,7 @@ const USAGE: &str = "usage: scenario-runner run    [--seed N] [--count N] [--thr
      \x20              resume, skipping rungs already passed there\n\
      --flight-dir DIR  where failing scenarios dump their flight records\n\
      \x20              (default: flight-records)\n\
-     --no-flight    disarm the flight recorder (no black-box dumps)\n\
+     --no-flight    skip the flight-record dumps (the recorder still runs)\n\
      --size N       structure size for trace recording (default 10000)\n\
      --rounds N     recorded run length override: broadcast rounds, or churn\n\
      \x20              events for blob-churn-broadcast (default: family-defined)";
@@ -423,8 +424,9 @@ pub fn run_with_output(argv: &[String], out: &mut dyn Write) -> u8 {
 
     // Phase timers cost two clock reads per phase, so they are on only
     // when a metrics document was asked for (and timing is on at all).
-    // The flight recorder, by contrast, is always on (unless --no-flight):
-    // every scenario runs with its own black box, dumped only on FAIL.
+    // The flight recorder, by contrast, is always on: every scenario runs
+    // with its own black box, dumped only on FAIL and never under
+    // --no-flight.
     let timed = args.timing && args.metrics_json.is_some();
     let flight_dir = flight_dir_of(&args);
     let flight_lines = Mutex::new(Vec::new());
@@ -566,7 +568,8 @@ fn run_sweep_mode(args: &Args, registry: &Registry, threads: usize, out: &mut dy
     // Timed sweeps keep the phase timers on: BENCH_sweep.json is the
     // perf-gate artifact, and its per-rung metric breakdown is what lets
     // a regression name the phase that moved. Either way the flight
-    // recorder rides along (unless --no-flight) and dumps on FAIL.
+    // recorder rides along and dumps on FAIL, unless --no-flight skips
+    // the dump.
     let flight_dir = flight_dir_of(args);
     let flight_lines = Mutex::new(Vec::new());
     let ran = if args.timing {
@@ -1241,7 +1244,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// `--no-flight` disarms the recorder: same failing run, no dump.
+    /// `--no-flight` skips the dump: same failing run, no record.
     #[test]
     fn no_flight_suppresses_the_dump() {
         let dir = temp_path("flight-off");

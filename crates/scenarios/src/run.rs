@@ -173,7 +173,7 @@ pub(crate) fn emit_topology<R: Recorder>(world: &World, rec: &mut R) {
 /// truth. `validate_forest` checks all five §1.3 properties, including that
 /// every member's tree depth equals its multi-source BFS distance — this is
 /// the "distributed result vs centralized baseline" check.
-fn check_forest(
+pub fn check_forest(
     structure: &AmoebotStructure,
     sources: &[NodeId],
     dests: &[NodeId],

@@ -32,11 +32,13 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SPFS";
 /// payload is a session name, its request counters and a workload
 /// driver. Versions 3 to 6 followed the engine's label cache into the
 /// `WORLD` payload (stale sets, the cut record, the force-global byte)
-/// and dropped the simulated and charged round counters, which derive
-/// from the round counter and the charge log. Version 7: a `WORLD`
+/// and dropped the simulated and charged round counters, which derived
+/// from the round counter and a charge log. Version 7: a `WORLD`
 /// payload holds the model state only (pins, beeps, deliveries,
 /// accounting, stuck pins); decode derives every circuit label.
-pub const SNAPSHOT_VERSION: u16 = 7;
+/// Version 8: the charge log is gone, and the round counter counts
+/// ticks only.
+pub const SNAPSHOT_VERSION: u16 = 8;
 
 /// Payload kind tags (one per snapshottable type).
 pub mod kind {

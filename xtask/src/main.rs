@@ -434,10 +434,30 @@ fn op(fields: &[(&str, Json)]) -> Json {
     doc
 }
 
-/// A scenario-server child process bound to an ephemeral port.
+/// A scenario-server child process bound to an ephemeral port. Dropping
+/// it kills and reaps the child, so a failed check leaves no server
+/// behind.
 struct SmokeServer {
     child: std::process::Child,
     addr: String,
+}
+
+impl Drop for SmokeServer {
+    fn drop(&mut self) {
+        // After `shutdown` has reaped the child, `kill` sends nothing and
+        // `wait` returns the status it already has.
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// A directory removed when the guard drops, on every exit path.
+struct RemoveOnDrop(std::path::PathBuf);
+
+impl Drop for RemoveOnDrop {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 impl SmokeServer {
@@ -523,6 +543,9 @@ fn server_smoke() -> Result<u8, String> {
     let bin = root.join("target/release/scenario-server");
     let dir = std::env::temp_dir().join(format!("spf-server-smoke-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    // Declared before either server, so each server is killed before the
+    // directory goes.
+    let _dir_guard = RemoveOnDrop(dir.clone());
 
     // Phase 1: create a churn session, advance it halfway, shut down
     // (which snapshots every live session).
@@ -643,7 +666,6 @@ fn server_smoke() -> Result<u8, String> {
     );
     print_rpc_latency();
     server.shutdown()?;
-    let _ = std::fs::remove_dir_all(&dir);
     if req_per_sec < 1000 {
         return Err(format!(
             "throughput {req_per_sec} req/s is below the 1000 req/s floor"
