@@ -463,16 +463,21 @@ impl Drop for RemoveOnDrop {
 impl SmokeServer {
     fn start(bin: &std::path::Path, snapshot_dir: &std::path::Path) -> Result<SmokeServer, String> {
         use std::io::BufRead;
-        let mut child = std::process::Command::new(bin)
+        let child = std::process::Command::new(bin)
             .args(["--threads", "4", "--snapshot-dir"])
             .arg(snapshot_dir)
             .stderr(std::process::Stdio::piped())
             .spawn()
             .map_err(|e| format!("cannot spawn {}: {e}", bin.display()))?;
+        // Owned by the guard from here on, so every error below kills it.
+        let mut server = SmokeServer {
+            child,
+            addr: String::new(),
+        };
         // spf-lint: allow(panic-surface) — invariant: the Command above pipes stderr
-        let stderr = child.stderr.take().expect("stderr was piped");
+        let stderr = server.child.stderr.take().expect("stderr was piped");
         let mut lines = std::io::BufReader::new(stderr).lines();
-        let addr = loop {
+        server.addr = loop {
             match lines.next() {
                 Some(Ok(line)) => {
                     if let Some(addr) = line.strip_prefix("listening on ") {
@@ -490,7 +495,7 @@ impl SmokeServer {
                 eprintln!("server: {line}");
             }
         });
-        Ok(SmokeServer { child, addr })
+        Ok(server)
     }
 
     fn connect(&self) -> Result<std::net::TcpStream, String> {
