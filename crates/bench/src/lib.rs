@@ -177,13 +177,11 @@ pub fn line_rounds(n: usize, k: usize) -> u64 {
 
 /// E17 (Theorem 56): forest rounds for `k` sources on a structure.
 pub fn forest_rounds(structure: &AmoebotStructure, k: usize) -> u64 {
-    let sources = spread(structure, k.max(2));
-    let all: Vec<NodeId> = structure.nodes().collect();
-    structure_rounds(structure, &sources, &all, StructureAlgorithm::Forest)
+    forest_outcome(structure, k).rounds
 }
 
-/// E17 (Theorem 56): the forest solve behind [`forest_rounds`], with
-/// its round account (`ticks`, `charged` and `parallel` beside the
+/// E17 (Theorem 56): the forest solve for `k` sources on a structure,
+/// with its round account (`ticks`, `charged` and `parallel` beside the
 /// reported `rounds`). Panics if the solve fails the cross-validation
 /// the scenario batches run.
 pub fn forest_outcome(structure: &AmoebotStructure, k: usize) -> ForestOutcome {

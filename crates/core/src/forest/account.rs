@@ -11,13 +11,17 @@
 //!   decomposition (returned by
 //!   [`portal_centroid_decomposition`](crate::portals::portal_centroid_decomposition))
 //!   and each per-level recompute of it;
-//! * **parallel** rounds are ticked but not reported: the model runs the
+//! * **parallel** rounds are counted but not reported: the model runs the
 //!   members of a group on disjoint regions in the same rounds, the
 //!   simulator runs them one after another, and the group reports its
 //!   longest member. The groups are the base-case regions, a
 //!   propagation's phase-2 SPTs, same-level merges and pair merges.
-//!   Groups nest: a propagation's saving is already out of the span its
-//!   base-case region or its join reports.
+//!   A member's span is read on the reported clock: what it ticked plus
+//!   what it charged (a same-level merge charges its pairing
+//!   iterations), less the parallel rounds of the groups nested in it
+//!   (a propagation's saving is already out of the span its base-case
+//!   region or its join reports). `parallel` sums the spans of every
+//!   member but each group's longest.
 //!
 //! So a solve reports `ticks + charged − parallel` rounds, and every span
 //! the forest reports is measured on that clock (`RoundAccount::reported`).
@@ -32,7 +36,8 @@ pub struct RoundAccount {
     pub(crate) report: RoundReport,
     /// Rounds reported for steps that are not simulated.
     pub(crate) charged: u64,
-    /// Rounds ticked by group members other than each group's longest.
+    /// Reported spans (ticked and charged rounds) of the group members
+    /// other than each group's longest.
     pub(crate) parallel: u64,
 }
 

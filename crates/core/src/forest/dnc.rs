@@ -55,8 +55,9 @@ pub struct ForestOutcome {
     pub ticks: u64,
     /// Rounds reported for steps that are not simulated.
     pub charged: u64,
-    /// Rounds ticked but not reported, because their parallel group
-    /// reports its longest member.
+    /// Rounds counted but not reported, because their parallel group
+    /// reports its longest member: the reported spans (ticked and
+    /// charged rounds) of every other member.
     pub parallel: u64,
     /// Total distinct beeps sent (diagnostic instrumentation of
     /// [`World::beeps_sent`]; the model itself never counts beeps).
@@ -858,23 +859,33 @@ mod tests {
         check_forest(&s, &sources, &all);
     }
 
+    /// `k` random sources and a random non-empty destination set over
+    /// `n` amoebots.
+    fn random_terminals(n: usize, k: usize, rng: &mut StdRng) -> (Vec<NodeId>, Vec<NodeId>) {
+        let ids =
+            |v: Vec<usize>| -> Vec<NodeId> { v.into_iter().map(|i| NodeId(i as u32)).collect() };
+        let src = ids(shapes::random_subset(n, k.min(n), rng));
+        let l = rng.gen_range(1..=n);
+        (src, ids(shapes::random_subset(n, l, rng)))
+    }
+
     #[test]
     fn random_blobs_random_sources() {
         let mut rng = StdRng::seed_from_u64(4242);
+        let mut blobs = Vec::new();
         for n in [12usize, 30, 80] {
             let s = AmoebotStructure::new(shapes::random_blob(n, &mut rng)).unwrap();
-            for k in [2usize, 3, 5, 1] {
-                let src: Vec<NodeId> = shapes::random_subset(n, k.min(n), &mut rng)
-                    .into_iter()
-                    .map(|i| NodeId(i as u32))
-                    .collect();
-                let l = rng.gen_range(1..=n);
-                let dst: Vec<NodeId> = shapes::random_subset(n, l, &mut rng)
-                    .into_iter()
-                    .map(|i| NodeId(i as u32))
-                    .collect();
+            for k in [2usize, 3, 5] {
+                let (src, dst) = random_terminals(n, k, &mut rng);
                 check_forest(&s, &src, &dst);
             }
+            blobs.push(s);
+        }
+        // One source per blob, the k = 1 delegation to the SPT, drawn
+        // after the inputs above so that those stay as they were.
+        for s in &blobs {
+            let (src, dst) = random_terminals(s.len(), 1, &mut rng);
+            check_forest(s, &src, &dst);
         }
     }
 
