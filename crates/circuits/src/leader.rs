@@ -1,7 +1,7 @@
 //! Randomized leader election on the global circuit (system S17).
 //!
 //! The paper assumes a leader as a precondition (§2.1) and cites Feldmann et
-//! al. [17] for a Θ(log n)-round w.h.p. election (Theorem 2). We implement
+//! al. \[17\] for a Θ(log n)-round w.h.p. election (Theorem 2). We implement
 //! the core coin-tossing mechanism of that algorithm: in every phase each
 //! remaining candidate tosses a fair coin and beeps on the global circuit if
 //! it came up heads; a candidate that tossed tails *and* heard a beep
@@ -11,7 +11,7 @@
 //! As discussed in DESIGN.md (substitution 2), the phase budget is derived
 //! from `n` by the harness — the amoebots themselves use no knowledge of `n`
 //! during the phases; the budget only bounds the loop, standing in for the
-//! termination detection of [17]. Experiment E20 measures the empirical
+//! termination detection of \[17\]. Experiment E20 measures the empirical
 //! failure probability.
 
 use rand::Rng;

@@ -408,18 +408,7 @@ mod tests {
             world.global_pin_config(v);
         }
         let mut rec = TraceWriter::new();
-        let node_ports: Vec<u32> = (0..n)
-            .map(|v| world.topology().ports_len(v) as u32)
-            .collect();
-        let mut topo_edges = Vec::new();
-        for v in 0..n {
-            for (p, w, q) in world.topology().neighbors(v) {
-                if v < w {
-                    topo_edges.push((v as u32, p as u32, w as u32, q as u32));
-                }
-            }
-        }
-        rec.topology(2, &node_ports, &topo_edges);
+        world.record_topology(&mut rec);
         for r in 0..rounds {
             world.beep(r % n, 0);
             world.tick_with(&mut rec);
@@ -495,7 +484,7 @@ mod tests {
         w.topology(h.c, &h.node_ports, &h.edges);
         let mut i = 0;
         while let Some(orig) = r.next_event().unwrap() {
-            w.write_event(if i == at { &ev } else { &orig });
+            w.event(if i == at { ev } else { orig });
             i += 1;
         }
         w.finish(r.footer().unwrap().wall_micros)

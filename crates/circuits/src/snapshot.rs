@@ -187,7 +187,7 @@ fn decode_gids(
 
 impl World {
     /// Writes the world payload (no envelope) into `w` — the composable
-    /// form [`amoebot_dynamics`]'s codec embeds.
+    /// form `amoebot_dynamics`'s codec embeds.
     pub fn encode_payload(&self, w: &mut SnapshotWriter) {
         w.varint(self.c as u64);
         encode_topology(&self.topo, w);
@@ -361,7 +361,7 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amoebot_telemetry::{NullRecorder, Recorder, RoundSummary};
+    use amoebot_telemetry::{NullRecorder, Recorder, RoundSummary, TraceEvent};
 
     /// A recorder that keeps every round summary (for differential
     /// comparison of restored vs. uninterrupted runs).
@@ -371,8 +371,10 @@ mod tests {
     impl Recorder for Summaries {
         const TRACE: bool = true;
         const TIMED: bool = false;
-        fn round_end(&mut self, s: &RoundSummary) {
-            self.0.push(*s);
+        fn event(&mut self, ev: TraceEvent) {
+            if let TraceEvent::RoundEnd(s) = ev {
+                self.0.push(s);
+            }
         }
     }
 

@@ -81,7 +81,7 @@ use crate::repair::RepairScratch;
 use crate::topology::{PortId, Topology};
 use amoebot_telemetry::{
     mix64, CounterId, Metrics, NullRecorder, Recorder, RoundSummary, Stopwatch, TimerId,
-    BEEP_DIGEST_SALT,
+    TraceEvent, BEEP_DIGEST_SALT,
 };
 
 /// A pin reference local to a node: `(port, link)` with `link < c`.
@@ -1370,6 +1370,28 @@ impl World {
         self.stats.metrics.inc(self.stats.relabel_global);
     }
 
+    /// Feeds the world's complete current wiring to `rec` as its
+    /// recording header: links per edge, per-node port counts, and each
+    /// edge once, from its lower endpoint, in node and port order. A
+    /// recording opens with it, before any tick or structure edit is
+    /// recorded. Compiles away unless `R::TRACE`.
+    pub fn record_topology<R: Recorder>(&self, rec: &mut R) {
+        if !R::TRACE {
+            return;
+        }
+        let n = self.topo.len();
+        let node_ports: Vec<u32> = (0..n).map(|v| self.topo.ports_len(v) as u32).collect();
+        let mut edges = Vec::with_capacity(self.topo.edge_count());
+        for v in 0..n {
+            for (p, w, q) in self.topo.neighbors(v) {
+                if v < w {
+                    edges.push((v as u32, p as u32, w as u32, q as u32));
+                }
+            }
+        }
+        rec.topology(self.c as u32, &node_ports, &edges);
+    }
+
     /// Executes one synchronous round: circuits are computed from the current
     /// pin configurations (reusing the cached labeling if no pin changed,
     /// and labelling only the circuits a beep is delivered on), beeps sent
@@ -1448,7 +1470,7 @@ impl World {
                     self.beeps_sent += 1;
                     self.stats.metrics.inc(self.stats.fault_injects);
                     if R::TRACE {
-                        rec.beep_injected(gid);
+                        rec.event(TraceEvent::FaultInject { gid });
                     }
                 }
             }
@@ -1464,11 +1486,12 @@ impl World {
                 // reconfiguration.
                 for i in 0..self.dirty_pins.len() {
                     let gid = self.dirty_pins[i].0;
-                    rec.config_delta(gid, self.pin_pset[gid as usize]);
+                    let pset = self.pin_pset[gid as usize];
+                    rec.event(TraceEvent::ConfigDelta { gid, pset });
                 }
             }
             for &gid in &self.sent {
-                rec.beep(gid);
+                rec.event(TraceEvent::Beep { gid });
                 if R::REPLAY {
                     digest ^= mix64(gid as u64 ^ BEEP_DIGEST_SALT);
                 }
@@ -1496,7 +1519,7 @@ impl World {
                 // circuit for delivery.
                 self.stats.metrics.inc(self.stats.fault_drops);
                 if R::TRACE {
-                    rec.beep_dropped(gid);
+                    rec.event(TraceEvent::FaultDrop { gid });
                 }
                 continue;
             }
@@ -1528,12 +1551,12 @@ impl World {
         }
         self.rounds += 1;
         if R::TRACE {
-            rec.round_end(&RoundSummary {
+            rec.event(TraceEvent::RoundEnd(RoundSummary {
                 round: self.rounds,
                 beeps,
                 delivered: self.delivery_count() as u64,
                 digest,
-            });
+            }));
         }
     }
 
@@ -1655,7 +1678,9 @@ impl World {
     /// the emission gate below compiles away there.
     pub fn add_node_with<R: Recorder>(&mut self, ports: usize, rec: &mut R) -> usize {
         if R::TRACE {
-            rec.add_node(ports as u32);
+            rec.event(TraceEvent::AddNode {
+                ports: ports as u32,
+            });
         }
         let v = self.topo.push_node(ports);
         let old_total = *self.base.last().expect("base always non-empty") as usize;
@@ -1737,7 +1762,12 @@ impl World {
         rec: &mut R,
     ) {
         if R::TRACE {
-            rec.connect(v as u32, p as u32, w as u32, q as u32);
+            rec.event(TraceEvent::Connect {
+                v: v as u32,
+                p: p as u32,
+                w: w as u32,
+                q: q as u32,
+            });
         }
         self.topo.connect(v, p, w, q);
         let a0 = self.base[v] + (p * self.c) as u32;
@@ -1789,7 +1819,10 @@ impl World {
         rec: &mut R,
     ) -> (usize, PortId) {
         if R::TRACE {
-            rec.disconnect(v as u32, p as u32);
+            rec.event(TraceEvent::Disconnect {
+                v: v as u32,
+                p: p as u32,
+            });
         }
         let (w, q) = self
             .topo
@@ -1839,7 +1872,7 @@ impl World {
     /// implementation; see [`World::add_node_with`].
     pub fn isolate_with<R: Recorder>(&mut self, v: usize, rec: &mut R) {
         if R::TRACE {
-            rec.isolate(v as u32);
+            rec.event(TraceEvent::Isolate { v: v as u32 });
         }
         for p in 0..self.topo.ports_len(v) {
             if self.topo.peer(v, p).is_some() {

@@ -20,8 +20,10 @@ struct Summaries(Vec<RoundSummary>);
 impl Recorder for Summaries {
     const TRACE: bool = true;
     const TIMED: bool = false;
-    fn round_end(&mut self, s: &RoundSummary) {
-        self.0.push(*s);
+    fn event(&mut self, ev: TraceEvent) {
+        if let TraceEvent::RoundEnd(s) = ev {
+            self.0.push(s);
+        }
     }
 }
 
@@ -275,16 +277,7 @@ fn faulted_traces_replay_clean() {
         w.global_pin_config(v);
     }
     let mut rec = TraceWriter::new();
-    let node_ports: Vec<u32> = (0..n).map(|v| w.topology().ports_len(v) as u32).collect();
-    let mut edges = Vec::new();
-    for v in 0..n {
-        for (p, u, q) in w.topology().neighbors(v) {
-            if v < u {
-                edges.push((v as u32, p as u32, u as u32, q as u32));
-            }
-        }
-    }
-    rec.topology(2, &node_ports, &edges);
+    w.record_topology(&mut rec);
     for round in 0..6 {
         w.beep(round % n, 0);
         let faults = TickFaults {
@@ -321,16 +314,7 @@ fn faulted_trace_bit_corruption_is_rejected() {
         w.global_pin_config(v);
     }
     let mut rec = TraceWriter::new();
-    let node_ports: Vec<u32> = (0..5).map(|v| w.topology().ports_len(v) as u32).collect();
-    let mut edges = Vec::new();
-    for v in 0..5 {
-        for (p, u, q) in w.topology().neighbors(v) {
-            if v < u {
-                edges.push((v as u32, p as u32, u as u32, q as u32));
-            }
-        }
-    }
-    rec.topology(1, &node_ports, &edges);
+    w.record_topology(&mut rec);
     for round in 0..4 {
         w.beep(round % 5, 0);
         let faults = TickFaults {

@@ -12,7 +12,7 @@
 //! the next tick must deliver what the reference engine delivers.
 
 use amoebot_circuits::{Topology, World};
-use amoebot_telemetry::Recorder;
+use amoebot_telemetry::{Recorder, TraceEvent};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -24,8 +24,10 @@ struct Deltas(Vec<(u32, u16)>);
 impl Recorder for Deltas {
     const TRACE: bool = true;
     const TIMED: bool = false;
-    fn config_delta(&mut self, gid: u32, pset: u16) {
-        self.0.push((gid, pset));
+    fn event(&mut self, ev: TraceEvent) {
+        if let TraceEvent::ConfigDelta { gid, pset } = ev {
+            self.0.push((gid, pset));
+        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! The shortest path forest algorithm for multiple sources (§5).
 //!
 //! * [`account`] — the DnC forest's round account (DESIGN §2 item 1),
-//! * [`line`] — the line algorithm (§5.1, Lemma 40),
+//! * [`line`](mod@line) — the line algorithm (§5.1, Lemma 40),
 //! * [`merge`] — the merging algorithm (§5.2, Lemma 42),
 //! * [`propagate`] — the propagation algorithm (§5.3, Lemma 50),
 //! * [`dnc`] — the divide-and-conquer shortest path forest algorithm

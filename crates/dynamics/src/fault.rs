@@ -27,7 +27,7 @@
 
 use amoebot_circuits::TickFaults;
 use amoebot_grid::NodeId;
-use amoebot_telemetry::{NullRecorder, Recorder};
+use amoebot_telemetry::{NullRecorder, Recorder, TraceEvent};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -219,13 +219,13 @@ impl FaultPlan {
         out.ticks.inject.sort_unstable();
         out.ticks.inject.dedup();
         if R::TRACE {
-            rec.fault_tag(
-                index as u32,
-                out.ticks.drop.len() as u32,
-                out.ticks.inject.len() as u32,
-                out.inactive.len() as u32,
-                out.wiped.len() as u32,
-            );
+            rec.event(TraceEvent::FaultTag {
+                index: index as u32,
+                dropped: out.ticks.drop.len() as u32,
+                injected: out.ticks.inject.len() as u32,
+                disabled: out.inactive.len() as u32,
+                wiped: out.wiped.len() as u32,
+            });
         }
         out
     }

@@ -18,7 +18,7 @@
 //! [`can_remove`]: amoebot_grid::StructureEditor::can_remove
 
 use amoebot_grid::{Coord, Direction, NodeId, StructureEditor, ALL_DIRECTIONS};
-use amoebot_telemetry::{NullRecorder, Recorder};
+use amoebot_telemetry::{NullRecorder, Recorder, TraceEvent};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -138,11 +138,11 @@ impl ChurnPlan {
             }
         }
         if R::TRACE {
-            rec.churn_tag(
-                index as u32,
-                out.inserted.len() as u32,
-                out.removed.len() as u32,
-            );
+            rec.event(TraceEvent::ChurnTag {
+                index: index as u32,
+                inserted: out.inserted.len() as u32,
+                removed: out.removed.len() as u32,
+            });
         }
         out
     }

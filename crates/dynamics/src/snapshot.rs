@@ -72,7 +72,7 @@ mod tests {
     use crate::plan::{ChurnFamily, ChurnPlan, ALL_CHURN_FAMILIES};
     use crate::world::verify_against_rebuild;
     use amoebot_grid::{shapes, AmoebotStructure};
-    use amoebot_telemetry::{Recorder, RoundSummary};
+    use amoebot_telemetry::{Recorder, RoundSummary, TraceEvent};
 
     #[derive(Default)]
     struct Summaries(Vec<RoundSummary>);
@@ -80,8 +80,10 @@ mod tests {
     impl Recorder for Summaries {
         const TRACE: bool = true;
         const TIMED: bool = false;
-        fn round_end(&mut self, s: &RoundSummary) {
-            self.0.push(*s);
+        fn event(&mut self, ev: TraceEvent) {
+            if let TraceEvent::RoundEnd(s) = ev {
+                self.0.push(s);
+            }
         }
     }
 

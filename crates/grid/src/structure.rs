@@ -8,7 +8,7 @@
 //! * `index` — `(coord, id)` pairs sorted by coordinate; [`node_at`] is a
 //!   binary search over this flat array (no `HashMap`, no per-entry heap);
 //! * `neighbors` — one flat `u32` per (node, direction) slot, `6n` total,
-//!   with [`NONE`] marking vacant directions.
+//!   with `NONE` marking vacant directions.
 //!
 //! [`node_at`]: AmoebotStructure::node_at
 

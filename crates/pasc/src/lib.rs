@@ -17,7 +17,7 @@
 //! activity, is the current bit of its weighted prefix count; instances
 //! whose current bit is 1 retire. A designated *sync link* carries a global
 //! "anyone still active?" beep each iteration, exactly the synchronization
-//! technique the paper cites from Padalkin et al. [26].
+//! technique the paper cites from Padalkin et al. \[26\].
 //!
 //! # Example: distances along a chain
 //!

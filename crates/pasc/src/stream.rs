@@ -118,8 +118,8 @@ impl StreamingSub {
 /// Compares a stream `x` against `⌊Q/2⌋` where `Q` arrives synchronously
 /// with `x` but unshifted: bit `i` of `⌊Q/2⌋` is bit `i+1` of `Q`, so the
 /// comparison runs one iteration behind (the centroid primitive's
-/// `size_u(v) ≤ |Q|/2` test, §3.4). Call [`HalfCompare::finish`] after the
-/// final iteration.
+/// `size_u(v) ≤ |Q|/2` test, §3.4). Call [`HalfCompare::le_half`] or
+/// [`HalfCompare::lt_half`] after the final iteration.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HalfCompare {
     cmp: StreamingCompare,

@@ -33,8 +33,7 @@
 //!
 //! `--metrics-json PATH` writes the run's merged engine-metrics document
 //! (schema `spf-metrics-report/v1`) next to the main report; under
-//! `--no-timing` it is canonical (counters and gauges only, timers
-//! stripped).
+//! `--no-timing` it is canonical (counters only, timers stripped).
 //!
 //! `trace PATH` records a single scenario (`--family`, `--size`,
 //! `--seed`; blob-broadcast families only) as a compact binary round

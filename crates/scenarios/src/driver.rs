@@ -9,7 +9,7 @@
 //! codec. It has two operations: [`Driver::step`] runs one round and
 //! [`Driver::event`] applies the next schedule event.
 //!
-//! A batch run ([`drive`]) drives a driver to completion and checks
+//! A batch run (`drive`) drives a driver to completion and checks
 //! every round; a server session ([`crate::server::Session`]) is a
 //! driver held open between requests. Both therefore report the same
 //! rounds, beeps and circuits for the same operations.
@@ -29,7 +29,7 @@ use amoebot_telemetry::wire::{SnapshotReader, SnapshotWriter, WireError};
 use amoebot_telemetry::Recorder;
 use rand::RngCore;
 
-use crate::run::{blank_result, emit_topology, CheckResult, ScenarioResult};
+use crate::run::{blank_result, CheckResult, ScenarioResult};
 use crate::spec::{derive_rng, pick};
 
 /// The Fibonacci-hash stride that spreads broadcast origins over the
@@ -591,7 +591,7 @@ fn check(name: &str, failure: Option<String>) -> CheckResult {
 /// Only the first failure of each check is kept, and the oracle stops
 /// running once it has failed.
 pub(crate) fn drive<R: Recorder>(d: &mut Driver, rec: &mut R) -> ScenarioResult {
-    emit_topology(d.world(), rec);
+    d.world().record_topology(rec);
     let mut r = blank_result();
     r.n = d.size;
     r.checks = match d.kind {

@@ -226,8 +226,8 @@ mod tests {
         assert_eq!(dump_flight_record(&dir, &passing, &rec).unwrap(), None);
 
         // Failing + attached: the dump decodes and leads with the key.
-        rec.beep(0);
-        rec.round_end(&RoundSummary::default());
+        rec.event(TraceEvent::Beep { gid: 0 });
+        rec.event(TraceEvent::RoundEnd(RoundSummary::default()));
         let path = dump_flight_record(&dir, &r, &rec)
             .unwrap()
             .expect("a record must be dumped");

@@ -82,7 +82,7 @@ impl Envelope {
     }
 }
 
-/// Renders one metrics registry as a JSON object. Counters and gauges are
+/// Renders one metrics registry as a JSON object. Counters are
 /// deterministic and always included (sorted by name); timers are
 /// wall-clock derived and appear only with `include_timing` — each as
 /// count/sum/min/max plus the p50/p90/p99 estimates from the log2
@@ -93,14 +93,6 @@ pub fn metrics_to_json(m: &Metrics, include_timing: bool) -> Json {
         counters = counters.field(name, v);
     }
     let mut doc = Json::object().field("counters", counters);
-    let gauges = m.gauges_sorted();
-    if !gauges.is_empty() {
-        let mut g = Json::object();
-        for (name, v) in gauges {
-            g = g.field(name, v);
-        }
-        doc = doc.field("gauges", g);
-    }
     if include_timing {
         let mut timers = Json::object();
         for (name, h) in m.timers_sorted() {
@@ -123,8 +115,7 @@ pub fn metrics_to_json(m: &Metrics, include_timing: bool) -> Json {
 
 /// Builds the standalone `--metrics-json` document: the merge of every
 /// result's registry, next to the scenario count it aggregates. With
-/// `include_timing` disabled the document is canonical (counters and
-/// gauges only).
+/// `include_timing` disabled the document is canonical (counters only).
 pub fn metrics_report(results: &[ScenarioResult], include_timing: bool) -> Json {
     let mut merged = Metrics::new();
     for r in results {

@@ -147,28 +147,6 @@ pub(crate) fn blank_result() -> ScenarioResult {
     }
 }
 
-/// Feeds `world`'s complete current wiring to a trace recorder (each
-/// edge once, from its lower endpoint); compiles away unless `R::TRACE`.
-pub(crate) fn emit_topology<R: Recorder>(world: &World, rec: &mut R) {
-    if !R::TRACE {
-        return;
-    }
-    let topo = world.topology();
-    let n = topo.len();
-    let node_ports: Vec<u32> = (0..n).map(|v| topo.ports_len(v) as u32).collect();
-    let mut edges: Vec<(u32, u32, u32, u32)> = Vec::new();
-    for v in 0..n {
-        for p in 0..topo.ports_len(v) {
-            if let Some((w, q)) = topo.peer(v, p) {
-                if v < w {
-                    edges.push((v as u32, p as u32, w as u32, q as u32));
-                }
-            }
-        }
-    }
-    rec.topology(world.links_per_edge() as u32, &node_ports, &edges);
-}
-
 /// Cross-validates a parent forest against the centralized BFS ground
 /// truth. `validate_forest` checks all five §1.3 properties, including that
 /// every member's tree depth equals its multi-source BFS distance — this is

@@ -124,7 +124,7 @@ fn reencode(blob: &[u8]) -> Vec<u8> {
     let mut w = TraceWriter::new();
     w.topology(h.c, &h.node_ports, &h.edges);
     while let Some(ev) = r.next_event().unwrap() {
-        w.write_event(&ev);
+        w.event(ev);
     }
     w.finish(r.footer().unwrap().wall_micros)
 }

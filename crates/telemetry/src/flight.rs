@@ -4,8 +4,9 @@
 //! black box dumped.
 //!
 //! The ring is pre-allocated at construction; once full, the oldest
-//! event is overwritten in place, so the steady-state hot path is one
-//! enum store plus an index bump — no heap traffic, no clock reads
+//! event is overwritten in place, so the steady-state hot path, the
+//! recorder's [`Recorder::event`], is one enum store plus an index
+//! bump — no heap traffic, no clock reads
 //! ([`FlightRecorder`] keeps `TIMED = false`; its const parameter,
 //! spelled [`TimedFlightRecorder`], keeps the phase timers on too).
 //! Both keep `REPLAY = false`: the engine skips the per-pin
@@ -25,7 +26,7 @@
 //! starts mid-run — which is exactly why the key that rebuilds the full
 //! run is embedded in the blob itself.
 
-use crate::recorder::{Recorder, RoundSummary};
+use crate::recorder::Recorder;
 use crate::trace::{TraceEvent, TraceWriter};
 
 /// Default ring capacity (events) for [`FlightRecorder::default`] — a
@@ -116,20 +117,6 @@ impl<const TIMED: bool> FlightRecorder<TIMED> {
         self.rounds
     }
 
-    #[inline]
-    fn push(&mut self, ev: TraceEvent) {
-        if self.ring.len() < self.cap {
-            self.ring.push(ev);
-        } else {
-            self.ring[self.head] = ev;
-            self.head += 1;
-            if self.head == self.cap {
-                self.head = 0;
-            }
-            self.overwritten += 1;
-        }
-    }
-
     /// The retained events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         let (wrapped, linear) = self.ring.split_at(self.head.min(self.ring.len()));
@@ -150,9 +137,13 @@ impl<const TIMED: bool> FlightRecorder<TIMED> {
         }
         let mut w = TraceWriter::new();
         w.topology(self.c, &self.node_ports, &self.edges);
-        w.flight_key(plan_seed, scenario_seed, event);
-        for ev in self.events() {
-            w.write_event(ev);
+        w.event(TraceEvent::FlightKey {
+            plan_seed,
+            scenario_seed,
+            event,
+        });
+        for &ev in self.events() {
+            w.event(ev);
         }
         // Dumps are byte-deterministic: wall time never enters the blob.
         Some(w.finish(0))
@@ -176,65 +167,29 @@ impl<const TIMED: bool> Recorder for FlightRecorder<TIMED> {
         self.edges = edges.to_vec();
     }
 
-    fn config_delta(&mut self, gid: u32, pset: u16) {
-        self.push(TraceEvent::ConfigDelta { gid, pset });
-    }
-
-    fn beep(&mut self, gid: u32) {
-        self.push(TraceEvent::Beep { gid });
-    }
-
-    fn add_node(&mut self, ports: u32) {
-        self.push(TraceEvent::AddNode { ports });
-    }
-
-    fn connect(&mut self, v: u32, p: u32, w: u32, q: u32) {
-        self.push(TraceEvent::Connect { v, p, w, q });
-    }
-
-    fn disconnect(&mut self, v: u32, p: u32) {
-        self.push(TraceEvent::Disconnect { v, p });
-    }
-
-    fn isolate(&mut self, v: u32) {
-        self.push(TraceEvent::Isolate { v });
-    }
-
-    fn churn_tag(&mut self, index: u32, inserted: u32, removed: u32) {
-        self.push(TraceEvent::ChurnTag {
-            index,
-            inserted,
-            removed,
-        });
-    }
-
-    fn beep_dropped(&mut self, gid: u32) {
-        self.push(TraceEvent::FaultDrop { gid });
-    }
-
-    fn beep_injected(&mut self, gid: u32) {
-        self.push(TraceEvent::FaultInject { gid });
-    }
-
-    fn fault_tag(&mut self, index: u32, dropped: u32, injected: u32, disabled: u32, wiped: u32) {
-        self.push(TraceEvent::FaultTag {
-            index,
-            dropped,
-            injected,
-            disabled,
-            wiped,
-        });
-    }
-
-    fn round_end(&mut self, s: &RoundSummary) {
-        self.rounds += 1;
-        self.push(TraceEvent::RoundEnd(*s));
+    /// The ring push: one enum store plus an index bump.
+    #[inline]
+    fn event(&mut self, ev: TraceEvent) {
+        if let TraceEvent::RoundEnd(_) = ev {
+            self.rounds += 1;
+        }
+        if self.ring.len() < self.cap {
+            self.ring.push(ev);
+        } else {
+            self.ring[self.head] = ev;
+            self.head += 1;
+            if self.head == self.cap {
+                self.head = 0;
+            }
+            self.overwritten += 1;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recorder::RoundSummary;
     use crate::trace::{TraceReader, TRACE_MAGIC};
 
     fn summary(round: u64) -> RoundSummary {
@@ -249,7 +204,7 @@ mod tests {
     #[test]
     fn unattached_recorder_has_no_dump() {
         let mut r = FlightRecorder::with_capacity(8);
-        r.beep(1);
+        r.event(TraceEvent::Beep { gid: 1 });
         assert!(!r.is_attached());
         assert_eq!(r.to_trace_bytes(1, 2, 3), None);
     }
@@ -259,7 +214,7 @@ mod tests {
         let mut r = FlightRecorder::with_capacity(4);
         r.topology(1, &[2, 2], &[(0, 0, 1, 1)]);
         for gid in 0..7u32 {
-            r.beep(gid);
+            r.event(TraceEvent::Beep { gid });
         }
         assert_eq!(r.len(), 4);
         assert_eq!(r.overwritten(), 3);
@@ -277,10 +232,14 @@ mod tests {
     fn dump_decodes_via_the_trace_codec_with_the_key_first() {
         let mut r = FlightRecorder::with_capacity(16);
         r.topology(2, &[6, 6], &[(0, 0, 1, 3)]);
-        r.beep(0);
-        r.round_end(&summary(1));
-        r.churn_tag(0, 1, 0);
-        r.round_end(&summary(2));
+        r.event(TraceEvent::Beep { gid: 0 });
+        r.event(TraceEvent::RoundEnd(summary(1)));
+        r.event(TraceEvent::ChurnTag {
+            index: 0,
+            inserted: 1,
+            removed: 0,
+        });
+        r.event(TraceEvent::RoundEnd(summary(2)));
         let blob = r.to_trace_bytes(0xAB, 42, 7).expect("attached");
         assert_eq!(&blob[..4], &TRACE_MAGIC);
         let mut rd = TraceReader::open(&blob).unwrap();
@@ -313,7 +272,7 @@ mod tests {
         let mut r = FlightRecorder::with_capacity(2);
         r.topology(1, &[1], &[]);
         for i in 0..10 {
-            r.round_end(&summary(i));
+            r.event(TraceEvent::RoundEnd(summary(i)));
         }
         assert_eq!(r.rounds_seen(), 10);
         assert_eq!(r.len(), 2);
@@ -327,8 +286,8 @@ mod tests {
         }
         let mut t = TimedFlightRecorder::default();
         t.topology(1, &[2], &[]);
-        t.beep(5);
-        t.round_end(&summary(1));
+        t.event(TraceEvent::Beep { gid: 5 });
+        t.event(TraceEvent::RoundEnd(summary(1)));
         assert!(t.is_attached());
         assert_eq!(t.len(), 2);
     }

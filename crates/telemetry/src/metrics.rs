@@ -1,5 +1,5 @@
-//! The metrics registry: named counters, gauges and log2-bucket
-//! histograms, plus RAII span timers.
+//! The metrics registry: named counters and log2-bucket histograms,
+//! plus the [`Stopwatch`] that times what a histogram observes.
 //!
 //! A [`Metrics`] is owned by one engine and mutated through interior
 //! mutability ([`std::cell::Cell`]), so hot paths can bump a counter or
@@ -9,8 +9,8 @@
 //! batch runner aggregates per-scenario registries into one report.
 //!
 //! Registration is name-idempotent and returns a dense handle
-//! ([`CounterId`], [`GaugeId`], [`TimerId`]); the hot-path operations are
-//! a single bounds-checked index plus a `Cell` read-modify-write.
+//! ([`CounterId`], [`TimerId`]); the hot-path operations are a single
+//! bounds-checked index plus a `Cell` read-modify-write.
 //! Rendering is left to the caller: [`Metrics::counters_sorted`] /
 //! [`Metrics::timers_sorted`] expose deterministic (name-sorted) views.
 
@@ -20,10 +20,6 @@ use std::time::Instant;
 /// Handle of a registered counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterId(u32);
-
-/// Handle of a registered gauge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeId(u32);
 
 /// Handle of a registered timer (log2-bucket histogram of microseconds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,7 +156,6 @@ pub struct HistSummary {
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
     counters: Vec<(&'static str, Cell<u64>)>,
-    gauges: Vec<(&'static str, Cell<i64>)>,
     timers: Vec<(&'static str, Hist)>,
 }
 
@@ -172,7 +167,7 @@ impl Metrics {
 
     /// Whether nothing was ever registered.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.timers.is_empty()
+        self.counters.is_empty() && self.timers.is_empty()
     }
 
     /// Registers (or finds) the counter `name` and returns its handle.
@@ -219,30 +214,6 @@ impl Metrics {
             .unwrap_or(0)
     }
 
-    /// Registers (or finds) the gauge `name` and returns its handle.
-    pub fn gauge(&mut self, name: &'static str) -> GaugeId {
-        if let Some(i) = self.gauges.iter().position(|(n, _)| *n == name) {
-            return GaugeId(i as u32);
-        }
-        self.gauges.push((name, Cell::new(0)));
-        GaugeId((self.gauges.len() - 1) as u32)
-    }
-
-    /// Sets a gauge to `v`.
-    #[inline]
-    pub fn set_gauge(&self, id: GaugeId, v: i64) {
-        self.gauges[id.0 as usize].1.set(v);
-    }
-
-    /// Reads a gauge by name (0 when absent).
-    pub fn gauge_value(&self, name: &str) -> i64 {
-        self.gauges
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, g)| g.get())
-            .unwrap_or(0)
-    }
-
     /// Registers (or finds) the timer `name` and returns its handle.
     pub fn timer(&mut self, name: &'static str) -> TimerId {
         if let Some(i) = self.timers.iter().position(|(n, _)| *n == name) {
@@ -256,19 +227,6 @@ impl Metrics {
     #[inline]
     pub fn observe(&self, id: TimerId, v: u64) {
         self.timers[id.0 as usize].1.observe(v);
-    }
-
-    /// Starts an RAII span on `id`: when the returned [`Span`] drops, the
-    /// elapsed wall microseconds are observed into the timer. For call
-    /// sites that need `&mut self` of the owning engine inside the timed
-    /// region, use a manual [`Stopwatch`] + [`Metrics::observe`] instead.
-    #[inline]
-    pub fn span(&self, id: TimerId) -> Span<'_> {
-        Span {
-            metrics: self,
-            id,
-            start: Instant::now(),
-        }
     }
 
     /// Reads a timer's summary by name (zeros when absent).
@@ -288,14 +246,6 @@ impl Metrics {
         out
     }
 
-    /// All gauges, sorted by name.
-    pub fn gauges_sorted(&self) -> Vec<(&'static str, i64)> {
-        let mut out: Vec<(&'static str, i64)> =
-            self.gauges.iter().map(|(n, g)| (*n, g.get())).collect();
-        out.sort_unstable_by_key(|&(n, _)| n);
-        out
-    }
-
     /// All timers, sorted by name.
     pub fn timers_sorted(&self) -> Vec<(&'static str, HistSummary)> {
         let mut out: Vec<(&'static str, HistSummary)> =
@@ -304,17 +254,13 @@ impl Metrics {
         out
     }
 
-    /// Folds `other` into `self`, matching by name: counters add, gauges
-    /// take `other`'s last value, histograms absorb bucket-wise. This is
-    /// how the batch runner aggregates per-scenario registries.
+    /// Folds `other` into `self`, matching by name: counters add,
+    /// histograms absorb bucket-wise. This is how the batch runner
+    /// aggregates per-scenario registries.
     pub fn merge(&mut self, other: &Metrics) {
         for (name, c) in &other.counters {
             let id = self.counter(name);
             self.add(id, c.get());
-        }
-        for (name, g) in &other.gauges {
-            let id = self.gauge(name);
-            self.set_gauge(id, g.get());
         }
         for (name, h) in &other.timers {
             let id = self.timer(name);
@@ -323,24 +269,9 @@ impl Metrics {
     }
 }
 
-/// RAII phase timer: observes the elapsed microseconds on drop. Created
-/// by [`Metrics::span`].
-pub struct Span<'a> {
-    metrics: &'a Metrics,
-    id: TimerId,
-    start: Instant,
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        self.metrics
-            .observe(self.id, self.start.elapsed().as_micros() as u64);
-    }
-}
-
-/// A manual wall-clock stopwatch for timed regions where an RAII borrow
-/// of the registry is impossible (the engine mutates itself inside the
-/// phase). Pair with [`Metrics::observe`].
+/// A wall-clock stopwatch for a timed region; the engine mutates itself
+/// inside its phases, so it times them with this and records the
+/// elapsed microseconds with [`Metrics::observe`].
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
     start: Instant,
@@ -380,15 +311,6 @@ mod tests {
         m.add_named("late", 2);
         m.add_named("late", 3);
         assert_eq!(m.counter_value("late"), 5);
-    }
-
-    #[test]
-    fn gauges_hold_the_last_value() {
-        let mut m = Metrics::new();
-        let g = m.gauge("arena_len");
-        m.set_gauge(g, 10);
-        m.set_gauge(g, -3);
-        assert_eq!(m.gauge_value("arena_len"), -3);
     }
 
     #[test]
@@ -484,16 +406,6 @@ mod tests {
             c_b_a.timer_summary("phase"),
             "percentiles must not depend on shard merge order"
         );
-    }
-
-    #[test]
-    fn span_observes_on_drop() {
-        let mut m = Metrics::new();
-        let t = m.timer("span");
-        {
-            let _s = m.span(t);
-        }
-        assert_eq!(m.timer_summary("span").count, 1);
     }
 
     #[test]

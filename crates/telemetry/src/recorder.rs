@@ -5,8 +5,8 @@
 //!
 //! * [`Recorder::TRACE`] — per-event emission (beeps, structure edits,
 //!   churn/fault tags, round summaries). Emission sites are written
-//!   `if R::TRACE { rec.event(...) }`, so with [`NullRecorder`] the
-//!   branch folds away at monomorphization.
+//!   `if R::TRACE { rec.event(TraceEvent::...) }`, so with
+//!   [`NullRecorder`] the branch folds away at monomorphization.
 //! * [`Recorder::REPLAY`] — replay-grade detail on top of `TRACE`: the
 //!   per-pin config-delta stream and the round delivery digests. These
 //!   are what makes a trace re-verifiable, but they cost O(dirty pins)
@@ -22,6 +22,14 @@
 //!
 //! None of the three chooses how a tick labels its circuits: every
 //! recorder's ticks take the one labelling path.
+//!
+//! A sink takes the starting world once, through [`Recorder::topology`],
+//! and every later event through [`Recorder::event`]. The events are the
+//! variants of [`TraceEvent`], the trace format's own vocabulary:
+//! [`crate::TraceWriter`] encodes each one, [`crate::FlightRecorder`]
+//! pushes it onto its ring.
+
+use crate::trace::TraceEvent;
 
 /// What one simulated round did, in replay-verifiable form: only what
 /// the model observes — the beeps and the partition sets they reached —
@@ -45,7 +53,7 @@ pub struct RoundSummary {
     pub digest: u64,
 }
 
-/// The engine event sink. All sinks have empty defaults; implementors
+/// The engine event sink. Both methods have empty defaults; implementors
 /// override what they care about. See the module docs for the gating
 /// contract.
 pub trait Recorder {
@@ -63,54 +71,9 @@ pub trait Recorder {
     /// before any other event.
     fn topology(&mut self, _c: u32, _node_ports: &[u32], _edges: &[(u32, u32, u32, u32)]) {}
 
-    /// Pin `gid`'s partition set changed to `pset` since the last tick
-    /// (the net change; intermediate writes are not observable).
-    fn config_delta(&mut self, _gid: u32, _pset: u16) {}
-
-    /// Partition-set `gid` beeped into the upcoming tick.
-    fn beep(&mut self, _gid: u32) {}
-
-    /// A node with `ports` port slots was appended.
-    fn add_node(&mut self, _ports: u32) {}
-
-    /// An edge `(v, p)`–`(w, q)` was wired.
-    fn connect(&mut self, _v: u32, _p: u32, _w: u32, _q: u32) {}
-
-    /// The edge behind port `p` of `v` was severed.
-    fn disconnect(&mut self, _v: u32, _p: u32) {}
-
-    /// Node `v` was isolated (all edges severed, pins reset to
-    /// singletons).
-    fn isolate(&mut self, _v: u32) {}
-
-    /// Churn event `index` applied `inserted` joins and `removed` leaves.
-    fn churn_tag(&mut self, _index: u32, _inserted: u32, _removed: u32) {}
-
-    /// The adversary suppressed a beep that partition-set `gid` sent
-    /// into the upcoming tick (the send is still recorded via
-    /// [`Recorder::beep`]; this marks it undelivered).
-    fn beep_dropped(&mut self, _gid: u32) {}
-
-    /// The adversary spuriously injected a beep on partition-set `gid`
-    /// into the upcoming tick (also recorded via [`Recorder::beep`];
-    /// this attributes it to the fault plan rather than the algorithm).
-    fn beep_injected(&mut self, _gid: u32) {}
-
-    /// Fault event `index` staged `dropped` beep suppressions,
-    /// `injected` spurious beeps, `disabled` node activations withheld
-    /// and `wiped` crash-recovery state wipes.
-    fn fault_tag(
-        &mut self,
-        _index: u32,
-        _dropped: u32,
-        _injected: u32,
-        _disabled: u32,
-        _wiped: u32,
-    ) {
-    }
-
-    /// One tick completed.
-    fn round_end(&mut self, _summary: &RoundSummary) {}
+    /// One engine event: a pin's config delta, a beep, a structure edit,
+    /// a churn or fault tag, or a round's end (see [`TraceEvent`]).
+    fn event(&mut self, _ev: TraceEvent) {}
 }
 
 /// The no-op recorder: every emission site compiles away.
@@ -155,8 +118,8 @@ mod tests {
     #[test]
     fn null_recorder_is_inert_and_inactive() {
         let mut r = NullRecorder;
-        r.beep(3);
-        r.round_end(&RoundSummary::default());
+        r.event(TraceEvent::Beep { gid: 3 });
+        r.event(TraceEvent::RoundEnd(RoundSummary::default()));
         const {
             assert!(!NullRecorder::TRACE && !NullRecorder::TIMED);
             assert!(!TimedRecorder::TRACE && TimedRecorder::TIMED);

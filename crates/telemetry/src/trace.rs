@@ -70,7 +70,8 @@ const TAG_FAULT_INJECT: u8 = 10;
 const TAG_FAULT_TAG: u8 = 11;
 const TAG_FLIGHT_KEY: u8 = 12;
 
-/// A decoded trace event.
+/// One engine event: what a [`Recorder`] receives, and what a trace
+/// stores after its header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// Pin `gid` moved to partition set `pset`.
@@ -151,8 +152,9 @@ pub enum TraceEvent {
     },
     /// The full reproduction key of the failure a flight record
     /// documents (plan seed, scenario seed, schedule event index),
-    /// stamped by [`TraceWriter::flight_key`] when a ring-buffer dump is
-    /// framed. Metadata only: replay skips it.
+    /// stamped right after the header when
+    /// [`crate::FlightRecorder::to_trace_bytes`] frames a ring-buffer
+    /// dump. The engine never emits it. Metadata only: replay skips it.
     FlightKey {
         /// Churn/fault plan seed (0 when the failure has no plan).
         plan_seed: u64,
@@ -243,8 +245,9 @@ impl std::fmt::Display for TraceError {
     }
 }
 
-/// The recording side: implements [`Recorder`] by appending wire events.
-/// [`TraceWriter::finish`] seals the blob with the footer.
+/// The recording side: implements [`Recorder`] by appending wire events,
+/// its `event` being the codec's one encoder. [`TraceWriter::finish`]
+/// seals the blob with the footer.
 #[derive(Debug, Clone, Default)]
 pub struct TraceWriter {
     buf: Vec<u8>,
@@ -274,14 +277,6 @@ impl TraceWriter {
         self.buf.is_empty()
     }
 
-    /// Stamps the reproduction key of the failure this blob documents
-    /// (see [`TraceEvent::FlightKey`]). Not a [`Recorder`] sink: the
-    /// engine never emits it; the flight-record framer calls it once,
-    /// right after the topology header.
-    pub fn flight_key(&mut self, plan_seed: u64, scenario_seed: u64, event: u64) {
-        self.event(TAG_FLIGHT_KEY, &[plan_seed, scenario_seed, event]);
-    }
-
     /// Seals the trace: appends the footer (round count and the recorded
     /// run's wall microseconds) and the digest, and returns the blob.
     ///
@@ -291,47 +286,14 @@ impl TraceWriter {
     /// be replayed.
     pub fn finish(mut self, wall_micros: u64) -> Vec<u8> {
         assert!(self.attached, "trace has no topology header");
-        self.event(TAG_END, &[self.rounds, wall_micros]);
+        self.put(TAG_END, &[self.rounds, wall_micros]);
         let digest = fnv1a64(&self.buf);
         self.buf.extend_from_slice(&digest.to_le_bytes());
         self.buf
     }
 
-    /// Appends a decoded event as the sink that emitted it would: the
-    /// inverse of [`TraceReader::next_event`].
-    pub fn write_event(&mut self, ev: &TraceEvent) {
-        match *ev {
-            TraceEvent::ConfigDelta { gid, pset } => self.config_delta(gid, pset),
-            TraceEvent::Beep { gid } => self.beep(gid),
-            TraceEvent::AddNode { ports } => self.add_node(ports),
-            TraceEvent::Connect { v, p, w, q } => self.connect(v, p, w, q),
-            TraceEvent::Disconnect { v, p } => self.disconnect(v, p),
-            TraceEvent::Isolate { v } => self.isolate(v),
-            TraceEvent::ChurnTag {
-                index,
-                inserted,
-                removed,
-            } => self.churn_tag(index, inserted, removed),
-            TraceEvent::RoundEnd(s) => self.round_end(&s),
-            TraceEvent::FaultDrop { gid } => self.beep_dropped(gid),
-            TraceEvent::FaultInject { gid } => self.beep_injected(gid),
-            TraceEvent::FaultTag {
-                index,
-                dropped,
-                injected,
-                disabled,
-                wiped,
-            } => self.fault_tag(index, dropped, injected, disabled, wiped),
-            TraceEvent::FlightKey {
-                plan_seed,
-                scenario_seed,
-                event,
-            } => self.flight_key(plan_seed, scenario_seed, event),
-        }
-    }
-
     /// Appends one tag and its integer fields.
-    fn event(&mut self, tag: u8, fields: &[u64]) {
+    fn put(&mut self, tag: u8, fields: &[u64]) {
         self.buf.push(tag);
         for &f in fields {
             put_varint(&mut self.buf, f);
@@ -361,54 +323,48 @@ impl Recorder for TraceWriter {
         }
     }
 
-    fn config_delta(&mut self, gid: u32, pset: u16) {
-        self.event(TAG_CONFIG_DELTA, &[gid as u64, pset as u64]);
-    }
-
-    fn beep(&mut self, gid: u32) {
-        self.event(TAG_BEEP, &[gid as u64]);
-    }
-
-    fn add_node(&mut self, ports: u32) {
-        self.event(TAG_ADD_NODE, &[ports as u64]);
-    }
-
-    fn connect(&mut self, v: u32, p: u32, w: u32, q: u32) {
-        self.event(TAG_CONNECT, &[v as u64, p as u64, w as u64, q as u64]);
-    }
-
-    fn disconnect(&mut self, v: u32, p: u32) {
-        self.event(TAG_DISCONNECT, &[v as u64, p as u64]);
-    }
-
-    fn isolate(&mut self, v: u32) {
-        self.event(TAG_ISOLATE, &[v as u64]);
-    }
-
-    fn churn_tag(&mut self, index: u32, inserted: u32, removed: u32) {
-        self.event(
-            TAG_CHURN_TAG,
-            &[index as u64, inserted as u64, removed as u64],
-        );
-    }
-
-    fn beep_dropped(&mut self, gid: u32) {
-        self.event(TAG_FAULT_DROP, &[gid as u64]);
-    }
-
-    fn beep_injected(&mut self, gid: u32) {
-        self.event(TAG_FAULT_INJECT, &[gid as u64]);
-    }
-
-    fn fault_tag(&mut self, index: u32, dropped: u32, injected: u32, disabled: u32, wiped: u32) {
-        let fields = [index, dropped, injected, disabled, wiped].map(u64::from);
-        self.event(TAG_FAULT_TAG, &fields);
-    }
-
-    fn round_end(&mut self, s: &RoundSummary) {
-        self.event(TAG_ROUND_END, &[s.round, s.beeps as u64, s.delivered]);
-        self.buf.extend_from_slice(&s.digest.to_le_bytes());
-        self.rounds += 1;
+    /// The codec's encoder, the inverse of [`TraceReader::next_event`].
+    #[inline]
+    fn event(&mut self, ev: TraceEvent) {
+        match ev {
+            TraceEvent::ConfigDelta { gid, pset } => {
+                self.put(TAG_CONFIG_DELTA, &[gid.into(), pset.into()]);
+            }
+            TraceEvent::Beep { gid } => self.put(TAG_BEEP, &[gid.into()]),
+            TraceEvent::AddNode { ports } => self.put(TAG_ADD_NODE, &[ports.into()]),
+            TraceEvent::Connect { v, p, w, q } => {
+                self.put(TAG_CONNECT, &[v, p, w, q].map(u64::from));
+            }
+            TraceEvent::Disconnect { v, p } => self.put(TAG_DISCONNECT, &[v.into(), p.into()]),
+            TraceEvent::Isolate { v } => self.put(TAG_ISOLATE, &[v.into()]),
+            TraceEvent::ChurnTag {
+                index,
+                inserted,
+                removed,
+            } => self.put(TAG_CHURN_TAG, &[index, inserted, removed].map(u64::from)),
+            TraceEvent::RoundEnd(s) => {
+                self.put(TAG_ROUND_END, &[s.round, s.beeps.into(), s.delivered]);
+                self.buf.extend_from_slice(&s.digest.to_le_bytes());
+                self.rounds += 1;
+            }
+            TraceEvent::FaultDrop { gid } => self.put(TAG_FAULT_DROP, &[gid.into()]),
+            TraceEvent::FaultInject { gid } => self.put(TAG_FAULT_INJECT, &[gid.into()]),
+            TraceEvent::FaultTag {
+                index,
+                dropped,
+                injected,
+                disabled,
+                wiped,
+            } => {
+                let fields = [index, dropped, injected, disabled, wiped].map(u64::from);
+                self.put(TAG_FAULT_TAG, &fields);
+            }
+            TraceEvent::FlightKey {
+                plan_seed,
+                scenario_seed,
+                event,
+            } => self.put(TAG_FLIGHT_KEY, &[plan_seed, scenario_seed, event]),
+        }
     }
 }
 
@@ -605,27 +561,36 @@ mod tests {
     fn sample_trace() -> Vec<u8> {
         let mut w = TraceWriter::new();
         w.topology(2, &[6, 6, 6], &[(0, 0, 1, 3), (1, 1, 2, 4)]);
-        w.add_node(6);
-        w.connect(2, 0, 3, 3);
-        w.config_delta(7, 0);
-        w.config_delta(13, 2);
-        w.beep(0);
-        w.round_end(&RoundSummary {
+        w.event(TraceEvent::AddNode { ports: 6 });
+        w.event(TraceEvent::Connect {
+            v: 2,
+            p: 0,
+            w: 3,
+            q: 3,
+        });
+        w.event(TraceEvent::ConfigDelta { gid: 7, pset: 0 });
+        w.event(TraceEvent::ConfigDelta { gid: 13, pset: 2 });
+        w.event(TraceEvent::Beep { gid: 0 });
+        w.event(TraceEvent::RoundEnd(RoundSummary {
             round: 1,
             beeps: 1,
             delivered: 5,
             digest: 0xDEAD_BEEF_0BAD_F00D,
+        }));
+        w.event(TraceEvent::Disconnect { v: 2, p: 0 });
+        w.event(TraceEvent::Isolate { v: 3 });
+        w.event(TraceEvent::ChurnTag {
+            index: 0,
+            inserted: 1,
+            removed: 1,
         });
-        w.disconnect(2, 0);
-        w.isolate(3);
-        w.churn_tag(0, 1, 1);
-        w.beep(4);
-        w.round_end(&RoundSummary {
+        w.event(TraceEvent::Beep { gid: 4 });
+        w.event(TraceEvent::RoundEnd(RoundSummary {
             round: 2,
             beeps: 1,
             delivered: 2,
             digest: 42,
-        });
+        }));
         w.finish(123_456)
     }
 
@@ -658,9 +623,13 @@ mod tests {
     fn flight_key_round_trips_through_the_codec() {
         let mut w = TraceWriter::new();
         w.topology(1, &[4, 4], &[(0, 0, 1, 2)]);
-        w.flight_key(0xFEED_F00D, 777, 3);
-        w.beep(1);
-        w.round_end(&RoundSummary::default());
+        w.event(TraceEvent::FlightKey {
+            plan_seed: 0xFEED_F00D,
+            scenario_seed: 777,
+            event: 3,
+        });
+        w.event(TraceEvent::Beep { gid: 1 });
+        w.event(TraceEvent::RoundEnd(RoundSummary::default()));
         let blob = w.finish(0);
         let mut r = TraceReader::open(&blob).unwrap();
         assert_eq!(
@@ -836,7 +805,7 @@ mod tests {
     fn a_footer_that_miscounts_rounds_is_rejected() {
         let mut w = TraceWriter::new();
         w.topology(1, &[2], &[]);
-        w.round_end(&RoundSummary::default());
+        w.event(TraceEvent::RoundEnd(RoundSummary::default()));
         let blob = w.finish(0);
         let at = blob.len() - 10;
         assert_eq!(blob[at], 1, "the footer's round count");

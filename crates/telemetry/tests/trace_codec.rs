@@ -1,9 +1,10 @@
 //! Property coverage for the binary trace codec: encode→decode identity
-//! over randomized event streams, truncated-input error paths, and
-//! version-tag rejection.
+//! over randomized event streams, through both sinks, truncated-input
+//! error paths, and version-tag rejection.
 
 use amoebot_telemetry::{
-    mix64, Recorder, RoundSummary, TraceError, TraceEvent, TraceReader, TraceWriter, TRACE_VERSION,
+    mix64, FlightRecorder, Recorder, RoundSummary, TraceError, TraceEvent, TraceReader,
+    TraceWriter, TRACE_VERSION,
 };
 use proptest::prelude::*;
 
@@ -90,7 +91,7 @@ fn synthesize(seed: u64, events: usize) -> (Vec<TraceEvent>, Vec<u8>) {
                 })
             }
         };
-        w.write_event(&ev);
+        w.event(ev);
         expected.push(ev);
     }
     let blob = w.finish(rand(31337));
@@ -110,7 +111,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Encode→decode is the identity on the event stream, and the footer
-    /// carries the exact round count.
+    /// carries the exact round count. The same stream pushed through a
+    /// flight recorder that holds all of it dumps as its key followed by
+    /// exactly those events.
     #[test]
     fn codec_round_trips(seed in 0u64..1_000_000, events in 0usize..120) {
         let (expected, blob) = synthesize(seed, events);
@@ -125,6 +128,21 @@ proptest! {
             .filter(|e| matches!(e, TraceEvent::RoundEnd(_)))
             .count() as u64;
         prop_assert_eq!(r.footer().unwrap().rounds, rounds);
+
+        let h = r.header();
+        let mut flight = FlightRecorder::with_capacity(expected.len());
+        flight.topology(h.c, &h.node_ports, &h.edges);
+        for &ev in &expected {
+            flight.event(ev);
+        }
+        let (plan_seed, scenario_seed, event) = (mix64(seed), seed, events as u64);
+        let dump = flight.to_trace_bytes(plan_seed, scenario_seed, event).unwrap();
+        let dumped = decode_all(&dump).unwrap();
+        prop_assert_eq!(
+            dumped.first(),
+            Some(&TraceEvent::FlightKey { plan_seed, scenario_seed, event })
+        );
+        prop_assert_eq!(&dumped[1..], &expected[..]);
     }
 
     /// Every strict prefix of a valid trace fails to decode — with an

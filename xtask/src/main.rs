@@ -783,6 +783,7 @@ fn obs_smoke() -> Result<u8, String> {
     let bin = root.join("target/release/scenario-runner");
     let dir = std::env::temp_dir().join(format!("spf-obs-smoke-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    let _dir_guard = RemoveOnDrop(dir.clone());
 
     let output = std::process::Command::new(&bin)
         .args([
@@ -876,7 +877,6 @@ fn obs_smoke() -> Result<u8, String> {
          plan={} seed={} event={})",
         key.0, key.1, key.2
     );
-    let _ = std::fs::remove_dir_all(&dir);
     println!("obs-smoke: PASS");
     Ok(0)
 }
