@@ -25,11 +25,14 @@
 //!
 //! ## Payload grammar (inside the [`wire`] envelope, kind `WORLD`)
 //!
-//! All integers are unsigned LEB128 varints unless noted.
+//! All integers are unsigned LEB128 varints unless noted. A
+//! `DYNAMIC_WORLD` payload embeds `section`, without the topology, which
+//! its decoder derives from the editor's cells.
 //!
 //! ```text
-//! world    := c | topology | pset[total]
-//!           | sent | recv_set
+//! world    := c | topology | state
+//! section  := c | state
+//! state    := pset[total] | sent | recv_set
 //!           | counters | rounds | beeps_sent | stuck
 //! topology := n | ports[n] | (peer_node peer_port)[slots] | edge_count
 //! sent     := count | gid[count]                        (beeping psets, beep order)
@@ -65,7 +68,7 @@ fn stored_counters(metrics: &Metrics) -> Vec<(&'static str, u64)> {
 }
 
 /// Encodes `topo` into `w` (the `topology` production above).
-pub fn encode_topology(topo: &Topology, w: &mut SnapshotWriter) {
+fn encode_topology(topo: &Topology, w: &mut SnapshotWriter) {
     let n = topo.len();
     w.varint(n as u64);
     for v in 0..n {
@@ -80,7 +83,7 @@ pub fn encode_topology(topo: &Topology, w: &mut SnapshotWriter) {
 
 /// Decodes a topology, validating CSR shape and port mutuality (every
 /// live slot's peer must point back).
-pub fn decode_topology(r: &mut SnapshotReader<'_>) -> Result<Topology, WireError> {
+fn decode_topology(r: &mut SnapshotReader<'_>) -> Result<Topology, WireError> {
     let n = r.len("topology node count")?;
     let mut offsets = Vec::with_capacity(n + 1);
     let mut acc = 0u32;
@@ -186,11 +189,15 @@ fn decode_gids(
 }
 
 impl World {
-    /// Writes the world payload (no envelope) into `w` — the composable
-    /// form `amoebot_dynamics`'s codec embeds.
-    pub fn encode_payload(&self, w: &mut SnapshotWriter) {
+    /// Writes the world payload (no envelope) into `w`. With `topology`
+    /// false the topology is left out: that is the state section
+    /// `amoebot_dynamics`'s codec embeds after the editor, from whose
+    /// cells decode derives the topology.
+    pub fn encode_payload(&self, w: &mut SnapshotWriter, topology: bool) {
         w.varint(self.c as u64);
-        encode_topology(&self.topo, w);
+        if topology {
+            encode_topology(&self.topo, w);
+        }
         for &pset in &self.pin_pset {
             w.varint(pset as u64);
         }
@@ -223,7 +230,12 @@ impl World {
     /// validates each field once, builds the world with [`World::new`]
     /// and sets the decoded fields. Every partition set starts stale, so
     /// labels are derived from the pins when a tick or a read needs them.
-    pub fn decode_payload(r: &mut SnapshotReader<'_>) -> Result<World, WireError> {
+    /// `derived` is the topology of a payload written without one; with
+    /// `None` the topology is read from the payload.
+    pub fn decode_payload(
+        r: &mut SnapshotReader<'_>,
+        derived: Option<Topology>,
+    ) -> Result<World, WireError> {
         let c_offset = r.offset();
         let c = r.len("links per edge")?;
         if c == 0 || c > MAX_PORTS as usize {
@@ -232,7 +244,7 @@ impl World {
                 offset: c_offset,
             });
         }
-        let topo = decode_topology(r)?;
+        let topo = derived.map_or_else(|| decode_topology(r), Ok)?;
         // Each pin costs at least one byte (its partition set).
         let too_many_pins = WireError::BadValue {
             what: "pin count",
@@ -343,7 +355,7 @@ impl World {
     /// The world as a sealed `SPFS` blob (kind `WORLD`).
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         let mut w = SnapshotWriter::new(wire::kind::WORLD);
-        self.encode_payload(&mut w);
+        self.encode_payload(&mut w, true);
         w.finish()
     }
 
@@ -352,7 +364,7 @@ impl World {
     /// offset-carrying [`WireError`].
     pub fn from_snapshot_bytes(bytes: &[u8]) -> Result<World, WireError> {
         let mut r = SnapshotReader::open(bytes, wire::kind::WORLD)?;
-        let world = World::decode_payload(&mut r)?;
+        let world = World::decode_payload(&mut r, None)?;
         r.finish()?;
         Ok(world)
     }

@@ -7,7 +7,7 @@
 //! models the paper's assumption that "neighboring amoebots have a common
 //! labeling of their incident external links" (§1.2).
 
-use amoebot_grid::{AmoebotStructure, Direction, ALL_DIRECTIONS};
+use amoebot_grid::{AmoebotStructure, Direction, NodeId, ALL_DIRECTIONS};
 
 /// A port index local to a node (`0..ports_len(v)`). For topologies derived
 /// from an [`AmoebotStructure`], port `i` corresponds to
@@ -170,14 +170,23 @@ impl Topology {
     /// port `d.index()` of node `v` leads to the neighbor in direction `d`
     /// (vacant if unoccupied). Every node has exactly 6 port slots.
     pub fn from_structure(structure: &AmoebotStructure) -> Topology {
-        let n = structure.len();
+        Topology::from_neighbors(structure.len(), |v, d| structure.neighbor(v, d))
+    }
+
+    /// Nodes `0..n` with 6 port slots each: port `d` of `v` holds
+    /// `neighbor(v, d)`, at its port `opposite(d)`. Over an editor's id
+    /// space this is the topology a `DynamicWorld` keeps.
+    pub fn from_neighbors(
+        n: usize,
+        neighbor: impl Fn(NodeId, Direction) -> Option<NodeId>,
+    ) -> Topology {
         let offsets: Vec<u32> = (0..=n as u32).map(|v| v * 6).collect();
         let mut peer_node = vec![NONE; n * 6];
         let mut peer_port = vec![NONE; n * 6];
         let mut edge_count = 0;
-        for v in structure.nodes() {
+        for v in (0..n as u32).map(NodeId) {
             for d in ALL_DIRECTIONS {
-                if let Some(w) = structure.neighbor(v, d) {
+                if let Some(w) = neighbor(v, d) {
                     let slot = v.index() * 6 + d.index();
                     peer_node[slot] = w.0;
                     peer_port[slot] = d.opposite().index() as u32;

@@ -1,20 +1,34 @@
 //! The `SPFS` snapshot codec for [`DynamicWorld`] — the editor/engine
-//! pair as one blob.
+//! pair as one blob that stores its structure once.
 //!
-//! The two halves are serialized with their own payload codecs
-//! ([`StructureEditor::encode_snapshot`], [`World::encode_payload`])
-//! and the composition re-checks the one cross-invariant the pair
-//! maintains: the halves share a single id space, so the editor's id
-//! capacity must equal the world's node count. Everything that makes
-//! churn deterministic survives verbatim — the live-list order (uniform
-//! sampling), the free-list order (id recycling), and the world's pins
-//! and beeps, from which it derives its circuits — so a
-//! [`crate::ChurnPlan`] applied after a restore makes byte-for-byte the
-//! same edits an uninterrupted run would make.
-//! A mid-plan snapshot therefore needs nothing beyond the next event
-//! index: the plan itself is stateless by construction.
+//! ## Payload grammar (inside the [`wire`] envelope, kind `DYNAMIC_WORLD`)
+//!
+//! All integers are unsigned LEB128 varints unless noted; `q`, `r` and
+//! chunk keys are zigzag-signed.
+//!
+//! ```text
+//! dynamic := editor | section
+//! editor  := capacity | (q r)[capacity] | alive[ceil(capacity / 8)]
+//!          | free | live | edited
+//! free    := count | id[count]                 (recycling order)
+//! live    := count | id[count]                 (sampling order)
+//! edited  := count | (cq cr)[count]            (ascending chunk keys)
+//! section := c | state                         (see `amoebot_circuits::snapshot`)
+//! ```
+//!
+//! `alive` holds one bit per id, least significant first. The free and
+//! live lists partition the ids. The world's topology is not stored: the
+//! halves share one id space, so decode derives it from the editor's
+//! cells ([`Topology::from_neighbors`]), as the editor derives its index and
+//! neighbor table. Everything that makes churn deterministic survives
+//! verbatim: the live-list order (uniform sampling), the free-list order
+//! (id recycling), and the world's pins and beeps, from which it derives
+//! its circuits. So a [`crate::ChurnPlan`] applied after a restore makes
+//! byte-for-byte the same edits an uninterrupted run would make, and a
+//! mid-plan snapshot needs nothing beyond the next event index: the plan
+//! itself is stateless by construction.
 
-use amoebot_circuits::World;
+use amoebot_circuits::{Topology, World};
 use amoebot_grid::StructureEditor;
 use amoebot_telemetry::wire::{self, SnapshotReader, SnapshotWriter, WireError};
 
@@ -24,30 +38,16 @@ impl DynamicWorld {
     /// Writes the dynamic-world payload (no envelope) into `w` — the
     /// composable form the scenario-server's session codec embeds.
     pub fn encode_payload(&self, w: &mut SnapshotWriter) {
-        w.varint(self.c as u64);
         self.editor.encode_snapshot(w);
-        self.world.encode_payload(w);
+        self.world.encode_payload(w, false);
     }
 
     /// Decodes a payload written by [`DynamicWorld::encode_payload`].
     pub fn decode_payload(r: &mut SnapshotReader<'_>) -> Result<DynamicWorld, WireError> {
-        let c_offset = r.offset();
-        let c = r.len("dynamic-world links per edge")?;
         let editor = StructureEditor::decode_snapshot(r)?;
-        let world = World::decode_payload(r)?;
-        if world.links_per_edge() != c {
-            return Err(WireError::BadValue {
-                what: "dynamic-world links per edge",
-                offset: c_offset,
-            });
-        }
-        if editor.capacity() != world.topology().len() {
-            return Err(WireError::BadValue {
-                what: "dynamic-world id space",
-                offset: c_offset,
-            });
-        }
-        Ok(DynamicWorld { editor, world, c })
+        let topology = Topology::from_neighbors(editor.capacity(), |v, d| editor.neighbor(v, d));
+        let world = World::decode_payload(r, Some(topology))?;
+        Ok(DynamicWorld { editor, world })
     }
 
     /// The pair as a sealed `SPFS` blob (kind `DYNAMIC_WORLD`).

@@ -17,7 +17,6 @@ use std::collections::BTreeMap;
 pub struct DynamicWorld {
     pub(crate) editor: StructureEditor,
     pub(crate) world: World,
-    pub(crate) c: usize,
 }
 
 impl DynamicWorld {
@@ -26,7 +25,6 @@ impl DynamicWorld {
         DynamicWorld {
             editor: StructureEditor::from_structure(structure),
             world: World::new(Topology::from_structure(structure), c),
-            c,
         }
     }
 
@@ -154,12 +152,13 @@ impl DynamicWorld {
     /// O(n) the incremental path avoids.
     pub fn rebuild(&self) -> (AmoebotStructure, World, Vec<Option<NodeId>>) {
         let (structure, map) = self.editor.snapshot();
-        let mut oracle = World::new(Topology::from_structure(&structure), self.c);
+        let c = self.world.links_per_edge();
+        let mut oracle = World::new(Topology::from_structure(&structure), c);
         for old in self.editor.live_ids() {
             let old = *old as usize;
             let dense = map[old].expect("live id maps to a dense id").index();
             for port in 0..6 {
-                for link in 0..self.c {
+                for link in 0..c {
                     oracle.set_pin(dense, port, link, self.world.pin_config(old, port, link));
                 }
             }
@@ -179,7 +178,7 @@ impl DynamicWorld {
 /// counter and beep state are left untouched).
 pub fn verify_against_rebuild(dw: &DynamicWorld) -> Result<(), String> {
     let (structure, mut oracle, map) = dw.rebuild();
-    let c = dw.c;
+    let c = dw.world.links_per_edge();
     let mut inc = dw.world.clone();
 
     // 1. Adjacency: editor, incremental topology and snapshot agree.

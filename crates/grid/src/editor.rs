@@ -57,11 +57,7 @@ use amoebot_telemetry::wire::{SnapshotReader, SnapshotWriter, WireError};
 
 use crate::chunkgrid::ChunkGrid;
 use crate::coord::{Coord, Direction, ALL_DIRECTIONS};
-use crate::structure::{AmoebotStructure, NodeId};
-
-/// Vacant-slot sentinel of the flat neighbor table (mirrors
-/// [`AmoebotStructure`]'s).
-const NONE: u32 = u32::MAX;
+use crate::structure::{connected, AmoebotStructure, NodeId, NONE};
 
 /// An editable amoebot structure: stable node ids, O(Δ)-amortized insert
 /// and remove, scoped hole revalidation. See the module docs.
@@ -102,32 +98,84 @@ impl StructureEditor {
     /// the structure's node ids.
     pub fn from_structure(structure: &AmoebotStructure) -> StructureEditor {
         let n = structure.len();
-        let coords: Vec<Coord> = structure.nodes().map(|v| structure.coord(v)).collect();
-        let mut base_index: Vec<(Coord, u32)> = coords
+        StructureEditor::from_cells(
+            structure.nodes().map(|v| structure.coord(v)).collect(),
+            vec![true; n],
+            Vec::new(),
+            (0..n as u32).collect(),
+            BTreeSet::new(),
+        )
+    }
+
+    /// The one constructor behind [`StructureEditor::from_structure`]
+    /// and the snapshot decoder. It takes the editor's state (every id's
+    /// coordinate and liveness, the free and live lists, which partition
+    /// the ids, and the edited-chunk set) and derives the rest from the
+    /// live cells: the coordinate index as one sorted base array with an
+    /// empty overlay, the neighbor table and the occupancy.
+    fn from_cells(
+        coords: Vec<Coord>,
+        alive: Vec<bool>,
+        free: Vec<u32>,
+        live_ids: Vec<u32>,
+        edited: BTreeSet<(i32, i32)>,
+    ) -> StructureEditor {
+        let mut live_pos = vec![0u32; coords.len()];
+        for (pos, &id) in live_ids.iter().enumerate() {
+            live_pos[id as usize] = pos as u32;
+        }
+        let mut base_index: Vec<(Coord, u32)> = live_ids
             .iter()
-            .enumerate()
-            .map(|(i, &c)| (c, i as u32))
+            .map(|&id| (coords[id as usize], id))
             .collect();
         base_index.sort_unstable_by_key(|&(c, _)| c);
-        let mut neighbors = vec![NONE; n * 6];
-        for v in structure.nodes() {
-            for (d, w) in structure.neighbors_of(v) {
-                neighbors[v.index() * 6 + d.index()] = w.0;
+        // Shifting every cell by one direction keeps `(q, r)` order, so
+        // one merge pass over the index finds every neighbor in that
+        // direction, and each pair found links both ways: three passes
+        // fill the table. Keys widen to i64, as a decoded cell may sit at
+        // the edge of the i32 range.
+        let key = |c: Coord| (c.q as i64, c.r as i64);
+        let mut neighbors = vec![NONE; coords.len() * 6];
+        for d in [Direction::E, Direction::Ne, Direction::Se] {
+            let (dq, dr) = key(d.offset());
+            let mut at = 0;
+            for &(c, id) in &base_index {
+                let target = (c.q as i64 + dq, c.r as i64 + dr);
+                while at < base_index.len() && key(base_index[at].0) < target {
+                    at += 1;
+                }
+                if at < base_index.len() && key(base_index[at].0) == target {
+                    let w = base_index[at].1;
+                    neighbors[id as usize * 6 + d.index()] = w;
+                    neighbors[w as usize * 6 + d.opposite().index()] = id;
+                }
             }
         }
         StructureEditor {
-            occupancy: coords.iter().copied().collect(),
-            alive: vec![true; n],
-            free: Vec::new(),
-            live_ids: (0..n as u32).collect(),
-            live_pos: (0..n as u32).collect(),
+            occupancy: base_index.iter().map(|&(c, _)| c).collect(),
+            coords,
+            alive,
+            free,
+            live_ids,
+            live_pos,
             base_index,
             overlay: Vec::new(),
             stale: 0,
             neighbors,
-            coords,
-            edited: BTreeSet::new(),
+            edited,
         }
+    }
+
+    /// Whether the live cells form an amoebot structure: at least one,
+    /// no two on one cell, and connected. The editor's edits keep this
+    /// true; a decoded editor is checked.
+    fn cells_form_a_structure(&self) -> bool {
+        !self.is_empty()
+            && self
+                .base_index
+                .windows(2)
+                .all(|pair| pair[0].0 != pair[1].0)
+            && connected(&self.neighbors, self.live_ids[0], self.len())
     }
 
     /// Number of live amoebots.
@@ -510,15 +558,15 @@ impl StructureEditor {
 
 // ---- The `SPFS` snapshot codec (see DESIGN.md §1g).
 //
-// Everything semantic is serialized verbatim: the id space with its
-// tombstones and free-list (recycling order decides which ids future
-// insertions get), the dense live list (its order drives churn
-// sampling), the split coordinate index with its stale count (a merge
-// is an observable O(n) event, so restore must not force or forget
-// one), the flat neighbor table, and the edited-chunk set. Only the
-// occupancy mirror is rebuilt — its content is exactly the live
-// coordinate set, and [`ChunkGrid`]'s iteration order is content-
-// determined, not insertion-determined.
+// The payload is the structure's state: every id's coordinate (dead ids
+// included) and liveness, the free list (recycling order decides which
+// ids future insertions get), the dense live list (its order drives
+// churn sampling) and the edited-chunk set. Decode derives the
+// coordinate index, the neighbor table and the occupancy through the
+// constructor `from_structure` uses, and rejects live cells that are
+// none, doubled or disconnected. A restored index is one sorted base
+// array, so a restored editor merges at other moments than the
+// original: only timing can tell.
 impl StructureEditor {
     /// Writes the editor payload (no envelope) into `w`.
     pub fn encode_snapshot(&self, w: &mut SnapshotWriter) {
@@ -544,22 +592,6 @@ impl StructureEditor {
         for &id in &self.live_ids {
             w.varint(id as u64);
         }
-        w.varint(self.base_index.len() as u64);
-        for &(c, id) in &self.base_index {
-            w.signed(c.q as i64);
-            w.signed(c.r as i64);
-            w.varint(id as u64);
-        }
-        w.varint(self.overlay.len() as u64);
-        for &(c, id) in &self.overlay {
-            w.signed(c.q as i64);
-            w.signed(c.r as i64);
-            w.varint(id as u64);
-        }
-        w.varint(self.stale as u64);
-        for &nb in &self.neighbors {
-            w.varint(nb as u64);
-        }
         w.varint(self.edited.len() as u64);
         for &(q, r) in &self.edited {
             w.signed(q as i64);
@@ -568,10 +600,11 @@ impl StructureEditor {
     }
 
     /// Decodes an editor payload written by
-    /// [`StructureEditor::encode_snapshot`]. O(bytes) plus the occupancy
-    /// rebuild over the live cells.
+    /// [`StructureEditor::encode_snapshot`]. O(bytes) plus the derived
+    /// index, neighbor table and occupancy over the live cells.
     pub fn decode_snapshot(r: &mut SnapshotReader<'_>) -> Result<StructureEditor, WireError> {
         let capacity = r.len("editor capacity")?;
+        let cells_offset = r.offset();
         let mut coords = Vec::with_capacity(capacity);
         for _ in 0..capacity {
             let q = r.i32("editor coordinate")?;
@@ -610,8 +643,7 @@ impl StructureEditor {
         }
         let live_count = r.len("editor live list")?;
         let mut live_ids = Vec::with_capacity(live_count);
-        let mut live_pos = vec![0u32; capacity];
-        for pos in 0..live_count {
+        for _ in 0..live_count {
             let offset = r.offset();
             let id = r.u32("editor live id")?;
             if id as usize >= capacity || !alive[id as usize] || seen[id as usize] {
@@ -621,7 +653,6 @@ impl StructureEditor {
                 });
             }
             seen[id as usize] = true;
-            live_pos[id as usize] = pos as u32;
             live_ids.push(id);
         }
         if !seen.iter().all(|&s| s) {
@@ -629,51 +660,6 @@ impl StructureEditor {
                 what: "editor id partition",
                 offset: r.offset(),
             });
-        }
-
-        let decode_index = |r: &mut SnapshotReader<'_>,
-                            what: &'static str|
-         -> Result<Vec<(Coord, u32)>, WireError> {
-            let count = r.len(what)?;
-            let mut index = Vec::with_capacity(count);
-            let mut prev: Option<Coord> = None;
-            for _ in 0..count {
-                let offset = r.offset();
-                let q = r.i32(what)?;
-                let rr = r.i32(what)?;
-                let id = r.u32(what)?;
-                let c = Coord::new(q, rr);
-                // Both index halves are strictly sorted by coordinate —
-                // binary search depends on it.
-                if id as usize >= capacity || prev.is_some_and(|p| c <= p) {
-                    return Err(WireError::BadValue { what, offset });
-                }
-                prev = Some(c);
-                index.push((c, id));
-            }
-            Ok(index)
-        };
-        let base_index = decode_index(r, "editor base index")?;
-        let overlay = decode_index(r, "editor overlay index")?;
-        let stale_offset = r.offset();
-        let stale = r.len("editor stale count")?;
-        if stale > base_index.len() {
-            return Err(WireError::BadValue {
-                what: "editor stale count",
-                offset: stale_offset,
-            });
-        }
-        let mut neighbors = Vec::with_capacity(capacity * 6);
-        for _ in 0..capacity * 6 {
-            let offset = r.offset();
-            let nb = r.u32("editor neighbor")?;
-            if nb != NONE && nb as usize >= capacity {
-                return Err(WireError::BadValue {
-                    what: "editor neighbor",
-                    offset,
-                });
-            }
-            neighbors.push(nb);
         }
         let edited_count = r.len("editor edited-chunk set")?;
         let mut edited = BTreeSet::new();
@@ -691,20 +677,14 @@ impl StructureEditor {
             }
             edited.insert((q, rr));
         }
-        let occupancy: ChunkGrid = live_ids.iter().map(|&id| coords[id as usize]).collect();
-        Ok(StructureEditor {
-            coords,
-            alive,
-            free,
-            live_ids,
-            live_pos,
-            base_index,
-            overlay,
-            stale,
-            neighbors,
-            occupancy,
-            edited,
-        })
+        let editor = StructureEditor::from_cells(coords, alive, free, live_ids, edited);
+        if !editor.cells_form_a_structure() {
+            return Err(WireError::BadValue {
+                what: "editor cells",
+                offset: cells_offset,
+            });
+        }
+        Ok(editor)
     }
 }
 

@@ -18,7 +18,27 @@ use crate::coord::{Axis, Coord, Direction, ALL_DIRECTIONS};
 
 /// Vacant-slot sentinel of the flat neighbor table (an id would exceed
 /// the `u32` id space before colliding with it).
-const NONE: u32 = u32::MAX;
+pub(crate) const NONE: u32 = u32::MAX;
+
+/// Whether `count` nodes of a flat neighbor table (6 slots per node,
+/// [`NONE`] when vacant) are reachable from `start`: the structure's
+/// connectivity, and a decoded editor's.
+pub(crate) fn connected(neighbors: &[u32], start: u32, count: usize) -> bool {
+    let mut seen = vec![false; neighbors.len() / 6];
+    seen[start as usize] = true;
+    let mut stack = vec![start];
+    let mut reached = 1;
+    while let Some(v) = stack.pop() {
+        for &w in &neighbors[v as usize * 6..v as usize * 6 + 6] {
+            if w != NONE && !seen[w as usize] {
+                seen[w as usize] = true;
+                reached += 1;
+                stack.push(w);
+            }
+        }
+    }
+    reached == count
+}
 
 /// Identifier of an amoebot (equivalently: of the node it occupies) within an
 /// [`AmoebotStructure`]. Identifiers are dense indices `0..n`.
@@ -126,48 +146,10 @@ impl AmoebotStructure {
             index,
             neighbors,
         };
-        if !s.is_connected() {
+        if !connected(&s.neighbors, 0, s.len()) {
             return Err(StructureError::Disconnected);
         }
         Ok(s)
-    }
-
-    /// The structure as a sealed `SPFS` blob (kind `STRUCTURE`): the
-    /// coordinate list in node-id order. Everything else (sorted index,
-    /// neighbor table) is derived, so the blob is minimal and restore
-    /// re-validates connectedness for free.
-    pub fn snapshot_bytes(&self) -> Vec<u8> {
-        let mut w =
-            amoebot_telemetry::SnapshotWriter::new(amoebot_telemetry::wire::kind::STRUCTURE);
-        w.varint(self.len() as u64);
-        for c in &self.coords {
-            w.signed(c.q as i64);
-            w.signed(c.r as i64);
-        }
-        w.finish()
-    }
-
-    /// Restores a structure from [`AmoebotStructure::snapshot_bytes`]
-    /// output, rejecting corruption and disconnected/duplicated inputs
-    /// with an offset-carrying error.
-    pub fn from_snapshot_bytes(
-        bytes: &[u8],
-    ) -> Result<AmoebotStructure, amoebot_telemetry::WireError> {
-        use amoebot_telemetry::{wire, SnapshotReader, WireError};
-        let mut r = SnapshotReader::open(bytes, wire::kind::STRUCTURE)?;
-        let n = r.len("structure size")?;
-        let payload_start = r.offset();
-        let mut coords = Vec::with_capacity(n);
-        for _ in 0..n {
-            let q = r.i32("structure coordinate")?;
-            let rr = r.i32("structure coordinate")?;
-            coords.push(Coord::new(q, rr));
-        }
-        r.finish()?;
-        AmoebotStructure::new(coords).map_err(|_| WireError::BadValue {
-            what: "structure coordinates",
-            offset: payload_start,
-        })
     }
 
     /// Number of amoebots `n = |X|`.
@@ -254,23 +236,6 @@ impl AmoebotStructure {
             }
         }
         best
-    }
-
-    fn is_connected(&self) -> bool {
-        let mut seen = vec![false; self.len()];
-        let mut stack = vec![NodeId(0)];
-        seen[0] = true;
-        let mut count = 1;
-        while let Some(v) = stack.pop() {
-            for (_, w) in self.neighbors_of(v) {
-                if !seen[w.index()] {
-                    seen[w.index()] = true;
-                    count += 1;
-                    stack.push(w);
-                }
-            }
-        }
-        count == self.len()
     }
 
     /// Whether the structure has no holes, i.e. the complement `V_Δ \ X` is

@@ -418,6 +418,19 @@ impl Session {
     fn snapshot_path(dir: &Path, name: &str) -> PathBuf {
         dir.join(format!("{name}.session.spfs"))
     }
+
+    /// Reads session `name` from its snapshot file under `dir`. A file
+    /// that holds another session is refused, like a corrupt one.
+    fn load(dir: &Path, name: &str) -> Result<Session, String> {
+        let path = Session::snapshot_path(dir, name);
+        let at = path.display();
+        let bytes = std::fs::read(&path).map_err(|e| format!("{at}: {e}"))?;
+        let session = Session::from_snapshot_bytes(&bytes).map_err(|e| format!("{at}: {e}"))?;
+        if session.name != name {
+            return Err(format!("{at}: belongs to session {:?}", session.name));
+        }
+        Ok(session)
+    }
 }
 
 // ---- The worker pool.
@@ -552,23 +565,13 @@ fn handle_request(
                 Some(dir) => dir,
                 None => return err_json("server has no --snapshot-dir"),
             };
-            let path = Session::snapshot_path(dir, name);
-            let bytes = match std::fs::read(&path) {
-                Ok(b) => b,
-                Err(e) => return err_json(format!("cannot read {}: {e}", path.display())),
-            };
-            match Session::from_snapshot_bytes(&bytes) {
-                Ok(s) if s.name == name => {
+            match Session::load(dir, name) {
+                Ok(s) => {
                     let n = s.driver.live();
                     sessions.insert(name.to_string(), s);
                     ok_json().field("session", name).field("n", n)
                 }
-                Ok(s) => err_json(format!(
-                    "snapshot {} belongs to session {:?}",
-                    path.display(),
-                    s.name
-                )),
-                Err(e) => err_json(format!("corrupt snapshot {}: {e}", path.display())),
+                Err(e) => err_json(format!("cannot restore {e}")),
             }
         }
         "close" => match sessions.remove(name) {
@@ -745,9 +748,10 @@ pub struct ServerConfig {
 
 impl Server {
     /// Spawns the worker pool and resumes every `*.session.spfs` blob
-    /// found in the snapshot dir (corrupt blobs are skipped and
-    /// reported in the return's second slot — the sessions they named
-    /// simply don't resume).
+    /// found in the snapshot dir (corrupt blobs, and blobs whose file
+    /// name is not their session's, are skipped and reported in the
+    /// return's second slot — the sessions they named simply don't
+    /// resume).
     pub fn start(config: ServerConfig) -> io::Result<(Server, Vec<String>)> {
         let threads = config.threads.max(1);
         let mut shards = Vec::with_capacity(threads);
@@ -762,23 +766,16 @@ impl Server {
         let mut skipped = Vec::new();
         if let Some(dir) = &config.snapshot_dir {
             std::fs::create_dir_all(dir)?;
-            let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?
+            let mut names: Vec<String> = std::fs::read_dir(dir)?
                 .filter_map(|e| e.ok())
-                .map(|e| e.path())
-                .filter(|p| {
-                    p.file_name()
-                        .and_then(|n| n.to_str())
-                        .is_some_and(|n| n.ends_with(".session.spfs"))
+                .filter_map(|e| {
+                    let file = e.file_name();
+                    Some(file.to_str()?.strip_suffix(".session.spfs")?.to_string())
                 })
                 .collect();
-            paths.sort();
-            for path in paths {
-                let outcome = std::fs::read(&path)
-                    .map_err(|e| e.to_string())
-                    .and_then(|bytes| {
-                        Session::from_snapshot_bytes(&bytes).map_err(|e| e.to_string())
-                    });
-                match outcome {
+            names.sort();
+            for name in names {
+                match Session::load(dir, &name) {
                     Ok(session) => {
                         let (done, rx) = mpsc::sync_channel(1);
                         let _ = handle.shard_of(&session.name).send(Job::Install {
@@ -787,7 +784,7 @@ impl Server {
                         });
                         let _ = rx.recv();
                     }
-                    Err(e) => skipped.push(format!("{}: {e}", path.display())),
+                    Err(e) => skipped.push(e),
                 }
             }
         }
@@ -1386,9 +1383,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A session blob with a valid digest whose world claims one node
-    /// with 4 294 967 295 ports (reserving its slots would abort the
-    /// restart scan on a 17 GB allocation).
+    /// A session blob with a valid digest whose structure editor lists
+    /// no live id (restoring it would leave a session with no amoebot).
     fn crafted_session_blob() -> Vec<u8> {
         let mut w = SnapshotWriter::new(wire::kind::SESSION);
         w.str("crafted");
@@ -1401,13 +1397,11 @@ mod tests {
         for v in [1, 0, 0, 0, 0, 0, 0] {
             w.varint(v);
         }
-        w.varint(6); // dynamic world: c
-        for _ in 0..7 {
-            w.varint(0); // an empty structure editor
+        // The dynamic world's editor: capacity, free list, live list and
+        // edited-chunk set, all empty.
+        for _ in 0..4 {
+            w.varint(0);
         }
-        w.varint(6); // world: c
-        w.varint(1); // one node...
-        w.varint(u32::MAX as u64); // ...with absurdly many ports
         w.finish()
     }
 
@@ -1416,7 +1410,7 @@ mod tests {
     #[test]
     fn restart_skips_a_crafted_session_by_name() {
         match Session::from_snapshot_bytes(&crafted_session_blob()) {
-            Err(e) => assert!(e.to_string().contains("topology port count"), "{e}"),
+            Err(e) => assert!(e.to_string().contains("editor cells"), "{e}"),
             Ok(_) => panic!("the crafted session decoded"),
         }
         let dir = temp_dir("crafted");
@@ -1442,7 +1436,7 @@ mod tests {
         assert_eq!(skipped.len(), 1, "{skipped:?}");
         assert!(
             skipped[0].contains(&crafted.display().to_string())
-                && skipped[0].contains("topology port count"),
+                && skipped[0].contains("editor cells"),
             "{skipped:?}"
         );
         let h = server.handle();
@@ -1455,6 +1449,44 @@ mod tests {
                 doc.render_compact()
             );
         }
+        server.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A session file copied under another session's name is skipped
+    /// and named at restart, as the `restore` op refuses it: it neither
+    /// replaces the session it holds nor resumes under the name it has.
+    #[test]
+    fn restart_skips_a_file_that_names_another_session() {
+        let dir = temp_dir("misnamed");
+        let (server, _) = start(2, Some(&dir));
+        let h = server.handle();
+        for (name, rounds) in [("a", 2), ("b", 5)] {
+            assert_ok(&h.request(&req(&[
+                ("op", s("create")),
+                ("session", s(name)),
+                ("size", n(40)),
+                ("seed", n(5)),
+            ])));
+            assert_ok(&h.request(&req(&[
+                ("op", s("step")),
+                ("session", s(name)),
+                ("n", n(rounds)),
+            ])));
+        }
+        assert_eq!(server.shutdown().unwrap(), 2);
+        let copy = Session::snapshot_path(&dir, "a");
+        std::fs::copy(Session::snapshot_path(&dir, "b"), &copy).unwrap();
+        let (server, skipped) = start(2, Some(&dir));
+        assert_eq!(
+            skipped,
+            vec![format!("{}: belongs to session \"b\"", copy.display())]
+        );
+        let h = server.handle();
+        let doc = h.request(&req(&[("op", s("query")), ("session", s("b"))]));
+        assert_eq!(doc.get("rounds").and_then(Json::as_u64), Some(5));
+        let doc = h.request(&req(&[("op", s("query")), ("session", s("a"))]));
+        assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(false));
         server.shutdown().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }

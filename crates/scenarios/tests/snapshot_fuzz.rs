@@ -15,13 +15,16 @@
 //! binary installs. Every accepted `WORLD` and `DYNAMIC_WORLD` blob must
 //! also be self-consistent: its circuit count is a naive union-find
 //! count over its own pins, and a round with a beep on every node
-//! delivers exactly what [`World::tick_reference`] delivers.
+//! delivers exactly what [`World::tick_reference`] delivers. An accepted
+//! `DYNAMIC_WORLD` must also pass the rebuild oracle
+//! ([`verify_against_rebuild`]), and a structure edited off its
+//! invariants must be rejected for its cells.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use amoebot_circuits::World;
-use amoebot_dynamics::{derive_rng, ChurnFamily, ChurnPlan, DynamicWorld};
+use amoebot_dynamics::{derive_rng, verify_against_rebuild, ChurnFamily, ChurnPlan, DynamicWorld};
 use amoebot_grid::{shapes, AmoebotStructure};
 use amoebot_scenarios::server::Session;
 use amoebot_telemetry::wire::{self, fnv1a64, WireError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
@@ -32,11 +35,19 @@ use rand::Rng;
 /// decode builds its world with `World::new`, which allocates 57 bytes
 /// per pin (pin tables, labels, bucket bounds, digest caches, the beep,
 /// delivery and dirty-pin lists, bitsets) and 20 per port slot (link
-/// table, port index, topology). It does so only after checking that
-/// the bytes left can hold the pins, at least one byte each (the set),
-/// and the slots, at least two bytes each (the peer). A slot carries
-/// `c` ≤ 64 pins, so no blob can make it allocate more than about 57
-/// bytes per byte. Over these fuzz inputs the most was 22.
+/// table, port index, topology), and does so only after checking that
+/// the bytes left can hold the pins, at least one byte each.
+/// - In a `WORLD` payload a slot costs at least two bytes (its peer) and
+///   carries `c` ≤ 64 pins, so no blob can make a decode allocate more
+///   than about 57 bytes per byte.
+/// - A `DYNAMIC_WORLD` payload derives its topology: each editor id has
+///   6 slots and `6c` pins, and costs at least `3 + 6c` bytes (its
+///   coordinate, one list entry and its pins). Decode allocates about
+///   `342c + 178` bytes per id: the world's `342c + 120` and about 58 for
+///   the editor's coordinates, liveness, lists, derived index and
+///   neighbor table. That is at most about 58 bytes per byte.
+///
+/// Over these fuzz inputs the most was 52, from a spliced `DYNAMIC_WORLD`.
 const ALLOC_PER_BYTE: usize = 64;
 
 /// Mutations per seed blob and mutation kind.
@@ -151,6 +162,9 @@ fn check(kind: u8, blob: &[u8], what: &str) -> bool {
             wire::kind::WORLD => assert_consistent(World::from_snapshot_bytes(blob).unwrap(), what),
             wire::kind::DYNAMIC_WORLD => {
                 let dw = DynamicWorld::from_snapshot_bytes(blob).unwrap();
+                if let Err(e) = verify_against_rebuild(&dw) {
+                    panic!("{what}: an accepted dynamic world fails the rebuild oracle: {e}");
+                }
                 assert_consistent(dw.world().clone(), what);
             }
             _ => {}
@@ -337,6 +351,63 @@ fn inflated_varints_never_panic() {
             inflated.extend_from_slice(&base[(end + 1).min(base.len())..]);
             let what = format!("kind {kind} varint #{round} at {at}");
             check(*kind, &seal(*kind, &inflated), &what);
+        }
+    }
+}
+
+/// The byte span of editor id `id`'s cell in a `DYNAMIC_WORLD` payload,
+/// which opens with the editor's capacity and then every id's cell as
+/// two zigzag varints.
+fn cell_span(payload: &[u8], id: usize) -> std::ops::Range<usize> {
+    let mut pos = 0;
+    for _ in 0..1 + 2 * id {
+        wire::get_varint(payload, &mut pos).expect("a cell varint");
+    }
+    let start = pos;
+    for _ in 0..2 {
+        wire::get_varint(payload, &mut pos).expect("a cell varint");
+    }
+    start..pos
+}
+
+/// A resealed editor whose live cells break the structure's invariants
+/// is rejected for its cells: restoring it would panic the first rebuild
+/// oracle that reads it.
+#[test]
+fn structures_off_their_invariants_are_rejected_by_their_cells() {
+    let (_, blob) = seeds()
+        .into_iter()
+        .find(|&(kind, _)| kind == wire::kind::DYNAMIC_WORLD)
+        .expect("a DYNAMIC_WORLD seed");
+    let live = DynamicWorld::from_snapshot_bytes(&blob)
+        .expect("the seed decodes")
+        .editor()
+        .live_ids()
+        .to_vec();
+    let (a, b) = (live[0] as usize, live[1] as usize);
+    let base = payload(&blob);
+    let with_cell = |id: usize, cell: &[u8]| {
+        let mut edited = base.to_vec();
+        edited.splice(cell_span(base, id), cell.iter().copied());
+        seal(wire::kind::DYNAMIC_WORLD, &edited)
+    };
+    let mut far = Vec::new();
+    wire::put_varint(&mut far, 2000); // q = 1000, zigzag-encoded
+    wire::put_varint(&mut far, 2000); // r = 1000
+    let hostile = [
+        ("a live cell moved off the structure", with_cell(a, &far)),
+        (
+            "two live ids on one cell",
+            with_cell(b, &base[cell_span(base, a)]),
+        ),
+    ];
+    for (what, blob) in hostile {
+        match DynamicWorld::from_snapshot_bytes(&blob) {
+            Err(WireError::BadValue {
+                what: "editor cells",
+                ..
+            }) => {}
+            other => panic!("{what}: {:?}", other.map(|dw| dw.len())),
         }
     }
 }

@@ -37,13 +37,13 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SPFS";
 /// payload holds the model state only (pins, beeps, deliveries,
 /// accounting, stuck pins); decode derives every circuit label.
 /// Version 8: the charge log is gone, and the round counter counts
-/// ticks only.
-pub const SNAPSHOT_VERSION: u16 = 8;
+/// ticks only. Version 9: a `DYNAMIC_WORLD` payload stores its structure
+/// once, as the editor's cells and lists; decode derives the editor's
+/// index and neighbor table and the world's topology from them.
+pub const SNAPSHOT_VERSION: u16 = 9;
 
 /// Payload kind tags (one per snapshottable type).
 pub mod kind {
-    /// An `AmoebotStructure` (coordinate list).
-    pub const STRUCTURE: u8 = 1;
     /// A `World` (topology + pin/beep/labeling state).
     pub const WORLD: u8 = 2;
     /// A `DynamicWorld` (editor + world pair).
@@ -438,13 +438,14 @@ mod tests {
         );
         // Wrong version (re-sealed so the digest is valid).
         let mut bad = blob.clone();
-        bad[4] = 9;
+        let wrong = SNAPSHOT_VERSION + 1;
+        bad[4..6].copy_from_slice(&wrong.to_le_bytes());
         let body = bad.len() - 8;
         let digest = fnv1a64(&bad[..body]).to_le_bytes();
         bad[body..].copy_from_slice(&digest);
         assert_eq!(
             SnapshotReader::open(&bad, kind::WORLD).err(),
-            Some(WireError::BadVersion { found: 9 })
+            Some(WireError::BadVersion { found: wrong })
         );
         // Wrong kind (re-sealed): digest passes, kind does not.
         let other = sealed(kind::SESSION, |w| w.varint(7));
@@ -486,18 +487,18 @@ mod tests {
 
     #[test]
     fn truncation_and_trailing_bytes_are_rejected() {
-        let blob = sealed(kind::STRUCTURE, |w| w.varint(1000));
+        let blob = sealed(kind::SESSION, |w| w.varint(1000));
         // Any proper prefix fails (digest or envelope length).
         for cut in 0..blob.len() {
-            assert!(SnapshotReader::open(&blob[..cut], kind::STRUCTURE).is_err());
+            assert!(SnapshotReader::open(&blob[..cut], kind::SESSION).is_err());
         }
         // Undrained payload is an error at finish.
-        let r = SnapshotReader::open(&blob, kind::STRUCTURE).unwrap();
+        let r = SnapshotReader::open(&blob, kind::SESSION).unwrap();
         assert!(matches!(
             r.finish(),
             Err(WireError::TrailingBytes { offset: 7 })
         ));
-        let mut r = SnapshotReader::open(&blob, kind::STRUCTURE).unwrap();
+        let mut r = SnapshotReader::open(&blob, kind::SESSION).unwrap();
         r.varint().unwrap();
         r.finish().unwrap();
     }

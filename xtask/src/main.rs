@@ -522,11 +522,14 @@ impl SmokeServer {
 
 /// `cargo xtask server-smoke` — the end-to-end gate for the session
 /// service: drives a real `scenario-server` process over TCP through
-/// create/step/mutate/snapshot, kills it, restarts it from the snapshot
-/// directory, and asserts the resumed session's canonical query matches
-/// an uninterrupted run of the same scenario, `relabel_*` counters
-/// aside. Then hammers the restarted server with 64 concurrent sessions
-/// and reports step-request throughput (gated at 1000 req/s — an order
+/// create/step/mutate/fault/snapshot with a churn session (a blob,
+/// `c` = 2) and a stuck-pin session (a line, `c` = 1), kills it,
+/// restarts it from the snapshot directory, and asserts that each
+/// resumed session's next event passes the rebuild oracle and that its
+/// canonical query matches an uninterrupted run of the same scenario,
+/// `relabel_*` counters aside. Then hammers the restarted server with
+/// 64 concurrent sessions and reports step-request throughput (gated at
+/// 1000 req/s — an order
 /// of magnitude below what a release build sustains, so only a real
 /// regression trips it), and the client-observed p50/p99 round trip of
 /// every op kind it sent (not gated).
@@ -552,24 +555,37 @@ fn server_smoke() -> Result<u8, String> {
     // directory goes.
     let _dir_guard = RemoveOnDrop(dir.clone());
 
-    // Phase 1: create a churn session, advance it halfway, shut down
-    // (which snapshots every live session).
-    let create_a = |name: &str| {
+    // Phase 1: create a churn session (a blob, `c` = 2) and a stuck-pin
+    // session (a line, `c` = 1), the two shapes a restore derives a
+    // topology for; advance each partway and shut down (which snapshots
+    // every live session).
+    const RESTARTED: [(&str, &str, &str); 2] = [
+        ("churn", "blob-churn-broadcast", "mutate"),
+        ("line", "fault-stuckpin-broadcast", "fault"),
+    ];
+    let create = |name: &str, family: &str| {
         op(&[
             ("op", Json::from("create")),
             ("session", Json::from(name)),
-            ("family", Json::from("blob-churn-broadcast")),
+            ("family", Json::from(family)),
             ("size", Json::from(60u64)),
             ("seed", Json::from(9u64)),
             ("events", Json::from(6u64)),
             ("per_event", Json::from(3u64)),
         ])
     };
-    let advance = |conn: &mut std::net::TcpStream, name: &str| -> Result<(), String> {
-        rpc_ok(
-            conn,
-            &op(&[("op", Json::from("mutate")), ("session", Json::from(name))]),
-        )?;
+    // The next schedule event, which must pass the rebuild oracle, then
+    // three rounds.
+    let advance = |conn: &mut std::net::TcpStream, name: &str, event: &str| -> Result<(), String> {
+        let verified = [
+            ("op", event.into()),
+            ("session", name.into()),
+            ("verify", true.into()),
+        ];
+        let resp = rpc_ok(conn, &op(&verified))?;
+        if resp.get("oracle_ok").and_then(Json::as_bool) != Some(true) {
+            return Err(format!("{event} on {name} failed the rebuild oracle"));
+        }
         rpc_ok(
             conn,
             &op(&[
@@ -592,31 +608,38 @@ fn server_smoke() -> Result<u8, String> {
 
     let server = SmokeServer::start(&bin, &dir)?;
     let mut conn = server.connect()?;
-    rpc_ok(&mut conn, &create_a("resumed"))?;
-    advance(&mut conn, "resumed")?;
+    for (name, family, event) in RESTARTED {
+        rpc_ok(&mut conn, &create(name, family))?;
+        advance(&mut conn, name, event)?;
+    }
     drop(conn);
     server.shutdown()?;
     eprintln!(
-        "server-smoke: mid-churn shutdown complete, restarting from {}",
+        "server-smoke: mid-schedule shutdown complete, restarting from {}",
         dir.display()
     );
 
-    // Phase 2: restart over the same snapshot dir; the session must be
-    // live again. Finish its schedule, and run an uninterrupted twin for
-    // the differential.
+    // Phase 2: restart over the same snapshot dir; the sessions must be
+    // live again. Advance each once more, and run an uninterrupted twin
+    // of each for the differential.
     let server = SmokeServer::start(&bin, &dir)?;
     let mut conn = server.connect()?;
-    advance(&mut conn, "resumed")?;
-    let resumed = query(&mut conn, "resumed")?;
-    rpc_ok(&mut conn, &create_a("twin"))?;
-    advance(&mut conn, "twin")?;
-    advance(&mut conn, "twin")?;
-    let twin = query(&mut conn, "twin")?;
-    if resumed.replace("\"resumed\"", "\"twin\"") != twin {
-        eprintln!("resumed:\n{resumed}\ntwin:\n{twin}");
-        return Err("resumed session diverged from the uninterrupted twin".to_string());
+    for (name, family, event) in RESTARTED {
+        advance(&mut conn, name, event)?;
+        let resumed = query(&mut conn, name)?;
+        let twin_name = format!("{name}-twin");
+        rpc_ok(&mut conn, &create(&twin_name, family))?;
+        advance(&mut conn, &twin_name, event)?;
+        advance(&mut conn, &twin_name, event)?;
+        let twin = query(&mut conn, &twin_name)?;
+        if resumed.replace(&format!("\"{name}\""), &format!("\"{twin_name}\"")) != twin {
+            eprintln!("resumed:\n{resumed}\ntwin:\n{twin}");
+            return Err(format!(
+                "resumed {family} session diverged from the uninterrupted twin"
+            ));
+        }
+        eprintln!("server-smoke: resumed {family} report matches the uninterrupted run");
     }
-    eprintln!("server-smoke: resumed canonical report matches the uninterrupted run");
 
     // Phase 3: 64 concurrent sessions, each its own connection, each
     // issuing single-step requests — the throughput figure is requests
