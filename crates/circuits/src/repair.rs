@@ -20,7 +20,7 @@
 //! world, which labels only what it delivers on) a failed attempt costs
 //! one read pass over the dirty pins.
 
-use crate::world::{World, NO_EDGE};
+use crate::world::World;
 
 /// The expansion budget of one repair is
 /// `REPAIR_BUDGET_BASE + REPAIR_BUDGET_PER_SET · |F|` sets, so a repair
@@ -203,6 +203,8 @@ impl World {
         let c = self.c;
         // The frontier: the old and the new set of every dirty pin, each
         // its own search. None of them is stale (`frontier_is_stale`).
+        // Removed-union candidates, as old-set pairs: every dirty pin on
+        // a wired port with its peer pin, and every recorded cut.
         let mut v = 0;
         for i in 0..self.dirty_pins.len() {
             let (pin, node_base) = self.dirty_pins[i];
@@ -219,27 +221,15 @@ impl World {
                     self.visit(rs, gid, v, s, false);
                 }
             }
-        }
-        // Removed-union candidates: every dirty pin on a wired port with
-        // its peer pin, and every recorded cut, as old-set pairs.
-        for i in 0..self.dirty_pins.len() {
-            let (pin, node_base) = self.dirty_pins[i];
-            let slot = pin as usize / c;
-            let ei = self.port_edge[slot];
-            if ei == NO_EDGE {
-                continue;
+            let local = pin - node_base as usize;
+            if let Some((w, q)) = self.topo.peer(v, local / c) {
+                let peer_base = self.base[w];
+                let peer = peer_base as usize + q * c + local % c;
+                rs.cands.push((
+                    node_base + self.pset_at_relabel[pin] as u32,
+                    peer_base + self.pset_at_relabel[peer] as u32,
+                ));
             }
-            let (a0, base_a, b0, base_b) = self.links[ei as usize];
-            let link = pin % c as u32;
-            let (peer, peer_base) = if a0 as usize / c == slot {
-                (b0 + link, base_b)
-            } else {
-                (a0 + link, base_a)
-            };
-            rs.cands.push((
-                node_base + self.pset_at_relabel[pin as usize] as u32,
-                peer_base + self.pset_at_relabel[peer as usize] as u32,
-            ));
         }
         for i in 0..self.cuts.len() {
             let (pa, pb) = self.cuts[i];

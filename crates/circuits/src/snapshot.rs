@@ -7,9 +7,9 @@
 //! beeps sent, the engine counters) and the stuck pins an adversary
 //! armed. The circuits are a function of the pins and the topology, so
 //! nothing the engine caches about them is stored: decode validates the
-//! fields, builds the world with [`World::new`] (link table, port index
-//! and label cache as a fresh world's, with every partition set stale)
-//! and then sets the decoded fields.
+//! fields, builds the world with [`World::new`] (its label cache as a
+//! fresh world's, with every partition set stale) and then sets the
+//! decoded fields.
 //!
 //! A restored world therefore delivers every beep and answers every
 //! read exactly as the snapshotted one would, and re-encodes to the same
@@ -407,8 +407,8 @@ mod tests {
     }
 
     /// A world with real history: global circuits, beeps, ticks, a
-    /// structure edit (leaving a tombstoned link + free-list entry) and
-    /// a pending beep that has not ticked yet.
+    /// structure edit (leaving a vacant port on both sides) and a
+    /// pending beep that has not ticked yet.
     fn seasoned_world() -> World {
         let mut w = grid_world(4, 3, 2);
         for v in 0..12 {
@@ -641,9 +641,8 @@ mod tests {
         }
     }
 
-    /// A snapshot stores no link table: the restored world's table has
-    /// no tombstone or free slot where the original's has one, and the
-    /// reconnected worlds must still behave alike.
+    /// A restored world rewires like the original: both reconnect the
+    /// cut edge and must then behave alike.
     #[test]
     fn reconnecting_after_a_restore_matches_the_original() {
         let mut w = grid_world(4, 2, 1);

@@ -7,11 +7,11 @@
 //! [`World::disconnect`], [`World::isolate`]); between those, which pin
 //! faces which peer pin across an external link is fixed. What changes
 //! between rounds is normally only the *pin configuration* (which local
-//! partition set each pin belongs to). [`World::new`] therefore
-//! precomputes a flat link table of global-pin-index pairs once, and
-//! [`World::tick`] maintains a cached circuit labeling guarded by a
-//! **dirty-pin set** (dense list + [`BitSet`], mirroring the beep-flag
-//! pattern) and labels circuits **lazily**:
+//! partition set each pin belongs to). The [`Topology`] is the world's
+//! only record of which pin faces which, and [`World::tick`] maintains a
+//! cached circuit labeling guarded by a **dirty-pin set** (dense list +
+//! [`BitSet`], mirroring the beep-flag pattern) and labels circuits
+//! **lazily**:
 //!
 //! * any mutation ([`World::set_pin`] and everything built on it) that
 //!   actually changes a pin's partition set marks that pin dirty; no-op
@@ -33,8 +33,8 @@
 //! * reads ([`World::circuit_count`], [`World::pset_circuit`]) label
 //!   everything: they absorb, then walk every stale circuit the same
 //!   way, in ascending gid order, or run the global relabel — union-find
-//!   over the whole link table plus a counting-sort membership rebuild —
-//!   when the dirty pins or the stale set exceed
+//!   along every wired port slot of the topology plus a counting-sort
+//!   membership rebuild — when the dirty pins or the stale set exceed
 //!   `1/REGION_FALLBACK_FRACTION` of all pins;
 //! * a tick delivers to circuits, not to their members: the roots of
 //!   the beeping circuits, deduped in `root_mark`, stay marked as the
@@ -59,18 +59,17 @@
 //! depend on which path ran.
 //!
 //! Structure mutations ride the same machinery: [`World::connect`] and
-//! [`World::disconnect`] splice the link table (tombstoned entries plus a
-//! freelist keep `links` compact under grow–shrink cycles) in O(deg + c)
-//! and mark the `c` pin pairs of the edge dirty; a disconnect also
-//! records the cut pin pairs, the one trace a removed link leaves for
-//! the repair. The next absorb then repairs or stales exactly the
-//! circuits that ran through the edge. A repaired k-node churn event
-//! costs its splice, a search bounded by a constant multiple of its
-//! dirty sets, and one sequential pass over the buckets of the circuits
-//! it touched; a churn event that stales a circuit instead pays a walk
-//! of that circuit when it is next labelled. [`World::add_node`] appends
-//! a node with vacant ports and pre-labels its fresh singleton sets,
-//! keeping the cached labeling valid without any relabel at all.
+//! [`World::disconnect`] write the edge's two port slots of the topology
+//! in O(deg + c) and mark the `c` pin pairs of the edge dirty; a
+//! disconnect also records the cut pin pairs, the one trace a removed
+//! link leaves for the repair. The next absorb then repairs or stales
+//! exactly the circuits that ran through the edge. A repaired k-node
+//! churn event costs its splice, a search bounded by a constant multiple
+//! of its dirty sets, and one sequential pass over the buckets of the
+//! circuits it touched; a churn event that stales a circuit instead pays
+//! a walk of that circuit when it is next labelled. [`World::add_node`]
+//! appends a node with vacant ports and pre-labels its fresh singleton
+//! sets, keeping the cached labeling valid without any relabel at all.
 //!
 //! [`World::tick_reference`] keeps the original full-recompute engine
 //! alive verbatim; differential tests and the `circuit_engine` benches pin
@@ -78,7 +77,7 @@
 
 use crate::bitset::BitSet;
 use crate::repair::RepairScratch;
-use crate::topology::{PortId, Topology};
+use crate::topology::{PortId, Topology, NONE};
 use amoebot_telemetry::{
     mix64, CounterId, Metrics, NullRecorder, Recorder, RoundSummary, Stopwatch, TimerId,
     TraceEvent, BEEP_DIGEST_SALT,
@@ -91,18 +90,12 @@ pub type Pin = (PortId, usize);
 /// pins before it) stay within `total pins / REGION_FALLBACK_FRACTION`;
 /// past that it runs one global relabel. A walk scans every pin of each
 /// visited set's node and follows links one peer lookup at a time,
-/// while the global relabel makes straight linear sweeps: one read of an
-/// all-stale 100k-node blob took 5.5–9× as long walking every circuit
-/// as relabelling globally (c = 2 and 6; release build, 2 vCPUs). An
-/// absorb of at most this many dirty pins tries the repair first.
+/// while the global relabel sweeps the topology's port slots and the pin
+/// table in order: one read of an all-stale 100k-node blob took 5.5–9×
+/// as long walking every circuit as relabelling globally (c = 2 and 6;
+/// release build, 2 vCPUs). An absorb of at most this many dirty pins
+/// tries the repair first.
 const REGION_FALLBACK_FRACTION: usize = 8;
-
-/// Vacant-slot sentinel of the per-port edge table.
-pub(crate) const NO_EDGE: u32 = u32::MAX;
-
-/// Tombstone of a removed `links` entry (`a0 == u32::MAX` never occurs on
-/// a live entry: it would exceed the pin id space).
-const DEAD_LINK: (u32, u32, u32, u32) = (u32::MAX, 0, 0, 0);
 
 /// Registry name of the counter of nodes visited by
 /// [`World::reset_all_pins_keeping_links`].
@@ -191,16 +184,6 @@ pub struct World {
     pub(crate) base: Vec<u32>,
     /// Global pin index -> local partition set id of the owning node.
     pub(crate) pin_pset: Vec<u16>,
-    /// Link table, one entry per *edge*: `(a0, base_a, b0, base_b)` where
-    /// `a0`/`b0` are the global pin indices of the edge's link-0 pins
-    /// (links `0..c` are the `c` consecutive pins from there) and
-    /// `base_a`/`base_b` the owning nodes' base offsets, so relabeling
-    /// needs no per-pin node lookup. [`World::disconnect`] tombstones an
-    /// entry ([`DEAD_LINK`]) and recycles its slot through `free_links`,
-    /// so the table never grows past the historical edge maximum.
-    pub(crate) links: Vec<(u32, u32, u32, u32)>,
-    /// Recycled slots of tombstoned `links` entries.
-    pub(crate) free_links: Vec<u32>,
     /// Partition sets (by global id) that beep this round (bit-packed;
     /// the set bits are always a subset of the dense `sent` list).
     pub(crate) send: BitSet,
@@ -280,11 +263,6 @@ pub struct World {
     /// counted iff some pin references a partition set in its bucket);
     /// maintained incrementally by absorbs and walks.
     pub(crate) circuit_roots: BitSet,
-    /// Edge index (into `links`) behind each *port slot* (slot of
-    /// `(v, p)` = `base[v] / c + p`; [`NO_EDGE`] = vacant), so
-    /// [`World::disconnect`] finds the link-table entry to tombstone in
-    /// O(1) and [`World::connect`] splices one in O(1).
-    pub(crate) port_edge: Vec<u32>,
     /// Walk scratch: the `(gid, owner node)` pairs of the circuit being
     /// walked, in discovery order; a repair's search queue.
     pub(crate) walk: Vec<(u32, u32)>,
@@ -343,22 +321,6 @@ impl World {
         }
         base.push(acc);
         let total = acc as usize;
-        let mut links = Vec::with_capacity(topo.edge_count());
-        // Per-port edge index (each edge appears on both endpoint slots)
-        // so a disconnect finds the entry it tombstones.
-        let mut port_edge = vec![NO_EDGE; total / c];
-        for v in 0..n {
-            for (p, w, q) in topo.neighbors(v) {
-                if v < w {
-                    let a0 = base[v] + (p * c) as u32;
-                    let b0 = base[w] + (q * c) as u32;
-                    let ei = links.len() as u32;
-                    links.push((a0, base[v], b0, base[w]));
-                    port_edge[a0 as usize / c] = ei;
-                    port_edge[b0 as usize / c] = ei;
-                }
-            }
-        }
         // The singleton configuration, written directly: pin `i` of a
         // node holds partition set `i`. Nothing is dirty or configured.
         let mut pin_pset = Vec::with_capacity(total);
@@ -371,8 +333,6 @@ impl World {
             base,
             pset_at_relabel: pin_pset.clone(),
             pin_pset,
-            links,
-            free_links: Vec::new(),
             send: BitSet::new(total),
             // Worst-case capacity up front (cheap: pages fault on first
             // write, not at malloc), so ticks never reallocate.
@@ -395,7 +355,6 @@ impl World {
             stale: BitSet::new(total),
             stale_count: 0,
             circuit_roots: BitSet::new(total),
-            port_edge,
             walk: Vec::new(),
             repair: RepairScratch::default(),
             configured: (0..c).map(|_| BitSet::new(n)).collect(),
@@ -1323,18 +1282,26 @@ impl World {
         for i in 0..total {
             self.uf[i] = i as u32;
         }
-        // Union partition sets along every external link (precomputed
-        // per-edge table: no per-node neighbor iteration, no
-        // edge-direction test). Tombstoned entries are removed edges.
-        for i in 0..self.links.len() {
-            let (a0, base_a, b0, base_b) = self.links[i];
-            if a0 == u32::MAX {
-                continue;
-            }
-            for link in 0..self.c as u32 {
-                let pa = base_a + self.pin_pset[(a0 + link) as usize] as u32;
-                let pb = base_b + self.pin_pset[(b0 + link) as usize] as u32;
-                self.union(pa, pb);
+        // Union partition sets along every external link: each edge once,
+        // from the port slot of its lower endpoint, straight off the
+        // topology's slot arrays.
+        let c = self.c as u32;
+        for v in 0..self.topo.len() {
+            let (start, end) = (self.topo.offsets[v], self.topo.offsets[v + 1]);
+            let base_a = self.base[v];
+            for slot in start..end {
+                let w = self.topo.peer_node[slot as usize];
+                if w == NONE || (w as usize) < v {
+                    continue;
+                }
+                let base_b = self.base[w as usize];
+                let a0 = base_a + (slot - start) * c;
+                let b0 = base_b + self.topo.peer_port[slot as usize] * c;
+                for link in 0..c {
+                    let pa = base_a + self.pin_pset[(a0 + link) as usize] as u32;
+                    let pb = base_b + self.pin_pset[(b0 + link) as usize] as u32;
+                    self.union(pa, pb);
+                }
             }
         }
         for gid in 0..total as u32 {
@@ -1658,9 +1625,9 @@ impl World {
     // the edge dirty *as if* their partition sets had changed — the next
     // absorb then repairs or stales exactly the circuits that run(ran)
     // through the edge, and a walk or relabel re-labels stale ones
-    // against the spliced link table and topology. A disconnect also
-    // records its cut pin pairs: the repair's certificate needs every
-    // removed link union.
+    // against the spliced topology. A disconnect also records its cut
+    // pin pairs: the repair's certificate needs every removed link
+    // union.
     // The stability argument of DESIGN.md §1c extends verbatim: every
     // added or removed link-union has both endpoint sets' circuits
     // seeded, so circuits disjoint from the seeds cannot change.
@@ -1715,7 +1682,6 @@ impl World {
             set.ensure_len(self.topo.len());
         }
         self.global_links.fill(false);
-        self.port_edge.resize(self.port_edge.len() + ports, NO_EDGE);
         // Keep the construction-time worst-case reservations of the dense
         // scratch lists in step with the grown pin space, so the "ticks
         // never reallocate" invariant survives growth (the realloc lands
@@ -1772,21 +1738,6 @@ impl World {
         self.topo.connect(v, p, w, q);
         let a0 = self.base[v] + (p * self.c) as u32;
         let b0 = self.base[w] + (q * self.c) as u32;
-        let entry = (a0, self.base[v], b0, self.base[w]);
-        let ei = match self.free_links.pop() {
-            Some(ei) => {
-                debug_assert_eq!(self.links[ei as usize], DEAD_LINK);
-                self.links[ei as usize] = entry;
-                ei
-            }
-            None => {
-                self.links.push(entry);
-                (self.links.len() - 1) as u32
-            }
-        };
-        // `a0 / c` is `base[v] / c + p`: node bases are multiples of `c`.
-        self.port_edge[a0 as usize / self.c] = ei;
-        self.port_edge[b0 as usize / self.c] = ei;
         let (base_a, base_b) = (self.base[v], self.base[w]);
         for link in 0..self.c {
             self.mark_pin_dirty(a0 as usize + link, base_a);
@@ -1794,14 +1745,14 @@ impl World {
         }
     }
 
-    /// Unwires the edge behind port `p` of `v` (tombstoning its link
-    /// table entry) and returns the peer `(w, q)`. The edge's pins are
-    /// marked dirty *before* the splice so the next relabel's seeds still
-    /// capture the circuits that ran through the edge, and its link pin
-    /// pairs join the cut record, so the next absorb's repair sees the
-    /// link unions the cut removed (DESIGN.md §1c). O(deg + c),
-    /// plus a scan of the cut record when a pin of the edge was already
-    /// dirty.
+    /// Unwires the edge behind port `p` of `v` (vacating both of its
+    /// port slots in the topology) and returns the peer `(w, q)`. The
+    /// edge's pins are marked dirty *before* the splice so the next
+    /// relabel's seeds still capture the circuits that ran through the
+    /// edge, and its link pin pairs join the cut record, so the next
+    /// absorb's repair sees the link unions the cut removed (DESIGN.md
+    /// §1c). O(deg + c), plus a scan of the cut record when a pin of the
+    /// edge was already dirty.
     ///
     /// # Panics
     ///
@@ -1844,14 +1795,6 @@ impl World {
             self.mark_pin_dirty(pa as usize, base_a);
             self.mark_pin_dirty(pb as usize, base_b);
         }
-        let slot_a = a0 as usize / self.c;
-        let slot_b = b0 as usize / self.c;
-        let ei = self.port_edge[slot_a];
-        debug_assert_eq!(ei, self.port_edge[slot_b], "port tables out of sync");
-        self.links[ei as usize] = DEAD_LINK;
-        self.free_links.push(ei);
-        self.port_edge[slot_a] = NO_EDGE;
-        self.port_edge[slot_b] = NO_EDGE;
         self.topo.disconnect(v, p);
         (w, q)
     }
@@ -2394,27 +2337,21 @@ mod dynamic_tests {
         assert!(w.received(2, 0), "rewired edge must carry beeps again");
     }
 
-    /// Tombstoned link-table entries are recycled: a long grow–shrink
-    /// cycle must not grow the link table past its historical maximum.
+    /// Fifty isolate–reconnect cycles on one edge leave the world
+    /// delivering over its other edge.
     #[test]
-    fn link_slots_are_recycled_across_churn_cycles() {
+    fn worlds_deliver_after_churn_cycles() {
         let mut w = empty_world(2);
         for _ in 0..3 {
             w.add_node(6);
         }
         w.connect(0, 0, 1, 3);
         w.connect(1, 0, 2, 3);
-        let links_high_water = w.links.len();
         for _ in 0..50 {
             w.isolate(2);
             w.connect(1, 0, 2, 3);
             w.tick();
         }
-        assert_eq!(
-            w.links.len(),
-            links_high_water,
-            "freelist must recycle tombstones"
-        );
         w.beep(0, 0);
         w.tick();
         // c = 2: node 1's port-3 link-0 pin sits in singleton set 6.

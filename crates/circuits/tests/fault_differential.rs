@@ -45,7 +45,7 @@ fn path_world(n: usize, c: usize) -> World {
 }
 
 /// A world with history: global circuits, delivered beeps, a severed
-/// edge (tombstone + free-list entry), and a pending undelivered beep.
+/// edge (a vacant port on both sides), and a pending undelivered beep.
 fn seasoned_world() -> World {
     let mut w = path_world(9, 2);
     for v in 0..9 {

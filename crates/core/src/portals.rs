@@ -22,7 +22,9 @@
 //! the quotient decomposition ([`portal_centroid_decomposition`]).
 
 use amoebot_circuits::{Topology, World};
-use amoebot_grid::{AmoebotStructure, Axis, Direction, NodeId, ALL_DIRECTIONS};
+use amoebot_grid::{
+    implicit_portal_edge, AmoebotStructure, Axis, Direction, NodeId, ALL_DIRECTIONS,
+};
 use amoebot_pasc::PascRun;
 
 use crate::ett::build_tours;
@@ -107,9 +109,10 @@ pub fn axis_portals(structure: &AmoebotStructure, members: &[usize], axis: Axis)
     let mut tree_nbr = Vec::new();
     tree_off.push(0);
     for &v in members {
+        let occupied = |d| nbr(v, d).is_some();
         for d in ALL_DIRECTIONS {
             if let Some(w) = nbr(v, d) {
-                if implicit_edge_local_rule(&nbr, axis, v, d) {
+                if implicit_portal_edge(axis, d, occupied) {
                     tree_nbr.push(index[w]);
                 }
             }
@@ -126,28 +129,6 @@ pub fn axis_portals(structure: &AmoebotStructure, members: &[usize], axis: Axis)
         reps,
         tree,
     }
-}
-
-/// The local rule of Definition 12, relative to a region: whether the edge
-/// from `v` towards `d` belongs to the implicit portal tree of `axis`.
-fn implicit_edge_local_rule(
-    nbr: &impl Fn(usize, Direction) -> Option<usize>,
-    axis: Axis,
-    v: usize,
-    d: Direction,
-) -> bool {
-    if d.axis() == axis {
-        return true;
-    }
-    for (cb, cf) in axis.cross_sides() {
-        if d == cb {
-            return nbr(v, axis.negative()).is_none();
-        }
-        if d == cf {
-            return nbr(v, cb).is_none();
-        }
-    }
-    unreachable!("non-axis direction must be on a cross side")
 }
 
 impl AxisPortals {

@@ -6,8 +6,8 @@
 //! stay connected and hole-free.
 //!
 //! The incremental path under test is the real one: tombstoned ids,
-//! recycled link-table slots, region-scoped relabels seeded by the
-//! spliced edges. The oracle rebuilds a dense structure + world from
+//! rewired port slots, region-scoped relabels seeded by the spliced
+//! edges. The oracle rebuilds a dense structure + world from
 //! scratch after each event and copies the pin configuration over.
 
 use amoebot_dynamics::{

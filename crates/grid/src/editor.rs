@@ -57,7 +57,7 @@ use amoebot_telemetry::wire::{SnapshotReader, SnapshotWriter, WireError};
 
 use crate::chunkgrid::ChunkGrid;
 use crate::coord::{Coord, Direction, ALL_DIRECTIONS};
-use crate::structure::{connected, AmoebotStructure, NodeId, NONE};
+use crate::structure::{connected, neighbor_table, AmoebotStructure, NodeId, NONE};
 
 /// An editable amoebot structure: stable node ids, O(Δ)-amortized insert
 /// and remove, scoped hole revalidation. See the module docs.
@@ -129,28 +129,7 @@ impl StructureEditor {
             .map(|&id| (coords[id as usize], id))
             .collect();
         base_index.sort_unstable_by_key(|&(c, _)| c);
-        // Shifting every cell by one direction keeps `(q, r)` order, so
-        // one merge pass over the index finds every neighbor in that
-        // direction, and each pair found links both ways: three passes
-        // fill the table. Keys widen to i64, as a decoded cell may sit at
-        // the edge of the i32 range.
-        let key = |c: Coord| (c.q as i64, c.r as i64);
-        let mut neighbors = vec![NONE; coords.len() * 6];
-        for d in [Direction::E, Direction::Ne, Direction::Se] {
-            let (dq, dr) = key(d.offset());
-            let mut at = 0;
-            for &(c, id) in &base_index {
-                let target = (c.q as i64 + dq, c.r as i64 + dr);
-                while at < base_index.len() && key(base_index[at].0) < target {
-                    at += 1;
-                }
-                if at < base_index.len() && key(base_index[at].0) == target {
-                    let w = base_index[at].1;
-                    neighbors[id as usize * 6 + d.index()] = w;
-                    neighbors[w as usize * 6 + d.opposite().index()] = id;
-                }
-            }
-        }
+        let neighbors = neighbor_table(&base_index, coords.len());
         StructureEditor {
             occupancy: base_index.iter().map(|&(c, _)| c).collect(),
             coords,

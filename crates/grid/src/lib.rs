@@ -41,5 +41,5 @@ pub use chunkgrid::ChunkGrid;
 pub use coord::{Axis, Coord, Direction, ALL_AXES, ALL_DIRECTIONS};
 pub use editor::StructureEditor;
 pub use random::{random_placement, random_shape_mix, random_snake, random_structure, Placement};
-pub use structure::{AmoebotStructure, NodeId, StructureError};
+pub use structure::{implicit_portal_edge, AmoebotStructure, NodeId, StructureError};
 pub use validate::{validate_forest, ForestViolation};

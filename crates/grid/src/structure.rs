@@ -20,6 +20,34 @@ use crate::coord::{Axis, Coord, Direction, ALL_DIRECTIONS};
 /// the `u32` id space before colliding with it).
 pub(crate) const NONE: u32 = u32::MAX;
 
+/// The flat neighbor table (6 slots per id, [`NONE`] when vacant) over
+/// ids `0..capacity` of the cells in `index`, which is sorted by
+/// coordinate: the structure's table, and an editor's. Shifting every
+/// cell by one direction keeps `(q, r)` order, so one merge pass over the
+/// index finds every neighbor in that direction, and each pair found
+/// links both ways: three passes fill the table. Keys widen to `i64`, as
+/// a cell may sit at the edge of the `i32` range.
+pub(crate) fn neighbor_table(index: &[(Coord, u32)], capacity: usize) -> Vec<u32> {
+    let key = |c: Coord| (c.q as i64, c.r as i64);
+    let mut neighbors = vec![NONE; capacity * 6];
+    for d in [Direction::E, Direction::Ne, Direction::Se] {
+        let (dq, dr) = key(d.offset());
+        let mut at = 0;
+        for &(c, id) in index {
+            let target = (c.q as i64 + dq, c.r as i64 + dr);
+            while at < index.len() && key(index[at].0) < target {
+                at += 1;
+            }
+            if at < index.len() && key(index[at].0) == target {
+                let w = index[at].1;
+                neighbors[id as usize * 6 + d.index()] = w;
+                neighbors[w as usize * 6 + d.opposite().index()] = id;
+            }
+        }
+    }
+    neighbors
+}
+
 /// Whether `count` nodes of a flat neighbor table (6 slots per node,
 /// [`NONE`] when vacant) are reachable from `start`: the structure's
 /// connectivity, and a decoded editor's.
@@ -38,6 +66,35 @@ pub(crate) fn connected(neighbors: &[u32], start: u32, count: usize) -> bool {
         }
     }
     reached == count
+}
+
+/// The local rule of Definition 12: whether the edge from a node towards
+/// `dir` belongs to the *implicit portal graph* of `axis`, where
+/// `occupied` says which of the node's neighbor cells hold a node of the
+/// structure or region the graph spans. The edge itself must exist.
+///
+/// * edges parallel to the axis always belong to it;
+/// * the "backward" cross edge (e.g. NW for the x-axis north side) belongs
+///   to it iff the node has no negative-axis ("west") neighbor;
+/// * the "forward" cross edge (e.g. NE) belongs to it iff the node has no
+///   backward cross edge on that side.
+pub fn implicit_portal_edge(
+    axis: Axis,
+    dir: Direction,
+    occupied: impl Fn(Direction) -> bool,
+) -> bool {
+    if dir.axis() == axis {
+        return true;
+    }
+    for (cb, cf) in axis.cross_sides() {
+        if dir == cb {
+            return !occupied(axis.negative());
+        }
+        if dir == cf {
+            return !occupied(cb);
+        }
+    }
+    unreachable!("direction {dir} must be either parallel or a cross direction")
 }
 
 /// Identifier of an amoebot (equivalently: of the node it occupies) within an
@@ -132,15 +189,7 @@ impl AmoebotStructure {
                 return Err(StructureError::Duplicate(w[0].0));
             }
         }
-        let mut neighbors = vec![NONE; coords.len() * 6];
-        for (i, &c) in coords.iter().enumerate() {
-            for d in ALL_DIRECTIONS {
-                let target = c.neighbor(d);
-                if let Ok(at) = index.binary_search_by_key(&target, |&(c, _)| c) {
-                    neighbors[i * 6 + d.index()] = index[at].1;
-                }
-            }
-        }
+        let neighbors = neighbor_table(&index, coords.len());
         let s = AmoebotStructure {
             coords,
             index,
@@ -347,55 +396,22 @@ impl AmoebotStructure {
         (portal_of, portals)
     }
 
-    /// Whether the undirected edge from `v` towards `dir` belongs to the
-    /// *implicit portal graph* of `axis` (Definition 12), using the paper's
-    /// local rule:
-    ///
-    /// * edges parallel to the axis always belong to it;
-    /// * the "backward" cross edge (e.g. NW for the x-axis north side) belongs
-    ///   to it iff the node has no negative-axis ("west") neighbor;
-    /// * the "forward" cross edge (e.g. NE) belongs to it iff the node has no
-    ///   backward cross edge on that side.
-    ///
-    /// Returns `false` if there is no neighbor in `dir`.
-    pub fn implicit_portal_edge(&self, v: NodeId, dir: Direction, axis: Axis) -> bool {
-        if self.neighbor(v, dir).is_none() {
-            return false;
-        }
-        if dir.axis() == axis {
-            return true;
-        }
-        for (cb, cf) in axis.cross_sides() {
-            if dir == cb {
-                return self.neighbor(v, axis.negative()).is_none();
-            }
-            if dir == cf {
-                return self.neighbor(v, cb).is_none();
-            }
-        }
-        unreachable!("direction {dir} must be either parallel or a cross direction")
-    }
-
     /// All undirected edges of the implicit portal graph of `axis`, as
     /// `(node, direction)` with each undirected edge reported from exactly one
     /// endpoint: axis-parallel edges from the negative ("west") endpoint,
     /// cross edges from the endpoint on the first [`Axis::cross_sides`] side.
     ///
-    /// The membership rule itself ([`Self::implicit_portal_edge`]) is
+    /// The membership rule itself ([`implicit_portal_edge`]) is
     /// symmetric: it yields the same answer from either endpoint of an edge.
     pub fn implicit_portal_edges(&self, axis: Axis) -> Vec<(NodeId, Direction)> {
         let mut out = Vec::new();
         let (cb, cf) = axis.cross_sides()[0];
         for v in self.nodes() {
-            // Axis-parallel edge, reported from the negative side.
-            if self.neighbor(v, axis.positive()).is_some() {
-                out.push((v, axis.positive()));
-            }
-            if self.implicit_portal_edge(v, cb, axis) {
-                out.push((v, cb));
-            }
-            if self.implicit_portal_edge(v, cf, axis) {
-                out.push((v, cf));
+            let occupied = |d| self.neighbor(v, d).is_some();
+            for d in [axis.positive(), cb, cf] {
+                if occupied(d) && implicit_portal_edge(axis, d, occupied) {
+                    out.push((v, d));
+                }
             }
         }
         out
@@ -430,6 +446,15 @@ mod tests {
         assert_eq!(s.neighbor(origin, Direction::E), Some(mid));
         assert_eq!(s.neighbor(mid, Direction::W), Some(origin));
         assert_eq!(s.neighbor(origin, Direction::W), None);
+        // At the edge of the i32 range no neighbor lookup may overflow.
+        let edge = [
+            Coord::new(i32::MAX - 1, i32::MIN),
+            Coord::new(i32::MAX, i32::MIN),
+        ];
+        let s = AmoebotStructure::new(edge).unwrap();
+        assert_eq!(s.neighbor(NodeId(0), Direction::E), Some(NodeId(1)));
+        assert_eq!(s.neighbor(NodeId(1), Direction::W), Some(NodeId(0)));
+        assert_eq!((s.degree(NodeId(0)), s.degree(NodeId(1))), (1, 1));
     }
 
     #[test]

@@ -31,6 +31,13 @@ use rand::RngCore;
 
 use crate::run::{blank_result, CheckResult, ScenarioResult};
 use crate::spec::{derive_rng, pick};
+use crate::sweep::DEFAULT_SIZES;
+
+/// The largest `size`, and the largest `per_event`, a driver accepts:
+/// the largest sweep rung. A `create` request reaches [`Driver::new`],
+/// and a session file [`Driver::decode`], with both unchecked, and a
+/// larger value would build (or edit) a structure of any size they name.
+pub const MAX_SIZE: usize = DEFAULT_SIZES[DEFAULT_SIZES.len() - 1];
 
 /// The Fibonacci-hash stride that spreads broadcast origins over the
 /// live amoebots, so consecutive rounds hit cache-distant nodes.
@@ -205,7 +212,8 @@ impl Driver {
     /// `derive_rng(seed, 0)` (a line for [`Kind::StuckLine`]), every
     /// amoebot in the global circuit configuration (singleton sets for
     /// the flood kinds), and a schedule of `events` events of about
-    /// `per_event` edits or faults each.
+    /// `per_event` edits or faults each. Fails if `size` is 0, or if
+    /// `size` or `per_event` exceeds [`MAX_SIZE`].
     pub fn new(
         kind: Kind,
         size: usize,
@@ -215,6 +223,9 @@ impl Driver {
     ) -> Result<Driver, String> {
         if size == 0 {
             return Err("size must be at least 1".to_string());
+        }
+        if size > MAX_SIZE || per_event > MAX_SIZE {
+            return Err(format!("size and per_event must be at most {MAX_SIZE}"));
         }
         let (coords, links) = if kind == Kind::StuckLine {
             (shapes::line(size), 1)
@@ -524,12 +535,16 @@ impl Driver {
         let kind = Kind::from_family(&r.str("driver family")?).ok_or(bad("driver family", at))?;
         let at = r.offset();
         let size = r.varint()? as usize;
-        if size == 0 {
+        if size == 0 || size > MAX_SIZE {
             return Err(bad("driver size", at));
         }
         let seed = r.varint()?;
         let events = r.varint()? as usize;
+        let at = r.offset();
         let per_event = r.varint()? as usize;
+        if per_event > MAX_SIZE {
+            return Err(bad("driver per_event", at));
+        }
         let steps = r.varint()?;
         let at = r.offset();
         let next_event = r.varint()? as usize;
@@ -734,6 +749,24 @@ mod tests {
             }
             assert_eq!(seal(&a), seal(&b), "{kind:?} diverged after restore");
             assert_eq!(a.uninformed(), b.uninformed());
+        }
+    }
+
+    /// A sealed driver whose `size` or `per_event` exceeds [`MAX_SIZE`]
+    /// does not decode, as its `create` would have been refused.
+    #[test]
+    fn oversized_drivers_do_not_decode() {
+        for (size, per_event) in [(MAX_SIZE + 1, 2), (30, MAX_SIZE + 1)] {
+            let mut d = Driver::new(Kind::Churn, 30, 4, 3, 2).unwrap();
+            (d.size, d.per_event) = (size, per_event);
+            let mut w = SnapshotWriter::new(wire::kind::SESSION);
+            d.encode(&mut w);
+            let bytes = w.finish();
+            let mut r = SnapshotReader::open(&bytes, wire::kind::SESSION).unwrap();
+            assert!(
+                Driver::decode(&mut r).is_err(),
+                "size {size}, per_event {per_event} decoded"
+            );
         }
     }
 }

@@ -30,6 +30,11 @@
 //! {"op":"shutdown"}                         snapshot all live sessions, stop
 //! ```
 //!
+//! A `create` whose `size` or `per_event` exceeds
+//! [`MAX_SIZE`](crate::driver::MAX_SIZE) (1 000 000, the largest sweep
+//! rung) gets an error reply and creates nothing, and a session file
+//! that holds such a value does not restore.
+//!
 //! Control responses are `{"ok":true,...}` / `{"ok":false,"error":...}`;
 //! `query` responses use the shared [`Envelope`] (schema
 //! [`SESSION_SCHEMA`]) and are canonical without `"timing":true`, like
@@ -1056,6 +1061,7 @@ pub fn server_main(argv: &[String], diag: &mut dyn Write) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::MAX_SIZE;
 
     fn req(fields: &[(&str, Json)]) -> Json {
         let mut doc = Json::object();
@@ -1252,6 +1258,45 @@ mod tests {
         assert_eq!(doc.get("next_fault").and_then(Json::as_u64), Some(0));
         assert_eq!(doc.get("fault_events").and_then(Json::as_u64), Some(2));
         server.shutdown().unwrap();
+    }
+
+    /// An oversized `create` is an error reply, and the shard that got
+    /// it keeps serving: a session it already holds still answers and
+    /// is snapshotted at shutdown. A line of 2^32 + 5 cells used to
+    /// build 5 cells and panic the shard while configuring the rest.
+    #[test]
+    fn oversized_creates_are_refused_and_the_shard_survives() {
+        let dir = temp_dir("oversized");
+        let (server, _) = start(1, Some(&dir));
+        let h = server.handle();
+        let create = |name: &str, family: &str, size: u64, per_event: u64| {
+            h.request(&req(&[
+                ("op", s("create")),
+                ("session", s(name)),
+                ("family", s(family)),
+                ("size", n(size)),
+                ("events", n(2)),
+                ("per_event", n(per_event)),
+            ]))
+        };
+        assert_ok(&create("kept", "blob-broadcast", 20, 1));
+        for (family, size, per_event) in [
+            ("fault-stuckpin-broadcast", (1 << 32) + 5, 1),
+            ("blob-broadcast", MAX_SIZE as u64 + 1, 1),
+            ("blob-churn-broadcast", 20, MAX_SIZE as u64 + 1),
+        ] {
+            let resp = create("x", family, size, per_event);
+            assert_eq!(
+                resp.get("ok").and_then(Json::as_bool),
+                Some(false),
+                "{family} size {size} per_event {per_event}: {}",
+                resp.render_compact()
+            );
+        }
+        assert_ok(&h.request(&req(&[("op", s("query")), ("session", s("kept"))])));
+        assert_eq!(server.shutdown().unwrap(), 1);
+        assert!(dir.join("kept.session.spfs").exists());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The differential test at the service level: a session of each

@@ -7,7 +7,7 @@
 use amoebot_grid::random::{
     random_placement, random_shape_mix, random_snake, random_structure, ALL_PLACEMENTS,
 };
-use amoebot_grid::{multi_source_bfs, validate_forest, AmoebotStructure, NodeId};
+use amoebot_grid::{multi_source_bfs, validate_forest, AmoebotStructure, NodeId, ALL_DIRECTIONS};
 use amoebot_scenarios::spec::derive_rng;
 use amoebot_spf::forest::shortest_path_forest;
 use proptest::prelude::*;
@@ -32,32 +32,47 @@ fn forest_agrees_with_bfs(structure: &AmoebotStructure, sources: &[NodeId]) {
     }
 }
 
+/// Every neighbor-table slot holds the node a coordinate lookup finds in
+/// that direction: a check of the table's merge passes against
+/// `node_at`'s binary search.
+fn neighbors_match_lookups(s: &AmoebotStructure) -> bool {
+    s.nodes().all(|v| {
+        ALL_DIRECTIONS
+            .into_iter()
+            .all(|d| s.neighbor(v, d) == s.node_at(s.coord(v).neighbor(d)))
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Blobs: exact size, connected (constructor), hole-free.
+    /// Blobs: exact size, connected (constructor), hole-free, and
+    /// neighbor tables that agree with lookups.
     #[test]
     fn blobs_are_connected_and_hole_free(n in 1usize..150, seed in 0u64..10_000) {
         let coords = random_structure(n, &mut derive_rng(seed, 1));
         prop_assert_eq!(coords.len(), n);
         let s = AmoebotStructure::new(coords).unwrap();
         prop_assert!(s.is_hole_free());
+        prop_assert!(neighbors_match_lookups(&s));
     }
 
-    /// Shape mixes: connected, hole-free.
+    /// Shape mixes: connected, hole-free, tables agree with lookups.
     #[test]
     fn mixes_are_connected_and_hole_free(pieces in 1usize..6, scale in 2usize..7, seed in 0u64..10_000) {
         let coords = random_shape_mix(pieces, scale, &mut derive_rng(seed, 2));
         let s = AmoebotStructure::new(coords).unwrap();
         prop_assert!(s.is_hole_free());
+        prop_assert!(neighbors_match_lookups(&s));
     }
 
-    /// Snakes: connected, hole-free.
+    /// Snakes: connected, hole-free, tables agree with lookups.
     #[test]
     fn snakes_are_connected_and_hole_free(segments in 1usize..12, seg_len in 1usize..7, seed in 0u64..10_000) {
         let coords = random_snake(segments, seg_len, &mut derive_rng(seed, 3));
         let s = AmoebotStructure::new(coords).unwrap();
         prop_assert!(s.is_hole_free());
+        prop_assert!(neighbors_match_lookups(&s));
     }
 
     /// The paper's forest algorithm agrees with centralized BFS on random
