@@ -112,49 +112,6 @@ impl fmt::Display for ReplayError {
 
 impl std::error::Error for ReplayError {}
 
-/// Pre-validated [`World::connect`]: converts every panic the engine
-/// would raise on an impossible edge into a [`ReplayError::Malformed`].
-fn checked_connect(
-    world: &mut World,
-    v: u32,
-    p: u32,
-    w: u32,
-    q: u32,
-    round: u64,
-    event: u64,
-) -> Result<(), ReplayError> {
-    let malformed = |detail: String| ReplayError::Malformed {
-        round,
-        event,
-        detail,
-    };
-    let n = world.topology().len();
-    let (v, p, w, q) = (v as usize, p as usize, w as usize, q as usize);
-    if v >= n || w >= n {
-        return Err(malformed(format!(
-            "edge ({v}, {w}) endpoint out of range ({n} nodes)"
-        )));
-    }
-    if v == w {
-        return Err(malformed(format!("self-loop edge at node {v}")));
-    }
-    if p >= world.topology().ports_len(v) || q >= world.topology().ports_len(w) {
-        return Err(malformed(format!(
-            "edge ({v}:{p}, {w}:{q}) port out of range"
-        )));
-    }
-    if world.topology().port_to(v, w).is_some() {
-        return Err(malformed(format!("duplicate edge ({v}, {w})")));
-    }
-    if world.topology().peer(v, p).is_some() || world.topology().peer(w, q).is_some() {
-        return Err(malformed(format!(
-            "edge ({v}:{p}, {w}:{q}) lands on an occupied port"
-        )));
-    }
-    world.connect(v, p, w, q);
-    Ok(())
-}
-
 /// Replays a recorded trace against a freshly built engine, verifying
 /// every recorded round. See the module docs.
 pub fn replay_trace(bytes: &[u8]) -> Result<ReplayReport, ReplayError> {
@@ -252,7 +209,15 @@ pub fn replay_trace(bytes: &[u8]) -> Result<ReplayReport, ReplayError> {
                 world.add_node(ports as usize);
             }
             TraceEvent::Connect { v, p, w, q } => {
-                checked_connect(&mut world, v, p, w, q, round, event)?;
+                let (v, p, w, q) = (v as usize, p as usize, w as usize, q as usize);
+                if let Err(detail) = world.topology().check_edge(v, p, w, q) {
+                    return Err(ReplayError::Malformed {
+                        round,
+                        event,
+                        detail,
+                    });
+                }
+                world.connect(v, p, w, q);
             }
             TraceEvent::Disconnect { v, p } => {
                 let (v, p) = (v as usize, p as usize);
@@ -652,6 +617,68 @@ mod tests {
         match replay_trace(cut) {
             Err(ReplayError::Trace { .. }) => {}
             other => panic!("expected a trace error, got {other:?}"),
+        }
+    }
+
+    /// The edge rule speaks with one voice: each violation gets the same
+    /// message from [`Topology::from_ports`] (an error),
+    /// [`Topology::connect`] (a panic) and replay, whether the edge sits
+    /// in the trace header or in a `Connect` event (malformed at that
+    /// event).
+    #[test]
+    fn every_entry_point_reports_an_edge_violation_alike() {
+        // Three six-port nodes joined 0:0 to 1:3; each case adds an edge
+        // that breaks the rule.
+        let ports = [6, 6, 6];
+        let wired = (0, 0, 1, 3);
+        let cases = [
+            ((0, 1, 5, 4), "edge (0, 5) endpoint out of range (3 nodes)"),
+            ((1, 1, 1, 2), "self-loop edge (1, 1) is not allowed"),
+            ((1, 0, 2, 6), "port 6 out of range for node 2 (6 slots)"),
+            ((2, 3, 0, 0), "port 0 of node 0 is already occupied"),
+            (
+                (1, 4, 0, 1),
+                "duplicate edge (0, 1): the nodes are already adjacent",
+            ),
+        ];
+        // A recorded round whose one event before its boundary is a
+        // valid `Connect`, which each case replaces.
+        let mut world = World::new(Topology::from_ports(&ports, &[wired]).unwrap(), 1);
+        let mut rec = TraceWriter::new();
+        world.record_topology(&mut rec);
+        world.connect_with(1, 0, 2, 3, &mut rec);
+        world.tick_with(&mut rec);
+        let blob = rec.finish(0);
+        let sites = event_sites(&blob);
+        let at = sites
+            .iter()
+            .position(|(ev, ..)| matches!(ev, TraceEvent::Connect { .. }))
+            .unwrap();
+        let (_, _, round, event) = sites[at];
+        for ((v, p, w, q), message) in cases {
+            let edges = [wired, (v, p, w, q)];
+            assert_eq!(Topology::from_ports(&ports, &edges).unwrap_err(), message);
+            let panic = std::panic::catch_unwind(|| {
+                let mut t = Topology::from_ports(&ports, &[wired]).unwrap();
+                t.connect(v as usize, p as usize, w as usize, q as usize);
+            })
+            .expect_err("connect must panic");
+            assert_eq!(panic.downcast_ref::<String>().unwrap(), message);
+            let malformed = |round, event| {
+                Err(ReplayError::Malformed {
+                    round,
+                    event,
+                    detail: message.to_string(),
+                })
+            };
+            let mut header = TraceWriter::new();
+            header.topology(1, &ports, &edges);
+            assert_eq!(replay_trace(&header.finish(0)), malformed(1, 0));
+            let connect = TraceEvent::Connect { v, p, w, q };
+            assert_eq!(
+                replay_trace(&with_event(&blob, at, connect)),
+                malformed(round, event)
+            );
         }
     }
 }

@@ -6,6 +6,15 @@
 //! index, and each edge knows the port it occupies on either endpoint. This
 //! models the paper's assumption that "neighboring amoebots have a common
 //! labeling of their incident external links" (§1.2).
+//!
+//! [`Topology::check_edge`] states that assumption as the edge rule:
+//! an edge joins two distinct nodes at two vacant ports, and two nodes
+//! share at most one edge. Every constructor and edit that takes edges
+//! from its caller is built on it. [`Topology::from_ports`] reports a
+//! violation, for untrusted input such as a trace header;
+//! [`Topology::from_edges`] and [`Topology::connect`] panic with the same
+//! message. [`Topology::from_structure`] and [`Topology::from_neighbors`]
+//! read a neighbor table that holds the rule already.
 
 use amoebot_grid::{AmoebotStructure, Direction, NodeId, ALL_DIRECTIONS};
 
@@ -14,11 +23,11 @@ use amoebot_grid::{AmoebotStructure, Direction, NodeId, ALL_DIRECTIONS};
 /// [`Direction::from_index`]`(i)` (some ports may be vacant).
 pub type PortId = usize;
 
-/// Decoders (trace replay, world snapshots) reject node port counts and
-/// links-per-edge counts `c` above this as malformed: no generator in
-/// this workspace builds nodes with more than 6 ports (the triangular
-/// grid), and an absurd count would let one flipped varint byte allocate
-/// unbounded memory.
+/// Decoders reject a count above this as malformed: trace replay checks
+/// each node's port count and the links per edge `c`, and the world's
+/// snapshot section checks `c`. No generator in this workspace builds
+/// nodes with more than 6 ports (the triangular grid), and an absurd
+/// count would let one flipped varint byte allocate unbounded memory.
 pub(crate) const MAX_PORTS: u32 = 64;
 
 /// Vacant-port sentinel in the flat slot arrays.
@@ -45,124 +54,75 @@ pub struct Topology {
 
 impl Topology {
     /// Builds a topology from an undirected edge list over nodes `0..n`.
-    /// Ports are assigned in order of appearance.
+    /// Ports are assigned in order of appearance: each edge takes the
+    /// next port of both endpoints.
     ///
     /// # Panics
     ///
-    /// Panics on out-of-range endpoints, self-loops, or duplicate edges.
+    /// Panics on an edge that breaks the edge rule
+    /// ([`Topology::check_edge`]): an out-of-range endpoint, a self-loop
+    /// or a duplicate edge. Also panics on more than `u32::MAX` port
+    /// slots in total.
     pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Topology {
-        // Reject malformed inputs up front, before any CSR is built: a
-        // self-loop or duplicate edge would otherwise produce a CSR whose
-        // port mutuality silently breaks (two slots claiming the same
-        // peer port).
-        let mut degree = vec![0u32; n];
-        let mut normalized: Vec<(usize, usize)> = Vec::with_capacity(edges.len());
+        let mut ports = vec![0u32; n];
         for &(u, v) in edges {
-            assert!(u < n && v < n, "edge endpoint out of range");
-            assert!(u != v, "self-loop edge ({u}, {v}) is not allowed");
-            normalized.push((u.min(v), u.max(v)));
-            degree[u] += 1;
-            degree[v] += 1;
+            for x in [u, v] {
+                if let Some(count) = ports.get_mut(x) {
+                    *count += 1;
+                }
+            }
         }
-        normalized.sort_unstable();
-        for w in normalized.windows(2) {
-            assert!(
-                w[0] != w[1],
-                "duplicate edge ({}, {}) in edge list",
-                w[0].0,
-                w[0].1
-            );
-        }
-        drop(normalized);
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0u32;
-        for &d in &degree {
-            offsets.push(acc);
-            acc += d;
-        }
-        offsets.push(acc);
-        let mut filled = vec![0u32; n];
-        let mut peer_node = vec![NONE; acc as usize];
-        let mut peer_port = vec![NONE; acc as usize];
+        let mut topo = Topology::vacant(&ports).unwrap_or_else(|e| invalid_edge(e));
+        // Reused as each node's next port.
+        ports.fill(0);
         for &(u, v) in edges {
-            let pu = filled[u];
-            let pv = filled[v];
-            filled[u] += 1;
-            filled[v] += 1;
-            let su = (offsets[u] + pu) as usize;
-            let sv = (offsets[v] + pv) as usize;
-            peer_node[su] = v as u32;
-            peer_port[su] = pv;
-            peer_node[sv] = u as u32;
-            peer_port[sv] = pu;
+            let next = |x: usize| ports.get(x).map_or(0, |&port| port as usize);
+            let (p, q) = (next(u), next(v));
+            topo.check_edge(u, p, v, q)
+                .unwrap_or_else(|e| invalid_edge(e));
+            topo.wire(u, p, v, q);
+            ports[u] += 1;
+            ports[v] += 1;
         }
-        Topology {
-            offsets,
-            peer_node,
-            peer_port,
-            edge_count: edges.len(),
-        }
+        topo
     }
 
     /// Builds a topology in one pass from per-node port counts and an
-    /// explicit port-to-port edge list — the bulk equivalent of
+    /// explicit port-to-port edge list: the bulk equivalent of
     /// [`Topology::push_node`] + [`Topology::connect`], used by trace
     /// replay to rebuild a recorded starting world without paying the
-    /// incremental splice path per edge. Unlike the panicking
-    /// constructors this validates untrusted input: out-of-range
-    /// endpoints or ports, self-loops, occupied ports and duplicate
-    /// node pairs are reported, not asserted.
+    /// incremental splice path per edge. It validates untrusted input:
+    /// the first edge that breaks the edge rule
+    /// ([`Topology::check_edge`]) is reported, not asserted.
     pub fn from_ports(
         node_ports: &[u32],
         edges: &[(u32, u32, u32, u32)],
     ) -> Result<Topology, String> {
-        let n = node_ports.len();
-        let mut offsets = Vec::with_capacity(n + 1);
+        let mut topo = Topology::vacant(node_ports)?;
+        for &(v, p, w, q) in edges {
+            let (v, p, w, q) = (v as usize, p as usize, w as usize, q as usize);
+            topo.check_edge(v, p, w, q)?;
+            topo.wire(v, p, w, q);
+        }
+        Ok(topo)
+    }
+
+    /// Nodes with `node_ports[v]` vacant port slots each and no edge.
+    fn vacant(node_ports: &[u32]) -> Result<Topology, String> {
+        let mut offsets = Vec::with_capacity(node_ports.len() + 1);
         let mut acc: u32 = 0;
+        offsets.push(acc);
         for &ports in node_ports {
-            offsets.push(acc);
             acc = acc
                 .checked_add(ports)
-                .ok_or_else(|| "total port count overflows u32".to_string())?;
-        }
-        offsets.push(acc);
-        let mut peer_node = vec![NONE; acc as usize];
-        let mut peer_port = vec![NONE; acc as usize];
-        for &(v, p, w, q) in edges {
-            if v as usize >= n || w as usize >= n {
-                return Err(format!("edge ({v}, {w}) endpoint out of range ({n} nodes)"));
-            }
-            if v == w {
-                return Err(format!("self-loop edge at node {v}"));
-            }
-            if p >= node_ports[v as usize] || q >= node_ports[w as usize] {
-                return Err(format!("edge ({v}:{p}, {w}:{q}) port out of range"));
-            }
-            let sv = (offsets[v as usize] + p) as usize;
-            let sw = (offsets[w as usize] + q) as usize;
-            if peer_node[sv] != NONE || peer_node[sw] != NONE {
-                return Err(format!("edge ({v}:{p}, {w}:{q}) lands on an occupied port"));
-            }
-            // Parallel-edge check: scan v's already-filled slots for w.
-            // Port counts are tiny (≤ 6 on the triangular grid), so this
-            // beats collecting and sorting the full pair list.
-            let (lo, hi) = (
-                offsets[v as usize] as usize,
-                offsets[v as usize + 1] as usize,
-            );
-            if peer_node[lo..hi].contains(&w) {
-                return Err(format!("duplicate edge ({}, {})", v.min(w), v.max(w)));
-            }
-            peer_node[sv] = w;
-            peer_port[sv] = q;
-            peer_node[sw] = v;
-            peer_port[sw] = p;
+                .ok_or("total port count overflows u32")?;
+            offsets.push(acc);
         }
         Ok(Topology {
             offsets,
-            peer_node,
-            peer_port,
-            edge_count: edges.len(),
+            peer_node: vec![NONE; acc as usize],
+            peer_port: vec![NONE; acc as usize],
+            edge_count: 0,
         })
     }
 
@@ -312,31 +272,71 @@ impl Topology {
         v
     }
 
+    /// The edge rule, checked for an edge from port `p` of `v` to port
+    /// `q` of `w`: both endpoints are in range, the edge is no self-loop,
+    /// both ports are in range, both slots are vacant, and `v` and `w`
+    /// share no edge yet. This is the model's common labelling of links
+    /// (§1.2 of the paper): each edge occupies one port at either end,
+    /// and two nodes share at most one edge. Returns the first
+    /// violation, in that order, one message per kind.
+    pub fn check_edge(&self, v: usize, p: PortId, w: usize, q: PortId) -> Result<(), String> {
+        let n = self.len();
+        if v >= n || w >= n {
+            return Err(format!("edge ({v}, {w}) endpoint out of range ({n} nodes)"));
+        }
+        if v == w {
+            return Err(format!("self-loop edge ({v}, {w}) is not allowed"));
+        }
+        let (v0, v1) = (self.offsets[v] as usize, self.offsets[v + 1] as usize);
+        let (w0, w1) = (self.offsets[w] as usize, self.offsets[w + 1] as usize);
+        for (x, port, count) in [(v, p, v1 - v0), (w, q, w1 - w0)] {
+            if port >= count {
+                return Err(format!(
+                    "port {port} out of range for node {x} ({count} slots)"
+                ));
+            }
+        }
+        for (x, port, slot) in [(v, p, v0 + p), (w, q, w0 + q)] {
+            if self.peer_node[slot] != NONE {
+                return Err(format!("port {port} of node {x} is already occupied"));
+            }
+        }
+        // Scan the row with fewer slots for the other endpoint, so that a
+        // hub's edges cost their leaves' rows, not the hub's.
+        let (row, other) = if v1 - v0 <= w1 - w0 {
+            (v0..v1, w)
+        } else {
+            (w0..w1, v)
+        };
+        if self.peer_node[row].contains(&(other as u32)) {
+            return Err(format!(
+                "duplicate edge ({}, {}): the nodes are already adjacent",
+                v.min(w),
+                v.max(w)
+            ));
+        }
+        Ok(())
+    }
+
     /// Wires an undirected edge into the vacant slots `(v, p)` and
     /// `(w, q)`.
     ///
     /// # Panics
     ///
-    /// Panics on out-of-range endpoints or ports, on a self-loop, on a
-    /// duplicate (parallel) edge — two vacant slots could otherwise wire
-    /// a second `v`–`w` edge, which the model forbids — or if either
-    /// slot is already occupied.
+    /// Panics on an edge that breaks the edge rule
+    /// ([`Topology::check_edge`]).
     pub fn connect(&mut self, v: usize, p: PortId, w: usize, q: PortId) {
-        assert!(v != w, "self-loop edge ({v}, {w}) is not allowed");
-        assert!(
-            self.port_to(v, w).is_none(),
-            "duplicate edge ({v}, {w}): the nodes are already adjacent"
-        );
-        let sv = self.slot(v, p);
-        let sw = self.slot(w, q);
-        assert!(
-            self.peer_node[sv] == NONE,
-            "port {p} of node {v} is already occupied"
-        );
-        assert!(
-            self.peer_node[sw] == NONE,
-            "port {q} of node {w} is already occupied"
-        );
+        self.check_edge(v, p, w, q)
+            .unwrap_or_else(|e| invalid_edge(e));
+        self.wire(v, p, w, q);
+    }
+
+    /// Writes an edge that passed [`Topology::check_edge`] into its two
+    /// slots.
+    #[inline]
+    fn wire(&mut self, v: usize, p: PortId, w: usize, q: PortId) {
+        let sv = self.offsets[v] as usize + p;
+        let sw = self.offsets[w] as usize + q;
         self.peer_node[sv] = w as u32;
         self.peer_port[sv] = q as u32;
         self.peer_node[sw] = v as u32;
@@ -354,8 +354,8 @@ impl Topology {
         let (w, q) = self
             .peer(v, p)
             .unwrap_or_else(|| panic!("port {p} of node {v} carries no edge"));
-        let sv = self.slot(v, p);
-        let sw = self.slot(w, q);
+        let sv = self.offsets[v] as usize + p;
+        let sw = self.offsets[w] as usize + q;
         debug_assert_eq!(self.peer_node[sw], v as u32, "port tables out of sync");
         self.peer_node[sv] = NONE;
         self.peer_port[sv] = NONE;
@@ -364,16 +364,18 @@ impl Topology {
         self.edge_count -= 1;
         (w, q)
     }
+}
 
-    /// The flat slot index of `(v, p)`, range-checked.
-    #[inline]
-    fn slot(&self, v: usize, p: PortId) -> usize {
-        let count = self.ports_len(v);
-        if p >= count {
-            Self::port_out_of_range(v, p, count);
-        }
-        self.offsets[v] as usize + p
-    }
+/// Raises an invalid edge (an edge-rule violation, or an edge list with
+/// more slots than `u32` offsets address) for the constructors and edits
+/// whose callers supply edges they built themselves
+/// ([`Topology::from_edges`], [`Topology::connect`]), where it is a bug
+/// in the caller, not bad input.
+#[cold]
+#[inline(never)]
+fn invalid_edge(violation: String) -> ! {
+    // spf-lint: allow(panic-surface) — the edge rule's panicking entry points, each documented under `# Panics`
+    panic!("{violation}")
 }
 
 #[cfg(test)]
@@ -400,7 +402,7 @@ mod tests {
         Topology::from_edges(2, &[(0, 1), (1, 0)]);
     }
 
-    /// Self-loops must be rejected by name before any CSR is built: an
+    /// Self-loops must be rejected by name before the edge is wired: an
     /// unchecked `(v, v)` edge would assign two ports of the same node to
     /// each other and break port mutuality.
     #[test]
@@ -410,7 +412,7 @@ mod tests {
     }
 
     /// Duplicate edges are rejected regardless of orientation or
-    /// position in the list (the normalized sort catches both).
+    /// position in the list (the adjacency scan catches both).
     #[test]
     #[should_panic(expected = "duplicate edge (1, 2)")]
     fn rejects_duplicate_edges_same_orientation() {

@@ -1711,8 +1711,8 @@ impl World {
     ///
     /// # Panics
     ///
-    /// Panics on self-loops, duplicate edges, or occupied ports (see
-    /// [`Topology::connect`]).
+    /// Panics on an edge that breaks the edge rule
+    /// ([`Topology::check_edge`]).
     pub fn connect(&mut self, v: usize, p: PortId, w: usize, q: PortId) {
         self.connect_with(v, p, w, q, &mut NullRecorder)
     }
@@ -2500,7 +2500,7 @@ mod safety_tests {
                 w.add_node(2);
             }),
             ("snapshot decode", |w| {
-                *w = World::from_snapshot_bytes(&w.snapshot_bytes()).unwrap();
+                *w = crate::snapshot::tests::restore(w);
             }),
         ];
         for (name, clear) in clears {

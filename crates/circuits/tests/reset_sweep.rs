@@ -12,6 +12,7 @@
 //! the next tick must deliver what the reference engine delivers.
 
 use amoebot_circuits::{Topology, World};
+use amoebot_telemetry::wire::{kind, SnapshotReader, SnapshotWriter};
 use amoebot_telemetry::{Recorder, TraceEvent};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -105,6 +106,17 @@ fn pin_table(w: &World) -> Vec<u16> {
     out
 }
 
+/// `w` restored from its state section over its own topology.
+fn restore(w: &World) -> World {
+    let mut s = SnapshotWriter::new(kind::DYNAMIC_WORLD);
+    w.encode_payload(&mut s);
+    let blob = s.finish();
+    let mut r = SnapshotReader::open(&blob, kind::DYNAMIC_WORLD).unwrap();
+    let restored = World::decode_payload(&mut r, w.topology().clone()).unwrap();
+    r.finish().unwrap();
+    restored
+}
+
 fn run(seed: u64, n: usize, c: usize, writes: usize) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut w = random_world(&mut rng, n, c);
@@ -112,7 +124,7 @@ fn run(seed: u64, n: usize, c: usize, writes: usize) {
         random_write(&mut rng, &mut w);
         if step == writes / 2 {
             // The sets are derived state: decode must rebuild them.
-            w = World::from_snapshot_bytes(&w.snapshot_bytes()).expect("snapshot round trip");
+            w = restore(&w);
         }
         if rng.gen_range(0..4u32) == 0 {
             w.tick();

@@ -364,8 +364,8 @@ mod tests {
                 );
             }
             assert_eq!(
-                a.world().snapshot_bytes(),
-                b.world().snapshot_bytes(),
+                a.snapshot_bytes(),
+                b.snapshot_bytes(),
                 "{family:?} left the twin worlds different"
             );
             // The bytes hold no label cache: compare the labelling too.

@@ -34,9 +34,11 @@ pub use world::{verify_against_rebuild, DynamicWorld};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Derives an independent RNG stream for `purpose` from a schedule seed
-/// (SplitMix64; the same mixing the scenario engine uses, duplicated here
-/// so `dynamics` stays below `scenarios` in the crate graph).
+/// Derives an independent RNG stream for `purpose` from a seed
+/// (SplitMix64 over the seed and a purpose tag, so adding a consumer never
+/// shifts the streams of the others). The workspace's one seed
+/// derivation: `amoebot_scenarios::spec` re-exports it, since `dynamics`
+/// sits below `scenarios` in the crate graph.
 pub fn derive_rng(seed: u64, purpose: u64) -> StdRng {
     let mut z = seed
         .wrapping_mul(0x9E3779B97F4A7C15)

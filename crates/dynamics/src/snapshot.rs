@@ -39,14 +39,14 @@ impl DynamicWorld {
     /// composable form the scenario-server's session codec embeds.
     pub fn encode_payload(&self, w: &mut SnapshotWriter) {
         self.editor.encode_snapshot(w);
-        self.world.encode_payload(w, false);
+        self.world.encode_payload(w);
     }
 
     /// Decodes a payload written by [`DynamicWorld::encode_payload`].
     pub fn decode_payload(r: &mut SnapshotReader<'_>) -> Result<DynamicWorld, WireError> {
         let editor = StructureEditor::decode_snapshot(r)?;
         let topology = Topology::from_neighbors(editor.capacity(), |v, d| editor.neighbor(v, d));
-        let world = World::decode_payload(r, Some(topology))?;
+        let world = World::decode_payload(r, topology)?;
         Ok(DynamicWorld { editor, world })
     }
 

@@ -113,3 +113,25 @@ fn the_cut_can_land_on_armed_stuck_pins() {
         "the final event released everything"
     );
 }
+
+/// Every single-bit flip of a snapshot taken with stuck-at pins armed
+/// is rejected: the pins ride the world's state section, under the same
+/// digest as everything else.
+#[test]
+fn every_bit_flip_of_an_armed_snapshot_is_rejected() {
+    let plan = FaultPlan::new(77, FaultFamily::StuckPins, 5, 3);
+    let mut dw = faulted_blob(24, 9, 2);
+    run_events(&mut dw, &plan, 0, 3);
+    assert!(dw.world().stuck_pin_count() > 0, "faults must be armed");
+    let blob = dw.snapshot_bytes();
+    for byte in 0..blob.len() {
+        for bit in 0..8 {
+            let mut bad = blob.clone();
+            bad[byte] ^= 1 << bit;
+            assert!(
+                DynamicWorld::from_snapshot_bytes(&bad).is_err(),
+                "flip at byte {byte} bit {bit} was accepted"
+            );
+        }
+    }
+}

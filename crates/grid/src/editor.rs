@@ -59,6 +59,19 @@ use crate::chunkgrid::ChunkGrid;
 use crate::coord::{Coord, Direction, ALL_DIRECTIONS};
 use crate::structure::{connected, neighbor_table, AmoebotStructure, NodeId, NONE};
 
+/// The local arc rule (see the module docs) over a cell's occupied
+/// neighbors, given as a 6-bit mask (bit `i` = direction index `i`): the
+/// set bits form one contiguous arc in cyclic order, or the full ring.
+/// A vacant cell that passes may join a hole-free structure; an occupied
+/// one that passes short of the full ring may leave it.
+pub(crate) fn single_arc(mask: u8) -> bool {
+    let m = mask & 0x3F;
+    // An arc starts at each set bit whose cyclic predecessor is clear;
+    // the full ring has no start.
+    let prev = ((m << 1) | (m >> 5)) & 0x3F;
+    m == 0x3F || (m & !prev).count_ones() == 1
+}
+
 /// An editable amoebot structure: stable node ids, O(Δ)-amortized insert
 /// and remove, scoped hole revalidation. See the module docs.
 #[derive(Debug, Clone)]
@@ -260,15 +273,6 @@ impl StructureEditor {
         mask
     }
 
-    /// Number of contiguous arcs of set bits in a cyclic 6-bit mask
-    /// (0 for the empty and the full mask — the full ring has no 0→1
-    /// transition).
-    fn arc_count(mask: u8) -> u32 {
-        let m = mask & 0x3F;
-        let prev = ((m << 1) | (m >> 5)) & 0x3F;
-        (m & !prev).count_ones()
-    }
-
     /// Whether inserting at `coord` is legal: the cell is vacant and its
     /// occupied neighbors form one contiguous arc (or the full ring), so
     /// connectivity and hole-freeness are preserved. See the module docs.
@@ -276,8 +280,7 @@ impl StructureEditor {
         if self.occupied(coord) {
             return false;
         }
-        let mask = self.occupied_mask_around(coord);
-        mask == 0x3F || Self::arc_count(mask) == 1
+        single_arc(self.occupied_mask_around(coord))
     }
 
     /// Whether removing `v` is legal: it is alive, not the last amoebot,
@@ -291,7 +294,7 @@ impl StructureEditor {
         for (d, _) in self.neighbors_of(v) {
             mask |= 1 << d.index();
         }
-        mask != 0x3F && Self::arc_count(mask) == 1
+        mask != 0x3F && single_arc(mask)
     }
 
     /// Inserts an amoebot at `coord`, recycling a dead id if one exists.

@@ -11,6 +11,7 @@ use std::collections::BTreeSet;
 
 use crate::chunkgrid::ChunkGrid;
 use crate::coord::{Coord, ALL_DIRECTIONS};
+use crate::editor::single_arc;
 
 /// A horizontal line of `n` amoebots: `(0,0) .. (n-1,0)`.
 pub fn line(n: usize) -> Vec<Coord> {
@@ -125,26 +126,13 @@ pub fn random_blob<R: Rng>(n: usize, rng: &mut R) -> Vec<Coord> {
     let mut frontier: Vec<Coord> = Coord::origin().neighbors().to_vec();
 
     fn arc_ok(occupied: &mut ChunkGrid, c: Coord) -> bool {
-        // The 6 neighbors in cyclic order; count maximal occupied runs.
-        let mut occ = [false; 6];
-        let mut total = 0;
-        for (i, d) in ALL_DIRECTIONS.into_iter().enumerate() {
-            occ[i] = occupied.contains(c.neighbor(d));
-            total += usize::from(occ[i]);
-        }
-        if total == 0 {
-            return false;
-        }
-        if total == 6 {
-            return true;
-        }
-        let mut runs = 0;
-        for i in 0..6 {
-            if occ[i] && !occ[(i + 5) % 6] {
-                runs += 1;
+        let mut mask = 0u8;
+        for d in ALL_DIRECTIONS {
+            if occupied.contains(c.neighbor(d)) {
+                mask |= 1 << d.index();
             }
         }
-        runs == 1
+        single_arc(mask)
     }
 
     while occupied.len() < n {

@@ -723,17 +723,29 @@ impl ServerHandle {
     }
 
     /// Snapshots every live session on every shard (the `shutdown` op's
-    /// persistence half). Returns the total written.
+    /// persistence half). Returns the total written. Every live shard
+    /// writes its sessions first; the error then names each shard that
+    /// failed to write, or whose worker is gone with its sessions unsaved.
     pub fn snapshot_live_sessions(&self) -> Result<usize, String> {
         let mut total = 0usize;
-        for shard in &self.shards {
+        let mut failures = Vec::new();
+        for (i, shard) in self.shards.iter().enumerate() {
             let (done, rx) = mpsc::sync_channel(1);
-            if shard.send(Job::SnapshotAll { done }).is_err() {
-                continue;
+            let reply = match shard.send(Job::SnapshotAll { done }) {
+                Ok(()) => rx.recv().ok(),
+                Err(_) => None,
+            };
+            match reply {
+                Some(Ok(written)) => total += written,
+                Some(Err(e)) => failures.push(format!("shard {i}: {e}")),
+                None => failures.push(format!("shard {i}: worker gone, sessions not written")),
             }
-            total += rx.recv().map_err(|_| "worker died".to_string())??;
         }
-        Ok(total)
+        if failures.is_empty() {
+            Ok(total)
+        } else {
+            Err(format!("{} ({total} written)", failures.join("; ")))
+        }
     }
 }
 
@@ -801,18 +813,19 @@ impl Server {
         self.handle.clone()
     }
 
-    /// Snapshots all sessions, then stops and joins the pool. Requests
-    /// arriving through leftover handles afterwards get a
+    /// Snapshots all sessions, then stops and joins the pool, also when
+    /// a snapshot failed (the error is returned after the pool stops).
+    /// Requests arriving through leftover handles afterwards get a
     /// "shutting down" error response.
     pub fn shutdown(self) -> Result<usize, String> {
-        let written = self.handle.snapshot_live_sessions()?;
+        let written = self.handle.snapshot_live_sessions();
         for shard in &self.handle.shards {
             let _ = shard.send(Job::Exit);
         }
         for w in self.workers {
             let _ = w.join();
         }
-        Ok(written)
+        written
     }
 }
 
@@ -1425,6 +1438,30 @@ mod tests {
         assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
         assert_ok(&h.request(&req(&[("op", s("query")), ("session", s("s1"))])));
         server.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A shard whose worker is gone fails the snapshot by name, after
+    /// the live shards have written their sessions.
+    #[test]
+    fn a_dead_shard_fails_the_snapshot_by_name() {
+        let dir = temp_dir("dead-shard");
+        let (server, _) = start(1, Some(&dir));
+        assert_ok(&server.handle().request(&req(&[
+            ("op", s("create")),
+            ("session", s("alive")),
+            ("size", n(20)),
+        ])));
+        let (gone, rx) = mpsc::channel();
+        drop(rx);
+        let handle = ServerHandle {
+            shards: vec![server.handle.shards[0].clone(), gone],
+        };
+        let err = handle.snapshot_live_sessions().unwrap_err();
+        assert!(err.starts_with("shard 1: worker gone"), "{err}");
+        assert!(err.ends_with("(1 written)"), "{err}");
+        assert!(Session::snapshot_path(&dir, "alive").exists());
+        assert_eq!(server.shutdown(), Ok(1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

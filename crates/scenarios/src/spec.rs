@@ -426,17 +426,8 @@ impl Scenario {
 }
 
 /// Derives an independent RNG stream for `purpose` from a scenario seed
-/// (SplitMix64 over the seed and a purpose tag, so adding a consumer never
-/// shifts the streams of the others).
-pub fn derive_rng(seed: u64, purpose: u64) -> StdRng {
-    use rand::SeedableRng;
-    let mut z = seed
-        .wrapping_mul(0x9E3779B97F4A7C15)
-        .wrapping_add(purpose.wrapping_mul(0xD1B54A32D192ED03));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    StdRng::seed_from_u64(z ^ (z >> 31))
-}
+/// (the workspace's one seed derivation, shared with `amoebot_dynamics`).
+pub use amoebot_dynamics::derive_rng;
 
 /// Uniform pick out of a fixed menu, driven by an RNG (helper for family
 /// builders).

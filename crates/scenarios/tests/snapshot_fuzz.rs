@@ -1,7 +1,7 @@
-//! SPFS decoder fuzz beyond bit flips. `WORLD`, `DYNAMIC_WORLD` and
-//! `SESSION` blobs, taken between a churn event and its tick, are
-//! mutated and resealed with a valid digest, so every mutation reaches
-//! the payload decoders:
+//! SPFS decoder fuzz beyond bit flips. `DYNAMIC_WORLD` and `SESSION`
+//! blobs, taken between a churn event and its tick, are mutated and
+//! resealed with a valid digest, so every mutation reaches the payload
+//! decoders:
 //!
 //! * random splices: a slice of one payload replaces a slice of another,
 //!   of the same kind or not;
@@ -12,13 +12,12 @@
 //! Decoding must never panic, every accepted blob must re-encode to the
 //! same bytes, and one decode may allocate at most [`ALLOC_PER_BYTE`]
 //! bytes per blob byte, measured by a counting allocator that this test
-//! binary installs. Every accepted `WORLD` and `DYNAMIC_WORLD` blob must
-//! also be self-consistent: its circuit count is a naive union-find
-//! count over its own pins, and a round with a beep on every node
-//! delivers exactly what [`World::tick_reference`] delivers. An accepted
-//! `DYNAMIC_WORLD` must also pass the rebuild oracle
-//! ([`verify_against_rebuild`]), and a structure edited off its
-//! invariants must be rejected for its cells.
+//! binary installs. Every accepted `DYNAMIC_WORLD` blob must also be
+//! self-consistent: its circuit count is a naive union-find count over
+//! its own pins, a round with a beep on every node delivers exactly what
+//! [`World::tick_reference`] delivers, and it passes the rebuild oracle
+//! ([`verify_against_rebuild`]). A structure edited off its invariants
+//! must be rejected for its cells.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -31,23 +30,20 @@ use amoebot_telemetry::wire::{self, fnv1a64, WireError, SNAPSHOT_MAGIC, SNAPSHOT
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// The most one decode may allocate per byte of its blob. A world
-/// decode builds its world with `World::new`, which allocates 57 bytes
-/// per pin (pin tables, labels, bucket bounds, digest caches, the beep,
-/// delivery and dirty-pin lists, bitsets) and 20 per port slot (link
-/// table, port index, topology), and does so only after checking that
-/// the bytes left can hold the pins, at least one byte each.
-/// - In a `WORLD` payload a slot costs at least two bytes (its peer) and
-///   carries `c` ≤ 64 pins, so no blob can make a decode allocate more
-///   than about 57 bytes per byte.
-/// - A `DYNAMIC_WORLD` payload derives its topology: each editor id has
-///   6 slots and `6c` pins, and costs at least `3 + 6c` bytes (its
-///   coordinate, one list entry and its pins). Decode allocates about
-///   `342c + 178` bytes per id: the world's `342c + 120` and about 58 for
-///   the editor's coordinates, liveness, lists, derived index and
-///   neighbor table. That is at most about 58 bytes per byte.
+/// The most one decode may allocate per byte of its blob. A
+/// `DYNAMIC_WORLD` decode (a `SESSION` embeds one) derives its topology
+/// from the editor's cells, 8 bytes per port slot and 4 per id, and
+/// builds its world with `World::new`. That allocates 57 bytes per pin
+/// (pin tables, labels, bucket bounds, digest caches, the beep, delivery
+/// and dirty-pin lists, bitsets) and 4 per id, and only after checking
+/// that the bytes left can hold the pins, at least one byte each. Each
+/// editor id has 6 slots and `6c` pins, and costs at least `3 + 6c`
+/// bytes (its coordinate, one list entry and its pins). Decode allocates
+/// about `342c + 114` bytes per id: the world's `342c + 56` and about 58
+/// for the editor's coordinates, liveness, lists, derived index and
+/// neighbor table. That is at most about 57 bytes per byte.
 ///
-/// Over these fuzz inputs the most was 52, from a spliced `DYNAMIC_WORLD`.
+/// Over these fuzz inputs the most was 48, from a spliced `DYNAMIC_WORLD`.
 const ALLOC_PER_BYTE: usize = 64;
 
 /// Mutations per seed blob and mutation kind.
@@ -137,7 +133,6 @@ fn check(kind: u8, blob: &[u8], what: &str) -> bool {
         (decoded.ok().map(|t| encode(&t)), allocated)
     }
     let (encoded, allocated) = match kind {
-        wire::kind::WORLD => run(blob, World::from_snapshot_bytes, World::snapshot_bytes),
         wire::kind::DYNAMIC_WORLD => run(
             blob,
             DynamicWorld::from_snapshot_bytes,
@@ -158,16 +153,12 @@ fn check(kind: u8, blob: &[u8], what: &str) -> bool {
             bytes.len(),
             blob.len()
         );
-        match kind {
-            wire::kind::WORLD => assert_consistent(World::from_snapshot_bytes(blob).unwrap(), what),
-            wire::kind::DYNAMIC_WORLD => {
-                let dw = DynamicWorld::from_snapshot_bytes(blob).unwrap();
-                if let Err(e) = verify_against_rebuild(&dw) {
-                    panic!("{what}: an accepted dynamic world fails the rebuild oracle: {e}");
-                }
-                assert_consistent(dw.world().clone(), what);
+        if kind == wire::kind::DYNAMIC_WORLD {
+            let dw = DynamicWorld::from_snapshot_bytes(blob).unwrap();
+            if let Err(e) = verify_against_rebuild(&dw) {
+                panic!("{what}: an accepted dynamic world fails the rebuild oracle: {e}");
             }
-            _ => {}
+            assert_consistent(dw.world().clone(), what);
         }
     }
     encoded.is_some()
@@ -246,7 +237,7 @@ fn assert_consistent(world: World, what: &str) {
     }
 }
 
-/// The three seed blobs, each taken after a detach event's edits and
+/// The two seed blobs, each taken after a detach event's edits and
 /// before its tick, with the last round's deliveries on record.
 fn seeds() -> Vec<(u8, Vec<u8>)> {
     let coords = shapes::random_blob(120, &mut derive_rng(5, 0));
@@ -267,17 +258,12 @@ fn seeds() -> Vec<(u8, Vec<u8>)> {
     session.step(2).unwrap();
     session.mutate(false).unwrap();
     vec![
-        (wire::kind::WORLD, dw.world().snapshot_bytes()),
         (wire::kind::DYNAMIC_WORLD, dw.snapshot_bytes()),
         (wire::kind::SESSION, session.snapshot_bytes()),
     ]
 }
 
-const KINDS: [u8; 3] = [
-    wire::kind::WORLD,
-    wire::kind::DYNAMIC_WORLD,
-    wire::kind::SESSION,
-];
+const KINDS: [u8; 2] = [wire::kind::DYNAMIC_WORLD, wire::kind::SESSION];
 
 #[test]
 fn seed_blobs_round_trip() {

@@ -31,22 +31,26 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SPFS";
 /// The current snapshot wire-format version. Version 2: a `SESSION`
 /// payload is a session name, its request counters and a workload
 /// driver. Versions 3 to 6 followed the engine's label cache into the
-/// `WORLD` payload (stale sets, the cut record, the force-global byte)
+/// world's payload (stale sets, the cut record, the force-global byte)
 /// and dropped the simulated and charged round counters, which derived
-/// from the round counter and a charge log. Version 7: a `WORLD`
-/// payload holds the model state only (pins, beeps, deliveries,
-/// accounting, stuck pins); decode derives every circuit label.
-/// Version 8: the charge log is gone, and the round counter counts
-/// ticks only. Version 9: a `DYNAMIC_WORLD` payload stores its structure
-/// once, as the editor's cells and lists; decode derives the editor's
-/// index and neighbor table and the world's topology from them.
+/// from the round counter and a charge log. Version 7: a world's payload
+/// holds the model state only (pins, beeps, deliveries, accounting,
+/// stuck pins); decode derives every circuit label. Version 8: the
+/// charge log is gone, and the round counter counts ticks only. Version
+/// 9: a `DYNAMIC_WORLD` payload stores its structure once, as the
+/// editor's cells and lists; decode derives the editor's index and
+/// neighbor table and the world's topology from them. The standalone
+/// world kind (tag 2) left later without a bump, since the
+/// `DYNAMIC_WORLD` and `SESSION` layouts stayed as they were.
 pub const SNAPSHOT_VERSION: u16 = 9;
 
-/// Payload kind tags (one per snapshottable type).
+/// Payload kind tags (one per snapshottable type). Tags 1 (a bare
+/// structure) and 2 (a standalone world) are retired: only tests wrote
+/// or read them, and a world is stored with the editor it derives its
+/// topology from.
 pub mod kind {
-    /// A `World` (topology + pin/beep/labeling state).
-    pub const WORLD: u8 = 2;
-    /// A `DynamicWorld` (editor + world pair).
+    /// A `DynamicWorld`: the editor's cells and lists, then the world's
+    /// state section.
     pub const DYNAMIC_WORLD: u8 = 3;
     /// A `scenario-server` session (workload params + dynamic world).
     pub const SESSION: u8 = 4;
@@ -406,7 +410,7 @@ mod tests {
 
     #[test]
     fn round_trips_every_field_shape() {
-        let blob = sealed(kind::WORLD, |w| {
+        let blob = sealed(kind::DYNAMIC_WORLD, |w| {
             w.varint(0);
             w.varint(300);
             w.varint(u64::MAX);
@@ -415,7 +419,7 @@ mod tests {
             w.byte(0xAB);
             w.str("hex/2");
         });
-        let mut r = SnapshotReader::open(&blob, kind::WORLD).unwrap();
+        let mut r = SnapshotReader::open(&blob, kind::DYNAMIC_WORLD).unwrap();
         assert_eq!(r.varint().unwrap(), 0);
         assert_eq!(r.varint().unwrap(), 300);
         assert_eq!(r.varint().unwrap(), u64::MAX);
@@ -428,12 +432,12 @@ mod tests {
 
     #[test]
     fn envelope_rejections_carry_diagnostics() {
-        let blob = sealed(kind::WORLD, |w| w.varint(7));
+        let blob = sealed(kind::DYNAMIC_WORLD, |w| w.varint(7));
         // Wrong magic.
         let mut bad = blob.clone();
         bad[1] ^= 0xFF;
         assert_eq!(
-            SnapshotReader::open(&bad, kind::WORLD).err(),
+            SnapshotReader::open(&bad, kind::DYNAMIC_WORLD).err(),
             Some(WireError::BadMagic { offset: 1 })
         );
         // Wrong version (re-sealed so the digest is valid).
@@ -444,21 +448,21 @@ mod tests {
         let digest = fnv1a64(&bad[..body]).to_le_bytes();
         bad[body..].copy_from_slice(&digest);
         assert_eq!(
-            SnapshotReader::open(&bad, kind::WORLD).err(),
+            SnapshotReader::open(&bad, kind::DYNAMIC_WORLD).err(),
             Some(WireError::BadVersion { found: wrong })
         );
         // Wrong kind (re-sealed): digest passes, kind does not.
         let other = sealed(kind::SESSION, |w| w.varint(7));
         assert_eq!(
-            SnapshotReader::open(&other, kind::WORLD).err(),
+            SnapshotReader::open(&other, kind::DYNAMIC_WORLD).err(),
             Some(WireError::BadKind {
                 found: kind::SESSION,
-                expected: kind::WORLD
+                expected: kind::DYNAMIC_WORLD
             })
         );
         // Too short for an envelope at all.
         assert!(matches!(
-            SnapshotReader::open(b"SPFS", kind::WORLD),
+            SnapshotReader::open(b"SPFS", kind::DYNAMIC_WORLD),
             Err(WireError::Truncated { .. })
         ));
     }
@@ -537,8 +541,8 @@ mod tests {
     fn length_reads_are_bounded_by_the_blob() {
         // A length field claiming more elements than there are bytes left
         // is rejected even though the digest is valid.
-        let blob = sealed(kind::WORLD, |w| w.varint(1 << 40));
-        let mut r = SnapshotReader::open(&blob, kind::WORLD).unwrap();
+        let blob = sealed(kind::DYNAMIC_WORLD, |w| w.varint(1 << 40));
+        let mut r = SnapshotReader::open(&blob, kind::DYNAMIC_WORLD).unwrap();
         assert!(matches!(
             r.len("element count"),
             Err(WireError::BadValue {

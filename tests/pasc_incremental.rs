@@ -6,11 +6,12 @@
 //! Random chains (`chain_specs`), forests (`tree_specs`) and Euler tours
 //! (`build_tours`), all with random weights, run on two worlds built alike:
 //! one through `PascRun`, one through `EagerRun` below, a copy of that
-//! configure-everything loop. The worlds' SPFS snapshots (pin table,
+//! configure-everything loop. The worlds' SPFS state sections (pin table,
 //! dirty-pin order, pending beeps, counters) must be equal in the
 //! `pre_tick` of every data round and after every sync round; bits,
 //! incoming tracks, termination and final values must agree.
 
+use amoebot_telemetry::wire::{kind, SnapshotWriter};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -152,9 +153,10 @@ impl EagerRun {
     }
 }
 
-/// A world's snapshot bytes and relabel counters. The bytes hold no
-/// label cache and no `relabel_*` counter, so the counters are what
-/// shows that two worlds labelled alike.
+/// A world's state section (its pins, beeps, deliveries, accounting
+/// and stuck pins, as a snapshot stores them) and relabel counters. The
+/// section holds no label cache and no `relabel_*` counter, so the
+/// counters are what shows that two worlds labelled alike.
 fn state(w: &World) -> (Vec<u8>, [u64; 4]) {
     let relabels = [
         w.global_relabels(),
@@ -162,7 +164,9 @@ fn state(w: &World) -> (Vec<u8>, [u64; 4]) {
         w.walk_relabels(),
         w.repair_relabels(),
     ];
-    (w.snapshot_bytes(), relabels)
+    let mut section = SnapshotWriter::new(kind::DYNAMIC_WORLD);
+    w.encode_payload(&mut section);
+    (section.finish(), relabels)
 }
 
 /// Runs `specs` through `PascRun` and `EagerRun` on two worlds over `topo`
