@@ -31,6 +31,7 @@ use amoebot_telemetry::{NullRecorder, Recorder, TraceEvent};
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use crate::plan::nearest_window;
 use crate::world::DynamicWorld;
 
 /// The fault schedule families.
@@ -84,14 +85,6 @@ impl FaultFamily {
             FaultFamily::BurstsThenSilence => "burstsilence",
             FaultFamily::CrashRecover => "crashrecover",
         }
-    }
-
-    /// Inverse of [`FaultFamily::label`] (for wire formats and CLIs).
-    pub fn from_label(label: &str) -> Option<FaultFamily> {
-        ALL_FAULT_FAMILIES
-            .iter()
-            .copied()
-            .find(|f| f.label() == label)
     }
 }
 
@@ -288,20 +281,17 @@ fn stick(dw: &mut DynamicWorld, rng: &mut StdRng, k: usize, out: &mut StagedFaul
 
 /// Starves the nearest `min(live/2, 4·k)` nodes around a random
 /// epicenter (the spatial mirror of the churn crash burst, without the
-/// crashes).
+/// crashes), picked by the burst's [`nearest_window`].
 fn starve_region(dw: &mut DynamicWorld, rng: &mut StdRng, k: usize, out: &mut StagedFault) {
     let live = dw.editor().live_ids();
-    let epicenter = {
-        let id = live[rng.gen_range(0..live.len())];
-        dw.editor().coord(NodeId(id))
-    };
-    let mut candidates: Vec<(u32, u32)> = live
-        .iter()
-        .map(|&id| (dw.editor().coord(NodeId(id)).grid_distance(epicenter), id))
-        .collect();
-    candidates.sort_unstable();
+    let epicenter = dw
+        .editor()
+        .coord(NodeId(live[rng.gen_range(0..live.len())]));
     let starve = (4 * k.max(1)).min(live.len() / 2);
-    out.inactive = candidates[..starve].iter().map(|&(_, id)| id).collect();
+    out.inactive = nearest_window(dw.editor(), epicenter, starve)
+        .into_iter()
+        .map(|(_, id)| id)
+        .collect();
     out.inactive.sort_unstable();
 }
 
@@ -340,14 +330,6 @@ mod tests {
         let s = AmoebotStructure::new(shapes::random_blob(n, &mut crate::derive_rng(seed, 99)))
             .unwrap();
         DynamicWorld::new(&s, c)
-    }
-
-    #[test]
-    fn labels_round_trip() {
-        for f in ALL_FAULT_FAMILIES {
-            assert_eq!(FaultFamily::from_label(f.label()), Some(f));
-        }
-        assert_eq!(FaultFamily::from_label("nosuch"), None);
     }
 
     #[test]

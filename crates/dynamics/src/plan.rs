@@ -233,7 +233,11 @@ fn crash_burst<R: Recorder>(
 /// the ring that fills the window, so the cost is the cells within that
 /// distance rather than the structure: the same window as sorting every
 /// live amoebot by `(distance, id)` and truncating.
-fn nearest_window(editor: &StructureEditor, epicenter: Coord, window: usize) -> Vec<(u32, u32)> {
+pub(crate) fn nearest_window(
+    editor: &StructureEditor,
+    epicenter: Coord,
+    window: usize,
+) -> Vec<(u32, u32)> {
     let window = window.min(editor.len());
     let mut found = Vec::with_capacity(window);
     let mut d = 0u32;

@@ -1,4 +1,4 @@
-//! Chunked occupancy bitmaps for million-cell coordinate sets.
+//! Chunked cell stores for million-cell coordinate sets.
 //!
 //! The random generators used to track occupancy in a `HashSet<Coord>`:
 //! 16 bytes per cell plus hashing on every membership test. At the sweep
@@ -15,19 +15,26 @@
 //! (chunks sorted by `(r, q)`, row-major within a chunk), so consumers
 //! get deterministic, mostly-sorted output without materializing any
 //! intermediate set.
+//!
+//! A `CellMap` is the same chunking with one `u32` slot per cell instead
+//! of one bit: the structure editor's map from cells to node ids, where a
+//! lookup, an insertion and a removal each cost one hash lookup of the
+//! cell's chunk, and a box is read one chunk at a time.
 
-// spf-lint: allow-file(nondet-collections) — the chunk map is only ever
-// iterated through `iter()`/`into_sorted_vec()`, which sort the chunk keys
-// first; every other access is keyed lookup, so hash order never escapes.
+// spf-lint: allow-file(nondet-collections) — the chunk maps are keyed
+// lookups only, except `ChunkGrid::iter()`/`into_sorted_vec()`, which
+// sort the chunk keys first, so hash order never escapes.
 use std::collections::HashMap;
 
 use crate::coord::Coord;
+use crate::structure::NONE;
 
 /// Cells per chunk side; a chunk covers `CHUNK × CHUNK` cells.
 const CHUNK: i32 = 16;
-/// One `u64` of bits per row of a chunk... not quite: 16×16 = 256 bits =
-/// four `u64` words, two rows per word.
-const WORDS: usize = (CHUNK * CHUNK) as usize / 64;
+/// Cells per chunk.
+const CELLS: usize = (CHUNK * CHUNK) as usize;
+/// A chunk's bits as `u64` words, four rows per word.
+const WORDS: usize = CELLS / 64;
 
 /// A sparse, unbounded occupancy bitmap over the triangular grid's axial
 /// coordinates, chunked 16×16.
@@ -177,7 +184,7 @@ impl ChunkGrid {
         let chunks = &self.chunks;
         keys.into_iter().flat_map(move |key| {
             let words = chunks[&key];
-            (0..(CHUNK * CHUNK) as usize).filter_map(move |bit| {
+            (0..CELLS).filter_map(move |bit| {
                 if words[bit / 64] & (1 << (bit % 64)) == 0 {
                     return None;
                 }
@@ -208,6 +215,52 @@ impl FromIterator<Coord> for ChunkGrid {
         let mut g = ChunkGrid::new();
         g.extend(iter);
         g
+    }
+}
+
+/// A sparse, unbounded map from cells to `u32` values, chunked 16×16 like
+/// [`ChunkGrid`]: one slot per cell, [`NONE`] where a cell is vacant, and
+/// one allocation per chunk. Emptied chunks are kept, as in
+/// [`ChunkGrid::remove`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CellMap {
+    /// Chunk key -> the chunk's slots, numbered as `split` numbers cells.
+    chunks: HashMap<(i32, i32), Box<[u32; CELLS]>>,
+}
+
+impl CellMap {
+    /// The value at `c`, if the cell holds one.
+    #[inline]
+    pub(crate) fn get(&self, c: Coord) -> Option<u32> {
+        let (key, at) = split(c);
+        let value = self.chunks.get(&key)?[at];
+        (value != NONE).then_some(value)
+    }
+
+    /// Sets the slot of `c` to `value` ([`NONE`] vacates it).
+    pub(crate) fn set(&mut self, c: Coord, value: u32) {
+        let (key, at) = split(c);
+        self.chunks
+            .entry(key)
+            .or_insert_with(|| Box::new([NONE; CELLS]))[at] = value;
+    }
+
+    /// The cells holding a value inside the box `lo..=hi`, row by row
+    /// within each chunk the box meets: one hash lookup per chunk, not
+    /// per cell.
+    pub(crate) fn cells_in(&self, lo: Coord, hi: Coord) -> impl Iterator<Item = Coord> + '_ {
+        let ((kq0, kr0), (kq1, kr1)) = (split(lo).0, split(hi).0);
+        (kr0..=kr1)
+            .flat_map(move |kr| (kq0..=kq1).map(move |kq| (kq, kr)))
+            .filter_map(|key| Some((key, self.chunks.get(&key)?)))
+            .flat_map(move |((kq, kr), slots)| {
+                let (q0, r0) = (kq * CHUNK, kr * CHUNK);
+                (lo.r.max(r0)..=hi.r.min(r0 + CHUNK - 1)).flat_map(move |r| {
+                    (lo.q.max(q0)..=hi.q.min(q0 + CHUNK - 1))
+                        .filter(move |&q| slots[((r - r0) * CHUNK + q - q0) as usize] != NONE)
+                        .map(move |q| Coord::new(q, r))
+                })
+            })
     }
 }
 

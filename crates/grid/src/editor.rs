@@ -3,23 +3,18 @@
 //!
 //! [`AmoebotStructure`] is deliberately immutable — its sorted coordinate
 //! index and flat neighbor table are built once and shared. A
-//! [`StructureEditor`] carries the same three stores in an *editable*
-//! form, sized for churn workloads at the sweep scales of this repo:
+//! [`StructureEditor`] keeps its cells in an *editable* form, sized for
+//! churn workloads at the sweep scales of this repo:
 //!
-//! * the **sorted coordinate index** becomes a merge pair: a large sorted
-//!   base array plus a small sorted overlay of recent insertions.
-//!   Lookups binary-search both (overlay first — it holds the newer
-//!   facts); removals mark base entries stale in place. When the overlay
-//!   and the stale count outgrow ~√n, the pair is merged back into one
-//!   sorted array, balancing the overlay's insertion memmove against the
-//!   merge frequency — O(√n) amortized index maintenance per edit,
-//!   against the O(n) memmove a plain sorted vector would pay on every
-//!   insertion;
+//! * one **cell map** from cells to node ids, with one `u32` slot per cell
+//!   in the 16×16 chunks of [`ChunkGrid`]: a lookup, an insertion and a
+//!   removal each cost one hash lookup of the cell's chunk, so index
+//!   maintenance is O(1) per edit, and the scoped hole revalidation reads
+//!   its box one chunk at a time;
 //! * the **flat neighbor table** (6 `u32` slots per node) is edited in
 //!   place, O(Δ) per edit with Δ ≤ 6;
-//! * the **[`ChunkGrid`] occupancy** mirror is edited bit by bit, and the
-//!   editor remembers which chunks an edit touched so hole-freeness can
-//!   be revalidated *scoped to the edited chunks*
+//! * the editor remembers which chunks an edit touched, so hole-freeness
+//!   can be revalidated *scoped to the edited chunks*
 //!   ([`StructureEditor::revalidate_edited_chunks`]) instead of
 //!   flood-filling the whole bounding box.
 //!
@@ -29,7 +24,8 @@
 //!
 //! # Invariants
 //!
-//! Every edit preserves the paper's standing assumptions (§1.1): the
+//! The cell map holds exactly the live cells, each with its id. Every
+//! edit preserves the paper's standing assumptions (§1.1): the
 //! structure stays **connected** and **hole-free**. Both are enforced by
 //! the *local arc rule* — the occupied neighbors of the edited cell must
 //! form exactly one contiguous arc around it:
@@ -49,15 +45,28 @@
 //! [`StructureEditor::can_insert`] / [`StructureEditor::can_remove`]
 //! expose the rule; `insert` / `remove` panic when it is violated, so a
 //! churn driver probes first and the structure can never leave the
-//! algorithms' supported class.
+//! algorithms' supported class. Insertions also stay inside the
+//! coordinate band [`BAND`], the one a decoded editor's cells must lie in.
 
 use std::collections::BTreeSet;
 
 use amoebot_telemetry::wire::{SnapshotReader, SnapshotWriter, WireError};
 
-use crate::chunkgrid::ChunkGrid;
+use crate::chunkgrid::{CellMap, ChunkGrid};
 use crate::coord::{Coord, Direction, ALL_DIRECTIONS};
-use crate::structure::{connected, neighbor_table, AmoebotStructure, NodeId, NONE};
+use crate::structure::{connected, enclosed_cells, neighbor_table, AmoebotStructure, NodeId, NONE};
+
+/// The coordinate band of an editor's cells: `|q|, |r| ≤ BAND`. Inside it,
+/// every neighbor, sum, difference and grid distance of cells, every chunk
+/// span and every flood margin the grid code forms stays inside `i32`
+/// (`|dq| + |dr| + |ds|` of two cells is at most `8·BAND = 2^30`), and a
+/// structure grown from the origin would need some 10^8 edits to reach it.
+pub const BAND: i32 = 1 << 27;
+
+/// Whether `c` lies in the coordinate band [`BAND`].
+fn in_band(c: Coord) -> bool {
+    (-BAND..=BAND).contains(&c.q) && (-BAND..=BAND).contains(&c.r)
+}
 
 /// The local arc rule (see the module docs) over a cell's occupied
 /// neighbors, given as a 6-bit mask (bit `i` = direction index `i`): the
@@ -87,28 +96,18 @@ pub struct StructureEditor {
     live_ids: Vec<u32>,
     /// Node id -> its position in `live_ids` (undefined for dead ids).
     live_pos: Vec<u32>,
-    /// The large sorted half of the coordinate index. May contain stale
-    /// entries (dead ids, or ids re-inserted elsewhere); lookups validate
-    /// against `alive`/`coords`.
-    base_index: Vec<(Coord, u32)>,
-    /// The small sorted overlay of recent insertions. Always valid: a
-    /// removal deletes its overlay entry eagerly (the overlay is small),
-    /// while base entries go stale lazily.
-    overlay: Vec<(Coord, u32)>,
-    /// Number of stale entries in `base_index`.
-    stale: usize,
     /// Flat neighbor table, 6 slots per id (same layout as
     /// [`AmoebotStructure`]).
     neighbors: Vec<u32>,
-    /// One-bit-per-cell occupancy mirror.
-    occupancy: ChunkGrid,
+    /// Live cell -> its id.
+    cells: CellMap,
     /// Chunk keys touched since the last revalidation.
     edited: BTreeSet<(i32, i32)>,
 }
 
 impl StructureEditor {
     /// Starts editing from a snapshot of `structure`: ids `0..n` map to
-    /// the structure's node ids.
+    /// the structure's node ids, whose neighbor table the editor copies.
     pub fn from_structure(structure: &AmoebotStructure) -> StructureEditor {
         let n = structure.len();
         StructureEditor::from_cells(
@@ -116,6 +115,7 @@ impl StructureEditor {
             vec![true; n],
             Vec::new(),
             (0..n as u32).collect(),
+            structure.neighbor_slots().to_vec(),
             BTreeSet::new(),
         )
     }
@@ -123,51 +123,32 @@ impl StructureEditor {
     /// The one constructor behind [`StructureEditor::from_structure`]
     /// and the snapshot decoder. It takes the editor's state (every id's
     /// coordinate and liveness, the free and live lists, which partition
-    /// the ids, and the edited-chunk set) and derives the rest from the
-    /// live cells: the coordinate index as one sorted base array with an
-    /// empty overlay, the neighbor table and the occupancy.
+    /// the ids, the live cells' neighbor table and the edited-chunk set)
+    /// and derives the live positions and the cell map.
     fn from_cells(
         coords: Vec<Coord>,
         alive: Vec<bool>,
         free: Vec<u32>,
         live_ids: Vec<u32>,
+        neighbors: Vec<u32>,
         edited: BTreeSet<(i32, i32)>,
     ) -> StructureEditor {
         let mut live_pos = vec![0u32; coords.len()];
+        let mut cells = CellMap::default();
         for (pos, &id) in live_ids.iter().enumerate() {
             live_pos[id as usize] = pos as u32;
+            cells.set(coords[id as usize], id);
         }
-        let mut base_index: Vec<(Coord, u32)> = live_ids
-            .iter()
-            .map(|&id| (coords[id as usize], id))
-            .collect();
-        base_index.sort_unstable_by_key(|&(c, _)| c);
-        let neighbors = neighbor_table(&base_index, coords.len());
         StructureEditor {
-            occupancy: base_index.iter().map(|&(c, _)| c).collect(),
             coords,
             alive,
             free,
             live_ids,
             live_pos,
-            base_index,
-            overlay: Vec::new(),
-            stale: 0,
             neighbors,
+            cells,
             edited,
         }
-    }
-
-    /// Whether the live cells form an amoebot structure: at least one,
-    /// no two on one cell, and connected. The editor's edits keep this
-    /// true; a decoded editor is checked.
-    fn cells_form_a_structure(&self) -> bool {
-        !self.is_empty()
-            && self
-                .base_index
-                .windows(2)
-                .all(|pair| pair[0].0 != pair[1].0)
-            && connected(&self.neighbors, self.live_ids[0], self.len())
     }
 
     /// Number of live amoebots.
@@ -215,19 +196,9 @@ impl StructureEditor {
     }
 
     /// The live node at `coord`, if any.
+    #[inline]
     pub fn node_at(&self, coord: Coord) -> Option<NodeId> {
-        if let Ok(at) = self.overlay.binary_search_by_key(&coord, |&(c, _)| c) {
-            // Overlay entries are always valid (removals delete them).
-            return Some(NodeId(self.overlay[at].1));
-        }
-        if let Ok(at) = self.base_index.binary_search_by_key(&coord, |&(c, _)| c) {
-            let id = self.base_index[at].1;
-            // Base entries go stale lazily: dead, or recycled elsewhere.
-            if self.alive[id as usize] && self.coords[id as usize] == coord {
-                return Some(NodeId(id));
-            }
-        }
-        None
+        self.cells.get(coord).map(NodeId)
     }
 
     /// Whether `coord` is occupied by a live amoebot.
@@ -273,14 +244,12 @@ impl StructureEditor {
         mask
     }
 
-    /// Whether inserting at `coord` is legal: the cell is vacant and its
-    /// occupied neighbors form one contiguous arc (or the full ring), so
-    /// connectivity and hole-freeness are preserved. See the module docs.
+    /// Whether inserting at `coord` is legal: the cell lies in the band
+    /// [`BAND`], is vacant, and its occupied neighbors form one contiguous
+    /// arc (or the full ring), so connectivity and hole-freeness are
+    /// preserved. See the module docs.
     pub fn can_insert(&self, coord: Coord) -> bool {
-        if self.occupied(coord) {
-            return false;
-        }
-        single_arc(self.occupied_mask_around(coord))
+        in_band(coord) && !self.occupied(coord) && single_arc(self.occupied_mask_around(coord))
     }
 
     /// Whether removing `v` is legal: it is alive, not the last amoebot,
@@ -337,14 +306,8 @@ impl StructureEditor {
                 self.neighbors[id as usize * 6 + d.index()] = NONE;
             }
         }
-        self.occupancy.insert(coord);
+        self.cells.set(coord, id);
         self.touch_chunks(coord);
-        let at = self
-            .overlay
-            .binary_search_by_key(&coord, |&(c, _)| c)
-            .expect_err("cell was vacant, so no valid overlay entry exists");
-        self.overlay.insert(at, (coord, id));
-        self.maybe_merge();
         (NodeId(id), links)
     }
 
@@ -376,18 +339,8 @@ impl StructureEditor {
         if pos < self.live_ids.len() {
             self.live_pos[last as usize] = pos as u32;
         }
-        self.occupancy.remove(coord);
+        self.cells.set(coord, NONE);
         self.touch_chunks(coord);
-        // Delete the index entry: eagerly from the overlay, lazily (a
-        // stale-count bump) from the base.
-        match self.overlay.binary_search_by_key(&coord, |&(c, _)| c) {
-            Ok(at) => {
-                debug_assert_eq!(self.overlay[at].1 as usize, id);
-                self.overlay.remove(at);
-            }
-            Err(_) => self.stale += 1,
-        }
-        self.maybe_merge();
     }
 
     /// Records the chunks an edit at `c` may affect (its own plus the
@@ -398,26 +351,6 @@ impl StructureEditor {
         for d in ALL_DIRECTIONS {
             self.edited.insert(ChunkGrid::chunk_key(c.neighbor(d)));
         }
-    }
-
-    /// Merges the overlay into the base index and drops stale entries
-    /// once their combined size outgrows ~√(base size): a cap of B costs
-    /// O(B) memmove per overlay insertion and an O(n) merge every B
-    /// edits, so B ≈ √n balances the two at O(√n) amortized per edit (a
-    /// linear-fraction cap would degrade insertions back to Θ(n)).
-    fn maybe_merge(&mut self) {
-        if self.overlay.len() + self.stale <= 32 + 4 * self.base_index.len().isqrt() {
-            return;
-        }
-        self.base_index.clear();
-        self.base_index.extend(
-            self.live_ids
-                .iter()
-                .map(|&id| (self.coords[id as usize], id)),
-        );
-        self.base_index.sort_unstable_by_key(|&(c, _)| c);
-        self.overlay.clear();
-        self.stale = 0;
     }
 
     /// Revalidates hole-freeness **scoped to the edited chunks**: every
@@ -461,61 +394,23 @@ impl StructureEditor {
         ok
     }
 
-    /// Floods the bounding box of one connected chunk cluster (plus a
-    /// one-cell margin): complement paths out of the box must cross the
-    /// margin, so every vacant cell not reached from the margin's vacant
-    /// cells is an enclosed pocket — a hole.
-    fn revalidate_cluster(&mut self, cluster: &[(i32, i32)]) -> bool {
-        let (mut min_q, mut max_q, mut min_r, mut max_r) = (i32::MAX, i32::MIN, i32::MAX, i32::MIN);
+    /// Whether the bounding box of one connected chunk cluster encloses
+    /// no vacant cell ([`enclosed_cells`]): complement paths out of the
+    /// box must cross its margin, so a vacant cell the margin's vacant
+    /// cells cannot reach is an enclosed pocket — a hole. The box and its
+    /// margin are read from the cell map one chunk at a time.
+    fn revalidate_cluster(&self, cluster: &[(i32, i32)]) -> bool {
+        let (mut lo, mut hi) = (
+            Coord::new(i32::MAX, i32::MAX),
+            Coord::new(i32::MIN, i32::MIN),
+        );
         for &key in cluster {
             let (qs, rs) = ChunkGrid::chunk_span(key);
-            min_q = min_q.min(*qs.start());
-            max_q = max_q.max(*qs.end());
-            min_r = min_r.min(*rs.start());
-            max_r = max_r.max(*rs.end());
+            lo = Coord::new(lo.q.min(*qs.start()), lo.r.min(*rs.start()));
+            hi = Coord::new(hi.q.max(*qs.end()), hi.r.max(*rs.end()));
         }
-        let (min_q, max_q, min_r, max_r) = (min_q - 1, max_q + 1, min_r - 1, max_r + 1);
-        let w = (max_q - min_q + 1) as usize;
-        let h = (max_r - min_r + 1) as usize;
-        let idx = |c: Coord| ((c.r - min_r) as usize) * w + (c.q - min_q) as usize;
-        let in_box = |c: Coord| c.q >= min_q && c.q <= max_q && c.r >= min_r && c.r <= max_r;
-        let mut seen = vec![false; w * h];
-        let mut stack = Vec::new();
-        for q in min_q..=max_q {
-            for r in [min_r, max_r] {
-                let c = Coord::new(q, r);
-                if !self.occupancy.contains(c) && !seen[idx(c)] {
-                    seen[idx(c)] = true;
-                    stack.push(c);
-                }
-            }
-        }
-        for r in min_r..=max_r {
-            for q in [min_q, max_q] {
-                let c = Coord::new(q, r);
-                if !self.occupancy.contains(c) && !seen[idx(c)] {
-                    seen[idx(c)] = true;
-                    stack.push(c);
-                }
-            }
-        }
-        while let Some(c) = stack.pop() {
-            for nb in c.neighbors() {
-                if in_box(nb) && !self.occupancy.contains(nb) && !seen[idx(nb)] {
-                    seen[idx(nb)] = true;
-                    stack.push(nb);
-                }
-            }
-        }
-        for q in min_q..=max_q {
-            for r in min_r..=max_r {
-                let c = Coord::new(q, r);
-                if !self.occupancy.contains(c) && !seen[idx(c)] {
-                    return false;
-                }
-            }
-        }
-        true
+        let margin = |c: Coord, by: i32| Coord::new(c.q.saturating_add(by), c.r.saturating_add(by));
+        enclosed_cells(lo, hi, self.cells.cells_in(margin(lo, -1), margin(hi, 1))).is_empty()
     }
 
     /// Builds a dense [`AmoebotStructure`] snapshot of the live cells,
@@ -543,12 +438,10 @@ impl StructureEditor {
 // The payload is the structure's state: every id's coordinate (dead ids
 // included) and liveness, the free list (recycling order decides which
 // ids future insertions get), the dense live list (its order drives
-// churn sampling) and the edited-chunk set. Decode derives the
-// coordinate index, the neighbor table and the occupancy through the
-// constructor `from_structure` uses, and rejects live cells that are
-// none, doubled or disconnected. A restored index is one sorted base
-// array, so a restored editor merges at other moments than the
-// original: only timing can tell.
+// churn sampling) and the edited-chunk set. Decode derives the neighbor
+// table, checks the live cells, and builds the cell map through the
+// constructor `from_structure` uses, so a restored editor is the same
+// data structure as the one encoded, not only the same content.
 impl StructureEditor {
     /// Writes the editor payload (no envelope) into `w`.
     pub fn encode_snapshot(&self, w: &mut SnapshotWriter) {
@@ -583,7 +476,16 @@ impl StructureEditor {
 
     /// Decodes an editor payload written by
     /// [`StructureEditor::encode_snapshot`]. O(bytes) plus the derived
-    /// index, neighbor table and occupancy over the live cells.
+    /// neighbor table and cell map over the live cells.
+    ///
+    /// The live cells must form a structure inside the band [`BAND`]: at
+    /// least one, no two on one cell, connected, and `|q|, |r| ≤ BAND`,
+    /// or decode fails with `editor cells`. The band keeps the grid code's
+    /// coordinate arithmetic inside `i32` (a cell on the edge of the range
+    /// would have a neighbor that wraps around to the far side), and the
+    /// edited chunks must lie in the band's chunks and their neighbors.
+    /// The cells are checked before the cell map is built, which costs a
+    /// chunk of slots per cell for cells scattered one to a chunk.
     pub fn decode_snapshot(r: &mut SnapshotReader<'_>) -> Result<StructureEditor, WireError> {
         let capacity = r.len("editor capacity")?;
         let cells_offset = r.offset();
@@ -645,13 +547,20 @@ impl StructureEditor {
         }
         let edited_count = r.len("editor edited-chunk set")?;
         let mut edited = BTreeSet::new();
+        let (lo, hi) = (
+            ChunkGrid::chunk_key(Coord::new(-BAND - 1, -BAND - 1)),
+            ChunkGrid::chunk_key(Coord::new(BAND + 1, BAND + 1)),
+        );
         for _ in 0..edited_count {
             let offset = r.offset();
             let q = r.i32("editor edited chunk")?;
             let rr = r.i32("editor edited chunk")?;
             // Strictly ascending, the order the set encodes in: any other
             // order would decode to the same set and re-encode differently.
-            if edited.last().is_some_and(|&last| (q, rr) <= last) {
+            if edited.last().is_some_and(|&last| (q, rr) <= last)
+                || !(lo.0..=hi.0).contains(&q)
+                || !(lo.1..=hi.1).contains(&rr)
+            {
                 return Err(WireError::BadValue {
                     what: "editor edited chunk",
                     offset,
@@ -659,14 +568,25 @@ impl StructureEditor {
             }
             edited.insert((q, rr));
         }
-        let editor = StructureEditor::from_cells(coords, alive, free, live_ids, edited);
-        if !editor.cells_form_a_structure() {
+        let mut index: Vec<(Coord, u32)> = live_ids
+            .iter()
+            .map(|&id| (coords[id as usize], id))
+            .collect();
+        index.sort_unstable_by_key(|&(c, _)| c);
+        let neighbors = neighbor_table(&index, capacity);
+        if live_ids.is_empty()
+            || !index.iter().all(|&(c, _)| in_band(c))
+            || index.windows(2).any(|pair| pair[0].0 == pair[1].0)
+            || !connected(&neighbors, live_ids[0], live_ids.len())
+        {
             return Err(WireError::BadValue {
                 what: "editor cells",
                 offset: cells_offset,
             });
         }
-        Ok(editor)
+        Ok(StructureEditor::from_cells(
+            coords, alive, free, live_ids, neighbors, edited,
+        ))
     }
 }
 
@@ -748,19 +668,19 @@ mod tests {
         let mut e = editor(shapes::line(3));
         let old_coord = e.coord(NodeId(2));
         e.remove(NodeId(2));
-        // The recycled id lands at a *different* coordinate; the stale
-        // base-index entry for the old coordinate must not resolve.
+        // The recycled id lands at a *different* coordinate; the old
+        // coordinate must not resolve to it.
         let (v, _) = e.insert(Coord::new(0, 1));
         assert_eq!(v, NodeId(2));
         assert_eq!(e.capacity(), 3, "no id-space growth on recycling");
-        assert_eq!(e.node_at(old_coord), None, "stale index entry resolved");
+        assert_eq!(e.node_at(old_coord), None, "vacated cell resolved");
         assert_eq!(e.node_at(Coord::new(0, 1)), Some(v));
         assert_eq!(e.coord(v), Coord::new(0, 1));
     }
 
     #[test]
     fn grow_then_shrink_heavy_churn_stays_consistent() {
-        // Enough edits to cross several merge thresholds.
+        // A line through 20 chunks, grown and then emptied again.
         let mut e = editor(shapes::line(4));
         let mut grown: Vec<NodeId> = Vec::new();
         for i in 0..300 {
@@ -830,7 +750,7 @@ mod tests {
         // the west cluster must still flag it.
         let ring: Vec<Coord> = Coord::new(0, -3).neighbors().to_vec();
         for &c in &ring {
-            e.occupancy.insert(c);
+            e.cells.set(c, 0);
             e.touch_chunks(c);
         }
         e.touch_chunks(Coord::new(199, 0)); // a second, clean far cluster
@@ -838,6 +758,26 @@ mod tests {
             !e.revalidate_edited_chunks(),
             "the enclosed pocket in the west cluster must be detected"
         );
+    }
+
+    /// Decode refuses edited chunks beyond the band's: two keys that
+    /// straddle the end of the `i32` range would wrap a revalidation box
+    /// around the whole range.
+    #[test]
+    fn decode_refuses_edited_chunks_beyond_the_band() {
+        let mut e = editor(shapes::line(3));
+        e.edited.extend([((1 << 27) - 1, 0), (1 << 27, 0)]);
+        let mut w = SnapshotWriter::new(0);
+        e.encode_snapshot(&mut w);
+        let bytes = w.finish();
+        let mut r = SnapshotReader::open(&bytes, 0).unwrap();
+        assert!(matches!(
+            StructureEditor::decode_snapshot(&mut r),
+            Err(WireError::BadValue {
+                what: "editor edited chunk",
+                ..
+            })
+        ));
     }
 
     /// White-box: force a pocket past the arc rule to prove the scoped
@@ -849,8 +789,8 @@ mod tests {
         open.remove(5);
         let mut e = editor(open);
         // Bypass `insert` (which would reject): splice the closing cell
-        // straight into the occupancy mirror and mark its chunk edited.
-        e.occupancy.insert(ring[5]);
+        // straight into the cell map and mark its chunk edited.
+        e.cells.set(ring[5], 0);
         e.touch_chunks(ring[5]);
         assert!(
             !e.revalidate_edited_chunks(),
@@ -935,9 +875,13 @@ mod proptests {
         }
 
         /// Random legal churn keeps every invariant: connected, hole-free
-        /// snapshots whose adjacency equals the editor's table.
+        /// snapshots whose adjacency equals the editor's table, and a cell
+        /// map that answers every cell of the snapshot's box and margin as
+        /// the snapshot does. Up to 160 events on up to 64 cells pass the
+        /// `32 + 4·√n` edits at which a sorted index with an overlay would
+        /// have merged.
         #[test]
-        fn random_churn_preserves_invariants(seed in 0u64..1000, n in 4usize..32, events in 1usize..40) {
+        fn random_churn_preserves_invariants(seed in 0u64..1000, n in 4usize..64, events in 1usize..160) {
             let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
             let s = AmoebotStructure::new(shapes::random_blob(n, &mut rng)).unwrap();
             let mut e = StructureEditor::from_structure(&s);
@@ -971,6 +915,15 @@ mod proptests {
                             prop_assert_eq!(snap.neighbor(dense, d), via_editor);
                         }
                     }
+                }
+            }
+            let (min_q, max_q, min_r, max_r) = snap.bounding_box();
+            for q in min_q - 1..=max_q + 1 {
+                for r in min_r - 1..=max_r + 1 {
+                    let c = Coord::new(q, r);
+                    let via_editor = e.node_at(c).map(|v| map[v.index()].unwrap());
+                    prop_assert_eq!(via_editor, snap.node_at(c), "cell {}", c);
+                    prop_assert_eq!(e.occupied(c), snap.occupied(c), "cell {}", c);
                 }
             }
         }

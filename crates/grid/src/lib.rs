@@ -40,6 +40,6 @@ pub use bfs::{bfs_distances, bfs_parents, multi_source_bfs};
 pub use chunkgrid::ChunkGrid;
 pub use coord::{Axis, Coord, Direction, ALL_AXES, ALL_DIRECTIONS};
 pub use editor::StructureEditor;
-pub use random::{random_placement, random_shape_mix, random_snake, random_structure, Placement};
+pub use random::{random_placement, random_shape_mix, random_snake, Placement};
 pub use structure::{implicit_portal_edge, AmoebotStructure, NodeId, StructureError};
 pub use validate::{validate_forest, ForestViolation};

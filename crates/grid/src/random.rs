@@ -3,7 +3,7 @@
 //! Everything here is deterministic given the caller's RNG: the scenario
 //! engine derives one RNG per scenario from a master seed, so batches are
 //! reproducible end to end. Three structure families are provided —
-//! organically grown blobs ([`random_structure`]), compositions of the
+//! organically grown blobs ([`shapes::random_blob`]), compositions of the
 //! primitive shapes ([`random_shape_mix`]) and thin self-avoiding-ish
 //! corridors ([`random_snake`]) — plus multi-source placement strategies
 //! ([`random_placement`]). All structure generators guarantee the paper's
@@ -18,7 +18,7 @@ use std::collections::BTreeSet;
 use crate::chunkgrid::ChunkGrid;
 use crate::coord::{Coord, Direction, ALL_DIRECTIONS};
 use crate::shapes;
-use crate::structure::{AmoebotStructure, NodeId};
+use crate::structure::{enclosed_cells, AmoebotStructure, NodeId};
 
 /// Fills every hole of a coordinate set: unoccupied cells that are *not*
 /// reachable from outside the bounding box become occupied. Connectivity is
@@ -33,69 +33,22 @@ pub fn fill_holes(coords: Vec<Coord>) -> Vec<Coord> {
 
 /// [`fill_holes`] over a chunked occupancy bitmap — the streaming form the
 /// large generators use directly so no intermediate `HashSet` or
-/// coordinate vector is materialized. The flood fill and the hole sweep
-/// both run on one-bit-per-cell chunks.
+/// coordinate vector is materialized. The vacant cells the grid's one
+/// complement flood finds enclosed in the bounding box are filled.
 pub fn fill_holes_grid(mut occupied: ChunkGrid) -> ChunkGrid {
     if occupied.is_empty() {
         return occupied;
     }
-    let (mut min_q, mut max_q, mut min_r, mut max_r) = (i32::MAX, i32::MIN, i32::MAX, i32::MIN);
-    for c in occupied.iter() {
-        min_q = min_q.min(c.q);
-        max_q = max_q.max(c.q);
-        min_r = min_r.min(c.r);
-        max_r = max_r.max(c.r);
+    let cells: Vec<Coord> = occupied.iter().collect();
+    let (mut lo, mut hi) = (cells[0], cells[0]);
+    for c in &cells {
+        lo = Coord::new(lo.q.min(c.q), lo.r.min(c.r));
+        hi = Coord::new(hi.q.max(c.q), hi.r.max(c.r));
     }
-    let (min_q, max_q, min_r, max_r) = (min_q - 1, max_q + 1, min_r - 1, max_r + 1);
-    let in_box = |c: Coord| c.q >= min_q && c.q <= max_q && c.r >= min_r && c.r <= max_r;
-
-    // Flood the complement from the boundary ring (all boundary cells are
-    // unoccupied because the box was extended by one).
-    let mut outside = ChunkGrid::new();
-    let mut stack: Vec<Coord> = Vec::new();
-    for q in min_q..=max_q {
-        for r in [min_r, max_r] {
-            let c = Coord::new(q, r);
-            if outside.insert(c) {
-                stack.push(c);
-            }
-        }
-    }
-    for r in min_r..=max_r {
-        for q in [min_q, max_q] {
-            let c = Coord::new(q, r);
-            if outside.insert(c) {
-                stack.push(c);
-            }
-        }
-    }
-    while let Some(c) = stack.pop() {
-        for nb in c.neighbors() {
-            if in_box(nb) && !occupied.contains(nb) && outside.insert(nb) {
-                stack.push(nb);
-            }
-        }
-    }
-
-    // Everything in the box that neither holds an amoebot nor was reached
-    // from outside is a hole: fill it. Row-major sweep, chunk-cached.
-    for r in min_r..=max_r {
-        for q in min_q..=max_q {
-            let c = Coord::new(q, r);
-            if !outside.contains(c) {
-                occupied.insert(c);
-            }
-        }
+    for c in enclosed_cells(lo, hi, cells) {
+        occupied.insert(c);
     }
     occupied
-}
-
-/// A random connected hole-free structure of exactly `n` amoebots, grown
-/// organically from the origin (the arc-rule blob of
-/// [`shapes::random_blob`], re-exported here as the canonical scenario
-/// generator).
-pub fn random_structure<R: Rng>(n: usize, rng: &mut R) -> Vec<Coord> {
-    shapes::random_blob(n, rng)
 }
 
 /// A random composition of `pieces` primitive shapes (parallelograms,
@@ -355,7 +308,10 @@ mod tests {
                 random_shape_mix(3, 4, &mut b)
             );
             assert_eq!(random_snake(5, 3, &mut a), random_snake(5, 3, &mut b));
-            assert_eq!(random_structure(30, &mut a), random_structure(30, &mut b));
+            assert_eq!(
+                shapes::random_blob(30, &mut a),
+                shapes::random_blob(30, &mut b)
+            );
         }
     }
 }

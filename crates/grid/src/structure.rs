@@ -68,6 +68,58 @@ pub(crate) fn connected(neighbors: &[u32], start: u32, count: usize) -> bool {
     reached == count
 }
 
+/// The hole rule, the grid layer's one complement flood: the vacant cells
+/// of the box `lo..=hi` that no path of vacant cells joins to the box's
+/// one-cell margin, row by row. `occupied` lists occupied cells; those
+/// outside the box and its margin are ignored. The flood keeps one byte
+/// per cell of the margined box, whose corners widen to `i64`, so a box on
+/// the edge of the `i32` range has its margin too; every cell returned
+/// lies inside the box.
+pub(crate) fn enclosed_cells(
+    lo: Coord,
+    hi: Coord,
+    occupied: impl IntoIterator<Item = Coord>,
+) -> Vec<Coord> {
+    const VACANT: u8 = 0;
+    const OCCUPIED: u8 = 1;
+    const REACHED: u8 = 2;
+    let (q0, r0) = (lo.q as i64 - 1, lo.r as i64 - 1);
+    let w = (hi.q as i64 - q0 + 2) as usize;
+    let h = (hi.r as i64 - r0 + 2) as usize;
+    let mut cells = vec![VACANT; w * h];
+    for c in occupied {
+        let (x, y) = ((c.q as i64 - q0) as usize, (c.r as i64 - r0) as usize);
+        if x < w && y < h {
+            cells[y * w + x] = OCCUPIED;
+        }
+    }
+    let mut stack = Vec::new();
+    for y in 0..h {
+        for x in 0..w {
+            if (x == 0 || y == 0 || x == w - 1 || y == h - 1) && cells[y * w + x] == VACANT {
+                cells[y * w + x] = REACHED;
+                stack.push((x, y));
+            }
+        }
+    }
+    while let Some((x, y)) = stack.pop() {
+        for d in ALL_DIRECTIONS {
+            let step = d.offset();
+            let x = x.wrapping_add_signed(step.q as isize);
+            let y = y.wrapping_add_signed(step.r as isize);
+            if x < w && y < h && cells[y * w + x] == VACANT {
+                cells[y * w + x] = REACHED;
+                stack.push((x, y));
+            }
+        }
+    }
+    let cell = |at: usize| Coord::new((q0 + (at % w) as i64) as i32, (r0 + (at / w) as i64) as i32);
+    (0..w * h)
+        .filter(|&at| cells[at] == VACANT)
+        .map(cell)
+        .collect()
+}
+
 /// The local rule of Definition 12: whether the edge from a node towards
 /// `dir` belongs to the *implicit portal graph* of `axis`, where
 /// `occupied` says which of the node's neighbor cells hold a node of the
@@ -288,61 +340,17 @@ impl AmoebotStructure {
     }
 
     /// Whether the structure has no holes, i.e. the complement `V_Δ \ X` is
-    /// connected (§1.1).
-    ///
-    /// Checked by flood-filling the complement inside a bounding box extended
-    /// by one ring: the complement is connected iff every unoccupied cell in
-    /// the box is reachable from the box boundary.
+    /// connected (§1.1): the grid's one complement flood finds no vacant
+    /// cell of the bounding box enclosed.
     pub fn is_hole_free(&self) -> bool {
         let (min_q, max_q, min_r, max_r) = self.bounding_box();
-        let (min_q, max_q, min_r, max_r) = (min_q - 1, max_q + 1, min_r - 1, max_r + 1);
-        let w = (max_q - min_q + 1) as usize;
-        let h = (max_r - min_r + 1) as usize;
-        let idx = |c: Coord| -> usize { ((c.r - min_r) as usize) * w + (c.q - min_q) as usize };
-        let in_box =
-            |c: Coord| -> bool { c.q >= min_q && c.q <= max_q && c.r >= min_r && c.r <= max_r };
+        let (lo, hi) = (Coord::new(min_q, min_r), Coord::new(max_q, max_r));
+        enclosed_cells(lo, hi, self.coords.iter().copied()).is_empty()
+    }
 
-        let mut seen = vec![false; w * h];
-        let mut stack = Vec::new();
-        // Seed with the whole boundary ring (all unoccupied because the box
-        // was extended by one).
-        for q in min_q..=max_q {
-            for r in [min_r, max_r] {
-                let c = Coord::new(q, r);
-                if !seen[idx(c)] {
-                    seen[idx(c)] = true;
-                    stack.push(c);
-                }
-            }
-        }
-        for r in min_r..=max_r {
-            for q in [min_q, max_q] {
-                let c = Coord::new(q, r);
-                if !seen[idx(c)] {
-                    seen[idx(c)] = true;
-                    stack.push(c);
-                }
-            }
-        }
-        debug_assert!(stack.iter().all(|&c| !self.occupied(c)));
-        while let Some(c) = stack.pop() {
-            for nb in c.neighbors() {
-                if in_box(nb) && !self.occupied(nb) && !seen[idx(nb)] {
-                    seen[idx(nb)] = true;
-                    stack.push(nb);
-                }
-            }
-        }
-        // Every unoccupied in-box cell must have been reached.
-        for q in min_q..=max_q {
-            for r in min_r..=max_r {
-                let c = Coord::new(q, r);
-                if !self.occupied(c) && !seen[idx(c)] {
-                    return false;
-                }
-            }
-        }
-        true
+    /// The flat neighbor table (see the module docs).
+    pub(crate) fn neighbor_slots(&self) -> &[u32] {
+        &self.neighbors
     }
 
     /// The bounding box `(min_q, max_q, min_r, max_r)` of the structure.
@@ -455,6 +463,8 @@ mod tests {
         assert_eq!(s.neighbor(NodeId(0), Direction::E), Some(NodeId(1)));
         assert_eq!(s.neighbor(NodeId(1), Direction::W), Some(NodeId(0)));
         assert_eq!((s.degree(NodeId(0)), s.degree(NodeId(1))), (1, 1));
+        // Its hole check floods a margin beyond the range without wrapping.
+        assert!(s.is_hole_free());
     }
 
     #[test]

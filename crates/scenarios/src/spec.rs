@@ -91,7 +91,7 @@ impl StructureSpec {
             StructureSpec::Comb { width, tooth_len } => shapes::comb(width, tooth_len),
             StructureSpec::Staircase { steps, step_len } => shapes::staircase(steps, step_len),
             StructureSpec::Zigzag { segments, len } => shapes::zigzag(segments, len),
-            StructureSpec::RandomBlob { n } => random::random_structure(n, rng),
+            StructureSpec::RandomBlob { n } => shapes::random_blob(n, rng),
             StructureSpec::RandomMix { pieces, scale } => {
                 random::random_shape_mix(pieces, scale, rng)
             }

@@ -4,9 +4,8 @@
 //! `multi_source_bfs` distances under `validate_forest`, for a sweep of
 //! seeds across all three generator families and all placement strategies.
 
-use amoebot_grid::random::{
-    random_placement, random_shape_mix, random_snake, random_structure, ALL_PLACEMENTS,
-};
+use amoebot_grid::random::{random_placement, random_shape_mix, random_snake, ALL_PLACEMENTS};
+use amoebot_grid::shapes::random_blob;
 use amoebot_grid::{multi_source_bfs, validate_forest, AmoebotStructure, NodeId, ALL_DIRECTIONS};
 use amoebot_scenarios::spec::derive_rng;
 use amoebot_spf::forest::shortest_path_forest;
@@ -50,7 +49,7 @@ proptest! {
     /// neighbor tables that agree with lookups.
     #[test]
     fn blobs_are_connected_and_hole_free(n in 1usize..150, seed in 0u64..10_000) {
-        let coords = random_structure(n, &mut derive_rng(seed, 1));
+        let coords = random_blob(n, &mut derive_rng(seed, 1));
         prop_assert_eq!(coords.len(), n);
         let s = AmoebotStructure::new(coords).unwrap();
         prop_assert!(s.is_hole_free());
@@ -79,7 +78,7 @@ proptest! {
     /// blobs with every placement strategy.
     #[test]
     fn forest_matches_bfs_on_blobs(n in 12usize..70, k in 2usize..5, seed in 0u64..5_000) {
-        let s = AmoebotStructure::new(random_structure(n, &mut derive_rng(seed, 4))).unwrap();
+        let s = AmoebotStructure::new(random_blob(n, &mut derive_rng(seed, 4))).unwrap();
         let strategy = ALL_PLACEMENTS[(seed % 3) as usize];
         let sources = random_placement(&s, k.min(s.len()), strategy, &mut derive_rng(seed, 5));
         forest_agrees_with_bfs(&s, &sources);

@@ -16,15 +16,16 @@
 //! self-consistent: its circuit count is a naive union-find count over
 //! its own pins, a round with a beep on every node delivers exactly what
 //! [`World::tick_reference`] delivers, and it passes the rebuild oracle
-//! ([`verify_against_rebuild`]). A structure edited off its invariants
-//! must be rejected for its cells.
+//! ([`verify_against_rebuild`]). A structure edited off its invariants,
+//! or lying on the edge of the `i32` range, must be rejected for its
+//! cells.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use amoebot_circuits::World;
 use amoebot_dynamics::{derive_rng, verify_against_rebuild, ChurnFamily, ChurnPlan, DynamicWorld};
-use amoebot_grid::{shapes, AmoebotStructure};
+use amoebot_grid::{shapes, AmoebotStructure, Coord};
 use amoebot_scenarios::server::Session;
 use amoebot_telemetry::wire::{self, fnv1a64, WireError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use rand::rngs::StdRng;
@@ -39,11 +40,13 @@ use rand::Rng;
 /// that the bytes left can hold the pins, at least one byte each. Each
 /// editor id has 6 slots and `6c` pins, and costs at least `3 + 6c`
 /// bytes (its coordinate, one list entry and its pins). Decode allocates
-/// about `342c + 114` bytes per id: the world's `342c + 56` and about 58
-/// for the editor's coordinates, liveness, lists, derived index and
-/// neighbor table. That is at most about 57 bytes per byte.
+/// about `342c + 178` bytes per id: the world's `342c + 56`, about 58 for
+/// the editor's coordinates, liveness, lists, derived index and neighbor
+/// table, and up to about 64 for its cell map, which holds 1 KiB for each
+/// 16×16-cell chunk the live cells meet (a line meets one per 16 cells, a
+/// blob fewer). That is at most about 58 bytes per byte.
 ///
-/// Over these fuzz inputs the most was 48, from a spliced `DYNAMIC_WORLD`.
+/// Over these fuzz inputs the most was 50, from a spliced `DYNAMIC_WORLD`.
 const ALLOC_PER_BYTE: usize = 64;
 
 /// Mutations per seed blob and mutation kind.
@@ -380,12 +383,19 @@ fn structures_off_their_invariants_are_rejected_by_their_cells() {
     let mut far = Vec::new();
     wire::put_varint(&mut far, 2000); // q = 1000, zigzag-encoded
     wire::put_varint(&mut far, 2000); // r = 1000
+                                      // A hexagon whose east side lies on the last column of the `i32`
+                                      // range: its growth would wrap around to the first.
+    let hexagon = shapes::hexagon(3);
+    let shift = i32::MAX - hexagon.iter().map(|c| c.q).max().unwrap();
+    let edge = hexagon.iter().map(|c| Coord::new(c.q + shift, c.r));
+    let edge = DynamicWorld::new(&AmoebotStructure::new(edge).unwrap(), 2);
     let hostile = [
         ("a live cell moved off the structure", with_cell(a, &far)),
         (
             "two live ids on one cell",
             with_cell(b, &base[cell_span(base, a)]),
         ),
+        ("a structure on the i32 edge", edge.snapshot_bytes()),
     ];
     for (what, blob) in hostile {
         match DynamicWorld::from_snapshot_bytes(&blob) {
